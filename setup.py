@@ -1,19 +1,8 @@
-import os
-
 from setuptools import setup, Extension
 
-# The compiled counting kernel is optional: the package runs on the pure-Python
-# fallback if Cython or a C compiler is unavailable, or if MOTIVIC_NO_EXT is set.
-ext_modules = []
-if not os.environ.get("MOTIVIC_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("motivic.count._ckernel", ["src/motivic/count/_ckernel.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled counting kernel is optional: without a working C compiler the
+# build skips it and the package counts with the pure-Python kernel.
+setup(ext_modules=[
+    Extension("motivic.count._ckernel", ["src/motivic/count/_ckernel.c"],
+              optional=True),
+])

@@ -16,7 +16,7 @@ from .fields import (
     prime_field,
     rationals,
 )
-from .poly import AffinePoly, HomogPoly
+from .poly import HomogPoly
 from .parse import ParseError, parse_point, parse_poly, parse_scalar
 from .linalg import Matrix, extend_to_basis
 from .quadform import QuadForm, diagonalize, find_projective_point, hyperbolic_normalize
@@ -53,7 +53,6 @@ from .descent import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinePoly",
     "BudgetError",
     "ClassExpr",
     "Cocycle",

@@ -205,7 +205,7 @@ def _verification(job, result, oracle_query):
     oracle = {"status": "skipped"}
     if job.verify and oracle_query is not None:
         q = oracle_query.spec.order
-        measured = result.class_expr.count_measure(q)
+        measured = result.class_expr.count_measure(q, budget=job.budget)
         counted = count_points(oracle_query, budget=job.budget)
         oracle = {
             "status": "pass" if measured == counted else "fail",
@@ -289,7 +289,10 @@ def render_text(report) -> str:
 
 
 def _verify_report(path):
-    """Re-run a saved JSON report's job and demand a byte-identical report."""
+    """Re-run a saved JSON report's job and demand a byte-identical report.
+
+    Errors raised by the recomputation itself reach main's handlers.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
@@ -402,11 +405,11 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "selftest":
-        return _selftest()
-    if args.command == "verify":
-        return _verify_report(args.report)
     try:
+        if args.command == "selftest":
+            return _selftest()
+        if args.command == "verify":
+            return _verify_report(args.report)
         job = JobSpec.from_args(args)
         started = time.monotonic()
         report, code = run(job)

@@ -9,14 +9,16 @@ chew through.
 
 Arithmetic inside the hot loop is table-driven: elements become indices
 0..q-1 (0 -> 0, 1 -> 1) and add/mul/pow become flat lookup tables, so the
-same kernel code serves prime and extension fields.  Two kernels share one
-calling convention: motivic.count._ckernel is a compiled extension built at
-install time, _pure is plain Python.  The import below picks the compiled one
-when present; set MOTIVIC_PURE=1 to force the fallback.  Primes too large to
-tabulate (q > _TABLE_LIMIT) take a separate direct-mod path.
+same kernel code serves prime and extension fields.  Two kernels keep one
+contract, the count_stratum of _pure: _pure is plain Python, and
+motivic.count._ckernel is the same function in hand-written C, built at
+install time when a C compiler is available.  The import below picks the
+compiled one when present; set MOTIVIC_PURE=1 to force the fallback.  Primes
+too large to tabulate (q > _TABLE_LIMIT) take a separate direct-mod path.
 
 A counting call touching q^(n+1) candidate tuples beyond the budget
-(MOTIVIC_BUDGET, default 10^8) raises BudgetError instead of hanging.
+(MOTIVIC_BUDGET, default 10^8) raises BudgetError instead of hanging.  A
+MOTIVIC_BUDGET or MOTIVIC_WORKERS that is not an integer raises ValueError.
 """
 
 from __future__ import annotations
@@ -48,14 +50,19 @@ class BudgetError(ValueError):
     """The requested count would exceed the enumeration budget."""
 
 
+def _env_int(name: str, default: int) -> int:
+    """The integer environment knob `name`, or `default` when it is unset."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r" % (name, raw)) from None
+
+
 def default_budget() -> int:
-    raw = os.environ.get("MOTIVIC_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return _DEFAULT_BUDGET
+    return _env_int("MOTIVIC_BUDGET", _DEFAULT_BUDGET)
 
 
 class CountQuery:
@@ -262,8 +269,7 @@ def count_points(query: CountQuery, budget: int | None = None,
         )
 
     if workers is None:
-        raw = os.environ.get("MOTIVIC_WORKERS")
-        workers = int(raw) if raw and raw.isdigit() else 1
+        workers = _env_int("MOTIVIC_WORKERS", 1)
     if workers > 1 and len(jobs) > 1 and _ckernel is not None:
         # the compiled kernel drops the GIL, so threads actually help
         with ThreadPoolExecutor(max_workers=workers) as pool:

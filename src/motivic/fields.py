@@ -491,24 +491,6 @@ class FieldElem:
             return True
         return (self ** ((s.order - 1) // 2)).is_one()
 
-    def sqrt(self):
-        """A square root if one exists, else None.  Deterministic choice."""
-        s = self.spec
-        if s.kind == "Q":
-            v = self.value
-            if v < 0:
-                return None
-            rn, rd = _isqrt_exact(v.numerator), _isqrt_exact(v.denominator)
-            if rn is None or rd is None:
-                return None
-            return FieldElem(s, Fraction(rn, rd))
-        if not self.is_square():
-            return None
-        for cand in s.elements():
-            if cand * cand == self:
-                return cand
-        raise AssertionError("square with no root (unreachable)")
-
     def __str__(self):
         if self.spec.kind == "Fpm":
             nonzero = [k for k, c in enumerate(self.value) if c]

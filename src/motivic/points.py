@@ -21,10 +21,6 @@ from fractions import Fraction
 from .fields import FieldSpec, rationals
 
 
-def num_projective_reps(q: int, n: int) -> int:
-    return (q ** (n + 1) - 1) // (q - 1)
-
-
 def projective_reps(spec: FieldSpec, n: int):
     """All canonical representatives of P^n(F_q), fixed order."""
     if not spec.is_finite:
@@ -56,8 +52,3 @@ def rational_reps(n: int, height: int):
             for tail in itertools.product(rng, repeat=n - lead):
                 yield zeros + (spec.one,) + tuple(spec.elem(t * inv) for t in tail)
 
-
-def affine_tuples(spec: FieldSpec, k: int):
-    """All of F_q^k as an odometer, last coordinate fastest."""
-    elems = [spec.from_index(i) for i in range(spec.order)]
-    return itertools.product(elems, repeat=k)

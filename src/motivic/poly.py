@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials: homogeneous forms and their affine charts.
+"""Sparse homogeneous polynomials over the package's fields.
 
 A HomogPoly is a dict from exponent tuples to nonzero coefficients, tagged
 with its field, variable count, and degree.  The zero polynomial keeps an
@@ -6,9 +6,6 @@ explicit degree so that arithmetic stays well-typed.  Term order everywhere is
 graded lexicographic, which for a fixed degree is plain lexicographic on
 exponent tuples, largest first; that order fixes the leading coefficient, the
 printed form, and every deterministic tie-break downstream.
-
-An AffinePoly is the same storage without the homogeneity constraint; it is a
-separate type on purpose, so charts never masquerade as projective data.
 """
 
 from __future__ import annotations
@@ -275,21 +272,6 @@ class HomogPoly:
             terms[tuple(new)] = coeff
         return HomogPoly(self.spec, new_nvars, self.degree, terms)
 
-    def dehomogenize(self, i: int) -> "AffinePoly":
-        """Set x_i = 1; result in the remaining nvars-1 variables."""
-        if not 0 <= i < self.nvars:
-            raise ValueError("no such variable")
-        terms = {}
-        z = self.spec.zero
-        for exps, coeff in self.terms.items():
-            new = exps[:i] + exps[i + 1 :]
-            acc = terms.get(new, z) + coeff
-            if acc.is_zero():
-                terms.pop(new, None)
-            else:
-                terms[new] = acc
-        return AffinePoly(self.spec, self.nvars - 1, terms)
-
     def __str__(self):
         return _render_terms(self.sorted_terms(), self.spec)
 
@@ -302,84 +284,8 @@ class HomogPoly:
         )
 
 
-class AffinePoly:
-    """Polynomial on an affine chart; not necessarily homogeneous."""
-
-    __slots__ = ("spec", "nvars", "terms")
-
-    def __init__(self, spec: FieldSpec, nvars: int, terms):
-        self.spec = spec
-        self.nvars = nvars
-        self.terms = {}
-        for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError("bad exponent tuple %r" % (exps,))
-            c = spec.elem(coeff)
-            if not c.is_zero():
-                self.terms[exps] = c
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
-        )
-
-    def evaluate(self, point) -> FieldElem:
-        if len(point) != self.nvars:
-            raise ValueError("point length != nvars")
-        pt = [self.spec.elem(x) for x in point]
-        acc = self.spec.zero
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(pt, exps):
-                if e:
-                    val = val * x**e
-            acc = acc + val
-        return acc
-
-    def homogenize(self, i: int) -> HomogPoly:
-        """Insert a new variable at position i and pad every term up to the
-        total degree with its powers."""
-        if not 0 <= i <= self.nvars:
-            raise ValueError("bad position")
-        d = self.total_degree()
-        terms = {}
-        for exps, coeff in self.terms.items():
-            pad = d - sum(exps)
-            new = exps[:i] + (pad,) + exps[i:]
-            terms[new] = coeff
-        return HomogPoly(self.spec, self.nvars + 1, d, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffinePoly)
-            and self.spec == other.spec
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.spec, self.nvars, tuple((e, c.value) for e, c in self.sorted_terms()))
-        )
-
-    def __str__(self):
-        return _render_terms(self.sorted_terms(), self.spec)
-
-    def __repr__(self):
-        return "AffinePoly(%s, n=%d: %s)" % (self.spec, self.nvars, self)
-
-
 def _render_terms(sorted_terms, spec) -> str:
-    """Shared canonical printer; minus signs only show up over Q."""
+    """Canonical printer; minus signs only show up over Q."""
     if not sorted_terms:
         return "0"
     pieces = []

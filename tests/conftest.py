@@ -32,15 +32,19 @@ def brute_count(spec, n, gens):
     return count_points(CountQuery(spec, n, gens))
 
 
-def run_python(args, env):
+def run_python(args, env, root=None):
     """Run the suite's interpreter with `args` from the repo root.
 
     `env` is the child's whole environment, with the directory holding the
     `motivic` under test put first on its PYTHONPATH, so the child imports
-    the same copy of the package as the suite.
+    the same copy of the package as the suite.  Given `root`, a copy of the
+    checkout, the child runs there on `root/src` instead.
     """
+    cwd, import_root = _REPO_ROOT, _IMPORT_ROOT
+    if root is not None:
+        cwd, import_root = root, str(Path(root, "src"))
     env = dict(env)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_IMPORT_ROOT, env.get("PYTHONPATH")) if p)
+        p for p in (import_root, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=_REPO_ROOT)
+                          text=True, env=env, cwd=cwd)

@@ -199,6 +199,53 @@ def test_verify_unreadable_report(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    (("options", "budget"), 5, "budget is 5"),
+    (("polynomials",), ["x0^3 + x1"], "not homogeneous"),
+], ids=["budget", "polynomial"])
+def test_verify_recomputation_errors_exit_two(tmp_path, capsys, field, value,
+                                               message):
+    # A saved report edited so that re-running its job fails: the error
+    # reaches the same exit code and message as a direct run.
+    _, out, _ = _run(capsys, QUADRIC + ["--json"])
+    report = json.loads(out)
+    holder = report["input"]
+    for key in field[:-1]:
+        holder = holder[key]
+    holder[field[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, out2, err = _run(capsys, ["verify", str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and out2 == ""
+
+
+@pytest.mark.parametrize("knob", ["MOTIVIC_BUDGET", "MOTIVIC_WORKERS"])
+def test_non_integer_knob_exits_two(monkeypatch, capsys, knob):
+    monkeypatch.setenv(knob, "abc")
+    code, out, err = _run(capsys, ["count", "--field", "3", "--ambient", "1"])
+    assert code == 2
+    assert err == "error: %s must be an integer, got 'abc'\n" % knob
+    assert out == ""
+    code, _, err = _run(capsys, ["selftest"])
+    assert code == 2
+    assert err == "error: %s must be an integer, got 'abc'\n" % knob
+
+
+def test_oracle_obeys_job_budget(monkeypatch, capsys):
+    # The oracle's atom counts take --budget, not the MOTIVIC_BUDGET default.
+    monkeypatch.setenv("MOTIVIC_BUDGET", "10")
+    code, out, err = _run(capsys, [
+        "class-cubic-singular", "--field", "3", "--ambient", "3",
+        "--poly", "x0*x1*x3 + x2^3 + x1^3", "--budget", "1000000", "--json",
+    ])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["verification"]["oracle"]["status"] == "pass"
+    assert report["status"] == "ok"
+
+
 def test_selftest(capsys):
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 0

@@ -1,3 +1,7 @@
+import json
+import os
+import shutil
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -115,7 +119,8 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("MOTIVIC_BUDGET", "123")
     assert default_budget() == 123
     monkeypatch.setenv("MOTIVIC_BUDGET", "not-a-number")
-    assert default_budget() == 10**8
+    with pytest.raises(ValueError, match="MOTIVIC_BUDGET must be an integer"):
+        default_budget()
 
 
 def test_large_extension_field_refused():
@@ -176,6 +181,101 @@ def test_pure_kernel_agrees_in_subprocess():
     vals, where = out.stdout.splitlines()
     assert vals == "[16, 13, 10]"
     assert Path(where) == Path(motivic.__file__).resolve()
+
+
+# Run in a child on a freshly built copy of the checkout.  It prints where
+# motivic came from, then one JSON line per query: [compiled kernel, compiled
+# kernel on 2 threads, pure kernel, enumerate_points], then one JSON line
+# with the direct kernel calls.
+_COMPILED_CHECK = """
+import json
+from array import array
+import motivic, motivic.count as count
+from motivic.count import CountQuery, _pure, count_points, enumerate_points
+from motivic.fields import extension_field, prime_field
+from motivic.parse import parse_poly
+
+assert count.HAVE_COMPILED
+ckernel = count._ckernel
+F3, F5, F9 = prime_field(3), prime_field(5), extension_field(3, 2)
+CASES = [
+    (F3, 3, ["x0*x1 + x2*x3"], ()),
+    (F3, 2, [], ()),
+    (F3, 3, [], ((0, "zero"), (3, "nonzero"))),
+    (F5, 3, ["x0^3 + x1^3 + x2^3 + x3^3"], ()),
+    (F5, 4, ["x0*x1 - x2^2", "x3^2 + x4*x0"], ((0, "nonzero"),)),
+    (F5, 2, ["x1^2 + x2^2"], ((1, "zero"), (2, "zero"))),
+    (F9, 2, ["x0*x1 - x2^2"], ()),
+    (F9, 3, ["x0^2 + t*x1^2 + x2*x3"], ((1, "zero"),)),
+]
+print(motivic.__file__)
+for spec, n, polys, chart in CASES:
+    query = CountQuery(spec, n, [parse_poly(s, spec, n + 1) for s in polys],
+                       chart)
+    row = [count_points(query), count_points(query, workers=2)]
+    count._ckernel = None
+    row.append(count_points(query))
+    count._ckernel = ckernel
+    row.append(sum(1 for _ in enumerate_points(query)))
+    print(json.dumps(row))
+
+q = 3
+args = dict(
+    q=q, nvars=2, fixed=array("i", [1, 0]), free_pos=array("i", [1]),
+    free_start=array("i", [0]), ngens=1, gen_off=array("i", [0, 1]),
+    gen_coeff=array("i", [1]), gen_exps=array("i", [0, 1]),
+    mul=array("i", [a * b % q for a in range(q) for b in range(q)]),
+    add=array("i", [(a + b) % q for a in range(q) for b in range(q)]),
+    powt=array("i", [pow(x, e, q) for x in range(q) for e in range(2)]),
+    maxd=1,
+)
+direct = [ckernel.count_stratum(**args), _pure.count_stratum(**args),
+          ckernel.count_stratum(*args.values())]
+errors = []
+for key, bad in [("fixed", array("q", [1, 0])),
+                 ("mul", array("i", args["mul"][:-1])),
+                 ("gen_exps", array("i", [0, 2]))]:
+    try:
+        ckernel.count_stratum(**dict(args, **{key: bad}))
+    except ValueError as e:
+        errors.append(str(e))
+print(json.dumps([direct, errors]))
+"""
+
+_HAVE_C_TOOLCHAIN = (
+    (shutil.which("gcc") or shutil.which("cc")) is not None
+    and Path(sysconfig.get_paths()["include"], "Python.h").is_file()
+)
+
+
+@pytest.mark.skipif(not _HAVE_C_TOOLCHAIN,
+                    reason="needs gcc or cc and Python.h to build the "
+                           "compiled kernel")
+def test_compiled_kernel_agrees_with_pure(tmp_path):
+    """Build the C kernel in a copy of the checkout; it must count what the
+    pure kernel and enumerate_points count, and refuse malformed buffers."""
+    repo = Path(__file__).resolve().parents[1]
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy(repo / name, tmp_path / name)
+    shutil.copytree(repo / "src", tmp_path / "src", ignore=shutil.ignore_patterns(
+        "__pycache__", "*.so", "*.egg-info"))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MOTIVIC_")}
+    built = run_python(["setup.py", "build_ext", "--inplace"], env,
+                       root=tmp_path)
+    assert built.returncode == 0, built.stdout + built.stderr
+
+    out = run_python(["-c", _COMPILED_CHECK], env, root=tmp_path)
+    assert out.returncode == 0, out.stderr
+    where, *rows, kernel_calls = out.stdout.splitlines()
+    assert Path(where).is_relative_to(tmp_path)
+    counts = [json.loads(r) for r in rows]
+    assert counts == [[c] * 4 for c in (16, 13, 9, 31, 25, 1, 10, 10)]
+    direct, errors = json.loads(kernel_calls)
+    assert direct == [1, 1, 1]  # x1 = 0 on the line x0 = 1
+    assert len(errors) == 3
+    assert "fixed has item size 8" in errors[0]
+    assert "len(mul) is 8, expected 9" in errors[1]
+    assert "gen_exps[1] is 2, outside [0, 2)" in errors[2]
 
 
 @st.composite

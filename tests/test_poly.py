@@ -65,13 +65,6 @@ def test_drop_insert_remap():
     assert str(h) == "x0*x1 + x2^2"
 
 
-def test_dehomogenize_homogenize():
-    f = parse_poly("x0^2 + x1*x2", F5, 3)
-    a = f.dehomogenize(2)
-    assert a.total_degree() == 2
-    assert a.homogenize(2) == f
-
-
 def test_partial_derivative():
     f = parse_poly("x0^3 + x0*x1^2", F5, 2)
     assert str(f.partial_derivative(0)) == "3*x0^2 + x1^2"
