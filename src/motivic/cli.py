@@ -14,7 +14,7 @@ import time
 
 from .fields import FieldSpec, field_from_text, prime_field
 from .parse import parse_point, parse_poly
-from .count import BudgetError, CountQuery, count_points
+from .count import HAVE_COMPILED, BudgetError, CountQuery, count_points
 from .strat import (
     DefectError,
     arrangement_inclusion_exclusion,
@@ -312,6 +312,8 @@ def _selftest():
     """Fixture suite: nodal cubic, cone, arrangement, descent example."""
     from .fields import extension_field
 
+    # a silent fallback to the pure kernel shows here
+    print("selftest kernel: %s" % ("compiled" if HAVE_COMPILED else "pure"))
     checks = []
 
     def check(name, ok):

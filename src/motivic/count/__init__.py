@@ -1,20 +1,23 @@
-"""Brute-force point counting over finite fields.
+"""Exact point counting over finite fields.
 
 The unit of work is a CountQuery: a list of homogeneous generators over
 F_q together with optional chart constraints (coordinate = 0 / != 0), counted
-on the canonical representatives of P^n.  Counting walks the lead strata
-(lead coordinate = 1, earlier coordinates 0) so the traversal matches
-enumerate_points exactly and each stratum is an independent unit a kernel can
-chew through.
+on the canonical representatives of P^n.  Counting splits them into lead
+strata (lead coordinate = 1, earlier coordinates 0), each an independent
+unit a kernel can chew through; together they are the points
+enumerate_points yields.
 
 Arithmetic inside the hot loop is table-driven: elements become indices
 0..q-1 (0 -> 0, 1 -> 1) and add/mul/pow become flat lookup tables, so the
 same kernel code serves prime and extension fields.  Two kernels keep one
-contract, the count_stratum of _pure: _pure is plain Python, and
-motivic.count._ckernel is the same function in hand-written C, built at
-install time when a C compiler is available.  The import below picks the
-compiled one when present; set MOTIVIC_PURE=1 to force the fallback.  Primes
-too large to tabulate (q > _TABLE_LIMIT) take a separate direct-mod path.
+count contract, the count_stratum of _pure, and share nothing else.
+motivic.count._ckernel, hand-written C built at install time when a C
+compiler is available, tests every candidate of the stratum.  _pure, plain
+Python, walks the fibres over the last free coordinate and counts roots of
+univariate polynomials there.  The import below picks the compiled one when
+present; set MOTIVIC_PURE=1 to force the fallback.  Primes too large to
+tabulate (q > _TABLE_LIMIT) take a separate direct-mod path, which counts
+those roots as the degree of a gcd with t^p - t.
 
 A counting call touching q^(n+1) candidate tuples beyond the budget
 (MOTIVIC_BUDGET, default 10^8) raises BudgetError instead of hanging.  A
@@ -237,7 +240,7 @@ def _strata(query: CountQuery):
 
 def count_points(query: CountQuery, budget: int | None = None,
                  workers: int | None = None) -> int:
-    """Number of F_q-points of the query, by exhaustive enumeration."""
+    """Number of F_q-points of the query, counted stratum by stratum."""
     budget = default_budget() if budget is None else budget
     if query.cost() > budget:
         raise BudgetError(
@@ -271,14 +274,16 @@ def count_points(query: CountQuery, budget: int | None = None,
     if workers is None:
         workers = _env_int("MOTIVIC_WORKERS", 1)
     if workers > 1 and len(jobs) > 1 and _ckernel is not None:
-        # the compiled kernel drops the GIL, so threads actually help
+        # the compiled kernel drops the GIL, so threads actually help; more
+        # threads than cores or strata would only wait
+        workers = min(workers, os.cpu_count() or 1, len(jobs))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(run, jobs))
     return sum(run(job) for job in jobs)
 
 
 def _count_bigprime(query: CountQuery) -> int:
-    """Direct modular evaluation for primes too large for q*q tables."""
+    """Counting with ints mod p, for primes too large for q*q tables."""
     p = query.spec.p
     gens = [
         [(exps, c.value) for exps, c in g.sorted_terms()] for g in query.generators

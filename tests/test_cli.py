@@ -7,6 +7,7 @@ import pytest
 import motivic
 from conftest import run_python
 from motivic.cli import main
+from motivic.count import HAVE_COMPILED
 
 QUADRIC = ["class-quadric", "--field", "3", "--ambient", "3",
            "--poly", "x0*x1 - x2*x3"]
@@ -250,6 +251,8 @@ def test_selftest(capsys):
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 0
     assert "selftest: 5/5 ok" in out
+    kernel = "compiled" if HAVE_COMPILED else "pure"
+    assert out.splitlines()[0] == "selftest kernel: %s" % kernel
 
 
 def test_unknown_command_exits_two():

@@ -5,13 +5,15 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import motivic
+import motivic.count
 from conftest import run_python
 from motivic.count import (
     BudgetError,
     CountQuery,
+    _pure,
     count_points,
     default_budget,
     enumerate_points,
@@ -19,11 +21,13 @@ from motivic.count import (
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.parse import parse_poly
 from motivic.points import projective_reps
+from motivic.poly import HomogPoly
 
 F3 = prime_field(3)
 F5 = prime_field(5)
 F7 = prime_field(7)
 F9 = extension_field(3, 2)
+F25 = extension_field(5, 2)
 
 
 def _q(text, spec, n, chart=()):
@@ -137,6 +141,51 @@ def test_bigprime_path():
     assert n == 1032  # smooth conic = P^1
 
 
+def _product(factors, spec, n):
+    out = parse_poly(factors[0], spec, n + 1)
+    for text in factors[1:]:
+        out = out * parse_poly(text, spec, n + 1)
+    return out
+
+
+def _nonresidue(p):
+    return next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+
+
+@pytest.mark.parametrize("p", [1031, 1033])
+def test_bigprime_known_counts(p):
+    """The direct-mod path against counts known by construction."""
+    P = prime_field(p)
+    r = _nonresidue(p)
+    cases = [
+        # binary forms: each linear factor is one point of P^1, x0 the
+        # point (0 : 1) that only the stratum with no free position sees
+        (1, ["x0", "x1", "x0 - 2*x1", "x0 + 5*x1"], (), 4),
+        (1, ["x0 - 3*x1", "x0 - 3*x1", "x0 + x1"], (), 2),
+        (1, ["x0^2 - %d*x1^2" % r], (), 0),
+        (1, ["x0^2 - %d*x1^2" % r, "x0 - x1", "x1"], (), 2),
+        (1, ["x0^2 - %d*x1^2" % r, "x0 - x1", "x1"], ((1, "nonzero"),), 1),
+        (1, ["x0 - 7*x1", "x0 - 7*x1", "x0 - 7*x1", "x1"], (), 2),
+        # conics and line pairs in P^2
+        (2, ["x0^2 + x1^2 + x2^2"], (), p + 1),
+        (2, ["x0^2 - x1*x2"], ((2, "nonzero"),), p),
+        (2, ["x0", "x1"], (), 2 * p + 1),
+        (2, ["x0", "x1"], ((2, "nonzero"),), 2 * p - 1),
+        # x1*(x2 - x0) vanishes identically on the fibre over x1 = 0
+        (2, ["x1", "x2 - x0"], (), 2 * p + 1),
+        # x0^2 vanishes identically on the stratum x0 = 0, x1 = 1
+        (2, ["x0", "x0"], (), p + 1),
+    ]
+    for n, factors, chart, expected in cases:
+        query = CountQuery(P, n, [_product(factors, P, n)], chart)
+        assert count_points(query, budget=2 * 10**9) == expected, factors
+    # two generators, the second identically zero on the stratum x0 = 0,
+    # x1 = 1: the line x2 = 0 and the point (0 : 0 : 1)
+    query = CountQuery(P, 2, [_product(["x1", "x2"], P, 2),
+                              _product(["x0", "x2"], P, 2)])
+    assert count_points(query, budget=2 * 10**9) == p + 2
+
+
 def test_enumerate_matches_count():
     for text, spec, n in [
         (["x0*x1 + x2^2"], F3, 2),
@@ -154,6 +203,32 @@ def test_enumerate_matches_count():
 def test_workers_agree():
     query = _q(["x0*x1 + x2*x3"], F5, 3)
     assert count_points(query, workers=4) == 36
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    """workers=10**6 asks for no more threads than cores or strata."""
+    asked = []
+
+    class RecordingPool:
+        # runs the jobs in this thread; it never starts one
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(motivic.count, "ThreadPoolExecutor", RecordingPool)
+    # any kernel in the _ckernel slot takes the threaded path
+    monkeypatch.setattr(motivic.count, "_ckernel", _pure)
+    query = _q(["x0*x1 + x2*x3"], F5, 3)  # four lead strata
+    assert count_points(query, workers=10**6) == 36
+    assert asked == [min(os.cpu_count() or 1, 4)]
 
 
 def test_pure_kernel_agrees_in_subprocess():
@@ -305,3 +380,41 @@ def test_kernel_matches_direct_evaluation(terms):
         1 for pt in projective_reps(F3, 2) if f.evaluate(pt).is_zero()
     )
     assert count_points(query) == direct
+
+
+@st.composite
+def _count_query(draw):
+    """A query over a small field: 0 to 3 forms of degree 1 to 4, some free
+    of the last variable or pure powers of it, and a random chart."""
+    spec = draw(st.sampled_from([F3, F5, F7, F9, F25]))
+    # P^3 over F25 has 16276 points, too many to enumerate here
+    n = draw(st.integers(0, 3 if spec.order < 25 else 2))
+    nonzero = st.integers(1, spec.order - 1).map(spec.from_index)
+    forms = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(1, 4))
+        shape = draw(st.sampled_from(["any", "no last", "power of last"]))
+        if shape == "power of last" or n == 0:
+            exps = tuple([0] * n + [degree])
+            forms.append(HomogPoly(spec, n + 1, degree, {exps: draw(nonzero)}))
+            continue
+        width = n + 1 if shape == "any" else n
+        terms = {}
+        for _ in range(draw(st.integers(1, 6))):
+            exps = [0] * (n + 1)
+            for i in draw(st.lists(st.integers(0, width - 1),
+                                   min_size=degree, max_size=degree)):
+                exps[i] += 1
+            terms[tuple(exps)] = draw(nonzero)
+        forms.append(HomogPoly(spec, n + 1, degree, terms))
+    chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
+             for i in range(n + 1) if draw(st.booleans())]
+    return CountQuery(spec, n, forms, chart)
+
+
+@given(_count_query())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pure_kernel_matches_enumeration(monkeypatch, query):
+    monkeypatch.setattr(motivic.count, "_ckernel", None)
+    assert count_points(query) == len(list(enumerate_points(query)))
