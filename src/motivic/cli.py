@@ -119,24 +119,30 @@ class JobSpec:
 
 
 def _dispatch(job):
-    """(StratResult, master oracle CountQuery or None) for a class command."""
+    """(StratResult, master oracle CountQuery or None) for a class command.
+
+    The oracle is counted only under verification, and expanding a product
+    for it can cost more than the engine, so without job.verify it is None.
+    """
     spec = job.field
     nvars = job.ambient + 1
-    finite = spec.is_finite
+    with_oracle = spec.is_finite and job.verify
 
     if job.command == "class-quadric":
         if len(job.polynomials) != 1:
             raise ValueError("class-quadric takes exactly one --poly")
         f = parse_poly(job.polynomials[0], spec, nvars)
         result = class_of_quadric(f, height=job.height)
-        return result, CountQuery(spec, job.ambient, [f]) if finite else None
+        if not with_oracle:
+            return result, None
+        return result, CountQuery(spec, job.ambient, [f])
 
     if job.command == "class-arrangement":
         if not job.forms:
             raise ValueError("class-arrangement needs at least one --form")
         forms = [parse_poly(s, spec, nvars) for s in job.forms]
         result = class_of_arrangement(forms)
-        if not finite:
+        if not with_oracle:
             return result, None
         product = forms[0]
         for h in forms[1:]:
@@ -149,7 +155,7 @@ def _dispatch(job):
             raise ValueError("class-cone needs at least one --poly")
         gens = [parse_poly(s, spec, job.ambient) for s in job.polynomials]
         result = class_of_cone(gens)
-        if not finite:
+        if not with_oracle:
             return result, None
         lifted = [g.insert_variable(g.nvars) for g in gens]
         return result, CountQuery(spec, job.ambient, lifted)
@@ -160,7 +166,9 @@ def _dispatch(job):
         f = parse_poly(job.polynomials[0], spec, nvars)
         x = parse_point(job.point, spec, nvars) if job.point else None
         result = class_of_singular_cubic(f, x, height=job.height)
-        return result, CountQuery(spec, job.ambient, [f]) if finite else None
+        if not with_oracle:
+            return result, None
+        return result, CountQuery(spec, job.ambient, [f])
 
     if job.command == "class-two-quadrics":
         if len(job.polynomials) != 2:
@@ -168,21 +176,24 @@ def _dispatch(job):
         f1 = parse_poly(job.polynomials[0], spec, nvars)
         f2 = parse_poly(job.polynomials[1], spec, nvars)
         result = class_of_two_quadric_union(f1, f2, height=job.height)
+        if not with_oracle:
+            return result, None
         return result, CountQuery(spec, job.ambient, [f1 * f2])
 
     if job.command == "descend":
         if not job.forms:
             raise ValueError("descend needs at least one --form")
-        if not finite:
+        if not spec.is_finite:
             raise ValueError("descent needs a finite field")
         ctx = GaloisContext(prime_field(spec.p), spec)
         forms = [parse_poly(s, spec, nvars) for s in job.forms]
         result = class_of_descended_arrangement(ctx, forms, job.ambient,
                                                 seed=job.seed)
+        if not with_oracle:
+            return result, None
         # the final fibration identity's left side is V(product) over the
         # base field, which is exactly the master oracle here
-        oracle = result.trace[-1].identity.lhs[0].query
-        return result, oracle
+        return result, result.trace[-1].identity.lhs[0].query
 
     raise ValueError("unknown command %r" % job.command)
 

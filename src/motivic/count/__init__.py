@@ -159,18 +159,71 @@ def _field_tables(spec: FieldSpec):
     cached = _table_cache.get(spec)
     if cached is not None:
         return cached
-    q = spec.order
     elems = list(spec.elements())
     index = {e: i for i, e in enumerate(elems)}
-    add = array("i", [0] * (q * q))
-    mul = array("i", [0] * (q * q))
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i * q + j] = index[a + b]
-            mul[i * q + j] = index[a * b]
-    out = (elems, index, add, mul)
+    out = (elems, index, array("i", _add_table(spec.p, spec.m)),
+           array("i", _mul_table(spec, elems, index)))
     _table_cache[spec] = out
     return out
+
+
+def _add_table(p, m):
+    """Flat p^m x p^m table of index sums.
+
+    An element's index is sum(c_k * p^k) over its coefficients c_k, so a
+    sum adds base-p digits mod p.  The table grows one digit at a time: with
+    a new top digit d, (a + size*d1) + (b + size*d2) is
+    (a + b) + size*((d1 + d2) % p).
+    """
+    table = [(i + j) % p for i in range(p) for j in range(p)]
+    size = p
+    for _ in range(m - 1):
+        grown = []
+        for d1 in range(p):
+            for a in range(size):
+                row = table[a * size:(a + 1) * size]
+                for d2 in range(p):
+                    shift = size * ((d1 + d2) % p)
+                    grown.extend([x + shift for x in row])
+        table, size = grown, size * p
+    return table
+
+
+def _mul_table(spec, elems, index):
+    """Flat q x q table of index products.
+
+    Over F_p an index is the residue.  Over F_{p^m} the products go through
+    a logarithm to the base of a primitive element g: a*b = g^(log a + log b).
+    """
+    q = spec.order
+    if spec.kind == "Fp":
+        return [(i * j) % q for i in range(q) for j in range(q)]
+    antilog = _primitive_powers(spec, elems, index)
+    n = q - 1
+    log = [0] * q
+    for k, i in enumerate(antilog):
+        log[i] = k
+    table = [0] * q
+    for i in range(1, q):
+        li = log[i]
+        table.append(0)
+        table.extend([antilog[(li + log[j]) % n] for j in range(1, q)])
+    return table
+
+
+def _primitive_powers(spec, elems, index):
+    """Indices of g^0, ..., g^(q-2), where g is the first element in index
+    order whose powers run through every nonzero element."""
+    one = spec.one
+    for g in elems[2:]:
+        powers = [1]
+        x = g
+        while x != one:
+            powers.append(index[x])
+            x = x * g
+        if len(powers) == spec.order - 1:
+            return powers
+    raise AssertionError("no primitive element (unreachable)")
 
 
 def _pow_table(q, mul, maxd):

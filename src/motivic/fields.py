@@ -14,6 +14,15 @@ deterministically (smallest candidate by integer encoding sum(c_i * p^i)), so
 two processes always agree on what F_{p^m} means.  Finite-field elements are
 enumerable in a fixed order (by the same integer encoding), which downstream
 point searches rely on for determinism.
+
+Specs are interned: the factories cache one FieldSpec per argument tuple, so
+elements of one field nearly always share one spec object.  Equality tests
+identity first and falls back to comparing (kind, p, m, modulus), because
+extension_field(3, 2) and extension_field(3, 2, (1, 0, 1)) are distinct
+objects for one field; elements of genuinely different fields never mix.
+Each spec builds its zero and one once, as plain attributes, and element
+arithmetic between two F_p elements of the same spec object works on the
+residues directly.
 """
 
 from __future__ import annotations
@@ -137,7 +146,8 @@ class FieldSpec:
     extension_field(p, m), which validate and cache.
     """
 
-    __slots__ = ("kind", "p", "m", "modulus", "order", "_tpowers")
+    __slots__ = ("kind", "p", "m", "modulus", "order", "_tpowers", "_hash",
+                 "zero", "one")
 
     def __init__(self, kind, p=0, m=1, modulus=None):
         self.kind = kind  # "Q" | "Fp" | "Fpm"
@@ -160,11 +170,21 @@ class FieldSpec:
                     cur = [(cur[i] + lead * base[i]) % p for i in range(m)]
                 red.append(tuple(cur))
             self._tpowers = tuple(red)
+        self._hash = hash((kind, p, m, modulus))
+        # FieldElem is immutable, so every caller can share these two
+        if kind == "Q":
+            zero, one = Fraction(0), Fraction(1)
+        elif kind == "Fp":
+            zero, one = 0, 1
+        else:
+            zero, one = (0,) * m, (1,) + (0,) * (m - 1)
+        self.zero = FieldElem(self, zero)
+        self.one = FieldElem(self, one)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.kind == other.kind
             and self.p == other.p
@@ -173,7 +193,7 @@ class FieldSpec:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.p, self.m, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return "FieldSpec(%s)" % (self,)
@@ -208,7 +228,7 @@ class FieldSpec:
 
     def elem(self, x) -> "FieldElem":
         if isinstance(x, FieldElem):
-            if x.spec != self:
+            if x.spec is not self and x.spec != self:
                 raise ValueError("element of %s used where %s expected" % (x.spec, self))
             return x
         if self.kind == "Q":
@@ -226,14 +246,6 @@ class FieldSpec:
         if len(coeffs) > self.m:
             raise ValueError("coefficient tuple longer than extension degree")
         return FieldElem(self, coeffs + (0,) * (self.m - len(coeffs)))
-
-    @property
-    def zero(self) -> "FieldElem":
-        return self.elem(0)
-
-    @property
-    def one(self) -> "FieldElem":
-        return self.elem(1)
 
     def gen(self) -> "FieldElem":
         """The residue class of t (extensions only)."""
@@ -257,7 +269,7 @@ class FieldSpec:
         return FieldElem(self, tuple(coeffs))
 
     def index(self, a: "FieldElem") -> int:
-        if a.spec != self:
+        if a.spec is not self and a.spec != self:
             raise ValueError("element of %s used where %s expected" % (a.spec, self))
         if self.kind == "Fp":
             return a.value
@@ -343,7 +355,7 @@ class FieldElem:
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise ValueError(
                     "mixed fields: %s vs %s" % (self.spec, other.spec)
                 )
@@ -352,11 +364,16 @@ class FieldElem:
             return self.spec.elem(other)
         return NotImplemented
 
+    # The four ring operations first try two F_p elements of one spec
+    # object, the bulk of all calls, on the residues alone.
+
     def __add__(self, other):
+        s = self.spec
+        if s.kind == "Fp" and type(other) is FieldElem and other.spec is s:
+            return FieldElem(s, (self.value + other.value) % s.p)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        s = self.spec
         if s.kind == "Q":
             return FieldElem(s, self.value + other.value)
         if s.kind == "Fp":
@@ -369,13 +386,16 @@ class FieldElem:
 
     def __neg__(self):
         s = self.spec
-        if s.kind == "Q":
-            return FieldElem(s, -self.value)
         if s.kind == "Fp":
             return FieldElem(s, (-self.value) % s.p)
+        if s.kind == "Q":
+            return FieldElem(s, -self.value)
         return FieldElem(s, tuple((-a) % s.p for a in self.value))
 
     def __sub__(self, other):
+        s = self.spec
+        if s.kind == "Fp" and type(other) is FieldElem and other.spec is s:
+            return FieldElem(s, (self.value - other.value) % s.p)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -388,10 +408,12 @@ class FieldElem:
         return other + (-self)
 
     def __mul__(self, other):
+        s = self.spec
+        if s.kind == "Fp" and type(other) is FieldElem and other.spec is s:
+            return FieldElem(s, (self.value * other.value) % s.p)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        s = self.spec
         if s.kind == "Q":
             return FieldElem(s, self.value * other.value)
         if s.kind == "Fp":
@@ -439,6 +461,8 @@ class FieldElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
+        if self.spec.kind == "Fp":
+            return FieldElem(self.spec, pow(self.value, e, self.spec.p))
         acc = self.spec.one
         base = self
         while e:
@@ -453,18 +477,17 @@ class FieldElem:
             other = self.spec.elem(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.spec == other.spec and self.value == other.value
+        return self.value == other.value and (
+            self.spec is other.spec or self.spec == other.spec)
 
     def __hash__(self):
         return hash((self.spec, self.value))
 
     def is_zero(self) -> bool:
-        if self.spec.kind == "Fpm":
-            return all(c == 0 for c in self.value)
-        return self.value == 0
+        return self.value == self.spec.zero.value
 
     def is_one(self) -> bool:
-        return self == self.spec.one
+        return self.value == self.spec.one.value
 
     def __bool__(self):
         return not self.is_zero()

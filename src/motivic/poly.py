@@ -10,6 +10,8 @@ printed form, and every deterministic tie-break downstream.
 
 from __future__ import annotations
 
+from operator import add
+
 from .fields import FieldElem, FieldSpec
 from .linalg import Matrix
 
@@ -31,6 +33,14 @@ def _validated_terms(spec, nvars, degree, terms):
 
 
 class HomogPoly:
+    """A homogeneous form; see the module docstring for the representation.
+
+    The constructor validates its input: exponent tuples of the right length
+    and degree, coefficients coerced into the field, zeros dropped.  Ring
+    operations on valid polynomials give valid results by construction, so
+    they build those through _from_terms, which stores the dict it is given.
+    """
+
     __slots__ = ("spec", "nvars", "degree", "terms")
 
     def __init__(self, spec: FieldSpec, nvars: int, degree: int, terms):
@@ -42,6 +52,17 @@ class HomogPoly:
         self.nvars = nvars
         self.degree = degree
         self.terms = _validated_terms(spec, nvars, degree, terms)
+
+    @classmethod
+    def _from_terms(cls, spec, nvars, degree, terms) -> "HomogPoly":
+        """No checks: terms maps exponent tuples of length nvars and sum
+        degree to nonzero elements of spec, and becomes the result's own."""
+        f = object.__new__(cls)
+        f.spec = spec
+        f.nvars = nvars
+        f.degree = degree
+        f.terms = terms
+        return f
 
     @classmethod
     def zero(cls, spec, nvars, degree) -> "HomogPoly":
@@ -109,15 +130,19 @@ class HomogPoly:
         degree = other.degree if self.is_zero() else self.degree
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            acc = terms.get(e, self.spec.zero) + c
+            prev = terms.get(e)
+            if prev is None:
+                terms[e] = c
+                continue
+            acc = prev + c
             if acc.is_zero():
-                terms.pop(e, None)
+                del terms[e]
             else:
                 terms[e] = acc
-        return HomogPoly(self.spec, self.nvars, degree, terms)
+        return HomogPoly._from_terms(self.spec, self.nvars, degree, terms)
 
     def __neg__(self) -> "HomogPoly":
-        return HomogPoly(
+        return HomogPoly._from_terms(
             self.spec,
             self.nvars,
             self.degree,
@@ -131,7 +156,8 @@ class HomogPoly:
         c = self.spec.elem(c)
         if c.is_zero():
             return HomogPoly.zero(self.spec, self.nvars, self.degree)
-        return HomogPoly(
+        # a product of two nonzero field elements is nonzero
+        return HomogPoly._from_terms(
             self.spec,
             self.nvars,
             self.degree,
@@ -140,22 +166,38 @@ class HomogPoly:
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_like(other)
-        terms = {}
-        z = self.spec.zero
+        spec = self.spec
+        degree = self.degree + other.degree
+        acc = {}
+        if spec.kind == "Fp":
+            # raw residue products per monomial, reduced mod p once
+            pairs = [(e2, c2.value) for e2, c2 in other.terms.items()]
+            for e1, c1 in self.terms.items():
+                v1 = c1.value
+                for e2, v2 in pairs:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + v1 * v2
+            p = spec.p
+            terms = {}
+            for e, v in acc.items():
+                v %= p
+                if v:
+                    terms[e] = FieldElem(spec, v)
+            return HomogPoly._from_terms(spec, self.nvars, degree, terms)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, z) + c1 * c2
-                if acc.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = acc
-        return HomogPoly(self.spec, self.nvars, self.degree + other.degree, terms)
+                e = tuple(map(add, e1, e2))
+                prod = c1 * c2
+                prev = acc.get(e)
+                acc[e] = prod if prev is None else prev + prod
+        terms = {e: c for e, c in acc.items() if not c.is_zero()}
+        return HomogPoly._from_terms(spec, self.nvars, degree, terms)
 
     def power(self, k: int) -> "HomogPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = HomogPoly(self.spec, self.nvars, 0, {(0,) * self.nvars: 1})
+        out = HomogPoly._from_terms(self.spec, self.nvars, 0,
+                                    {(0,) * self.nvars: self.spec.one})
         for _ in range(k):
             out = out * self
         return out
@@ -187,7 +229,7 @@ class HomogPoly:
             raise ValueError("matrix must have one row per variable")
         new_n = M.ncols
         rows = [
-            HomogPoly(self.spec, new_n, 1, {
+            HomogPoly._from_terms(self.spec, new_n, 1, {
                 tuple(1 if k == j else 0 for k in range(new_n)): M.rows[i][j]
                 for j in range(new_n)
                 if not M.rows[i][j].is_zero()
@@ -196,7 +238,8 @@ class HomogPoly:
         ]
         out = HomogPoly.zero(self.spec, new_n, self.degree)
         for exps, coeff in self.terms.items():
-            piece = HomogPoly(self.spec, new_n, 0, {(0,) * new_n: coeff})
+            piece = HomogPoly._from_terms(self.spec, new_n, 0,
+                                          {(0,) * new_n: coeff})
             for i, e in enumerate(exps):
                 if e:
                     piece = piece * rows[i].power(e)
@@ -216,7 +259,8 @@ class HomogPoly:
             c = coeff * e
             if not c.is_zero():
                 terms[tuple(new)] = c
-        return HomogPoly(self.spec, self.nvars, max(self.degree - 1, 0), terms)
+        return HomogPoly._from_terms(self.spec, self.nvars,
+                                     max(self.degree - 1, 0), terms)
 
     def split_by_variable(self, i: int):
         """Write f = sum_k x_i^k * f_k; returns (f_0, ..., f_degree).
@@ -233,7 +277,8 @@ class HomogPoly:
             new[i] = 0
             buckets[k][tuple(new)] = coeff
         return [
-            HomogPoly(self.spec, self.nvars, self.degree - k, buckets[k])
+            HomogPoly._from_terms(self.spec, self.nvars, self.degree - k,
+                                  buckets[k])
             for k in range(self.degree + 1)
         ]
 
@@ -247,14 +292,16 @@ class HomogPoly:
         if self.nvars < 2:
             raise ValueError("cannot drop the last variable")
         terms = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()}
-        return HomogPoly(self.spec, self.nvars - 1, self.degree, terms)
+        return HomogPoly._from_terms(self.spec, self.nvars - 1, self.degree,
+                                     terms)
 
     def insert_variable(self, i: int) -> "HomogPoly":
         """Add a fresh unused variable slot at position i (others shift up)."""
         if not 0 <= i <= self.nvars:
             raise ValueError("bad position")
         terms = {e[:i] + (0,) + e[i:]: c for e, c in self.terms.items()}
-        return HomogPoly(self.spec, self.nvars + 1, self.degree, terms)
+        return HomogPoly._from_terms(self.spec, self.nvars + 1, self.degree,
+                                     terms)
 
     def remap_variables(self, mapping, new_nvars: int) -> "HomogPoly":
         """Relabel variables: old index i becomes mapping[i] (injective).
@@ -270,7 +317,7 @@ class HomogPoly:
                         raise ValueError("variable x%d is used but not mapped" % i)
                     new[mapping[i]] = e
             terms[tuple(new)] = coeff
-        return HomogPoly(self.spec, new_nvars, self.degree, terms)
+        return HomogPoly._from_terms(self.spec, new_nvars, self.degree, terms)
 
     def __str__(self):
         return _render_terms(self.sorted_terms(), self.spec)

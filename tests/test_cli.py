@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -6,8 +7,9 @@ import pytest
 
 import motivic
 from conftest import run_python
-from motivic.cli import main
+from motivic.cli import JobSpec, main, render_json, run
 from motivic.count import HAVE_COMPILED
+from motivic.fields import field_from_text
 
 QUADRIC = ["class-quadric", "--field", "3", "--ambient", "3",
            "--poly", "x0*x1 - x2*x3"]
@@ -169,6 +171,75 @@ def test_no_verify_skips_everything(capsys):
     assert report["verification"]["oracle"]["status"] == "skipped"
     assert all(s["status"] == "skipped"
                for s in report["verification"]["steps"])
+
+
+# (command, field, ambient, polynomials, forms, point, verify) and the sha256
+# of the job's JSON report, recorded before the arithmetic core took its fast
+# paths.  Every class command over F_p and F_{p^m}, and over Q where the
+# engine allows it; the --no-verify jobs build no master oracle.
+PINNED_REPORTS = [
+    (("class-quadric", "5", 3, ["x0*x1 - x2*x3 + 2*x0^2"], [], None, True),
+     "597e42c2125b62508a45f8c0850b8487dbe8d3f38fb35dd1ffcd176f1c798ec9"),
+    (("class-quadric", "3,2", 2, ["x0^2 + t*x1^2 + x1*x2"], [], None, True),
+     "64283fcf9054326ca6eea3961625682e2df06a3d6093c3e450bc147e446c40cf"),
+    (("class-quadric", "Q", 3, ["x0^2 + x1^2 - 3*x2^2 + x2*x3"], [], None,
+      True),
+     "8daea517863589686b5d2cb1d29a60386dffc04402de71fc874b25bb95121744"),
+    (("class-arrangement", "7", 3, [],
+      ["x0 + 2*x1", "x1 - x2 + x3", "x0 + x3", "x2"], None, True),
+     "a98731b0b2e490e8a342249bab667a4372d53aa9261a94d965e03c5bb8cb54ea"),
+    (("class-arrangement", "5,2", 2, [],
+      ["x0 + t*x1", "x1 + x2", "t*x0 + x2"], None, False),
+     "d27a7403ec8158fde81baaaaaf175fbc5191a1e1db453337cea96efe416117c6"),
+    (("class-arrangement", "Q", 3, [],
+      ["x0 - x1", "x1 + 2*x2", "x0 + x2 - x3"], None, True),
+     "882e8dfd6361917f04c70b32a33a9edc80b82821c383647055f0567acff6c305"),
+    (("class-cone", "5", 3, ["x0^3 + x1^3 + 2*x2^3"], [], None, True),
+     "8b62c7b3e3bab2834920cabf9cc357abd83fdf2b829d788b2c71a28f53a625eb"),
+    (("class-cone", "3,2", 3, ["x0^2 + t*x1*x2"], [], None, True),
+     "5d32c28cb21c6c20b2ebb361208a93549f57ef56b99ca7c4131bf3f3de2b2088"),
+    (("class-cone", "Q", 3, ["x0^2 + x1^2 - x2^2"], [], None, False),
+     "7c478fc55287ce7cbf4a15e3ad9af900af3bcd04ddaa494411d011b6fac409a6"),
+    (("class-cubic-singular", "7", 3, ["x0*x1*x3 - x2^2*x3 + x0^3 + x1^3"],
+      [], "0,0,0,1", True),
+     "080d2ab71d3de04aecd1755022587c5c7cbe553997da6ac2ab5b3102faa92095"),
+    (("class-cubic-singular", "3,2", 3,
+      ["x0*x1*x3 + t*x2^2*x3 + x0^3 + x2^3"], [], "0,0,0,1", True),
+     "6690698007a2c18d35a9cbaea12a490a9c5e3edb3a6b853b29baf2d33d0f2c9f"),
+    (("class-cubic-singular", "Q", 3, ["x0*x1*x3 - x2^2*x3 + x0^3"], [],
+      "0,0,0,1", True),
+     "f06442d7f579e07fd6b5079e958e9897c26f4da40494a815395024d67d4e304c"),
+    (("class-two-quadrics", "3", 4,
+      ["x0*x1 - x2*x3 - x4^2", "x0^2 + x1*x2 + x3*x4"], [], None, True),
+     "1441018aa18ae698e862a7af14fa60a6a69f07feabd34e2ffc961628ae152fba"),
+    (("class-two-quadrics", "5", 4,
+      ["x0*x1 - x2*x3 - x4^2", "x0^2 + x1*x2 + x3*x4"], [], None, False),
+     "12f9bd27489d2aa46fcecf84a1665154745d99030bccd5d1d92ddc97fe5a92ef"),
+    (("descend", "3,2", 3, [],
+      ["x0 + t*x1 + x2", "x0 + (2*t)*x1 + x2", "x3"], None, True),
+     "a31bef973a1efd076f67653adaa1affbbc4de3d27935def45e18fd69e714eef7"),
+    (("descend", "3,3", 3, [],
+      ["x0 + t*x1 + x3", "x0 + (2+t)*x1 + x3", "x0 + (1+t)*x1 + x3"], None,
+      True),
+     "522f1b24ff39b8ace514a2378c5df37668ff050d5f6aeb7570b753ccfb6cfa1e"),
+    (("descend", "5,2", 2, [], ["x0 + t*x1 + x2", "x0 + (4*t)*x1 + x2"],
+      None, False),
+     "169e03cc0a69738ce2e1d30c011239cf7a666c37399f7f9e7593c517c15062a5"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", PINNED_REPORTS,
+    ids=["%s-F%s%s" % (a[0], a[1], "" if a[6] else "-no-verify")
+         for a, _ in PINNED_REPORTS])
+def test_pinned_report_bytes(args, digest):
+    command, field, ambient, polys, forms, point, verify = args
+    job = JobSpec(command, field_from_text(field), ambient,
+                  polynomials=polys, forms=forms, point=point, verify=verify)
+    report, code = run(job)
+    assert code == 0
+    text = render_json(report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
 
 
 def test_verify_round_trip(tmp_path, capsys):

@@ -353,6 +353,25 @@ def test_compiled_kernel_agrees_with_pure(tmp_path):
     assert "gen_exps[1] is 2, outside [0, 2)" in errors[2]
 
 
+def _tables_by_element_arithmetic(spec):
+    """The add and mul tables as FieldElem arithmetic gives them."""
+    elems = list(spec.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    return ([index[a + b] for a in elems for b in elems],
+            [index[a * b] for a in elems for b in elems])
+
+
+@pytest.mark.parametrize("spec", [
+    F3, F5, F7, prime_field(11), F9, F25, extension_field(3, 3),
+], ids=str)
+def test_field_tables_match_element_arithmetic(spec):
+    elems, index, add, mul = motivic.count._field_tables(spec)
+    assert elems == list(spec.elements())
+    assert [index[e] for e in elems] == list(range(spec.order))
+    assert add.typecode == mul.typecode == "i"
+    assert (list(add), list(mul)) == _tables_by_element_arithmetic(spec)
+
+
 @st.composite
 def _f3_quadric(draw):
     terms = {}

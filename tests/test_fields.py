@@ -78,6 +78,17 @@ def test_fraction_coercion_into_fp():
 def test_cross_field_mixing_rejected():
     with pytest.raises(ValueError):
         prime_field(3).elem(1) + prime_field(5).elem(1)
+    F9 = extension_field(3, 2)
+    other = extension_field(3, 2, (2, 1, 1))  # t^2 + t + 2, another F9
+    assert other != F9
+    for x, y in ((F9.gen(), other.gen()), (F9.gen(), prime_field(3).one)):
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(ValueError):
+                u + v
+            with pytest.raises(ValueError):
+                u * v
+            with pytest.raises(ValueError):
+                u.spec.elem(v)
 
 
 @st.composite
@@ -121,3 +132,32 @@ def test_frobenius_is_additive(data):
     spec, a, b = data
     p = spec.char
     assert (a + b) ** p == a ** p + b ** p
+
+
+def test_equal_specs_that_are_distinct_objects_mix():
+    """extension_field(3, 2) and extension_field(3, 2, (1, 0, 1)) are one
+    field, cached under two keys; their elements must mix freely."""
+    from motivic.count import CountQuery
+    from motivic.parse import parse_poly
+
+    A = extension_field(3, 2)
+    B = extension_field(3, 2, (1, 0, 1))
+    assert A is not B and A == B and hash(A) == hash(B)
+    a, b = A.gen(), B.gen()
+    assert a + b == A.elem((0, 2)) and b + a == B.elem((0, 2))
+    assert a * b == A.elem(-1) and b * a == B.elem(-1)
+    assert a - b == A.zero and hash(a) == hash(b)
+    assert A.elem(b) is b
+    f = parse_poly("x0 + t*x1", A, 2) * parse_poly("x0 - t*x1", A, 2)
+    g = parse_poly("x0 + t*x1", B, 2) * parse_poly("x0 - t*x1", B, 2)
+    assert f == g and str(f) == "x0^2 + x1^2"
+    assert f.canonical_key() == g.canonical_key()
+    assert CountQuery(A, 1, [f]) == CountQuery(B, 1, [g])
+    assert hash(CountQuery(A, 1, [f])) == hash(CountQuery(B, 1, [g]))
+
+
+def test_zero_and_one_are_shared_constants():
+    for spec in (rationals(), prime_field(5), extension_field(5, 2)):
+        assert spec.zero is spec.zero and spec.one is spec.one
+        assert spec.zero.is_zero() and spec.one.is_one()
+        assert spec.zero == spec.elem(0) and spec.one == spec.elem(1)

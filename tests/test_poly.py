@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.linalg import Matrix
@@ -124,3 +126,58 @@ def test_substitution_is_ring_map(data):
     g = parse_poly("x0 + x1 + x2", spec, 3)
     assert (f * g).linear_substitute(A) == \
         f.linear_substitute(A) * g.linear_substitute(A)
+
+
+def _elem(draw, spec):
+    if spec.is_finite:
+        return spec.from_index(draw(st.integers(0, spec.order - 1)))
+    num, den = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+    return spec.elem(Fraction(num, den))
+
+
+def _form(draw, spec, nvars, degree):
+    pool = list(_exps(nvars, degree))
+    terms = {e: _elem(draw, spec)
+             for e in draw(st.lists(st.sampled_from(pool), max_size=5))}
+    return HomogPoly(spec, nvars, degree, terms)
+
+
+def _assert_valid(r):
+    """What the validating constructor would give, with no zero and every
+    coefficient in r's own field."""
+    assert HomogPoly(r.spec, r.nvars, r.degree, dict(r.terms)).terms == r.terms
+    assert all(not c.is_zero() for c in r.terms.values())
+    assert all(c.spec is r.spec for c in r.terms.values())
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_ring_results_are_valid_without_validation(data):
+    """Ring operations skip the constructor's checks; their results must
+    pass them unchanged, over Q, F_p and F_{p^m}."""
+    draw = data.draw
+    spec = draw(st.sampled_from([
+        rationals(), prime_field(3), prime_field(7), extension_field(3, 2),
+        extension_field(5, 2)]))
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    f = _form(draw, spec, nvars, degree)
+    g = _form(draw, spec, nvars, degree)
+    h = _form(draw, spec, nvars, draw(st.integers(0, 2)))
+    i = draw(st.integers(0, nvars - 1))
+    ncols = draw(st.integers(1, 3))
+    M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]
+                      for _ in range(nvars)])
+    perm = draw(st.permutations(range(nvars + 1)))
+    parts = f.split_by_variable(i)
+    results = [
+        f + g, f - g, f + (-f), -f, f * h, f * g, f.scale(_elem(draw, spec)),
+        f.partial_derivative(i), *parts, f.insert_variable(i),
+        f.insert_variable(i).drop_variable(i),
+        f.remap_variables(dict(enumerate(perm)), nvars + 1),
+        f.power(draw(st.integers(0, 3))), f.linear_substitute(M),
+    ]
+    if nvars > 1:
+        results.extend(p.drop_variable(i) for p in parts)
+    for r in results:
+        _assert_valid(r)
