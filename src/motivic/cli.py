@@ -15,6 +15,7 @@ import time
 from .fields import FieldSpec, field_from_text, prime_field
 from .parse import parse_point, parse_poly
 from .count import HAVE_COMPILED, BudgetError, CountQuery, count_points
+from .kclass import count_once
 from .strat import (
     DefectError,
     arrangement_inclusion_exclusion,
@@ -121,8 +122,10 @@ class JobSpec:
 def _dispatch(job):
     """(StratResult, master oracle CountQuery or None) for a class command.
 
-    The oracle is counted only under verification, and expanding a product
-    for it can cost more than the engine, so without job.verify it is None.
+    The oracle is counted only under verification, so without job.verify it
+    is None.  A union of hyperplanes or of two quadrics is a union query,
+    counted factor by factor.  Engines that search for points obey
+    job.budget.
     """
     spec = job.field
     nvars = job.ambient + 1
@@ -144,10 +147,7 @@ def _dispatch(job):
         result = class_of_arrangement(forms)
         if not with_oracle:
             return result, None
-        product = forms[0]
-        for h in forms[1:]:
-            product = product * h
-        return result, CountQuery(spec, job.ambient, [product])
+        return result, CountQuery.union(spec, job.ambient, forms)
 
     if job.command == "class-cone":
         # generators live in P^(ambient-1); the cone fills P^ambient
@@ -175,10 +175,11 @@ def _dispatch(job):
             raise ValueError("class-two-quadrics takes exactly two --poly")
         f1 = parse_poly(job.polynomials[0], spec, nvars)
         f2 = parse_poly(job.polynomials[1], spec, nvars)
-        result = class_of_two_quadric_union(f1, f2, height=job.height)
+        result = class_of_two_quadric_union(f1, f2, height=job.height,
+                                            budget=job.budget)
         if not with_oracle:
             return result, None
-        return result, CountQuery(spec, job.ambient, [f1 * f2])
+        return result, CountQuery.union(spec, job.ambient, [f1, f2])
 
     if job.command == "descend":
         if not job.forms:
@@ -199,6 +200,12 @@ def _dispatch(job):
 
 
 def _verification(job, result, oracle_query):
+    """(verification dict, failed) for one job's result.
+
+    Its identities and oracle share one memo of point counts, so each
+    distinct query of the job is counted once; nothing is kept across jobs.
+    """
+    memo = {}
     steps = []
     failed = False
     for st in result.trace:
@@ -206,7 +213,7 @@ def _verification(job, result, oracle_query):
         if st.identity is None or not job.verify:
             entry["status"] = "skipped"
         else:
-            lv, rv = st.identity.sides(budget=job.budget)
+            lv, rv = st.identity.sides(budget=job.budget, memo=memo)
             entry["lhs"] = lv
             entry["rhs"] = rv
             entry["status"] = "pass" if lv == rv else "fail"
@@ -216,8 +223,9 @@ def _verification(job, result, oracle_query):
     oracle = {"status": "skipped"}
     if job.verify and oracle_query is not None:
         q = oracle_query.spec.order
-        measured = result.class_expr.count_measure(q, budget=job.budget)
-        counted = count_points(oracle_query, budget=job.budget)
+        measured = result.class_expr.count_measure(q, budget=job.budget,
+                                                   memo=memo)
+        counted = count_once(oracle_query, budget=job.budget, memo=memo)
         oracle = {
             "status": "pass" if measured == counted else "fail",
             "count_measure": measured,

@@ -2,22 +2,30 @@
 
 The unit of work is a CountQuery: a list of homogeneous generators over
 F_q together with optional chart constraints (coordinate = 0 / != 0), counted
-on the canonical representatives of P^n.  Counting splits them into lead
-strata (lead coordinate = 1, earlier coordinates 0), each an independent
-unit a kernel can chew through; together they are the points
-enumerate_points yields.
+on the canonical representatives of P^n.  CountQuery.union asks instead for
+the points where some of its factors vanishes, V(f_1 * ... * f_d), and the
+kernels count it factor by factor, never from the expanded product.
+Counting splits a query into lead strata (lead coordinate = 1, earlier
+coordinates 0), each an independent unit a kernel can chew through;
+together they are the points enumerate_points yields.
+
+Nothing here is cached across calls but the field tables.  Equal queries
+count the same, so the CLI keeps one memo of counts per job
+(kclass.count_once) and counts each distinct query of a job once.
 
 Arithmetic inside the hot loop is table-driven: elements become indices
 0..q-1 (0 -> 0, 1 -> 1) and add/mul/pow become flat lookup tables, so the
 same kernel code serves prime and extension fields.  Two kernels keep one
-count contract, the count_stratum of _pure, and share nothing else.
-motivic.count._ckernel, hand-written C built at install time when a C
-compiler is available, tests every candidate of the stratum.  _pure, plain
-Python, walks the fibres over the last free coordinate and counts roots of
-univariate polynomials there.  The import below picks the compiled one when
-present; set MOTIVIC_PURE=1 to force the fallback.  Primes too large to
-tabulate (q > _TABLE_LIMIT) take a separate direct-mod path, which counts
-those roots as the degree of a gcd with t^p - t.
+count contract, the count_stratum of _pure, and share nothing else; its
+union flag switches the point test from "every generator vanishes" to "some
+generator vanishes".  motivic.count._ckernel, hand-written C built at install
+time when a C compiler is available, tests every candidate of the stratum.
+_pure, plain Python, walks the fibres over the last free coordinate and
+counts roots of univariate polynomials there.  The import below picks the
+compiled one when present; set MOTIVIC_PURE=1 to force the fallback.
+Primes too large to tabulate (q > _TABLE_LIMIT) take a separate direct-mod
+path, which counts those roots as the degree of a gcd with t^p - t; it
+counts a union from its expanded product.
 
 A counting call touching q^(n+1) candidate tuples beyond the budget
 (MOTIVIC_BUDGET, default 10^8) raises BudgetError instead of hanging.  A
@@ -75,26 +83,45 @@ class CountQuery:
     restricting to the locus where that homogeneous coordinate vanishes or
     not.  Zero generators are dropped; an empty generator list means all of
     P^n (restricted to the chart).
+
+    CountQuery.union(spec, n, factors) is V(f_1 * ... * f_d), the points
+    where some factor vanishes.  The kernels count it factor by factor and
+    never see the product; its generators, the expanded product that
+    describe(), enumerate_points and the big-prime path read, are built on
+    first use and kept.  Two unions are equal when their factors agree up to
+    order, repetition and nonzero scalars; a union query and the ordinary
+    query of its product count the same but are not equal.  Equal queries
+    count the same, so a caller may memoise counts on them; the canonical key
+    behind __eq__ and __hash__ is built once.
     """
 
-    __slots__ = ("spec", "n", "generators", "chart")
+    __slots__ = ("spec", "n", "chart", "factors", "_generators", "_key")
 
     def __init__(self, spec: FieldSpec, n: int, generators=(), chart=()):
+        self._setup(spec, n, chart)
+        self._generators = tuple(
+            g for g in self._checked(generators) if not g.is_zero())
+        self.factors = None
+
+    @classmethod
+    def union(cls, spec: FieldSpec, n: int, factors, chart=()) -> "CountQuery":
+        """The points of P^n (within chart) where some factor vanishes."""
+        query = object.__new__(cls)
+        query._setup(spec, n, chart)
+        query.factors = tuple(query._checked(factors))
+        if not query.factors:
+            raise ValueError("a union needs at least one factor")
+        query._generators = None
+        return query
+
+    def _setup(self, spec, n, chart):
         if not spec.is_finite:
             raise ValueError("counting needs a finite field, got %s" % spec)
         if n < 0:
             raise ValueError("bad ambient dimension")
         self.spec = spec
         self.n = int(n)
-        gens = []
-        for g in generators:
-            if not isinstance(g, HomogPoly):
-                raise ValueError("generators must be homogeneous polynomials")
-            if g.spec != spec or g.nvars != n + 1:
-                raise ValueError("generator does not live in P^%d over %s" % (n, spec))
-            if not g.is_zero():
-                gens.append(g)
-        self.generators = tuple(gens)
+        self._key = None
         ch = []
         seen = set()
         for idx, kind in chart:
@@ -110,6 +137,32 @@ class CountQuery:
         ch.sort()
         self.chart = tuple(ch)
 
+    def _checked(self, polys):
+        for g in polys:
+            if not isinstance(g, HomogPoly):
+                raise ValueError("generators must be homogeneous polynomials")
+            if g.spec != self.spec or g.nvars != self.n + 1:
+                raise ValueError("generator does not live in P^%d over %s"
+                                 % (self.n, self.spec))
+            yield g
+
+    @property
+    def generators(self):
+        """The generators; for a union, its expanded product (or none when
+        a factor is zero)."""
+        if self._generators is None:
+            product = self.factors[0]
+            for f in self.factors[1:]:
+                product = product * f
+            self._generators = () if product.is_zero() else (product,)
+        return self._generators
+
+    def _kernel_polys(self):
+        """(polynomials, union flag) as the kernels count them."""
+        if self.factors is None:
+            return self._generators, 0
+        return self.factors, 1
+
     def cost(self) -> int:
         return self.spec.order ** (self.n + 1)
 
@@ -123,21 +176,25 @@ class CountQuery:
             d["chart"] = [[i, kind] for i, kind in self.chart]
         return d
 
+    def _canonical(self):
+        if self._key is None:
+            if self.factors is None:
+                polys = tuple(g.canonical_key() for g in self._generators)
+            else:
+                # the union is the same for any order, repetition or
+                # nonzero scaling of its factors
+                polys = frozenset(
+                    (f if f.is_zero() else f.monic()).canonical_key()
+                    for f in self.factors)
+            self._key = (self.spec, self.n, self.chart, polys)
+        return self._key
+
     def __eq__(self, other):
-        return (
-            isinstance(other, CountQuery)
-            and self.spec == other.spec
-            and self.n == other.n
-            and tuple(g.canonical_key() for g in self.generators)
-            == tuple(g.canonical_key() for g in other.generators)
-            and self.chart == other.chart
-        )
+        return (isinstance(other, CountQuery)
+                and self._canonical() == other._canonical())
 
     def __hash__(self):
-        return hash(
-            (self.spec, self.n,
-             tuple(g.canonical_key() for g in self.generators), self.chart)
-        )
+        return hash(self._canonical())
 
     def __repr__(self):
         body = "; ".join(str(g) for g in self.generators) or "0"
@@ -237,20 +294,20 @@ def _pow_table(q, mul, maxd):
     return powt
 
 
-def _encode_generators(query: CountQuery, index):
-    """Flatten generator terms into (offsets, coeff indices, exponent rows)."""
-    nvars = query.n + 1
+def _encode_generators(polys, nvars, index):
+    """Flatten polynomial terms into (offsets, coeff indices, exponent
+    rows, highest exponent)."""
     offs = array("i", [0])
     coeffs = array("i", [])
     exps = array("i", [])
     maxd = 1
-    for g in query.generators:
+    for g in polys:
         for exps_t, c in g.sorted_terms():
             coeffs.append(index[c])
             exps.extend(exps_t)
             maxd = max(maxd, max(exps_t))
         offs.append(len(coeffs))
-    return offs, coeffs, exps, maxd, nvars
+    return offs, coeffs, exps, maxd
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +366,9 @@ def count_points(query: CountQuery, budget: int | None = None,
         return _count_bigprime(query)
 
     elems, index, add, mul = _field_tables(query.spec)
-    offs, coeffs, exps, maxd, nvars = _encode_generators(query, index)
+    polys, union = query._kernel_polys()
+    nvars = query.n + 1
+    offs, coeffs, exps, maxd = _encode_generators(polys, nvars, index)
     powt = _pow_table(q, mul, maxd)
     kernel = _ckernel if _ckernel is not None else _pure
 
@@ -321,7 +380,7 @@ def count_points(query: CountQuery, budget: int | None = None,
         fixed, free_pos, free_start = job
         return kernel.count_stratum(
             q, nvars, fixed, free_pos, free_start,
-            len(query.generators), offs, coeffs, exps, mul, add, powt, maxd,
+            len(polys), offs, coeffs, exps, mul, add, powt, maxd, union,
         )
 
     if workers is None:

@@ -1,10 +1,11 @@
 /* Compiled counting kernel: count_stratum with the signature and results of
  * _pure.count_stratum, which documents the calling convention.
  *
- * Every argument arrives as an array('i') buffer.  Before the odometer runs
- * without the GIL, each buffer is checked for item size, length and the range
- * of the values it holds, so that no argument can make the loop read outside
- * a buffer; a failed check raises ValueError.
+ * Every array argument arrives as an array('i') buffer.  Before the odometer
+ * runs without the GIL, each buffer is checked for item size, length and the
+ * range of the values it holds, so that no argument can make the loop read
+ * outside a buffer, and the union flag must be 0 or 1; a failed check raises
+ * ValueError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,11 +19,12 @@ static const char *const buf_names[NBUF] = {"fixed", "free_pos",
 
 typedef struct {
     Py_ssize_t q, nvars, stride;
-    int ngens;
+    int ngens, any;
     const int *off, *coeff, *exps, *mul, *add, *powt;
 } Gens;
 
-/* 1 when every generator vanishes at the value indices x, else 0. */
+/* 1 when every generator vanishes at the value indices x (with G->any set,
+ * when some generator does), else 0. */
 static int
 zero_here(const Gens *G, const int *x)
 {
@@ -41,10 +43,10 @@ zero_here(const Gens *G, const int *x)
             }
             acc = G->add[acc * G->q + v];
         }
-        if (acc != 0)
-            return 0;
+        if ((acc == 0) == G->any)
+            return G->any;
     }
-    return 1;
+    return !G->any;
 }
 
 /* The odometer over the k free positions, last position fastest. */
@@ -107,8 +109,8 @@ count_stratum(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"q", "nvars", "fixed", "free_pos", "free_start",
         "ngens", "gen_off", "gen_coeff", "gen_exps", "mul", "add", "powt",
-        "maxd", NULL};
-    int q, nvars, ngens, maxd;
+        "maxd", "union", NULL};
+    int q, nvars, ngens, maxd, any = 0;
     Py_buffer b[NBUF];
     Py_ssize_t n[NBUF];
     int *x = NULL, *idx, i;
@@ -117,10 +119,10 @@ count_stratum(PyObject *self, PyObject *args, PyObject *kwargs)
 
     (void)self;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "iiy*y*y*iy*y*y*y*y*y*i:count_stratum", kwlist,
+            args, kwargs, "iiy*y*y*iy*y*y*y*y*y*i|i:count_stratum", kwlist,
             &q, &nvars, &b[FIXED], &b[FREE_POS], &b[FREE_START], &ngens,
             &b[GEN_OFF], &b[GEN_COEFF], &b[GEN_EXPS], &b[MUL], &b[ADD],
-            &b[POWT], &maxd))
+            &b[POWT], &maxd, &any))
         return NULL;
 
     for (i = 0; i < NBUF; i++) {
@@ -136,6 +138,11 @@ count_stratum(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError,
                         "count_stratum: q must be positive and nvars, ngens, "
                         "maxd non-negative");
+        goto done;
+    }
+    if (any != 0 && any != 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "count_stratum: union is %d, expected 0 or 1", any);
         goto done;
     }
     if (check_len(FIXED, n, nvars)
@@ -164,7 +171,7 @@ count_stratum(PyObject *self, PyObject *args, PyObject *kwargs)
     idx = x + nvars + 1;
     memcpy(x, b[FIXED].buf, nvars * sizeof(int));
     {
-        Gens G = {q, nvars, (Py_ssize_t)maxd + 1, ngens, b[GEN_OFF].buf,
+        Gens G = {q, nvars, (Py_ssize_t)maxd + 1, ngens, any, b[GEN_OFF].buf,
                   b[GEN_COEFF].buf, b[GEN_EXPS].buf, b[MUL].buf, b[ADD].buf,
                   b[POWT].buf};
         Py_BEGIN_ALLOW_THREADS

@@ -52,8 +52,9 @@ def _fibre_terms(terms, nvars, fixed, free_pos, fold):
 
 
 def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
-                  gen_off, gen_coeff, gen_exps, mul, add, powt, maxd):
-    """Count zeros of all generators on one lead stratum.
+                  gen_off, gen_coeff, gen_exps, mul, add, powt, maxd, union=0):
+    """Count zeros of all generators on one lead stratum, or with union=1
+    the points where some generator vanishes.
 
     fixed: value indices per coordinate (free ones are ignored);
     free_pos/free_start: the free positions and their first value, each
@@ -65,7 +66,10 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
 
     The root set of a univariate polynomial is a bitmask over the value
     indices 0..q-1, computed on first sight of its coefficient tuple and
-    kept for the rest of the call.
+    kept for the rest of the call.  A fibre's points are the AND of the
+    generators' root sets, or for a union their OR.  The walk computes that
+    OR as the complement of the AND of the complements, so both share one
+    loop that stops as soon as the AND is empty.
     """
     stride = maxd + 1
 
@@ -80,19 +84,24 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
     ]
 
     if not free_pos:
-        for terms, _ in gens:
+        def vanishes(terms):
             acc = 0
             for c, _, _ in terms:
                 acc = add[acc * q + c]
-            if acc:
-                return 0
-        return 1
+            return not acc
+
+        test = any if union else all
+        return int(test(vanishes(terms) for terms, _ in gens))
 
     rows = range(0, q * stride, stride)
     masks = {}
 
+    full = (1 << q) - 1
+    # with union the walk ANDs non-root sets and counts the rest
+    flip = full if union else 0
+
     def roots(coeffs):
-        mask = 0
+        mask = flip
         bit = 1
         for row in rows:
             acc = 0
@@ -100,12 +109,11 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
                 if c:
                     acc = add[acc * q + mul[c * q + powt[row + e]]]
             if not acc:
-                mask |= bit
+                mask ^= bit
             bit <<= 1
         return mask
 
     start = free_start[-1]
-    full = (1 << q) - 1
     count = 0
     for pre in _prefixes(q, free_start):
         common = full
@@ -123,6 +131,11 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
             if not common:
                 break
         count += (common >> start).bit_count()
+    if union:
+        candidates = 1
+        for s in free_start:
+            candidates *= q - s
+        return candidates - count
     return count
 
 

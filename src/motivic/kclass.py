@@ -22,7 +22,10 @@ Two specializations connect expressions to the ground:
 A Trace records why an expression is what it is: each step names a rule and
 carries either a counting identity (two integer combinations of point counts
 that must agree) or a pointwise check record.  Identities are verifiable over
-finite fields by brute force, and the CLI does so by default.
+finite fields by brute force, and the CLI does so by default.  The counting
+methods take an optional memo dict (see count_once) that the CLI keeps for
+one job, so a query that recurs across identities and the oracle is counted
+once.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class EtaleAtom:
     def structural_key(self):
         return ("etale", self.degrees)
 
-    def count(self, q: int, budget=None) -> int:
+    def count(self, q: int, budget=None, memo=None) -> int:
         # Spec F_{q^d} has a rational point over F_q only when d = 1
         return sum(1 for d in self.degrees if d == 1)
 
@@ -121,14 +124,14 @@ class VarietyAtom:
     def query(self) -> CountQuery:
         return CountQuery(self.spec, self.ambient, self.generators)
 
-    def count(self, q: int, budget=None) -> int:
+    def count(self, q: int, budget=None, memo=None) -> int:
         if not self.spec.is_finite:
             raise ValueError("uncountable atom over %s" % self.spec)
         if self.spec.order != q:
             raise ValueError(
                 "atom lives over F%d, counting asked at q=%d" % (self.spec.order, q)
             )
-        return count_points(self.query(), budget=budget)
+        return count_once(self.query(), budget=budget, memo=memo)
 
     def residue_contribution(self):
         return None
@@ -274,13 +277,13 @@ class ClassExpr:
             acc += coeff * contrib
         return acc
 
-    def count_measure(self, q: int, budget=None) -> int:
+    def count_measure(self, q: int, budget=None, memo=None) -> int:
         """Specialize L -> q and count every atom over F_q."""
         total = 0
         for e, v in self.coeffs.items():
             total += v * q**e
         for shift, coeff, atom in self.residuals:
-            total += coeff * q**shift * atom.count(q, budget=budget)
+            total += coeff * q**shift * atom.count(q, budget=budget, memo=memo)
         return total
 
     # -- rendering / serialization --------------------------------------------
@@ -340,6 +343,21 @@ def projective_space_class(n: int) -> ClassExpr:
     return ClassExpr({k: 1 for k in range(n + 1)})
 
 
+def count_once(query: CountQuery, budget=None, memo=None) -> int:
+    """count_points(query), looked up in and stored to memo when one is given.
+
+    A memo is a dict from queries to counts, kept for one job: equal queries
+    count the same, so a job counts each distinct query once.  A count that
+    raises, BudgetError included, stores nothing.
+    """
+    if memo is None:
+        return count_points(query, budget=budget)
+    n = memo.get(query)
+    if n is None:
+        n = memo[query] = count_points(query, budget=budget)
+    return n
+
+
 # ---------------------------------------------------------------------------
 # trace: the auditable derivation log
 
@@ -354,10 +372,10 @@ class CountTerm:
         self.power = int(power)
         self.query = query
 
-    def value(self, q: int, budget=None) -> int:
+    def value(self, q: int, budget=None, memo=None) -> int:
         n = self.coeff * q**self.power
         if self.query is not None:
-            n *= count_points(self.query, budget=budget)
+            n *= count_once(self.query, budget=budget, memo=memo)
         return n
 
     def describe(self):
@@ -378,7 +396,7 @@ class Identity:
         self.lhs = tuple(lhs)
         self.rhs = tuple(rhs)
 
-    def sides(self, budget=None):
+    def sides(self, budget=None, memo=None):
         specs = [t.query.spec for t in self.lhs + self.rhs if t.query is not None]
         if not specs:
             raise ValueError("identity with no counting content")
@@ -386,8 +404,8 @@ class Identity:
         for s in specs:
             if s.order != q:
                 raise ValueError("identity mixes field sizes")
-        lv = sum(t.value(q, budget=budget) for t in self.lhs)
-        rv = sum(t.value(q, budget=budget) for t in self.rhs)
+        lv = sum(t.value(q, budget=budget, memo=memo) for t in self.lhs)
+        rv = sum(t.value(q, budget=budget, memo=memo) for t in self.rhs)
         return lv, rv
 
     def holds(self, budget=None) -> bool:

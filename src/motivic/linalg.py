@@ -44,9 +44,6 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.spec, [list(r) for r in self.rows])
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.spec,
@@ -74,17 +71,6 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix(self.spec, out)
-
-    def matvec(self, v):
-        if len(v) != self.ncols:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.nrows):
-            acc = self.spec.zero
-            for k in range(self.ncols):
-                acc = acc + self.rows[i][k] * v[k]
-            out.append(acc)
-        return tuple(out)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)

@@ -60,16 +60,6 @@ class _Stream:
         self.i += 1
         return t
 
-    def expect(self, tok):
-        pos = self.where()
-        t = self.next()
-        if t != tok:
-            raise ParseError(
-                "expected %r, got %r at position %d in %r"
-                % (tok, t, pos, self.src)
-            )
-        return t
-
 
 def _parse_int(s: _Stream) -> int:
     pos = s.where()

@@ -98,10 +98,6 @@ class QuadForm:
     def is_nondegenerate(self) -> bool:
         return self.rank() == self.nvars
 
-    def transform(self, M: Matrix) -> "QuadForm":
-        """The form q(M x), i.e. Gram matrix M^T G M."""
-        return QuadForm(self.spec, M.transpose() * self.gram * M)
-
     def __repr__(self):
         return "QuadForm(%s)" % (self.poly(),)
 

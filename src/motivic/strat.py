@@ -310,19 +310,13 @@ def class_of_arrangement(forms) -> StratResult:
         check={"forms": [str(h) for h in forms]},
     )]
 
-    product = forms[0]
-    for h in forms[1:]:
-        product = product * h
-    rotated_product = rotated[0]
-    for g in rotated[1:]:
-        rotated_product = rotated_product * g
-
     ident = None
     if finite:
+        # one object in both identities, so its product is expanded once
+        z_query = CountQuery.union(spec, r - 1, rotated)
         ident = Identity(
-            [CountTerm(1, 0, CountQuery(spec, n, [product]))],
-            _staircase(n - r)
-            + [CountTerm(1, n - r + 1, CountQuery(spec, r - 1, [rotated_product]))],
+            [CountTerm(1, 0, CountQuery.union(spec, n, forms))],
+            _staircase(n - r) + [CountTerm(1, n - r + 1, z_query)],
         )
     steps.append(TraceStep(
         "cone-fibration",
@@ -342,10 +336,7 @@ def class_of_arrangement(forms) -> StratResult:
                 continue
             sign = 1 if bin(mask).count("1") % 2 else -1
             ie_terms.extend(CountTerm(sign, j) for j in range(k + 1))
-        ident = Identity(
-            [CountTerm(1, 0, CountQuery(spec, r - 1, [rotated_product]))],
-            ie_terms,
-        )
+        ident = Identity([CountTerm(1, 0, z_query)], ie_terms)
     else:
         ident = None
     steps.append(TraceStep(
@@ -568,14 +559,15 @@ def _proportional(g1: Matrix, g2: Matrix):
 
 
 def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
-                               height: int = 10) -> StratResult:
+                               height: int = 10, budget=None) -> StratResult:
     """Class of V(f1 * f2) for quadrics with V(f1) smooth, in P^n, n >= 4.
 
     Only finite fields: every derivation step is certified by counting, and
     the cubic hypersurface Y that appears stays an unresolved atom.  After
     hyperbolic coordinates for f1 at a point of the intersection, f1 = x0*x1
     - h and f2 = x1*L1 + x0*L0 + R; the intersection is traded chart by
-    chart for loci in lower-dimensional projective spaces.
+    chart for loci in lower-dimensional projective spaces.  The point
+    searches on the way obey budget, as enumerate_points does.
     """
     spec = f1.spec
     if not spec.is_finite:
@@ -600,7 +592,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     if lam is not None:
         inner = class_of_quadric(f1, height=height)
         ident = Identity(
-            [CountTerm(1, 0, CountQuery(spec, n, [f1 * f2]))],
+            [CountTerm(1, 0, CountQuery.union(spec, n, [f1, f2]))],
             [CountTerm(1, 0, CountQuery(spec, n, [f1]))],
         )
         steps = [TraceStep(
@@ -615,7 +607,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
         )
 
     x = None
-    for pt in enumerate_points(CountQuery(spec, n, [f1, f2])):
+    for pt in enumerate_points(CountQuery(spec, n, [f1, f2]), budget=budget):
         x = pt
         break
     if x is None:
@@ -659,7 +651,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     R2 = R.remap_variables(down2, nvars - 2)
     l1_survives = not L1bar2.is_zero()
 
-    q_union = CountQuery(spec, n, [f1 * f2])
+    q_union = CountQuery.union(spec, n, [f1, f2])
     q_q1 = CountQuery(spec, n, [f1])
     q_q2 = CountQuery(spec, n, [f2])
     q_meet = CountQuery(spec, n, [f1, f2])
@@ -723,7 +715,8 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     sing_pts = 0
     all_singular = True
     grads = [gbar.partial_derivative(i) for i in range(nvars - 1)]
-    for pt in enumerate_points(CountQuery(spec, n - 1, [z0, hh, LL1, RR])):
+    for pt in enumerate_points(CountQuery(spec, n - 1, [z0, hh, LL1, RR]),
+                               budget=budget):
         sing_pts += 1
         if not all(dg.evaluate(pt).is_zero() for dg in grads):
             all_singular = False

@@ -7,7 +7,8 @@ import pytest
 
 import motivic
 from conftest import run_python
-from motivic.cli import JobSpec, main, render_json, run
+import motivic.kclass
+from motivic.cli import JobSpec, _dispatch, main, render_json, run
 from motivic.count import HAVE_COMPILED
 from motivic.fields import field_from_text
 
@@ -94,6 +95,58 @@ def test_budget_exceeded_exits_two(capsys):
     assert code == 2 and "budget" in err
     code, _, err = _run(capsys, QUADRIC + ["--budget", "10"])
     assert code == 2 and "budget" in err
+
+
+def test_engine_point_search_obeys_budget(capsys):
+    # the two-quadric engine enumerates 7^5 candidates to find a point
+    code, out, err = _run(capsys, [
+        "class-two-quadrics", "--field", "7", "--ambient", "4",
+        "--poly", "x0*x1+x2*x3+x4^2", "--poly", "x0*x2+x1*x4+x3^2",
+        "--budget", "10", "--no-verify",
+    ])
+    assert code == 2 and out == ""
+    assert "needs 16807 candidates, budget is 10" in err
+
+
+def _queries_asked(job):
+    """Every query a verified run of job counts, repeats included."""
+    result, oracle = _dispatch(job)
+    asked = [oracle]
+    for step in result.trace:
+        if step.identity is not None:
+            asked += [t.query for t in step.identity.lhs + step.identity.rhs
+                      if t.query is not None]
+    asked += [atom.query() for _, _, atom in result.class_expr.residuals
+              if atom.kind == "variety"]
+    return asked
+
+
+@pytest.mark.parametrize("job", [
+    JobSpec("class-two-quadrics", field_from_text("3"), 4, polynomials=[
+        "x0*x1 - x2*x3 - x4^2", "x0^2 + x1*x2 + x3*x4"]),
+    # a scalar multiple and a repeat: the oracle is the engine's union
+    JobSpec("class-arrangement", field_from_text("5"), 3, forms=[
+        "2*x0 + x1", "x1 + x2", "x0 + 3*x1", "x1 + x2", "x3"]),
+], ids=["two-quadrics", "arrangement"])
+def test_each_distinct_query_is_counted_once_per_job(monkeypatch, job):
+    counted = []
+    real = motivic.kclass.count_points
+
+    def spy(query, budget=None):
+        counted.append(query)
+        return real(query, budget=budget)
+
+    monkeypatch.setattr(motivic.kclass, "count_points", spy)
+    asked = _queries_asked(job)
+    assert len(set(asked)) < len(asked)
+    report, code = run(job)
+    assert code == 0 and report["verification"]["oracle"]["status"] == "pass"
+    assert len(counted) == len(set(counted))
+    assert set(counted) == set(asked)
+    # a second job counts afresh: nothing is kept between runs
+    first = list(counted)
+    assert run(job)[1] == 0
+    assert counted == first + first
 
 
 def test_wrong_poly_arity(capsys):

@@ -184,6 +184,12 @@ def test_bigprime_known_counts(p):
     query = CountQuery(P, 2, [_product(["x1", "x2"], P, 2),
                               _product(["x0", "x2"], P, 2)])
     assert count_points(query, budget=2 * 10**9) == p + 2
+    # a union takes this path through its expanded product: three lines
+    # through (0 : 0 : 1), and off x2 = 0 without their points at infinity
+    lines = [parse_poly(t, P, 3) for t in ("x0", "x1", "x0 - x1")]
+    for chart, expected in [((), 3 * p + 1), (((2, "nonzero"),), 3 * p - 2)]:
+        query = CountQuery.union(P, 2, lines, chart)
+        assert count_points(query, budget=2 * 10**9) == expected
 
 
 def test_enumerate_matches_count():
@@ -269,6 +275,7 @@ import motivic, motivic.count as count
 from motivic.count import CountQuery, _pure, count_points, enumerate_points
 from motivic.fields import extension_field, prime_field
 from motivic.parse import parse_poly
+from motivic.poly import HomogPoly
 
 assert count.HAVE_COMPILED
 ckernel = count._ckernel
@@ -283,10 +290,23 @@ CASES = [
     (F9, 2, ["x0*x1 - x2^2"], ()),
     (F9, 3, ["x0^2 + t*x1^2 + x2*x3"], ((1, "zero"),)),
 ]
+# unions: factor texts, None standing for a zero factor
+UNIONS = [
+    (F3, 2, ["x0", "x1"], ()),
+    (F5, 0, ["x0", "2*x0"], ()),
+    (F5, 2, ["x0 + x1", "x2"], ((1, "zero"), (2, "zero"))),
+    (F5, 2, ["x0*x1 - x2^2", None], ()),
+    (F5, 3, ["x0*x1 - x2*x3", "x0 - x1", "x0 - x1"], ((0, "nonzero"),)),
+    (F5, 4, ["x0*x1 + x2*x3 + x4^2", "x0*x2 + x1*x4 + x3^2"], ()),
+    (F9, 2, ["x0 + t*x1", "x0 - t*x1"], ()),
+]
+queries = [CountQuery(spec, n, [parse_poly(s, spec, n + 1) for s in polys],
+                      chart) for spec, n, polys, chart in CASES]
+queries += [CountQuery.union(spec, n, [
+    HomogPoly.zero(spec, n + 1, 2) if s is None else parse_poly(s, spec, n + 1)
+    for s in polys], chart) for spec, n, polys, chart in UNIONS]
 print(motivic.__file__)
-for spec, n, polys, chart in CASES:
-    query = CountQuery(spec, n, [parse_poly(s, spec, n + 1) for s in polys],
-                       chart)
+for query in queries:
     row = [count_points(query), count_points(query, workers=2)]
     count._ckernel = None
     row.append(count_points(query))
@@ -304,12 +324,23 @@ args = dict(
     powt=array("i", [pow(x, e, q) for x in range(q) for e in range(2)]),
     maxd=1,
 )
+# a second generator with no terms is zero: a union then holds every
+# point of the stratum, also the one with no free position at x1 = 2
+zero_too = dict(args, ngens=2, gen_off=array("i", [0, 1, 1]))
+point = dict(zero_too, fixed=array("i", [1, 2]), free_pos=array("i", []),
+             free_start=array("i", []))
 direct = [ckernel.count_stratum(**args), _pure.count_stratum(**args),
           ckernel.count_stratum(*args.values())]
+for kernel in (ckernel, _pure):
+    direct += [kernel.count_stratum(**args, union=1),
+               kernel.count_stratum(**zero_too, union=1),
+               kernel.count_stratum(**point),
+               kernel.count_stratum(**point, union=1)]
 errors = []
 for key, bad in [("fixed", array("q", [1, 0])),
                  ("mul", array("i", args["mul"][:-1])),
-                 ("gen_exps", array("i", [0, 2]))]:
+                 ("gen_exps", array("i", [0, 2])),
+                 ("union", 2)]:
     try:
         ckernel.count_stratum(**dict(args, **{key: bad}))
     except ValueError as e:
@@ -335,7 +366,9 @@ def test_compiled_kernel_agrees_with_pure(tmp_path):
     shutil.copytree(repo / "src", tmp_path / "src", ignore=shutil.ignore_patterns(
         "__pycache__", "*.so", "*.egg-info"))
     env = {k: v for k, v in os.environ.items() if not k.startswith("MOTIVIC_")}
-    built = run_python(["setup.py", "build_ext", "--inplace"], env,
+    # the kernel must stay free of compiler warnings
+    built = run_python(["setup.py", "build_ext", "--inplace"],
+                       dict(env, CFLAGS="-Wall -Wextra -Werror"),
                        root=tmp_path)
     assert built.returncode == 0, built.stdout + built.stderr
 
@@ -344,13 +377,18 @@ def test_compiled_kernel_agrees_with_pure(tmp_path):
     where, *rows, kernel_calls = out.stdout.splitlines()
     assert Path(where).is_relative_to(tmp_path)
     counts = [json.loads(r) for r in rows]
-    assert counts == [[c] * 4 for c in (16, 13, 9, 31, 25, 1, 10, 10)]
+    assert counts == [[c] * 4 for c in (16, 13, 9, 31, 25, 1, 10, 10,
+                                        7, 0, 1, 31, 46, 276, 19)]
     direct, errors = json.loads(kernel_calls)
-    assert direct == [1, 1, 1]  # x1 = 0 on the line x0 = 1
-    assert len(errors) == 3
+    # x1 = 0 on the line x0 = 1, as the union {x1} too; the union with a
+    # zero factor holds all 3 points; at x1 = 2 the common zeros of x1 and
+    # the zero factor are none, their union is the point
+    assert direct == [1, 1, 1] + [1, 3, 0, 1] * 2
+    assert len(errors) == 4
     assert "fixed has item size 8" in errors[0]
     assert "len(mul) is 8, expected 9" in errors[1]
     assert "gen_exps[1] is 2, outside [0, 2)" in errors[2]
+    assert "union is 2, expected 0 or 1" in errors[3]
 
 
 def _tables_by_element_arithmetic(spec):
@@ -401,39 +439,102 @@ def test_kernel_matches_direct_evaluation(terms):
     assert count_points(query) == direct
 
 
+def _draw_form(draw, spec, n, degree):
+    """A nonzero form of the given degree, sometimes free of the last
+    variable or a pure power of it."""
+    nonzero = st.integers(1, spec.order - 1).map(spec.from_index)
+    shape = draw(st.sampled_from(["any", "no last", "power of last"]))
+    if shape == "power of last" or n == 0:
+        exps = tuple([0] * n + [degree])
+        return HomogPoly(spec, n + 1, degree, {exps: draw(nonzero)})
+    width = n + 1 if shape == "any" else n
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        exps = [0] * (n + 1)
+        for i in draw(st.lists(st.integers(0, width - 1),
+                               min_size=degree, max_size=degree)):
+            exps[i] += 1
+        terms[tuple(exps)] = draw(nonzero)
+    return HomogPoly(spec, n + 1, degree, terms)
+
+
+def _draw_space(draw):
+    spec = draw(st.sampled_from([F3, F5, F7, F9, F25]))
+    # P^3 over F25 has 16276 points, too many to enumerate here
+    n = draw(st.integers(0, 3 if spec.order < 25 else 2))
+    chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
+             for i in range(n + 1) if draw(st.booleans())]
+    return spec, n, chart
+
+
 @st.composite
 def _count_query(draw):
     """A query over a small field: 0 to 3 forms of degree 1 to 4, some free
     of the last variable or pure powers of it, and a random chart."""
-    spec = draw(st.sampled_from([F3, F5, F7, F9, F25]))
-    # P^3 over F25 has 16276 points, too many to enumerate here
-    n = draw(st.integers(0, 3 if spec.order < 25 else 2))
-    nonzero = st.integers(1, spec.order - 1).map(spec.from_index)
-    forms = []
-    for _ in range(draw(st.integers(0, 3))):
-        degree = draw(st.integers(1, 4))
-        shape = draw(st.sampled_from(["any", "no last", "power of last"]))
-        if shape == "power of last" or n == 0:
-            exps = tuple([0] * n + [degree])
-            forms.append(HomogPoly(spec, n + 1, degree, {exps: draw(nonzero)}))
-            continue
-        width = n + 1 if shape == "any" else n
-        terms = {}
-        for _ in range(draw(st.integers(1, 6))):
-            exps = [0] * (n + 1)
-            for i in draw(st.lists(st.integers(0, width - 1),
-                                   min_size=degree, max_size=degree)):
-                exps[i] += 1
-            terms[tuple(exps)] = draw(nonzero)
-        forms.append(HomogPoly(spec, n + 1, degree, terms))
-    chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
-             for i in range(n + 1) if draw(st.booleans())]
+    spec, n, chart = _draw_space(draw)
+    forms = [_draw_form(draw, spec, n, draw(st.integers(1, 4)))
+             for _ in range(draw(st.integers(0, 3)))]
     return CountQuery(spec, n, forms, chart)
 
 
-@given(_count_query())
-@settings(max_examples=80, deadline=None,
+@st.composite
+def _union_query(draw):
+    """A union of 1 to 4 factors of degree 1 or 2, some of them repeated or
+    zero, with a random chart."""
+    spec, n, chart = _draw_space(draw)
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["form", "form", "repeat", "zero"]))
+        degree = draw(st.integers(1, 2))
+        if kind == "repeat" and factors:
+            factors.append(draw(st.sampled_from(factors)))
+        elif kind == "zero":
+            factors.append(HomogPoly.zero(spec, n + 1, degree))
+        else:
+            factors.append(_draw_form(draw, spec, n, degree))
+    return CountQuery.union(spec, n, factors, chart)
+
+
+@given(st.one_of(_count_query(), _union_query()))
+@settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_pure_kernel_matches_enumeration(monkeypatch, query):
+    # enumerate_points reads a union's expanded product
     monkeypatch.setattr(motivic.count, "_ckernel", None)
     assert count_points(query) == len(list(enumerate_points(query)))
+
+
+def test_union_counts_as_its_product():
+    f = parse_poly("x0*x1 - x2*x3", F5, 4)
+    h = parse_poly("x0 + 2*x3", F5, 4)
+    union = CountQuery.union(F5, 3, [f, h, h], ((1, "nonzero"),))
+    product = CountQuery(F5, 3, [f * h * h], ((1, "nonzero"),))
+    assert union.generators == product.generators
+    assert union.describe() == product.describe()
+    assert union != product
+    assert count_points(union) == count_points(product)
+    with pytest.raises(ValueError, match="at least one factor"):
+        CountQuery.union(F5, 3, [])
+    with pytest.raises(ValueError, match="does not live"):
+        CountQuery.union(F5, 2, [f])
+
+
+def test_query_equality_and_hash_are_stable():
+    f = parse_poly("x0*x1 - x2^2", F7, 3)
+    h = parse_poly("x0 + 3*x2", F7, 3)
+    a, b = CountQuery(F7, 2, [f, h]), CountQuery(F7, 2, [f, h])
+    assert [hash(a) for _ in range(3)] == [hash(b)] * 3
+    assert a == b and b == a and a == b
+    assert a != CountQuery(F7, 2, [h, f])  # generator order is structure
+    u = CountQuery.union(F7, 2, [f, h])
+    # order, repetition and nonzero scalars of the factors do not matter
+    same = [CountQuery.union(F7, 2, [h, f]),
+            CountQuery.union(F7, 2, [f, h, f]),
+            CountQuery.union(F7, 2, [f.scale(F7.elem(3)),
+                                     h.scale(F7.elem(6))])]
+    for other in same:
+        assert other == u and hash(other) == hash(u)
+        assert count_points(other) == count_points(u)
+    assert u != CountQuery.union(F7, 2, [f])
+    assert u != CountQuery.union(F7, 2, [f, h], ((0, "zero"),))
+    assert len({u, a, *same}) == 2

@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motivic.count import CountQuery
+import motivic.kclass
+from motivic.count import BudgetError, CountQuery
 from motivic.fields import prime_field, rationals
 from motivic.kclass import (
     ClassExpr,
@@ -13,6 +14,7 @@ from motivic.kclass import (
     StratResult,
     TraceStep,
     VarietyAtom,
+    count_once,
     projective_space_class,
 )
 from motivic.parse import parse_poly
@@ -194,3 +196,33 @@ def test_count_measure_is_additive(c1, c2):
 def test_lshift_matches_multiplication_by_q(c, k):
     e = ClassExpr(c)
     assert e.lshift(k).count_measure(3) == e.count_measure(3) * 3**k
+
+
+def test_count_memo_skips_repeats_and_keeps_no_failure(monkeypatch):
+    counted = []
+    real = motivic.kclass.count_points
+
+    def spy(query, budget=None):
+        counted.append(query)
+        return real(query, budget=budget)
+
+    monkeypatch.setattr(motivic.kclass, "count_points", spy)
+    line = CountQuery(F3, 1, [parse_poly("x0", F3, 2)])
+    space = CountQuery(F3, 4)
+    ident = Identity([CountTerm(1, 0, line), CountTerm(1, 0, line)],
+                     [CountTerm(1, 0, space)])
+    memo = {}
+    # 3^5 candidates in P^4 are over the budget: the error reaches the
+    # caller and only the count that finished is kept
+    with pytest.raises(BudgetError):
+        ident.sides(budget=100, memo=memo)
+    assert memo == {line: 1} and counted == [line, space]
+    assert ident.sides(memo=memo) == (2, 121)
+    assert memo == {line: 1, space: 121}
+    assert counted == [line, space, space]
+    # a hit is returned as stored, through the atoms of count_measure too
+    atom = VarietyAtom(F3, 1, [parse_poly("x0", F3, 2)])
+    expr = ClassExpr.from_atom(atom, shift=1)
+    assert expr.count_measure(3, memo={atom.query(): 5}) == 15
+    assert count_once(line, memo={CountQuery(F3, 1, line.generators): 7}) == 7
+    assert count_once(line) == 1 and len(counted) == 4
