@@ -165,7 +165,8 @@ def _dispatch(job):
             raise ValueError("class-cubic-singular takes exactly one --poly")
         f = parse_poly(job.polynomials[0], spec, nvars)
         x = parse_point(job.point, spec, nvars) if job.point else None
-        result = class_of_singular_cubic(f, x, height=job.height)
+        result = class_of_singular_cubic(f, x, height=job.height,
+                                         budget=job.budget)
         if not with_oracle:
             return result, None
         return result, CountQuery(spec, job.ambient, [f])

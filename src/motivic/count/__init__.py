@@ -9,9 +9,13 @@ Counting splits a query into lead strata (lead coordinate = 1, earlier
 coordinates 0), each an independent unit a kernel can chew through;
 together they are the points enumerate_points yields.
 
-Nothing here is cached across calls but the field tables.  Equal queries
-count the same, so the CLI keeps one memo of counts per job
+Nothing here is cached across calls but the field tables; over F_{p^m}
+their products come from the spec's own log/antilog pair, which
+motivic.fields builds once per spec and element arithmetic shares.  Equal
+queries count the same, so the CLI keeps one memo of counts per job
 (kclass.count_once) and counts each distinct query of a job once.
+enumerate_points, the independent reference, walks the same lead strata as
+the kernels, on residue tuples over F_p.
 
 Arithmetic inside the hot loop is table-driven: elements become indices
 0..q-1 (0 -> 0, 1 -> 1) and add/mul/pow become flat lookup tables, so the
@@ -37,8 +41,10 @@ from __future__ import annotations
 import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
+from math import prod
 
-from ..fields import FieldSpec
+from ..fields import _TABLE_LIMIT, FieldSpec
 from ..poly import HomogPoly
 
 from . import _pure
@@ -54,7 +60,6 @@ if os.environ.get("MOTIVIC_PURE"):
 HAVE_COMPILED = _ckernel is not None
 
 _DEFAULT_BUDGET = 10**8
-_TABLE_LIMIT = 1024
 
 
 class BudgetError(ValueError):
@@ -219,7 +224,7 @@ def _field_tables(spec: FieldSpec):
     elems = list(spec.elements())
     index = {e: i for i, e in enumerate(elems)}
     out = (elems, index, array("i", _add_table(spec.p, spec.m)),
-           array("i", _mul_table(spec, elems, index)))
+           array("i", _mul_table(spec, elems)))
     _table_cache[spec] = out
     return out
 
@@ -246,41 +251,26 @@ def _add_table(p, m):
     return table
 
 
-def _mul_table(spec, elems, index):
+def _mul_table(spec, elems):
     """Flat q x q table of index products.
 
     Over F_p an index is the residue.  Over F_{p^m} the products go through
-    a logarithm to the base of a primitive element g: a*b = g^(log a + log b).
+    the spec's log/antilog pair: a*b = g^(log a + log b).
     """
     q = spec.order
     if spec.kind == "Fp":
         return [(i * j) % q for i in range(q) for j in range(q)]
-    antilog = _primitive_powers(spec, elems, index)
-    n = q - 1
-    log = [0] * q
-    for k, i in enumerate(antilog):
-        log[i] = k
+    log, antilog = spec._log_pair()
+    of_value = {e.value: i for i, e in enumerate(elems)}
+    # the pair as indices: ilog[index of a] = log a, iexp[k] = index of g^k
+    ilog = [log[e.value] for e in elems]
+    iexp = [of_value[v] for v in antilog]
     table = [0] * q
     for i in range(1, q):
-        li = log[i]
+        li = ilog[i]
         table.append(0)
-        table.extend([antilog[(li + log[j]) % n] for j in range(1, q)])
+        table.extend([iexp[li + ilog[j]] for j in range(1, q)])
     return table
-
-
-def _primitive_powers(spec, elems, index):
-    """Indices of g^0, ..., g^(q-2), where g is the first element in index
-    order whose powers run through every nonzero element."""
-    one = spec.one
-    for g in elems[2:]:
-        powers = [1]
-        x = g
-        while x != one:
-            powers.append(index[x])
-            x = x * g
-        if len(powers) == spec.order - 1:
-            return powers
-    raise AssertionError("no primitive element (unreachable)")
 
 
 def _pow_table(q, mul, maxd):
@@ -409,24 +399,41 @@ def _count_bigprime(query: CountQuery) -> int:
 
 
 def enumerate_points(query: CountQuery, budget: int | None = None):
-    """Yield the points of the query as coordinate tuples, canonical order."""
+    """Yield the points of the query as coordinate tuples, canonical order.
+
+    The walk runs over the lead strata of _strata, in the order of
+    points.projective_reps.  Over F_p candidates are residue tuples and the
+    generators are evaluated on ints; field elements are built only for the
+    points yielded.
+    """
     budget = default_budget() if budget is None else budget
     if query.cost() > budget:
         raise BudgetError(
             "enumerating %r needs %d candidates, budget is %d"
             % (query, query.cost(), budget)
         )
-    from ..points import projective_reps
-
-    chart = dict(query.chart)
     spec = query.spec
-    zero = spec.zero
-    for pt in projective_reps(spec, query.n):
-        ok = True
-        for i, kind in chart.items():
-            iszero = pt[i] == zero
-            if (kind == "zero") != iszero:
-                ok = False
-                break
-        if ok and all(g.evaluate(pt) == zero for g in query.generators):
-            yield pt
+    q = spec.order
+    elems = [spec.from_index(i) for i in range(q)]
+    if spec.kind == "Fp":
+        gens = [[(c.value, e) for e, c in g.terms.items()]
+                for g in query.generators]
+
+        def on_point(idx):
+            return all(
+                sum(c * prod(map(pow, idx, e)) for c, e in g) % q == 0
+                for g in gens)
+    else:
+        gens = query.generators
+
+        def on_point(idx):
+            pt = tuple(elems[i] for i in idx)
+            return all(g.evaluate(pt).is_zero() for g in gens)
+
+    for lead, fixed, free_pos, free_start in _strata(query):
+        idx = list(fixed)
+        for tail in product(*[range(start, q) for start in free_start]):
+            for i, v in zip(free_pos, tail):
+                idx[i] = v
+            if on_point(idx):
+                yield tuple(elems[i] for i in idx)

@@ -13,7 +13,7 @@ with the essential part kept as a variety atom over the base field.
 import random
 
 from .fields import FieldSpec, prime_field
-from .linalg import Matrix, extend_to_basis
+from .linalg import Matrix, _Echelon, extend_to_basis
 from .poly import HomogPoly
 from .count import CountQuery
 from .kclass import (
@@ -164,14 +164,8 @@ def _validated_ext_forms(forms, spec=None):
 
 def _chosen_basis(spec, rows):
     """First linearly independent subset of the rows, in input order."""
-    chosen = []
-    rank = 0
-    for row in rows:
-        cand = chosen + [list(row)]
-        if Matrix(spec, cand).rank() > rank:
-            chosen = cand
-            rank += 1
-    return Matrix(spec, chosen)
+    span = _Echelon(spec)
+    return Matrix(spec, [list(row) for row in rows if span.add(row)])
 
 
 def _span_cocycle(ctx, forms):

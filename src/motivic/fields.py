@@ -23,12 +23,23 @@ objects for one field; elements of genuinely different fields never mix.
 Each spec builds its zero and one once, as plain attributes, and element
 arithmetic between two F_p elements of the same spec object works on the
 residues directly.
+
+Over F_{p^m} with q <= _TABLE_LIMIT, products, inverses and powers go
+through one log/antilog pair per spec, to the base of the first primitive
+element in index order (Lidl-Niederreiter, Finite Fields, ch. 2).  The pair
+is built on the first product, inverse or power that needs it, never at
+import, and the point-count tables of motivic.count read the same pair.
+Larger extension fields keep the schoolbook product on coefficient tuples.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+
+# Extension fields up to this order get a log/antilog pair; motivic.count
+# tabulates fields up to the same order.
+_TABLE_LIMIT = 1024
 
 
 def _is_prime(n: int) -> bool:
@@ -118,6 +129,34 @@ def _irreducible(coeffs, p):
     return True
 
 
+def _schoolbook_mul(spec, a, b):
+    """Product of two F_{p^m} coefficient tuples, reduced by the modulus."""
+    m, p = spec.m, spec.p
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    out = prod[:m]
+    for k in range(m, 2 * m - 1):
+        c = prod[k]
+        if c:
+            red = spec._tpowers[k - m]
+            for i in range(m):
+                out[i] = (out[i] + c * red[i]) % p
+    return tuple(out)
+
+
+def _schoolbook_pow(spec, a, e):
+    acc = spec.one.value
+    while e:
+        if e & 1:
+            acc = _schoolbook_mul(spec, acc, a)
+        a = _schoolbook_mul(spec, a, a)
+        e >>= 1
+    return acc
+
+
 def build_extension(p: int, m: int):
     """Smallest monic irreducible of degree m over F_p, by integer encoding.
 
@@ -147,7 +186,7 @@ class FieldSpec:
     """
 
     __slots__ = ("kind", "p", "m", "modulus", "order", "_tpowers", "_hash",
-                 "zero", "one")
+                 "zero", "one", "_logs")
 
     def __init__(self, kind, p=0, m=1, modulus=None):
         self.kind = kind  # "Q" | "Fp" | "Fpm"
@@ -180,6 +219,34 @@ class FieldSpec:
             zero, one = (0,) * m, (1,) + (0,) * (m - 1)
         self.zero = FieldElem(self, zero)
         self.one = FieldElem(self, one)
+        self._logs = None
+
+    def _log_pair(self):
+        """(log, antilog) of F_{p^m}, built once, for q <= _TABLE_LIMIT.
+
+        g is the first element in index order whose order is q - 1, found
+        by testing g^((q-1)/r) != 1 for each prime r dividing q - 1.
+        antilog[k] is the tuple of g^k for 0 <= k < 2(q - 1), so a sum of
+        two logs indexes it without a reduction; log maps every nonzero
+        tuple to its exponent below q - 1 and the zero tuple to None.
+        """
+        if self._logs is None:
+            n = self.order - 1
+            one = self.one.value
+            primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+            for i in range(2, self.order):
+                g = self.from_index(i).value
+                if all(_schoolbook_pow(self, g, n // r) != one for r in primes):
+                    break
+            else:
+                raise AssertionError("no primitive element (unreachable)")
+            antilog = [one]
+            for _ in range(n - 1):
+                antilog.append(_schoolbook_mul(self, antilog[-1], g))
+            log = {v: k for k, v in enumerate(antilog)}
+            log[self.zero.value] = None
+            self._logs = (log, antilog + antilog)
+        return self._logs
 
     # -- identity ----------------------------------------------------------
 
@@ -409,29 +476,21 @@ class FieldElem:
 
     def __mul__(self, other):
         s = self.spec
-        if s.kind == "Fp" and type(other) is FieldElem and other.spec is s:
-            return FieldElem(s, (self.value * other.value) % s.p)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if s.kind == "Q":
-            return FieldElem(s, self.value * other.value)
+        if type(other) is not FieldElem or other.spec is not s:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if s.kind == "Fp":
             return FieldElem(s, (self.value * other.value) % s.p)
-        m, p = s.m, s.p
-        prod = [0] * (2 * m - 1)
-        for i, a in enumerate(self.value):
-            if a:
-                for j, b in enumerate(other.value):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        out = list(prod[:m])
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                red = s._tpowers[k - m]
-                for i in range(m):
-                    out[i] = (out[i] + c * red[i]) % p
-        return FieldElem(s, tuple(out))
+        if s.kind == "Q":
+            return FieldElem(s, self.value * other.value)
+        if s.order > _TABLE_LIMIT:
+            return FieldElem(s, _schoolbook_mul(s, self.value, other.value))
+        log, antilog = s._logs or s._log_pair()
+        a, b = log[self.value], log[other.value]
+        if a is None or b is None:
+            return s.zero
+        return FieldElem(s, antilog[a + b])
 
     __rmul__ = __mul__
 
@@ -443,8 +502,11 @@ class FieldElem:
             return FieldElem(s, 1 / self.value)
         if s.kind == "Fp":
             return FieldElem(s, pow(self.value, s.p - 2, s.p))
-        inv = _poly_invert(list(self.value), list(s.modulus), s.p)
-        return FieldElem(s, tuple(inv) + (0,) * (s.m - len(inv)))
+        if s.order > _TABLE_LIMIT:
+            inv = _poly_invert(list(self.value), list(s.modulus), s.p)
+            return FieldElem(s, tuple(inv) + (0,) * (s.m - len(inv)))
+        log, antilog = s._logs or s._log_pair()
+        return FieldElem(s, antilog[s.order - 1 - log[self.value]])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -461,9 +523,18 @@ class FieldElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        if self.spec.kind == "Fp":
-            return FieldElem(self.spec, pow(self.value, e, self.spec.p))
-        acc = self.spec.one
+        s = self.spec
+        if s.kind == "Fp":
+            return FieldElem(s, pow(self.value, e, s.p))
+        if s.kind == "Fpm" and s.order <= _TABLE_LIMIT:
+            if e == 0:
+                return s.one
+            log, antilog = s._logs or s._log_pair()
+            a = log[self.value]
+            if a is None:
+                return s.zero
+            return FieldElem(s, antilog[a * e % (s.order - 1)])
+        acc = s.one
         base = self
         while e:
             if e & 1:

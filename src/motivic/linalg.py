@@ -5,11 +5,63 @@ pivot scanning columns left to right and rows top to bottom, nullspace vectors
 follow the canonical free-variable unit pattern in ascending column order, and
 basis extension appends standard basis vectors in index order.  No floating
 point anywhere.
+
+Over F_p, elimination runs on rows of plain residues and converts back to
+field elements once, at the end; over Q and F_{p^m} it runs on the elements.
+The public constructor validates and coerces its entries.  Results of rref,
+transpose, products, inverse and solve are valid by construction, so they
+are built through _from_rows, which stores the rows it is given.  _Echelon
+keeps a reduced basis of a growing span, so that the rank after each new
+row costs one reduction; basis extension and the subset walks of the
+arrangement engines use it.
 """
 
 from __future__ import annotations
 
 from .fields import FieldElem, FieldSpec
+
+
+def _raw(spec, rows):
+    """The rows as residues over F_p, as the elements themselves otherwise."""
+    if spec.kind == "Fp":
+        return [[x.value for x in row] for row in rows]
+    return [list(row) for row in rows]
+
+
+def _eliminate(spec, m, ncols):
+    """Reduce the raw rows m (see _raw) to rref in place; return the pivots."""
+    p = spec.p if spec.kind == "Fp" else 0
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        if p:
+            inv = pow(m[r][c], p - 2, p)
+            row = m[r] = [x * inv % p for x in m[r]]
+            for i in range(nrows):
+                f = m[i][c]
+                if i != r and f:
+                    m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
+        else:
+            inv = m[r][c].inverse()
+            row = m[r] = [x * inv for x in m[r]]
+            for i in range(nrows):
+                f = m[i][c]
+                if i != r and f:
+                    m[i] = [a - f * b for a, b in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots)
 
 
 class Matrix:
@@ -23,6 +75,24 @@ class Matrix:
         for row in self.rows:
             if len(row) != self.ncols:
                 raise ValueError("ragged rows")
+
+    @classmethod
+    def _from_rows(cls, spec: FieldSpec, rows) -> "Matrix":
+        """No checks: rows is a list of equally long lists of elements of
+        spec, and becomes the result's own."""
+        M = object.__new__(cls)
+        M.spec = spec
+        M.rows = rows
+        M.nrows = len(rows)
+        M.ncols = len(rows[0]) if rows else 0
+        return M
+
+    @classmethod
+    def _from_raw(cls, spec: FieldSpec, rows) -> "Matrix":
+        """The matrix of raw rows as _raw gives them."""
+        if spec.kind == "Fp":
+            rows = [[FieldElem(spec, v) for v in row] for row in rows]
+        return cls._from_rows(spec, rows)
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
@@ -45,10 +115,7 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.spec,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
+        return Matrix._from_rows(self.spec, [list(c) for c in zip(*self.rows)])
 
     def __eq__(self, other):
         return (
@@ -60,7 +127,14 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        z = self.spec.zero
+        spec = self.spec
+        if spec.kind == "Fp" and other.spec is spec:
+            p = spec.p
+            cols = list(zip(*_raw(spec, other.rows)))
+            out = [[sum(a * b for a, b in zip(row, col)) % p for col in cols]
+                   for row in _raw(spec, self.rows)]
+            return Matrix._from_raw(spec, out)
+        z = spec.zero
         out = []
         for i in range(self.nrows):
             row = []
@@ -70,7 +144,7 @@ class Matrix:
                     acc = acc + self.rows[i][k] * other.rows[k][j]
                 row.append(acc)
             out.append(row)
-        return Matrix(self.spec, out)
+        return Matrix._from_rows(spec, out)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -80,32 +154,12 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-        m = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            pr = None
-            for i in range(r, self.nrows):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(self.spec, m), tuple(pivots)
+        m = _raw(self.spec, self.rows)
+        pivots = _eliminate(self.spec, m, self.ncols)
+        return Matrix._from_raw(self.spec, m), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminate(self.spec, _raw(self.spec, self.rows), self.ncols))
 
     def nullspace(self):
         """Canonical right-nullspace basis: one vector per free column, which
@@ -126,21 +180,24 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        aug = Matrix(
+        zero, one = self.spec.zero, self.spec.one
+        aug = Matrix._from_rows(
             self.spec,
             [
-                list(self.rows[i]) + [1 if i == j else 0 for j in range(n)]
+                list(self.rows[i]) + [one if i == j else zero for j in range(n)]
                 for i in range(n)
             ],
         )
         R, pivots = aug.rref()
         if list(pivots[:n]) != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(self.spec, [R.rows[i][n:] for i in range(n)])
+        return Matrix._from_rows(self.spec, [R.rows[i][n:] for i in range(n)])
 
     def solve(self, b):
         """One solution of A x = b, or None if inconsistent."""
-        aug = Matrix(self.spec, [list(r) + [v] for r, v in zip(self.rows, b)])
+        b = [self.spec.elem(v) for v in b]
+        aug = Matrix._from_rows(self.spec,
+                                [list(r) + [v] for r, v in zip(self.rows, b)])
         R, pivots = aug.rref()
         if self.ncols in pivots:
             return None
@@ -148,6 +205,53 @@ class Matrix:
         for r, c in enumerate(pivots):
             x[c] = R.rows[r][self.ncols]
         return tuple(x)
+
+
+class _Echelon:
+    """A reduced basis of the span of the rows added so far.
+
+    Each kept row is scaled to 1 at its pivot and is zero at the pivots of
+    the rows kept before it, so reducing a new row against the kept rows in
+    order clears every pivot column: the new row is independent exactly
+    when something is left.  Over F_p the kept rows are residues.
+    """
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, spec: FieldSpec):
+        self.p = spec.p if spec.kind == "Fp" else 0
+        self.rows = []
+        self.pivots = []
+
+    def add(self, row) -> bool:
+        """Reduce a row of elements against the basis; keep it and return
+        True when it is independent of the span, else return False."""
+        p = self.p
+        row = [x.value for x in row] if p else list(row)
+        for b, c in zip(self.rows, self.pivots):
+            f = row[c]
+            if f:
+                if p:
+                    row = [(x - f * y) % p for x, y in zip(row, b)]
+                else:
+                    row = [x - f * y for x, y in zip(row, b)]
+        for c, x in enumerate(row):
+            if x:
+                if p:
+                    inv = pow(x, p - 2, p)
+                    row = [y * inv % p for y in row]
+                else:
+                    inv = x.inverse()
+                    row = [y * inv for y in row]
+                self.rows.append(row)
+                self.pivots.append(c)
+                return True
+        return False
+
+    def pop(self):
+        """Forget the row kept last."""
+        self.rows.pop()
+        self.pivots.pop()
 
 
 def extend_to_basis(spec: FieldSpec, vectors, dim: int) -> Matrix:
@@ -161,14 +265,15 @@ def extend_to_basis(spec: FieldSpec, vectors, dim: int) -> Matrix:
     for v in cols:
         if len(v) != dim:
             raise ValueError("vector length != dim")
-    if cols and Matrix.from_columns(spec, cols).rank() != len(cols):
-        raise ValueError("input vectors are dependent")
-    rank = len(cols)
+    span = _Echelon(spec)
+    for v in cols:
+        if not span.add(v):
+            raise ValueError("input vectors are dependent")
+    zero, one = spec.zero, spec.one
     for i in range(dim):
-        if rank == dim:
+        if len(span.rows) == dim:
             break
-        e = tuple(spec.elem(1 if j == i else 0) for j in range(dim))
-        if Matrix.from_columns(spec, cols + [e]).rank() > rank:
+        e = tuple(one if j == i else zero for j in range(dim))
+        if span.add(e):
             cols.append(e)
-            rank += 1
     return Matrix.from_columns(spec, cols)

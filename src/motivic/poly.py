@@ -10,7 +10,7 @@ printed form, and every deterministic tie-break downstream.
 
 from __future__ import annotations
 
-from operator import add
+from operator import mul
 
 from .fields import FieldElem, FieldSpec
 from .linalg import Matrix
@@ -167,31 +167,48 @@ class HomogPoly:
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_like(other)
         spec = self.spec
+        nvars = self.nvars
         degree = self.degree + other.degree
+        # Exponent tuples are packed to integer codes sum(e_i * base^i).  No
+        # exponent of the product exceeds its degree, so with base = degree
+        # + 1 the code of a product monomial is the sum of the two codes.
+        base = degree + 1
+        weights = [base**i for i in range(nvars)]
         acc = {}
         if spec.kind == "Fp":
             # raw residue products per monomial, reduced mod p once
-            pairs = [(e2, c2.value) for e2, c2 in other.terms.items()]
+            right = [(sum(map(mul, e, weights)), c.value)
+                     for e, c in other.terms.items()]
             for e1, c1 in self.terms.items():
-                v1 = c1.value
-                for e2, v2 in pairs:
-                    e = tuple(map(add, e1, e2))
-                    acc[e] = acc.get(e, 0) + v1 * v2
+                k1, v1 = sum(map(mul, e1, weights)), c1.value
+                for k2, v2 in right:
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + v1 * v2
             p = spec.p
-            terms = {}
-            for e, v in acc.items():
+            coeffs = {}
+            for k, v in acc.items():
                 v %= p
                 if v:
-                    terms[e] = FieldElem(spec, v)
-            return HomogPoly._from_terms(spec, self.nvars, degree, terms)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                prod = c1 * c2
-                prev = acc.get(e)
-                acc[e] = prod if prev is None else prev + prod
-        terms = {e: c for e, c in acc.items() if not c.is_zero()}
-        return HomogPoly._from_terms(spec, self.nvars, degree, terms)
+                    coeffs[k] = FieldElem(spec, v)
+        else:
+            right = [(sum(map(mul, e, weights)), c)
+                     for e, c in other.terms.items()]
+            for e1, c1 in self.terms.items():
+                k1 = sum(map(mul, e1, weights))
+                for k2, c2 in right:
+                    k = k1 + k2
+                    prod = c1 * c2
+                    prev = acc.get(k)
+                    acc[k] = prod if prev is None else prev + prod
+            coeffs = {k: c for k, c in acc.items() if not c.is_zero()}
+        terms = {}
+        for k, c in coeffs.items():
+            e = []
+            for _ in range(nvars):
+                k, r = divmod(k, base)
+                e.append(r)
+            terms[tuple(e)] = c
+        return HomogPoly._from_terms(spec, nvars, degree, terms)
 
     def power(self, k: int) -> "HomogPoly":
         if k < 0:
@@ -236,14 +253,25 @@ class HomogPoly:
             })
             for i in range(self.nvars)
         ]
+        # products of row powers, shared by the monomials that start alike
+        powers = {}
+        prefixes = {}
+        one = HomogPoly._from_terms(self.spec, new_n, 0,
+                                    {(0,) * new_n: self.spec.one})
         out = HomogPoly.zero(self.spec, new_n, self.degree)
         for exps, coeff in self.terms.items():
-            piece = HomogPoly._from_terms(self.spec, new_n, 0,
-                                          {(0,) * new_n: coeff})
+            piece, key = one, ()
             for i, e in enumerate(exps):
                 if e:
-                    piece = piece * rows[i].power(e)
-            out = out + piece
+                    key += ((i, e),)
+                    cached = prefixes.get(key)
+                    if cached is None:
+                        power = powers.get((i, e))
+                        if power is None:
+                            power = powers[i, e] = rows[i].power(e)
+                        cached = prefixes[key] = piece * power
+                    piece = cached
+            out = out + piece.scale(coeff)
         return out
 
     def partial_derivative(self, i: int) -> "HomogPoly":

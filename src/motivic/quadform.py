@@ -195,35 +195,27 @@ def hyperbolic_normalize(q: QuadForm, x):
         raise ValueError("form is degenerate")
 
     two = spec.elem(2)
-    # first standard basis vector not orthogonal to x
-    w = None
-    for i in range(n):
-        e = tuple(spec.one if j == i else spec.zero for j in range(n))
-        if not q.bilinear(x, e).is_zero():
-            w = e
-            break
-    if w is None:
+    G = q.gram
+    # b(x, e_i) = (G x)_i, as G is symmetric
+    gx = (G * Matrix.from_columns(spec, [x])).column(0)
+    # first standard basis vector e_i not orthogonal to x
+    i = next((i for i, v in enumerate(gx) if not v.is_zero()), None)
+    if i is None:
         raise AssertionError("nondegenerate form with x in the radical")
+    w = tuple(spec.one if j == i else spec.zero for j in range(n))
     # u = w - (b(w,w) / (2 b(x,w))) x is isotropic and pairs with x
-    bww = q.bilinear(w, w)
-    bxw = q.bilinear(x, w)
-    factor = bww / (two * bxw)
+    factor = G.rows[i][i] / (two * gx[i])
     u = tuple(wv - factor * xv for wv, xv in zip(w, x))
-    scale = (two * q.bilinear(u, x)).inverse()
+    bux = sum((uv * gv for uv, gv in zip(u, gx)), spec.zero)
+    scale = (two * bux).inverse()
     u = tuple(scale * v for v in u)
     if not q.evaluate(u).is_zero():
         raise AssertionError("constructed vector is not isotropic")
 
-    # orthogonal complement of span(u, x): nullspace of the two pairing rows
-    pair_rows = Matrix(
-        spec,
-        [
-            [q.bilinear(u, tuple(spec.one if j == i else spec.zero for j in range(n)))
-             for i in range(n)],
-            [q.bilinear(x, tuple(spec.one if j == i else spec.zero for j in range(n)))
-             for i in range(n)],
-        ],
-    )
+    # orthogonal complement of span(u, x): nullspace of the two pairing
+    # rows b(u, .) = (G u)^T and b(x, .) = (G x)^T
+    gu = (G * Matrix.from_columns(spec, [u])).column(0)
+    pair_rows = Matrix(spec, [gu, gx])
     comp = pair_rows.nullspace()
     M = Matrix.from_columns(spec, [u, x] + comp)
     f2 = q.poly().linear_substitute(M)

@@ -30,9 +30,9 @@ from .kclass import (
     VarietyAtom,
     projective_space_class,
 )
-from .linalg import Matrix, extend_to_basis
+from .linalg import Matrix, _Echelon, extend_to_basis
 from .poly import HomogPoly
-from .points import projective_reps, rational_reps
+from .points import rational_reps
 from .quadform import (
     QuadForm,
     diagonalize,
@@ -244,6 +244,29 @@ def _coeff_rows(forms):
     return rows
 
 
+def _subset_ranks(spec, rows):
+    """ranks[mask] = rank of the rows whose bits are set in mask.
+
+    A depth-first walk over the subsets carries the echelon basis of the
+    current subset, so each subset's rank costs one row reduction.
+    """
+    d = len(rows)
+    ranks = [0] * (1 << d)
+    span = _Echelon(spec)
+
+    def walk(mask, start):
+        for j in range(start, d):
+            child = mask | 1 << j
+            kept = span.add(rows[j])
+            ranks[child] = len(span.rows)
+            walk(child, j + 1)
+            if kept:
+                span.pop()
+
+    walk(0, 0)
+    return ranks
+
+
 def arrangement_inclusion_exclusion(forms) -> ClassExpr:
     """Scissor-relation oracle: alternating sum over subsets of hyperplanes.
 
@@ -256,11 +279,10 @@ def arrangement_inclusion_exclusion(forms) -> ClassExpr:
         raise ValueError("too many hyperplanes for subset enumeration")
     spec = forms[0].spec
     n = forms[0].nvars - 1
-    rows = _coeff_rows(forms)
+    ranks = _subset_ranks(spec, _coeff_rows(forms))
     expr = ClassExpr()
     for mask in range(1, 1 << d):
-        sub = [rows[i] for i in range(d) if mask >> i & 1]
-        k = n - Matrix(spec, sub).rank()
+        k = n - ranks[mask]
         if k < 0:
             continue
         term = projective_space_class(k)
@@ -328,10 +350,9 @@ def class_of_arrangement(forms) -> StratResult:
     z_expr = arrangement_inclusion_exclusion(rotated)
     ie_terms = []
     if finite:
-        rows = _coeff_rows(rotated)
+        ranks = _subset_ranks(spec, _coeff_rows(rotated))
         for mask in range(1, 1 << d):
-            sub = [rows[i] for i in range(d) if mask >> i & 1]
-            k = (r - 1) - Matrix(spec, sub).rank()
+            k = (r - 1) - ranks[mask]
             if k < 0:
                 continue
             sign = 1 if bin(mask).count("1") % 2 else -1
@@ -423,26 +444,35 @@ def _is_singular_at(f: HomogPoly, pt) -> bool:
     )
 
 
-def find_singular_rational_point(f: HomogPoly, height: int = 10):
-    """First point in canonical order where f and all partials vanish."""
+def find_singular_rational_point(f: HomogPoly, height: int = 10, budget=None):
+    """First point in canonical order where f and all partials vanish.
+
+    Over a finite field this is the first point of V(f, df/dx_0, ...),
+    searched as enumerate_points does, under the same budget; over Q the
+    search is height-bounded.
+    """
     n = f.nvars - 1
-    pts = (
-        projective_reps(f.spec, n) if f.spec.is_finite else rational_reps(n, height)
-    )
-    for pt in pts:
+    if f.spec.is_finite:
+        gens = [f] + [f.partial_derivative(i) for i in range(f.nvars)]
+        for pt in enumerate_points(CountQuery(f.spec, n, gens), budget=budget):
+            return pt
+        return None
+    for pt in rational_reps(n, height):
         if _is_singular_at(f, pt):
             return pt
     return None
 
 
-def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10) -> StratResult:
+def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
+                            budget=None) -> StratResult:
     """Class of a cubic hypersurface with a rational singular point, n >= 3.
 
     Coordinates move the singular point to [0:...:0:1]; there the cubic reads
     x_n*f2 + f3 with f2 quadratic and f3 cubic in the remaining variables.
     Lines through the point stratify X into the point, a section over the
     complement of V(f2), and an A^1-bundle over V(f2, f3).  When f2 = 0 the
-    cubic is itself a cone and is delegated to class_of_cone.
+    cubic is itself a cone and is delegated to class_of_cone.  Without x,
+    the search for a singular point obeys budget, as enumerate_points does.
     """
     if f.degree != 3:
         raise ValueError("expected a cubic, got degree %d" % f.degree)
@@ -456,7 +486,7 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10) -> StratResu
     finite = spec.is_finite
 
     if x is None:
-        x = find_singular_rational_point(f, height)
+        x = find_singular_rational_point(f, height, budget=budget)
         if x is None:
             raise ValueError(
                 "no singular rational point found"

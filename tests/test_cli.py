@@ -108,6 +108,21 @@ def test_engine_point_search_obeys_budget(capsys):
     assert "needs 16807 candidates, budget is 10" in err
 
 
+def test_singular_point_search_obeys_budget(capsys):
+    # without --point the cubic engine searches 7^5 candidates for a
+    # singular point; the given point skips the search
+    job = [
+        "class-cubic-singular", "--field", "7", "--ambient", "4",
+        "--poly", "x4*x0*x1 + x4*x2*x3 + x0^3 + x1^3 + x2^3 + x3^3",
+        "--budget", "10", "--no-verify",
+    ]
+    code, out, err = _run(capsys, job)
+    assert code == 2 and out == ""
+    assert "needs 16807 candidates, budget is 10" in err
+    code, out, _ = _run(capsys, job + ["--point", "0,0,0,0,1"])
+    assert code == 0 and "status: ok" in out
+
+
 def _queries_asked(job):
     """Every query a verified run of job counts, repeats included."""
     result, oracle = _dispatch(job)

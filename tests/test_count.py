@@ -538,3 +538,27 @@ def test_query_equality_and_hash_are_stable():
     assert u != CountQuery.union(F7, 2, [f])
     assert u != CountQuery.union(F7, 2, [f, h], ((0, "zero"),))
     assert len({u, a, *same}) == 2
+
+
+def _generic_walk(query):
+    """The points of the query, filtered from all of P^n in canonical order
+    with FieldElem evaluation."""
+    chart = dict(query.chart)
+    out = []
+    for pt in projective_reps(query.spec, query.n):
+        if any((kind == "zero") != pt[i].is_zero() for i, kind in chart.items()):
+            continue
+        if all(g.evaluate(pt).is_zero() for g in query.generators):
+            out.append(pt)
+    return out
+
+
+@given(st.one_of(_count_query(), _union_query()))
+@settings(max_examples=120, deadline=None)
+def test_enumerate_points_matches_generic_walk(query):
+    """The residue walk over F_p, and the element walk over F_{p^m}, yield
+    the points of the full filtered walk, in the same order, as elements
+    of the query's field."""
+    pts = list(enumerate_points(query))
+    assert pts == _generic_walk(query)
+    assert all(c.spec is query.spec for pt in pts for c in pt)

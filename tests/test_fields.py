@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from motivic.fields import (
     FieldElem,
@@ -161,3 +161,92 @@ def test_zero_and_one_are_shared_constants():
         assert spec.zero is spec.zero and spec.one is spec.one
         assert spec.zero.is_zero() and spec.one.is_one()
         assert spec.zero == spec.elem(0) and spec.one == spec.elem(1)
+
+
+# -- log/antilog arithmetic over F_{p^m}, against a schoolbook reference
+
+
+def _ref_mul(spec, a, b):
+    """Product of coefficient tuples: convolve, then reduce by the modulus."""
+    p, m, mod = spec.p, spec.m, spec.modulus
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
+        prod[k] = 0
+        for i in range(m):  # t^k = -(mod_0 + ... + mod_{m-1} t^{m-1}) t^(k-m)
+            prod[k - m + i] = (prod[k - m + i] - c * mod[i]) % p
+    return tuple(prod[:m])
+
+
+def _ref_pow(spec, a, e):
+    acc = spec.one.value
+    for _ in range(e):
+        acc = _ref_mul(spec, acc, a)
+    return acc
+
+
+def _ref_inverse(spec, a):
+    # a^(q-2), by square and multiply on the reference product
+    acc, e = spec.one.value, spec.order - 2
+    while e:
+        if e & 1:
+            acc = _ref_mul(spec, acc, a)
+        a = _ref_mul(spec, a, a)
+        e >>= 1
+    return acc
+
+
+_LOGGED = [extension_field(3, 2), extension_field(5, 2), extension_field(3, 3),
+           extension_field(5, 3)]
+_ABOVE_LIMIT = extension_field(31, 3)
+
+
+@given(st.sampled_from(_LOGGED + [_ABOVE_LIMIT]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_extension_ops_match_schoolbook(spec, data):
+    index = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
+    a = spec.from_index(data.draw(index))
+    b = spec.from_index(data.draw(index))
+    e = data.draw(st.integers(0, 40))
+    assert (a * b).value == _ref_mul(spec, a.value, b.value)
+    assert (a ** e).value == _ref_pow(spec, a.value, e)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        inv = _ref_inverse(spec, b.value)
+        assert b.inverse().value == inv
+        assert (a / b).value == _ref_mul(spec, a.value, inv)
+        assert (b ** -e).value == _ref_pow(spec, inv, e)
+
+
+def test_log_pair_is_lazy_and_uses_first_primitive_element():
+    from motivic.fields import _TABLE_LIMIT, FieldSpec
+
+    assert extension_field(31, 3).order > _TABLE_LIMIT
+    for p, m in ((3, 2), (5, 2), (3, 3), (7, 2)):
+        spec = FieldSpec("Fpm", p=p, m=m, modulus=build_extension(p, m))
+        assert spec._logs is None  # nothing built with the spec
+        t = spec.gen()
+        assert (t * t).value == _ref_mul(spec, t.value, t.value)
+        log, antilog = spec._logs
+        q = spec.order
+        # the base is the first element in index order of order q - 1
+        for i in range(2, q):
+            x = spec.from_index(i).value
+            powers = {_ref_pow(spec, x, k) for k in range(1, q)}
+            if len(powers) == q - 1:
+                assert antilog[1] == x
+                break
+        assert len(antilog) == 2 * (q - 1)
+        assert log[spec.zero.value] is None
+        assert sorted(v for v in log.values() if v is not None) == list(
+            range(q - 1))
+    big = FieldSpec("Fpm", p=31, m=3, modulus=build_extension(31, 3))
+    big.gen() * big.gen()
+    assert big._logs is None

@@ -162,3 +162,134 @@ def test_solve_recovers_rhs_over_q(row, b):
     if x is not None:
         got = _apply(A, x)
         assert list(got) == [Q.elem(v) for v in b]
+
+
+# -- residue elimination and the echelon helper, against FieldElem references
+
+_SPECS = [prime_field(p) for p in (3, 5, 7, 11, 13, 31)] + [
+    extension_field(3, 2), extension_field(5, 2), extension_field(3, 3), Q]
+
+
+def _reference_rref(rows, ncols):
+    """Gauss-Jordan on FieldElem operations alone: (rows, pivots)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+@st.composite
+def _entries(draw, spec, nrows, ncols):
+    # zeros drawn often, so that low ranks and zero columns show up
+    if spec.is_finite:
+        value = st.one_of(st.just(0), st.integers(0, spec.order - 1)).map(
+            spec.from_index)
+    else:
+        value = st.one_of(st.just(0), st.integers(-3, 3)).map(spec.elem)
+    return [[draw(value) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def _any_matrix(draw, square=False):
+    spec = draw(st.sampled_from(_SPECS))
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    return Matrix(spec, draw(_entries(spec, nrows, ncols)))
+
+
+@given(_any_matrix())
+@settings(max_examples=150, deadline=None)
+def test_rref_and_nullspace_match_element_elimination(A):
+    R, pivots = A.rref()
+    ref, ref_pivots = _reference_rref(A.rows, A.ncols)
+    assert pivots == ref_pivots
+    assert R.rows == ref and R.spec is A.spec
+    assert (R.nrows, R.ncols) == (A.nrows, A.ncols)
+    assert A.rank() == len(pivots)
+    basis = A.nullspace()
+    assert len(basis) == A.ncols - len(pivots)
+    for v in basis:
+        assert all(x.is_zero() for x in _apply(A, v))
+    assert A.transpose().transpose() == A
+
+
+@given(_any_matrix(square=True))
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_element_elimination(A):
+    n = A.nrows
+    ident = Matrix.identity(A.spec, n)
+    ref, pivots = _reference_rref(
+        [row + ident.rows[i] for i, row in enumerate(A.rows)], 2 * n)
+    if pivots[:n] != tuple(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            A.inverse()
+        return
+    B = A.inverse()
+    assert B.rows == [row[n:] for row in ref]
+    assert A * B == ident and B * A == ident
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_element_elimination(data):
+    A = data.draw(_any_matrix())
+    b = data.draw(_entries(A.spec, 1, A.nrows))[0]
+    ref, pivots = _reference_rref(
+        [row + [v] for row, v in zip(A.rows, b)], A.ncols + 1)
+    x = A.solve(b)
+    if A.ncols in pivots:
+        assert x is None
+        return
+    expect = [A.spec.zero] * A.ncols
+    for r, c in enumerate(pivots):
+        expect[c] = ref[r][A.ncols]
+    assert x == tuple(expect)
+    assert list(_apply(A, x)) == b
+
+
+@given(_any_matrix())
+@settings(max_examples=100, deadline=None)
+def test_subset_ranks_match_matrix_rank(A):
+    from motivic.strat import _subset_ranks
+
+    ranks = _subset_ranks(A.spec, A.rows)
+    assert ranks[0] == 0 and len(ranks) == 1 << A.nrows
+    for mask in range(1, 1 << A.nrows):
+        sub = [row for i, row in enumerate(A.rows) if mask >> i & 1]
+        assert ranks[mask] == Matrix(A.spec, sub).rank(), mask
+
+
+@given(_any_matrix())
+@settings(max_examples=100, deadline=None)
+def test_extend_to_basis_matches_rank_per_candidate(A):
+    # the first independent rows, then the standard basis vectors that raise
+    # the rank, each decided by a fresh rank
+    from motivic.descent import _chosen_basis
+
+    spec, dim = A.spec, A.ncols
+    chosen = []
+    for row in A.rows:
+        if Matrix(spec, chosen + [row]).rank() > len(chosen):
+            chosen.append(row)
+    assert _chosen_basis(spec, A.rows) == Matrix(spec, chosen)
+    W = extend_to_basis(spec, chosen, dim)
+    expect = list(chosen)
+    for i in range(dim):
+        e = [1 if j == i else 0 for j in range(dim)]
+        if len(expect) < dim and Matrix(spec, expect + [e]).rank() > len(expect):
+            expect.append(e)
+    assert W == Matrix.from_columns(spec, expect)
+    assert W.rank() == dim

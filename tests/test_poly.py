@@ -181,3 +181,64 @@ def test_ring_results_are_valid_without_validation(data):
         results.extend(p.drop_variable(i) for p in parts)
     for r in results:
         _assert_valid(r)
+
+
+def _expanded_product(f, g):
+    """f * g term by term on exponent tuples and FieldElem operations."""
+    acc = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return {e: c for e, c in acc.items() if not c.is_zero()}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_product_matches_term_expansion(data):
+    """Products add packed monomial codes; the terms, including those of
+    constants and pure powers, must be the ones term-by-term expansion
+    gives."""
+    draw = data.draw
+    spec = draw(st.sampled_from([
+        prime_field(3), prime_field(5), prime_field(7), prime_field(31),
+        extension_field(3, 2), rationals()]))
+    nvars = draw(st.integers(1, 4))
+    f = _form(draw, spec, nvars, draw(st.integers(0, 3)))
+    g = _form(draw, spec, nvars, draw(st.integers(0, 3)))
+    i = draw(st.integers(0, nvars - 1))
+    x = HomogPoly.variable(spec, nvars, i)
+    const = HomogPoly(spec, nvars, 0, {(0,) * nvars: _elem(draw, spec)})
+    for a, b in ((f, g), (f, f), (f, const), (const, const), (x, f),
+                 (x.power(3), x.power(2)), (f.power(2), g)):
+        r = a * b
+        assert r.terms == _expanded_product(a, b)
+        assert r.degree == a.degree + b.degree
+        _assert_valid(r)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_linear_substitute_matches_term_by_term(data):
+    """Substitution shares row powers between monomials; the result must be
+    the sum over terms of coeff * prod_i (row i)^e_i."""
+    draw = data.draw
+    spec = draw(st.sampled_from([prime_field(5), extension_field(3, 2),
+                                 rationals()]))
+    nvars = draw(st.integers(1, 4))
+    f = _form(draw, spec, nvars, draw(st.integers(0, 3)))
+    ncols = draw(st.integers(1, 4))
+    M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]
+                      for _ in range(nvars)])
+    rows = [HomogPoly(spec, ncols, 1, {
+        tuple(1 if k == j else 0 for k in range(ncols)): M.rows[i][j]
+        for j in range(ncols)}) for i in range(nvars)]
+    expect = HomogPoly.zero(spec, ncols, f.degree)
+    for exps, coeff in f.terms.items():
+        piece = HomogPoly(spec, ncols, 0, {(0,) * ncols: coeff})
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                piece = HomogPoly._from_terms(spec, ncols, piece.degree + 1,
+                                              _expanded_product(piece, rows[i]))
+        expect = expect + piece
+    assert f.linear_substitute(M) == expect
