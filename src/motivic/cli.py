@@ -135,7 +135,7 @@ def _dispatch(job):
         if len(job.polynomials) != 1:
             raise ValueError("class-quadric takes exactly one --poly")
         f = parse_poly(job.polynomials[0], spec, nvars)
-        result = class_of_quadric(f, height=job.height)
+        result = class_of_quadric(f, height=job.height, budget=job.budget)
         if not with_oracle:
             return result, None
         return result, CountQuery(spec, job.ambient, [f])

@@ -156,9 +156,7 @@ class CountQuery:
         """The generators; for a union, its expanded product (or none when
         a factor is zero)."""
         if self._generators is None:
-            product = self.factors[0]
-            for f in self.factors[1:]:
-                product = product * f
+            product = HomogPoly.product(self.factors)
             self._generators = () if product.is_zero() else (product,)
         return self._generators
 

@@ -6,15 +6,21 @@ explicit degree so that arithmetic stays well-typed.  Term order everywhere is
 graded lexicographic, which for a fixed degree is plain lexicographic on
 exponent tuples, largest first; that order fixes the leading coefficient, the
 printed form, and every deterministic tie-break downstream.
+
+Every product of forms (*, power, HomogPoly.product and the row powers of
+linear_substitute) takes one packed path, _Packing: exponent tuples become
+integer codes whose sums are the codes of product monomials, coefficients
+stay raw residues over F_p, and the result becomes a HomogPoly once, at the
+end.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from functools import lru_cache
+from operator import itemgetter, mul
 
 from .fields import FieldElem, FieldSpec
 from .linalg import Matrix
-
 
 def _validated_terms(spec, nvars, degree, terms):
     out = {}
@@ -30,6 +36,106 @@ def _validated_terms(spec, nvars, degree, terms):
         if not c.is_zero():
             out[exps] = c
     return out
+
+
+class _Packing:
+    """Forms in nvars variables of degree at most `degree` as packed dicts.
+
+    A packed form maps the code sum(e_i * base^i) of each exponent tuple e,
+    with base = degree + 1, to its coefficient.  No exponent of a product
+    exceeds its degree, so the code of a product monomial is the sum of
+    the codes of its factors, and every product of forms is a convolution
+    of packed dicts.  Over F_p coefficients are raw residues, reduced once
+    per product; over F_{p^m} and Q they are FieldElems.  unpack turns the
+    final dict back into a HomogPoly.
+    """
+
+    __slots__ = ("spec", "nvars", "base", "weights", "p", "one")
+
+    def __init__(self, spec, nvars, degree):
+        self.spec = spec
+        self.nvars = nvars
+        self.base = degree + 1
+        self.weights = [self.base**i for i in range(nvars)]
+        self.p = spec.p if spec.kind == "Fp" else None
+        self.one = {0: 1 if self.p else spec.one}
+
+    def pack(self, f) -> dict:
+        w = self.weights
+        if self.p:
+            return {sum(map(mul, e, w)): c.value for e, c in f.terms.items()}
+        return {sum(map(mul, e, w)): c for e, c in f.terms.items()}
+
+    def pack_linear(self, row) -> dict:
+        """The linear form sum(row[j] * x_j)."""
+        return {w: (c.value if self.p else c)
+                for w, c in zip(self.weights, row) if not c.is_zero()}
+
+    def _convolve(self, acc, left, right):
+        """acc[k1 + k2] += v1 * v2 over all pairs, unreduced over F_p."""
+        right = list(right.items())
+        get = acc.get
+        if self.p:
+            for k1, v1 in left:
+                for k2, v2 in right:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + v1 * v2
+            return
+        for k1, v1 in left:
+            for k2, v2 in right:
+                k = k1 + k2
+                prod = v1 * v2
+                prev = get(k)
+                acc[k] = prod if prev is None else prev + prod
+
+    def add_product(self, acc, a, b, c):
+        """acc += c * a * b for a FieldElem c, unreduced over F_p."""
+        if self.p:
+            c = c.value
+        self._convolve(acc, [(k, v * c) for k, v in a.items()], b)
+
+    def reduce(self, acc) -> dict:
+        """acc without zero coefficients, residues reduced mod p."""
+        p = self.p
+        if not p:
+            return {k: c for k, c in acc.items() if not c.is_zero()}
+        out = {}
+        for k, v in acc.items():
+            v %= p
+            if v:
+                out[k] = v
+        return out
+
+    def mul(self, a, b) -> dict:
+        acc = {}
+        self._convolve(acc, a.items(), b)
+        return self.reduce(acc)
+
+    def power(self, a, k) -> dict:
+        out = self.one
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+    def unpack(self, packed, degree) -> "HomogPoly":
+        spec, base, weights = self.spec, self.base, self.weights
+        # a code splits into its low half digits and the rest; each half
+        # is decoded once per distinct value
+        half = self.nvars // 2
+        split = base**half
+        low_w, high_w = weights[:half], weights[:self.nvars - half]
+        lows, highs = {}, {}
+        terms = {}
+        for k, c in packed.items():
+            hk, lk = divmod(k, split)
+            lo = lows.get(lk)
+            if lo is None:
+                lo = lows[lk] = tuple([lk // w % base for w in low_w])
+            hi = highs.get(hk)
+            if hi is None:
+                hi = highs[hk] = tuple([hk // w % base for w in high_w])
+            terms[lo + hi] = FieldElem(spec, c) if self.p else c
+        return HomogPoly._from_terms(spec, self.nvars, degree, terms)
 
 
 class HomogPoly:
@@ -83,7 +189,7 @@ class HomogPoly:
 
     def sorted_terms(self):
         """Terms in canonical order (graded-lex, leading term first)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self.terms.items(), key=itemgetter(0), reverse=True)
 
     def leading_coefficient(self) -> FieldElem:
         if self.is_zero():
@@ -165,59 +271,30 @@ class HomogPoly:
         )
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        self._check_like(other)
-        spec = self.spec
-        nvars = self.nvars
-        degree = self.degree + other.degree
-        # Exponent tuples are packed to integer codes sum(e_i * base^i).  No
-        # exponent of the product exceeds its degree, so with base = degree
-        # + 1 the code of a product monomial is the sum of the two codes.
-        base = degree + 1
-        weights = [base**i for i in range(nvars)]
-        acc = {}
-        if spec.kind == "Fp":
-            # raw residue products per monomial, reduced mod p once
-            right = [(sum(map(mul, e, weights)), c.value)
-                     for e, c in other.terms.items()]
-            for e1, c1 in self.terms.items():
-                k1, v1 = sum(map(mul, e1, weights)), c1.value
-                for k2, v2 in right:
-                    k = k1 + k2
-                    acc[k] = acc.get(k, 0) + v1 * v2
-            p = spec.p
-            coeffs = {}
-            for k, v in acc.items():
-                v %= p
-                if v:
-                    coeffs[k] = FieldElem(spec, v)
-        else:
-            right = [(sum(map(mul, e, weights)), c)
-                     for e, c in other.terms.items()]
-            for e1, c1 in self.terms.items():
-                k1 = sum(map(mul, e1, weights))
-                for k2, c2 in right:
-                    k = k1 + k2
-                    prod = c1 * c2
-                    prev = acc.get(k)
-                    acc[k] = prod if prev is None else prev + prod
-            coeffs = {k: c for k, c in acc.items() if not c.is_zero()}
-        terms = {}
-        for k, c in coeffs.items():
-            e = []
-            for _ in range(nvars):
-                k, r = divmod(k, base)
-                e.append(r)
-            terms[tuple(e)] = c
-        return HomogPoly._from_terms(spec, nvars, degree, terms)
+        return HomogPoly.product((self, other))
+
+    @classmethod
+    def product(cls, polys) -> "HomogPoly":
+        """f_1 * ... * f_d for d >= 1 forms of one ring, expanded once."""
+        polys = tuple(polys)
+        if not polys:
+            raise ValueError("a product needs at least one factor")
+        first = polys[0]
+        for g in polys[1:]:
+            first._check_like(g)
+        degree = sum(g.degree for g in polys)
+        packing = _Packing(first.spec, first.nvars, degree)
+        acc = packing.pack(first)
+        for g in polys[1:]:
+            acc = packing.mul(acc, packing.pack(g))
+        return packing.unpack(acc, degree)
 
     def power(self, k: int) -> "HomogPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = HomogPoly._from_terms(self.spec, self.nvars, 0,
-                                    {(0,) * self.nvars: self.spec.one})
-        for _ in range(k):
-            out = out * self
-        return out
+        packing = _Packing(self.spec, self.nvars, k * self.degree)
+        return packing.unpack(packing.power(packing.pack(self), k),
+                              k * self.degree)
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -244,35 +321,32 @@ class HomogPoly:
             raise ValueError("matrix over wrong field")
         if M.nrows != self.nvars:
             raise ValueError("matrix must have one row per variable")
-        new_n = M.ncols
-        rows = [
-            HomogPoly._from_terms(self.spec, new_n, 1, {
-                tuple(1 if k == j else 0 for k in range(new_n)): M.rows[i][j]
-                for j in range(new_n)
-                if not M.rows[i][j].is_zero()
-            })
-            for i in range(self.nvars)
-        ]
-        # products of row powers, shared by the monomials that start alike
+        packing = _Packing(self.spec, M.ncols, self.degree)
+        rows = [packing.pack_linear(row) for row in M.rows]
         powers = {}
         prefixes = {}
-        one = HomogPoly._from_terms(self.spec, new_n, 0,
-                                    {(0,) * new_n: self.spec.one})
-        out = HomogPoly.zero(self.spec, new_n, self.degree)
+
+        def row_power(i, e):
+            power = powers.get((i, e))
+            if power is None:
+                power = powers[i, e] = packing.power(rows[i], e)
+            return power
+
+        # products of row powers are shared by the monomials that start
+        # alike; the last factor of each monomial goes straight into the sum
+        acc = {}
         for exps, coeff in self.terms.items():
-            piece, key = one, ()
-            for i, e in enumerate(exps):
-                if e:
-                    key += ((i, e),)
-                    cached = prefixes.get(key)
-                    if cached is None:
-                        power = powers.get((i, e))
-                        if power is None:
-                            power = powers[i, e] = rows[i].power(e)
-                        cached = prefixes[key] = piece * power
-                    piece = cached
-            out = out + piece.scale(coeff)
-        return out
+            factors = tuple((i, e) for i, e in enumerate(exps) if e)
+            piece = packing.one
+            for n in range(1, len(factors)):
+                cached = prefixes.get(factors[:n])
+                if cached is None:
+                    cached = prefixes[factors[:n]] = packing.mul(
+                        piece, row_power(*factors[n - 1]))
+                piece = cached
+            last = row_power(*factors[-1]) if factors else packing.one
+            packing.add_product(acc, piece, last, coeff)
+        return packing.unpack(packing.reduce(acc), self.degree)
 
     def partial_derivative(self, i: int) -> "HomogPoly":
         if not 0 <= i < self.nvars:
@@ -359,19 +433,25 @@ class HomogPoly:
         )
 
 
+@lru_cache(maxsize=64)
+def _power_names(nvars, degree):
+    """names[i][e] is the text of x_i^e, built once per shape of form."""
+    return tuple(("", "x%d" % i) + tuple("x%d^%d" % (i, e)
+                                         for e in range(2, degree + 1))
+                 for i in range(nvars))
+
+
 def _render_terms(sorted_terms, spec) -> str:
     """Canonical printer; minus signs only show up over Q."""
     if not sorted_terms:
         return "0"
+    first = sorted_terms[0][0]
+    names = _power_names(len(first), sum(first))
+    signed = spec.kind == "Q"
     pieces = []
     for exps, coeff in sorted_terms:
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append("x%d" % i)
-            elif e > 1:
-                factors.append("x%d^%d" % (i, e))
-        negative = spec.kind == "Q" and coeff.value < 0
+        factors = [row[e] for row, e in zip(names, exps) if e]
+        negative = signed and coeff.value < 0
         mag = -coeff if negative else coeff
         if not factors or not mag.is_one():
             factors.insert(0, str(mag))

@@ -58,7 +58,8 @@ def _point_str(pt):
 # quadrics
 
 
-def class_of_quadric(f: HomogPoly, height: int = 10) -> StratResult:
+def class_of_quadric(f: HomogPoly, height: int = 10,
+                     budget=None) -> StratResult:
     """Class of the degree-2 hypersurface V(f) in P^(nvars-1).
 
     Recursion: split off the radical of a degenerate form (cone structure),
@@ -66,7 +67,8 @@ def class_of_quadric(f: HomogPoly, height: int = 10) -> StratResult:
     Base cases: one variable (empty), nondegenerate binary (two points or a
     conjugate pair).  Over a finite field the result is fully resolved; over
     Q a pointless nondegenerate form of rank >= 3 within the search height
-    stays an unresolved atom.
+    stays an unresolved atom.  Over a finite field the search for isotropic
+    points obeys budget, as enumerate_points does.
     """
     if f.degree != 2:
         raise ValueError("expected a quadratic form, got degree %d" % f.degree)
@@ -75,7 +77,7 @@ def class_of_quadric(f: HomogPoly, height: int = 10) -> StratResult:
     qf = QuadForm.from_poly(f)
     steps = []
     hyps = [("nondegenerate", qf.rank() == qf.nvars)]
-    expr = _quadric_expr(qf, height, steps, hyps)
+    expr = _quadric_expr(qf, height, budget, steps, hyps)
     return StratResult(expr, steps, expr.residue_mod_L(), hyps)
 
 
@@ -83,7 +85,21 @@ def _quadric_query(qf: QuadForm) -> CountQuery:
     return CountQuery(qf.spec, qf.nvars - 1, [qf.poly()])
 
 
-def _quadric_expr(qf: QuadForm, height, steps, hyps) -> ClassExpr:
+def _isotropic_point(qf: QuadForm, height, budget):
+    """First zero of qf in canonical order, or None.
+
+    Over a finite field this is the first point of V(qf), searched as
+    enumerate_points does, under budget; over Q the search is
+    height-bounded.
+    """
+    if qf.spec.is_finite:
+        for pt in enumerate_points(_quadric_query(qf), budget=budget):
+            return pt
+        return None
+    return find_projective_point(qf, height)
+
+
+def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
     spec = qf.spec
     nvars = qf.nvars
     n = nvars - 1
@@ -132,7 +148,7 @@ def _quadric_expr(qf: QuadForm, height, steps, hyps) -> ClassExpr:
             check={"diagonal": [str(d) for d in entries],
                    "substitution": [[str(v) for v in col] for col in M2.columns()]},
         ))
-        child = _quadric_expr(sub, height, steps, hyps)
+        child = _quadric_expr(sub, height, budget, steps, hyps)
         return projective_space_class(vertex_dim) + child.lshift(shift)
 
     # nondegenerate from here on
@@ -170,7 +186,7 @@ def _quadric_expr(qf: QuadForm, height, steps, hyps) -> ClassExpr:
         ))
         return ClassExpr.from_atom(EtaleAtom((2,)))
 
-    pt = find_projective_point(qf, height)
+    pt = _isotropic_point(qf, height, budget)
     if pt is None:
         if finite:
             raise DefectError(
@@ -202,7 +218,7 @@ def _quadric_expr(qf: QuadForm, height, steps, hyps) -> ClassExpr:
         ident,
         check={"point": [str(c) for c in pt]},
     ))
-    child = _quadric_expr(sub, height, steps, hyps)
+    child = _quadric_expr(sub, height, budget, steps, hyps)
     return ClassExpr({0: 1, n - 1: 1}) + child.lshift(1)
 
 
@@ -620,7 +636,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
 
     lam = _proportional(q1.gram, q2.gram)
     if lam is not None:
-        inner = class_of_quadric(f1, height=height)
+        inner = class_of_quadric(f1, height=height, budget=budget)
         ident = Identity(
             [CountTerm(1, 0, CountQuery.union(spec, n, [f1, f2]))],
             [CountTerm(1, 0, CountQuery(spec, n, [f1]))],
@@ -760,8 +776,8 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
         check={"points": sing_pts, "all_singular": True},
     ))
 
-    c1 = class_of_quadric(f1, height=height)
-    c2 = class_of_quadric(f2, height=height)
+    c1 = class_of_quadric(f1, height=height, budget=budget)
+    c2 = class_of_quadric(f2, height=height, budget=budget)
     y_atom = VarietyAtom(spec, n - 1, [gbar], name="Y")
     fiber_atom = VarietyAtom(spec, n - 2, [h2, L1bar2, R2])
     infty = projective_space_class(n - 3 if l1_survives else n - 2)

@@ -123,6 +123,18 @@ def test_singular_point_search_obeys_budget(capsys):
     assert code == 0 and "status: ok" in out
 
 
+def test_isotropic_point_search_obeys_budget(capsys):
+    # over a finite field the quadric engine searches P^6 over F7, 7^7
+    # candidates, for an isotropic point
+    code, out, err = _run(capsys, [
+        "class-quadric", "--field", "7", "--ambient", "6",
+        "--poly", "x0^2 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + 3*x6^2",
+        "--budget", "10", "--no-verify",
+    ])
+    assert code == 2 and out == ""
+    assert "needs 823543 candidates, budget is 10" in err
+
+
 def _queries_asked(job):
     """Every query a verified run of job counts, repeats included."""
     result, oracle = _dispatch(job)
@@ -293,6 +305,30 @@ PINNED_REPORTS = [
     (("descend", "5,2", 2, [], ["x0 + t*x1 + x2", "x0 + (4*t)*x1 + x2"],
       None, False),
      "169e03cc0a69738ce2e1d30c011239cf7a666c37399f7f9e7593c517c15062a5"),
+    # at the sizes of the benchmark's engine-only jobs, recorded before
+    # products of forms moved to packed integer codes
+    (("class-arrangement", "7", 7, [],
+      ["3*x0 + 3*x1 + 5*x2 + 5*x4 + 2*x5 + 6*x7",
+       "3*x1 + 4*x2 + 6*x3 + 3*x4 + 5*x6",
+       "2*x0 + x1 + 5*x2 + 3*x4 + 5*x5 + 4*x6 + x7",
+       "4*x0 + 6*x1 + x2 + 4*x3 + 4*x5 + 3*x7",
+       "5*x0 + x1 + x2 + 6*x3 + 4*x4 + 3*x5 + 5*x6 + 4*x7",
+       "3*x0 + 2*x1 + 4*x2 + 2*x3 + 6*x4 + 3*x5 + x6 + x7"], None, False),
+     "571e64ca0a5809c30769954f985d72faaf69708cdb3b78d1deea52212ac05d16"),
+    (("class-quadric", "5", 6,
+      ["x0^2 + 2*x0*x1 + 3*x0*x2 + x0*x3 + x0*x4 + x1^2 + x1*x2 + 4*x1*x3 "
+       "+ x1*x4 + 3*x1*x5 + 3*x2^2 + 3*x2*x3 + 3*x2*x4 + 3*x2*x5 + 3*x2*x6 "
+       "+ 4*x3^2 + x3*x4 + 3*x3*x5 + 3*x4^2 + x4*x5 + 2*x5^2 + 4*x5*x6 "
+       "+ 3*x6^2"], [], None, False),
+     "7e9c8b46a1685e27a6868eeaaef0fc4d879b4836c4129f12b1d23f7eb4690a36"),
+    (("descend", "3,3", 5, [],
+      ["x0 + (2*t)*x1 + (2+2*t^2)*x2 + (2+t+2*t^2)*x3 + (1+t+2*t^2)*x4 "
+       "+ (2+t^2)*x5",
+       "x0 + (1+2*t)*x1 + (1+2*t+2*t^2)*x2 + (2*t^2)*x3 + (2+2*t^2)*x4 "
+       "+ (t+t^2)*x5",
+       "x0 + (2+2*t)*x1 + (1+t+2*t^2)*x2 + (2+2*t+2*t^2)*x3 "
+       "+ (1+2*t+2*t^2)*x4 + (2*t+t^2)*x5"], None, False),
+     "76636a631e40b8b420d646ae3d8c8c1a61e4339848706b312e6c9797b13de1a3"),
 ]
 
 

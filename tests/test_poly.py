@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motivic.count import CountQuery
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.linalg import Matrix
 from motivic.poly import HomogPoly
@@ -217,17 +218,70 @@ def test_packed_product_matches_term_expansion(data):
         _assert_valid(r)
 
 
+def _chained(factors):
+    """f_1 * ... * f_d by term-by-term expansion, one factor at a time."""
+    acc = factors[0]
+    for g in factors[1:]:
+        acc = HomogPoly._from_terms(acc.spec, acc.nvars, acc.degree + g.degree,
+                                    _expanded_product(acc, g))
+    return acc
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_product_matches_chained_expansion(data):
+    """HomogPoly.product, power and the generators of a union multiply in
+    one packed pass; their terms and degree must be those of a chain of
+    term-by-term products, with one factor, repeated factors and zero
+    factors alike."""
+    draw = data.draw
+    spec = draw(st.sampled_from([
+        prime_field(3), prime_field(7), prime_field(31),
+        extension_field(3, 2), extension_field(5, 2), rationals()]))
+    nvars = draw(st.integers(1, 4))
+    pool = [_form(draw, spec, nvars, draw(st.integers(0, 2)))
+            for _ in range(draw(st.integers(1, 3)))]
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        zero = HomogPoly.zero(spec, nvars, draw(st.integers(0, 2)))
+        factors.insert(draw(st.integers(0, len(factors))), zero)
+    expect = _chained(factors)
+    got = HomogPoly.product(factors)
+    assert got.terms == expect.terms
+    assert got.degree == sum(f.degree for f in factors)
+    _assert_valid(got)
+    if spec.is_finite:
+        union = CountQuery.union(spec, nvars - 1, factors)
+        assert union.generators == (() if expect.is_zero() else (expect,))
+
+    one = HomogPoly(spec, nvars, 0, {(0,) * nvars: 1})
+    k = draw(st.integers(0, 4))
+    for f in (factors[0], HomogPoly.zero(spec, nvars, factors[0].degree)):
+        r = f.power(k)
+        assert r.terms == (_chained([f] * k).terms if k else one.terms)
+        assert r.degree == k * f.degree
+        _assert_valid(r)
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_linear_substitute_matches_term_by_term(data):
     """Substitution shares row powers between monomials; the result must be
-    the sum over terms of coeff * prod_i (row i)^e_i."""
+    the sum over terms of coeff * prod_i (row i)^e_i.  Up to six variables
+    and degree four, with as many or fewer or more columns than rows, so
+    that pure powers x_i^degree meet every packing position."""
     draw = data.draw
     spec = draw(st.sampled_from([prime_field(5), extension_field(3, 2),
                                  rationals()]))
-    nvars = draw(st.integers(1, 4))
-    f = _form(draw, spec, nvars, draw(st.integers(0, 3)))
-    ncols = draw(st.integers(1, 4))
+    nvars = draw(st.integers(1, 6))
+    degree = draw(st.integers(0, 4))
+    f = _form(draw, spec, nvars, degree)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, nvars - 1))
+        f = f + HomogPoly.monomial(
+            spec, nvars, [degree if k == i else 0 for k in range(nvars)])
+    ncols = draw(st.integers(1, 6).filter(lambda c: c != nvars)
+                 if draw(st.booleans()) else st.just(nvars))
     M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]
                       for _ in range(nvars)])
     rows = [HomogPoly(spec, ncols, 1, {
