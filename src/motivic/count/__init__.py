@@ -32,7 +32,9 @@ path, which counts those roots as the degree of a gcd with t^p - t; it
 counts a union from its expanded product.
 
 A counting call touching q^(n+1) candidate tuples beyond the budget
-(MOTIVIC_BUDGET, default 10^8) raises BudgetError instead of hanging.  A
+(MOTIVIC_BUDGET, default 10^8) raises BudgetError instead of hanging;
+_first_point, the search for one point, charges only the candidates it
+walks, so a point found early passes under any budget.  A
 MOTIVIC_BUDGET or MOTIVIC_WORKERS that is not an integer raises ValueError.
 """
 
@@ -402,7 +404,7 @@ def enumerate_points(query: CountQuery, budget: int | None = None):
     The walk runs over the lead strata of _strata, in the order of
     points.projective_reps.  Over F_p candidates are residue tuples and the
     generators are evaluated on ints; field elements are built only for the
-    points yielded.
+    points yielded.  The whole walk is charged against budget up front.
     """
     budget = default_budget() if budget is None else budget
     if query.cost() > budget:
@@ -410,6 +412,24 @@ def enumerate_points(query: CountQuery, budget: int | None = None):
             "enumerating %r needs %d candidates, budget is %d"
             % (query, query.cost(), budget)
         )
+    yield from _walk(query, budget)
+
+
+def _first_point(query: CountQuery, budget: int | None = None):
+    """First point of the query in enumerate_points order, or None.
+
+    Only the candidates walked are charged: a point found early is returned
+    under any budget, and BudgetError is raised once the walk passes budget
+    candidates without a point.
+    """
+    budget = default_budget() if budget is None else budget
+    for pt in _walk(query, budget):
+        return pt
+    return None
+
+
+def _walk(query: CountQuery, budget: int):
+    """The walk of enumerate_points; BudgetError past budget candidates."""
     spec = query.spec
     q = spec.order
     elems = [spec.from_index(i) for i in range(q)]
@@ -428,9 +448,16 @@ def enumerate_points(query: CountQuery, budget: int | None = None):
             pt = tuple(elems[i] for i in idx)
             return all(g.evaluate(pt).is_zero() for g in gens)
 
+    walked = 0
     for lead, fixed, free_pos, free_start in _strata(query):
         idx = list(fixed)
         for tail in product(*[range(start, q) for start in free_start]):
+            walked += 1
+            if walked > budget:
+                raise BudgetError(
+                    "no point of %r among the first %d candidates, "
+                    "budget is %d" % (query, budget, budget)
+                )
             for i, v in zip(free_pos, tail):
                 idx[i] = v
             if on_point(idx):

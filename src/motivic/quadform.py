@@ -10,9 +10,10 @@ point searches walk the canonical enumeration order.
 
 from __future__ import annotations
 
+from .count import CountQuery, _first_point
 from .fields import FieldSpec
 from .linalg import Matrix
-from .points import projective_reps, rational_reps
+from .points import rational_reps
 from .poly import HomogPoly
 
 
@@ -160,18 +161,17 @@ def diagonalize(q: QuadForm):
     return Matrix(spec, M), diag
 
 
-def find_projective_point(q: QuadForm, height: int = 10):
+def find_projective_point(q: QuadForm, height: int = 10, budget=None):
     """First projective zero of q in canonical order, or None.
 
-    Finite fields walk all of P^n; over Q the search is height-bounded.
+    Finite fields walk P^n as enumerate_points does, on residues over F_p,
+    charging budget only for the candidates walked; over Q the search is
+    height-bounded.
     """
     n = q.nvars - 1
-    pts = (
-        projective_reps(q.spec, n)
-        if q.spec.is_finite
-        else rational_reps(n, height)
-    )
-    for pt in pts:
+    if q.spec.is_finite:
+        return _first_point(CountQuery(q.spec, n, [q.poly()]), budget=budget)
+    for pt in rational_reps(n, height):
         if q.evaluate(pt).is_zero():
             return pt
     return None

@@ -67,8 +67,9 @@ def class_of_quadric(f: HomogPoly, height: int = 10,
     Base cases: one variable (empty), nondegenerate binary (two points or a
     conjugate pair).  Over a finite field the result is fully resolved; over
     Q a pointless nondegenerate form of rank >= 3 within the search height
-    stays an unresolved atom.  Over a finite field the search for isotropic
-    points obeys budget, as enumerate_points does.
+    stays an unresolved atom.  Over a finite field each search for an
+    isotropic point is charged against budget for the candidates it walks
+    (quadform.find_projective_point), so an early point passes any budget.
     """
     if f.degree != 2:
         raise ValueError("expected a quadratic form, got degree %d" % f.degree)
@@ -83,20 +84,6 @@ def class_of_quadric(f: HomogPoly, height: int = 10,
 
 def _quadric_query(qf: QuadForm) -> CountQuery:
     return CountQuery(qf.spec, qf.nvars - 1, [qf.poly()])
-
-
-def _isotropic_point(qf: QuadForm, height, budget):
-    """First zero of qf in canonical order, or None.
-
-    Over a finite field this is the first point of V(qf), searched as
-    enumerate_points does, under budget; over Q the search is
-    height-bounded.
-    """
-    if qf.spec.is_finite:
-        for pt in enumerate_points(_quadric_query(qf), budget=budget):
-            return pt
-        return None
-    return find_projective_point(qf, height)
 
 
 def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
@@ -186,7 +173,7 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
         ))
         return ClassExpr.from_atom(EtaleAtom((2,)))
 
-    pt = _isotropic_point(qf, height, budget)
+    pt = find_projective_point(qf, height, budget=budget)
     if pt is None:
         if finite:
             raise DefectError(
@@ -488,7 +475,9 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     Lines through the point stratify X into the point, a section over the
     complement of V(f2), and an A^1-bundle over V(f2, f3).  When f2 = 0 the
     cubic is itself a cone and is delegated to class_of_cone.  Without x,
-    the search for a singular point obeys budget, as enumerate_points does.
+    the search for a singular point is charged its whole walk against
+    budget up front, as enumerate_points does; the isotropic-point search
+    on V(f2) only the candidates it walks.
     """
     if f.degree != 3:
         raise ValueError("expected a cubic, got degree %d" % f.degree)
@@ -554,7 +543,7 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
         return StratResult(inner.class_expr, steps, inner.residue, hyps)
 
     hyps.append(("f2_zero_cone_route", False))
-    quad = class_of_quadric(f2, height=height)
+    quad = class_of_quadric(f2, height=height, budget=budget)
     atom = VarietyAtom(spec, n - 1, [f2, f3])
     ident = None
     if finite:
@@ -612,8 +601,10 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     the cubic hypersurface Y that appears stays an unresolved atom.  After
     hyperbolic coordinates for f1 at a point of the intersection, f1 = x0*x1
     - h and f2 = x1*L1 + x0*L0 + R; the intersection is traded chart by
-    chart for loci in lower-dimensional projective spaces.  The point
-    searches on the way obey budget, as enumerate_points does.
+    chart for loci in lower-dimensional projective spaces.  Its own point
+    searches are charged their whole walk against budget up front, as
+    enumerate_points does; the inner quadrics' isotropic-point searches
+    only the candidates they walk.
     """
     spec = f1.spec
     if not spec.is_finite:

@@ -124,15 +124,59 @@ def test_singular_point_search_obeys_budget(capsys):
 
 
 def test_isotropic_point_search_obeys_budget(capsys):
-    # over a finite field the quadric engine searches P^6 over F7, 7^7
-    # candidates, for an isotropic point
-    code, out, err = _run(capsys, [
+    # over a finite field each isotropic-point search is charged for the
+    # candidates it walks: the first zero of the P^6 form is the 4th
+    # candidate, that of the split-off form in P^4 the 18th
+    job = [
         "class-quadric", "--field", "7", "--ambient", "6",
         "--poly", "x0^2 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + 3*x6^2",
-        "--budget", "10", "--no-verify",
-    ])
+        "--no-verify",
+    ]
+    code, out, err = _run(capsys, job + ["--budget", "3"])
     assert code == 2 and out == ""
-    assert "needs 823543 candidates, budget is 10" in err
+    assert "in P^6(F7) among the first 3 candidates, budget is 3" in err
+    code, out, err = _run(capsys, job + ["--budget", "10"])
+    assert code == 2 and out == ""
+    assert "in P^4(F7) among the first 10 candidates, budget is 10" in err
+    code, out, _ = _run(capsys, job + ["--budget", "18"])
+    assert code == 0 and "status: ok" in out
+
+
+def test_point_searches_pass_at_large_fields(capsys):
+    # 101^5 candidates exceed the default budget, but the isotropic-point
+    # searches stop at early points and are charged only for those walked;
+    # the cubic's inner quadric in P^3 is searched under --budget
+    code, out, _ = _run(capsys, [
+        "class-quadric", "--field", "101", "--ambient", "4",
+        "--poly", "x0^2+x1^2+x2^2+x3^2+x4^2", "--no-verify",
+    ])
+    assert code == 0 and "class: 1 + L + L^2 + L^3\n" in out
+    cubic = [
+        "class-cubic-singular", "--field", "101", "--ambient", "4",
+        "--poly", "x4*x0*x1 + x4*x2*x3 + x0^3 + x1^3 + x2^3 + x3^3",
+        "--point", "0,0,0,0,1", "--no-verify",
+    ]
+    code, out, _ = _run(capsys, cubic)
+    assert code == 0 and "status: ok" in out
+    code, out, _ = _run(capsys, cubic + ["--budget", "1"])
+    assert code == 0 and "status: ok" in out
+
+
+def test_cubic_inner_quadric_search_obeys_budget(capsys):
+    # with --point the cubic engine still searches V(f2) in P^3(F7) for an
+    # isotropic point, under the job's budget: the first zero of
+    # x0^2 + x1^2 + x2^2 + x3^2 is the 18th candidate
+    job = [
+        "class-cubic-singular", "--field", "7", "--ambient", "4",
+        "--poly", "x4*x0^2 + x4*x1^2 + x4*x2^2 + x4*x3^2 "
+                  "+ x0^3 + x1^3 + x2^3 + x3^3",
+        "--point", "0,0,0,0,1", "--no-verify",
+    ]
+    code, out, err = _run(capsys, job + ["--budget", "17"])
+    assert code == 2 and out == ""
+    assert "in P^3(F7) among the first 17 candidates, budget is 17" in err
+    code, out, _ = _run(capsys, job + ["--budget", "18"])
+    assert code == 0 and "status: ok" in out
 
 
 def _queries_asked(job):

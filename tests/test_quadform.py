@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motivic.count import BudgetError
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.linalg import Matrix
 from motivic.parse import parse_poly
@@ -104,6 +105,22 @@ def test_find_projective_point_rational_height_bound():
     assert pt is not None and q.evaluate(pt).is_zero()
     aniso = QuadForm.from_poly(parse_poly("x0^2 + x1^2", Q, 2))
     assert find_projective_point(aniso, height=6) is None
+
+
+def test_find_projective_point_charges_walked_candidates():
+    # the first zero over F7 is (1, 0, ..., 0, 3), the 4th candidate
+    F7 = prime_field(7)
+    q = QuadForm.from_poly(parse_poly(
+        "x0^2 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + 3*x6^2", F7, 7))
+    with pytest.raises(BudgetError, match="first 3 candidates"):
+        find_projective_point(q, budget=3)
+    pt = find_projective_point(q, budget=4)
+    assert tuple(v.value for v in pt) == (1, 0, 0, 0, 0, 0, 3)
+    # an anisotropic form walks all of P^1(F3), 4 candidates
+    aniso = QuadForm.from_poly(parse_poly("x0^2 + x1^2", F3, 2))
+    assert find_projective_point(aniso, budget=4) is None
+    with pytest.raises(BudgetError):
+        find_projective_point(aniso, budget=3)
 
 
 def test_hyperbolic_normalize_binary():
