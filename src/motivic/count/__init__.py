@@ -31,11 +31,13 @@ Primes too large to tabulate (q > _TABLE_LIMIT) take a separate direct-mod
 path, which counts those roots as the degree of a gcd with t^p - t; it
 counts a union from its expanded product.
 
-A counting call touching q^(n+1) candidate tuples beyond the budget
-(MOTIVIC_BUDGET, default 10^8) raises BudgetError instead of hanging;
-_first_point, the search for one point, charges only the candidates it
-walks, so a point found early passes under any budget.  A
-MOTIVIC_BUDGET or MOTIVIC_WORKERS that is not an integer raises ValueError.
+A count or a full enumerate_points walk touching q^(n+1) candidate tuples
+beyond the budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError
+before it starts instead of hanging.  _first_point, the finite-field half
+of points.first_point through which every engine finds its first rational
+point, charges only the candidates it walks, so a point found early passes
+under any budget.  A MOTIVIC_BUDGET or MOTIVIC_WORKERS that is not an
+integer raises ValueError.
 """
 
 from __future__ import annotations
@@ -284,7 +286,7 @@ def _pow_table(q, mul, maxd):
     return powt
 
 
-def _encode_generators(polys, nvars, index):
+def _encode_generators(polys, index):
     """Flatten polynomial terms into (offsets, coeff indices, exponent
     rows, highest exponent)."""
     offs = array("i", [0])
@@ -304,7 +306,7 @@ def _encode_generators(polys, nvars, index):
 # stratum planning
 
 def _strata(query: CountQuery):
-    """Yield per-lead work items (lead, fixed, free_pos, free_start) or None.
+    """Yield per-lead work items (fixed, free_pos, free_start).
 
     fixed is the value-index vector with lead set to 1 and the earlier and
     zero-constrained coordinates set to 0; free positions carry their start
@@ -332,7 +334,7 @@ def _strata(query: CountQuery):
                 continue
             free_pos.append(i)
             free_start.append(1 if kind == "nonzero" else 0)
-        yield lead, fixed, free_pos, free_start
+        yield fixed, free_pos, free_start
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +360,11 @@ def count_points(query: CountQuery, budget: int | None = None,
     elems, index, add, mul = _field_tables(query.spec)
     polys, union = query._kernel_polys()
     nvars = query.n + 1
-    offs, coeffs, exps, maxd = _encode_generators(polys, nvars, index)
+    offs, coeffs, exps, maxd = _encode_generators(polys, index)
     powt = _pow_table(q, mul, maxd)
     kernel = _ckernel if _ckernel is not None else _pure
 
-    jobs = []
-    for lead, fixed, free_pos, free_start in _strata(query):
-        jobs.append((fixed, free_pos, free_start))
+    jobs = list(_strata(query))
 
     def run(job):
         fixed, free_pos, free_start = job
@@ -391,7 +391,7 @@ def _count_bigprime(query: CountQuery) -> int:
         [(exps, c.value) for exps, c in g.sorted_terms()] for g in query.generators
     ]
     total = 0
-    for lead, fixed, free_pos, free_start in _strata(query):
+    for fixed, free_pos, free_start in _strata(query):
         total += _pure.count_stratum_direct(
             p, query.n + 1, list(fixed), list(free_pos), list(free_start), gens
         )
@@ -449,7 +449,7 @@ def _walk(query: CountQuery, budget: int):
             return all(g.evaluate(pt).is_zero() for g in gens)
 
     walked = 0
-    for lead, fixed, free_pos, free_start in _strata(query):
+    for fixed, free_pos, free_start in _strata(query):
         idx = list(fixed)
         for tail in product(*[range(start, q) for start in free_start]):
             walked += 1

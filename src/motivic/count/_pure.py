@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from ..fields import _mulmod, _remmod, _trim
+
 
 def _prefixes(q, free_start):
     """Every prefix: the values of the free positions but the last, as value
@@ -140,37 +142,7 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
 
 
 # ---------------------------------------------------------------------------
-# polynomials mod p: coefficient lists, lowest degree first, with no trailing
-# zeros, so [] is the zero polynomial
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _mulmod(a, b, p):
-    """a * b; as p is prime, no leading coefficient of a product vanishes."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [v % p for v in out]
-
-
-def _remmod(a, b, p):
-    """a mod b for nonzero b."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p
-        if c:
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _trim(a[:db])
-
+# polynomials mod p, with the helpers of motivic.fields
 
 def _gcdmod(a, b, p):
     while b:

@@ -374,10 +374,7 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
     if d > n:
         raise ValueError("need d <= n hyperplanes in P^n, got d = %d" % d)
 
-    product = forms[0]
-    for h in forms[1:]:
-        product = product * h
-    product = product.monic()
+    product = HomogPoly.product(forms).monic()
     fixed_terms = {}
     for exps, c in product.sorted_terms():
         v = ctx.in_base(c)

@@ -29,7 +29,8 @@ through one log/antilog pair per spec, to the base of the first primitive
 element in index order (Lidl-Niederreiter, Finite Fields, ch. 2).  The pair
 is built on the first product, inverse or power that needs it, never at
 import, and the point-count tables of motivic.count read the same pair.
-Larger extension fields keep the schoolbook product on coefficient tuples.
+Larger extension fields keep the schoolbook product on coefficient tuples
+and invert as a^(q-2) with it.
 """
 
 from __future__ import annotations
@@ -56,60 +57,37 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense F_p[t] helpers on plain int lists (low degree first, no trailing zeros)
+# polynomials mod p: coefficient lists, lowest degree first, with no trailing
+# zeros, so [] is the zero polynomial
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
+def _trim(a):
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
+def _mulmod(a, b, p):
+    """a * b; as p is prime, no leading coefficient of a product vanishes."""
     out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [v % p for v in out]
 
 
-def _poly_divmod(a, b, p):
-    # b must be nonzero; returns (quotient, remainder)
+def _remmod(a, b, p):
+    """a mod b for nonzero b."""
     a = list(a)
-    _poly_trim(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        factor = (a[-1] * inv_lb) % p
-        q[shift] = factor
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - factor * b[i]) % p
-        _poly_trim(a)
-    return q, a
-
-
-def _poly_invert(a, modulus, p):
-    # extended Euclid in F_p[t]; a must be nonzero mod modulus
-    r0, r1 = list(modulus), _poly_trim(list(a))
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qs = _poly_mul(q, s1, p)
-        new_s = [0] * max(len(s0), len(qs))
-        for i, v in enumerate(s0):
-            new_s[i] = v
-        for i, v in enumerate(qs):
-            new_s[i] = (new_s[i] - v) % p
-        s0, s1 = s1, _poly_trim(new_s)
-    # r0 is now gcd = nonzero constant
-    c_inv = pow(r0[0], p - 2, p)
-    return [(v * c_inv) % p for v in s0]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
+    return _trim(a[:db])
 
 
 def _irreducible(coeffs, p):
@@ -123,8 +101,7 @@ def _irreducible(coeffs, p):
             for i in range(d):
                 cand[i] = c % p
                 c //= p
-            _, rem = _poly_divmod(list(coeffs), cand, p)
-            if not rem:
+            if not _remmod(coeffs, cand, p):
                 return False
     return True
 
@@ -503,8 +480,7 @@ class FieldElem:
         if s.kind == "Fp":
             return FieldElem(s, pow(self.value, s.p - 2, s.p))
         if s.order > _TABLE_LIMIT:
-            inv = _poly_invert(list(self.value), list(s.modulus), s.p)
-            return FieldElem(s, tuple(inv) + (0,) * (s.m - len(inv)))
+            return FieldElem(s, _schoolbook_pow(s, self.value, s.order - 2))
         log, antilog = s._logs or s._log_pair()
         return FieldElem(s, antilog[s.order - 1 - log[self.value]])
 

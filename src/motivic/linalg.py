@@ -99,10 +99,6 @@ class Matrix:
         return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, spec: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        return cls(spec, [[0] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, spec: FieldSpec, cols) -> "Matrix":
         cols = [list(c) for c in cols]
         n = len(cols[0])

@@ -11,6 +11,11 @@ Over Q there is no finite enumeration; bounded-height search walks integer
 coordinate vectors with entries in [-H, H], leading position ascending,
 leading value 1..H ascending, then the trailing odometer; each vector is
 normalized to leading coordinate 1.
+
+first_point is the one search for a first rational point of V(gens) that
+the engines run: the isotropic point of a quadric, the singular point of a
+cubic and the common point of two quadrics.  Over a finite field it is
+charged against the budget only for the candidates it walks.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .count import CountQuery, _first_point
 from .fields import FieldSpec, rationals
 
 
@@ -52,3 +58,19 @@ def rational_reps(n: int, height: int):
             for tail in itertools.product(rng, repeat=n - lead):
                 yield zeros + (spec.one,) + tuple(spec.elem(t * inv) for t in tail)
 
+
+def first_point(spec: FieldSpec, n: int, gens, height: int = 10,
+                budget=None):
+    """First point of V(gens) in P^n in the fixed order, or None.
+
+    Over a finite field the walk is that of count.enumerate_points, charged
+    only for the candidates walked: a point found early passes under any
+    budget, and BudgetError is raised once budget candidates pass without
+    one.  Over Q the search walks rational_reps(n, height).
+    """
+    if spec.is_finite:
+        return _first_point(CountQuery(spec, n, gens), budget=budget)
+    for pt in rational_reps(n, height):
+        if all(g.evaluate(pt).is_zero() for g in gens):
+            return pt
+    return None

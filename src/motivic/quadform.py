@@ -10,10 +10,9 @@ point searches walk the canonical enumeration order.
 
 from __future__ import annotations
 
-from .count import CountQuery, _first_point
 from .fields import FieldSpec
 from .linalg import Matrix
-from .points import rational_reps
+from .points import first_point
 from .poly import HomogPoly
 
 
@@ -164,17 +163,10 @@ def diagonalize(q: QuadForm):
 def find_projective_point(q: QuadForm, height: int = 10, budget=None):
     """First projective zero of q in canonical order, or None.
 
-    Finite fields walk P^n as enumerate_points does, on residues over F_p,
-    charging budget only for the candidates walked; over Q the search is
-    height-bounded.
+    The search is points.first_point: charged only for the candidates it
+    walks over a finite field, height-bounded over Q.
     """
-    n = q.nvars - 1
-    if q.spec.is_finite:
-        return _first_point(CountQuery(q.spec, n, [q.poly()]), budget=budget)
-    for pt in rational_reps(n, height):
-        if q.evaluate(pt).is_zero():
-            return pt
-    return None
+    return first_point(q.spec, q.nvars - 1, [q.poly()], height, budget)
 
 
 def hyperbolic_normalize(q: QuadForm, x):

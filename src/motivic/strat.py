@@ -19,7 +19,6 @@ internal cross-check fails (which would indicate a bug, never bad input).
 from __future__ import annotations
 
 from .count import CountQuery, count_points, enumerate_points
-from .fields import FieldSpec
 from .kclass import (
     ClassExpr,
     CountTerm,
@@ -32,7 +31,7 @@ from .kclass import (
 )
 from .linalg import Matrix, _Echelon, extend_to_basis
 from .poly import HomogPoly
-from .points import rational_reps
+from .points import first_point
 from .quadform import (
     QuadForm,
     diagonalize,
@@ -450,20 +449,11 @@ def _is_singular_at(f: HomogPoly, pt) -> bool:
 def find_singular_rational_point(f: HomogPoly, height: int = 10, budget=None):
     """First point in canonical order where f and all partials vanish.
 
-    Over a finite field this is the first point of V(f, df/dx_0, ...),
-    searched as enumerate_points does, under the same budget; over Q the
-    search is height-bounded.
+    The search is points.first_point on V(f, df/dx_0, ...): charged only
+    for the candidates it walks over a finite field, height-bounded over Q.
     """
-    n = f.nvars - 1
-    if f.spec.is_finite:
-        gens = [f] + [f.partial_derivative(i) for i in range(f.nvars)]
-        for pt in enumerate_points(CountQuery(f.spec, n, gens), budget=budget):
-            return pt
-        return None
-    for pt in rational_reps(n, height):
-        if _is_singular_at(f, pt):
-            return pt
-    return None
+    partials = [f.partial_derivative(i) for i in range(f.nvars)]
+    return first_point(f.spec, f.nvars - 1, [f] + partials, height, budget)
 
 
 def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
@@ -475,9 +465,9 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     Lines through the point stratify X into the point, a section over the
     complement of V(f2), and an A^1-bundle over V(f2, f3).  When f2 = 0 the
     cubic is itself a cone and is delegated to class_of_cone.  Without x,
-    the search for a singular point is charged its whole walk against
-    budget up front, as enumerate_points does; the isotropic-point search
-    on V(f2) only the candidates it walks.
+    the singular point is searched for by points.first_point; that search
+    and the isotropic-point search on V(f2) are charged against budget only
+    for the candidates they walk.
     """
     if f.degree != 3:
         raise ValueError("expected a cubic, got degree %d" % f.degree)
@@ -601,10 +591,11 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     the cubic hypersurface Y that appears stays an unresolved atom.  After
     hyperbolic coordinates for f1 at a point of the intersection, f1 = x0*x1
     - h and f2 = x1*L1 + x0*L0 + R; the intersection is traded chart by
-    chart for loci in lower-dimensional projective spaces.  Its own point
-    searches are charged their whole walk against budget up front, as
-    enumerate_points does; the inner quadrics' isotropic-point searches
-    only the candidates they walk.
+    chart for loci in lower-dimensional projective spaces.  The point of
+    the intersection and the inner quadrics' isotropic points come from
+    points.first_point, charged only for the candidates walked; the check
+    of step (F) enumerates all of S and is charged that whole walk against
+    budget up front, as enumerate_points is.
     """
     spec = f1.spec
     if not spec.is_finite:
@@ -643,10 +634,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
             [("q2_proportional_to_q1", True)] + inner.hypotheses,
         )
 
-    x = None
-    for pt in enumerate_points(CountQuery(spec, n, [f1, f2]), budget=budget):
-        x = pt
-        break
+    x = first_point(spec, n, [f1, f2], budget=budget)
     if x is None:
         raise ValueError("no rational point on Q1 and Q2")
 

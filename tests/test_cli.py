@@ -98,28 +98,38 @@ def test_budget_exceeded_exits_two(capsys):
 
 
 def test_engine_point_search_obeys_budget(capsys):
-    # the two-quadric engine enumerates 7^5 candidates to find a point
-    code, out, err = _run(capsys, [
+    # the search for a point of Q1 and Q2 is charged only for the
+    # candidates it walks and stops early; the check of step (F) then
+    # enumerates S in P^3(F7) and is charged all 7^4 candidates up front
+    job = [
         "class-two-quadrics", "--field", "7", "--ambient", "4",
         "--poly", "x0*x1+x2*x3+x4^2", "--poly", "x0*x2+x1*x4+x3^2",
-        "--budget", "10", "--no-verify",
-    ])
+        "--no-verify",
+    ]
+    code, out, err = _run(capsys, job + ["--budget", "2400"])
     assert code == 2 and out == ""
-    assert "needs 16807 candidates, budget is 10" in err
+    assert "enumerating #V(" in err
+    assert "in P^3(F7) needs 2401 candidates, budget is 2400" in err
+    code, out, _ = _run(capsys, job + ["--budget", "2401"])
+    assert code == 0 and "status: ok" in out
 
 
 def test_singular_point_search_obeys_budget(capsys):
-    # without --point the cubic engine searches 7^5 candidates for a
-    # singular point; the given point skips the search
+    # without --point the cubic engine walks P^4(F7) for a singular point
+    # and is charged only for the candidates it walks: (0:0:0:0:1) is the
+    # last, the 2801st; the given point skips the search
     job = [
         "class-cubic-singular", "--field", "7", "--ambient", "4",
         "--poly", "x4*x0*x1 + x4*x2*x3 + x0^3 + x1^3 + x2^3 + x3^3",
-        "--budget", "10", "--no-verify",
+        "--no-verify",
     ]
-    code, out, err = _run(capsys, job)
+    code, out, err = _run(capsys, job + ["--budget", "2800"])
     assert code == 2 and out == ""
-    assert "needs 16807 candidates, budget is 10" in err
-    code, out, _ = _run(capsys, job + ["--point", "0,0,0,0,1"])
+    assert "in P^4(F7) among the first 2800 candidates, budget is 2800" in err
+    code, out, _ = _run(capsys, job + ["--budget", "2801"])
+    assert code == 0 and "status: ok" in out
+    code, out, _ = _run(capsys, job + ["--budget", "10",
+                                       "--point", "0,0,0,0,1"])
     assert code == 0 and "status: ok" in out
 
 
@@ -333,6 +343,12 @@ PINNED_REPORTS = [
     (("class-cubic-singular", "Q", 3, ["x0*x1*x3 - x2^2*x3 + x0^3"], [],
       "0,0,0,1", True),
      "f06442d7f579e07fd6b5079e958e9897c26f4da40494a815395024d67d4e304c"),
+    # the same cubic with x0 and x3 swapped and no point given: the
+    # height-bounded search over Q finds (1:0:0:0); recorded before the
+    # engines shared one point search
+    (("class-cubic-singular", "Q", 3, ["x0*x1*x3 - x0*x2^2 + x3^3"], [],
+      None, False),
+     "f82c1e80cdf1d9aeedf06f0d507de7a09b1a9c0f622eef6f2aa16abffb812fb9"),
     (("class-two-quadrics", "3", 4,
       ["x0*x1 - x2*x3 - x4^2", "x0^2 + x1*x2 + x3*x4"], [], None, True),
      "1441018aa18ae698e862a7af14fa60a6a69f07feabd34e2ffc961628ae152fba"),

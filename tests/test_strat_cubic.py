@@ -40,6 +40,23 @@ def test_singular_search_canonical_order():
         assert f.partial_derivative(i).evaluate(apex).is_zero()
 
 
+def test_rational_singular_search():
+    # over Q the search walks points up to the given height and asks every
+    # partial to vanish too: f alone vanishes earlier, at (1:-10:-3:-1)
+    f = parse_poly("x0*x1*x3 - x0*x2^2 + x3^3", Q, 4)
+    pt = find_singular_rational_point(f)
+    assert tuple(v.value for v in pt) == (1, 0, 0, 0)
+    # the apex (0:0:0:1) of x0*x1*x3 - x2^2*x3 + x0^3 is singular too, but
+    # (0:1:0:0) comes first
+    g = parse_poly("x0*x1*x3 - x2^2*x3 + x0^3", Q, 4)
+    pt = find_singular_rational_point(g, height=1)
+    assert tuple(v.value for v in pt) == (0, 1, 0, 0)
+    # the Fermat cubic is smooth, though it has rational points
+    fermat = parse_poly("x0^3 + x1^3 + x2^3 + x3^3", Q, 4)
+    assert fermat.evaluate([1, -1, 0, 0]).is_zero()
+    assert find_singular_rational_point(fermat, height=2) is None
+
+
 def test_cubic_surface_with_conic_f2():
     f = parse_poly("x0*x1*x3 - x2^2*x3 + x0^3", F3, 4)
     r = class_of_singular_cubic(f, x=(0, 0, 0, 1))
