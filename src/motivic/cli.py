@@ -176,8 +176,7 @@ def _dispatch(job):
             raise ValueError("class-two-quadrics takes exactly two --poly")
         f1 = parse_poly(job.polynomials[0], spec, nvars)
         f2 = parse_poly(job.polynomials[1], spec, nvars)
-        result = class_of_two_quadric_union(f1, f2, height=job.height,
-                                            budget=job.budget)
+        result = class_of_two_quadric_union(f1, f2, budget=job.budget)
         if not with_oracle:
             return result, None
         return result, CountQuery.union(spec, job.ambient, [f1, f2])

@@ -26,7 +26,7 @@ generator vanishes".  motivic.count._ckernel, hand-written C built at install
 time when a C compiler is available, tests every candidate of the stratum.
 _pure, plain Python, walks the fibres over the last free coordinate and
 counts roots of univariate polynomials there.  The import below picks the
-compiled one when present; set MOTIVIC_PURE=1 to force the fallback.
+compiled one when it is built and _pure otherwise.
 Primes too large to tabulate (q > _TABLE_LIMIT) take a separate direct-mod
 path, which counts those roots as the degree of a gcd with t^p - t; it
 counts a union from its expanded product.
@@ -56,9 +56,6 @@ from . import _pure
 try:  # pragma: no cover - exercised only when the extension is built
     from . import _ckernel
 except ImportError:  # pragma: no cover
-    _ckernel = None
-
-if os.environ.get("MOTIVIC_PURE"):
     _ckernel = None
 
 HAVE_COMPILED = _ckernel is not None

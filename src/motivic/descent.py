@@ -36,7 +36,7 @@ class GaloisContext:
     coefficient representation.
     """
 
-    __slots__ = ("base", "ext", "m", "generator")
+    __slots__ = ("base", "ext", "m")
 
     def __init__(self, base: FieldSpec, ext: FieldSpec):
         if not base.is_finite or not ext.is_finite:
@@ -48,7 +48,6 @@ class GaloisContext:
         self.base = base
         self.ext = ext
         self.m = ext.m
-        self.generator = self.frobenius
         if self.m > 1:
             # t generates ext over base, so checking the orbit of t checks
             # the whole automorphism: order must be exactly m
@@ -83,10 +82,6 @@ class GaloisContext:
         if any(c != 0 for c in a.value[1:]):
             return None
         return self.base.elem(a.value[0])
-
-    def lift(self, a):
-        """Embed a base-field element into the extension."""
-        return self.ext.elem(a.value)
 
     def __repr__(self):
         return "GaloisContext(%s over %s)" % (self.ext, self.base)

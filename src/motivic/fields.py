@@ -15,14 +15,11 @@ two processes always agree on what F_{p^m} means.  Finite-field elements are
 enumerable in a fixed order (by the same integer encoding), which downstream
 point searches rely on for determinism.
 
-Specs are interned: the factories cache one FieldSpec per argument tuple, so
-elements of one field nearly always share one spec object.  Equality tests
-identity first and falls back to comparing (kind, p, m, modulus), because
-extension_field(3, 2) and extension_field(3, 2, (1, 0, 1)) are distinct
-objects for one field; elements of genuinely different fields never mix.
-Each spec builds its zero and one once, as plain attributes, and element
-arithmetic between two F_p elements of the same spec object works on the
-residues directly.
+Specs are interned: there is one FieldSpec object per field, so equality of
+specs is identity.  extension_field(3, 2) and extension_field(3, 2, (1, 0, 1))
+return the same object; elements of different fields never mix.  Each spec
+builds its zero and one once, as plain attributes, and element arithmetic
+between two F_p elements works on the residues directly.
 
 Over F_{p^m} with q <= _TABLE_LIMIT, products, inverses and powers go
 through one log/antilog pair per spec, to the base of the first primitive
@@ -162,7 +159,7 @@ class FieldSpec:
     extension_field(p, m), which validate and cache.
     """
 
-    __slots__ = ("kind", "p", "m", "modulus", "order", "_tpowers", "_hash",
+    __slots__ = ("kind", "p", "m", "modulus", "order", "_tpowers",
                  "zero", "one", "_logs")
 
     def __init__(self, kind, p=0, m=1, modulus=None):
@@ -186,7 +183,6 @@ class FieldSpec:
                     cur = [(cur[i] + lead * base[i]) % p for i in range(m)]
                 red.append(tuple(cur))
             self._tpowers = tuple(red)
-        self._hash = hash((kind, p, m, modulus))
         # FieldElem is immutable, so every caller can share these two
         if kind == "Q":
             zero, one = Fraction(0), Fraction(1)
@@ -227,18 +223,6 @@ class FieldSpec:
 
     # -- identity ----------------------------------------------------------
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return "FieldSpec(%s)" % (self,)
 
@@ -272,7 +256,7 @@ class FieldSpec:
 
     def elem(self, x) -> "FieldElem":
         if isinstance(x, FieldElem):
-            if x.spec is not self and x.spec != self:
+            if x.spec is not self:
                 raise ValueError("element of %s used where %s expected" % (x.spec, self))
             return x
         if self.kind == "Q":
@@ -312,16 +296,6 @@ class FieldSpec:
             i //= self.p
         return FieldElem(self, tuple(coeffs))
 
-    def index(self, a: "FieldElem") -> int:
-        if a.spec is not self and a.spec != self:
-            raise ValueError("element of %s used where %s expected" % (a.spec, self))
-        if self.kind == "Fp":
-            return a.value
-        code = 0
-        for c in reversed(a.value):
-            code = code * self.p + c
-        return code
-
     def elements(self):
         for i in range(self.order):
             yield self.from_index(i)
@@ -353,6 +327,12 @@ def extension_field(p: int, m: int, modulus=None) -> FieldSpec:
             raise ValueError("base characteristic must be an odd prime")
         if not _irreducible(list(modulus), p):
             raise ValueError("modulus is reducible")
+    return _extension_spec(p, m, modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def _extension_spec(p, m, modulus):
+    """The one spec of F_p[t]/(modulus), however the modulus was given."""
     return FieldSpec("Fpm", p=p, m=m, modulus=modulus)
 
 
@@ -399,7 +379,7 @@ class FieldElem:
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.spec is not self.spec and other.spec != self.spec:
+            if other.spec is not self.spec:
                 raise ValueError(
                     "mixed fields: %s vs %s" % (self.spec, other.spec)
                 )
@@ -524,8 +504,7 @@ class FieldElem:
             other = self.spec.elem(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.value == other.value and (
-            self.spec is other.spec or self.spec == other.spec)
+        return self.value == other.value and self.spec is other.spec
 
     def __hash__(self):
         return hash((self.spec, self.value))

@@ -177,7 +177,6 @@ class ClassExpr:
                 c[k] = v
         self.coeffs = c
         merged = {}
-        order = {}
         for entry in residuals:
             shift, coeff, atom = entry
             if shift < 0:
@@ -187,7 +186,6 @@ class ClassExpr:
                 merged[key] = (merged[key][0] + coeff, merged[key][1])
             else:
                 merged[key] = (coeff, atom)
-                order[key] = (shift,) + atom.sort_key()
         cleaned = [
             (key[0], cv[0], cv[1]) for key, cv in merged.items() if cv[0] != 0
         ]
@@ -199,10 +197,6 @@ class ClassExpr:
     @classmethod
     def from_int(cls, n: int) -> "ClassExpr":
         return cls({0: n})
-
-    @classmethod
-    def lefschetz(cls, power: int = 1) -> "ClassExpr":
-        return cls({power: 1})
 
     @classmethod
     def from_atom(cls, atom, shift: int = 0, coeff: int = 1) -> "ClassExpr":
@@ -254,16 +248,6 @@ class ClassExpr:
         )
 
     # -- structure -----------------------------------------------------------
-
-    def is_polynomial(self) -> bool:
-        return not self.residuals
-
-    def is_resolved(self) -> bool:
-        """Polynomial up to etale atoms (nothing left for engines to do)."""
-        return all(a.kind == "etale" for _, _, a in self.residuals)
-
-    def constant_term(self) -> int:
-        return self.coeffs.get(0, 0)
 
     def residue_mod_L(self):
         """Constant term mod L, or None when a shift-0 variety atom blocks it."""
@@ -407,10 +391,6 @@ class Identity:
         lv = sum(t.value(q, budget=budget, memo=memo) for t in self.lhs)
         rv = sum(t.value(q, budget=budget, memo=memo) for t in self.rhs)
         return lv, rv
-
-    def holds(self, budget=None) -> bool:
-        lv, rv = self.sides(budget=budget)
-        return lv == rv
 
     def describe(self):
         return {

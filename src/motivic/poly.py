@@ -175,11 +175,6 @@ class HomogPoly:
         return cls(spec, nvars, degree, {})
 
     @classmethod
-    def monomial(cls, spec, nvars, exps, coeff=1) -> "HomogPoly":
-        exps = tuple(exps)
-        return cls(spec, nvars, sum(exps), {exps: coeff})
-
-    @classmethod
     def variable(cls, spec, nvars, i) -> "HomogPoly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(spec, nvars, 1, {exps: 1})

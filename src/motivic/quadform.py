@@ -79,19 +79,6 @@ class QuadForm:
             acc = acc + x[i] * inner
         return acc
 
-    def bilinear(self, x, y):
-        """b(x, y) = x^T G y, so q(x) = b(x, x)."""
-        x = [self.spec.elem(v) for v in x]
-        y = [self.spec.elem(v) for v in y]
-        acc = self.spec.zero
-        for i in range(self.nvars):
-            row = self.gram.rows[i]
-            inner = self.spec.zero
-            for j in range(self.nvars):
-                inner = inner + row[j] * y[j]
-            acc = acc + x[i] * inner
-        return acc
-
     def rank(self) -> int:
         return self.gram.rank()
 
@@ -210,21 +197,17 @@ def hyperbolic_normalize(q: QuadForm, x):
     pair_rows = Matrix(spec, [gu, gx])
     comp = pair_rows.nullspace()
     M = Matrix.from_columns(spec, [u, x] + comp)
-    f2 = q.poly().linear_substitute(M)
-    one_one = tuple(1 if k in (0, 1) else 0 for k in range(n))
-    if f2.coefficient_of(one_one) != spec.one:
+    # the Gram matrix of q(M y) is H = M^T G M: y0*y1 + q2 needs H[0][1] = 1/2
+    # and no other entry in rows 0 and 1
+    H = M.transpose() * G * M
+    if H.rows[0][1] != two.inverse():
         raise AssertionError("hyperbolic pair not normalized")
     for i in (0, 1):
-        if f2.uses_variable(i) and any(
-            e[i] and (e[i] != 1 or e != one_one) for e in f2.terms
-        ):
+        if any(not H.rows[i][j].is_zero() for j in range(n) if j != 1 - i):
             raise AssertionError("residual form still involves x%d" % i)
-    rest = f2 - HomogPoly(spec, n, 2, {one_one: 1})
     if n == 2:
-        if not rest.is_zero():
-            raise AssertionError("binary hyperbolic form with leftovers")
         return M, None
-    q2 = QuadForm.from_poly(rest.drop_variable(0).drop_variable(0))
+    q2 = QuadForm(spec, Matrix._from_rows(spec, [row[2:] for row in H.rows[2:]]))
     if not q2.is_nondegenerate():
         raise AssertionError("split complement is degenerate")
     return M, q2

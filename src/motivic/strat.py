@@ -92,21 +92,6 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
     finite = spec.is_finite
     rank = qf.rank()
 
-    if rank == 0:
-        # defensive: the zero form cuts out everything
-        if finite:
-            ident = Identity(
-                [CountTerm(1, 0, CountQuery(spec, n))], _staircase(n)
-            )
-        else:
-            ident = None
-        steps.append(TraceStep(
-            "zero-form",
-            "the zero form in %d variables cuts out all of P^%d" % (nvars, n),
-            ident,
-        ))
-        return projective_space_class(n)
-
     if rank < nvars:
         # degenerate: V(q) is a cone over the nondegenerate part with vertex
         # the projectivized radical P^(n-rank)
@@ -269,6 +254,24 @@ def _subset_ranks(spec, rows):
     return ranks
 
 
+def _inclusion_exclusion(spec, rows, n):
+    """The sum of arrangement_inclusion_exclusion for the hyperplanes with
+    coefficient rows in P^n, as a class and as CountTerms at L = q, from
+    one walk over the subsets."""
+    d = len(rows)
+    if d > 16:
+        raise ValueError("too many hyperplanes for subset enumeration")
+    ranks = _subset_ranks(spec, rows)
+    coeffs = {}
+    terms = []
+    for mask in range(1, 1 << d):
+        sign = 1 if bin(mask).count("1") % 2 else -1
+        for j in range(n - ranks[mask] + 1):
+            coeffs[j] = coeffs.get(j, 0) + sign
+            terms.append(CountTerm(sign, j))
+    return ClassExpr(coeffs), terms
+
+
 def arrangement_inclusion_exclusion(forms) -> ClassExpr:
     """Scissor-relation oracle: alternating sum over subsets of hyperplanes.
 
@@ -276,19 +279,8 @@ def arrangement_inclusion_exclusion(forms) -> ClassExpr:
     with [P^m] = 0 for m < 0.  Exponential in the number of distinct forms.
     """
     forms = _normalize_forms(forms)
-    d = len(forms)
-    if d > 16:
-        raise ValueError("too many hyperplanes for subset enumeration")
-    spec = forms[0].spec
-    n = forms[0].nvars - 1
-    ranks = _subset_ranks(spec, _coeff_rows(forms))
-    expr = ClassExpr()
-    for mask in range(1, 1 << d):
-        k = n - ranks[mask]
-        if k < 0:
-            continue
-        term = projective_space_class(k)
-        expr = expr + term if bin(mask).count("1") % 2 else expr - term
+    expr, _ = _inclusion_exclusion(forms[0].spec, _coeff_rows(forms),
+                                   forms[0].nvars - 1)
     return expr
 
 
@@ -349,19 +341,8 @@ def class_of_arrangement(forms) -> StratResult:
         ident,
     ))
 
-    z_expr = arrangement_inclusion_exclusion(rotated)
-    ie_terms = []
-    if finite:
-        ranks = _subset_ranks(spec, _coeff_rows(rotated))
-        for mask in range(1, 1 << d):
-            k = (r - 1) - ranks[mask]
-            if k < 0:
-                continue
-            sign = 1 if bin(mask).count("1") % 2 else -1
-            ie_terms.extend(CountTerm(sign, j) for j in range(k + 1))
-        ident = Identity([CountTerm(1, 0, z_query)], ie_terms)
-    else:
-        ident = None
+    z_expr, ie_terms = _inclusion_exclusion(spec, _coeff_rows(rotated), r - 1)
+    ident = Identity([CountTerm(1, 0, z_query)], ie_terms) if finite else None
     steps.append(TraceStep(
         "inclusion-exclusion",
         "Z resolved by the alternating sum over the %d nonempty subsets of "
@@ -584,7 +565,7 @@ def _proportional(g1: Matrix, g2: Matrix):
 
 
 def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
-                               height: int = 10, budget=None) -> StratResult:
+                               budget=None) -> StratResult:
     """Class of V(f1 * f2) for quadrics with V(f1) smooth, in P^n, n >= 4.
 
     Only finite fields: every derivation step is certified by counting, and
@@ -594,8 +575,9 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     chart for loci in lower-dimensional projective spaces.  The point of
     the intersection and the inner quadrics' isotropic points come from
     points.first_point, charged only for the candidates walked; the check
-    of step (F) enumerates all of S and is charged that whole walk against
-    budget up front, as enumerate_points is.
+    of step (F) enumerates all of S, which lies in y1 = 0 and is walked
+    there as V(h, L1, R) in P^(n-2), and is charged that whole walk of
+    q^(n-1) candidates against budget up front, as enumerate_points is.
     """
     spec = f1.spec
     if not spec.is_finite:
@@ -618,7 +600,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
 
     lam = _proportional(q1.gram, q2.gram)
     if lam is not None:
-        inner = class_of_quadric(f1, height=height, budget=budget)
+        inner = class_of_quadric(f1, budget=budget)
         ident = Identity(
             [CountTerm(1, 0, CountQuery.union(spec, n, [f1, f2]))],
             [CountTerm(1, 0, CountQuery(spec, n, [f1]))],
@@ -737,11 +719,12 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
                   CountTerm(1, 1, q_hlr2), CountTerm(1)]),
     ))
 
+    # S = V(y1, h, L1, R) lies in y1 = z0 = 0, where it is V(h2, L1bar2, R2)
     sing_pts = 0
     all_singular = True
     grads = [gbar.partial_derivative(i) for i in range(nvars - 1)]
-    for pt in enumerate_points(CountQuery(spec, n - 1, [z0, hh, LL1, RR]),
-                               budget=budget):
+    for p in enumerate_points(q_hlr2, budget=budget):
+        pt = (spec.zero,) + p
         sing_pts += 1
         if not all(dg.evaluate(pt).is_zero() for dg in grads):
             all_singular = False
@@ -755,8 +738,8 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
         check={"points": sing_pts, "all_singular": True},
     ))
 
-    c1 = class_of_quadric(f1, height=height, budget=budget)
-    c2 = class_of_quadric(f2, height=height, budget=budget)
+    c1 = class_of_quadric(f1, budget=budget)
+    c2 = class_of_quadric(f2, budget=budget)
     y_atom = VarietyAtom(spec, n - 1, [gbar], name="Y")
     fiber_atom = VarietyAtom(spec, n - 2, [h2, L1bar2, R2])
     infty = projective_space_class(n - 3 if l1_survives else n - 2)

@@ -168,7 +168,7 @@ def test_galois_descent_battery():
         rational = _random_rational_arrangement(rng, ctx.base, n, d)
         lifted = [
             HomogPoly(ctx.ext, h.nvars, 1,
-                      {e: ctx.lift(c) for e, c in h.terms.items()})
+                      {e: ctx.ext.elem(c.value) for e, c in h.terms.items()})
             for h in rational
         ]
 
@@ -212,7 +212,7 @@ def test_galois_descent_battery():
             if S.rank() == rank:
                 break
         mixed = S * Matrix(ctx.ext, [
-            [ctx.lift(c) for c in row] for row in rows.rows
+            [ctx.ext.elem(c.value) for c in row] for row in rows.rows
         ])
         span_forms = []
         for row in mixed.rows:

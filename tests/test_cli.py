@@ -100,18 +100,32 @@ def test_budget_exceeded_exits_two(capsys):
 def test_engine_point_search_obeys_budget(capsys):
     # the search for a point of Q1 and Q2 is charged only for the
     # candidates it walks and stops early; the check of step (F) then
-    # enumerates S in P^3(F7) and is charged all 7^4 candidates up front
+    # enumerates S, which lies in a hyperplane, in P^2(F7) and is charged
+    # all 7^3 candidates up front
     job = [
         "class-two-quadrics", "--field", "7", "--ambient", "4",
         "--poly", "x0*x1+x2*x3+x4^2", "--poly", "x0*x2+x1*x4+x3^2",
         "--no-verify",
     ]
-    code, out, err = _run(capsys, job + ["--budget", "2400"])
+    code, out, err = _run(capsys, job + ["--budget", "342"])
     assert code == 2 and out == ""
     assert "enumerating #V(" in err
-    assert "in P^3(F7) needs 2401 candidates, budget is 2400" in err
-    code, out, _ = _run(capsys, job + ["--budget", "2401"])
+    assert "in P^2(F7) needs 343 candidates, budget is 342" in err
+    code, out, _ = _run(capsys, job + ["--budget", "343"])
     assert code == 0 and "status: ok" in out
+
+
+def test_two_quadric_check_fits_default_budget_at_f101(capsys):
+    # S = V(y1, h, L1, R) is empty here; walked in the hyperplane y1 = 0 it
+    # costs 101^3 candidates, far below the default budget that the 101^4
+    # of all of P^3 exceeds
+    code, out, err = _run(capsys, [
+        "class-two-quadrics", "--field", "101", "--ambient", "4",
+        "--poly", "x0*x1+x2*x3+x4^2", "--poly", "x0*x2+x1*x4+x3^2",
+        "--no-verify",
+    ])
+    assert code == 0, err
+    assert "status: ok" in out and "(0 points checked)" in out
 
 
 def test_singular_point_search_obeys_budget(capsys):
@@ -500,7 +514,7 @@ def test_module_entry_point():
     # The caller's counting knobs must not reach the child: a tiny
     # MOTIVIC_BUDGET, say, would turn the count into a BudgetError.
     env = {k: v for k, v in os.environ.items()
-           if k not in ("MOTIVIC_PURE", "MOTIVIC_BUDGET", "MOTIVIC_WORKERS")}
+           if k not in ("MOTIVIC_BUDGET", "MOTIVIC_WORKERS")}
     out = run_python(["-m", "motivic.cli", "count", "--field", "3",
                       "--ambient", "1"], env)
     assert out.returncode == 0, out.stderr

@@ -237,33 +237,6 @@ def test_worker_count_is_clamped(monkeypatch):
     assert asked == [min(os.cpu_count() or 1, 4)]
 
 
-def test_pure_kernel_agrees_in_subprocess():
-    """MOTIVIC_PURE=1 swaps in the interpreted kernel at import time; the
-    counts must not change."""
-    code = (
-        "import motivic\n"
-        "from motivic.count import CountQuery, count_points, HAVE_COMPILED\n"
-        "from motivic.fields import prime_field, extension_field\n"
-        "from motivic.parse import parse_poly\n"
-        "assert not HAVE_COMPILED\n"
-        "F3 = prime_field(3); F9 = extension_field(3, 2)\n"
-        "vals = [\n"
-        "  count_points(CountQuery(F3, 3, [parse_poly('x0*x1 + x2*x3', F3, 4)])),\n"
-        "  count_points(CountQuery(F3, 2, [])),\n"
-        "  count_points(CountQuery(F9, 2, [parse_poly('x0*x1 - x2^2', F9, 3)])),\n"
-        "]\n"
-        "print(vals)\n"
-        "print(motivic.__file__)\n"
-    )
-    # A minimal environment, so no other MOTIVIC_* setting leaks in.
-    out = run_python(["-c", code], {"PATH": "/usr/bin:/bin",
-                                    "MOTIVIC_PURE": "1"})
-    assert out.returncode == 0, out.stderr
-    vals, where = out.stdout.splitlines()
-    assert vals == "[16, 13, 10]"
-    assert Path(where) == Path(motivic.__file__).resolve()
-
-
 # Run in a child on a freshly built copy of the checkout.  It prints where
 # motivic came from, then one JSON line per query: [compiled kernel, compiled
 # kernel on 2 threads, pure kernel, enumerate_points], then one JSON line

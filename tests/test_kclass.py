@@ -39,7 +39,7 @@ def test_residuals_merge_and_cancel():
     assert e.residuals == ((0, 3, a),)
     z = ClassExpr.from_atom(a) - ClassExpr.from_atom(a)
     assert z == ClassExpr()
-    assert z.is_polynomial()
+    assert not z.residuals
 
 
 def test_residuals_sorted_by_shift_then_atom():
@@ -56,7 +56,7 @@ def test_arithmetic_and_lshift():
     p2 = projective_space_class(2)
     assert p2 == ClassExpr({0: 1, 1: 1, 2: 1})
     assert p2 - 1 == ClassExpr({1: 1, 2: 1})
-    assert (1 + ClassExpr.lefschetz()).lshift(2) == ClassExpr({2: 1, 3: 1})
+    assert (1 + ClassExpr({1: 1})).lshift(2) == ClassExpr({2: 1, 3: 1})
     with pytest.raises(ValueError, match="negative"):
         p2.lshift(-1)
     assert projective_space_class(-1) == ClassExpr()
@@ -148,9 +148,8 @@ def test_count_term_and_identity():
     )
     lv, rv = ident.sides()
     assert lv == 4 and rv == 4
-    assert ident.holds()
     bad = Identity([CountTerm(1, 0, qv)], [CountTerm(3)])
-    assert not bad.holds()
+    assert bad.sides() == (2, 3)
 
 
 def test_identity_error_paths():

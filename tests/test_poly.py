@@ -278,8 +278,8 @@ def test_linear_substitute_matches_term_by_term(data):
     f = _form(draw, spec, nvars, degree)
     if draw(st.booleans()):
         i = draw(st.integers(0, nvars - 1))
-        f = f + HomogPoly.monomial(
-            spec, nvars, [degree if k == i else 0 for k in range(nvars)])
+        f = f + HomogPoly(spec, nvars, degree, {
+            tuple(degree if k == i else 0 for k in range(nvars)): 1})
     ncols = draw(st.integers(1, 6).filter(lambda c: c != nvars)
                  if draw(st.booleans()) else st.just(nvars))
     M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]

@@ -43,16 +43,6 @@ def test_evaluate_matches_poly():
         assert q.evaluate(x) == f.evaluate(x)
 
 
-def test_bilinear_polarization():
-    q = QuadForm.from_poly(parse_poly("x0^2 + x0*x1 + x1*x2", F5, 3))
-    x = [F5.elem(v) for v in (1, 2, 3)]
-    y = [F5.elem(v) for v in (4, 0, 1)]
-    lhs = F5.elem(2) * q.bilinear(x, y)
-    xy = [a + b for a, b in zip(x, y)]
-    rhs = q.evaluate(xy) - q.evaluate(x) - q.evaluate(y)
-    assert lhs == rhs
-
-
 def test_diagonalize_congruence():
     for text, n in [
         ("x0*x1", 2),
