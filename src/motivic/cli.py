@@ -3,14 +3,18 @@
 Every run produces one self-contained report: human text on stdout by
 default, canonical JSON behind --json.  Reports never contain wall-clock
 data, so identical inputs give byte-identical output; elapsed time goes
-to stderr.  Exit codes: 0 all checks pass, 2 bad input or precondition,
-3 verification mismatch or internal defect.
+to stderr.  The JSON comes from render_json, one writer that knows only the
+types a report holds and raises on any other; its bytes are those of
+json.dumps(sort_keys=True, indent=2).  verify reads a saved report's input
+echo back type by type.  Exit codes: 0 all checks pass, 2 bad input or
+precondition, 3 verification mismatch or internal defect.
 """
 
 import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .fields import FieldSpec, field_from_text, prime_field
 from .parse import parse_point, parse_poly
@@ -43,6 +47,19 @@ def _field_text(spec: FieldSpec) -> str:
     if spec.kind == "Fp":
         return str(spec.p)
     return "%d,%d" % (spec.p, spec.m)
+
+
+_NONE = type(None)
+
+
+def _echoed(holder, key, *types):
+    """holder[key], of one of these exact types (a bool is no int); a list
+    must hold only str."""
+    value = holder[key]
+    if type(value) not in types or (
+            type(value) is list and any(type(s) is not str for s in value)):
+        raise ValueError("bad %s %r" % (key, value))
+    return value
 
 
 class JobSpec:
@@ -89,18 +106,23 @@ class JobSpec:
 
     @classmethod
     def from_echo(cls, command, echo):
+        """The job a report's input echo records.
+
+        A value of the wrong type, as a hand-edited report may hold, raises
+        ValueError; an echo of the wrong shape raises KeyError or TypeError.
+        """
         opts = echo["options"]
         return cls(
             command=command,
-            field=field_from_text(echo["field"]),
-            ambient=echo["ambient"],
-            polynomials=echo["polynomials"],
-            forms=echo["forms"],
-            point=echo["point"],
-            seed=opts["seed"],
-            height=opts["height"],
-            budget=opts["budget"],
-            verify=opts["verify"],
+            field=field_from_text(_echoed(echo, "field", str)),
+            ambient=_echoed(echo, "ambient", int),
+            polynomials=_echoed(echo, "polynomials", list),
+            forms=_echoed(echo, "forms", list),
+            point=_echoed(echo, "point", str, _NONE),
+            seed=_echoed(opts, "seed", int),
+            height=_echoed(opts, "height", int),
+            budget=_echoed(opts, "budget", int, _NONE),
+            verify=_echoed(opts, "verify", bool),
         )
 
     def echo(self):
@@ -259,8 +281,60 @@ def run(job):
     return report, 3 if failed else 0
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def render_json(report) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The canonical JSON text of a report.
+
+    The bytes are those of json.dumps(report, sort_keys=True, indent=2) plus
+    a newline, but only the types a report holds are written: dicts with
+    str keys, lists, str, int, bool and None.  Anything else, a float or a
+    tuple say, raises TypeError.
+    """
+    out = []
+    _emit(report, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value, newline, put):
+    """Append the JSON text of value, nested at the indent in newline."""
+    kind = type(value)
+    if kind is str:
+        put(_json_str(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif value is None or kind is bool:
+        put(_JSON_CONSTANTS[value])
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError("report key %r is not a str" % (key,))
+            put(sep)
+            put(_json_str(key))
+            put(": ")
+            _emit(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _emit(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError("a report holds no %s" % kind.__name__)
 
 
 def render_text(report) -> str:
@@ -320,7 +394,12 @@ def _verify_report(path):
         print("error: cannot read report: %s" % e, file=sys.stderr)
         return 2
     fresh, code = run(job)
-    if render_json(fresh) == render_json(saved):
+    text = render_json(fresh)
+    try:
+        same = render_json(saved) == text
+    except TypeError:  # a float, say, which no report holds
+        same = False
+    if same:
         print("report verified: recomputation is byte-identical")
         return code
     print("report mismatch: recomputation differs from the saved report")

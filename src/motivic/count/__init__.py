@@ -93,15 +93,18 @@ class CountQuery:
     CountQuery.union(spec, n, factors) is V(f_1 * ... * f_d), the points
     where some factor vanishes.  The kernels count it factor by factor and
     never see the product; its generators, the expanded product that
-    describe(), enumerate_points and the big-prime path read, are built on
-    first use and kept.  Two unions are equal when their factors agree up to
-    order, repetition and nonzero scalars; a union query and the ordinary
-    query of its product count the same but are not equal.  Equal queries
-    count the same, so a caller may memoise counts on them; the canonical key
-    behind __eq__ and __hash__ is built once.
+    enumerate_points and the big-prime path read, are built on first use and
+    kept.  describe() never expands a union: it prints the product from its
+    packed codes (HomogPoly.product_text).  Two unions are equal when their
+    factors agree up to order, repetition and nonzero scalars; a union query
+    and the ordinary query of its product count the same but are not equal.
+    Equal queries count the same, so a caller may memoise counts on them; the
+    canonical key behind __eq__ and __hash__ and the describe() dict are
+    each built once per query.
     """
 
-    __slots__ = ("spec", "n", "chart", "factors", "_generators", "_key")
+    __slots__ = ("spec", "n", "chart", "factors", "_generators", "_key",
+                 "_described")
 
     def __init__(self, spec: FieldSpec, n: int, generators=(), chart=()):
         self._setup(spec, n, chart)
@@ -128,6 +131,7 @@ class CountQuery:
         self.spec = spec
         self.n = int(n)
         self._key = None
+        self._described = None
         ch = []
         seen = set()
         for idx, kind in chart:
@@ -171,10 +175,20 @@ class CountQuery:
         return self.spec.order ** (self.n + 1)
 
     def describe(self):
-        d = {
+        """The query's report dict, built on the first call; callers share
+        it and must not change it."""
+        if self._described is not None:
+            return self._described
+        if self.factors is None:
+            gens = [str(g) for g in self._generators]
+        elif any(f.is_zero() for f in self.factors):
+            gens = []
+        else:
+            gens = [HomogPoly.product_text(self.factors)]
+        d = self._described = {
             "field": self.spec.describe(),
             "ambient": self.n,
-            "generators": [str(g) for g in self.generators],
+            "generators": gens,
         }
         if self.chart:
             d["chart"] = [[i, kind] for i, kind in self.chart]

@@ -47,10 +47,6 @@ class EtaleAtom:
         self.degrees = degrees
 
     @property
-    def kind(self):
-        return "etale"
-
-    @property
     def label(self):
         return "etale(%s)" % ",".join(str(d) for d in self.degrees)
 
@@ -101,10 +97,6 @@ class VarietyAtom:
         self.generators = tuple(gens)
         self.name = name
         self.resolved = resolved
-
-    @property
-    def kind(self):
-        return "variety"
 
     @property
     def label(self):

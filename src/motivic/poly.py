@@ -11,12 +11,13 @@ Every product of forms (*, power, HomogPoly.product and the row powers of
 linear_substitute) takes one packed path, _Packing: exponent tuples become
 integer codes whose sums are the codes of product monomials, coefficients
 stay raw residues over F_p, and the result becomes a HomogPoly once, at the
-end.
+end.  HomogPoly.product_text prints a product straight from its codes,
+without that HomogPoly; a form keeps its text once it is printed.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter, mul
 
 from .fields import FieldElem, FieldSpec
@@ -41,13 +42,16 @@ def _validated_terms(spec, nvars, degree, terms):
 class _Packing:
     """Forms in nvars variables of degree at most `degree` as packed dicts.
 
-    A packed form maps the code sum(e_i * base^i) of each exponent tuple e,
-    with base = degree + 1, to its coefficient.  No exponent of a product
-    exceeds its degree, so the code of a product monomial is the sum of
-    the codes of its factors, and every product of forms is a convolution
-    of packed dicts.  Over F_p coefficients are raw residues, reduced once
-    per product; over F_{p^m} and Q they are FieldElems.  unpack turns the
-    final dict back into a HomogPoly.
+    A packed form maps the code sum(e_i * base^(nvars-1-i)) of each exponent
+    tuple e, with base = degree + 1, to its coefficient: the digits of a
+    code, most significant first, are the exponents of x0, x1, ...  No
+    exponent of a product exceeds its degree, so the code of a product
+    monomial is the sum of the codes of its factors, and every product of
+    forms is a convolution of packed dicts.  Codes of one degree order like
+    their exponent tuples, so descending codes are the canonical term order.
+    Over F_p coefficients are raw residues, reduced once per product; over
+    F_{p^m} and Q they are FieldElems.  unpack turns the final dict back
+    into a HomogPoly, and text prints it.
     """
 
     __slots__ = ("spec", "nvars", "base", "weights", "p", "one")
@@ -56,7 +60,7 @@ class _Packing:
         self.spec = spec
         self.nvars = nvars
         self.base = degree + 1
-        self.weights = [self.base**i for i in range(nvars)]
+        self.weights = [self.base**i for i in reversed(range(nvars))]
         self.p = spec.p if spec.kind == "Fp" else None
         self.one = {0: 1 if self.p else spec.one}
 
@@ -117,25 +121,53 @@ class _Packing:
             out = self.mul(out, a)
         return out
 
-    def unpack(self, packed, degree) -> "HomogPoly":
-        spec, base, weights = self.spec, self.base, self.weights
-        # a code splits into its low half digits and the rest; each half
-        # is decoded once per distinct value
-        half = self.nvars // 2
-        split = base**half
-        low_w, high_w = weights[:half], weights[:self.nvars - half]
-        lows, highs = {}, {}
-        terms = {}
-        for k, c in packed.items():
+    def _halves(self, codes, high, low):
+        """[(high(e[:h]), low(e[h:])) for the exponent tuple e of each code],
+        with h = nvars - nvars // 2.
+
+        A code splits into its high half, the digits of x0..x_{h-1}, and its
+        low half, those of the other nvars // 2 variables; each distinct
+        half is decoded, and passed to high or low, once per call.
+        """
+        base, weights = self.base, self.weights
+        nlow = self.nvars // 2
+        split = base**nlow
+        high_w, low_w = weights[nlow:], weights[self.nvars - nlow:]
+        highs, lows = {}, {}
+        out = []
+        for k in codes:
             hk, lk = divmod(k, split)
-            lo = lows.get(lk)
-            if lo is None:
-                lo = lows[lk] = tuple([lk // w % base for w in low_w])
             hi = highs.get(hk)
             if hi is None:
-                hi = highs[hk] = tuple([hk // w % base for w in high_w])
-            terms[lo + hi] = FieldElem(spec, c) if self.p else c
+                hi = highs[hk] = high([hk // w % base for w in high_w])
+            lo = lows.get(lk)
+            if lo is None:
+                lo = lows[lk] = low([lk // w % base for w in low_w])
+            out.append((hi, lo))
+        return out
+
+    def unpack(self, packed, degree) -> "HomogPoly":
+        spec = self.spec
+        halves = self._halves(packed, tuple, tuple)
+        if self.p:
+            terms = {hi + lo: FieldElem(spec, c)
+                     for (hi, lo), c in zip(halves, packed.values())}
+        else:
+            terms = {hi + lo: c for (hi, lo), c in zip(halves, packed.values())}
         return HomogPoly._from_terms(spec, self.nvars, degree, terms)
+
+    def text(self, packed, degree) -> str:
+        """str(self.unpack(packed, degree)), printed from the codes."""
+        codes = sorted(packed, reverse=True)
+        names = _power_names(self.nvars, degree)
+        nhigh = self.nvars - self.nvars // 2
+        halves = self._halves(codes, partial(_monomial, names[:nhigh]),
+                              partial(_monomial, names[nhigh:]))
+        monomials = [hi + "*" + lo if hi and lo else hi or lo
+                     for hi, lo in halves]
+        return _join_terms(zip(monomials, map(packed.__getitem__, codes)),
+                           1 if self.p else self.spec.one,
+                           self.spec.kind == "Q")
 
 
 class HomogPoly:
@@ -145,9 +177,11 @@ class HomogPoly:
     and degree, coefficients coerced into the field, zeros dropped.  Ring
     operations on valid polynomials give valid results by construction, so
     they build those through _from_terms, which stores the dict it is given.
+    A form is never changed once built, so str() fills the _text slot the
+    first time it prints the form and returns that text from then on.
     """
 
-    __slots__ = ("spec", "nvars", "degree", "terms")
+    __slots__ = ("spec", "nvars", "degree", "terms", "_text")
 
     def __init__(self, spec: FieldSpec, nvars: int, degree: int, terms):
         if nvars < 1:
@@ -271,18 +305,14 @@ class HomogPoly:
     @classmethod
     def product(cls, polys) -> "HomogPoly":
         """f_1 * ... * f_d for d >= 1 forms of one ring, expanded once."""
-        polys = tuple(polys)
-        if not polys:
-            raise ValueError("a product needs at least one factor")
-        first = polys[0]
-        for g in polys[1:]:
-            first._check_like(g)
-        degree = sum(g.degree for g in polys)
-        packing = _Packing(first.spec, first.nvars, degree)
-        acc = packing.pack(first)
-        for g in polys[1:]:
-            acc = packing.mul(acc, packing.pack(g))
+        packing, acc, degree = _packed_product(polys)
         return packing.unpack(acc, degree)
+
+    @classmethod
+    def product_text(cls, polys) -> str:
+        """str(HomogPoly.product(polys)), printed from the packed product."""
+        packing, acc, degree = _packed_product(polys)
+        return packing.text(acc, degree)
 
     def power(self, k: int) -> "HomogPoly":
         if k < 0:
@@ -417,7 +447,19 @@ class HomogPoly:
         return HomogPoly._from_terms(self.spec, new_nvars, self.degree, terms)
 
     def __str__(self):
-        return _render_terms(self.sorted_terms(), self.spec)
+        try:
+            return self._text
+        except AttributeError:
+            pass
+        names = _power_names(self.nvars, self.degree)
+        spec = self.spec
+        # over F_p the printer gets raw residues, as it does from _Packing
+        fp = spec.kind == "Fp"
+        terms = [(_monomial(names, e), c.value if fp else c)
+                 for e, c in self.sorted_terms()]
+        text = self._text = _join_terms(terms, 1 if fp else spec.one,
+                                        spec.kind == "Q")
+        return text
 
     def __repr__(self):
         return "HomogPoly(%s, n=%d, d=%d: %s)" % (
@@ -428,6 +470,22 @@ class HomogPoly:
         )
 
 
+def _packed_product(polys):
+    """(packing, packed product, degree) of d >= 1 forms of one ring."""
+    polys = tuple(polys)
+    if not polys:
+        raise ValueError("a product needs at least one factor")
+    first = polys[0]
+    for g in polys[1:]:
+        first._check_like(g)
+    degree = sum(g.degree for g in polys)
+    packing = _Packing(first.spec, first.nvars, degree)
+    acc = packing.pack(first)
+    for g in polys[1:]:
+        acc = packing.mul(acc, packing.pack(g))
+    return packing, acc, degree
+
+
 @lru_cache(maxsize=64)
 def _power_names(nvars, degree):
     """names[i][e] is the text of x_i^e, built once per shape of form."""
@@ -436,23 +494,30 @@ def _power_names(nvars, degree):
                  for i in range(nvars))
 
 
-def _render_terms(sorted_terms, spec) -> str:
-    """Canonical printer; minus signs only show up over Q."""
-    if not sorted_terms:
+def _monomial(names, exps) -> str:
+    """The text of the monomial with these exponents of the named variables
+    ("" for the constant monomial)."""
+    return "*".join([row[e] for row, e in zip(names, exps) if e])
+
+
+def _join_terms(terms, one, signed) -> str:
+    """Canonical printer of (monomial text, coefficient) pairs in term order.
+
+    A coefficient is an F_p residue or a FieldElem, printed before its
+    monomial unless it equals one.  Only when signed, over Q, does a term
+    print its magnitude, with its sign between the terms.
+    """
+    if signed:
+        terms = list(terms)
+        negative = [c.value < 0 for _, c in terms]
+        terms = [(mono, -c if neg else c)
+                 for (mono, c), neg in zip(terms, negative)]
+    pieces = [mono if mono and c == one else
+              "%s*%s" % (c, mono) if mono else str(c) for mono, c in terms]
+    if not pieces:
         return "0"
-    first = sorted_terms[0][0]
-    names = _power_names(len(first), sum(first))
-    signed = spec.kind == "Q"
-    pieces = []
-    for exps, coeff in sorted_terms:
-        factors = [row[e] for row, e in zip(names, exps) if e]
-        negative = signed and coeff.value < 0
-        mag = -coeff if negative else coeff
-        if not factors or not mag.is_one():
-            factors.insert(0, str(mag))
-        text = "*".join(factors)
-        if not pieces:
-            pieces.append("-" + text if negative else text)
-        else:
-            pieces.append(("- " if negative else "+ ") + text)
-    return " ".join(pieces)
+    if not signed:
+        return " + ".join(pieces)
+    text = " ".join([("- " if neg else "+ ") + piece
+                     for neg, piece in zip(negative, pieces)])
+    return text[2:] if text[0] == "+" else "-" + text[2:]

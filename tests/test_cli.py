@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import motivic
 from conftest import run_python
@@ -212,7 +213,7 @@ def _queries_asked(job):
             asked += [t.query for t in step.identity.lhs + step.identity.rhs
                       if t.query is not None]
     asked += [atom.query() for _, _, atom in result.class_expr.residuals
-              if atom.kind == "variety"]
+              if isinstance(atom, motivic.kclass.VarietyAtom)]
     return asked
 
 
@@ -449,26 +450,100 @@ def test_verify_unreadable_report(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field, value, message", [
-    (("options", "budget"), 5, "budget is 5"),
-    (("polynomials",), ["x0^3 + x1"], "not homogeneous"),
-], ids=["budget", "polynomial"])
-def test_verify_recomputation_errors_exit_two(tmp_path, capsys, field, value,
-                                               message):
-    # A saved report edited so that re-running its job fails: the error
-    # reaches the same exit code and message as a direct run.
+def _edited_report(tmp_path, capsys, field, value):
+    """The path of a saved QUADRIC report with the value at field replaced."""
     _, out, _ = _run(capsys, QUADRIC + ["--json"])
     report = json.loads(out)
-    holder = report["input"]
+    holder = report
     for key in field[:-1]:
         holder = holder[key]
     holder[field[-1]] = value
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(report), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (("input", "options", "budget"), 5, "budget is 5"),
+    (("input", "polynomials"), ["x0^3 + x1"], "not homogeneous"),
+], ids=["budget", "polynomial"])
+def test_verify_recomputation_errors_exit_two(tmp_path, capsys, field, value,
+                                               message):
+    # A saved report edited so that re-running its job fails: the error
+    # reaches the same exit code and message as a direct run.
+    path = _edited_report(tmp_path, capsys, field, value)
     code, out2, err = _run(capsys, ["verify", str(path)])
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and out2 == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    (("input", "ambient"), 2.0),
+    (("input", "ambient"), True),
+    (("input", "field"), 3),
+    (("input", "polynomials"), [5]),
+    (("input", "polynomials"), "x0*x1 - x2*x3"),
+    (("input", "forms"), None),
+    (("input", "point"), 3),
+    (("input", "options", "seed"), 0.5),
+    (("input", "options", "height"), "10"),
+    (("input", "options", "budget"), 5.0),
+    (("input", "options", "budget"), False),
+    (("input", "options", "verify"), 1),
+    (("input", "options"), []),
+], ids=["ambient-float", "ambient-bool", "field-int", "polynomials-int",
+        "polynomials-str", "forms-none", "point-int", "seed-float",
+        "height-str", "budget-float", "budget-bool", "verify-int",
+        "options-list"])
+def test_verify_malformed_echo_exits_two(tmp_path, capsys, field, value):
+    # an input echo holding a value of the wrong type is an unreadable
+    # report, not a crash and not a job to run
+    path = _edited_report(tmp_path, capsys, field, value)
+    code, out, err = _run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read report: ")
+    assert "Traceback" not in err
+
+
+def test_verify_float_outside_echo_is_a_mismatch(tmp_path, capsys):
+    # no report holds a float, so a saved one that does cannot reproduce
+    path = _edited_report(tmp_path, capsys, ("result", "residue"), 1.0)
+    code, out, _ = _run(capsys, ["verify", str(path)])
+    assert code == 3 and "mismatch" in out
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.text(st.characters(blacklist_categories=()), max_size=8))
+
+
+@given(st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(st.characters(blacklist_categories=()),
+                                max_size=6), inner, max_size=4)),
+    max_leaves=24))
+@settings(max_examples=300, deadline=None)
+def test_render_json_matches_json_dumps(report):
+    """The report writer gives the bytes of json.dumps on every value made
+    of the types a report holds: nested and empty dicts and lists, strings
+    with non-ASCII, control and surrogate characters, large ints, bools
+    and None."""
+    assert render_json(report) == \
+        json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, 2.0, (1, 2), {1: "a"}, {"a": [0, {"b": 0.5}]}, {None: 1},
+    [b"bytes"], {"a": {1, 2}},
+], ids=["float", "integral-float", "tuple", "int-key", "nested-float",
+        "none-key", "bytes", "set"])
+def test_render_json_rejects_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        render_json({"status": "ok", "value": value})
 
 
 @pytest.mark.parametrize("knob", ["MOTIVIC_BUDGET", "MOTIVIC_WORKERS"])

@@ -12,7 +12,6 @@ from motivic.descent import (
     h90_trivialize,
 )
 from motivic.fields import extension_field, prime_field, rationals
-from motivic.kclass import ClassExpr, projective_space_class
 from motivic.linalg import Matrix
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly

@@ -3,7 +3,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from motivic.fields import (
-    FieldElem,
     build_extension,
     extension_field,
     field_from_text,

@@ -1,5 +1,4 @@
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from motivic.fields import extension_field, prime_field, rationals

@@ -264,6 +264,62 @@ def test_product_matches_chained_expansion(data):
 
 
 @given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_text_matches_expanded_product(data):
+    """A union's text is printed from the packed product's codes, never
+    expanded; it must be the text of the expanded product over F_p,
+    F_{p^m} and Q, with one factor, repeated factors and zero factors, in
+    up to six variables so that both halves of a code hold several digits.
+    A union with a zero factor describes no generator."""
+    draw = data.draw
+    spec = draw(st.sampled_from([
+        prime_field(3), prime_field(7), prime_field(31),
+        extension_field(3, 2), extension_field(5, 2), rationals()]))
+    nvars = draw(st.integers(1, 6))
+    pool = [_form(draw, spec, nvars, draw(st.integers(0, 2)))
+            for _ in range(draw(st.integers(1, 3)))]
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        factors.append(factors[0])
+    text = HomogPoly.product_text(factors)
+    assert text == str(HomogPoly.product(factors))
+    if spec.is_finite:
+        described = CountQuery.union(spec, nvars - 1, factors).describe()
+        zero = any(f.is_zero() for f in factors)
+        assert described["generators"] == ([] if zero else [text])
+
+
+def test_union_with_zero_factor_describes_no_generator():
+    spec = prime_field(5)
+    f = parse_poly("x0 + 2*x1", spec, 3)
+    union = CountQuery.union(spec, 2, [f, HomogPoly.zero(spec, 3, 1), f])
+    assert union.describe()["generators"] == []
+    assert union.generators == ()
+    assert union.describe() is union.describe()
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_text_of_built_form_survives_parse_round_trip(data):
+    """Ring operations build forms through _from_terms with no text; the
+    text str() fills in must parse back to the same form and print the
+    same again."""
+    draw = data.draw
+    spec = draw(st.sampled_from([
+        prime_field(3), prime_field(7), extension_field(3, 2),
+        extension_field(5, 2), rationals()]))
+    nvars = draw(st.integers(1, 5))
+    f = _form(draw, spec, nvars, draw(st.integers(0, 2)))
+    g = _form(draw, spec, nvars, draw(st.integers(0, 2)))
+    for built in (f * g, f - g if f.degree == g.degree else -f, f.power(2),
+                  f.scale(_elem(draw, spec)), f.insert_variable(0)):
+        text = str(built)
+        back = parse_poly(text, spec, built.nvars)
+        assert back == built or (built.is_zero() and back.is_zero())
+        assert str(back) == text == str(built)
+
+
+@given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_linear_substitute_matches_term_by_term(data):
     """Substitution shares row powers between monomials; the result must be

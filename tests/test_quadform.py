@@ -5,7 +5,6 @@ from motivic.count import BudgetError
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.linalg import Matrix
 from motivic.parse import parse_poly
-from motivic.points import projective_reps
 from motivic.quadform import (
     QuadForm,
     diagonalize,

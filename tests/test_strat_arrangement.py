@@ -8,7 +8,6 @@ from motivic.kclass import ClassExpr, projective_space_class
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
 from motivic.strat import (
-    DefectError,
     arrangement_inclusion_exclusion,
     class_of_arrangement,
 )

@@ -4,7 +4,12 @@ import pytest
 
 from conftest import assert_trace_verifies, brute_count
 from motivic.fields import extension_field, prime_field, rationals
-from motivic.kclass import ClassExpr, EtaleAtom, projective_space_class
+from motivic.kclass import (
+    ClassExpr,
+    EtaleAtom,
+    VarietyAtom,
+    projective_space_class,
+)
 from motivic.linalg import Matrix
 from motivic.parse import parse_poly
 from motivic.strat import class_of_quadric
@@ -56,7 +61,7 @@ def test_binary_anisotropic_conjugate_pair():
     assert r.class_expr.count_measure(3) == 0 == brute_count(F3, 1, [
         parse_poly("x0^2 + x1^2", F3, 2)
     ])
-    assert all(a.kind == "etale" for _, _, a in r.class_expr.residuals)
+    assert all(isinstance(a, EtaleAtom) for _, _, a in r.class_expr.residuals)
     assert_trace_verifies(r)
 
 
@@ -112,7 +117,7 @@ def test_rational_isotropic_conic():
 
 def test_rational_pointless_form_stays_atom():
     r = class_of_quadric(parse_poly("x0^2 + x1^2 + x2^2", Q, 3))
-    assert any(a.kind == "variety" for _, _, a in r.class_expr.residuals)
+    assert any(isinstance(a, VarietyAtom) for _, _, a in r.class_expr.residuals)
     assert r.residue is None
     assert not dict(r.hypotheses)["rational_point_found"]
     assert [s.rule for s in r.trace] == ["unresolved-pointless-form"]

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import assert_trace_verifies, brute_count
 from motivic.fields import prime_field, rationals
+from motivic.kclass import VarietyAtom
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
 from motivic.strat import class_of_quadric, class_of_two_quadric_union
@@ -42,7 +43,7 @@ def test_reference_pair_class_shape():
     assert kinds[0][2] == "Y"
     # the shift-0 variety atom makes the residue indeterminate
     assert r.residue is None
-    assert any(a.kind == "variety" for _, _, a in r.class_expr.residuals)
+    assert any(isinstance(a, VarietyAtom) for _, _, a in r.class_expr.residuals)
 
 
 def test_reference_pair_trace_rules():
