@@ -10,21 +10,21 @@ coordinates 0), each an independent unit a kernel can chew through;
 together they are the points enumerate_points yields.
 
 Nothing here is cached across calls but the field tables; over F_{p^m}
-their products come from the spec's own log/antilog pair, which
+their products come from the spec's own index log and exp, which
 motivic.fields builds once per spec and element arithmetic shares.  Equal
 queries count the same, so the CLI keeps one memo of counts per job
 (kclass.count_once) and counts each distinct query of a job once.
 enumerate_points, the independent reference, walks the same lead strata as
 the kernels, on residue tuples over F_p.
 
-Arithmetic inside the hot loop is table-driven: elements become indices
-0..q-1 (0 -> 0, 1 -> 1) and add/mul/pow become flat lookup tables, so the
-same kernel code serves prime and extension fields.  Two kernels keep one
-count contract, the count_stratum of _pure, and share nothing else; its
-union flag switches the point test from "every generator vanishes" to "some
-generator vanishes".  motivic.count._ckernel, hand-written C built at install
-time when a C compiler is available, tests every candidate of the stratum.
-_pure, plain Python, walks the fibres over the last free coordinate and
+Arithmetic inside the hot loop is table-driven: an element's value is
+already its index 0..q-1 (0 -> 0, 1 -> 1), and add/mul/pow become flat
+lookup tables, so the same kernel code serves prime and extension fields.
+Two kernels keep one count contract, the count_stratum of _pure, and share
+nothing else; its union flag switches the point test from "every generator
+vanishes" to "some generator vanishes".  motivic.count._ckernel,
+hand-written C built at install time when a C compiler is available, tests
+every candidate of the stratum.  _pure, plain Python, walks the fibres over the last free coordinate and
 counts roots of univariate polynomials there.  The import below picks the
 compiled one when it is built and _pure otherwise.
 Primes too large to tabulate (q > _TABLE_LIMIT) take a separate direct-mod
@@ -231,13 +231,11 @@ _table_cache: dict[FieldSpec, tuple] = {}
 
 
 def _field_tables(spec: FieldSpec):
+    """The flat (add, mul) tables of the kernels, over element indices."""
     cached = _table_cache.get(spec)
     if cached is not None:
         return cached
-    elems = list(spec.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    out = (elems, index, array("i", _add_table(spec.p, spec.m)),
-           array("i", _mul_table(spec, elems)))
+    out = (array("i", _add_table(spec.p, spec.m)), array("i", _mul_table(spec)))
     _table_cache[spec] = out
     return out
 
@@ -264,25 +262,21 @@ def _add_table(p, m):
     return table
 
 
-def _mul_table(spec, elems):
+def _mul_table(spec):
     """Flat q x q table of index products.
 
     Over F_p an index is the residue.  Over F_{p^m} the products go through
-    the spec's log/antilog pair: a*b = g^(log a + log b).
+    the spec's index log and exp: a*b = g^(log a + log b).
     """
     q = spec.order
     if spec.kind == "Fp":
         return [(i * j) % q for i in range(q) for j in range(q)]
-    log, antilog = spec._log_pair()
-    of_value = {e.value: i for i, e in enumerate(elems)}
-    # the pair as indices: ilog[index of a] = log a, iexp[k] = index of g^k
-    ilog = [log[e.value] for e in elems]
-    iexp = [of_value[v] for v in antilog]
+    log, exp = spec._index_tables()[:2]
     table = [0] * q
     for i in range(1, q):
-        li = ilog[i]
+        li = log[i]
         table.append(0)
-        table.extend([iexp[li + ilog[j]] for j in range(1, q)])
+        table.extend([exp[li + log[j]] for j in range(1, q)])
     return table
 
 
@@ -297,7 +291,7 @@ def _pow_table(q, mul, maxd):
     return powt
 
 
-def _encode_generators(polys, index):
+def _encode_generators(polys):
     """Flatten polynomial terms into (offsets, coeff indices, exponent
     rows, highest exponent)."""
     offs = array("i", [0])
@@ -306,7 +300,7 @@ def _encode_generators(polys, index):
     maxd = 1
     for g in polys:
         for exps_t, c in g.sorted_terms():
-            coeffs.append(index[c])
+            coeffs.append(c.value)
             exps.extend(exps_t)
             maxd = max(maxd, max(exps_t))
         offs.append(len(coeffs))
@@ -368,10 +362,10 @@ def count_points(query: CountQuery, budget: int | None = None,
             )
         return _count_bigprime(query)
 
-    elems, index, add, mul = _field_tables(query.spec)
+    add, mul = _field_tables(query.spec)
     polys, union = query._kernel_polys()
     nvars = query.n + 1
-    offs, coeffs, exps, maxd = _encode_generators(polys, index)
+    offs, coeffs, exps, maxd = _encode_generators(polys)
     powt = _pow_table(q, mul, maxd)
     kernel = _ckernel if _ckernel is not None else _pure
 

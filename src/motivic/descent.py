@@ -12,7 +12,7 @@ with the essential part kept as a variety atom over the base field.
 
 import random
 
-from .fields import FieldSpec, prime_field
+from .fields import FieldElem, FieldSpec, prime_field
 from .linalg import Matrix, _Echelon, extend_to_basis
 from .poly import HomogPoly
 from .count import CountQuery
@@ -31,9 +31,9 @@ from .strat import DefectError, _coeff_rows, _normalize_forms, _staircase
 class GaloisContext:
     """Cyclic extension F_{p^m} / F_p with its Frobenius generator.
 
-    Only prime base fields are supported: extension elements are stored in
-    the monomial basis over F_p, so F_p is the one subfield with a direct
-    coefficient representation.
+    Only prime base fields are supported: an extension element's index
+    holds its coordinates in the monomial basis over F_p as base-p digits,
+    so F_p, the indices below p, is the one subfield read off directly.
     """
 
     __slots__ = ("base", "ext", "m")
@@ -62,15 +62,12 @@ class GaloisContext:
 
     def frobenius(self, a, power: int = 1):
         """a -> a^(q^power) where q is the base field order."""
-        q = self.base.order
-        for _ in range(power % self.m):
-            a = a**q
-        return a
+        return a ** (self.base.order ** (power % self.m))
 
     def frobenius_matrix(self, M: Matrix, power: int = 1) -> Matrix:
         if power % self.m == 0:
             return M
-        return Matrix(
+        return Matrix._from_rows(
             self.ext,
             [[self.frobenius(x, power) for x in row] for row in M.rows],
         )
@@ -79,9 +76,9 @@ class GaloisContext:
         """The base-field value of a, or None if a is not Frobenius-fixed."""
         if self.ext.kind == "Fp":
             return a
-        if any(c != 0 for c in a.value[1:]):
+        if a.value >= self.base.p:
             return None
-        return self.base.elem(a.value[0])
+        return FieldElem(self.base, a.value)
 
     def __repr__(self):
         return "GaloisContext(%s over %s)" % (self.ext, self.base)
@@ -246,26 +243,19 @@ def _fixed_point_subspace(ctx, T, N):
     base = ctx.base
     ext = ctx.ext
 
-    def coords(a):
-        if ext.kind == "Fp":
-            return [a.value]
-        return list(a.value)
-
     # unknown c in ext^r subject to s(c) . N = c, spelled out over the base
     cols = []
     for i in range(r):
         for k in range(m):
-            c = [ext.zero] * r
-            unit = [0] * m
-            unit[k] = 1
-            c[i] = ext.elem(tuple(unit)) if ext.kind == "Fpm" else ext.one
-            sc = [ctx.frobenius(x) for x in c]
+            # c = t^k e_i, so (s(c) . N)_j = s(t^k) N[i][j]
+            tk = ext.from_index(ext.p**k)
+            stk = ctx.frobenius(tk)
             col = []
             for j in range(r):
-                acc = -c[j]
-                for a in range(r):
-                    acc = acc + sc[a] * N.rows[a][j]
-                col.extend(coords(acc))
+                acc = stk * N.rows[i][j]
+                if j == i:
+                    acc = acc - tk
+                col.extend(ext._digits(acc.value))
             cols.append(col)
     kernel = Matrix.from_columns(base, cols).nullspace()
     if len(kernel) != r:

@@ -3,31 +3,42 @@
 Three kinds of base field share one element interface:
 
   * rationals()            -- Q, elements carried as reduced Fractions
-  * prime_field(p)         -- F_p, elements carried as canonical residues 0..p-1
+  * prime_field(p)         -- F_p, elements carried as residues 0..p-1
   * extension_field(p, m)  -- F_{p^m} = F_p[t]/(modulus), elements carried as
-                              coefficient tuples (c_0, ..., c_{m-1}), low degree
-                              first, each reduced mod p
+                              indices 0..q-1: c_0 + c_1 t + ... with each
+                              c_k reduced mod p has index sum(c_k * p^k)
+
+So over every finite field an element's value is one int in [0, q): 0 is
+zero, 1 is one, p is t, and the elements of F_p inside F_{p^m} are exactly
+the values below p.  from_index(i) is the element of value i; elem encodes
+a coefficient tuple and str decodes the digits to print them.
 
 Characteristic 2 is rejected everywhere: the quadratic-form machinery built on
 top divides by 2.  The extension modulus is monic, irreducible, and chosen
 deterministically (smallest candidate by integer encoding sum(c_i * p^i)), so
 two processes always agree on what F_{p^m} means.  Finite-field elements are
-enumerable in a fixed order (by the same integer encoding), which downstream
-point searches rely on for determinism.
+enumerable in a fixed order (by index), which downstream point searches
+rely on for determinism.
 
 Specs are interned: there is one FieldSpec object per field, so equality of
 specs is identity.  extension_field(3, 2) and extension_field(3, 2, (1, 0, 1))
 return the same object; elements of different fields never mix.  Each spec
-builds its zero and one once, as plain attributes, and element arithmetic
-between two F_p elements works on the residues directly.
+builds its zero and one once, as plain attributes.
 
-Over F_{p^m} with q <= _TABLE_LIMIT, products, inverses and powers go
-through one log/antilog pair per spec, to the base of the first primitive
-element in index order (Lidl-Niederreiter, Finite Fields, ch. 2).  The pair
-is built on the first product, inverse or power that needs it, never at
-import, and the point-count tables of motivic.count read the same pair.
-Larger extension fields keep the schoolbook product on coefficient tuples
-and invert as a^(q-2) with it.
+Over F_{p^m} with q <= _TABLE_LIMIT every operation is a lookup in one set
+of O(q) index tables per spec, built on the first operation that needs
+them, never at import: log and exp to the base g of the first primitive
+element in index order (Lidl-Niederreiter, Finite Fields, ch. 2), the Zech
+logarithms zech[d] = log(1 + g^d), so that g^a + g^b = g^(a + zech[b - a])
+(Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990), and
+neg.  The counting tables of motivic.count are built from the same log and
+exp.  Larger extension fields keep the same indices: they add and negate
+digit by digit, and multiply and invert with the schoolbook product on the
+decoded digits.
+
+A spec's _inv, _neg, _scale and _axpy act on values rather than elements,
+so that motivic.linalg reduces rows of plain values over Q and F_{p^m} as
+it does over F_p.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-# Extension fields up to this order get a log/antilog pair; motivic.count
+# Extension fields up to this order get index tables; motivic.count
 # tabulates fields up to the same order.
 _TABLE_LIMIT = 1024
 
@@ -104,7 +115,7 @@ def _irreducible(coeffs, p):
 
 
 def _schoolbook_mul(spec, a, b):
-    """Product of two F_{p^m} coefficient tuples, reduced by the modulus."""
+    """Product of two F_{p^m} digit tuples, reduced by the modulus."""
     m, p = spec.m, spec.p
     prod = [0] * (2 * m - 1)
     for i, x in enumerate(a):
@@ -122,13 +133,41 @@ def _schoolbook_mul(spec, a, b):
 
 
 def _schoolbook_pow(spec, a, e):
-    acc = spec.one.value
+    acc = (1,) + (0,) * (spec.m - 1)
     while e:
         if e & 1:
             acc = _schoolbook_mul(spec, acc, a)
         a = _schoolbook_mul(spec, a, a)
         e >>= 1
     return acc
+
+
+def _encode(digits, p) -> int:
+    """The index sum(c_k * p^k) of the digits c_0, c_1, ..."""
+    i = 0
+    for c in reversed(digits):
+        i = i * p + c
+    return i
+
+
+def _add_digitwise(p, a, b) -> int:
+    """Index of the sum of two elements given by index: digits add mod p."""
+    out, w = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + y) % p * w
+        w *= p
+    return out
+
+
+def _neg_digitwise(p, a) -> int:
+    out, w = 0, 1
+    while a:
+        a, x = divmod(a, p)
+        out += (-x) % p * w
+        w *= p
+    return out
 
 
 def build_extension(p: int, m: int):
@@ -160,7 +199,7 @@ class FieldSpec:
     """
 
     __slots__ = ("kind", "p", "m", "modulus", "order", "_tpowers",
-                 "zero", "one", "_logs")
+                 "zero", "one", "_tables")
 
     def __init__(self, kind, p=0, m=1, modulus=None):
         self.kind = kind  # "Q" | "Fp" | "Fpm"
@@ -168,7 +207,7 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus
         self.order = p**m if kind != "Q" else 0
-        # for Fpm: t^k for k in m..2m-2, reduced, as coefficient tuples
+        # for Fpm: t^k for k in m..2m-2, reduced, as digit tuples
         self._tpowers = None
         if kind == "Fpm":
             red = []
@@ -186,40 +225,152 @@ class FieldSpec:
         # FieldElem is immutable, so every caller can share these two
         if kind == "Q":
             zero, one = Fraction(0), Fraction(1)
-        elif kind == "Fp":
-            zero, one = 0, 1
         else:
-            zero, one = (0,) * m, (1,) + (0,) * (m - 1)
+            zero, one = 0, 1
         self.zero = FieldElem(self, zero)
         self.one = FieldElem(self, one)
-        self._logs = None
+        self._tables = None
 
-    def _log_pair(self):
-        """(log, antilog) of F_{p^m}, built once, for q <= _TABLE_LIMIT.
+    def _index_tables(self):
+        """(log, exp, zech, neg) of F_{p^m}, built once, for q <= _TABLE_LIMIT.
 
         g is the first element in index order whose order is q - 1, found
-        by testing g^((q-1)/r) != 1 for each prime r dividing q - 1.
-        antilog[k] is the tuple of g^k for 0 <= k < 2(q - 1), so a sum of
-        two logs indexes it without a reduction; log maps every nonzero
-        tuple to its exponent below q - 1 and the zero tuple to None.
+        by testing g^((q-1)/r) != 1 for each prime r dividing q - 1.  With
+        n = q - 1: exp[k] is the index of g^k for 0 <= k < 2n, so a sum of
+        two logs indexes it without a reduction; log[i] is the exponent
+        below n of the element of index i, None for i = 0; zech[d] is
+        log(1 + g^d), None where 1 + g^d = 0, so that zech[log b - log a]
+        serves a + b for any two nonzero a, b, a negative difference
+        wrapping round as Python indexing does; neg[i] is the index of
+        the negative.  Every table has O(q) entries.
         """
-        if self._logs is None:
-            n = self.order - 1
-            one = self.one.value
+        if self._tables is None:
+            q, p = self.order, self.p
+            n = q - 1
+            one = (1,) + (0,) * (self.m - 1)
             primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
-            for i in range(2, self.order):
-                g = self.from_index(i).value
+            for i in range(2, q):
+                g = self._digits(i)
                 if all(_schoolbook_pow(self, g, n // r) != one for r in primes):
                     break
             else:
                 raise AssertionError("no primitive element (unreachable)")
-            antilog = [one]
+            exp = [1]
+            x = one
             for _ in range(n - 1):
-                antilog.append(_schoolbook_mul(self, antilog[-1], g))
-            log = {v: k for k, v in enumerate(antilog)}
-            log[self.zero.value] = None
-            self._logs = (log, antilog + antilog)
-        return self._logs
+                x = _schoolbook_mul(self, x, g)
+                exp.append(_encode(x, p))
+            log = [None] * q
+            for k, v in enumerate(exp):
+                log[v] = k
+            # 1 + x differs from x in its lowest digit only
+            zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
+            exp += exp
+            # -1 is g^(n/2)
+            neg = [0] + [exp[log[v] + n // 2] for v in range(1, q)]
+            self._tables = (log, exp, zech, neg)
+        return self._tables
+
+    def _digits(self, i):
+        """The m base-p digits of the index i, lowest first."""
+        p = self.p
+        out = []
+        for _ in range(self.m):
+            i, c = divmod(i, p)
+            out.append(c)
+        return tuple(out)
+
+    # -- arithmetic on values ----------------------------------------------
+    # A value is the residue or index of a finite-field element, the
+    # Fraction of a rational.  _add, _mul and _pow serve F_{p^m}, _neg and
+    # _inv every field, and the row operations _scale and _axpy serve Q
+    # and F_{p^m}; linalg writes those out on residues over F_p.
+
+    def _add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        if self.order > _TABLE_LIMIT:
+            return _add_digitwise(self.p, a, b)
+        log, exp, zech, _ = self._tables or self._index_tables()
+        la = log[a]
+        z = zech[log[b] - la]
+        return 0 if z is None else exp[la + z]
+
+    def _neg(self, a):
+        kind = self.kind
+        if kind == "Fp":
+            return -a % self.p
+        if kind == "Q":
+            return -a
+        if self.order > _TABLE_LIMIT:
+            return _neg_digitwise(self.p, a)
+        return (self._tables or self._index_tables())[3][a]
+
+    def _mul(self, a, b):
+        if not a or not b:
+            return 0
+        if self.order > _TABLE_LIMIT:
+            return _encode(_schoolbook_mul(self, self._digits(a),
+                                           self._digits(b)), self.p)
+        log, exp = (self._tables or self._index_tables())[:2]
+        return exp[log[a] + log[b]]
+
+    def _pow(self, a, e):
+        """a^e for e >= 0, with 0^0 = 1."""
+        if not e:
+            return 1
+        if not a:
+            return 0
+        if self.order > _TABLE_LIMIT:
+            return _encode(_schoolbook_pow(self, self._digits(a), e), self.p)
+        log, exp = (self._tables or self._index_tables())[:2]
+        return exp[log[a] * e % (self.order - 1)]
+
+    def _inv(self, a):
+        """The inverse of a nonzero value."""
+        kind = self.kind
+        if kind == "Fp":
+            return pow(a, self.p - 2, self.p)
+        if kind == "Q":
+            return 1 / a
+        if self.order > _TABLE_LIMIT:
+            return self._pow(a, self.order - 2)
+        log, exp = (self._tables or self._index_tables())[:2]
+        return exp[self.order - 1 - log[a]]
+
+    def _scale(self, c, ys):
+        """[c * y for y in ys] on values."""
+        if self.kind == "Q":
+            return [c * y for y in ys]
+        if self.order > _TABLE_LIMIT:
+            return [self._mul(c, y) for y in ys]
+        log, exp = (self._tables or self._index_tables())[:2]
+        lc = log[c]
+        return [exp[lc + log[y]] if y else 0 for y in ys]
+
+    def _axpy(self, xs, c, ys):
+        """[x + c * y for x, y in zip(xs, ys)] on values, c nonzero."""
+        if self.kind == "Q":
+            return [x + c * y for x, y in zip(xs, ys)]
+        if self.order > _TABLE_LIMIT:
+            return [self._add(x, self._mul(c, y)) for x, y in zip(xs, ys)]
+        log, exp, zech, _ = self._tables or self._index_tables()
+        n = self.order - 1
+        lc = log[c]
+        out = []
+        for x, y in zip(xs, ys):
+            if y:
+                k = lc + log[y]  # c * y is g^k
+                if x:
+                    lx = log[x]
+                    z = zech[(k - lx) % n]
+                    x = 0 if z is None else exp[lx + z]
+                else:
+                    x = exp[k]
+            out.append(x)
+        return out
 
     # -- identity ----------------------------------------------------------
 
@@ -255,6 +406,8 @@ class FieldSpec:
     # -- element construction ----------------------------------------------
 
     def elem(self, x) -> "FieldElem":
+        if type(x) is FieldElem and x.spec is self:
+            return x
         if isinstance(x, FieldElem):
             if x.spec is not self:
                 raise ValueError("element of %s used where %s expected" % (x.spec, self))
@@ -269,32 +422,26 @@ class FieldSpec:
                 return FieldElem(self, v % self.p)
             return FieldElem(self, int(x) % self.p)
         if isinstance(x, int):
-            return FieldElem(self, (x % self.p,) + (0,) * (self.m - 1))
-        coeffs = tuple(int(c) % self.p for c in x)
+            return FieldElem(self, x % self.p)
+        coeffs = [int(c) % self.p for c in x]
         if len(coeffs) > self.m:
             raise ValueError("coefficient tuple longer than extension degree")
-        return FieldElem(self, coeffs + (0,) * (self.m - len(coeffs)))
+        return FieldElem(self, _encode(coeffs, self.p))
 
     def gen(self) -> "FieldElem":
         """The residue class of t (extensions only)."""
         if self.kind != "Fpm":
             raise ValueError("no generator symbol over %s" % self)
-        return self.elem((0, 1))
+        return FieldElem(self, self.p)
 
-    # -- finite enumeration (fixed order: ascending integer encoding) -------
+    # -- finite enumeration (fixed order: ascending index) -------------------
 
     def from_index(self, i: int) -> "FieldElem":
         if not self.is_finite:
             raise ValueError("index enumeration needs a finite field")
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
-        if self.kind == "Fp":
-            return FieldElem(self, i)
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElem(self, tuple(coeffs))
+        return FieldElem(self, i)
 
     def elements(self):
         for i in range(self.order):
@@ -388,48 +535,47 @@ class FieldElem:
             return self.spec.elem(other)
         return NotImplemented
 
-    # The four ring operations first try two F_p elements of one spec
-    # object, the bulk of all calls, on the residues alone.
+    # The ring operations take two elements of one spec object, the bulk of
+    # all calls, without coercion; over F_p they work on the residues
+    # alone, over F_{p^m} through the spec's value arithmetic.
 
     def __add__(self, other):
         s = self.spec
-        if s.kind == "Fp" and type(other) is FieldElem and other.spec is s:
+        if type(other) is not FieldElem or other.spec is not s:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        kind = s.kind
+        if kind == "Fp":
             return FieldElem(s, (self.value + other.value) % s.p)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if s.kind == "Q":
+        if kind == "Q":
             return FieldElem(s, self.value + other.value)
-        if s.kind == "Fp":
-            return FieldElem(s, (self.value + other.value) % s.p)
-        return FieldElem(
-            s, tuple((a + b) % s.p for a, b in zip(self.value, other.value))
-        )
+        return FieldElem(s, s._add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
         s = self.spec
-        if s.kind == "Fp":
-            return FieldElem(s, (-self.value) % s.p)
-        if s.kind == "Q":
-            return FieldElem(s, -self.value)
-        return FieldElem(s, tuple((-a) % s.p for a in self.value))
+        return FieldElem(s, s._neg(self.value))
 
     def __sub__(self, other):
         s = self.spec
-        if s.kind == "Fp" and type(other) is FieldElem and other.spec is s:
+        if type(other) is not FieldElem or other.spec is not s:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        kind = s.kind
+        if kind == "Fp":
             return FieldElem(s, (self.value - other.value) % s.p)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if kind == "Q":
+            return FieldElem(s, self.value - other.value)
+        return FieldElem(s, s._add(self.value, s._neg(other.value)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         s = self.spec
@@ -437,17 +583,12 @@ class FieldElem:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if s.kind == "Fp":
+        kind = s.kind
+        if kind == "Fp":
             return FieldElem(s, (self.value * other.value) % s.p)
-        if s.kind == "Q":
+        if kind == "Q":
             return FieldElem(s, self.value * other.value)
-        if s.order > _TABLE_LIMIT:
-            return FieldElem(s, _schoolbook_mul(s, self.value, other.value))
-        log, antilog = s._logs or s._log_pair()
-        a, b = log[self.value], log[other.value]
-        if a is None or b is None:
-            return s.zero
-        return FieldElem(s, antilog[a + b])
+        return FieldElem(s, s._mul(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -455,14 +596,7 @@ class FieldElem:
         s = self.spec
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in %s" % s)
-        if s.kind == "Q":
-            return FieldElem(s, 1 / self.value)
-        if s.kind == "Fp":
-            return FieldElem(s, pow(self.value, s.p - 2, s.p))
-        if s.order > _TABLE_LIMIT:
-            return FieldElem(s, _schoolbook_pow(s, self.value, s.order - 2))
-        log, antilog = s._logs or s._log_pair()
-        return FieldElem(s, antilog[s.order - 1 - log[self.value]])
+        return FieldElem(s, s._inv(self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -480,24 +614,12 @@ class FieldElem:
         if e < 0:
             return self.inverse() ** (-e)
         s = self.spec
-        if s.kind == "Fp":
+        kind = s.kind
+        if kind == "Fp":
             return FieldElem(s, pow(self.value, e, s.p))
-        if s.kind == "Fpm" and s.order <= _TABLE_LIMIT:
-            if e == 0:
-                return s.one
-            log, antilog = s._logs or s._log_pair()
-            a = log[self.value]
-            if a is None:
-                return s.zero
-            return FieldElem(s, antilog[a * e % (s.order - 1)])
-        acc = s.one
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        if kind == "Q":
+            return FieldElem(s, self.value**e)
+        return FieldElem(s, s._pow(self.value, e))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -510,13 +632,13 @@ class FieldElem:
         return hash((self.spec, self.value))
 
     def is_zero(self) -> bool:
-        return self.value == self.spec.zero.value
+        return not self.value
 
     def is_one(self) -> bool:
-        return self.value == self.spec.one.value
+        return self.value == 1
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.value)
 
     def frobenius(self) -> "FieldElem":
         """x -> x^p, the arithmetic Frobenius (finite fields only)."""
@@ -541,13 +663,9 @@ class FieldElem:
         return (self ** ((s.order - 1) // 2)).is_one()
 
     def __str__(self):
-        if self.spec.kind == "Fpm":
-            nonzero = [k for k, c in enumerate(self.value) if c]
-            if not nonzero:
-                return "0"
-            if nonzero == [0]:
-                return str(self.value[0])
-            return "(" + _tpoly_str(self.value) + ")"
+        s = self.spec
+        if s.kind == "Fpm" and self.value >= s.p:
+            return "(" + _tpoly_str(s._digits(self.value)) + ")"
         return str(self.value)
 
     def __repr__(self):

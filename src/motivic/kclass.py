@@ -107,7 +107,14 @@ class VarietyAtom:
         return "%s: %s" % (self.name, body) if self.name else body
 
     def sort_key(self):
-        return (1, self.ambient, tuple(g.canonical_key()[3] for g in self.generators))
+        terms = tuple(g.canonical_key()[3] for g in self.generators)
+        spec = self.spec
+        if spec.kind == "Fpm":
+            # an F_{p^m} coefficient sorts as its coefficient tuple, lowest
+            # degree first, not as its index
+            terms = tuple(tuple((e, spec._digits(c)) for e, c in g)
+                          for g in terms)
+        return (1, self.ambient, terms)
 
     def structural_key(self):
         return ("variety", self.spec, self.ambient,

@@ -6,8 +6,12 @@ follow the canonical free-variable unit pattern in ascending column order, and
 basis extension appends standard basis vectors in index order.  No floating
 point anywhere.
 
-Over F_p, elimination runs on rows of plain residues and converts back to
-field elements once, at the end; over Q and F_{p^m} it runs on the elements.
+Elimination and products run on rows of plain values -- residues over F_p,
+indices over F_{p^m}, Fractions over Q -- and convert back to field
+elements once, at the end.  Over F_p the row operations are written out on
+the residues; over F_{p^m} and Q they are the value arithmetic of the spec
+(its _inv, _scale and _axpy), which over F_{p^m} is lookup in the spec's
+index tables.
 The public constructor validates and coerces its entries.  Results of rref,
 transpose, products, inverse and solve are valid by construction, so they
 are built through _from_rows, which stores the rows it is given.  _Echelon
@@ -21,11 +25,9 @@ from __future__ import annotations
 from .fields import FieldElem, FieldSpec
 
 
-def _raw(spec, rows):
-    """The rows as residues over F_p, as the elements themselves otherwise."""
-    if spec.kind == "Fp":
-        return [[x.value for x in row] for row in rows]
-    return [list(row) for row in rows]
+def _raw(rows):
+    """The rows as lists of element values."""
+    return [[x.value for x in row] for row in rows]
 
 
 def _eliminate(spec, m, ncols):
@@ -53,12 +55,11 @@ def _eliminate(spec, m, ncols):
                 if i != r and f:
                     m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
         else:
-            inv = m[r][c].inverse()
-            row = m[r] = [x * inv for x in m[r]]
+            row = m[r] = spec._scale(spec._inv(m[r][c]), m[r])
             for i in range(nrows):
                 f = m[i][c]
                 if i != r and f:
-                    m[i] = [a - f * b for a, b in zip(m[i], row)]
+                    m[i] = spec._axpy(m[i], spec._neg(f), row)
         pivots.append(c)
         r += 1
     return tuple(pivots)
@@ -90,9 +91,8 @@ class Matrix:
     @classmethod
     def _from_raw(cls, spec: FieldSpec, rows) -> "Matrix":
         """The matrix of raw rows as _raw gives them."""
-        if spec.kind == "Fp":
-            rows = [[FieldElem(spec, v) for v in row] for row in rows]
-        return cls._from_rows(spec, rows)
+        return cls._from_rows(
+            spec, [[FieldElem(spec, v) for v in row] for row in rows])
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
@@ -124,23 +124,24 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         spec = self.spec
-        if spec.kind == "Fp" and other.spec is spec:
+        if other.spec is not spec:
+            raise ValueError("mixed fields: %s vs %s" % (spec, other.spec))
+        if spec.kind == "Fp":
             p = spec.p
-            cols = list(zip(*_raw(spec, other.rows)))
+            cols = list(zip(*_raw(other.rows)))
             out = [[sum(a * b for a, b in zip(row, col)) % p for col in cols]
-                   for row in _raw(spec, self.rows)]
+                   for row in _raw(self.rows)]
             return Matrix._from_raw(spec, out)
-        z = spec.zero
+        zero = spec.zero.value
+        right = _raw(other.rows)
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix._from_rows(spec, out)
+        for row in _raw(self.rows):
+            acc = [zero] * other.ncols
+            for a, b in zip(row, right):
+                if a:
+                    acc = spec._axpy(acc, a, b)
+            out.append(acc)
+        return Matrix._from_raw(spec, out)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -150,12 +151,12 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-        m = _raw(self.spec, self.rows)
+        m = _raw(self.rows)
         pivots = _eliminate(self.spec, m, self.ncols)
         return Matrix._from_raw(self.spec, m), pivots
 
     def rank(self) -> int:
-        return len(_eliminate(self.spec, _raw(self.spec, self.rows), self.ncols))
+        return len(_eliminate(self.spec, _raw(self.rows), self.ncols))
 
     def nullspace(self):
         """Canonical right-nullspace basis: one vector per free column, which
@@ -209,12 +210,13 @@ class _Echelon:
     Each kept row is scaled to 1 at its pivot and is zero at the pivots of
     the rows kept before it, so reducing a new row against the kept rows in
     order clears every pivot column: the new row is independent exactly
-    when something is left.  Over F_p the kept rows are residues.
+    when something is left.  The kept rows are lists of values.
     """
 
-    __slots__ = ("p", "rows", "pivots")
+    __slots__ = ("spec", "p", "rows", "pivots")
 
     def __init__(self, spec: FieldSpec):
+        self.spec = spec
         self.p = spec.p if spec.kind == "Fp" else 0
         self.rows = []
         self.pivots = []
@@ -222,23 +224,22 @@ class _Echelon:
     def add(self, row) -> bool:
         """Reduce a row of elements against the basis; keep it and return
         True when it is independent of the span, else return False."""
-        p = self.p
-        row = [x.value for x in row] if p else list(row)
+        spec, p = self.spec, self.p
+        row = [x.value for x in row]
         for b, c in zip(self.rows, self.pivots):
             f = row[c]
             if f:
                 if p:
                     row = [(x - f * y) % p for x, y in zip(row, b)]
                 else:
-                    row = [x - f * y for x, y in zip(row, b)]
+                    row = spec._axpy(row, spec._neg(f), b)
         for c, x in enumerate(row):
             if x:
                 if p:
                     inv = pow(x, p - 2, p)
                     row = [y * inv % p for y in row]
                 else:
-                    inv = x.inverse()
-                    row = [y * inv for y in row]
+                    row = spec._scale(spec._inv(x), row)
                 self.rows.append(row)
                 self.pivots.append(c)
                 return True

@@ -14,8 +14,8 @@ normalized to leading coordinate 1.
 
 first_point is the one search for a first rational point of V(gens) that
 the engines run: the isotropic point of a quadric, the singular point of a
-cubic and the common point of two quadrics.  Over a finite field it is
-charged against the budget only for the candidates it walks.
+cubic and the common point of two quadrics.  Over every field it is charged
+against the budget only for the candidates it walks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .count import CountQuery, _first_point
+from .count import BudgetError, CountQuery, _first_point, default_budget
 from .fields import FieldSpec, rationals
 
 
@@ -63,14 +63,21 @@ def first_point(spec: FieldSpec, n: int, gens, height: int = 10,
                 budget=None):
     """First point of V(gens) in P^n in the fixed order, or None.
 
-    Over a finite field the walk is that of count.enumerate_points, charged
-    only for the candidates walked: a point found early passes under any
-    budget, and BudgetError is raised once budget candidates pass without
-    one.  Over Q the search walks rational_reps(n, height).
+    Over a finite field the walk is that of count.enumerate_points; over Q
+    it walks rational_reps(n, height).  Either is charged only for the
+    candidates walked: a point found early passes under any budget, and
+    BudgetError is raised once budget candidates pass without one.
     """
     if spec.is_finite:
         return _first_point(CountQuery(spec, n, gens), budget=budget)
-    for pt in rational_reps(n, height):
+    budget = default_budget() if budget is None else budget
+    for walked, pt in enumerate(rational_reps(n, height), 1):
+        if walked > budget:
+            raise BudgetError(
+                "no rational point of V(%s) in P^%d up to height %d among "
+                "the first %d candidates, budget is %d"
+                % ("; ".join(str(g) for g in gens) or "0", n, height, budget,
+                   budget))
         if all(g.evaluate(pt).is_zero() for g in gens):
             return pt
     return None

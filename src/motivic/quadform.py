@@ -150,9 +150,15 @@ def diagonalize(q: QuadForm):
 def find_projective_point(q: QuadForm, height: int = 10, budget=None):
     """First projective zero of q in canonical order, or None.
 
-    The search is points.first_point: charged only for the candidates it
-    walks over a finite field, height-bounded over Q.
+    The search is points.first_point, charged only for the candidates it
+    walks and height-bounded over Q.  Over Q a form that is definite over
+    R, every diagonal entry of one strict sign, has no real zero and so no
+    rational one: it returns None without a walk, as the walk would.
     """
+    if not q.spec.is_finite:
+        diag = [d.value for d in diagonalize(q)[1]]
+        if all(d > 0 for d in diag) or all(d < 0 for d in diag):
+            return None
     return first_point(q.spec, q.nvars - 1, [q.poly()], height, budget)
 
 

@@ -116,6 +116,67 @@ def test_engine_point_search_obeys_budget(capsys):
     assert code == 0 and "status: ok" in out
 
 
+def test_rational_point_search_obeys_budget(capsys):
+    # x0^2+x1^2+x2^2-7*x3^2 is indefinite, so no real-place argument rules
+    # out a zero, but it has none over Q_2: the height-10 walk over Q finds
+    # nothing and is charged for every candidate it walks
+    job = [
+        "class-quadric", "--field", "Q", "--ambient", "3",
+        "--poly", "x0^2+x1^2+x2^2-7*x3^2", "--no-verify",
+    ]
+    code, out, err = _run(capsys, job + ["--budget", "100"])
+    assert code == 2 and out == ""
+    assert ("in P^3 up to height 10 among the first 100 candidates, "
+            "budget is 100") in err
+    code, out, _ = _run(capsys, job + ["--budget", "100", "--height", "1"])
+    assert code == 0 and "no rational zero up to height 1" in out
+
+
+def test_definite_rational_form_needs_no_walk(capsys, monkeypatch):
+    import time
+
+    import motivic.quadform
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a definite form was searched")
+
+    monkeypatch.setattr(motivic.quadform, "first_point", no_walk)
+    for poly in ("x0^2+x1^2+x2^2+x3^2+x4^2", "-x0^2-2*x1^2-x2^2-x3^2-3*x4^2"):
+        t0 = time.perf_counter()
+        code, out, _ = _run(capsys, [
+            "class-quadric", "--field", "Q", "--ambient", "4",
+            "--poly=" + poly, "--budget", "10", "--json",
+        ])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "ok"
+        assert report["result"]["trace"][-1]["rule"] == (
+            "unresolved-pointless-form")
+
+
+def test_definite_form_report_matches_reference_walk(capsys, monkeypatch):
+    """The real-place prune writes the bytes the height-bounded walk did."""
+    import motivic.strat
+    from motivic.points import rational_reps
+
+    def reference_search(qf, height=10, budget=None):
+        f = qf.poly()
+        for pt in rational_reps(qf.nvars - 1, height):
+            if f.evaluate(pt).is_zero():
+                return pt
+        return None
+
+    job = ["class-quadric", "--field", "Q", "--ambient", "2",
+           "--poly", "2*x0^2+x0*x1+x1^2+3*x2^2", "--height", "3", "--json"]
+    code, pruned, _ = _run(capsys, job)
+    assert code == 0 and "no rational zero up to height 3" in pruned
+    monkeypatch.setattr(motivic.strat, "find_projective_point",
+                        reference_search)
+    code, walked, _ = _run(capsys, job)
+    assert code == 0 and walked == pruned
+
+
 def test_two_quadric_check_fits_default_budget_at_f101(capsys):
     # S = V(y1, h, L1, R) is empty here; walked in the hyperplane y1 = 0 it
     # costs 101^3 candidates, far below the default budget that the 101^4

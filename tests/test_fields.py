@@ -162,7 +162,21 @@ def test_zero_and_one_are_shared_constants():
         assert spec.zero == spec.elem(0) and spec.one == spec.elem(1)
 
 
-# -- log/antilog arithmetic over F_{p^m}, against a schoolbook reference
+# -- table arithmetic over F_{p^m}, against a schoolbook reference
+
+
+def _tup(spec, i):
+    """The coefficient tuple (c_0, ..., c_{m-1}) of the element of index i."""
+    return tuple(i // spec.p**k % spec.p for k in range(spec.m))
+
+
+def _ref_add(spec, a, b):
+    """Sum of coefficient tuples, digit by digit mod p."""
+    return tuple((x + y) % spec.p for x, y in zip(a, b))
+
+
+def _ref_neg(spec, a):
+    return tuple(-x % spec.p for x in a)
 
 
 def _ref_mul(spec, a, b):
@@ -181,7 +195,7 @@ def _ref_mul(spec, a, b):
 
 
 def _ref_pow(spec, a, e):
-    acc = spec.one.value
+    acc = _tup(spec, spec.one.value)
     for _ in range(e):
         acc = _ref_mul(spec, acc, a)
     return acc
@@ -189,7 +203,7 @@ def _ref_pow(spec, a, e):
 
 def _ref_inverse(spec, a):
     # a^(q-2), by square and multiply on the reference product
-    acc, e = spec.one.value, spec.order - 2
+    acc, e = _tup(spec, spec.one.value), spec.order - 2
     while e:
         if e & 1:
             acc = _ref_mul(spec, acc, a)
@@ -210,18 +224,37 @@ def test_extension_ops_match_schoolbook(spec, data):
     a = spec.from_index(data.draw(index))
     b = spec.from_index(data.draw(index))
     e = data.draw(st.integers(0, 40))
-    assert (a * b).value == _ref_mul(spec, a.value, b.value)
-    assert (a ** e).value == _ref_pow(spec, a.value, e)
+    ta, tb = _tup(spec, a.value), _tup(spec, b.value)
+    assert _tup(spec, (a * b).value) == _ref_mul(spec, ta, tb)
+    assert _tup(spec, (a ** e).value) == _ref_pow(spec, ta, e)
+    assert _tup(spec, (a + b).value) == _ref_add(spec, ta, tb)
+    assert _tup(spec, (a - b).value) == _ref_add(spec, ta, _ref_neg(spec, tb))
+    assert _tup(spec, (-a).value) == _ref_neg(spec, ta)
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
             b.inverse()
         with pytest.raises(ZeroDivisionError):
             a / b
     else:
-        inv = _ref_inverse(spec, b.value)
-        assert b.inverse().value == inv
-        assert (a / b).value == _ref_mul(spec, a.value, inv)
-        assert (b ** -e).value == _ref_pow(spec, inv, e)
+        inv = _ref_inverse(spec, tb)
+        assert _tup(spec, b.inverse().value) == inv
+        assert _tup(spec, (a / b).value) == _ref_mul(spec, ta, inv)
+        assert _tup(spec, (b ** -e).value) == _ref_pow(spec, inv, e)
+
+
+@pytest.mark.parametrize("spec", _LOGGED[:3] + [extension_field(7, 2)],
+                         ids=str)
+def test_extension_sums_match_digitwise_on_every_pair(spec):
+    """Every sum and difference, a + (-a) among them, where the Zech
+    logarithm of -1 is undefined."""
+    for i in range(spec.order):
+        a, ta = spec.from_index(i), _tup(spec, i)
+        assert _tup(spec, (-a).value) == _ref_neg(spec, ta)
+        for j in range(spec.order):
+            b, tb = spec.from_index(j), _tup(spec, j)
+            assert _tup(spec, (a + b).value) == _ref_add(spec, ta, tb)
+            assert _tup(spec, (a - b).value) == _ref_add(
+                spec, ta, _ref_neg(spec, tb))
 
 
 def test_log_pair_is_lazy_and_uses_first_primitive_element():
@@ -230,22 +263,61 @@ def test_log_pair_is_lazy_and_uses_first_primitive_element():
     assert extension_field(31, 3).order > _TABLE_LIMIT
     for p, m in ((3, 2), (5, 2), (3, 3), (7, 2)):
         spec = FieldSpec("Fpm", p=p, m=m, modulus=build_extension(p, m))
-        assert spec._logs is None  # nothing built with the spec
+        assert spec._tables is None  # nothing built with the spec
         t = spec.gen()
-        assert (t * t).value == _ref_mul(spec, t.value, t.value)
-        log, antilog = spec._logs
+        tt = _tup(spec, t.value)
+        assert _tup(spec, (t * t).value) == _ref_mul(spec, tt, tt)
+        log, antilog = spec._tables[:2]
         q = spec.order
         # the base is the first element in index order of order q - 1
         for i in range(2, q):
-            x = spec.from_index(i).value
+            x = _tup(spec, spec.from_index(i).value)
             powers = {_ref_pow(spec, x, k) for k in range(1, q)}
             if len(powers) == q - 1:
-                assert antilog[1] == x
+                assert _tup(spec, antilog[1]) == x
                 break
         assert len(antilog) == 2 * (q - 1)
         assert log[spec.zero.value] is None
-        assert sorted(v for v in log.values() if v is not None) == list(
-            range(q - 1))
+        assert sorted(v for v in log if v is not None) == list(range(q - 1))
+        # every table is O(q), none q x q
+        assert all(len(table) <= 2 * q for table in spec._tables)
     big = FieldSpec("Fpm", p=31, m=3, modulus=build_extension(31, 3))
     big.gen() * big.gen()
-    assert big._logs is None
+    big.gen() + big.one
+    assert big._tables is None
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3), (5, 3), (31, 3)],
+                         ids=lambda v: str(v))
+def test_index_encoding_round_trip(p, m):
+    """elem(tuple), from_index, gen, str and parse_poly of t-literals agree
+    on each element; the base field is the indices below p, the elements
+    whose coefficients but the constant are all zero."""
+    import random
+
+    from motivic.descent import GaloisContext
+    from motivic.parse import parse_poly
+
+    spec = extension_field(p, m)
+    ctx = GaloisContext(prime_field(p), spec)
+    t = spec.gen()
+    assert t.value == p and spec.from_index(p) == t
+    q = spec.order
+    if q <= 125:
+        indices = range(q)
+    else:
+        indices = [0, 1, p - 1, p, q - 1] + random.Random(0).sample(
+            range(q), 200)
+    for i in indices:
+        coeffs = _tup(spec, i)
+        a = spec.from_index(i)
+        assert a.value == i and spec.elem(coeffs) == a
+        assert sum((c * t**k for k, c in enumerate(coeffs)), spec.zero) == a
+        text = str(a)
+        assert (text == str(i)) == (i < p)
+        assert parse_poly("%s*x0" % text, spec, 1).coefficient_of((1,)) == a
+        v = ctx.in_base(a)
+        if all(c == 0 for c in coeffs[1:]):
+            assert v == prime_field(p).elem(coeffs[0])
+        else:
+            assert v is None

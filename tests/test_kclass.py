@@ -42,6 +42,19 @@ def test_residuals_merge_and_cancel():
     assert not z.residuals
 
 
+def test_extension_atoms_sort_by_coefficient_tuples():
+    """Atoms over F_{p^m} order as their coefficient tuples (lowest degree
+    first) compare, whatever integer encodes an element."""
+    from motivic.fields import extension_field
+
+    F9 = extension_field(3, 2)
+    atoms = [VarietyAtom(F9, 1, [parse_poly(s, F9, 2)])
+             for s in ("x0 + 2*x1", "x0 + (1+t)*x1", "x0 + t*x1")]
+    e = sum((ClassExpr.from_atom(a) for a in atoms), ClassExpr())
+    assert str(e) == ("[V(x0 + (t)*x1) in P^1] + [V(x0 + (1+t)*x1) in P^1]"
+                      " + [V(x0 + 2*x1) in P^1]")
+
+
 def test_residuals_sorted_by_shift_then_atom():
     a = EtaleAtom([2])
     b = EtaleAtom([1, 1])
