@@ -390,7 +390,7 @@ def _verify_report(path):
         with open(path, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
         job = JobSpec.from_echo(saved["command"], saved["input"])
-    except (OSError, KeyError, TypeError, ValueError) as e:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as e:
         print("error: cannot read report: %s" % e, file=sys.stderr)
         return 2
     fresh, code = run(job)

@@ -345,8 +345,7 @@ def _strata(query: CountQuery):
 # ---------------------------------------------------------------------------
 # public API
 
-def count_points(query: CountQuery, budget: int | None = None,
-                 workers: int | None = None) -> int:
+def count_points(query: CountQuery, budget: int | None = None) -> int:
     """Number of F_q-points of the query, counted stratum by stratum."""
     budget = default_budget() if budget is None else budget
     if query.cost() > budget:
@@ -378,8 +377,7 @@ def count_points(query: CountQuery, budget: int | None = None,
             len(polys), offs, coeffs, exps, mul, add, powt, maxd, union,
         )
 
-    if workers is None:
-        workers = _env_int("MOTIVIC_WORKERS", 1)
+    workers = _env_int("MOTIVIC_WORKERS", 1)
     if workers > 1 and len(jobs) > 1 and _ckernel is not None:
         # the compiled kernel drops the GIL, so threads actually help; more
         # threads than cores or strata would only wait

@@ -74,8 +74,6 @@ class GaloisContext:
 
     def in_base(self, a):
         """The base-field value of a, or None if a is not Frobenius-fixed."""
-        if self.ext.kind == "Fp":
-            return a
         if a.value >= self.base.p:
             return None
         return FieldElem(self.base, a.value)
@@ -193,12 +191,12 @@ def frobenius_stability_check(forms):
     return cocycle
 
 
-def h90_trivialize(ctx: GaloisContext, cocycle: Cocycle, seed: int = 0,
-                   retries: int = 64) -> Matrix:
+def h90_trivialize(ctx: GaloisContext, cocycle: Cocycle, seed: int = 0) -> Matrix:
     """Invertible B over ext with alpha_s = B . s(B)^(-1).
 
     B = sum_i alpha_{s^i} . s^i(C) satisfies the equation for any C; the
-    averaging is retried over seeded random C until B is invertible.
+    averaging is retried over up to 64 seeded random C until B is
+    invertible.
     """
     if not cocycle.condition_holds(ctx):
         raise ValueError("not a cocycle")
@@ -218,7 +216,7 @@ def h90_trivialize(ctx: GaloisContext, cocycle: Cocycle, seed: int = 0,
 
     rng = random.Random(seed)
     order = ctx.ext.order
-    for attempt in range(retries):
+    for attempt in range(64):
         C = ident if attempt == 0 else Matrix(
             ctx.ext,
             [[ctx.ext.from_index(rng.randrange(order)) for _ in range(r)]
@@ -231,7 +229,7 @@ def h90_trivialize(ctx: GaloisContext, cocycle: Cocycle, seed: int = 0,
             raise DefectError("averaged matrix violates the cocycle equation")
         return B
     raise ValueError(
-        "no invertible average found in %d tries (seed %d)" % (retries, seed)
+        "no invertible average found in 64 tries (seed %d)" % seed
     )
 
 

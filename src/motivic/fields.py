@@ -36,9 +36,11 @@ exp.  Larger extension fields keep the same indices: they add and negate
 digit by digit, and multiply and invert with the schoolbook product on the
 decoded digits.
 
-A spec's _inv, _neg, _scale and _axpy act on values rather than elements,
-so that motivic.linalg reduces rows of plain values over Q and F_{p^m} as
-it does over F_p.
+A spec's value operations (_add, _mul, _neg, _inv, the row operations
+_scale and _axpy, and _str, the text of a value) act on values rather than
+elements.  They are the one place that knows how the values of each field
+combine and print: motivic.linalg and motivic.poly run one path on plain
+values for every field and build elements only at their edges.
 """
 
 from __future__ import annotations
@@ -282,9 +284,9 @@ class FieldSpec:
 
     # -- arithmetic on values ----------------------------------------------
     # A value is the residue or index of a finite-field element, the
-    # Fraction of a rational.  _add, _mul and _pow serve F_{p^m}, _neg and
-    # _inv every field, and the row operations _scale and _axpy serve Q
-    # and F_{p^m}; linalg writes those out on residues over F_p.
+    # Fraction of a rational.  _add, _mul and _pow serve F_{p^m}, where
+    # Python's + and * on values are not the field's; _neg, _inv, _str and
+    # the row operations _scale and _axpy serve every field.
 
     def _add(self, a, b):
         if not a:
@@ -342,7 +344,11 @@ class FieldSpec:
 
     def _scale(self, c, ys):
         """[c * y for y in ys] on values."""
-        if self.kind == "Q":
+        kind = self.kind
+        if kind == "Fp":
+            p = self.p
+            return [c * y % p for y in ys]
+        if kind == "Q":
             return [c * y for y in ys]
         if self.order > _TABLE_LIMIT:
             return [self._mul(c, y) for y in ys]
@@ -352,7 +358,11 @@ class FieldSpec:
 
     def _axpy(self, xs, c, ys):
         """[x + c * y for x, y in zip(xs, ys)] on values, c nonzero."""
-        if self.kind == "Q":
+        kind = self.kind
+        if kind == "Fp":
+            p = self.p
+            return [(x + c * y) % p for x, y in zip(xs, ys)]
+        if kind == "Q":
             return [x + c * y for x, y in zip(xs, ys)]
         if self.order > _TABLE_LIMIT:
             return [self._add(x, self._mul(c, y)) for x, y in zip(xs, ys)]
@@ -371,6 +381,13 @@ class FieldSpec:
                     x = exp[k]
             out.append(x)
         return out
+
+    def _str(self, a) -> str:
+        """The text of the element of value a: over F_{p^m} an element
+        outside F_p prints as its t-polynomial in parentheses."""
+        if self.kind == "Fpm" and a >= self.p:
+            return "(" + _tpoly_str(self._digits(a)) + ")"
+        return str(a)
 
     # -- identity ----------------------------------------------------------
 
@@ -442,10 +459,6 @@ class FieldSpec:
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
         return FieldElem(self, i)
-
-    def elements(self):
-        for i in range(self.order):
-            yield self.from_index(i)
 
 
 @functools.lru_cache(maxsize=None)
@@ -663,10 +676,7 @@ class FieldElem:
         return (self ** ((s.order - 1) // 2)).is_one()
 
     def __str__(self):
-        s = self.spec
-        if s.kind == "Fpm" and self.value >= s.p:
-            return "(" + _tpoly_str(s._digits(self.value)) + ")"
-        return str(self.value)
+        return self.spec._str(self.value)
 
     def __repr__(self):
         return "%s:%s" % (self.spec, self)

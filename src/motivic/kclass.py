@@ -198,8 +198,8 @@ class ClassExpr:
         return cls({0: n})
 
     @classmethod
-    def from_atom(cls, atom, shift: int = 0, coeff: int = 1) -> "ClassExpr":
-        return cls({}, [(shift, coeff, atom)])
+    def from_atom(cls, atom, shift: int = 0) -> "ClassExpr":
+        return cls({}, [(shift, 1, atom)])
 
     # -- ring-ish operations ---------------------------------------------------
 

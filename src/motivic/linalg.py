@@ -8,10 +8,9 @@ point anywhere.
 
 Elimination and products run on rows of plain values -- residues over F_p,
 indices over F_{p^m}, Fractions over Q -- and convert back to field
-elements once, at the end.  Over F_p the row operations are written out on
-the residues; over F_{p^m} and Q they are the value arithmetic of the spec
-(its _inv, _scale and _axpy), which over F_{p^m} is lookup in the spec's
-index tables.
+elements once, at the end.  Their one path for every field is the value
+arithmetic of the spec (its _inv, _neg, _scale and _axpy), which over
+F_{p^m} is lookup in the spec's index tables.
 The public constructor validates and coerces its entries.  Results of rref,
 transpose, products, inverse and solve are valid by construction, so they
 are built through _from_rows, which stores the rows it is given.  _Echelon
@@ -32,7 +31,6 @@ def _raw(rows):
 
 def _eliminate(spec, m, ncols):
     """Reduce the raw rows m (see _raw) to rref in place; return the pivots."""
-    p = spec.p if spec.kind == "Fp" else 0
     nrows = len(m)
     pivots = []
     r = 0
@@ -47,19 +45,11 @@ def _eliminate(spec, m, ncols):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        if p:
-            inv = pow(m[r][c], p - 2, p)
-            row = m[r] = [x * inv % p for x in m[r]]
-            for i in range(nrows):
-                f = m[i][c]
-                if i != r and f:
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
-        else:
-            row = m[r] = spec._scale(spec._inv(m[r][c]), m[r])
-            for i in range(nrows):
-                f = m[i][c]
-                if i != r and f:
-                    m[i] = spec._axpy(m[i], spec._neg(f), row)
+        row = m[r] = spec._scale(spec._inv(m[r][c]), m[r])
+        for i in range(nrows):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = spec._axpy(m[i], spec._neg(f), row)
         pivots.append(c)
         r += 1
     return tuple(pivots)
@@ -126,12 +116,6 @@ class Matrix:
         spec = self.spec
         if other.spec is not spec:
             raise ValueError("mixed fields: %s vs %s" % (spec, other.spec))
-        if spec.kind == "Fp":
-            p = spec.p
-            cols = list(zip(*_raw(other.rows)))
-            out = [[sum(a * b for a, b in zip(row, col)) % p for col in cols]
-                   for row in _raw(self.rows)]
-            return Matrix._from_raw(spec, out)
         zero = spec.zero.value
         right = _raw(other.rows)
         out = []
@@ -213,33 +197,25 @@ class _Echelon:
     when something is left.  The kept rows are lists of values.
     """
 
-    __slots__ = ("spec", "p", "rows", "pivots")
+    __slots__ = ("spec", "rows", "pivots")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.p = spec.p if spec.kind == "Fp" else 0
         self.rows = []
         self.pivots = []
 
     def add(self, row) -> bool:
         """Reduce a row of elements against the basis; keep it and return
         True when it is independent of the span, else return False."""
-        spec, p = self.spec, self.p
+        spec = self.spec
         row = [x.value for x in row]
         for b, c in zip(self.rows, self.pivots):
             f = row[c]
             if f:
-                if p:
-                    row = [(x - f * y) % p for x, y in zip(row, b)]
-                else:
-                    row = spec._axpy(row, spec._neg(f), b)
+                row = spec._axpy(row, spec._neg(f), b)
         for c, x in enumerate(row):
             if x:
-                if p:
-                    inv = pow(x, p - 2, p)
-                    row = [y * inv % p for y in row]
-                else:
-                    row = spec._scale(spec._inv(x), row)
+                row = spec._scale(spec._inv(x), row)
                 self.rows.append(row)
                 self.pivots.append(c)
                 return True

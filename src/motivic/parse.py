@@ -168,7 +168,13 @@ def _parse_term(s: _Stream, spec: FieldSpec, nvars: int):
 
 
 def parse_poly(src: str, spec: FieldSpec, nvars: int) -> HomogPoly:
-    """Parse a homogeneous polynomial; degree is inferred from the terms."""
+    """Parse a homogeneous polynomial; degree is inferred from the terms.
+
+    The terms are checked as they are read, so the result is built without
+    the constructor's second pass over them.
+    """
+    if nvars < 1:
+        raise ValueError("need at least one variable")
     s = _Stream(_tokenize(src), src)
     if s.peek() is None:
         raise ParseError("empty polynomial text")
@@ -209,7 +215,7 @@ def parse_poly(src: str, spec: FieldSpec, nvars: int) -> HomogPoly:
     degrees = {sum(e) for e in acc}
     if len(degrees) != 1:
         raise ParseError("polynomial is not homogeneous: %r" % (src,))
-    return HomogPoly(spec, nvars, degrees.pop(), acc)
+    return HomogPoly._from_terms(spec, nvars, degrees.pop(), acc)
 
 
 def parse_scalar(src: str, spec: FieldSpec):

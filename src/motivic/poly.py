@@ -10,9 +10,10 @@ printed form, and every deterministic tie-break downstream.
 Every product of forms (*, power, HomogPoly.product and the row powers of
 linear_substitute) takes one packed path, _Packing: exponent tuples become
 integer codes whose sums are the codes of product monomials, coefficients
-stay raw residues over F_p, and the result becomes a HomogPoly once, at the
-end.  HomogPoly.product_text prints a product straight from its codes,
-without that HomogPoly; a form keeps its text once it is printed.
+are plain values of the field (see motivic.fields), and the result becomes
+a HomogPoly once, at the end.  HomogPoly.product_text prints a product
+straight from its codes, without that HomogPoly; a form keeps its text once
+it is printed.
 """
 
 from __future__ import annotations
@@ -49,60 +50,64 @@ class _Packing:
     monomial is the sum of the codes of its factors, and every product of
     forms is a convolution of packed dicts.  Codes of one degree order like
     their exponent tuples, so descending codes are the canonical term order.
-    Over F_p coefficients are raw residues, reduced once per product; over
-    F_{p^m} and Q they are FieldElems.  unpack turns the final dict back
-    into a HomogPoly, and text prints it.
+    Coefficients are values of the field: over F_p residues, summed
+    unreduced and reduced mod p once per product, over Q Fractions, over
+    F_{p^m} indices combined by the spec's _add and _mul.  unpack turns the
+    final dict back into a HomogPoly, the one place that builds FieldElems,
+    and text prints it.
     """
 
-    __slots__ = ("spec", "nvars", "base", "weights", "p", "one")
+    __slots__ = ("spec", "nvars", "base", "weights", "p", "one", "_convolve")
 
     def __init__(self, spec, nvars, degree):
         self.spec = spec
         self.nvars = nvars
         self.base = degree + 1
         self.weights = [self.base**i for i in reversed(range(nvars))]
-        self.p = spec.p if spec.kind == "Fp" else None
-        self.one = {0: 1 if self.p else spec.one}
+        self.p = spec.p if spec.kind == "Fp" else 0
+        self.one = {0: spec.one.value}
+        self._convolve = (self._convolve_by_spec if spec.kind == "Fpm"
+                          else self._convolve_by_operators)
 
     def pack(self, f) -> dict:
         w = self.weights
-        if self.p:
-            return {sum(map(mul, e, w)): c.value for e, c in f.terms.items()}
-        return {sum(map(mul, e, w)): c for e, c in f.terms.items()}
+        return {sum(map(mul, e, w)): c.value for e, c in f.terms.items()}
 
     def pack_linear(self, row) -> dict:
         """The linear form sum(row[j] * x_j)."""
-        return {w: (c.value if self.p else c)
-                for w, c in zip(self.weights, row) if not c.is_zero()}
+        return {w: c.value for w, c in zip(self.weights, row) if c.value}
 
-    def _convolve(self, acc, left, right):
-        """acc[k1 + k2] += v1 * v2 over all pairs, unreduced over F_p."""
+    @staticmethod
+    def _convolve_by_operators(acc, left, right):
+        """acc[k1 + k2] += v1 * v2 over all pairs, on values that Python's
+        + and * combine: residues (unreduced) over F_p, Fractions over Q."""
         right = list(right.items())
         get = acc.get
-        if self.p:
-            for k1, v1 in left:
-                for k2, v2 in right:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + v1 * v2
-            return
         for k1, v1 in left:
             for k2, v2 in right:
                 k = k1 + k2
-                prod = v1 * v2
-                prev = get(k)
-                acc[k] = prod if prev is None else prev + prod
+                acc[k] = get(k, 0) + v1 * v2
+
+    def _convolve_by_spec(self, acc, left, right):
+        """acc[k1 + k2] += v1 * v2 over all pairs, through the spec's
+        value arithmetic, for F_{p^m}."""
+        right = list(right.items())
+        get = acc.get
+        add, times = self.spec._add, self.spec._mul
+        for k1, v1 in left:
+            for k2, v2 in right:
+                k = k1 + k2
+                acc[k] = add(get(k, 0), times(v1, v2))
 
     def add_product(self, acc, a, b, c):
-        """acc += c * a * b for a FieldElem c, unreduced over F_p."""
-        if self.p:
-            c = c.value
-        self._convolve(acc, [(k, v * c) for k, v in a.items()], b)
+        """acc += c * a * b for a nonzero FieldElem c, unreduced over F_p."""
+        self._convolve(acc, zip(a, self.spec._scale(c.value, a.values())), b)
 
     def reduce(self, acc) -> dict:
         """acc without zero coefficients, residues reduced mod p."""
         p = self.p
         if not p:
-            return {k: c for k, c in acc.items() if not c.is_zero()}
+            return {k: c for k, c in acc.items() if c}
         out = {}
         for k, v in acc.items():
             v %= p
@@ -149,11 +154,8 @@ class _Packing:
     def unpack(self, packed, degree) -> "HomogPoly":
         spec = self.spec
         halves = self._halves(packed, tuple, tuple)
-        if self.p:
-            terms = {hi + lo: FieldElem(spec, c)
-                     for (hi, lo), c in zip(halves, packed.values())}
-        else:
-            terms = {hi + lo: c for (hi, lo), c in zip(halves, packed.values())}
+        terms = {hi + lo: FieldElem(spec, c)
+                 for (hi, lo), c in zip(halves, packed.values())}
         return HomogPoly._from_terms(spec, self.nvars, degree, terms)
 
     def text(self, packed, degree) -> str:
@@ -166,8 +168,7 @@ class _Packing:
         monomials = [hi + "*" + lo if hi and lo else hi or lo
                      for hi, lo in halves]
         return _join_terms(zip(monomials, map(packed.__getitem__, codes)),
-                           1 if self.p else self.spec.one,
-                           self.spec.kind == "Q")
+                           self.spec)
 
 
 class HomogPoly:
@@ -452,13 +453,8 @@ class HomogPoly:
         except AttributeError:
             pass
         names = _power_names(self.nvars, self.degree)
-        spec = self.spec
-        # over F_p the printer gets raw residues, as it does from _Packing
-        fp = spec.kind == "Fp"
-        terms = [(_monomial(names, e), c.value if fp else c)
-                 for e, c in self.sorted_terms()]
-        text = self._text = _join_terms(terms, 1 if fp else spec.one,
-                                        spec.kind == "Q")
+        terms = [(_monomial(names, e), c.value) for e, c in self.sorted_terms()]
+        text = self._text = _join_terms(terms, self.spec)
         return text
 
     def __repr__(self):
@@ -500,20 +496,24 @@ def _monomial(names, exps) -> str:
     return "*".join([row[e] for row, e in zip(names, exps) if e])
 
 
-def _join_terms(terms, one, signed) -> str:
-    """Canonical printer of (monomial text, coefficient) pairs in term order.
+def _join_terms(terms, spec) -> str:
+    """Canonical printer of (monomial text, coefficient value) pairs in term
+    order.
 
-    A coefficient is an F_p residue or a FieldElem, printed before its
-    monomial unless it equals one.  Only when signed, over Q, does a term
-    print its magnitude, with its sign between the terms.
+    A coefficient prints through spec._str before its monomial unless it is
+    one.  A negative value, which only Q has, prints its magnitude, with its
+    sign between the terms.
     """
+    terms = list(terms)
+    negative = [c < 0 for _, c in terms]
+    signed = any(negative)
     if signed:
-        terms = list(terms)
-        negative = [c.value < 0 for _, c in terms]
         terms = [(mono, -c if neg else c)
                  for (mono, c), neg in zip(terms, negative)]
-    pieces = [mono if mono and c == one else
-              "%s*%s" % (c, mono) if mono else str(c) for mono, c in terms]
+    show = spec._str
+    pieces = [mono if mono and c == 1 else
+              "%s*%s" % (show(c), mono) if mono else show(c)
+              for mono, c in terms]
     if not pieces:
         return "0"
     if not signed:

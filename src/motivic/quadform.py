@@ -66,7 +66,8 @@ class QuadForm:
                 c = self.gram.rows[i][j]
                 if not c.is_zero():
                     terms[tuple(1 if k in (i, j) else 0 for k in range(n))] = c + c
-        return HomogPoly(self.spec, n, 2, terms)
+        # in odd characteristic c + c is nonzero
+        return HomogPoly._from_terms(self.spec, n, 2, terms)
 
     def evaluate(self, x):
         x = [self.spec.elem(v) for v in x]

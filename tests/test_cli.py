@@ -509,6 +509,11 @@ def test_verify_unreadable_report(tmp_path, capsys):
     bad.write_text("not json", encoding="utf-8")
     code, _, err = _run(capsys, ["verify", str(bad)])
     assert code == 2
+    # json.load gives up on nesting deeper than the recursion limit
+    bad.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = _run(capsys, ["verify", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read report: ")
 
 
 def _edited_report(tmp_path, capsys, field, value):

@@ -206,13 +206,15 @@ def test_enumerate_matches_count():
             assert all(g.evaluate(pt).is_zero() for g in query.generators)
 
 
-def test_workers_agree():
+def test_workers_agree(monkeypatch):
+    monkeypatch.setenv("MOTIVIC_WORKERS", "4")
     query = _q(["x0*x1 + x2*x3"], F5, 3)
-    assert count_points(query, workers=4) == 36
+    assert count_points(query) == 36
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    """workers=10**6 asks for no more threads than cores or strata."""
+    """MOTIVIC_WORKERS=10**6 asks for no more threads than cores or
+    strata."""
     asked = []
 
     class RecordingPool:
@@ -232,8 +234,9 @@ def test_worker_count_is_clamped(monkeypatch):
     monkeypatch.setattr(motivic.count, "ThreadPoolExecutor", RecordingPool)
     # any kernel in the _ckernel slot takes the threaded path
     monkeypatch.setattr(motivic.count, "_ckernel", _pure)
+    monkeypatch.setenv("MOTIVIC_WORKERS", str(10**6))
     query = _q(["x0*x1 + x2*x3"], F5, 3)  # four lead strata
-    assert count_points(query, workers=10**6) == 36
+    assert count_points(query) == 36
     assert asked == [min(os.cpu_count() or 1, 4)]
 
 
@@ -243,6 +246,7 @@ def test_worker_count_is_clamped(monkeypatch):
 # with the direct kernel calls.
 _COMPILED_CHECK = """
 import json
+import os
 from array import array
 import motivic, motivic.count as count
 from motivic.count import CountQuery, _pure, count_points, enumerate_points
@@ -280,7 +284,10 @@ queries += [CountQuery.union(spec, n, [
     for s in polys], chart) for spec, n, polys, chart in UNIONS]
 print(motivic.__file__)
 for query in queries:
-    row = [count_points(query), count_points(query, workers=2)]
+    row = [count_points(query)]
+    os.environ["MOTIVIC_WORKERS"] = "2"
+    row.append(count_points(query))
+    del os.environ["MOTIVIC_WORKERS"]
     count._ckernel = None
     row.append(count_points(query))
     count._ckernel = ckernel
@@ -366,7 +373,7 @@ def test_compiled_kernel_agrees_with_pure(tmp_path):
 
 def _tables_by_element_arithmetic(spec):
     """The add and mul tables as FieldElem arithmetic gives them."""
-    elems = list(spec.elements())
+    elems = [spec.from_index(i) for i in range(spec.order)]
     index = {e: i for i, e in enumerate(elems)}
     return ([index[a + b] for a in elems for b in elems],
             [index[a * b] for a in elems for b in elems])
@@ -377,8 +384,8 @@ def _tables_by_element_arithmetic(spec):
 ], ids=str)
 def test_field_tables_match_element_arithmetic(spec):
     add, mul = motivic.count._field_tables(spec)
-    # the tables index elements by value: element i of spec.elements()
-    elems = list(spec.elements())
+    # the tables index elements by value: element i is spec.from_index(i)
+    elems = [spec.from_index(i) for i in range(spec.order)]
     assert [e.value for e in elems] == list(range(spec.order))
     assert add.typecode == mul.typecode == "i"
     assert (list(add), list(mul)) == _tables_by_element_arithmetic(spec)

@@ -166,7 +166,8 @@ def test_solve_recovers_rhs_over_q(row, b):
 # -- residue elimination and the echelon helper, against FieldElem references
 
 _SPECS = [prime_field(p) for p in (3, 5, 7, 11, 13, 31)] + [
-    extension_field(3, 2), extension_field(5, 2), extension_field(3, 3), Q]
+    extension_field(3, 2), extension_field(5, 2), extension_field(3, 3),
+    extension_field(37, 2), Q]
 
 
 def _reference_rref(rows, ncols):

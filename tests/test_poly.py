@@ -8,6 +8,7 @@ from motivic.fields import extension_field, prime_field, rationals
 from motivic.linalg import Matrix
 from motivic.poly import HomogPoly
 from motivic.parse import parse_poly
+from motivic.quadform import QuadForm
 
 F5 = prime_field(5)
 
@@ -154,8 +155,9 @@ def _assert_valid(r):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_ring_results_are_valid_without_validation(data):
-    """Ring operations skip the constructor's checks; their results must
-    pass them unchanged, over Q, F_p and F_{p^m}."""
+    """Ring operations, the parser and QuadForm.poly skip the constructor's
+    checks; their results must pass them unchanged, over Q, F_p and
+    F_{p^m}."""
     draw = data.draw
     spec = draw(st.sampled_from([
         rationals(), prime_field(3), prime_field(7), extension_field(3, 2),
@@ -165,6 +167,7 @@ def test_ring_results_are_valid_without_validation(data):
     f = _form(draw, spec, nvars, degree)
     g = _form(draw, spec, nvars, degree)
     h = _form(draw, spec, nvars, draw(st.integers(0, 2)))
+    quadric = _form(draw, spec, nvars, 2)
     i = draw(st.integers(0, nvars - 1))
     ncols = draw(st.integers(1, 3))
     M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]
@@ -177,6 +180,7 @@ def test_ring_results_are_valid_without_validation(data):
         f.insert_variable(i).drop_variable(i),
         f.remap_variables(dict(enumerate(perm)), nvars + 1),
         f.power(draw(st.integers(0, 3))), f.linear_substitute(M),
+        parse_poly(str(f), spec, nvars), QuadForm.from_poly(quadric).poly(),
     ]
     if nvars > 1:
         results.extend(p.drop_variable(i) for p in parts)
@@ -203,7 +207,7 @@ def test_packed_product_matches_term_expansion(data):
     draw = data.draw
     spec = draw(st.sampled_from([
         prime_field(3), prime_field(5), prime_field(7), prime_field(31),
-        extension_field(3, 2), rationals()]))
+        extension_field(3, 2), extension_field(37, 2), rationals()]))
     nvars = draw(st.integers(1, 4))
     f = _form(draw, spec, nvars, draw(st.integers(0, 3)))
     g = _form(draw, spec, nvars, draw(st.integers(0, 3)))
@@ -328,7 +332,7 @@ def test_linear_substitute_matches_term_by_term(data):
     that pure powers x_i^degree meet every packing position."""
     draw = data.draw
     spec = draw(st.sampled_from([prime_field(5), extension_field(3, 2),
-                                 rationals()]))
+                                 extension_field(37, 2), rationals()]))
     nvars = draw(st.integers(1, 6))
     degree = draw(st.integers(0, 4))
     f = _form(draw, spec, nvars, degree)
