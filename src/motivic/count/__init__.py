@@ -24,19 +24,27 @@ Two kernels keep one count contract, the count_stratum of _pure, and share
 nothing else; its union flag switches the point test from "every generator
 vanishes" to "some generator vanishes".  motivic.count._ckernel,
 hand-written C built at install time when a C compiler is available, tests
-every candidate of the stratum.  _pure, plain Python, walks the fibres over the last free coordinate and
-counts roots of univariate polynomials there.  The import below picks the
-compiled one when it is built and _pure otherwise.
+every candidate of the stratum.  _pure, plain Python, walks the fibres over
+the last free coordinate and counts roots of univariate polynomials there,
+on two levels: once per outer prefix (every free coordinate but the last
+two) it folds that prefix into each generator, and one pass over the
+middle coordinate then yields the fibre coefficients at all its values,
+one product and one sum per monomial in the last two.  It solves a fibre of
+degree 1 or 2 in closed form (-c0/c1, or the quadratic formula, with the
+negation, square roots and inverses read off the tables) and evaluates one
+of higher degree at every value.  The import below picks the compiled one
+when it is built and _pure otherwise.
 Primes too large to tabulate (q > _TABLE_LIMIT) take a separate direct-mod
 path, which counts those roots as the degree of a gcd with t^p - t; it
 counts a union from its expanded product.
 
-A count or a full enumerate_points walk touching q^(n+1) candidate tuples
-beyond the budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError
-before it starts instead of hanging.  _first_point, the finite-field half
-of points.first_point through which every engine finds its first rational
-point, charges only the candidates it walks, so a point found early passes
-under any budget.  A MOTIVIC_BUDGET or MOTIVIC_WORKERS that is not an
+A count or a full enumerate_points walk over more candidates than the
+budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError before it starts
+instead of hanging; CountQuery.cost() is that number of candidates, those
+of the lead strata, #P^n(F_q) or fewer under a chart.  _first_point, the
+finite-field half of points.first_point through which every engine finds
+its first rational point, charges only the candidates it walks, so a point
+found early passes under any budget.  A MOTIVIC_BUDGET or MOTIVIC_WORKERS that is not an
 integer raises ValueError.
 """
 
@@ -172,7 +180,22 @@ class CountQuery:
         return self.factors, 1
 
     def cost(self) -> int:
-        return self.spec.order ** (self.n + 1)
+        """The number of candidates in the query's lead strata (_strata):
+        what a count or a full enumerate_points walk visits, #P^n(F_q) or
+        fewer under a chart."""
+        q = self.spec.order
+        kinds = dict(self.chart)
+        total = 0
+        # tail: the candidates of the coordinates after the lead
+        tail = 1
+        for lead in range(self.n, -1, -1):
+            kind = kinds.get(lead)
+            if kind == "nonzero":
+                total = 0  # no stratum with a later lead has x_lead != 0
+            if kind != "zero":
+                total += tail
+            tail *= 1 if kind == "zero" else q - 1 if kind == "nonzero" else q
+        return total
 
     def describe(self):
         """The query's report dict, built on the first call; callers share
@@ -281,13 +304,14 @@ def _mul_table(spec):
 
 
 def _pow_table(q, mul, maxd):
-    powt = array("i", [0] * (q * (maxd + 1)))
-    for x in range(q):
-        acc = 1
-        powt[x * (maxd + 1)] = 1
-        for e in range(1, maxd + 1):
-            acc = mul[acc * q + x]
-            powt[x * (maxd + 1) + e] = acc
+    """powt[x*(maxd+1) + e] = x^e, filled one exponent column at a time."""
+    stride = maxd + 1
+    powt = array("i", [0]) * (q * stride)
+    col = [1] * q
+    powt[0::stride] = array("i", col)
+    for e in range(1, stride):
+        col = [mul[a * q + x] for x, a in enumerate(col)]
+        powt[e::stride] = array("i", col)
     return powt
 
 
@@ -348,10 +372,11 @@ def _strata(query: CountQuery):
 def count_points(query: CountQuery, budget: int | None = None) -> int:
     """Number of F_q-points of the query, counted stratum by stratum."""
     budget = default_budget() if budget is None else budget
-    if query.cost() > budget:
+    cost = query.cost()
+    if cost > budget:
         raise BudgetError(
             "counting %r needs %d candidates, budget is %d"
-            % (query, query.cost(), budget)
+            % (query, cost, budget)
         )
     q = query.spec.order
     if q > _TABLE_LIMIT:
@@ -410,10 +435,11 @@ def enumerate_points(query: CountQuery, budget: int | None = None):
     points yielded.  The whole walk is charged against budget up front.
     """
     budget = default_budget() if budget is None else budget
-    if query.cost() > budget:
+    cost = query.cost()
+    if cost > budget:
         raise BudgetError(
             "enumerating %r needs %d candidates, budget is %d"
-            % (query, query.cost(), budget)
+            % (query, cost, budget)
         )
     yield from _walk(query, budget)
 

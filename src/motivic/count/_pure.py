@@ -4,14 +4,22 @@ Neither kernel visits the candidates of a stratum one by one.  Both walk its
 fibres over the last free coordinate: for each assignment of the other free
 coordinates (a prefix) every generator becomes a univariate polynomial in
 the last one, and the kernel counts the common roots of those polynomials.
-count_stratum looks the roots up as bitmasks over the field;
-count_stratum_direct computes their number as deg gcd(g_1, ..., g_m,
-t^p - t) (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14).
+count_stratum walks the prefixes on two levels.  Once per outer prefix, the
+values of every free coordinate but the last two, it folds them into each
+generator, which leaves a form in the last two; one pass over the middle
+coordinate then gives the fibre coefficients at each of its values with one
+product and one sum per monomial of that form.  It looks the roots up as
+bitmasks over the field, solving a fibre of degree 1 or 2 in closed form
+(odd characteristic: -c0/c1, or the quadratic formula) and evaluating one of
+higher degree at every value.  count_stratum_direct computes their number as
+deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 14).
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from ..fields import _mulmod, _remmod, _trim
 
@@ -22,11 +30,11 @@ def _prefixes(q, free_start):
     return product(*(range(s, q) for s in free_start[:-1]))
 
 
-def _fibre_terms(terms, nvars, fixed, free_pos, fold):
-    """One generator's terms, split for the fibre walk of a stratum.
+def _fibre_terms(terms, nvars, fixed, free_pos, p):
+    """One generator's terms mod p, split for the fibre walk of a stratum.
 
     terms yields (coeff, exps) pairs.  Each coordinate that is not free is
-    folded into the coefficient by fold(coeff, value, e); a term that folds
+    folded into the coefficient, coeff * value^e mod p; a term that folds
     to 0 is dropped.  Returns (terms, width): each term left is (coeff,
     factors, e_last), factors being (j, e) pairs with j indexing the prefix
     and e_last the exponent of the last free coordinate (0 when there is
@@ -45,12 +53,77 @@ def _fibre_terms(terms, nvars, fixed, free_pos, fold):
             if j is not None:
                 factors.append((j, e))
                 continue
-            c = fold(c, fixed[i], e)
+            c = c * pow(fixed[i], e, p) % p
             if not c:
                 break
         else:
             out.append((c, tuple(factors), exps[last] if last >= 0 else 0))
     return out, max((t[2] for t in out), default=0) + 1
+
+
+def _root_finder(q, mul, add):
+    """roots(coeffs): the bitmask over the value indices 0..q-1 of the roots
+    of sum(coeffs[e] * t^e), every index for the zero polynomial.
+
+    Degree 1 and 2 are solved in closed form, with the negation, the square
+    roots and the inverses they need built from the tables on first use.
+    Higher degrees, and every degree when 2 = 0 in the tables, are evaluated
+    at all q values.
+    """
+    full = (1 << q) - 1
+    xs = range(q)
+    two = add[q + 1]
+    neg = sqrt = None
+    inverse = {}
+
+    def evaluate(coeffs, d):
+        # Horner's rule at every value at once
+        values = [coeffs[d]] * q
+        for c in coeffs[d - 1::-1]:
+            values = [add[mul[v * q + x] * q + c] for v, x in zip(values, xs)]
+        mask = 0
+        x = -1
+        for _ in range(values.count(0)):
+            x = values.index(0, x + 1)
+            mask |= 1 << x
+        return mask
+
+    def inv(c):
+        r = inverse.get(c)
+        if r is None:
+            r = inverse[c] = mul[c * q:(c + 1) * q].index(1)
+        return r
+
+    def roots(coeffs):
+        nonlocal neg, sqrt
+        d = len(coeffs) - 1
+        while d >= 0 and not coeffs[d]:
+            d -= 1
+        if d < 0:
+            return full
+        if d == 0:
+            return 0
+        if d > 2 or not two:
+            return evaluate(coeffs, d)
+        if neg is None:
+            minus_one = add[q:2 * q].index(0)
+            neg = [mul[a * q + minus_one] for a in range(q)]
+            sqrt = [-1] * q
+            for a in range(q):
+                sqrt[mul[a * q + a]] = a
+        if d == 1:
+            return 1 << mul[neg[coeffs[0]] * q + inv(coeffs[1])]
+        c0, c1, c2 = coeffs[:3]
+        four_c0 = mul[add[two * q + two] * q + c0]
+        s = sqrt[add[mul[c1 * q + c1] * q + neg[mul[four_c0 * q + c2]]]]
+        if s < 0:
+            return 0
+        r = inv(mul[two * q + c2])
+        b = neg[c1]
+        return ((1 << mul[add[b * q + s] * q + r])
+                | (1 << mul[add[b * q + neg[s]] * q + r]))
+
+    return roots
 
 
 def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
@@ -67,77 +140,166 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
     indices, powt[x*(maxd+1) + e] being x^e.
 
     The root set of a univariate polynomial is a bitmask over the value
-    indices 0..q-1, computed on first sight of its coefficient tuple and
-    kept for the rest of the call.  A fibre's points are the AND of the
-    generators' root sets, or for a union their OR.  The walk computes that
-    OR as the complement of the AND of the complements, so both share one
-    loop that stops as soon as the AND is empty.
+    indices 0..q-1, computed on first sight of its coefficient tuple (in
+    closed form up to degree 2) and kept for the rest of the call.  A
+    fibre's points are the AND of the generators' root sets, or for a union
+    their OR.  The walk computes that OR as the complement of the AND of the
+    complements, so both share one loop that stops as soon as the AND is
+    empty.  With two free positions or more the walk runs on two levels:
+    each outer prefix folds the free positions but the last two into every
+    generator, leaving a form in (x_mid, x_last); the pass over x_mid adds
+    up that form's monomials as columns over the values of x_mid, one
+    product and one sum per monomial and value, and reads each column tuple
+    as the fibre's coefficients.
     """
+    candidates = prod(q - s for s in free_start)
+    if not ngens:
+        # every candidate is a common zero of no generators; none is a zero
+        # of some generator
+        return 0 if union else candidates
     stride = maxd + 1
-
-    def fold(c, x, e):
-        return mul[c * q + powt[x * stride + e]]
-
-    gens = [
-        _fibre_terms(((gen_coeff[t], gen_exps[t * nvars:(t + 1) * nvars])
-                      for t in range(gen_off[g], gen_off[g + 1])),
-                     nvars, fixed, free_pos, fold)
-        for g in range(ngens)
-    ]
+    gens = _bivariate_terms(q, nvars, fixed, free_pos, ngens, gen_off,
+                            gen_coeff, gen_exps, mul, add, powt, stride)
 
     if not free_pos:
-        def vanishes(terms):
-            acc = 0
-            for c, _, _ in terms:
-                acc = add[acc * q + c]
-            return not acc
-
+        # each generator is the constant base[0], or 0 when every term
+        # folded to 0 and base is empty
         test = any if union else all
-        return int(test(vanishes(terms) for terms, _ in gens))
+        return int(test(not any(base) for base, _, _, _ in gens))
 
-    rows = range(0, q * stride, stride)
-    masks = {}
-
-    full = (1 << q) - 1
+    roots = _root_finder(q, mul, add)
     # with union the walk ANDs non-root sets and counts the rest
-    flip = full if union else 0
+    flip = (1 << q) - 1 if union else 0
+    # the values the last free position takes
+    allowed = ((1 << q) - 1) >> free_start[-1] << free_start[-1]
 
-    def roots(coeffs):
-        mask = flip
-        bit = 1
-        for row in rows:
-            acc = 0
-            for e, c in enumerate(coeffs):
-                if c:
-                    acc = add[acc * q + mul[c * q + powt[row + e]]]
-            if not acc:
-                mask ^= bit
-            bit <<= 1
-        return mask
-
-    start = free_start[-1]
-    count = 0
-    for pre in _prefixes(q, free_start):
-        common = full
-        for terms, width in gens:
+    if len(free_pos) == 1:
+        common = allowed
+        for base, _, monomials, width in gens:
             coeffs = [0] * width
-            for v, factors, e_last in terms:
-                for j, e in factors:
-                    v = mul[v * q + powt[pre[j] * stride + e]]
-                coeffs[e_last] = add[coeffs[e_last] * q + v]
-            key = tuple(coeffs)
-            mask = masks.get(key)
-            if mask is None:
-                mask = masks[key] = roots(key)
-            common &= mask
+            for (_, e_last), c in zip(monomials, base):
+                coeffs[e_last] = c
+            common &= roots(tuple(coeffs)) ^ flip
             if not common:
                 break
-        count += (common >> start).bit_count()
-    if union:
-        candidates = 1
-        for s in free_start:
-            candidates *= q - s
-        return candidates - count
+        count = common.bit_count()
+    else:
+        count = _two_level(q, free_start, gens, mul, add, powt, stride,
+                           roots, flip, allowed)
+    return candidates - count if union else count
+
+
+def _bivariate_terms(q, nvars, fixed, free_pos, ngens, gen_off, gen_coeff,
+                     gen_exps, mul, add, powt, stride):
+    """Each generator of count_stratum split for its two-level walk.
+
+    The last free position is x_last, the one before it x_mid, and the
+    others are outer, j indexing them.  Fixed coordinates are folded into
+    the coefficients and a term that folds to 0 is dropped.  A generator
+    becomes (base, outer_terms, monomials, width): monomials lists the
+    distinct (e_mid, e_last) of its terms, each term adds to the coefficient
+    of one of them (its slot), base holds the slot sums of the terms free
+    of the outer positions, outer_terms the others as (coeff, ((j, e), ...),
+    slot), and width is one more than the highest e_last.
+    """
+    last = free_pos[-1] if free_pos else -1
+    mid = free_pos[-2] if len(free_pos) > 1 else -1
+    outer_slot = {pos: j for j, pos in enumerate(free_pos[:-2])}
+    gens = []
+    for g in range(ngens):
+        slots = {}
+        base = []
+        outer_terms = []
+        for t in range(gen_off[g], gen_off[g + 1]):
+            c = gen_coeff[t]
+            e_mid = e_last = 0
+            outer = []
+            for i, e in enumerate(gen_exps[t * nvars:(t + 1) * nvars]):
+                if not e:
+                    continue
+                if i == last:
+                    e_last = e
+                elif i == mid:
+                    e_mid = e
+                elif i in outer_slot:
+                    outer.append((outer_slot[i], e))
+                else:
+                    c = mul[c * q + powt[fixed[i] * stride + e]]
+                    if not c:
+                        break
+            else:
+                slot = slots.setdefault((e_mid, e_last), len(base))
+                if slot == len(base):
+                    base.append(0)
+                if outer:
+                    outer_terms.append((c, tuple(outer), slot))
+                else:
+                    base[slot] = add[base[slot] * q + c]
+        gens.append((base, outer_terms, list(slots),
+                     max((e for _, e in slots), default=0) + 1))
+    return gens
+
+
+def _two_level(q, free_start, gens, mul, add, powt, stride, roots, flip,
+               allowed):
+    """The fibre walk of a stratum with two free positions or more: the
+    number of (outer prefix, x_mid, x_last), x_last in the bitmask allowed,
+    where x_last is in the AND of the generators' root sets (roots(coeffs)),
+    each XORed with flip."""
+    mid = len(free_start) - 2
+    xs = range(free_start[mid], q)
+    # x_mid^e at each value of x_mid
+    pcols = [[powt[x * stride + e] for x in xs] for e in range(stride)]
+    zeros = (0,) * len(xs)
+    # a stored mask carries the bit q, so that it is never 0 (falsy); the
+    # AND with allowed, which lacks that bit, drops it again
+    masks = {}
+    get = masks.get
+    seen = 1 << q
+
+    def new_mask(key):
+        mask = masks[key] = roots(key) ^ flip | seen
+        return mask
+
+    def fibre_masks(form, monomials, width):
+        """The root sets, within allowed, of the fibres over each x_mid."""
+        cols = [zeros] * width
+        for (e_mid, e_last), c in zip(monomials, form):
+            if not c:
+                continue
+            cq = c * q
+            prev = cols[e_last]
+            if prev is zeros:
+                cols[e_last] = [mul[cq + p] for p in pcols[e_mid]]
+            else:
+                cols[e_last] = [add[a * q + mul[cq + p]]
+                                for a, p in zip(prev, pcols[e_mid])]
+        return [(get(key) or new_mask(key)) & allowed for key in zip(*cols)]
+
+    # the fibre masks of a generator depend only on its form in (x_mid,
+    # x_last), so equal forms at different outer prefixes share them
+    by_form = [{} for _ in gens]
+    count = 0
+    # each outer value x as its row x * stride of powt
+    for pre in product(*(range(s * stride, q * stride, stride)
+                         for s in free_start[:mid])):
+        common = None
+        for (base, outer_terms, monomials, width), known in zip(gens,
+                                                                by_form):
+            form = base[:]
+            for c, outer, slot in outer_terms:
+                for j, e in outer:
+                    c = mul[c * q + powt[pre[j] + e]]
+                form[slot] = add[form[slot] * q + c]
+            form = tuple(form)
+            gm = known.get(form)
+            if gm is None:
+                gm = known[form] = fibre_masks(form, monomials, width)
+            common = gm if common is None else [
+                a & b for a, b in zip(common, gm)]
+            if not any(common):
+                break
+        count += sum([m.bit_count() for m in common])
     return count
 
 
@@ -172,11 +334,8 @@ def count_stratum_direct(p, nvars, fixed, free_pos, free_start, gens):
     free_pos/free_start are as for count_stratum, except that the last free
     position starts at 0 or 1 (the latter when it is constrained nonzero).
     """
-    def fold(c, x, e):
-        return c * pow(x, e, p) % p
-
     split = [_fibre_terms(((c, exps) for exps, c in terms),
-                          nvars, fixed, free_pos, fold)
+                          nvars, fixed, free_pos, p)
              for terms in gens]
 
     if not free_pos:

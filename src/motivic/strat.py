@@ -576,8 +576,9 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     the intersection and the inner quadrics' isotropic points come from
     points.first_point, charged only for the candidates walked; the check
     of step (F) enumerates all of S, which lies in y1 = 0 and is walked
-    there as V(h, L1, R) in P^(n-2), and is charged that whole walk of
-    q^(n-1) candidates against budget up front, as enumerate_points is.
+    there as V(h, L1, R) in P^(n-2), and is charged that whole walk, the
+    #P^(n-2)(F_q) candidates, against budget up front, as enumerate_points
+    is.
     """
     spec = f1.spec
     if not spec.is_finite:

@@ -102,17 +102,17 @@ def test_engine_point_search_obeys_budget(capsys):
     # the search for a point of Q1 and Q2 is charged only for the
     # candidates it walks and stops early; the check of step (F) then
     # enumerates S, which lies in a hyperplane, in P^2(F7) and is charged
-    # all 7^3 candidates up front
+    # all 57 points of P^2(F7) up front
     job = [
         "class-two-quadrics", "--field", "7", "--ambient", "4",
         "--poly", "x0*x1+x2*x3+x4^2", "--poly", "x0*x2+x1*x4+x3^2",
         "--no-verify",
     ]
-    code, out, err = _run(capsys, job + ["--budget", "342"])
+    code, out, err = _run(capsys, job + ["--budget", "56"])
     assert code == 2 and out == ""
     assert "enumerating #V(" in err
-    assert "in P^2(F7) needs 343 candidates, budget is 342" in err
-    code, out, _ = _run(capsys, job + ["--budget", "343"])
+    assert "in P^2(F7) needs 57 candidates, budget is 56" in err
+    code, out, _ = _run(capsys, job + ["--budget", "57"])
     assert code == 0 and "status: ok" in out
 
 
@@ -179,8 +179,7 @@ def test_definite_form_report_matches_reference_walk(capsys, monkeypatch):
 
 def test_two_quadric_check_fits_default_budget_at_f101(capsys):
     # S = V(y1, h, L1, R) is empty here; walked in the hyperplane y1 = 0 it
-    # costs 101^3 candidates, far below the default budget that the 101^4
-    # of all of P^3 exceeds
+    # costs the 10303 points of P^2(F101), far below the default budget
     code, out, err = _run(capsys, [
         "class-two-quadrics", "--field", "101", "--ambient", "4",
         "--poly", "x0*x1+x2*x3+x4^2", "--poly", "x0*x2+x1*x4+x3^2",
@@ -229,7 +228,8 @@ def test_isotropic_point_search_obeys_budget(capsys):
 
 
 def test_point_searches_pass_at_large_fields(capsys):
-    # 101^5 candidates exceed the default budget, but the isotropic-point
+    # #P^4(F101), about 1.05 * 10^8 candidates, exceeds the default
+    # budget, but the isotropic-point
     # searches stop at early points and are charged only for those walked;
     # the cubic's inner quadric in P^3 is searched under --budget
     code, out, _ = _run(capsys, [
@@ -626,15 +626,21 @@ def test_non_integer_knob_exits_two(monkeypatch, capsys, knob):
 
 def test_oracle_obeys_job_budget(monkeypatch, capsys):
     # The oracle's atom counts take --budget, not the MOTIVIC_BUDGET default.
-    monkeypatch.setenv("MOTIVIC_BUDGET", "10")
-    code, out, err = _run(capsys, [
-        "class-cubic-singular", "--field", "3", "--ambient", "3",
-        "--poly", "x0*x1*x3 + x2^3 + x1^3", "--budget", "1000000", "--json",
-    ])
+    # The largest count of the job is the cubic in P^3(F3), 40 candidates.
+    monkeypatch.setenv("MOTIVIC_BUDGET", "39")
+    job = ["class-cubic-singular", "--field", "3", "--ambient", "3",
+           "--poly", "x0*x1*x3 + x2^3 + x1^3", "--json"]
+    code, out, err = _run(capsys, job + ["--budget", "40"])
     assert code == 0, err
     report = json.loads(out)
     assert report["verification"]["oracle"]["status"] == "pass"
     assert report["status"] == "ok"
+    code, out, err = _run(capsys, job + ["--budget", "39"])
+    assert code == 2 and out == ""
+    assert "in P^3(F3) needs 40 candidates, budget is 39" in err
+    monkeypatch.setenv("MOTIVIC_BUDGET", "40")
+    code, _, err = _run(capsys, job)
+    assert code == 0, err
 
 
 def test_selftest(capsys):

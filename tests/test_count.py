@@ -2,10 +2,12 @@ import json
 import os
 import shutil
 import sysconfig
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import motivic
 import motivic.count
@@ -14,6 +16,7 @@ from motivic.count import (
     BudgetError,
     CountQuery,
     _pure,
+    _strata,
     count_points,
     default_budget,
     enumerate_points,
@@ -27,7 +30,10 @@ F3 = prime_field(3)
 F5 = prime_field(5)
 F7 = prime_field(7)
 F9 = extension_field(3, 2)
+F11 = prime_field(11)
+F13 = prime_field(13)
 F25 = extension_field(5, 2)
+F27 = extension_field(3, 3)
 
 
 def _q(text, spec, n, chart=()):
@@ -105,17 +111,23 @@ def test_query_equality_and_cost():
     b = _q(["x0*x1"], F3, 1)
     assert a == b and hash(a) == hash(b)
     assert a != _q(["x0^2"], F3, 1)
-    assert a.cost() == 9
-    assert _q([], F5, 3).cost() == 625
+    # the candidates of the lead strata: #P^n(F_q), fewer under a chart
+    assert a.cost() == 4
+    assert _q([], F5, 3).cost() == 156
+    assert _q([], F3, 2, chart=((2, "nonzero"),)).cost() == 9
+    assert _q([], F3, 2, chart=((0, "zero"), (1, "zero"))).cost() == 1
 
 
 def test_budget_errors():
     with pytest.raises(BudgetError):
-        count_points(_q([], F3, 20))  # 3^21 > default budget
-    with pytest.raises(BudgetError):
-        count_points(_q([], F3, 2), budget=10)
-    with pytest.raises(BudgetError):
-        list(enumerate_points(_q([], F3, 2), budget=10))
+        count_points(_q([], F3, 20))  # (3^21 - 1) / 2 > default budget
+    # P^2(F3) has 13 candidates: 12 is one short, 13 is enough
+    with pytest.raises(BudgetError, match="needs 13 candidates, budget is 12"):
+        count_points(_q([], F3, 2), budget=12)
+    assert count_points(_q([], F3, 2), budget=13) == 13
+    with pytest.raises(BudgetError, match="needs 13 candidates, budget is 12"):
+        list(enumerate_points(_q([], F3, 2), budget=12))
+    assert len(list(enumerate_points(_q([], F3, 2), budget=13))) == 13
     assert default_budget() == 10**8
 
 
@@ -440,9 +452,10 @@ def _draw_form(draw, spec, n, degree):
 
 
 def _draw_space(draw):
-    spec = draw(st.sampled_from([F3, F5, F7, F9, F25]))
-    # P^3 over F25 has 16276 points, too many to enumerate here
-    n = draw(st.integers(0, 3 if spec.order < 25 else 2))
+    spec = draw(st.sampled_from([F3, F5, F7, F9, F11, F13, F25, F27]))
+    # P^3 over F11 has 1464 points, over F27 20440: enumerating them all
+    # would take most of the run
+    n = draw(st.integers(0, 3 if spec.order <= 9 else 2))
     chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
              for i in range(n + 1) if draw(st.booleans())]
     return spec, n, chart
@@ -477,12 +490,56 @@ def _union_query(draw):
 
 
 @given(st.one_of(_count_query(), _union_query()))
+# the middle free coordinate of the strata x0 = 1 and x1 = 1 is x2, which
+# the chart keeps nonzero
+@example(query=_q(["x0*x1 + x2^2 - 3*x3^2", "x1*x3 + x2*x0 + x3^2"], F7, 3,
+                  chart=((2, "nonzero"),)))
+# no generator: every candidate of the chart counts
+@example(query=_q([], F13, 2, chart=((1, "nonzero"),)))
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_pure_kernel_matches_enumeration(monkeypatch, query):
     # enumerate_points reads a union's expanded product
     monkeypatch.setattr(motivic.count, "_ckernel", None)
     assert count_points(query) == len(list(enumerate_points(query)))
+    # cost() is the number of candidates the strata hold
+    q = query.spec.order
+    assert query.cost() == sum(prod(q - s for s in free_start)
+                               for _, _, free_start in _strata(query))
+
+
+def _binary_forms(spec, degree, up_to_scalar):
+    """Every nonzero binary form of the degree over spec; with up_to_scalar
+    only those whose first nonzero coefficient is 1."""
+    monomials = [(degree - k, k) for k in range(degree + 1)]
+    for values in product(range(spec.order), repeat=degree + 1):
+        first = next((v for v in values if v), 0)
+        if first == 1 or first and not up_to_scalar:
+            yield HomogPoly(spec, 2, degree, {
+                m: spec.from_index(v) for m, v in zip(monomials, values) if v})
+
+
+@pytest.mark.parametrize("spec", [F3, F5, F7, F9, F27], ids=str)
+def test_closed_form_roots_cover_every_binary_form(monkeypatch, spec):
+    """The pure kernel solves fibres of degree 1 and 2 in closed form.  In
+    P^1 the stratum x0 = 1 has x1 as its one free coordinate, so a binary
+    form's coefficients reach the solver as the fibre's, and the stratum
+    x0 = 0 has none.  Each form is counted plain, in a union with x0 - x1
+    and off x1 = 0.  Over F27, where 2 = -1 and 4 = 1, the quadratics are
+    taken up to a nonzero scalar (757 of 19682): a*x0^2 + b*x0*x1 + c*x1^2
+    with a = 1 still reaches every inverse 1/(2c) and every discriminant
+    b^2 - 4c the solver reads, and each of the 20 thousand would cost as
+    much to enumerate."""
+    monkeypatch.setattr(motivic.count, "_ckernel", None)
+    other = parse_poly("x0 - x1", spec, 2)
+    for degree in (1, 2):
+        up_to_scalar = degree == 2 and spec is F27
+        for f in _binary_forms(spec, degree, up_to_scalar):
+            for query in (CountQuery(spec, 1, [f]),
+                          CountQuery.union(spec, 1, [f, other]),
+                          CountQuery(spec, 1, [f], ((1, "nonzero"),))):
+                assert count_points(query) == len(
+                    list(enumerate_points(query))), query
 
 
 def test_union_counts_as_its_product():

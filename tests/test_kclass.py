@@ -224,10 +224,10 @@ def test_count_memo_skips_repeats_and_keeps_no_failure(monkeypatch):
     ident = Identity([CountTerm(1, 0, line), CountTerm(1, 0, line)],
                      [CountTerm(1, 0, space)])
     memo = {}
-    # 3^5 candidates in P^4 are over the budget: the error reaches the
-    # caller and only the count that finished is kept
-    with pytest.raises(BudgetError):
-        ident.sides(budget=100, memo=memo)
+    # the 121 candidates of P^4(F3) are over the budget: the error reaches
+    # the caller and only the count that finished is kept
+    with pytest.raises(BudgetError, match="needs 121 candidates"):
+        ident.sides(budget=120, memo=memo)
     assert memo == {line: 1} and counted == [line, space]
     assert ident.sides(memo=memo) == (2, 121)
     assert memo == {line: 1, space: 121}
