@@ -184,18 +184,8 @@ class CountQuery:
         what a count or a full enumerate_points walk visits, #P^n(F_q) or
         fewer under a chart."""
         q = self.spec.order
-        kinds = dict(self.chart)
-        total = 0
-        # tail: the candidates of the coordinates after the lead
-        tail = 1
-        for lead in range(self.n, -1, -1):
-            kind = kinds.get(lead)
-            if kind == "nonzero":
-                total = 0  # no stratum with a later lead has x_lead != 0
-            if kind != "zero":
-                total += tail
-            tail *= 1 if kind == "zero" else q - 1 if kind == "nonzero" else q
-        return total
+        return sum(prod(q - s for s in free_start)
+                   for _, _, free_start in _strata(self))
 
     def describe(self):
         """The query's report dict, built on the first call; callers share

@@ -30,11 +30,11 @@ def _prefixes(q, free_start):
     return product(*(range(s, q) for s in free_start[:-1]))
 
 
-def _fibre_terms(terms, nvars, fixed, free_pos, p):
-    """One generator's terms mod p, split for the fibre walk of a stratum.
+def _fibre_terms(terms, nvars, fixed, free_pos, fold):
+    """One generator's terms, split for the fibre walk of a stratum.
 
     terms yields (coeff, exps) pairs.  Each coordinate that is not free is
-    folded into the coefficient, coeff * value^e mod p; a term that folds
+    folded into the coefficient by fold(coeff, value, e); a term that folds
     to 0 is dropped.  Returns (terms, width): each term left is (coeff,
     factors, e_last), factors being (j, e) pairs with j indexing the prefix
     and e_last the exponent of the last free coordinate (0 when there is
@@ -53,7 +53,7 @@ def _fibre_terms(terms, nvars, fixed, free_pos, p):
             if j is not None:
                 factors.append((j, e))
                 continue
-            c = c * pow(fixed[i], e, p) % p
+            c = fold(c, fixed[i], e)
             if not c:
                 break
         else:
@@ -66,9 +66,9 @@ def _root_finder(q, mul, add):
     of sum(coeffs[e] * t^e), every index for the zero polynomial.
 
     Degree 1 and 2 are solved in closed form, with the negation, the square
-    roots and the inverses they need built from the tables on first use.
-    Higher degrees, and every degree when 2 = 0 in the tables, are evaluated
-    at all q values.
+    roots and the inverses they need built from the tables on first use;
+    the tables are of odd characteristic, as motivic.fields refuses p = 2.
+    Higher degrees are evaluated at all q values.
     """
     full = (1 << q) - 1
     xs = range(q)
@@ -103,7 +103,7 @@ def _root_finder(q, mul, add):
             return full
         if d == 0:
             return 0
-        if d > 2 or not two:
+        if d > 2:
             return evaluate(coeffs, d)
         if neg is None:
             minus_one = add[q:2 * q].index(0)
@@ -158,14 +158,26 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
         # of some generator
         return 0 if union else candidates
     stride = maxd + 1
-    gens = _bivariate_terms(q, nvars, fixed, free_pos, ngens, gen_off,
-                            gen_coeff, gen_exps, mul, add, powt, stride)
+
+    def fold(c, x, e):
+        return mul[c * q + powt[x * stride + e]]
+
+    gens = [
+        _fibre_terms(((gen_coeff[t], gen_exps[t * nvars:(t + 1) * nvars])
+                      for t in range(gen_off[g], gen_off[g + 1])),
+                     nvars, fixed, free_pos, fold)
+        for g in range(ngens)
+    ]
 
     if not free_pos:
-        # each generator is the constant base[0], or 0 when every term
-        # folded to 0 and base is empty
+        def vanishes(terms):
+            acc = 0
+            for c, _, _ in terms:
+                acc = add[acc * q + c]
+            return not acc
+
         test = any if union else all
-        return int(test(not any(base) for base, _, _, _ in gens))
+        return int(test(vanishes(terms) for terms, _ in gens))
 
     roots = _root_finder(q, mul, add)
     # with union the walk ANDs non-root sets and counts the rest
@@ -175,11 +187,11 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
 
     if len(free_pos) == 1:
         common = allowed
-        for base, _, monomials, width in gens:
+        for terms, width in gens:
             coeffs = [0] * width
-            for (_, e_last), c in zip(monomials, base):
-                coeffs[e_last] = c
-            common &= roots(tuple(coeffs)) ^ flip
+            for c, _, e_last in terms:
+                coeffs[e_last] = add[coeffs[e_last] * q + c]
+            common &= roots(coeffs) ^ flip
             if not common:
                 break
         count = common.bit_count()
@@ -189,55 +201,35 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
     return candidates - count if union else count
 
 
-def _bivariate_terms(q, nvars, fixed, free_pos, ngens, gen_off, gen_coeff,
-                     gen_exps, mul, add, powt, stride):
-    """Each generator of count_stratum split for its two-level walk.
+def _bivariate(terms, width, mid, q, add):
+    """One generator's split terms (_fibre_terms) grouped for the two-level
+    walk, mid being the prefix index of x_mid and the lower ones outer.
 
-    The last free position is x_last, the one before it x_mid, and the
-    others are outer, j indexing them.  Fixed coordinates are folded into
-    the coefficients and a term that folds to 0 is dropped.  A generator
-    becomes (base, outer_terms, monomials, width): monomials lists the
-    distinct (e_mid, e_last) of its terms, each term adds to the coefficient
+    Returns (base, outer_terms, monomials, width): monomials lists the
+    distinct (e_mid, e_last) of the terms, each term adds to the coefficient
     of one of them (its slot), base holds the slot sums of the terms free
-    of the outer positions, outer_terms the others as (coeff, ((j, e), ...),
-    slot), and width is one more than the highest e_last.
+    of the outer positions, and outer_terms the others as (coeff, ((j, e),
+    ...), slot).
     """
-    last = free_pos[-1] if free_pos else -1
-    mid = free_pos[-2] if len(free_pos) > 1 else -1
-    outer_slot = {pos: j for j, pos in enumerate(free_pos[:-2])}
-    gens = []
-    for g in range(ngens):
-        slots = {}
-        base = []
-        outer_terms = []
-        for t in range(gen_off[g], gen_off[g + 1]):
-            c = gen_coeff[t]
-            e_mid = e_last = 0
-            outer = []
-            for i, e in enumerate(gen_exps[t * nvars:(t + 1) * nvars]):
-                if not e:
-                    continue
-                if i == last:
-                    e_last = e
-                elif i == mid:
-                    e_mid = e
-                elif i in outer_slot:
-                    outer.append((outer_slot[i], e))
-                else:
-                    c = mul[c * q + powt[fixed[i] * stride + e]]
-                    if not c:
-                        break
+    slots = {}
+    base = []
+    outer_terms = []
+    for c, factors, e_last in terms:
+        e_mid = 0
+        outer = []
+        for j, e in factors:
+            if j == mid:
+                e_mid = e
             else:
-                slot = slots.setdefault((e_mid, e_last), len(base))
-                if slot == len(base):
-                    base.append(0)
-                if outer:
-                    outer_terms.append((c, tuple(outer), slot))
-                else:
-                    base[slot] = add[base[slot] * q + c]
-        gens.append((base, outer_terms, list(slots),
-                     max((e for _, e in slots), default=0) + 1))
-    return gens
+                outer.append((j, e))
+        slot = slots.setdefault((e_mid, e_last), len(base))
+        if slot == len(base):
+            base.append(0)
+        if outer:
+            outer_terms.append((c, tuple(outer), slot))
+        else:
+            base[slot] = add[base[slot] * q + c]
+    return base, outer_terms, list(slots), width
 
 
 def _two_level(q, free_start, gens, mul, add, powt, stride, roots, flip,
@@ -247,19 +239,13 @@ def _two_level(q, free_start, gens, mul, add, powt, stride, roots, flip,
     where x_last is in the AND of the generators' root sets (roots(coeffs)),
     each XORed with flip."""
     mid = len(free_start) - 2
+    gens = [_bivariate(terms, width, mid, q, add) for terms, width in gens]
     xs = range(free_start[mid], q)
     # x_mid^e at each value of x_mid
     pcols = [[powt[x * stride + e] for x in xs] for e in range(stride)]
     zeros = (0,) * len(xs)
-    # a stored mask carries the bit q, so that it is never 0 (falsy); the
-    # AND with allowed, which lacks that bit, drops it again
     masks = {}
     get = masks.get
-    seen = 1 << q
-
-    def new_mask(key):
-        mask = masks[key] = roots(key) ^ flip | seen
-        return mask
 
     def fibre_masks(form, monomials, width):
         """The root sets, within allowed, of the fibres over each x_mid."""
@@ -274,27 +260,26 @@ def _two_level(q, free_start, gens, mul, add, powt, stride, roots, flip,
             else:
                 cols[e_last] = [add[a * q + mul[cq + p]]
                                 for a, p in zip(prev, pcols[e_mid])]
-        return [(get(key) or new_mask(key)) & allowed for key in zip(*cols)]
+        out = []
+        for key in zip(*cols):
+            mask = get(key)
+            if mask is None:
+                mask = masks[key] = roots(key) ^ flip
+            out.append(mask & allowed)
+        return out
 
-    # the fibre masks of a generator depend only on its form in (x_mid,
-    # x_last), so equal forms at different outer prefixes share them
-    by_form = [{} for _ in gens]
     count = 0
     # each outer value x as its row x * stride of powt
     for pre in product(*(range(s * stride, q * stride, stride)
                          for s in free_start[:mid])):
         common = None
-        for (base, outer_terms, monomials, width), known in zip(gens,
-                                                                by_form):
+        for base, outer_terms, monomials, width in gens:
             form = base[:]
             for c, outer, slot in outer_terms:
                 for j, e in outer:
                     c = mul[c * q + powt[pre[j] + e]]
                 form[slot] = add[form[slot] * q + c]
-            form = tuple(form)
-            gm = known.get(form)
-            if gm is None:
-                gm = known[form] = fibre_masks(form, monomials, width)
+            gm = fibre_masks(form, monomials, width)
             common = gm if common is None else [
                 a & b for a, b in zip(common, gm)]
             if not any(common):
@@ -334,8 +319,11 @@ def count_stratum_direct(p, nvars, fixed, free_pos, free_start, gens):
     free_pos/free_start are as for count_stratum, except that the last free
     position starts at 0 or 1 (the latter when it is constrained nonzero).
     """
+    def fold(c, x, e):
+        return c * pow(x, e, p) % p
+
     split = [_fibre_terms(((c, exps) for exps, c in terms),
-                          nvars, fixed, free_pos, p)
+                          nvars, fixed, free_pos, fold)
              for terms in gens]
 
     if not free_pos:

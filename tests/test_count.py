@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import sysconfig
+from array import array
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -16,7 +17,6 @@ from motivic.count import (
     BudgetError,
     CountQuery,
     _pure,
-    _strata,
     count_points,
     default_budget,
     enumerate_points,
@@ -502,10 +502,53 @@ def test_pure_kernel_matches_enumeration(monkeypatch, query):
     # enumerate_points reads a union's expanded product
     monkeypatch.setattr(motivic.count, "_ckernel", None)
     assert count_points(query) == len(list(enumerate_points(query)))
-    # cost() is the number of candidates the strata hold
-    q = query.spec.order
-    assert query.cost() == sum(prod(q - s for s in free_start)
-                               for _, _, free_start in _strata(query))
+    # cost() is the number of candidates the count walks: with no
+    # generator every one of them is a point
+    space = CountQuery(query.spec, query.n, [], query.chart)
+    assert query.cost() == space.cost() == count_points(space)
+
+
+def test_pure_kernel_adds_terms_that_fold_together():
+    """count_stratum with fixed values other than 0 and 1, which _strata
+    never passes: terms that differ only in fixed coordinates then fold
+    onto one monomial of the fibre, and the kernel must add them up with
+    one, two and three free positions."""
+    q = 7
+    # (coeff, exps) over x0..x4; the first two and the next two terms meet
+    # once x0 and x1 are fixed
+    gens = [[(2, (1, 0, 1, 0, 1)), (3, (0, 1, 1, 0, 1)), (1, (1, 0, 0, 1, 0)),
+             (4, (0, 1, 0, 1, 0)), (1, (0, 0, 0, 0, 2)), (5, (1, 1, 0, 0, 0)),
+             (1, (0, 0, 2, 0, 0))],
+            [(1, (0, 0, 0, 0, 1)), (6, (0, 0, 0, 1, 0))]]
+    maxd = 2
+    tables = dict(
+        gen_off=array("i", [0, len(gens[0]), len(gens[0]) + len(gens[1])]),
+        gen_coeff=array("i", [c for terms in gens for c, _ in terms]),
+        gen_exps=array("i", [e for terms in gens for _, exps in terms
+                             for e in exps]),
+        mul=array("i", [a * b % q for a in range(q) for b in range(q)]),
+        add=array("i", [(a + b) % q for a in range(q) for b in range(q)]),
+        powt=array("i", [pow(x, e, q) for x in range(q)
+                         for e in range(maxd + 1)]),
+        maxd=maxd)
+
+    def vanishes(terms, point):
+        return not sum(c * prod(pow(x, e, q) for x, e in zip(point, exps))
+                       for c, exps in terms) % q
+
+    for nfree in (1, 2, 3):
+        for fixed in product((2, 3, 5), repeat=5 - nfree):
+            fixed = list(fixed)
+            points = [fixed + list(xs)
+                      for xs in product(range(q), repeat=nfree)]
+            free = dict(q=q, nvars=5, fixed=array("i", fixed + [0] * nfree),
+                        free_pos=array("i", range(5 - nfree, 5)),
+                        free_start=array("i", [0] * nfree), ngens=2)
+            for union, test in ((0, all), (1, any)):
+                expected = sum(1 for point in points if test(
+                    vanishes(terms, point) for terms in gens))
+                assert _pure.count_stratum(**free, **tables,
+                                           union=union) == expected
 
 
 def _binary_forms(spec, degree, up_to_scalar):
