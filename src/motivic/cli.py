@@ -86,6 +86,8 @@ class JobSpec:
             raise ValueError("--ambient is required")
         if ambient < 1:
             raise ValueError("ambient projective space needs dimension >= 1")
+        if budget is not None and budget < 0:
+            raise ValueError("--budget must be at least 0, got %d" % budget)
 
     @classmethod
     def from_args(cls, args):

@@ -7,15 +7,17 @@ the points where some of its factors vanishes, V(f_1 * ... * f_d), and the
 kernels count it factor by factor, never from the expanded product.
 Counting splits a query into lead strata (lead coordinate = 1, earlier
 coordinates 0), each an independent unit a kernel can chew through;
-together they are the points enumerate_points yields.
+together they hold the points enumerate_points yields.
 
 Nothing here is cached across calls but the field tables; over F_{p^m}
 their products come from the spec's own index log and exp, which
 motivic.fields builds once per spec and element arithmetic shares.  Equal
 queries count the same, so the CLI keeps one memo of counts per job
 (kclass.count_once) and counts each distinct query of a job once.
-enumerate_points, the independent reference, walks the same lead strata as
-the kernels, on residue tuples over F_p.
+enumerate_points and _first_point list points with the fibre walk of the
+pure kernel taken one prefix at a time (_points): the common roots of each
+fibre, in ascending order, are the points over its prefix.  The tests
+check kernels and searches against a brute-force walk of their own.
 
 Arithmetic inside the hot loop is table-driven: an element's value is
 already its index 0..q-1 (0 -> 0, 1 -> 1), and add/mul/pow become flat
@@ -44,8 +46,9 @@ instead of hanging; CountQuery.cost() is that number of candidates, those
 of the lead strata, #P^n(F_q) or fewer under a chart.  _first_point, the
 finite-field half of points.first_point through which every engine finds
 its first rational point, charges only the candidates it walks, so a point
-found early passes under any budget.  A MOTIVIC_BUDGET or MOTIVIC_WORKERS that is not an
-integer raises ValueError.
+found early passes under any budget.  A MOTIVIC_BUDGET or MOTIVIC_WORKERS
+that is not an integer, a negative MOTIVIC_BUDGET and a MOTIVIC_WORKERS
+below 1 raise ValueError.
 """
 
 from __future__ import annotations
@@ -53,10 +56,9 @@ from __future__ import annotations
 import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
 from math import prod
 
-from ..fields import _TABLE_LIMIT, FieldSpec
+from ..fields import _TABLE_LIMIT, FieldElem, FieldSpec
 from ..poly import HomogPoly
 
 from . import _pure
@@ -75,19 +77,24 @@ class BudgetError(ValueError):
     """The requested count would exceed the enumeration budget."""
 
 
-def _env_int(name: str, default: int) -> int:
-    """The integer environment knob `name`, or `default` when it is unset."""
+def _env_int(name: str, default: int, minimum: int) -> int:
+    """The integer environment knob `name`, at least `minimum`, or
+    `default` when it is unset."""
     raw = os.environ.get(name)
     if not raw:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError("%s must be an integer, got %r" % (name, raw)) from None
+    if value < minimum:
+        raise ValueError("%s must be at least %d, got %d"
+                         % (name, minimum, value))
+    return value
 
 
 def default_budget() -> int:
-    return _env_int("MOTIVIC_BUDGET", _DEFAULT_BUDGET)
+    return _env_int("MOTIVIC_BUDGET", _DEFAULT_BUDGET, 0)
 
 
 class CountQuery:
@@ -362,19 +369,20 @@ def _strata(query: CountQuery):
 def count_points(query: CountQuery, budget: int | None = None) -> int:
     """Number of F_q-points of the query, counted stratum by stratum."""
     budget = default_budget() if budget is None else budget
-    cost = query.cost()
+    q = query.spec.order
+    jobs = list(_strata(query))
+    cost = sum(prod(q - s for s in free_start) for _, _, free_start in jobs)
     if cost > budget:
         raise BudgetError(
             "counting %r needs %d candidates, budget is %d"
             % (query, cost, budget)
         )
-    q = query.spec.order
     if q > _TABLE_LIMIT:
         if query.spec.kind != "Fp":
             raise BudgetError(
                 "extension field of order %d is too large to tabulate" % q
             )
-        return _count_bigprime(query)
+        return _count_bigprime(query, jobs)
 
     add, mul = _field_tables(query.spec)
     polys, union = query._kernel_polys()
@@ -383,8 +391,6 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     powt = _pow_table(q, mul, maxd)
     kernel = _ckernel if _ckernel is not None else _pure
 
-    jobs = list(_strata(query))
-
     def run(job):
         fixed, free_pos, free_start = job
         return kernel.count_stratum(
@@ -392,7 +398,7 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
             len(polys), offs, coeffs, exps, mul, add, powt, maxd, union,
         )
 
-    workers = _env_int("MOTIVIC_WORKERS", 1)
+    workers = _env_int("MOTIVIC_WORKERS", 1, 1)
     if workers > 1 and len(jobs) > 1 and _ckernel is not None:
         # the compiled kernel drops the GIL, so threads actually help; more
         # threads than cores or strata would only wait
@@ -402,14 +408,15 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     return sum(run(job) for job in jobs)
 
 
-def _count_bigprime(query: CountQuery) -> int:
-    """Counting with ints mod p, for primes too large for q*q tables."""
+def _count_bigprime(query: CountQuery, jobs) -> int:
+    """Counting with ints mod p, for primes too large for q*q tables; jobs
+    are the query's _strata."""
     p = query.spec.p
     gens = [
         [(exps, c.value) for exps, c in g.sorted_terms()] for g in query.generators
     ]
     total = 0
-    for fixed, free_pos, free_start in _strata(query):
+    for fixed, free_pos, free_start in jobs:
         total += _pure.count_stratum_direct(
             p, query.n + 1, list(fixed), list(free_pos), list(free_start), gens
         )
@@ -419,10 +426,10 @@ def _count_bigprime(query: CountQuery) -> int:
 def enumerate_points(query: CountQuery, budget: int | None = None):
     """Yield the points of the query as coordinate tuples, canonical order.
 
-    The walk runs over the lead strata of _strata, in the order of
-    points.projective_reps.  Over F_p candidates are residue tuples and the
-    generators are evaluated on ints; field elements are built only for the
-    points yielded.  The whole walk is charged against budget up front.
+    The points come from _points, the kernels' fibre walk over the lead
+    strata of _strata, in the order of points.projective_reps; field
+    elements are built only for the points yielded.  The whole walk is
+    charged against budget up front.
     """
     budget = default_budget() if budget is None else budget
     cost = query.cost()
@@ -431,7 +438,7 @@ def enumerate_points(query: CountQuery, budget: int | None = None):
             "enumerating %r needs %d candidates, budget is %d"
             % (query, cost, budget)
         )
-    yield from _walk(query, budget)
+    yield from _points(query, budget)
 
 
 def _first_point(query: CountQuery, budget: int | None = None):
@@ -442,42 +449,119 @@ def _first_point(query: CountQuery, budget: int | None = None):
     candidates without a point.
     """
     budget = default_budget() if budget is None else budget
-    for pt in _walk(query, budget):
-        return pt
-    return None
+    return next(_points(query, budget), None)
 
 
-def _walk(query: CountQuery, budget: int):
-    """The walk of enumerate_points; BudgetError past budget candidates."""
+def _points(query: CountQuery, budget: int):
+    """The points of the query in canonical order, fibre by fibre.
+
+    Each lead stratum's generators are split once (_pure._fibre_terms); at
+    each prefix, in odometer order, they become univariate polynomials in
+    the last free coordinate, and the points over that prefix are the
+    common roots (for a union, the roots of some factor), in ascending
+    order.  A candidate's walk position is its place among the candidates
+    of the strata: a point at position k is yielded when k <= budget, and
+    BudgetError is raised once the walk passes budget candidates.  Fields
+    the kernels tabulate take the root masks of _pure._root_finder; larger
+    ones test the values of each fibre one at a time.
+    """
     spec = query.spec
     q = spec.order
-    elems = [spec.from_index(i) for i in range(q)]
-    if spec.kind == "Fp":
-        gens = [[(c.value, e) for e, c in g.terms.items()]
-                for g in query.generators]
+    nvars = query.n + 1
+    polys, union = query._kernel_polys()
+    terms = [[(c.value, exps) for exps, c in g.terms.items()] for g in polys]
+    if q <= _TABLE_LIMIT:
+        add, mul = _field_tables(spec)
+        stride = max((max(e) for t in terms for _, e in t), default=1) + 1
+        powt = _pow_table(q, mul, stride - 1)
 
-        def on_point(idx):
-            return all(
-                sum(c * prod(map(pow, idx, e)) for c, e in g) % q == 0
-                for g in gens)
+        def fold(c, x, e):
+            return mul[c * q + powt[x * stride + e]]
+
+        def plus(a, b):
+            return add[a * q + b]
+
+        roots = _pure._root_finder(q, mul, add)
+        flip = (1 << q) - 1 if union else 0
+
+        def fibre(coeff_lists, start, stop):
+            allowed = common = ((1 << stop) - 1) >> start << start
+            for coeffs in coeff_lists:
+                common &= roots(coeffs) ^ flip
+                if not common:
+                    break
+            if union:
+                common ^= allowed
+            while common:
+                low = common & -common
+                yield low.bit_length() - 1
+                common ^= low
     else:
-        gens = query.generators
+        if spec.kind == "Fp":
+            def fold(c, x, e):
+                return c * pow(x, e, q) % q
 
-        def on_point(idx):
-            pt = tuple(elems[i] for i in idx)
-            return all(g.evaluate(pt).is_zero() for g in gens)
+            def plus(a, b):
+                return (a + b) % q
+
+            def times(a, b):
+                return a * b % q
+        else:
+            def fold(c, x, e):
+                return spec._mul(c, spec._pow(x, e))
+
+            plus, times = spec._add, spec._mul
+
+        def value(coeffs, x):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = plus(times(acc, x), c)
+            return acc
+
+        test = any if union else all
+
+        def fibre(coeff_lists, start, stop):
+            for x in range(start, stop):
+                if test(not value(coeffs, x) for coeffs in coeff_lists):
+                    yield x
+
+    def over_budget():
+        return BudgetError(
+            "no point of %r among the first %d candidates, budget is %d"
+            % (query, budget, budget))
+
+    def point(idx):
+        return tuple([FieldElem(spec, v) for v in idx])
 
     walked = 0
     for fixed, free_pos, free_start in _strata(query):
+        gens = [_pure._fibre_terms(t, nvars, fixed, free_pos, fold)
+                for t in terms]
         idx = list(fixed)
-        for tail in product(*[range(start, q) for start in free_start]):
-            walked += 1
-            if walked > budget:
-                raise BudgetError(
-                    "no point of %r among the first %d candidates, "
-                    "budget is %d" % (query, budget, budget)
-                )
-            for i, v in zip(free_pos, tail):
-                idx[i] = v
-            if on_point(idx):
-                yield tuple(elems[i] for i in idx)
+        if free_pos:
+            last, start, end = free_pos[-1], free_start[-1], q
+        else:
+            # the one candidate, fixed, is a fibre of one value whose
+            # polynomials are constants
+            last, start, end = None, 0, 1
+        for pre in _pure._prefixes(q, free_start):
+            if walked == budget:
+                raise over_budget()
+            stop = min(end, start + budget - walked)
+            coeff_lists = []
+            for split, width in gens:
+                coeffs = [0] * width
+                for c, factors, e_last in split:
+                    for j, e in factors:
+                        c = fold(c, pre[j], e)
+                    coeffs[e_last] = plus(coeffs[e_last], c)
+                coeff_lists.append(coeffs)
+            for x in fibre(coeff_lists, start, stop):
+                for pos, v in zip(free_pos, pre):
+                    idx[pos] = v
+                if last is not None:
+                    idx[last] = x
+                yield point(idx)
+            walked += stop - start
+            if stop < end:
+                raise over_budget()

@@ -61,6 +61,11 @@ def _fibre_terms(terms, nvars, fixed, free_pos, fold):
     return out, max((t[2] for t in out), default=0) + 1
 
 
+# (mul, add, roots) by (id(mul), id(add)): one root finder per pair of
+# tables, which the entry keeps alive, so that no other object takes their ids
+_finders = {}
+
+
 def _root_finder(q, mul, add):
     """roots(coeffs): the bitmask over the value indices 0..q-1 of the roots
     of sum(coeffs[e] * t^e), every index for the zero polynomial.
@@ -68,8 +73,14 @@ def _root_finder(q, mul, add):
     Degree 1 and 2 are solved in closed form, with the negation, the square
     roots and the inverses they need built from the tables on first use;
     the tables are of odd characteristic, as motivic.fields refuses p = 2.
-    Higher degrees are evaluated at all q values.
+    Higher degrees are evaluated at all q values.  There is one finder per
+    pair of table objects, kept for the life of the process, so its
+    closed-form tables are built once per field; a caller keeps its own
+    memo of masks.
     """
+    entry = _finders.get((id(mul), id(add)))
+    if entry is not None:
+        return entry[2]
     full = (1 << q) - 1
     xs = range(q)
     two = add[q + 1]
@@ -123,6 +134,7 @@ def _root_finder(q, mul, add):
         return ((1 << mul[add[b * q + s] * q + r])
                 | (1 << mul[add[b * q + neg[s]] * q + r]))
 
+    _finders[id(mul), id(add)] = (mul, add, roots)
     return roots
 
 

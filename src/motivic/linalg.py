@@ -10,7 +10,9 @@ Elimination and products run on rows of plain values -- residues over F_p,
 indices over F_{p^m}, Fractions over Q -- and convert back to field
 elements once, at the end.  Their one path for every field is the value
 arithmetic of the spec (its _inv, _neg, _scale and _axpy), which over
-F_{p^m} is lookup in the spec's index tables.
+F_{p^m} is lookup in the spec's index tables.  The product (_product)
+and nullspace (_kernel) on raw rows also serve callers that keep values,
+as quadform.hyperbolic_normalize does.
 The public constructor validates and coerces its entries.  Results of rref,
 transpose, products, inverse and solve are valid by construction, so they
 are built through _from_rows, which stores the rows it is given.  _Echelon
@@ -53,6 +55,37 @@ def _eliminate(spec, m, ncols):
         pivots.append(c)
         r += 1
     return tuple(pivots)
+
+
+def _product(spec, left, right):
+    """The product of the raw rows left and right (see _raw), as raw rows."""
+    zero = spec.zero.value
+    width = len(right[0]) if right else 0
+    out = []
+    for row in left:
+        acc = [zero] * width
+        for a, b in zip(row, right):
+            if a:
+                acc = spec._axpy(acc, a, b)
+        out.append(acc)
+    return out
+
+
+def _kernel(spec, m, ncols):
+    """The canonical right-nullspace basis (see Matrix.nullspace) of the
+    raw rows m, as value lists; m is reduced to rref on the way."""
+    pivots = _eliminate(spec, m, ncols)
+    zero, one = spec.zero.value, spec.one.value
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for r, c in enumerate(pivots):
+            v[c] = spec._neg(m[r][fc])
+        basis.append(v)
+    return basis
 
 
 class Matrix:
@@ -116,16 +149,8 @@ class Matrix:
         spec = self.spec
         if other.spec is not spec:
             raise ValueError("mixed fields: %s vs %s" % (spec, other.spec))
-        zero = spec.zero.value
-        right = _raw(other.rows)
-        out = []
-        for row in _raw(self.rows):
-            acc = [zero] * other.ncols
-            for a, b in zip(row, right):
-                if a:
-                    acc = spec._axpy(acc, a, b)
-            out.append(acc)
-        return Matrix._from_raw(spec, out)
+        return Matrix._from_raw(
+            spec, _product(spec, _raw(self.rows), _raw(other.rows)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -145,17 +170,9 @@ class Matrix:
     def nullspace(self):
         """Canonical right-nullspace basis: one vector per free column, which
         gets entry 1 while the other free columns get 0."""
-        R, pivots = self.rref()
-        pivot_of = {c: r for r, c in enumerate(pivots)}
-        free = [c for c in range(self.ncols) if c not in pivot_of]
-        basis = []
-        for fc in free:
-            v = [self.spec.zero] * self.ncols
-            v[fc] = self.spec.one
-            for c, r in pivot_of.items():
-                v[c] = -R.rows[r][fc]
-            basis.append(tuple(v))
-        return basis
+        spec = self.spec
+        return [tuple([FieldElem(spec, x) for x in v])
+                for v in _kernel(spec, _raw(self.rows), self.ncols)]
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:

@@ -14,8 +14,11 @@ normalized to leading coordinate 1.
 
 first_point is the one search for a first rational point of V(gens) that
 the engines run: the isotropic point of a quadric, the singular point of a
-cubic and the common point of two quadrics.  Over every field it is charged
-against the budget only for the candidates it walks.
+cubic and the common point of two quadrics.  Over a finite field it runs
+the fibre walk of motivic.count, which finds the points over each prefix
+of a stratum as the common roots of univariate polynomials in the last
+coordinate instead of testing candidates one by one.  Over every field it
+is charged against the budget only for the candidates it walks.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ def first_point(spec: FieldSpec, n: int, gens, height: int = 10,
                 budget=None):
     """First point of V(gens) in P^n in the fixed order, or None.
 
-    Over a finite field the walk is that of count.enumerate_points; over Q
-    it walks rational_reps(n, height).  Either is charged only for the
+    Over a finite field the walk is the fibre walk of
+    count.enumerate_points; over Q it walks rational_reps(n, height).  Either is charged only for the
     candidates walked: a point found early passes under any budget, and
     BudgetError is raised once budget candidates pass without one.
     """

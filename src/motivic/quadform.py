@@ -6,18 +6,26 @@ q(x) = x^T G x, so the polynomial coefficient of x_i*x_j (i < j) is 2*G[i][j].
 All choices are deterministic -- diagonalization scans for pivots in index
 order and mixes the first hyperbolic pair when the diagonal is stuck at zero;
 point searches walk the canonical enumeration order.
+
+A form keeps its rank and its polynomial once computed, so the quadric
+recursion eliminates each Gram matrix once.  hyperbolic_normalize works on
+rows of values with the products of motivic.linalg, one path for every
+field, and builds elements only for what it returns.
 """
 
 from __future__ import annotations
 
 from .fields import FieldSpec
-from .linalg import Matrix
+from .linalg import Matrix, _kernel, _product, _raw
 from .points import first_point
 from .poly import HomogPoly
 
 
 class QuadForm:
-    __slots__ = ("spec", "nvars", "gram")
+    """A quadratic form by its Gram matrix.  A form is never changed after
+    it is built, so it keeps its rank and its polynomial once computed."""
+
+    __slots__ = ("spec", "nvars", "gram", "_rank", "_poly")
 
     def __init__(self, spec: FieldSpec, gram: Matrix):
         if spec.char == 2:
@@ -31,6 +39,8 @@ class QuadForm:
         self.spec = spec
         self.nvars = gram.nrows
         self.gram = gram
+        self._rank = None
+        self._poly = None
 
     @classmethod
     def from_poly(cls, f: HomogPoly) -> "QuadForm":
@@ -56,6 +66,8 @@ class QuadForm:
         return cls(spec, Matrix(spec, rows))
 
     def poly(self) -> HomogPoly:
+        if self._poly is not None:
+            return self._poly
         terms = {}
         n = self.nvars
         for i in range(n):
@@ -67,7 +79,8 @@ class QuadForm:
                 if not c.is_zero():
                     terms[tuple(1 if k in (i, j) else 0 for k in range(n))] = c + c
         # in odd characteristic c + c is nonzero
-        return HomogPoly._from_terms(self.spec, n, 2, terms)
+        self._poly = HomogPoly._from_terms(self.spec, n, 2, terms)
+        return self._poly
 
     def evaluate(self, x):
         x = [self.spec.elem(v) for v in x]
@@ -81,7 +94,9 @@ class QuadForm:
         return acc
 
     def rank(self) -> int:
-        return self.gram.rank()
+        if self._rank is None:
+            self._rank = self.gram.rank()
+        return self._rank
 
     def is_nondegenerate(self) -> bool:
         return self.rank() == self.nvars
@@ -168,53 +183,64 @@ def hyperbolic_normalize(q: QuadForm, x):
 
     Returns (M, q2) with q(M y) = y0*y1 + q2(y2..yn), column 1 of M equal to
     x (so M^-1 x is the second standard basis vector), and q2 nondegenerate
-    in nvars-2 variables (None when nvars == 2).
+    in nvars-2 variables (None when nvars == 2).  The work runs on value
+    lists (motivic.linalg's raw rows); elements are built for M and q2 only.
     """
     spec = q.spec
     n = q.nvars
-    x = tuple(spec.elem(v) for v in x)
-    if all(v.is_zero() for v in x):
+    x = [spec.elem(v).value for v in x]
+    if not any(x):
         raise ValueError("isotropic vector must be nonzero")
-    if not q.evaluate(x).is_zero():
+    G = _raw(q.gram.rows)
+
+    def value_at(a, ga):
+        # q(a) = a . ga, ga being G a
+        return _product(spec, [a], [[v] for v in ga])[0][0]
+
+    # b(x, e_i) = (G x)_i, the row x^T G, as G is symmetric
+    gx = _product(spec, [x], G)[0]
+    if value_at(x, gx):
         raise ValueError("point is not on the quadric")
     if not q.is_nondegenerate():
         raise ValueError("form is degenerate")
 
-    two = spec.elem(2)
-    G = q.gram
-    # b(x, e_i) = (G x)_i, as G is symmetric
-    gx = (G * Matrix.from_columns(spec, [x])).column(0)
     # first standard basis vector e_i not orthogonal to x
-    i = next((i for i, v in enumerate(gx) if not v.is_zero()), None)
+    i = next((i for i, v in enumerate(gx) if v), None)
     if i is None:
         raise AssertionError("nondegenerate form with x in the radical")
-    w = tuple(spec.one if j == i else spec.zero for j in range(n))
-    # u = w - (b(w,w) / (2 b(x,w))) x is isotropic and pairs with x
-    factor = G.rows[i][i] / (two * gx[i])
-    u = tuple(wv - factor * xv for wv, xv in zip(w, x))
-    bux = sum((uv * gv for uv, gv in zip(u, gx)), spec.zero)
-    scale = (two * bux).inverse()
-    u = tuple(scale * v for v in u)
-    if not q.evaluate(u).is_zero():
+    # w = e_i - (b(e_i, e_i) / (2 b(x, e_i))) x is isotropic with
+    # b(w, x) = b(x, e_i), as q(x) = 0; u = w / (2 b(x, e_i)) pairs with x
+    # to 1/2: with r = 1 / (2 b(x, e_i)), u = r e_i - G[i][i] r^2 x
+    two = spec.elem(2).value
+    r = spec._inv(spec._scale(two, [gx[i]])[0])
+    gii = G[i][i]
+    if gii:
+        u = spec._scale(spec._neg(spec._scale(gii, [r])[0]), spec._scale(r, x))
+        u[i] = spec._axpy([u[i]], spec.one.value, [r])[0]
+    else:
+        u = [spec.zero.value] * n
+        u[i] = r
+    gu = _product(spec, [u], G)[0]
+    if value_at(u, gu):
         raise AssertionError("constructed vector is not isotropic")
 
     # orthogonal complement of span(u, x): nullspace of the two pairing
     # rows b(u, .) = (G u)^T and b(x, .) = (G x)^T
-    gu = (G * Matrix.from_columns(spec, [u])).column(0)
-    pair_rows = Matrix(spec, [gu, gx])
-    comp = pair_rows.nullspace()
-    M = Matrix.from_columns(spec, [u, x] + comp)
-    # the Gram matrix of q(M y) is H = M^T G M: y0*y1 + q2 needs H[0][1] = 1/2
-    # and no other entry in rows 0 and 1
-    H = M.transpose() * G * M
-    if H.rows[0][1] != two.inverse():
+    comp = _kernel(spec, [gu, gx], n)
+    M = [list(row) for row in zip(u, x, *comp)]
+    # the Gram matrix of q(M y) is H = M^T G M, rows 0 and 1 of M^T G being
+    # gu and gx: y0*y1 + q2 needs H[0][1] = 1/2 and no other entry in rows
+    # 0 and 1
+    H = _product(spec, [gu, gx] + _product(spec, comp, G), M)
+    if H[0][1] != spec._inv(two):
         raise AssertionError("hyperbolic pair not normalized")
     for i in (0, 1):
-        if any(not H.rows[i][j].is_zero() for j in range(n) if j != 1 - i):
+        if any(H[i][j] for j in range(n) if j != 1 - i):
             raise AssertionError("residual form still involves x%d" % i)
+    M = Matrix._from_raw(spec, M)
     if n == 2:
         return M, None
-    q2 = QuadForm(spec, Matrix._from_rows(spec, [row[2:] for row in H.rows[2:]]))
+    q2 = QuadForm(spec, Matrix._from_raw(spec, [row[2:] for row in H[2:]]))
     if not q2.is_nondegenerate():
         raise AssertionError("split complement is degenerate")
     return M, q2

@@ -4,6 +4,7 @@ Python processes."""
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import motivic
@@ -30,6 +31,61 @@ def assert_trace_verifies(result, budget=None):
 
 def brute_count(spec, n, gens):
     return count_points(CountQuery(spec, n, gens))
+
+
+def reference_walk(query):
+    """(points, candidates) of a CountQuery by brute force.
+
+    Every candidate of the query's chart in P^n is visited in canonical
+    order (points.projective_reps) and every generator is evaluated on its
+    values, a union's being its expanded product; over F_{p^m} the values
+    combine through the spec's _add, _mul and _pow.  points lists each
+    point found as (walk position, element tuple), the first candidate
+    being at position 1; candidates is how many there are.
+    """
+    spec, n = query.spec, query.n
+    q = spec.order
+    if spec.kind == "Fp":
+        def add(a, b):
+            return (a + b) % q
+
+        def mul(a, b):
+            return a * b % q
+
+        def power(a, e):
+            return pow(a, e, q)
+    else:
+        add, mul, power = spec._add, spec._mul, spec._pow
+    gens = [[(c.value, e) for e, c in g.terms.items()]
+            for g in query.generators]
+
+    def vanishes(terms, idx):
+        acc = 0
+        for c, exps in terms:
+            for x, e in zip(idx, exps):
+                if e:
+                    c = mul(c, power(x, e))
+            acc = add(acc, c)
+        return not acc
+
+    chart = dict(query.chart)
+    points = []
+    walked = 0
+    for lead in range(n + 1):
+        for tail in product(range(q), repeat=n - lead):
+            idx = (0,) * lead + (1,) + tail
+            if any((kind == "zero") != (idx[i] == 0)
+                   for i, kind in chart.items()):
+                continue
+            walked += 1
+            if all(vanishes(terms, idx) for terms in gens):
+                points.append((walked, tuple(spec.from_index(i) for i in idx)))
+    return points, walked
+
+
+def reference_points(query):
+    """The points of reference_walk(query), in walk order."""
+    return [pt for _, pt in reference_walk(query)[0]]
 
 
 def run_python(args, env, root=None):

@@ -624,6 +624,29 @@ def test_non_integer_knob_exits_two(monkeypatch, capsys, knob):
     assert err == "error: %s must be an integer, got 'abc'\n" % knob
 
 
+@pytest.mark.parametrize("knob, value, least", [
+    ("MOTIVIC_BUDGET", "-1", 0), ("MOTIVIC_WORKERS", "0", 1),
+    ("MOTIVIC_WORKERS", "-3", 1)])
+def test_out_of_range_knob_exits_two(monkeypatch, capsys, knob, value, least):
+    monkeypatch.setenv(knob, value)
+    expected = "error: %s must be at least %d, got %s\n" % (knob, least, value)
+    code, out, err = _run(capsys, ["count", "--field", "3", "--ambient", "1"])
+    assert (code, out, err) == (2, "", expected)
+    code, _, err = _run(capsys, ["selftest"])
+    assert (code, err) == (2, expected)
+
+
+def test_negative_budget_exits_two(capsys):
+    code, out, err = _run(capsys, ["count", "--field", "3", "--ambient", "1",
+                                   "--budget", "-1"])
+    assert (code, out, err) == (2, "", "error: --budget must be at least 0, "
+                                       "got -1\n")
+    # 0 is a budget: P^1(F3) has 4 candidates
+    code, out, err = _run(capsys, ["count", "--field", "3", "--ambient", "1",
+                                   "--budget", "0"])
+    assert code == 2 and "needs 4 candidates, budget is 0" in err
+
+
 def test_oracle_obeys_job_budget(monkeypatch, capsys):
     # The oracle's atom counts take --budget, not the MOTIVIC_BUDGET default.
     # The largest count of the job is the cubic in P^3(F3), 40 candidates.

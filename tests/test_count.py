@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import motivic
 import motivic.count
-from conftest import run_python
+from conftest import reference_points, reference_walk, run_python
 from motivic.count import (
     BudgetError,
     CountQuery,
@@ -252,16 +252,18 @@ def test_worker_count_is_clamped(monkeypatch):
     assert asked == [min(os.cpu_count() or 1, 4)]
 
 
-# Run in a child on a freshly built copy of the checkout.  It prints where
-# motivic came from, then one JSON line per query: [compiled kernel, compiled
-# kernel on 2 threads, pure kernel, enumerate_points], then one JSON line
-# with the direct kernel calls.
+# Run in a child on a freshly built copy of the checkout, with the tests'
+# conftest importable.  It prints where motivic came from, then one JSON line
+# per query: [compiled kernel, compiled kernel on 2 threads, pure kernel,
+# brute-force reference walk], then one JSON line with the direct kernel
+# calls.
 _COMPILED_CHECK = """
 import json
 import os
 from array import array
 import motivic, motivic.count as count
-from motivic.count import CountQuery, _pure, count_points, enumerate_points
+from conftest import reference_walk
+from motivic.count import CountQuery, _pure, count_points
 from motivic.fields import extension_field, prime_field
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
@@ -303,7 +305,7 @@ for query in queries:
     count._ckernel = None
     row.append(count_points(query))
     count._ckernel = ckernel
-    row.append(sum(1 for _ in enumerate_points(query)))
+    row.append(len(reference_walk(query)[0]))
     print(json.dumps(row))
 
 q = 3
@@ -351,7 +353,8 @@ _HAVE_C_TOOLCHAIN = (
                            "compiled kernel")
 def test_compiled_kernel_agrees_with_pure(tmp_path):
     """Build the C kernel in a copy of the checkout; it must count what the
-    pure kernel and enumerate_points count, and refuse malformed buffers."""
+    pure kernel and the brute-force reference count, and refuse malformed
+    buffers."""
     repo = Path(__file__).resolve().parents[1]
     for name in ("setup.py", "pyproject.toml"):
         shutil.copy(repo / name, tmp_path / name)
@@ -364,7 +367,9 @@ def test_compiled_kernel_agrees_with_pure(tmp_path):
                        root=tmp_path)
     assert built.returncode == 0, built.stdout + built.stderr
 
-    out = run_python(["-c", _COMPILED_CHECK], env, root=tmp_path)
+    tests = str(Path(__file__).resolve().parent)
+    out = run_python(["-c", _COMPILED_CHECK], dict(env, PYTHONPATH=tests),
+                     root=tmp_path)
     assert out.returncode == 0, out.stderr
     where, *rows, kernel_calls = out.stdout.splitlines()
     assert Path(where).is_relative_to(tmp_path)
@@ -499,9 +504,9 @@ def _union_query(draw):
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_pure_kernel_matches_enumeration(monkeypatch, query):
-    # enumerate_points reads a union's expanded product
+    # the reference walk reads a union's expanded product
     monkeypatch.setattr(motivic.count, "_ckernel", None)
-    assert count_points(query) == len(list(enumerate_points(query)))
+    assert count_points(query) == len(reference_points(query))
     # cost() is the number of candidates the count walks: with no
     # generator every one of them is a point
     space = CountQuery(query.spec, query.n, [], query.chart)
@@ -582,7 +587,7 @@ def test_closed_form_roots_cover_every_binary_form(monkeypatch, spec):
                           CountQuery.union(spec, 1, [f, other]),
                           CountQuery(spec, 1, [f], ((1, "nonzero"),))):
                 assert count_points(query) == len(
-                    list(enumerate_points(query))), query
+                    reference_points(query)), query
 
 
 def test_union_counts_as_its_product():
@@ -621,25 +626,105 @@ def test_query_equality_and_hash_are_stable():
     assert len({u, a, *same}) == 2
 
 
-def _generic_walk(query):
-    """The points of the query, filtered from all of P^n in canonical order
-    with FieldElem evaluation."""
-    chart = dict(query.chart)
-    out = []
-    for pt in projective_reps(query.spec, query.n):
-        if any((kind == "zero") != pt[i].is_zero() for i, kind in chart.items()):
-            continue
-        if all(g.evaluate(pt).is_zero() for g in query.generators):
-            out.append(pt)
-    return out
-
-
 @given(st.one_of(_count_query(), _union_query()))
 @settings(max_examples=120, deadline=None)
 def test_enumerate_points_matches_generic_walk(query):
-    """The residue walk over F_p, and the element walk over F_{p^m}, yield
-    the points of the full filtered walk, in the same order, as elements
-    of the query's field."""
+    """The fibre walk yields the points of the brute-force walk, in the same
+    order, as elements of the query's field."""
     pts = list(enumerate_points(query))
-    assert pts == _generic_walk(query)
+    assert pts == reference_points(query)
     assert all(c.spec is query.spec for pt in pts for c in pt)
+
+
+def _points_within(query, budget):
+    """(points, error text) of the fibre walk under budget: the points it
+    yields before it stops, and the BudgetError it stops with, or None."""
+    pts = []
+    try:
+        for pt in motivic.count._points(query, budget):
+            pts.append(pt)
+    except BudgetError as e:
+        return pts, str(e)
+    return pts, None
+
+
+@st.composite
+def _search_query(draw):
+    """A plain or union query over F3-F13, F9 or F25 in P^0-P^3."""
+    spec = draw(st.sampled_from([F3, F5, F7, F9, F11, F13, F25]))
+    n = draw(st.integers(0, 3))
+    chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
+             for i in range(n + 1) if draw(st.booleans())]
+    if draw(st.booleans()):
+        forms = [_draw_form(draw, spec, n, draw(st.integers(1, 3)))
+                 for _ in range(draw(st.integers(0, 3)))]
+        return CountQuery(spec, n, forms, chart)
+    factors = [_draw_form(draw, spec, n, draw(st.integers(1, 2)))
+               for _ in range(draw(st.integers(1, 3)))]
+    return CountQuery.union(spec, n, factors, chart)
+
+
+def _assert_searches_match_reference(query, more_budgets=()):
+    """_first_point and enumerate_points against the brute-force walk at
+    budgets k - 1, k and k + 1 around the first point's position k and the
+    candidate count, and at more_budgets: a point at position k is
+    returned iff k <= budget, the walk yields every point up to the budget
+    and then raises once it passes budget candidates, and enumerate_points
+    charges every candidate up front."""
+    points, total = reference_walk(query)
+    assert query.cost() == total
+    budgets = {total - 1, total, total + 1, *more_budgets}
+    if points:
+        k = points[0][0]
+        budgets |= {k - 1, k, k + 1}
+    for budget in sorted(b for b in budgets if b >= 0):
+        within = [pt for pos, pt in points if pos <= budget]
+        passed = None
+        if total > budget:
+            passed = ("no point of %r among the first %d candidates, budget "
+                      "is %d" % (query, budget, budget))
+        assert _points_within(query, budget) == (within, passed)
+        if within:
+            assert motivic.count._first_point(query, budget) == within[0]
+        elif passed:
+            with pytest.raises(BudgetError) as err:
+                motivic.count._first_point(query, budget)
+            assert str(err.value) == passed
+        else:
+            assert motivic.count._first_point(query, budget) is None
+        if total > budget:
+            with pytest.raises(BudgetError) as err:
+                next(enumerate_points(query, budget))
+            assert str(err.value) == (
+                "enumerating %r needs %d candidates, budget is %d"
+                % (query, total, budget))
+        else:
+            assert list(enumerate_points(query, budget)) == within
+
+
+@given(_search_query(), st.data())
+# the first point of x0^2 - 2*x1^2 in P^1(F7) is (1 : 3), the 5th candidate
+@example(query=_q(["x0^2 - 2*x1^2"], F7, 1), data=None)
+@settings(max_examples=80, deadline=None)
+def test_point_searches_match_reference_walk(query, data):
+    """The fibre walk over tabulated fields, at the budgets of
+    _assert_searches_match_reference and one more drawn budget."""
+    more = ()
+    if data is not None:
+        more = [data.draw(st.integers(0, query.cost() + 1))]
+    _assert_searches_match_reference(query, more)
+
+
+@pytest.mark.parametrize("spec", [prime_field(1031), extension_field(37, 2)],
+                         ids=str)
+def test_point_searches_past_the_table_limit(spec):
+    """Fields too large to tabulate test each value of a fibre in turn."""
+    g = spec.gen() if spec.kind == "Fpm" else spec.elem(5)
+    lines = [parse_poly("x0 - x1", spec, 2),
+             HomogPoly(spec, 2, 1, {(1, 0): g, (0, 1): spec.one})]
+    for query in [
+            _q(["x0^2 - x1^2"], spec, 1),
+            _q(["x0^3 - x1^3 + x0*x1^2"], spec, 1, ((1, "nonzero"),)),
+            CountQuery.union(spec, 1, lines),
+            _q(["x0*x1 - x2^2", "x1 - x2"], spec, 2, ((0, "zero"),))]:
+        _assert_searches_match_reference(query)

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motivic.count import BudgetError
+from motivic.count import BudgetError, CountQuery, enumerate_points
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.linalg import Matrix
 from motivic.parse import parse_poly
@@ -143,6 +145,66 @@ def test_hyperbolic_normalize_error_paths():
     dg = QuadForm.from_poly(parse_poly("x0^2", F5, 2))
     with pytest.raises(ValueError, match="degenerate"):
         hyperbolic_normalize(dg, (0, 1))
+
+
+def _hyperbolic_normalize_on_elements(q, x):
+    """hyperbolic_normalize as it was written on FieldElems, the reference
+    of the value-row version."""
+    spec = q.spec
+    n = q.nvars
+    x = tuple(spec.elem(v) for v in x)
+    two = spec.elem(2)
+    G = q.gram
+    gx = (G * Matrix.from_columns(spec, [x])).column(0)
+    i = next(i for i, v in enumerate(gx) if not v.is_zero())
+    w = tuple(spec.one if j == i else spec.zero for j in range(n))
+    factor = G.rows[i][i] / (two * gx[i])
+    u = tuple(wv - factor * xv for wv, xv in zip(w, x))
+    bux = sum((uv * gv for uv, gv in zip(u, gx)), spec.zero)
+    scale = (two * bux).inverse()
+    u = tuple(scale * v for v in u)
+    gu = (G * Matrix.from_columns(spec, [u])).column(0)
+    comp = Matrix(spec, [gu, gx]).nullspace()
+    M = Matrix.from_columns(spec, [u, x] + comp)
+    H = M.transpose() * G * M
+    if n == 2:
+        return M, None
+    return M, QuadForm(spec, Matrix(spec, [row[2:] for row in H.rows[2:]]))
+
+
+@pytest.mark.parametrize("spec, text, nvars", [
+    (F5, "x0*x1 + x2^2 + x3^2", 4),
+    (F5, "x0^2 + 2*x1^2 + 3*x2^2 + x0*x2", 3),
+    (prime_field(7), "x0^2 - x1^2", 2),
+    (prime_field(7), "x0*x1 + 3*x1*x2 + x2^2 - x3^2 + 2*x0*x4 + x4^2", 5),
+    (extension_field(3, 2), "x0^2 + t*x1^2 + x2*x3", 4),
+    (extension_field(5, 2), "t*x0*x1 + x1^2 + (t+1)*x2^2", 3),
+    (Q, "x0^2 + x1^2 - x2^2", 3),
+    (Q, "x0*x1 + 2*x2^2 - x3^2 + x0*x2", 4),
+    (Q, "2*x0^2 - 3*x1^2 + x2*x3 + x1*x3", 4),
+], ids=str)
+def test_hyperbolic_normalize_matches_element_version(spec, text, nvars):
+    """The split on value rows returns the M and q2 of the element version,
+    at every isotropic point of a small field and at scaled points over
+    Q."""
+    q = QuadForm.from_poly(parse_poly(text, spec, nvars))
+    assert q.is_nondegenerate()
+    if spec.is_finite:
+        pts = list(enumerate_points(CountQuery(spec, nvars - 1, [q.poly()])))
+        pts += [tuple(spec.gen() * v for v in pt) for pt in pts
+                if spec.kind == "Fpm"]
+    else:
+        pt = find_projective_point(q, height=3)
+        pts = [pt, tuple(v * Fraction(-3, 2) for v in pt)]
+    assert pts
+    for pt in pts:
+        M, q2 = hyperbolic_normalize(q, pt)
+        M_ref, q2_ref = _hyperbolic_normalize_on_elements(q, pt)
+        assert M == M_ref
+        if q2_ref is None:
+            assert q2 is None
+        else:
+            assert q2.gram == q2_ref.gram
 
 
 def test_transform_composes():

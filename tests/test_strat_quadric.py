@@ -172,3 +172,27 @@ def test_measure_matches_count_on_random_forms():
                 spec, nvars - 1, [f]
             )
             assert_trace_verifies(r)
+
+
+@pytest.mark.parametrize("text, spec, nvars, forms", [
+    # 5 -> 3 -> 1 variables
+    ("x0*x1 + x2*x3 + x4^2", F5, 5, 3),
+    # the radical split 4 -> 3, then 3 -> 1
+    ("x0*x1 + x2^2", F7, 4, 3),
+    # 4 -> 2, a binary form
+    ("x0^2 + x1^2 - x2^2 - x3^2", Q, 4, 2),
+], ids=["F5", "F7-degenerate", "Q"])
+def test_quadric_recursion_eliminates_each_form_once(monkeypatch, text, spec,
+                                                     nvars, forms):
+    """The caller, the split's entry check and its check of the complement
+    share one elimination per form."""
+    ranked = []
+    rank = Matrix.rank
+
+    def recording(self):
+        ranked.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", recording)
+    class_of_quadric(parse_poly(text, spec, nvars))
+    assert len(ranked) == len({id(m) for m in ranked}) == forms
