@@ -9,11 +9,19 @@ Counting splits a query into lead strata (lead coordinate = 1, earlier
 coordinates 0), each an independent unit a kernel can chew through;
 together they hold the points enumerate_points yields.
 
-Nothing here is cached across calls but the field tables; over F_{p^m}
-their products come from the spec's own index log and exp, which
-motivic.fields builds once per spec and element arithmetic shares.  Equal
-queries count the same, so the CLI keeps one memo of counts per job
-(kclass.count_once) and counts each distinct query of a job once.
+Across calls only tables are kept: the add and mul tables per field (over
+F_{p^m} their products come from the spec's own index log and exp, which
+motivic.fields builds once per spec and element arithmetic shares), and
+per table and degree the power table and the x_mid power columns and the
+closed-form root tables of _pure.  Within a call the pure kernel plans the
+query once: it reads the generators' terms as (value, exps) rows once
+(_rows) and derives every lead stratum from them by filtering
+(_pure._split), since a stratum fixes only zeros and its lead's 1, and one
+walker (_pure._walker) counts all the strata with one memo of root masks
+that lives for the query.  enumerate_points and the big-prime path take
+the same filtered split.  Equal queries count the same, so the CLI keeps
+one memo of counts per job (kclass.count_once) and counts each distinct
+query of a job once.
 enumerate_points and _first_point list points with the fibre walk of the
 pure kernel taken one prefix at a time (_points): the common roots of each
 fibre, in ascending order, are the points over its prefix.  The tests
@@ -300,21 +308,16 @@ def _mul_table(spec):
     return table
 
 
-def _pow_table(q, mul, maxd):
-    """powt[x*(maxd+1) + e] = x^e, filled one exponent column at a time."""
-    stride = maxd + 1
-    powt = array("i", [0]) * (q * stride)
-    col = [1] * q
-    powt[0::stride] = array("i", col)
-    for e in range(1, stride):
-        col = [mul[a * q + x] for x, a in enumerate(col)]
-        powt[e::stride] = array("i", col)
-    return powt
+def _rows(polys):
+    """Each polynomial's terms as (value, exps) rows: the one read of a
+    query's generators that a count or a point search makes; _pure._split
+    derives every lead stratum from these rows."""
+    return [[(c.value, exps) for exps, c in g.terms.items()] for g in polys]
 
 
 def _encode_generators(polys):
     """Flatten polynomial terms into (offsets, coeff indices, exponent
-    rows, highest exponent)."""
+    rows, highest exponent), the buffers of the compiled kernel."""
     offs = array("i", [0])
     coeffs = array("i", [])
     exps = array("i", [])
@@ -332,7 +335,7 @@ def _encode_generators(polys):
 # stratum planning
 
 def _strata(query: CountQuery):
-    """Yield per-lead work items (fixed, free_pos, free_start).
+    """Yield per-lead work items (fixed, free_pos, free_start), as lists.
 
     fixed is the value-index vector with lead set to 1 and the earlier and
     zero-constrained coordinates set to 0; free positions carry their start
@@ -340,26 +343,16 @@ def _strata(query: CountQuery):
     chart yields nothing.
     """
     n = query.n
-    chart = dict(query.chart)
-    for lead in range(n + 1):
-        ok = True
-        for i, kind in chart.items():
-            if i < lead and kind == "nonzero":
-                ok = False
-            if i == lead and kind == "zero":
-                ok = False
-        if not ok:
+    zero = {i for i, kind in query.chart if kind == "zero"}
+    nonzero = {i for i, kind in query.chart if kind == "nonzero"}
+    # a lead past a coordinate constrained nonzero would set it to 0
+    for lead in range(min(nonzero, default=n) + 1):
+        if lead in zero:
             continue
-        fixed = array("i", [0] * (n + 1))
+        fixed = [0] * (n + 1)
         fixed[lead] = 1
-        free_pos = array("i", [])
-        free_start = array("i", [])
-        for i in range(lead + 1, n + 1):
-            kind = chart.get(i)
-            if kind == "zero":
-                continue
-            free_pos.append(i)
-            free_start.append(1 if kind == "nonzero" else 0)
+        free_pos = [i for i in range(lead + 1, n + 1) if i not in zero]
+        free_start = [int(i in nonzero) for i in free_pos]
         yield fixed, free_pos, free_start
 
 
@@ -367,7 +360,14 @@ def _strata(query: CountQuery):
 # public API
 
 def count_points(query: CountQuery, budget: int | None = None) -> int:
-    """Number of F_q-points of the query, counted stratum by stratum."""
+    """Number of F_q-points of the query, counted stratum by stratum.
+
+    The pure kernel plans the query once: it reads the generators' terms
+    once (_rows), derives each lead stratum from them by filtering
+    (_pure._split) and counts every stratum with one walker, whose memo of
+    root masks the strata share.  The compiled kernel takes each stratum
+    as array('i') buffers through the count_stratum contract.
+    """
     budget = default_budget() if budget is None else budget
     q = query.spec.order
     jobs = list(_strata(query))
@@ -386,20 +386,32 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
 
     add, mul = _field_tables(query.spec)
     polys, union = query._kernel_polys()
+    # read on either kernel, so that a bad knob is an error everywhere
+    workers = _env_int("MOTIVIC_WORKERS", 1, 1)
+    if not polys:
+        # every candidate is a common zero of no generators
+        return cost
+    if _ckernel is None:
+        rows = _rows(polys)
+        maxd = max([1] + [g.degree for g in polys])
+        powt, columns = _pure._pow_table(q, mul, maxd)
+        walk = _pure._walker(q, mul, add, powt, maxd + 1, union, columns)
+        return sum(walk(_pure._split(rows, fixed, free_pos), free_start)
+                   for fixed, free_pos, free_start in jobs)
+
     nvars = query.n + 1
     offs, coeffs, exps, maxd = _encode_generators(polys)
-    powt = _pow_table(q, mul, maxd)
-    kernel = _ckernel if _ckernel is not None else _pure
+    powt = _pure._pow_table(q, mul, maxd)[0]
+    jobs = [[array("i", v) for v in job] for job in jobs]
 
     def run(job):
         fixed, free_pos, free_start = job
-        return kernel.count_stratum(
+        return _ckernel.count_stratum(
             q, nvars, fixed, free_pos, free_start,
             len(polys), offs, coeffs, exps, mul, add, powt, maxd, union,
         )
 
-    workers = _env_int("MOTIVIC_WORKERS", 1, 1)
-    if workers > 1 and len(jobs) > 1 and _ckernel is not None:
+    if workers > 1 and len(jobs) > 1:
         # the compiled kernel drops the GIL, so threads actually help; more
         # threads than cores or strata would only wait
         workers = min(workers, os.cpu_count() or 1, len(jobs))
@@ -412,23 +424,19 @@ def _count_bigprime(query: CountQuery, jobs) -> int:
     """Counting with ints mod p, for primes too large for q*q tables; jobs
     are the query's _strata."""
     p = query.spec.p
-    gens = [
-        [(exps, c.value) for exps, c in g.sorted_terms()] for g in query.generators
-    ]
-    total = 0
-    for fixed, free_pos, free_start in jobs:
-        total += _pure.count_stratum_direct(
-            p, query.n + 1, list(fixed), list(free_pos), list(free_start), gens
-        )
-    return total
+    rows = _rows(query.generators)
+    return sum(_pure.count_stratum_direct(
+        p, free_start, _pure._split(rows, fixed, free_pos))
+        for fixed, free_pos, free_start in jobs)
 
 
 def enumerate_points(query: CountQuery, budget: int | None = None):
     """Yield the points of the query as coordinate tuples, canonical order.
 
     The points come from _points, the kernels' fibre walk over the lead
-    strata of _strata, in the order of points.projective_reps; field
-    elements are built only for the points yielded.  The whole walk is
+    strata of _strata, in the canonical order of motivic.points (that of
+    projective_reps in the tests' conftest); field elements are built only
+    for the points yielded.  The whole walk is
     charged against budget up front.
     """
     budget = default_budget() if budget is None else budget
@@ -455,25 +463,26 @@ def _first_point(query: CountQuery, budget: int | None = None):
 def _points(query: CountQuery, budget: int):
     """The points of the query in canonical order, fibre by fibre.
 
-    Each lead stratum's generators are split once (_pure._fibre_terms); at
-    each prefix, in odometer order, they become univariate polynomials in
-    the last free coordinate, and the points over that prefix are the
-    common roots (for a union, the roots of some factor), in ascending
-    order.  A candidate's walk position is its place among the candidates
-    of the strata: a point at position k is yielded when k <= budget, and
-    BudgetError is raised once the walk passes budget candidates.  Fields
+    The generators' terms are read once (_rows) and each lead stratum's
+    split is filtered from them (_pure._split); at each prefix, in odometer
+    order, they become univariate polynomials in the last free coordinate,
+    and the points over that prefix are the common roots (for a union, the
+    roots of some factor), in ascending order.  A candidate's walk position
+    is its place among the candidates of the strata: a point at position k
+    is yielded when k <= budget, and BudgetError is raised once the walk
+    passes budget candidates.  Fields
     the kernels tabulate take the root masks of _pure._root_finder; larger
     ones test the values of each fibre one at a time.
     """
     spec = query.spec
     q = spec.order
-    nvars = query.n + 1
     polys, union = query._kernel_polys()
-    terms = [[(c.value, exps) for exps, c in g.terms.items()] for g in polys]
+    rows = _rows(polys)
     if q <= _TABLE_LIMIT:
         add, mul = _field_tables(spec)
-        stride = max((max(e) for t in terms for _, e in t), default=1) + 1
-        powt = _pow_table(q, mul, stride - 1)
+        maxd = max([1] + [g.degree for g in polys])
+        powt = _pure._pow_table(q, mul, maxd)[0]
+        stride = maxd + 1
 
         def fold(c, x, e):
             return mul[c * q + powt[x * stride + e]]
@@ -535,8 +544,7 @@ def _points(query: CountQuery, budget: int):
 
     walked = 0
     for fixed, free_pos, free_start in _strata(query):
-        gens = [_pure._fibre_terms(t, nvars, fixed, free_pos, fold)
-                for t in terms]
+        gens = _pure._split(rows, fixed, free_pos)
         idx = list(fixed)
         if free_pos:
             last, start, end = free_pos[-1], free_start[-1], q

@@ -4,7 +4,7 @@ Neither kernel visits the candidates of a stratum one by one.  Both walk its
 fibres over the last free coordinate: for each assignment of the other free
 coordinates (a prefix) every generator becomes a univariate polynomial in
 the last one, and the kernel counts the common roots of those polynomials.
-count_stratum walks the prefixes on two levels.  Once per outer prefix, the
+_walker walks the prefixes on two levels.  Once per outer prefix, the
 values of every free coordinate but the last two, it folds them into each
 generator, which leaves a form in the last two; one pass over the middle
 coordinate then gives the fibre coefficients at each of its values with one
@@ -14,10 +14,21 @@ bitmasks over the field, solving a fibre of degree 1 or 2 in closed form
 higher degree at every value.  count_stratum_direct computes their number as
 deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern Computer
 Algebra, ch. 14).
+
+A walker takes each stratum's generators split into terms over the free
+coordinates, and there are two splitters.  _split, which motivic.count
+uses for every count and point search, filters a query's (value, exps)
+rows, read once per query: a lead stratum fixes only zeros and the lead's
+1, so a term survives when it has exponent 0 in every zero coordinate, its
+coefficient unchanged.  _fibre_terms folds arbitrary fixed values into the
+coefficients, for count_stratum, whose contract allows them.  One walker
+counts every stratum of a query and keeps one memo of root masks for all
+of them; the power tables and x_mid columns are kept per table and degree.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import product
 from math import prod
 
@@ -59,6 +70,38 @@ def _fibre_terms(terms, nvars, fixed, free_pos, fold):
         else:
             out.append((c, tuple(factors), exps[last] if last >= 0 else 0))
     return out, max((t[2] for t in out), default=0) + 1
+
+
+def _split(rows, fixed, free_pos):
+    """Every generator's terms split for the fibre walk of a lead stratum,
+    as _fibre_terms splits them, by filtering instead of folding.
+
+    rows holds each generator's (coeff, exps) pairs.  A lead stratum fixes
+    each coordinate that is not free at 0 or 1 (count._strata), so a term
+    survives exactly when its exponent is 0 in every coordinate fixed at 0,
+    and its coefficient stays as it is.  No two survivors of a homogeneous
+    generator share a monomial in the free coordinates.
+    """
+    free = set(free_pos)
+    zeros = [i for i, v in enumerate(fixed) if not v and i not in free]
+    last = free_pos[-1] if free_pos else None
+    outer = list(enumerate(free_pos[:-1]))
+    out = []
+    for terms in rows:
+        kept = []
+        width = 1
+        for c, exps in terms:
+            for i in zeros:
+                if exps[i]:
+                    break
+            else:
+                e_last = exps[last] if last is not None else 0
+                kept.append((c, tuple([(j, exps[i]) for j, i in outer
+                                       if exps[i]]), e_last))
+                if e_last >= width:
+                    width = e_last + 1
+        out.append((kept, width))
+    return out
 
 
 # (mul, add, roots) by (id(mul), id(add)): one root finder per pair of
@@ -138,6 +181,33 @@ def _root_finder(q, mul, add):
     return roots
 
 
+# (mul, powt, columns) by (id(mul), maxd), kept alive as _finders are
+_powers = {}
+
+
+def _pow_table(q, mul, maxd):
+    """(powt, columns) for the table mul and exponents up to maxd, built
+    once per pair and kept for the life of the process.
+
+    powt[x*(maxd+1) + e] = x^e, filled one exponent column at a time;
+    columns is the walk's memo of x_mid power columns (_walker), by the
+    first value of x_mid.
+    """
+    entry = _powers.get((id(mul), maxd))
+    if entry is not None:
+        return entry[1], entry[2]
+    stride = maxd + 1
+    powt = array("i", [0]) * (q * stride)
+    col = [1] * q
+    powt[0::stride] = array("i", col)
+    for e in range(1, stride):
+        col = [mul[a * q + x] for x, a in enumerate(col)]
+        powt[e::stride] = array("i", col)
+    columns = {}
+    _powers[id(mul), maxd] = (mul, powt, columns)
+    return powt, columns
+
+
 def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
                   gen_off, gen_coeff, gen_exps, mul, add, powt, maxd, union=0):
     """Count zeros of all generators on one lead stratum, or with union=1
@@ -151,24 +221,9 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
     [gen_off[g], gen_off[g+1]).  All arithmetic is table lookups on value
     indices, powt[x*(maxd+1) + e] being x^e.
 
-    The root set of a univariate polynomial is a bitmask over the value
-    indices 0..q-1, computed on first sight of its coefficient tuple (in
-    closed form up to degree 2) and kept for the rest of the call.  A
-    fibre's points are the AND of the generators' root sets, or for a union
-    their OR.  The walk computes that OR as the complement of the AND of the
-    complements, so both share one loop that stops as soon as the AND is
-    empty.  With two free positions or more the walk runs on two levels:
-    each outer prefix folds the free positions but the last two into every
-    generator, leaving a form in (x_mid, x_last); the pass over x_mid adds
-    up that form's monomials as columns over the values of x_mid, one
-    product and one sum per monomial and value, and reads each column tuple
-    as the fibre's coefficients.
+    The fixed values are folded into each generator's terms (_fibre_terms)
+    and the stratum is counted by the walk of _walker.
     """
-    candidates = prod(q - s for s in free_start)
-    if not ngens:
-        # every candidate is a common zero of no generators; none is a zero
-        # of some generator
-        return 0 if union else candidates
     stride = maxd + 1
 
     def fold(c, x, e):
@@ -180,42 +235,131 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
                      nvars, fixed, free_pos, fold)
         for g in range(ngens)
     ]
+    return _walker(q, mul, add, powt, stride, union, {})(gens, free_start)
 
-    if not free_pos:
-        def vanishes(terms):
-            acc = 0
-            for c, _, _ in terms:
-                acc = add[acc * q + c]
-            return not acc
 
-        test = any if union else all
-        return int(test(vanishes(terms) for terms, _ in gens))
+def _walker(q, mul, add, powt, stride, union, columns):
+    """walk(gens, free_start): the number of points of one stratum, gens
+    being its generators split for the fibre walk (_fibre_terms, _split)
+    and free_start the first values of its free positions.
 
+    A point is a common zero of the generators, or with union=1 a zero of
+    some generator.  The root set of a univariate polynomial is a bitmask
+    over the value indices 0..q-1, computed on first sight of its
+    coefficient tuple (in closed form up to degree 2) and kept for the life
+    of the walker, across the strata it counts.  A fibre's points are the
+    AND of the generators' root sets, or for a union their OR.  The walk
+    computes that OR as the complement of the AND of the complements, so
+    both share one loop that stops as soon as the AND is empty.  With two
+    free positions or more the walk runs on two levels: each outer prefix
+    folds the free positions but the last two into every generator,
+    leaving a form in (x_mid, x_last); the pass over x_mid adds up that
+    form's monomials as columns over the values of x_mid, one product and
+    one sum per monomial and value, and reads each column tuple as the
+    fibre's coefficients.  columns keeps the powers of x_mid by its first
+    value, powt[x*stride + e] being x^e.
+    """
     roots = _root_finder(q, mul, add)
+    full = (1 << q) - 1
     # with union the walk ANDs non-root sets and counts the rest
-    flip = (1 << q) - 1 if union else 0
-    # the values the last free position takes
-    allowed = ((1 << q) - 1) >> free_start[-1] << free_start[-1]
+    flip = full if union else 0
+    test = any if union else all
+    masks = {}
+    get = masks.get
 
-    if len(free_pos) == 1:
-        common = allowed
-        for terms, width in gens:
-            coeffs = [0] * width
-            for c, _, e_last in terms:
-                coeffs[e_last] = add[coeffs[e_last] * q + c]
-            common &= roots(coeffs) ^ flip
-            if not common:
-                break
-        count = common.bit_count()
-    else:
-        count = _two_level(q, free_start, gens, mul, add, powt, stride,
-                           roots, flip, allowed)
-    return candidates - count if union else count
+    def vanishes(terms):
+        acc = 0
+        for c, _, _ in terms:
+            acc = add[acc * q + c]
+        return not acc
+
+    def fibre_masks(form, monomials, width, pcols, zeros, allowed):
+        """The root sets, within allowed, of the fibres over each x_mid."""
+        cols = [zeros] * width
+        for (e_mid, e_last), c in zip(monomials, form):
+            if not c:
+                continue
+            cq = c * q
+            prev = cols[e_last]
+            if prev is zeros:
+                cols[e_last] = [mul[cq + p] for p in pcols[e_mid]]
+            else:
+                cols[e_last] = [add[a * q + mul[cq + p]]
+                                for a, p in zip(prev, pcols[e_mid])]
+        out = []
+        for key in zip(*cols):
+            mask = get(key)
+            if mask is None:
+                mask = masks[key] = roots(key) ^ flip
+            out.append(mask & allowed)
+        return out
+
+    def two_level(gens, free_start, allowed):
+        mid = len(free_start) - 2
+        start = free_start[mid]
+        pcols = columns.get(start)
+        if pcols is None:
+            xs = range(start, q)
+            pcols = columns[start] = [[powt[x * stride + e] for x in xs]
+                                      for e in range(stride)]
+        zeros = (0,) * (q - start)
+        gens = [_bivariate(terms, width, mid, q, add)
+                for terms, width in gens]
+        found = 0
+        # each outer value x as its row x * stride of powt
+        for pre in product(*(range(s * stride, q * stride, stride)
+                             for s in free_start[:mid])):
+            common = None
+            for base, outer_terms, monomials, width in gens:
+                form = base[:]
+                for c, outer, slot in outer_terms:
+                    for j, e in outer:
+                        c = mul[c * q + powt[pre[j] + e]]
+                    form[slot] = add[form[slot] * q + c]
+                gm = fibre_masks(form, monomials, width, pcols, zeros,
+                                 allowed)
+                common = gm if common is None else [
+                    a & b for a, b in zip(common, gm)]
+                if not any(common):
+                    break
+            found += sum([m.bit_count() for m in common])
+        return found
+
+    def walk(gens, free_start):
+        candidates = prod(q - s for s in free_start)
+        if not gens:
+            # every candidate is a common zero of no generators; none is a
+            # zero of some generator
+            return 0 if union else candidates
+        if not free_start:
+            return int(test(vanishes(terms) for terms, _ in gens))
+        # the values the last free position takes
+        allowed = full >> free_start[-1] << free_start[-1]
+        if len(free_start) == 1:
+            found = allowed
+            for terms, width in gens:
+                coeffs = [0] * width
+                for c, _, e_last in terms:
+                    coeffs[e_last] = add[coeffs[e_last] * q + c]
+                key = tuple(coeffs)
+                mask = get(key)
+                if mask is None:
+                    mask = masks[key] = roots(key) ^ flip
+                found &= mask
+                if not found:
+                    break
+            found = found.bit_count()
+        else:
+            found = two_level(gens, free_start, allowed)
+        return candidates - found if union else found
+
+    return walk
 
 
 def _bivariate(terms, width, mid, q, add):
-    """One generator's split terms (_fibre_terms) grouped for the two-level
-    walk, mid being the prefix index of x_mid and the lower ones outer.
+    """One generator's split terms (_fibre_terms, _split) grouped for the
+    two-level walk, mid being the prefix index of x_mid and the lower ones
+    outer.
 
     Returns (base, outer_terms, monomials, width): monomials lists the
     distinct (e_mid, e_last) of the terms, each term adds to the coefficient
@@ -244,62 +388,6 @@ def _bivariate(terms, width, mid, q, add):
     return base, outer_terms, list(slots), width
 
 
-def _two_level(q, free_start, gens, mul, add, powt, stride, roots, flip,
-               allowed):
-    """The fibre walk of a stratum with two free positions or more: the
-    number of (outer prefix, x_mid, x_last), x_last in the bitmask allowed,
-    where x_last is in the AND of the generators' root sets (roots(coeffs)),
-    each XORed with flip."""
-    mid = len(free_start) - 2
-    gens = [_bivariate(terms, width, mid, q, add) for terms, width in gens]
-    xs = range(free_start[mid], q)
-    # x_mid^e at each value of x_mid
-    pcols = [[powt[x * stride + e] for x in xs] for e in range(stride)]
-    zeros = (0,) * len(xs)
-    masks = {}
-    get = masks.get
-
-    def fibre_masks(form, monomials, width):
-        """The root sets, within allowed, of the fibres over each x_mid."""
-        cols = [zeros] * width
-        for (e_mid, e_last), c in zip(monomials, form):
-            if not c:
-                continue
-            cq = c * q
-            prev = cols[e_last]
-            if prev is zeros:
-                cols[e_last] = [mul[cq + p] for p in pcols[e_mid]]
-            else:
-                cols[e_last] = [add[a * q + mul[cq + p]]
-                                for a, p in zip(prev, pcols[e_mid])]
-        out = []
-        for key in zip(*cols):
-            mask = get(key)
-            if mask is None:
-                mask = masks[key] = roots(key) ^ flip
-            out.append(mask & allowed)
-        return out
-
-    count = 0
-    # each outer value x as its row x * stride of powt
-    for pre in product(*(range(s * stride, q * stride, stride)
-                         for s in free_start[:mid])):
-        common = None
-        for base, outer_terms, monomials, width in gens:
-            form = base[:]
-            for c, outer, slot in outer_terms:
-                for j, e in outer:
-                    c = mul[c * q + powt[pre[j] + e]]
-                form[slot] = add[form[slot] * q + c]
-            gm = fibre_masks(form, monomials, width)
-            common = gm if common is None else [
-                a & b for a, b in zip(common, gm)]
-            if not any(common):
-                break
-        count += sum([m.bit_count() for m in common])
-    return count
-
-
 # ---------------------------------------------------------------------------
 # polynomials mod p, with the helpers of motivic.fields
 
@@ -324,29 +412,23 @@ def _roots_mod(g, p):
     return len(_gcdmod(g, _trim(r), p)) - 1
 
 
-def count_stratum_direct(p, nvars, fixed, free_pos, free_start, gens):
+def count_stratum_direct(p, free_start, gens):
     """Stratum counter for primes too large to tabulate: ints mod p.
 
-    gens is a list of term lists [(exps, coeff_int), ...]; fixed and
-    free_pos/free_start are as for count_stratum, except that the last free
-    position starts at 0 or 1 (the latter when it is constrained nonzero).
+    gens holds the stratum's generators split for the fibre walk (_split),
+    with coefficients as ints mod p; free_start is as for count_stratum,
+    except that the last free position starts at 0 or 1 (the latter when
+    it is constrained nonzero).
     """
-    def fold(c, x, e):
-        return c * pow(x, e, p) % p
-
-    split = [_fibre_terms(((c, exps) for exps, c in terms),
-                          nvars, fixed, free_pos, fold)
-             for terms in gens]
-
-    if not free_pos:
+    if not free_start:
         return 0 if any(sum(c for c, _, _ in terms) % p
-                        for terms, _ in split) else 1
+                        for terms, _ in gens) else 1
 
     start = free_start[-1]
     count = 0
     for pre in _prefixes(p, free_start):
         g = []
-        for terms, width in split:
+        for terms, width in gens:
             coeffs = [0] * width
             for v, factors, e_last in terms:
                 for j, e in factors:

@@ -30,20 +30,6 @@ from .count import BudgetError, CountQuery, _first_point, default_budget
 from .fields import FieldSpec, rationals
 
 
-def projective_reps(spec: FieldSpec, n: int):
-    """All canonical representatives of P^n(F_q), fixed order."""
-    if not spec.is_finite:
-        raise ValueError("projective enumeration needs a finite field")
-    if n < 0:
-        raise ValueError("negative ambient dimension")
-    elems = [spec.from_index(i) for i in range(spec.order)]
-    zero, one = elems[0], spec.one
-    for lead in range(n + 1):
-        head = (zero,) * lead + (one,)
-        for tail in itertools.product(elems, repeat=n - lead):
-            yield head + tail
-
-
 def rational_reps(n: int, height: int):
     """Height-bounded rational points of P^n(Q), normalized, fixed order.
 

@@ -82,17 +82,6 @@ class QuadForm:
         self._poly = HomogPoly._from_terms(self.spec, n, 2, terms)
         return self._poly
 
-    def evaluate(self, x):
-        x = [self.spec.elem(v) for v in x]
-        acc = self.spec.zero
-        for i in range(self.nvars):
-            row = self.gram.rows[i]
-            inner = self.spec.zero
-            for j in range(self.nvars):
-                inner = inner + row[j] * x[j]
-            acc = acc + x[i] * inner
-        return acc
-
     def rank(self) -> int:
         if self._rank is None:
             self._rank = self.gram.rank()

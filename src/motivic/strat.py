@@ -74,7 +74,12 @@ def class_of_quadric(f: HomogPoly, height: int = 10,
         raise ValueError("expected a quadratic form, got degree %d" % f.degree)
     if f.is_zero():
         raise ValueError("zero polynomial")
-    qf = QuadForm.from_poly(f)
+    return _quadric_class(QuadForm.from_poly(f), height, budget)
+
+
+def _quadric_class(qf: QuadForm, height, budget) -> StratResult:
+    """class_of_quadric of a form already built, which keeps its rank and
+    polynomial for the recursion."""
     steps = []
     hyps = [("nondegenerate", qf.rank() == qf.nvars)]
     expr = _quadric_expr(qf, height, budget, steps, hyps)
@@ -601,7 +606,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
 
     lam = _proportional(q1.gram, q2.gram)
     if lam is not None:
-        inner = class_of_quadric(f1, budget=budget)
+        inner = _quadric_class(q1, 10, budget)
         ident = Identity(
             [CountTerm(1, 0, CountQuery.union(spec, n, [f1, f2]))],
             [CountTerm(1, 0, CountQuery(spec, n, [f1]))],
@@ -739,8 +744,8 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
         check={"points": sing_pts, "all_singular": True},
     ))
 
-    c1 = class_of_quadric(f1, budget=budget)
-    c2 = class_of_quadric(f2, budget=budget)
+    c1 = _quadric_class(q1, 10, budget)
+    c2 = _quadric_class(q2, 10, budget)
     y_atom = VarietyAtom(spec, n - 1, [gbar], name="Y")
     fiber_atom = VarietyAtom(spec, n - 2, [h2, L1bar2, R2])
     infty = projective_space_class(n - 3 if l1_survives else n - 2)

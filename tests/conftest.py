@@ -33,11 +33,23 @@ def brute_count(spec, n, gens):
     return count_points(CountQuery(spec, n, gens))
 
 
+def projective_reps(spec, n):
+    """All canonical representatives of P^n(F_q), in the fixed order of
+    motivic.points: leading position ascending, then the trailing
+    coordinates as an odometer over the field's elements in index order."""
+    elems = [spec.from_index(i) for i in range(spec.order)]
+    zero, one = elems[0], spec.one
+    for lead in range(n + 1):
+        head = (zero,) * lead + (one,)
+        for tail in product(elems, repeat=n - lead):
+            yield head + tail
+
+
 def reference_walk(query):
     """(points, candidates) of a CountQuery by brute force.
 
     Every candidate of the query's chart in P^n is visited in canonical
-    order (points.projective_reps) and every generator is evaluated on its
+    order (projective_reps) and every generator is evaluated on its
     values, a union's being its expanded product; over F_{p^m} the values
     combine through the spec's _add, _mul and _pow.  points lists each
     point found as (walk position, element tuple), the first candidate

@@ -12,7 +12,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import motivic
 import motivic.count
-from conftest import reference_points, reference_walk, run_python
+from conftest import (
+    projective_reps,
+    reference_points,
+    reference_walk,
+    run_python,
+)
 from motivic.count import (
     BudgetError,
     CountQuery,
@@ -23,7 +28,6 @@ from motivic.count import (
 )
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.parse import parse_poly
-from motivic.points import projective_reps
 from motivic.poly import HomogPoly
 
 F3 = prime_field(3)
@@ -511,6 +515,102 @@ def test_pure_kernel_matches_enumeration(monkeypatch, query):
     # generator every one of them is a point
     space = CountQuery(query.spec, query.n, [], query.chart)
     assert query.cost() == space.cost() == count_points(space)
+
+
+F1021 = prime_field(1021)
+
+
+@st.composite
+def _planned_query(draw):
+    """A plain or union query for the planned pure kernel: 0 to 3 forms
+    of degree 0 to 4 (constants, forms free of the last variable and pure
+    powers of it among them) or a union of 1 to 3 factors, some zero, with
+    random zero and nonzero constraints, the lead and last coordinates
+    included.  The ambient dimension shrinks as the field grows, so that
+    the brute-force walk stays small."""
+    spec = draw(st.sampled_from([F3, F5, F7, F9, F11, F13, F25, F27, F1021]))
+    top = 4 if spec.order <= 7 else 3 if spec.order <= 13 else 2
+    n = draw(st.integers(0, 1 if spec is F1021 else top))
+    chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
+             for i in range(n + 1) if draw(st.booleans())]
+    if draw(st.booleans()):
+        forms = [_draw_form(draw, spec, n, draw(st.integers(0, 4)))
+                 for _ in range(draw(st.integers(0, 3)))]
+        return CountQuery(spec, n, forms, chart)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(0, 3))
+        if draw(st.integers(0, 4)) == 0:
+            factors.append(HomogPoly.zero(spec, n + 1, degree))
+        else:
+            factors.append(_draw_form(draw, spec, n, degree))
+    return CountQuery.union(spec, n, factors, chart)
+
+
+def _count_by_strata(query):
+    """_pure.count_stratum summed over the query's lead strata, each
+    passed as the compiled kernel is passed it."""
+    add, mul = motivic.count._field_tables(query.spec)
+    polys, union = query._kernel_polys()
+    offs, coeffs, exps, maxd = motivic.count._encode_generators(polys)
+    powt = _pure._pow_table(query.spec.order, mul, maxd)[0]
+    return sum(_pure.count_stratum(
+        query.spec.order, query.n + 1, array("i", fixed),
+        array("i", free_pos), array("i", free_start), len(polys), offs,
+        coeffs, exps, mul, add, powt, maxd, union)
+        for fixed, free_pos, free_start in motivic.count._strata(query))
+
+
+@given(_planned_query())
+# a union whose only factor is zero, in P^0
+@example(query=CountQuery.union(F3, 0, [HomogPoly.zero(F3, 1, 2)]))
+# a constant generator and a form free of the last variable
+@example(query=CountQuery(F5, 2, [HomogPoly(F5, 3, 0, {(0, 0, 0): F5.one}),
+                                  parse_poly("x0*x1", F5, 3)]))
+@example(query=_q(["x0^2 - 2*x1^2", "x0*x1 + x2^2"], F5, 4,
+                  ((0, "nonzero"), (4, "zero"))))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_planned_count_matches_strata_and_reference(monkeypatch, query):
+    """count_points on the pure kernel, which plans a query once, counts
+    what count_stratum counts stratum by stratum and what the brute-force
+    walk finds."""
+    monkeypatch.setattr(motivic.count, "_ckernel", None)
+    expected = len(reference_walk(query)[0])
+    assert count_points(query) == _count_by_strata(query) == expected
+
+
+def test_generators_are_split_once_per_query(monkeypatch):
+    """A count and a point search read a query's generators once (_rows),
+    whatever its number of strata, and derive each stratum from those rows
+    without the per-stratum fold of _pure._fibre_terms."""
+    monkeypatch.setattr(motivic.count, "_ckernel", None)
+    reads, folds = [], []
+    rows, fibre_terms = motivic.count._rows, _pure._fibre_terms
+
+    def reading(polys):
+        reads.append(len(polys))
+        return rows(polys)
+
+    def folding(*args):
+        folds.append(args)
+        return fibre_terms(*args)
+
+    monkeypatch.setattr(motivic.count, "_rows", reading)
+    monkeypatch.setattr(_pure, "_fibre_terms", folding)
+    f = parse_poly("x0*x1 - x2*x3", F5, 4)
+    h = parse_poly("x0^2 + x1*x3 + x2^2", F5, 4)
+    big = prime_field(1031)
+    # four lead strata, and two past the table limit
+    for query in (CountQuery(F5, 3, [f, h]), CountQuery.union(F5, 3, [f, h]),
+                  _q(["x0^2 - x1^2", "x0^3 - x0*x1^2"], big, 1)):
+        reads.clear()
+        expected = len(reference_walk(query)[0])
+        assert count_points(query) == expected
+        assert len(list(enumerate_points(query))) == expected
+        assert reads == [len(query._kernel_polys()[0]),
+                         len(query._kernel_polys()[0])]
+    assert folds == []
 
 
 def test_pure_kernel_adds_terms_that_fold_together():

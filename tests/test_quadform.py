@@ -36,12 +36,18 @@ def test_from_poly_poly_round_trip():
         QuadForm.from_poly(parse_poly("x0^3", F5, 2))
 
 
+def _gram_value(q, x):
+    """x^T G x from the Gram matrix of q."""
+    return sum((x[i] * q.gram.rows[i][j] * x[j]
+                for i in range(q.nvars) for j in range(q.nvars)), q.spec.zero)
+
+
 def test_evaluate_matches_poly():
     f = parse_poly("x0^2 + x0*x1 + 2*x1^2", F5, 2)
     q = QuadForm.from_poly(f)
     for pt in [(1, 0), (0, 1), (1, 1), (2, 3), (4, 4)]:
         x = [F5.elem(v) for v in pt]
-        assert q.evaluate(x) == f.evaluate(x)
+        assert q.poly().evaluate(x) == f.evaluate(x) == _gram_value(q, x)
 
 
 def test_diagonalize_congruence():
@@ -80,7 +86,7 @@ def test_find_projective_point_isotropic():
     q = QuadForm.from_poly(parse_poly("x0*x1", F3, 2))
     pt = find_projective_point(q)
     assert pt is not None
-    assert q.evaluate(pt).is_zero()
+    assert q.poly().evaluate(pt).is_zero()
     assert tuple(v.value for v in pt) == (1, 0)
 
 
@@ -93,7 +99,7 @@ def test_find_projective_point_anisotropic_none():
 def test_find_projective_point_rational_height_bound():
     q = QuadForm.from_poly(parse_poly("x0^2 - 4*x1^2", Q, 2))
     pt = find_projective_point(q, height=5)
-    assert pt is not None and q.evaluate(pt).is_zero()
+    assert pt is not None and q.poly().evaluate(pt).is_zero()
     aniso = QuadForm.from_poly(parse_poly("x0^2 + x1^2", Q, 2))
     assert find_projective_point(aniso, height=6) is None
 
@@ -214,7 +220,7 @@ def test_transform_composes():
     qt = QuadForm(F5, M.transpose() * q.gram * M)
     x = [F5.elem(v) for v in (1, 2, 3)]
     mx = (M * Matrix.from_columns(F5, [x])).column(0)
-    assert qt.evaluate(x) == q.evaluate(mx)
+    assert qt.poly().evaluate(x) == q.poly().evaluate(mx)
 
 
 @st.composite

@@ -12,7 +12,7 @@ from motivic.kclass import (
 )
 from motivic.linalg import Matrix
 from motivic.parse import parse_poly
-from motivic.strat import class_of_quadric
+from motivic.strat import class_of_quadric, class_of_two_quadric_union
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -174,18 +174,22 @@ def test_measure_matches_count_on_random_forms():
             assert_trace_verifies(r)
 
 
-@pytest.mark.parametrize("text, spec, nvars, forms", [
+@pytest.mark.parametrize("texts, spec, nvars, forms", [
     # 5 -> 3 -> 1 variables
-    ("x0*x1 + x2*x3 + x4^2", F5, 5, 3),
+    (["x0*x1 + x2*x3 + x4^2"], F5, 5, 3),
     # the radical split 4 -> 3, then 3 -> 1
-    ("x0*x1 + x2^2", F7, 4, 3),
+    (["x0*x1 + x2^2"], F7, 4, 3),
     # 4 -> 2, a binary form
-    ("x0^2 + x1^2 - x2^2 - x3^2", Q, 4, 2),
-], ids=["F5", "F7-degenerate", "Q"])
-def test_quadric_recursion_eliminates_each_form_once(monkeypatch, text, spec,
+    (["x0^2 + x1^2 - x2^2 - x3^2"], Q, 4, 2),
+    # Q1 and its complement at the common point, then Q1's recursion 3 -> 1
+    # and Q2's 5 -> 3 -> 1
+    (["x0*x1 + x2*x3 + x4^2", "x0*x2 + x1*x4 + x3^2"], F5, 5, 7),
+], ids=["F5", "F7-degenerate", "Q", "F5-two-quadrics"])
+def test_quadric_recursion_eliminates_each_form_once(monkeypatch, texts, spec,
                                                      nvars, forms):
     """The caller, the split's entry check and its check of the complement
-    share one elimination per form."""
+    share one elimination per form; the two-quadric engine passes its forms
+    into the quadric recursion, so Q1 and Q2 are ranked once each."""
     ranked = []
     rank = Matrix.rank
 
@@ -194,5 +198,9 @@ def test_quadric_recursion_eliminates_each_form_once(monkeypatch, text, spec,
         return rank(self)
 
     monkeypatch.setattr(Matrix, "rank", recording)
-    class_of_quadric(parse_poly(text, spec, nvars))
+    polys = [parse_poly(text, spec, nvars) for text in texts]
+    if len(polys) == 1:
+        class_of_quadric(*polys)
+    else:
+        class_of_two_quadric_union(*polys)
     assert len(ranked) == len({id(m) for m in ranked}) == forms
