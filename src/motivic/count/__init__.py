@@ -13,19 +13,12 @@ Across calls only tables are kept: the add and mul tables per field (over
 F_{p^m} their products come from the spec's own index log and exp, which
 motivic.fields builds once per spec and element arithmetic shares), and
 per table and degree the power table and the x_mid power columns and the
-closed-form root tables of _pure.  Within a call the pure kernel plans the
-query once: it reads the generators' terms as (value, exps) rows once
-(_rows) and derives every lead stratum from them by filtering
-(_pure._split), since a stratum fixes only zeros and its lead's 1, and one
-walker (_pure._walker) counts all the strata with one memo of root masks
-that lives for the query.  enumerate_points and the big-prime path take
-the same filtered split.  Equal queries count the same, so the CLI keeps
-one memo of counts per job (kclass.count_once) and counts each distinct
-query of a job once.
-enumerate_points and _first_point list points with the fibre walk of the
-pure kernel taken one prefix at a time (_points): the common roots of each
-fibre, in ascending order, are the points over its prefix.  The tests
-check kernels and searches against a brute-force walk of their own.
+closed-form root tables of _pure.  Within a call a query is planned once:
+its generators' terms are read as (value, exps) rows once (_rows), every
+lead stratum is derived from them by filtering (_pure._split), and one walk
+serves all the strata with one memo of root masks.  Equal queries count
+the same, so the CLI keeps one memo of counts per job (kclass.count_once)
+and counts each distinct query of a job once.
 
 Arithmetic inside the hot loop is table-driven: an element's value is
 already its index 0..q-1 (0 -> 0, 1 -> 1), and add/mul/pow become flat
@@ -34,19 +27,17 @@ Two kernels keep one count contract, the count_stratum of _pure, and share
 nothing else; its union flag switches the point test from "every generator
 vanishes" to "some generator vanishes".  motivic.count._ckernel,
 hand-written C built at install time when a C compiler is available, tests
-every candidate of the stratum.  _pure, plain Python, walks the fibres over
-the last free coordinate and counts roots of univariate polynomials there,
-on two levels: once per outer prefix (every free coordinate but the last
-two) it folds that prefix into each generator, and one pass over the
-middle coordinate then yields the fibre coefficients at all its values,
-one product and one sum per monomial in the last two.  It solves a fibre of
-degree 1 or 2 in closed form (-c0/c1, or the quadratic formula, with the
-negation, square roots and inverses read off the tables) and evaluates one
-of higher degree at every value.  The import below picks the compiled one
-when it is built and _pure otherwise.
-Primes too large to tabulate (q > _TABLE_LIMIT) take a separate direct-mod
-path, which counts those roots as the degree of a gcd with t^p - t; it
-counts a union from its expanded product.
+every candidate of the stratum; the import below picks it when it is built
+and _pure otherwise.  Everything else walks fibres over the last free
+coordinate, in two loops of _pure: the tabulated walk _pure._walker, which
+count_points, _pure.count_stratum and the point searches (_points) take,
+and past the table limit (q > _TABLE_LIMIT) the modular fold _pure._fold,
+which _pure.count_stratum_direct and _points take.  A count reads a fibre's
+points off its root masks, or counts them as the degree of a gcd with
+t^p - t, a union's from the product of its factors' restrictions.
+enumerate_points and _first_point take one fibre at a time and list its
+points in ascending order.  The tests check kernels and searches against a
+brute-force walk of their own.
 
 A count or a full enumerate_points walk over more candidates than the
 budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError before it starts
@@ -114,11 +105,11 @@ class CountQuery:
     P^n (restricted to the chart).
 
     CountQuery.union(spec, n, factors) is V(f_1 * ... * f_d), the points
-    where some factor vanishes.  The kernels count it factor by factor and
-    never see the product; its generators, the expanded product that
-    enumerate_points and the big-prime path read, are built on first use and
-    kept.  describe() never expands a union: it prints the product from its
-    packed codes (HomogPoly.product_text).  Two unions are equal when their
+    where some factor vanishes.  Counts and point searches take it factor
+    by factor and never see the product; its generators, the expanded
+    product, are built on first use and kept.  describe() and repr() never
+    expand a union: they print the product from its packed codes
+    (HomogPoly.product_text).  Two unions are equal when their
     factors agree up to order, repetition and nonzero scalars; a union query
     and the ordinary query of its product count the same but are not equal.
     Equal queries count the same, so a caller may memoise counts on them; the
@@ -198,9 +189,7 @@ class CountQuery:
         """The number of candidates in the query's lead strata (_strata):
         what a count or a full enumerate_points walk visits, #P^n(F_q) or
         fewer under a chart."""
-        q = self.spec.order
-        return sum(prod(q - s for s in free_start)
-                   for _, _, free_start in _strata(self))
+        return _cost(self.spec.order, _strata(self))
 
     def describe(self):
         """The query's report dict, built on the first call; callers share
@@ -243,7 +232,7 @@ class CountQuery:
         return hash(self._canonical())
 
     def __repr__(self):
-        body = "; ".join(str(g) for g in self.generators) or "0"
+        body = "; ".join(self.describe()["generators"]) or "0"
         extra = ""
         if self.chart:
             extra = " | " + ", ".join(
@@ -356,6 +345,11 @@ def _strata(query: CountQuery):
         yield fixed, free_pos, free_start
 
 
+def _cost(q, jobs):
+    """The candidates of the strata jobs (_strata): CountQuery.cost()."""
+    return sum(prod(q - s for s in free_start) for _, _, free_start in jobs)
+
+
 # ---------------------------------------------------------------------------
 # public API
 
@@ -366,37 +360,43 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     once (_rows), derives each lead stratum from them by filtering
     (_pure._split) and counts every stratum with one walker, whose memo of
     root masks the strata share.  The compiled kernel takes each stratum
-    as array('i') buffers through the count_stratum contract.
+    as array('i') buffers through the count_stratum contract.  Primes past
+    the table limit count each stratum with _pure.count_stratum_direct, a
+    union from its factors.
     """
     budget = default_budget() if budget is None else budget
     q = query.spec.order
     jobs = list(_strata(query))
-    cost = sum(prod(q - s for s in free_start) for _, _, free_start in jobs)
+    cost = _cost(q, jobs)
     if cost > budget:
         raise BudgetError(
             "counting %r needs %d candidates, budget is %d"
             % (query, cost, budget)
         )
-    if q > _TABLE_LIMIT:
-        if query.spec.kind != "Fp":
-            raise BudgetError(
-                "extension field of order %d is too large to tabulate" % q
-            )
-        return _count_bigprime(query, jobs)
-
-    add, mul = _field_tables(query.spec)
-    polys, union = query._kernel_polys()
-    # read on either kernel, so that a bad knob is an error everywhere
+    if q > _TABLE_LIMIT and query.spec.kind != "Fp":
+        raise BudgetError(
+            "extension field of order %d is too large to tabulate" % q
+        )
+    # read on every path, so that a bad knob is an error everywhere
     workers = _env_int("MOTIVIC_WORKERS", 1, 1)
+    polys, union = query._kernel_polys()
     if not polys:
         # every candidate is a common zero of no generators
         return cost
+    if q > _TABLE_LIMIT:
+        rows = _rows(polys)
+        return sum(_pure.count_stratum_direct(
+            q, free_start, _pure._split(rows, fixed, free_pos), union)
+            for fixed, free_pos, free_start in jobs)
+
+    add, mul = _field_tables(query.spec)
     if _ckernel is None:
         rows = _rows(polys)
         maxd = max([1] + [g.degree for g in polys])
         powt, columns = _pure._pow_table(q, mul, maxd)
         walk = _pure._walker(q, mul, add, powt, maxd + 1, union, columns)
-        return sum(walk(_pure._split(rows, fixed, free_pos), free_start)
+        return sum(_pure._count(walk, _pure._split(rows, fixed, free_pos),
+                                free_start, q, union)
                    for fixed, free_pos, free_start in jobs)
 
     nvars = query.n + 1
@@ -418,16 +418,6 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(run, jobs))
     return sum(run(job) for job in jobs)
-
-
-def _count_bigprime(query: CountQuery, jobs) -> int:
-    """Counting with ints mod p, for primes too large for q*q tables; jobs
-    are the query's _strata."""
-    p = query.spec.p
-    rows = _rows(query.generators)
-    return sum(_pure.count_stratum_direct(
-        p, free_start, _pure._split(rows, fixed, free_pos))
-        for fixed, free_pos, free_start in jobs)
 
 
 def enumerate_points(query: CountQuery, budget: int | None = None):
@@ -464,15 +454,16 @@ def _points(query: CountQuery, budget: int):
     """The points of the query in canonical order, fibre by fibre.
 
     The generators' terms are read once (_rows) and each lead stratum's
-    split is filtered from them (_pure._split); at each prefix, in odometer
-    order, they become univariate polynomials in the last free coordinate,
-    and the points over that prefix are the common roots (for a union, the
-    roots of some factor), in ascending order.  A candidate's walk position
-    is its place among the candidates of the strata: a point at position k
-    is yielded when k <= budget, and BudgetError is raised once the walk
-    passes budget candidates.  Fields
-    the kernels tabulate take the root masks of _pure._root_finder; larger
-    ones test the values of each fibre one at a time.
+    split is filtered from them (_pure._split).  Fields the kernels
+    tabulate take the walk of _pure._walker with one fibre per prefix,
+    every free coordinate but the last being outer, so a search that stops
+    early walks no further: a fibre's points are the set bits of its mask
+    in ascending order (for a union, those of its complement within the
+    fibre).  Larger fields take the fold of _pure._fold and test the values
+    of each fibre in order.  A candidate's walk position is its place among
+    the candidates of the strata: a point at position k is yielded when
+    k <= budget, and BudgetError is raised once the walk passes budget
+    candidates.
     """
     spec = query.spec
     q = spec.order
@@ -481,57 +472,41 @@ def _points(query: CountQuery, budget: int):
     if q <= _TABLE_LIMIT:
         add, mul = _field_tables(spec)
         maxd = max([1] + [g.degree for g in polys])
-        powt = _pure._pow_table(q, mul, maxd)[0]
-        stride = maxd + 1
+        powt, columns = _pure._pow_table(q, mul, maxd)
+        walk = _pure._walker(q, mul, add, powt, maxd + 1, union, columns)
 
-        def fold(c, x, e):
-            return mul[c * q + powt[x * stride + e]]
+        def fibres(gens, free_start):
+            return walk(gens, free_start, False)
 
-        def plus(a, b):
-            return add[a * q + b]
-
-        roots = _pure._root_finder(q, mul, add)
-        flip = (1 << q) - 1 if union else 0
-
-        def fibre(coeff_lists, start, stop):
-            allowed = common = ((1 << stop) - 1) >> start << start
-            for coeffs in coeff_lists:
-                common &= roots(coeffs) ^ flip
-                if not common:
-                    break
+        def points_in(masks, start, stop):
+            window = ((1 << stop) - 1) >> start << start
+            bits = masks[0] & window
             if union:
-                common ^= allowed
-            while common:
-                low = common & -common
+                # the mask of a union holds the fibre's non-points
+                bits ^= window
+            while bits:
+                low = bits & -bits
                 yield low.bit_length() - 1
-                common ^= low
+                bits ^= low
     else:
         if spec.kind == "Fp":
-            def fold(c, x, e):
-                return c * pow(x, e, q) % q
-
-            def plus(a, b):
-                return (a + b) % q
-
-            def times(a, b):
-                return a * b % q
+            mul, add, power = _pure._modp(q)
         else:
-            def fold(c, x, e):
-                return spec._mul(c, spec._pow(x, e))
-
-            plus, times = spec._add, spec._mul
-
-        def value(coeffs, x):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = plus(times(acc, x), c)
-            return acc
-
+            mul, add, power = spec._mul, spec._add, spec._pow
         test = any if union else all
 
-        def fibre(coeff_lists, start, stop):
+        def fibres(gens, free_start):
+            return _pure._fold(q, free_start, gens, mul, add, power)
+
+        def vanishes(coeffs, x):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = add(mul(acc, x), c)
+            return not acc
+
+        def points_in(lists, start, stop):
             for x in range(start, stop):
-                if test(not value(coeffs, x) for coeffs in coeff_lists):
+                if test(vanishes(coeffs, x) for coeffs in lists):
                     yield x
 
     def over_budget():
@@ -539,37 +514,21 @@ def _points(query: CountQuery, budget: int):
             "no point of %r among the first %d candidates, budget is %d"
             % (query, budget, budget))
 
-    def point(idx):
-        return tuple([FieldElem(spec, v) for v in idx])
-
     walked = 0
     for fixed, free_pos, free_start in _strata(query):
         gens = _pure._split(rows, fixed, free_pos)
         idx = list(fixed)
-        if free_pos:
-            last, start, end = free_pos[-1], free_start[-1], q
-        else:
-            # the one candidate, fixed, is a fibre of one value whose
-            # polynomials are constants
-            last, start, end = None, 0, 1
-        for pre in _pure._prefixes(q, free_start):
+        # with no free position the one candidate, fixed, is a fibre of one
+        # value
+        start, end = (free_start[-1], q) if free_pos else (0, 1)
+        for pre, fibre in fibres(gens, free_start):
             if walked == budget:
                 raise over_budget()
             stop = min(end, start + budget - walked)
-            coeff_lists = []
-            for split, width in gens:
-                coeffs = [0] * width
-                for c, factors, e_last in split:
-                    for j, e in factors:
-                        c = fold(c, pre[j], e)
-                    coeffs[e_last] = plus(coeffs[e_last], c)
-                coeff_lists.append(coeffs)
-            for x in fibre(coeff_lists, start, stop):
-                for pos, v in zip(free_pos, pre):
+            for x in points_in(fibre, start, stop):
+                for pos, v in zip(free_pos, pre + (x,)):
                     idx[pos] = v
-                if last is not None:
-                    idx[last] = x
-                yield point(idx)
+                yield tuple([FieldElem(spec, v) for v in idx])
             walked += stop - start
             if stop < end:
                 raise over_budget()

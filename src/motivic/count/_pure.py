@@ -1,28 +1,30 @@
 """Plain-Python counting kernels; count_stratum keeps the contract of _ckernel.
 
-Neither kernel visits the candidates of a stratum one by one.  Both walk its
-fibres over the last free coordinate: for each assignment of the other free
-coordinates (a prefix) every generator becomes a univariate polynomial in
-the last one, and the kernel counts the common roots of those polynomials.
-_walker walks the prefixes on two levels.  Once per outer prefix, the
-values of every free coordinate but the last two, it folds them into each
-generator, which leaves a form in the last two; one pass over the middle
-coordinate then gives the fibre coefficients at each of its values with one
-product and one sum per monomial of that form.  It looks the roots up as
-bitmasks over the field, solving a fibre of degree 1 or 2 in closed form
-(odd characteristic: -c0/c1, or the quadratic formula) and evaluating one of
-higher degree at every value.  count_stratum_direct computes their number as
-deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 14).
+Nothing here visits the candidates of a stratum one by one.  Counts and
+point searches walk its fibres over the last free coordinate: for each
+assignment of the other free coordinates (a prefix) every generator becomes
+a univariate polynomial in the last one, whose common roots are the points
+over that prefix.  There is one walk for fields with tables and one fold for
+fields without.  _walker, the tabulated walk, yields per outer prefix the
+root masks of its fibres, as bitmasks over the field; it folds each outer
+prefix into the generators once, and one pass over a middle coordinate
+x_mid then gives the fibre coefficients at each of its values.  Counts take
+a real x_mid, point searches a virtual one, so that they walk one fibre at a
+time.  Fibres of degree 1 and 2 are solved in closed form (odd
+characteristic: -c0/c1, or the quadratic formula), higher ones evaluated at
+every value.  _fold, past the table limit, yields per prefix each
+generator's coefficients; count_stratum_direct counts their common roots as
+deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 14).
 
-A walker takes each stratum's generators split into terms over the free
+The walks take each stratum's generators split into terms over the free
 coordinates, and there are two splitters.  _split, which motivic.count
 uses for every count and point search, filters a query's (value, exps)
 rows, read once per query: a lead stratum fixes only zeros and the lead's
 1, so a term survives when it has exponent 0 in every zero coordinate, its
 coefficient unchanged.  _fibre_terms folds arbitrary fixed values into the
 coefficients, for count_stratum, whose contract allows them.  One walker
-counts every stratum of a query and keeps one memo of root masks for all
+serves every stratum of a query and keeps one memo of root masks for all
 of them; the power tables and x_mid columns are kept per table and degree.
 """
 
@@ -33,12 +35,6 @@ from itertools import product
 from math import prod
 
 from ..fields import _mulmod, _remmod, _trim
-
-
-def _prefixes(q, free_start):
-    """Every prefix: the values of the free positions but the last, as value
-    tuples in odometer order (the last of them steps fastest)."""
-    return product(*(range(s, q) for s in free_start[:-1]))
 
 
 def _fibre_terms(terms, nvars, fixed, free_pos, fold):
@@ -235,46 +231,49 @@ def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
                      nvars, fixed, free_pos, fold)
         for g in range(ngens)
     ]
-    return _walker(q, mul, add, powt, stride, union, {})(gens, free_start)
+    return _count(_walker(q, mul, add, powt, stride, union, {}), gens,
+                  free_start, q, union)
+
+
+def _count(walk, gens, free_start, q, union):
+    """The points of one stratum, from the masks of walk (_walker): their
+    popcounts, or for a union the candidates less them."""
+    found = 0
+    for _, common in walk(gens, free_start):
+        found += sum([m.bit_count() for m in common])
+    return prod(q - s for s in free_start) - found if union else found
 
 
 def _walker(q, mul, add, powt, stride, union, columns):
-    """walk(gens, free_start): the number of points of one stratum, gens
-    being its generators split for the fibre walk (_fibre_terms, _split)
-    and free_start the first values of its free positions.
+    """walk(gens, free_start, by_column=True): yields (prefix, masks) for
+    each outer prefix of one stratum in odometer order, gens being its
+    generators split for the walk (_fibre_terms, _split) and free_start the
+    first values of its free positions.
 
-    A point is a common zero of the generators, or with union=1 a zero of
-    some generator.  The root set of a univariate polynomial is a bitmask
-    over the value indices 0..q-1, computed on first sight of its
-    coefficient tuple (in closed form up to degree 2) and kept for the life
-    of the walker, across the strata it counts.  A fibre's points are the
-    AND of the generators' root sets, or for a union their OR.  The walk
-    computes that OR as the complement of the AND of the complements, so
-    both share one loop that stops as soon as the AND is empty.  With two
-    free positions or more the walk runs on two levels: each outer prefix
-    folds the free positions but the last two into every generator,
-    leaving a form in (x_mid, x_last); the pass over x_mid adds up that
-    form's monomials as columns over the values of x_mid, one product and
-    one sum per monomial and value, and reads each column tuple as the
-    fibre's coefficients.  columns keeps the powers of x_mid by its first
-    value, powt[x*stride + e] being x^e.
+    The outer free positions are all but the last two, the second to last
+    being x_mid; with by_column=False or fewer than two free positions
+    x_mid is virtual, of one value, and with none x_last is too.  masks
+    holds one bitmask over the value indices per value of x_mid: the AND of
+    the generators' root sets in that fibre within the values x_last takes,
+    with union=1 the AND of their complements.  It stops once empty.  A
+    root set is computed on first sight of its coefficient tuple and kept
+    for the life of the walker, across strata.  Each outer prefix folds
+    into every generator, leaving a form in (x_mid, x_last) whose monomials
+    the pass over x_mid adds up as columns, one product and one sum per
+    monomial and value; each column tuple is a fibre's coefficients.  With
+    x_mid virtual a form's slots are the exponents of x_last, so the form
+    is its fibre's coefficients.  columns keeps the powers of x_mid by its
+    first value, powt[x*stride + e] being x^e.
     """
     roots = _root_finder(q, mul, add)
     full = (1 << q) - 1
-    # with union the walk ANDs non-root sets and counts the rest
+    # with union the walk ANDs non-root sets
     flip = full if union else 0
-    test = any if union else all
     masks = {}
     get = masks.get
 
-    def vanishes(terms):
-        acc = 0
-        for c, _, _ in terms:
-            acc = add[acc * q + c]
-        return not acc
-
-    def fibre_masks(form, monomials, width, pcols, zeros, allowed):
-        """The root sets, within allowed, of the fibres over each x_mid."""
+    def fibres(form, monomials, width, pcols, zeros):
+        """The fibres' coefficient tuples, one per value of x_mid."""
         cols = [zeros] * width
         for (e_mid, e_last), c in zip(monomials, form):
             if not c:
@@ -286,72 +285,50 @@ def _walker(q, mul, add, powt, stride, union, columns):
             else:
                 cols[e_last] = [add[a * q + mul[cq + p]]
                                 for a, p in zip(prev, pcols[e_mid])]
-        out = []
-        for key in zip(*cols):
-            mask = get(key)
-            if mask is None:
-                mask = masks[key] = roots(key) ^ flip
-            out.append(mask & allowed)
-        return out
+        return zip(*cols)
 
-    def two_level(gens, free_start, allowed):
-        mid = len(free_start) - 2
-        start = free_start[mid]
-        pcols = columns.get(start)
-        if pcols is None:
-            xs = range(start, q)
-            pcols = columns[start] = [[powt[x * stride + e] for x in xs]
-                                      for e in range(stride)]
-        zeros = (0,) * (q - start)
-        gens = [_bivariate(terms, width, mid, q, add)
-                for terms, width in gens]
-        found = 0
-        # each outer value x as its row x * stride of powt
-        for pre in product(*(range(s * stride, q * stride, stride)
-                             for s in free_start[:mid])):
-            common = None
+    def walk(gens, free_start, by_column=True):
+        nfree = len(free_start)
+        allowed = full >> free_start[-1] << free_start[-1] if nfree else 1
+        if by_column and nfree > 1:
+            mid = nfree - 2
+            start = free_start[mid]
+            pcols = columns.get(start)
+            if pcols is None:
+                xs = range(start, q)
+                pcols = columns[start] = [[powt[x * stride + e] for x in xs]
+                                          for e in range(stride)]
+            zeros = (0,) * (q - start)
+            first = [allowed] * (q - start)
+            gens = [_bivariate(terms, width, mid, q, add)
+                    for terms, width in gens]
+        else:
+            mid = nfree - 1
+            zeros = None
+            first = [allowed]
+            # every split term (coeff, factors, e_last) is outer, its slot
+            # e_last
+            gens = [([0] * width, terms, None, width) for terms, width in gens]
+        for pre in product(*(range(s, q) for s in free_start[:mid])):
+            common = first
             for base, outer_terms, monomials, width in gens:
                 form = base[:]
-                for c, outer, slot in outer_terms:
-                    for j, e in outer:
-                        c = mul[c * q + powt[pre[j] + e]]
+                for c, factors, slot in outer_terms:
+                    for j, e in factors:
+                        c = mul[c * q + powt[pre[j] * stride + e]]
                     form[slot] = add[form[slot] * q + c]
-                gm = fibre_masks(form, monomials, width, pcols, zeros,
-                                 allowed)
-                common = gm if common is None else [
-                    a & b for a, b in zip(common, gm)]
+                keys = ((tuple(form),) if zeros is None else
+                        fibres(form, monomials, width, pcols, zeros))
+                out = []
+                for key, a in zip(keys, common):
+                    mask = get(key)
+                    if mask is None:
+                        mask = masks[key] = roots(key) ^ flip
+                    out.append(mask & a)
+                common = out
                 if not any(common):
                     break
-            found += sum([m.bit_count() for m in common])
-        return found
-
-    def walk(gens, free_start):
-        candidates = prod(q - s for s in free_start)
-        if not gens:
-            # every candidate is a common zero of no generators; none is a
-            # zero of some generator
-            return 0 if union else candidates
-        if not free_start:
-            return int(test(vanishes(terms) for terms, _ in gens))
-        # the values the last free position takes
-        allowed = full >> free_start[-1] << free_start[-1]
-        if len(free_start) == 1:
-            found = allowed
-            for terms, width in gens:
-                coeffs = [0] * width
-                for c, _, e_last in terms:
-                    coeffs[e_last] = add[coeffs[e_last] * q + c]
-                key = tuple(coeffs)
-                mask = get(key)
-                if mask is None:
-                    mask = masks[key] = roots(key) ^ flip
-                found &= mask
-                if not found:
-                    break
-            found = found.bit_count()
-        else:
-            found = two_level(gens, free_start, allowed)
-        return candidates - found if union else found
+            yield pre, common
 
     return walk
 
@@ -389,7 +366,37 @@ def _bivariate(terms, width, mid, q, add):
 
 
 # ---------------------------------------------------------------------------
-# polynomials mod p, with the helpers of motivic.fields
+# fields too large to tabulate, and polynomials mod p with the helpers of
+# motivic.fields
+
+def _modp(p):
+    """(mul, add, power) on ints mod p, the arithmetic of _fold over F_p."""
+    return (lambda a, b: a * b % p, lambda a, b: (a + b) % p,
+            lambda a, e: pow(a, e, p))
+
+
+def _fold(q, free_start, gens, mul, add, power):
+    """The walk past the table limit: (prefix, coefficient lists) for each
+    prefix of a stratum, in odometer order.
+
+    gens holds the stratum's generators split for the walk (_split) and
+    free_start the first values of its free positions; each list holds one
+    generator's coefficients in the last free coordinate, its terms' values
+    combined by mul, add and power: _modp(p) over F_p, the spec's _mul,
+    _add and _pow over F_{p^m}.  A stratum with no free position is one
+    prefix whose lists are constants.
+    """
+    for pre in product(*(range(s, q) for s in free_start[:-1])):
+        lists = []
+        for terms, width in gens:
+            coeffs = [0] * width
+            for v, factors, e_last in terms:
+                for j, e in factors:
+                    v = mul(v, power(pre[j], e))
+                coeffs[e_last] = add(coeffs[e_last], v)
+            lists.append(coeffs)
+        yield pre, lists
+
 
 def _gcdmod(a, b, p):
     while b:
@@ -412,33 +419,33 @@ def _roots_mod(g, p):
     return len(_gcdmod(g, _trim(r), p)) - 1
 
 
-def count_stratum_direct(p, free_start, gens):
+def count_stratum_direct(p, free_start, gens, union):
     """Stratum counter for primes too large to tabulate: ints mod p.
 
     gens holds the stratum's generators split for the fibre walk (_split),
-    with coefficients as ints mod p; free_start is as for count_stratum,
-    except that the last free position starts at 0 or 1 (the latter when
-    it is constrained nonzero).
+    with coefficients as ints mod p, and free_start is as for
+    count_stratum.  A fibre's points are the common roots of the
+    generators' restrictions (_fold), or with union=1 the roots of their
+    product, the whole fibre when one restriction is zero.
     """
-    if not free_start:
-        return 0 if any(sum(c for c, _, _ in terms) % p
-                        for terms, _ in gens) else 1
-
-    start = free_start[-1]
+    start = free_start[-1] if free_start else 0
+    size = p - start if free_start else 1
     count = 0
-    for pre in _prefixes(p, free_start):
-        g = []
-        for terms, width in gens:
-            coeffs = [0] * width
-            for v, factors, e_last in terms:
-                for j, e in factors:
-                    v = v * pow(pre[j], e, p) % p
-                coeffs[e_last] += v
-            g = _gcdmod(g, _trim([c % p for c in coeffs]), p)
-            if len(g) == 1:
-                break
+    for _, lists in _fold(p, free_start, gens, *_modp(p)):
+        if union:
+            g = [1]
+            for coeffs in lists:
+                g = _mulmod(g, _trim(coeffs), p) if any(coeffs) else []
+                if not g:
+                    break
+        else:
+            g = []
+            for coeffs in lists:
+                g = _gcdmod(g, _trim(coeffs), p)
+                if len(g) == 1:
+                    break
         if not g:
-            count += p - start
+            count += size
         else:
             count += _roots_mod(g, p) - (1 if start and not g[0] else 0)
     return count

@@ -51,9 +51,11 @@ def reference_walk(query):
     Every candidate of the query's chart in P^n is visited in canonical
     order (projective_reps) and every generator is evaluated on its
     values, a union's being its expanded product; over F_{p^m} the values
-    combine through the spec's _add, _mul and _pow.  points lists each
-    point found as (walk position, element tuple), the first candidate
-    being at position 1; candidates is how many there are.
+    combine through the spec's _add, _mul and _pow.  Only the chart's
+    candidates are walked: a coordinate constrained to zero takes only 0
+    and one constrained nonzero starts at 1.  points lists each point found
+    as (walk position, element tuple), the first candidate being at
+    position 1; candidates is how many there are.
     """
     spec, n = query.spec, query.n
     q = spec.order
@@ -81,10 +83,12 @@ def reference_walk(query):
         return not acc
 
     chart = dict(query.chart)
+    values = {None: range(q), "zero": range(1), "nonzero": range(1, q)}
     points = []
     walked = 0
     for lead in range(n + 1):
-        for tail in product(range(q), repeat=n - lead):
+        tails = [values[chart.get(i)] for i in range(lead + 1, n + 1)]
+        for tail in product(*tails):
             idx = (0,) * lead + (1,) + tail
             if any((kind == "zero") != (idx[i] == 0)
                    for i, kind in chart.items()):

@@ -200,8 +200,9 @@ def test_bigprime_known_counts(p):
     query = CountQuery(P, 2, [_product(["x1", "x2"], P, 2),
                               _product(["x0", "x2"], P, 2)])
     assert count_points(query, budget=2 * 10**9) == p + 2
-    # a union takes this path through its expanded product: three lines
-    # through (0 : 0 : 1), and off x2 = 0 without their points at infinity
+    # a union takes this path as the product of its factors' restrictions:
+    # three lines through (0 : 0 : 1), and off x2 = 0 without their points
+    # at infinity
     lines = [parse_poly(t, P, 3) for t in ("x0", "x1", "x0 - x1")]
     for chart, expected in [((), 3 * p + 1), (((2, "nonzero"),), 3 * p - 2)]:
         query = CountQuery.union(P, 2, lines, chart)
@@ -480,13 +481,10 @@ def _count_query(draw):
     return CountQuery(spec, n, forms, chart)
 
 
-@st.composite
-def _union_query(draw):
-    """A union of 1 to 4 factors of degree 1 or 2, some of them repeated or
-    zero, with a random chart."""
-    spec, n, chart = _draw_space(draw)
+def _draw_factors(draw, spec, n, most):
+    """1 to most factors of degree 1 or 2, some of them repeated or zero."""
     factors = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, most))):
         kind = draw(st.sampled_from(["form", "form", "repeat", "zero"]))
         degree = draw(st.integers(1, 2))
         if kind == "repeat" and factors:
@@ -495,7 +493,15 @@ def _union_query(draw):
             factors.append(HomogPoly.zero(spec, n + 1, degree))
         else:
             factors.append(_draw_form(draw, spec, n, degree))
-    return CountQuery.union(spec, n, factors, chart)
+    return factors
+
+
+@st.composite
+def _union_query(draw):
+    """A union of 1 to 4 factors of degree 1 or 2, some of them repeated or
+    zero, with a random chart."""
+    spec, n, chart = _draw_space(draw)
+    return CountQuery.union(spec, n, _draw_factors(draw, spec, n, 4), chart)
 
 
 @given(st.one_of(_count_query(), _union_query()))
@@ -601,9 +607,10 @@ def test_generators_are_split_once_per_query(monkeypatch):
     f = parse_poly("x0*x1 - x2*x3", F5, 4)
     h = parse_poly("x0^2 + x1*x3 + x2^2", F5, 4)
     big = prime_field(1031)
-    # four lead strata, and two past the table limit
+    # four lead strata, and past the table limit two, x0 = 1 and x3 = 1
     for query in (CountQuery(F5, 3, [f, h]), CountQuery.union(F5, 3, [f, h]),
-                  _q(["x0^2 - x1^2", "x0^3 - x0*x1^2"], big, 1)):
+                  _q(["x0^2 - x3^2", "x0^3 - x0*x3^2"], big, 3,
+                     ((1, "zero"), (2, "zero")))):
         reads.clear()
         expected = len(reference_walk(query)[0])
         assert count_points(query) == expected
@@ -770,7 +777,7 @@ def _assert_searches_match_reference(query, more_budgets=()):
     candidate count, and at more_budgets: a point at position k is
     returned iff k <= budget, the walk yields every point up to the budget
     and then raises once it passes budget candidates, and enumerate_points
-    charges every candidate up front."""
+    charges every candidate up front.  Returns the reference's points."""
     points, total = reference_walk(query)
     assert query.cost() == total
     budgets = {total - 1, total, total + 1, *more_budgets}
@@ -800,6 +807,7 @@ def _assert_searches_match_reference(query, more_budgets=()):
                 % (query, total, budget))
         else:
             assert list(enumerate_points(query, budget)) == within
+    return points
 
 
 @given(_search_query(), st.data())
@@ -828,3 +836,104 @@ def test_point_searches_past_the_table_limit(spec):
             CountQuery.union(spec, 1, lines),
             _q(["x0*x1 - x2^2", "x1 - x2"], spec, 2, ((0, "zero"),))]:
         _assert_searches_match_reference(query)
+
+
+F1031 = prime_field(1031)
+F1369 = extension_field(37, 2)
+
+
+@st.composite
+def _query_past_the_table_limit(draw):
+    """A plain query of 0 to 2 forms of degree 1 to 3, or a union of 1 to 3
+    factors, some zero or repeated, over F1031 or F1369 in P^0-P^2 with a
+    random chart.  In P^2 the chart sets some coordinate to zero, so that
+    the brute-force walk stays near q candidates."""
+    spec = draw(st.sampled_from([F1031, F1369]))
+    n = draw(st.integers(0, 2))
+    chart = {i: draw(st.sampled_from(["zero", "nonzero"]))
+             for i in range(n + 1) if draw(st.booleans())}
+    if n == 2 and "zero" not in chart.values():
+        chart[draw(st.integers(0, 2))] = "zero"
+    chart = sorted(chart.items())
+    if draw(st.booleans()):
+        forms = [_draw_form(draw, spec, n, draw(st.integers(1, 3)))
+                 for _ in range(draw(st.integers(0, 2)))]
+        return CountQuery(spec, n, forms, chart)
+    return CountQuery.union(spec, n, _draw_factors(draw, spec, n, 3), chart)
+
+
+@given(_query_past_the_table_limit(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_walks_past_the_table_limit_match_reference_walk(query, data):
+    """The modular fold against the brute-force walk: point searches over
+    F1031 and F1369 at the budgets of _assert_searches_match_reference and
+    one more drawn budget, and counts over F1031."""
+    more = [data.draw(st.integers(0, query.cost() + 1))]
+    points = _assert_searches_match_reference(query, more)
+    if query.spec.kind == "Fp":
+        assert count_points(query) == len(points)
+
+
+@pytest.mark.parametrize("spec", [F5, F1031], ids=str)
+def test_unions_are_never_expanded(monkeypatch, spec):
+    """repr(), counts, point searches and their BudgetError texts take a
+    union factor by factor: with HomogPoly.product refused, each gives
+    what it gave with the expanded product."""
+    chart = ((1, "zero"),)
+    lines = [parse_poly(t, spec, 3) for t in ("x0 - x2", "x0 + 2*x2", "x0")]
+
+    def unions():
+        return [CountQuery.union(spec, 2, lines, chart),
+                CountQuery.union(spec, 2, lines + [HomogPoly.zero(spec, 3, 1)],
+                                 chart)]
+
+    expected = []
+    for query in unions():
+        body = "; ".join(str(g) for g in query.generators) or "0"
+        expected.append(("#V(%s) in P^2(F%d) | x1=0" % (body, spec.order),)
+                        + reference_walk(query))
+
+    def refuse(cls, polys):
+        raise AssertionError("a union was expanded")
+
+    monkeypatch.setattr(HomogPoly, "product", classmethod(refuse))
+    for query, (text, points, total) in zip(unions(), expected):
+        assert repr(query) == text
+        assert count_points(query, budget=total) == len(points)
+        assert list(enumerate_points(query, total)) == [p for _, p in points]
+        assert motivic.count._first_point(query, total) == points[0][1]
+        with pytest.raises(BudgetError) as err:
+            count_points(query, budget=total - 1)
+        assert str(err.value) == ("counting %s needs %d candidates, budget "
+                                  "is %d" % (text, total, total - 1))
+        with pytest.raises(BudgetError) as err:
+            motivic.count._first_point(query, 0)
+        assert str(err.value) == ("no point of %s among the first 0 "
+                                  "candidates, budget is 0" % text)
+
+
+def test_first_point_in_the_first_fibre_walks_that_fibre(monkeypatch):
+    """Over F1021 in P^3, a point search whose first point lies in the
+    first fibre finds each root set of that fibre alone: at most one call
+    of the walker's roots function per generator, where a row of fibres
+    over x_mid would take up to q."""
+    calls = []
+    finder = _pure._root_finder
+
+    def counting_finder(q, mul, add):
+        roots = finder(q, mul, add)
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return roots(coeffs)
+        return counted
+
+    monkeypatch.setattr(_pure, "_root_finder", counting_finder)
+    f = parse_poly("x0*x1 - x2*x3", F1021, 4)
+    h = parse_poly("x0^2*x1 + x0*x2^2 - x3^3", F1021, 4)
+    origin = tuple(F1021.elem(v) for v in (1, 0, 0, 0))
+    for query in (CountQuery(F1021, 3, [f, h]),
+                  CountQuery.union(F1021, 3, [h, f])):
+        calls.clear()
+        assert motivic.count._first_point(query) == origin
+        assert 1 <= len(calls) <= len(query._kernel_polys()[0])
