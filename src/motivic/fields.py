@@ -37,10 +37,14 @@ digit by digit, and multiply and invert with the schoolbook product on the
 decoded digits.
 
 A spec's value operations (_add, _mul, _neg, _inv, the row operations
-_scale and _axpy, and _str, the text of a value) act on values rather than
-elements.  They are the one place that knows how the values of each field
-combine and print: motivic.linalg and motivic.poly run one path on plain
-values for every field and build elements only at their edges.
+_scale and _axpy, _encode, the index of a list of digits, and _str, the
+text of a value) act on values rather than elements.  They are the one
+place that knows how the values of each field combine and print:
+motivic.linalg, motivic.poly and motivic.parse run one path on plain values
+for every field and build elements only at their edges.
+
+A fraction a/b is an element of the prime field, over F_{p^m} as over F_p,
+and one whose reduced denominator p divides is an error.
 """
 
 from __future__ import annotations
@@ -382,6 +386,12 @@ class FieldSpec:
             out.append(x)
         return out
 
+    def _encode(self, digits):
+        """The index of c_0 + c_1 t + ... for at most m integer digits c_k,
+        each reduced mod p."""
+        p = self.p
+        return _encode([c % p for c in digits], p)
+
     def _str(self, a) -> str:
         """The text of the element of value a: over F_{p^m} an element
         outside F_p prints as its t-polynomial in parentheses."""
@@ -431,19 +441,17 @@ class FieldSpec:
             return x
         if self.kind == "Q":
             return FieldElem(self, Fraction(x))
-        if self.kind == "Fp":
-            if isinstance(x, Fraction):
-                if x.denominator % self.p == 0:
-                    raise ValueError("denominator divisible by %d" % self.p)
-                v = x.numerator * pow(x.denominator, self.p - 2, self.p)
-                return FieldElem(self, v % self.p)
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise ValueError("denominator divisible by %d" % self.p)
+            v = x.numerator * pow(x.denominator, self.p - 2, self.p)
+            return FieldElem(self, v % self.p)
+        if self.kind == "Fp" or isinstance(x, int):
             return FieldElem(self, int(x) % self.p)
-        if isinstance(x, int):
-            return FieldElem(self, x % self.p)
-        coeffs = [int(c) % self.p for c in x]
+        coeffs = [int(c) for c in x]
         if len(coeffs) > self.m:
             raise ValueError("coefficient tuple longer than extension degree")
-        return FieldElem(self, _encode(coeffs, self.p))
+        return FieldElem(self, self._encode(coeffs))
 
     def gen(self) -> "FieldElem":
         """The residue class of t (extensions only)."""

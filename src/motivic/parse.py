@@ -3,168 +3,180 @@
 Polynomials are sums of terms like ``3*x0^2*x1`` joined by ``+`` and ``-``;
 whitespace never matters.  Coefficient literals are integers, fractions
 ``a/b``, or (over an extension field) t-polynomials such as ``t``, ``t^2``,
-or the parenthesized form ``(1+2*t)``.  The printed form of every polynomial
-in this package parses back to itself.
+or the parenthesized form ``(1+2*t)``.  A sign must be followed by a term,
+inside a t-literal as outside.  The printed form of every polynomial in
+this package parses back to itself.
+
+One compiled pattern splits a text into its tokens in a single pass, and a
+_Reader walks the token list by index.  Coefficients are read as plain
+values of the field (see motivic.fields): ints over F_p, reduced once per
+monomial, ints and Fractions over Q, indices over F_{p^m}, where the digits
+of a parenthesized t-literal are summed and encoded straight to an index by
+FieldSpec._encode.  Repeated monomials are summed on values, and a
+polynomial holds one FieldElem per surviving term, built at the end.
+parse_scalar and parse_point read their literals with the same _Reader.
+Token positions are only needed by error messages, which find them again.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 
-from .fields import FieldSpec
+from .fields import FieldElem, FieldSpec
 from .poly import HomogPoly
 
-_TOKEN_RE = re.compile(r"\s*(x\d+|\d+|t|\^|\*|\+|-|/|\(|\)|,)")
+_TOKEN_RE = re.compile(r"\s*([t^*+\-/(),]|x\d+|\d+)")
+# stands for the end of the text after the last token
+_END = ""
 
 
 class ParseError(ValueError):
     pass
 
 
-def _tokenize(src: str):
-    toks = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            if src[pos:].strip() == "":
-                break
-            raise ParseError(
-                "bad character %r at position %d in %r" % (src[pos], pos, src)
-            )
-        toks.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return toks
+class _Reader:
+    """The tokens of one text, ended by _END, and the value arithmetic of
+    its field: add, mul and neg combine values, finish maps a value to the
+    element's own (reduced mod p over F_p, a Fraction over Q, the index
+    itself over F_{p^m})."""
 
+    __slots__ = ("src", "toks", "spec", "add", "mul", "neg", "finish")
 
-class _Stream:
-    def __init__(self, toks, src):
-        self.toks = toks
-        self.i = 0
+    def __init__(self, src: str, spec: FieldSpec):
+        toks = _TOKEN_RE.findall(src)
+        # findall skips what no token matches: a character that is neither
+        # whitespace nor part of a token
+        if "".join(toks) != "".join(src.split()):
+            _raise_bad_character(src)
+        toks.append(_END)
         self.src = src
-
-    def where(self) -> int:
-        """Character offset of the current token (end of input otherwise)."""
-        if self.i < len(self.toks):
-            return self.toks[self.i][1]
-        return len(self.src)
-
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input in %r" % self.src)
-        self.i += 1
-        return t
-
-
-def _parse_int(s: _Stream) -> int:
-    pos = s.where()
-    t = s.next()
-    if not t.isdigit():
-        raise ParseError(
-            "expected number, got %r at position %d in %r" % (t, pos, s.src)
-        )
-    return int(t)
-
-
-def _parse_tpoly(s: _Stream, spec: FieldSpec):
-    """Sum of integer/t terms up to the matching ')' (already consumed '(')."""
-    acc = spec.zero
-    sign = 1
-    expect_term = True
-    while True:
-        t = s.peek()
-        if t == ")":
-            s.next()
-            if expect_term:
-                raise ParseError("dangling sign in t-literal in %r" % s.src)
-            return acc
-        if t in ("+", "-"):
-            s.next()
-            if t == "-":
-                sign = -sign
-            continue
-        coeff = 1
-        power = 0
-        if t is not None and t.isdigit():
-            coeff = _parse_int(s)
-            if s.peek() == "*":
-                s.next()
-                if s.peek() != "t":
-                    raise ParseError("expected t after * in t-literal in %r" % s.src)
-        if s.peek() == "t":
-            s.next()
-            power = 1
-            if s.peek() == "^":
-                s.next()
-                power = _parse_int(s)
-        elif power == 0 and not str(coeff).isdigit():
-            raise ParseError("empty term in t-literal in %r" % s.src)
-        term = spec.elem(coeff) * (spec.gen() ** power if power else spec.one)
-        acc = acc + (term if sign > 0 else -term)
-        sign = 1
-        expect_term = False
-
-
-def _parse_scalar_factor(s: _Stream, spec: FieldSpec):
-    """One coefficient factor: integer, fraction, t, t^k, or (t-poly)."""
-    t = s.peek()
-    if t == "(":
-        if spec.kind != "Fpm":
-            raise ParseError("t-literals need an extension field, not %s" % spec)
-        s.next()
-        return _parse_tpoly(s, spec)
-    if t == "t":
-        if spec.kind != "Fpm":
-            raise ParseError("t-literals need an extension field, not %s" % spec)
-        s.next()
-        power = 1
-        if s.peek() == "^":
-            s.next()
-            power = _parse_int(s)
-        return spec.gen() ** power
-    if t is not None and t.isdigit():
-        num = _parse_int(s)
-        if s.peek() == "/":
-            s.next()
-            den = _parse_int(s)
-            if den == 0:
-                raise ParseError("zero denominator in %r" % s.src)
-            return spec.elem(Fraction(num, den))
-        return spec.elem(num)
-    raise ParseError(
-        "expected coefficient, got %r at position %d in %r" % (t, s.where(), s.src)
-    )
-
-
-def _parse_term(s: _Stream, spec: FieldSpec, nvars: int):
-    """Product of factors; returns (coefficient, exponent tuple)."""
-    coeff = spec.one
-    exps = [0] * nvars
-    while True:
-        t = s.peek()
-        if t is not None and t.startswith("x"):
-            s.next()
-            idx = int(t[1:])
-            if idx >= nvars:
-                raise ParseError(
-                    "variable %s out of range (nvars=%d) in %r" % (t, nvars, s.src)
-                )
-            power = 1
-            if s.peek() == "^":
-                s.next()
-                power = _parse_int(s)
-            exps[idx] += power
+        self.toks = toks
+        self.spec = spec
+        if spec.kind == "Fpm":
+            self.add, self.mul, self.neg = spec._add, spec._mul, spec._neg
+            self.finish = int
         else:
-            coeff = coeff * _parse_scalar_factor(s, spec)
-        if s.peek() == "*":
-            s.next()
-            continue
-        return coeff, tuple(exps)
+            self.add, self.mul = operator.add, operator.mul
+            self.neg = operator.neg
+            # over F_p, v -> v % p
+            self.finish = Fraction if spec.kind == "Q" else spec.p.__rmod__
+
+    def where(self, i: int) -> int:
+        """Character offset of token i (end of input for _END)."""
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.src)]
+        return starts[i] if i < len(starts) else len(self.src)
+
+    def end_of_input(self):
+        return ParseError("unexpected end of input in %r" % self.src)
+
+    def number(self, i: int):
+        """(int, next index) of the number at token i."""
+        tok = self.toks[i]
+        if not tok.isdigit():
+            if tok is _END:
+                raise self.end_of_input()
+            raise ParseError("expected number, got %r at position %d in %r"
+                             % (tok, self.where(i), self.src))
+        return int(tok), i + 1
+
+    def exponent(self, i: int):
+        """(k, next index) of an optional ``^k`` at token i, k = 1 without."""
+        if self.toks[i] == "^":
+            return self.number(i + 1)
+        return 1, i
+
+    def factor(self, i: int):
+        """(value, next index) of the coefficient factor at token i: an
+        integer, a fraction, t, t^k or a parenthesized t-literal."""
+        tok = self.toks[i]
+        spec = self.spec
+        if tok.isdigit():
+            num = int(tok)
+            if self.toks[i + 1] != "/":
+                return (num % spec.p if spec.kind == "Fpm" else num), i + 1
+            den, i = self.number(i + 2)
+            if den == 0:
+                raise ParseError("zero denominator in %r" % self.src)
+            return spec.elem(Fraction(num, den)).value, i
+        if tok == "(" or tok == "t":
+            if spec.kind != "Fpm":
+                raise ParseError(
+                    "t-literals need an extension field, not %s" % spec)
+            if tok == "(":
+                return self.tpoly(i + 1)
+            power, i = self.exponent(i + 1)
+            return spec._pow(spec.p, power), i
+        raise ParseError("expected coefficient, got %r at position %d in %r"
+                         % (tok or None, self.where(i), self.src))
+
+    def tpoly(self, i: int):
+        """(index, next index) of the sum of integer and t terms from token
+        i up to the matching ')'.  Terms of degree below m sum as digits;
+        the rest, reduced by the modulus, as values."""
+        spec, toks = self.spec, self.toks
+        p, m = spec.p, spec.m
+        digits = [0] * m
+        high = 0
+        negative = False
+        expect_term = True
+        while True:
+            tok = toks[i]
+            if tok == ")":
+                if expect_term:
+                    raise ParseError(
+                        "dangling sign in t-literal in %r" % self.src)
+                return spec._add(spec._encode(digits), high), i + 1
+            if tok == "+" or tok == "-":
+                negative ^= tok == "-"
+                expect_term = True
+                i += 1
+                continue
+            coeff = 1
+            if tok.isdigit():
+                coeff = int(tok)
+                i += 1
+                if toks[i] == "*":
+                    i += 1
+                    if toks[i] != "t":
+                        raise ParseError(
+                            "expected t after * in t-literal in %r" % self.src)
+            elif tok is _END:
+                raise self.end_of_input()
+            elif tok != "t":
+                raise ParseError("empty term in t-literal in %r" % self.src)
+            power = 0
+            if toks[i] == "t":
+                power, i = self.exponent(i + 1)
+            if negative:
+                coeff = -coeff
+            if power < m:
+                digits[power] += coeff
+            else:
+                high = spec._add(high, spec._mul(coeff % p,
+                                                 spec._pow(p, power)))
+            negative = False
+            expect_term = False
+
+
+def _raise_bad_character(src: str):
+    """Raise the error for the first character no token starts at, walking
+    the tokens from the start; the caller knows there is one."""
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError(
+                "bad character %r at position %d in %r" % (src[pos], pos, src))
+        pos = m.end()
+
+
+@lru_cache(maxsize=16)
+def _variables(nvars: int) -> dict:
+    """{"x0": 0, "x1": 1, ...}: the index of each variable's usual token."""
+    return {"x%d" % j: j for j in range(nvars)}
 
 
 def parse_poly(src: str, spec: FieldSpec, nvars: int) -> HomogPoly:
@@ -175,63 +187,83 @@ def parse_poly(src: str, spec: FieldSpec, nvars: int) -> HomogPoly:
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
-    s = _Stream(_tokenize(src), src)
-    if s.peek() is None:
-        raise ParseError("empty polynomial text")
-    acc = {}
-    zero = spec.zero
-    sign = 1
+    r = _Reader(src, spec)
+    toks = r.toks
+    add, mul, neg, factor, exponent = r.add, r.mul, r.neg, r.factor, r.exponent
+    variables = _variables(nvars)
+    sums = {}
+    get = sums.get
+    i = 0
+    negative = False
     first = True
     while True:
-        t = s.peek()
-        if t is None:
-            if first:
-                raise ParseError("empty polynomial text")
-            break
-        if t in ("+", "-"):
-            s.next()
-            if t == "-":
-                sign = -sign
+        tok = toks[i]
+        if tok == "+" or tok == "-":
+            negative ^= tok == "-"
+            i += 1
             continue
-        coeff, exps = _parse_term(s, spec, nvars)
-        term = coeff if sign > 0 else -coeff
-        cur = acc.get(exps, zero) + term
-        if cur.is_zero():
-            acc.pop(exps, None)
-        else:
-            acc[exps] = cur
-        sign = 1
+        if tok is _END:
+            raise (ParseError("empty polynomial text") if first
+                   else r.end_of_input())
+        # one term: factors joined by '*'
+        coeff = 1
+        exps = [0] * nvars
+        while True:
+            idx = variables.get(tok)
+            if idx is None and tok[:1] == "x":
+                idx = int(tok[1:])
+                if idx >= nvars:
+                    raise ParseError(
+                        "variable %s out of range (nvars=%d) in %r"
+                        % (tok, nvars, src))
+            if idx is not None:
+                power, i = exponent(i + 1)
+                exps[idx] += power
+            else:
+                value, i = factor(i)
+                coeff = mul(coeff, value)
+            if toks[i] != "*":
+                break
+            i += 1
+            tok = toks[i]
+        exps = tuple(exps)
+        sums[exps] = add(get(exps, 0), neg(coeff) if negative else coeff)
+        negative = False
         first = False
-        nxt = s.peek()
-        if nxt is None:
+        tok = toks[i]
+        if tok is _END:
             break
-        if nxt not in ("+", "-"):
-            raise ParseError(
-                "expected + or - before %r at position %d in %r"
-                % (nxt, s.where(), src)
-            )
-    if not acc:
+        if tok != "+" and tok != "-":
+            raise ParseError("expected + or - before %r at position %d in %r"
+                             % (tok, r.where(i), src))
+    terms = {e: FieldElem(spec, v)
+             for e, v in zip(sums, map(r.finish, sums.values())) if v}
+    if not terms:
         return HomogPoly.zero(spec, nvars, 0)
-    degrees = {sum(e) for e in acc}
+    degrees = set(map(sum, terms))
     if len(degrees) != 1:
         raise ParseError("polynomial is not homogeneous: %r" % (src,))
-    return HomogPoly._from_terms(spec, nvars, degrees.pop(), acc)
+    return HomogPoly._from_terms(spec, nvars, degrees.pop(), terms)
 
 
 def parse_scalar(src: str, spec: FieldSpec):
     """Parse one field element literal (optionally signed)."""
-    s = _Stream(_tokenize(src), src)
-    sign = 1
-    while s.peek() in ("+", "-"):
-        if s.next() == "-":
-            sign = -sign
-    val = _parse_scalar_factor(s, spec)
-    while s.peek() == "*":
-        s.next()
-        val = val * _parse_scalar_factor(s, spec)
-    if s.peek() is not None:
+    r = _Reader(src, spec)
+    toks = r.toks
+    i = 0
+    negative = False
+    while toks[i] == "+" or toks[i] == "-":
+        negative ^= toks[i] == "-"
+        i += 1
+    value, i = r.factor(i)
+    while toks[i] == "*":
+        more, i = r.factor(i + 1)
+        value = r.mul(value, more)
+    if toks[i] is not _END:
         raise ParseError("trailing junk in scalar %r" % (src,))
-    return val if sign > 0 else -val
+    if negative:
+        value = r.neg(value)
+    return FieldElem(spec, r.finish(value))
 
 
 def parse_point(src: str, spec: FieldSpec, nvars: int):

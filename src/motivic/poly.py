@@ -12,16 +12,19 @@ linear_substitute) takes one packed path, _Packing: exponent tuples become
 integer codes whose sums are the codes of product monomials, coefficients
 are plain values of the field (see motivic.fields), and the result becomes
 a HomogPoly once, at the end.  HomogPoly.product_text prints a product
-straight from its codes, without that HomogPoly; a form keeps its text once
-it is printed.
+straight from its codes, without that HomogPoly: one pass over the codes in
+descending order prints each monomial, decoding each distinct half of a
+code once.  Over a finite field every coefficient prints from a list of
+coefficient texts kept per field (_prefixes); over Q the printer puts each
+term's sign between the terms.  A form keeps its text once it is printed.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from operator import itemgetter, mul
+from functools import lru_cache
+from operator import getitem, itemgetter, mul
 
-from .fields import FieldElem, FieldSpec
+from .fields import _TABLE_LIMIT, FieldElem, FieldSpec
 from .linalg import Matrix
 
 def _validated_terms(spec, nvars, degree, terms):
@@ -126,13 +129,12 @@ class _Packing:
             out = self.mul(out, a)
         return out
 
-    def _halves(self, codes, high, low):
-        """[(high(e[:h]), low(e[h:])) for the exponent tuple e of each code],
-        with h = nvars - nvars // 2.
+    def _exponents(self, codes):
+        """The exponent tuple of each code.
 
-        A code splits into its high half, the digits of x0..x_{h-1}, and its
-        low half, those of the other nvars // 2 variables; each distinct
-        half is decoded, and passed to high or low, once per call.
+        A code splits into its high half, the digits of x0..x_{h-1} with
+        h = nvars - nvars // 2, and its low half, those of the other
+        nvars // 2 variables; each distinct half is decoded once per call.
         """
         base, weights = self.base, self.weights
         nlow = self.nvars // 2
@@ -144,31 +146,54 @@ class _Packing:
             hk, lk = divmod(k, split)
             hi = highs.get(hk)
             if hi is None:
-                hi = highs[hk] = high([hk // w % base for w in high_w])
+                hi = highs[hk] = tuple([hk // w % base for w in high_w])
             lo = lows.get(lk)
             if lo is None:
-                lo = lows[lk] = low([lk // w % base for w in low_w])
-            out.append((hi, lo))
+                lo = lows[lk] = tuple([lk // w % base for w in low_w])
+            out.append(hi + lo)
         return out
 
     def unpack(self, packed, degree) -> "HomogPoly":
         spec = self.spec
-        halves = self._halves(packed, tuple, tuple)
-        terms = {hi + lo: FieldElem(spec, c)
-                 for (hi, lo), c in zip(halves, packed.values())}
+        terms = {e: FieldElem(spec, c)
+                 for e, c in zip(self._exponents(packed), packed.values())}
         return HomogPoly._from_terms(spec, self.nvars, degree, terms)
 
     def text(self, packed, degree) -> str:
         """str(self.unpack(packed, degree)), printed from the codes."""
         codes = sorted(packed, reverse=True)
-        names = _power_names(self.nvars, degree)
-        nhigh = self.nvars - self.nvars // 2
-        halves = self._halves(codes, partial(_monomial, names[:nhigh]),
-                              partial(_monomial, names[nhigh:]))
-        monomials = [hi + "*" + lo if hi and lo else hi or lo
-                     for hi, lo in halves]
-        return _join_terms(zip(monomials, map(packed.__getitem__, codes)),
-                           self.spec)
+        return _join_terms(zip(self._monomials(codes, degree),
+                               map(packed.__getitem__, codes)), self.spec)
+
+    def _monomials(self, codes, degree):
+        """The monomial text of each code, in one pass: each distinct half
+        of a code (see _exponents) is printed once per call."""
+        nvars, base = self.nvars, self.base
+        names = _power_names(nvars, degree)
+        nlow = nvars // 2
+        nhigh = nvars - nlow
+        split = base**nlow
+        high = list(zip(names[:nhigh], self.weights[nlow:]))
+        low = list(zip(names[nhigh:], self.weights[nhigh:]))
+        # a low half prints with the '*' that joins it to a nonzero high
+        # half; descending codes come in runs of one high half
+        lows = {0: ""}
+        get = lows.get
+        out = []
+        append = out.append
+        last = None
+        for k in codes:
+            hk, lk = divmod(k, split)
+            if hk != last:
+                last = hk
+                hi = "*".join(filter(None, [row[hk // w % base]
+                                            for row, w in high]))
+            lo = get(lk)
+            if lo is None:
+                lo = lows[lk] = "*" + "*".join(filter(None, [
+                    row[lk // w % base] for row, w in low]))
+            append(hi + lo if hk else lo[1:])
+        return out
 
 
 class HomogPoly:
@@ -493,7 +518,33 @@ def _power_names(nvars, degree):
 def _monomial(names, exps) -> str:
     """The text of the monomial with these exponents of the named variables
     ("" for the constant monomial)."""
-    return "*".join([row[e] for row, e in zip(names, exps) if e])
+    return "*".join(filter(None, map(getitem, names, exps)))
+
+
+class _Prefixes(dict):
+    """prefixes[v] is the text a coefficient of value v prints before a
+    monomial over a finite field: "" for one, its text and "*" otherwise,
+    each made on first use."""
+
+    __slots__ = ("show",)
+
+    def __init__(self, spec):
+        self.show = spec._str
+
+    def __missing__(self, v):
+        text = self[v] = "" if v == 1 else self.show(v) + "*"
+        return text
+
+
+_kept_prefixes = lru_cache(maxsize=None)(_Prefixes)
+
+
+def _prefixes(spec) -> _Prefixes:
+    """The coefficient texts of a finite field: kept per field up to
+    _TABLE_LIMIT, so at most that many, and for one call past it."""
+    if spec.order <= _TABLE_LIMIT:
+        return _kept_prefixes(spec)
+    return _Prefixes(spec)
 
 
 def _join_terms(terms, spec) -> str:
@@ -501,9 +552,15 @@ def _join_terms(terms, spec) -> str:
     order.
 
     A coefficient prints through spec._str before its monomial unless it is
-    one.  A negative value, which only Q has, prints its magnitude, with its
-    sign between the terms.
+    one; over a finite field that text comes from _prefixes.  A negative
+    value, which only Q has, prints its magnitude, with its sign between the
+    terms.
     """
+    if spec.is_finite:
+        prefixes, show = _prefixes(spec), spec._str
+        pieces = [prefixes[c] + mono if mono else show(c)
+                  for mono, c in terms]
+        return " + ".join(pieces) if pieces else "0"
     terms = list(terms)
     negative = [c < 0 for _, c in terms]
     signed = any(negative)

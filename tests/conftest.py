@@ -104,13 +104,15 @@ def reference_points(query):
     return [pt for _, pt in reference_walk(query)[0]]
 
 
-def run_python(args, env, root=None):
+def run_python(args, env, root=None, timeout=None):
     """Run the suite's interpreter with `args` from the repo root.
 
     `env` is the child's whole environment, with the directory holding the
     `motivic` under test put first on its PYTHONPATH, so the child imports
     the same copy of the package as the suite.  Given `root`, a copy of the
-    checkout, the child runs there on `root/src` instead.
+    checkout, the child runs there on `root/src` instead.  Given `timeout`
+    in seconds, a child still running then is killed and
+    subprocess.TimeoutExpired raised, so a hang fails the test.
     """
     cwd, import_root = _REPO_ROOT, _IMPORT_ROOT
     if root is not None:
@@ -119,4 +121,4 @@ def run_python(args, env, root=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (import_root, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=cwd)
+                          text=True, env=env, cwd=cwd, timeout=timeout)

@@ -680,6 +680,22 @@ def test_unknown_command_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("poly, message", [
+    ("(1+t*x0", "empty term in t-literal"),
+    ("(*t)*x0", "empty term in t-literal"),
+    ("(1+)*x0", "dangling sign in t-literal"),
+])
+def test_bad_t_literal_exits_two_without_hanging(poly, message):
+    """These inputs once hung the parser or were read as x0; a child
+    process with a time limit keeps a regression from hanging the suite."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("MOTIVIC_BUDGET", "MOTIVIC_WORKERS")}
+    out = run_python(["-m", "motivic.cli", "count", "--field", "3,2",
+                      "--ambient", "1", "--poly", poly], env, timeout=10)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: %s in %r\n" % (message, poly)
+
+
 def test_module_entry_point():
     # The caller's counting knobs must not reach the child: a tiny
     # MOTIVIC_BUDGET, say, would turn the count into a BudgetError.

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from motivic.count import CountQuery
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.linalg import Matrix
-from motivic.poly import HomogPoly
+from motivic.poly import HomogPoly, _prefixes
 from motivic.parse import parse_poly
 from motivic.quadform import QuadForm
 
@@ -267,6 +267,36 @@ def test_product_matches_chained_expansion(data):
         _assert_valid(r)
 
 
+def _linear_form(draw, spec, nvars):
+    """A nonzero linear form whose coefficients mix 1 with other values."""
+    coeffs = [draw(st.sampled_from([0, 1, 1, 2])) for _ in range(nvars)]
+    coeffs = [spec.from_index(draw(st.integers(2, spec.order - 1)))
+              if c == 2 else c for c in coeffs]
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, nvars - 1))] = 1
+    return HomogPoly(spec, nvars, 1, {
+        tuple(int(j == i) for j in range(nvars)): c
+        for i, c in enumerate(coeffs) if c})
+
+
+def _printed(f):
+    """The canonical text of a form over a finite field, printed term by
+    term from its exponent tuples and its coefficients' str()."""
+    pieces = []
+    for exps, c in f.sorted_terms():
+        mono = "*".join("x%d" % i if e == 1 else "x%d^%d" % (i, e)
+                        for i, e in enumerate(exps) if e)
+        coeff = str(c)
+        pieces.append(coeff if not mono else mono if coeff == "1"
+                      else coeff + "*" + mono)
+    return " + ".join(pieces) or "0"
+
+
+# F9 under its default modulus t^2 + 1 and under t^2 + t + 2: one order,
+# two fields
+F9_OTHER = extension_field(3, 2, (2, 1, 1))
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_product_text_matches_expanded_product(data):
@@ -274,23 +304,64 @@ def test_product_text_matches_expanded_product(data):
     expanded; it must be the text of the expanded product over F_p,
     F_{p^m} and Q, with one factor, repeated factors and zero factors, in
     up to six variables so that both halves of a code hold several digits.
-    A union with a zero factor describes no generator."""
+    At the sizes of the benchmark's arrangements and two-quadric unions,
+    4-6 linear forms in 7-8 variables and two quadrics in 6 variables,
+    both halves hold up to 4 digits, and the text over a finite field must
+    also be the one printed term by term.  A union with a zero factor
+    describes no generator."""
     draw = data.draw
-    spec = draw(st.sampled_from([
-        prime_field(3), prime_field(7), prime_field(31),
-        extension_field(3, 2), extension_field(5, 2), rationals()]))
-    nvars = draw(st.integers(1, 6))
-    pool = [_form(draw, spec, nvars, draw(st.integers(0, 2)))
-            for _ in range(draw(st.integers(1, 3)))]
-    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    shape = draw(st.sampled_from(["small", "small", "planes", "quadrics"]))
+    if shape == "small":
+        spec = draw(st.sampled_from([
+            prime_field(3), prime_field(7), prime_field(31),
+            extension_field(3, 2), extension_field(5, 2), rationals()]))
+        nvars = draw(st.integers(1, 6))
+        pool = [_form(draw, spec, nvars, draw(st.integers(0, 2)))
+                for _ in range(draw(st.integers(1, 3)))]
+        factors = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=4))
+    else:
+        spec = draw(st.sampled_from([
+            prime_field(3), prime_field(7), extension_field(3, 2), F9_OTHER,
+            extension_field(5, 2)]))
+        if shape == "planes":
+            nvars = draw(st.integers(7, 8))
+            factors = [_linear_form(draw, spec, nvars)
+                       for _ in range(draw(st.integers(4, 6)))]
+        else:
+            nvars = 6
+            factors = [_form(draw, spec, nvars, 2) for _ in range(2)]
     if draw(st.booleans()):
         factors.append(factors[0])
     text = HomogPoly.product_text(factors)
-    assert text == str(HomogPoly.product(factors))
+    product = HomogPoly.product(factors)
+    assert text == str(product)
     if spec.is_finite:
+        assert text == _printed(product)
         described = CountQuery.union(spec, nvars - 1, factors).describe()
         zero = any(f.is_zero() for f in factors)
         assert described["generators"] == ([] if zero else [text])
+
+
+def test_fields_of_one_order_keep_their_own_coefficient_texts():
+    """The coefficient texts are kept per field, not per order: the two
+    fields of order 9 each print a union with their own arithmetic and
+    texts."""
+    default = extension_field(3, 2)
+    assert default.modulus != F9_OTHER.modulus
+    assert _prefixes(default) is _prefixes(default)
+    assert _prefixes(default) is not _prefixes(F9_OTHER)
+    texts = []
+    for spec in (default, F9_OTHER):
+        t = spec.gen()
+        factors = [parse_poly(text, spec, 3) for text in (
+            "x0 + (1+t)*x1 + t*x2", "t*x0 + x1 + (2+2*t)*x2", "x0 + x2")]
+        text = HomogPoly.product_text(factors)
+        assert text == _printed(HomogPoly.product(factors))
+        assert HomogPoly.product(factors).coefficient_of((0, 0, 3)) == \
+            (2 + 2 * t) * t
+        texts.append(text)
+    assert texts[0] != texts[1]
 
 
 def test_union_with_zero_factor_describes_no_generator():
