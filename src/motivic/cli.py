@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .fields import FieldSpec, field_from_text, prime_field
 from .parse import parse_point, parse_poly
-from .count import HAVE_COMPILED, BudgetError, CountQuery, count_points
+from .count import BudgetError, CountQuery, count_points
 from .kclass import count_once
 from .strat import (
     DefectError,
@@ -412,8 +412,6 @@ def _selftest():
     """Fixture suite: nodal cubic, cone, arrangement, descent example."""
     from .fields import extension_field
 
-    # a silent fallback to the pure kernel shows here
-    print("selftest kernel: %s" % ("compiled" if HAVE_COMPILED else "pure"))
     checks = []
 
     def check(name, ok):

@@ -4,9 +4,9 @@ The unit of work is a CountQuery: a list of homogeneous generators over
 F_q together with optional chart constraints (coordinate = 0 / != 0), counted
 on the canonical representatives of P^n.  CountQuery.union asks instead for
 the points where some of its factors vanishes, V(f_1 * ... * f_d), and the
-kernels count it factor by factor, never from the expanded product.
+kernel counts it factor by factor, never from the expanded product.
 Counting splits a query into lead strata (lead coordinate = 1, earlier
-coordinates 0), each an independent unit a kernel can chew through;
+coordinates 0), each an independent unit of the walk;
 together they hold the points enumerate_points yields.
 
 Across calls only tables are kept: the add and mul tables per field (over
@@ -23,21 +23,18 @@ and counts each distinct query of a job once.
 Arithmetic inside the hot loop is table-driven: an element's value is
 already its index 0..q-1 (0 -> 0, 1 -> 1), and add/mul/pow become flat
 lookup tables, so the same kernel code serves prime and extension fields.
-Two kernels keep one count contract, the count_stratum of _pure, and share
-nothing else; its union flag switches the point test from "every generator
-vanishes" to "some generator vanishes".  motivic.count._ckernel,
-hand-written C built at install time when a C compiler is available, tests
-every candidate of the stratum; the import below picks it when it is built
-and _pure otherwise.  Everything else walks fibres over the last free
-coordinate, in two loops of _pure: the tabulated walk _pure._walker, which
-count_points, _pure.count_stratum and the point searches (_points) take,
-and past the table limit (q > _TABLE_LIMIT) the modular fold _pure._fold,
-which _pure.count_stratum_direct and _points take.  A count reads a fibre's
-points off its root masks, or counts them as the degree of a gcd with
-t^p - t, a union's from the product of its factors' restrictions.
-enumerate_points and _first_point take one fibre at a time and list its
-points in ascending order.  The tests check kernels and searches against a
-brute-force walk of their own.
+There is one kernel, the pure-Python fibre walk of _pure; nothing visits
+the candidates of a stratum one by one.  It walks fibres over the last free
+coordinate in two loops: the tabulated walk _pure._walker, which
+count_points and the point searches (_points) take, and past the table
+limit (q > _TABLE_LIMIT) the modular fold _pure._fold, which
+_pure.count_stratum_direct and _points take.  Its union flag switches the
+point test from "every generator vanishes" to "some generator vanishes".
+A count reads a fibre's points off its root masks, or counts them as the
+degree of a gcd with t^p - t, a union's from the product of its factors'
+restrictions.  enumerate_points and _first_point take one fibre at a time
+and list its points in ascending order.  The tests check counts and
+searches against a brute-force walk of their own.
 
 A count or a full enumerate_points walk over more candidates than the
 budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError before it starts
@@ -45,16 +42,14 @@ instead of hanging; CountQuery.cost() is that number of candidates, those
 of the lead strata, #P^n(F_q) or fewer under a chart.  _first_point, the
 finite-field half of points.first_point through which every engine finds
 its first rational point, charges only the candidates it walks, so a point
-found early passes under any budget.  A MOTIVIC_BUDGET or MOTIVIC_WORKERS
-that is not an integer, a negative MOTIVIC_BUDGET and a MOTIVIC_WORKERS
-below 1 raise ValueError.
+found early passes under any budget.  A MOTIVIC_BUDGET that is not an
+integer, or is negative, raises ValueError.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from math import prod
 
 from ..fields import _TABLE_LIMIT, FieldElem, FieldSpec
@@ -62,12 +57,8 @@ from ..poly import HomogPoly
 
 from . import _pure
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _ckernel
-except ImportError:  # pragma: no cover
-    _ckernel = None
-
-HAVE_COMPILED = _ckernel is not None
+# no compiled kernel exists; perfbench/worker.py still reads this flag
+HAVE_COMPILED = False
 
 _DEFAULT_BUDGET = 10**8
 
@@ -76,24 +67,19 @@ class BudgetError(ValueError):
     """The requested count would exceed the enumeration budget."""
 
 
-def _env_int(name: str, default: int, minimum: int) -> int:
-    """The integer environment knob `name`, at least `minimum`, or
-    `default` when it is unset."""
-    raw = os.environ.get(name)
+def default_budget() -> int:
+    """MOTIVIC_BUDGET, a count of candidates, or 10^8 when it is unset."""
+    raw = os.environ.get("MOTIVIC_BUDGET")
     if not raw:
-        return default
+        return _DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (name, raw)) from None
-    if value < minimum:
-        raise ValueError("%s must be at least %d, got %d"
-                         % (name, minimum, value))
+        raise ValueError("MOTIVIC_BUDGET must be an integer, got %r"
+                         % raw) from None
+    if value < 0:
+        raise ValueError("MOTIVIC_BUDGET must be at least 0, got %d" % value)
     return value
-
-
-def default_budget() -> int:
-    return _env_int("MOTIVIC_BUDGET", _DEFAULT_BUDGET, 0)
 
 
 class CountQuery:
@@ -180,7 +166,7 @@ class CountQuery:
         return self._generators
 
     def _kernel_polys(self):
-        """(polynomials, union flag) as the kernels count them."""
+        """(polynomials, union flag) as the kernel counts them."""
         if self.factors is None:
             return self._generators, 0
         return self.factors, 1
@@ -248,7 +234,7 @@ _table_cache: dict[FieldSpec, tuple] = {}
 
 
 def _field_tables(spec: FieldSpec):
-    """The flat (add, mul) tables of the kernels, over element indices."""
+    """The flat (add, mul) tables of the kernel, over element indices."""
     cached = _table_cache.get(spec)
     if cached is not None:
         return cached
@@ -304,22 +290,6 @@ def _rows(polys):
     return [[(c.value, exps) for exps, c in g.terms.items()] for g in polys]
 
 
-def _encode_generators(polys):
-    """Flatten polynomial terms into (offsets, coeff indices, exponent
-    rows, highest exponent), the buffers of the compiled kernel."""
-    offs = array("i", [0])
-    coeffs = array("i", [])
-    exps = array("i", [])
-    maxd = 1
-    for g in polys:
-        for exps_t, c in g.sorted_terms():
-            coeffs.append(c.value)
-            exps.extend(exps_t)
-            maxd = max(maxd, max(exps_t))
-        offs.append(len(coeffs))
-    return offs, coeffs, exps, maxd
-
-
 # ---------------------------------------------------------------------------
 # stratum planning
 
@@ -356,13 +326,11 @@ def _cost(q, jobs):
 def count_points(query: CountQuery, budget: int | None = None) -> int:
     """Number of F_q-points of the query, counted stratum by stratum.
 
-    The pure kernel plans the query once: it reads the generators' terms
-    once (_rows), derives each lead stratum from them by filtering
-    (_pure._split) and counts every stratum with one walker, whose memo of
-    root masks the strata share.  The compiled kernel takes each stratum
-    as array('i') buffers through the count_stratum contract.  Primes past
-    the table limit count each stratum with _pure.count_stratum_direct, a
-    union from its factors.
+    The query is planned once: the generators' terms are read once
+    (_rows), each lead stratum is derived from them by filtering
+    (_pure._split), and one walker, whose memo of root masks the strata
+    share, counts every stratum.  Primes past the table limit count each
+    stratum with _pure.count_stratum_direct, a union from its factors.
     """
     budget = default_budget() if budget is None else budget
     q = query.spec.order
@@ -377,53 +345,29 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
         raise BudgetError(
             "extension field of order %d is too large to tabulate" % q
         )
-    # read on every path, so that a bad knob is an error everywhere
-    workers = _env_int("MOTIVIC_WORKERS", 1, 1)
     polys, union = query._kernel_polys()
     if not polys:
         # every candidate is a common zero of no generators
         return cost
+    rows = _rows(polys)
     if q > _TABLE_LIMIT:
-        rows = _rows(polys)
         return sum(_pure.count_stratum_direct(
             q, free_start, _pure._split(rows, fixed, free_pos), union)
             for fixed, free_pos, free_start in jobs)
 
     add, mul = _field_tables(query.spec)
-    if _ckernel is None:
-        rows = _rows(polys)
-        maxd = max([1] + [g.degree for g in polys])
-        powt, columns = _pure._pow_table(q, mul, maxd)
-        walk = _pure._walker(q, mul, add, powt, maxd + 1, union, columns)
-        return sum(_pure._count(walk, _pure._split(rows, fixed, free_pos),
-                                free_start, q, union)
-                   for fixed, free_pos, free_start in jobs)
-
-    nvars = query.n + 1
-    offs, coeffs, exps, maxd = _encode_generators(polys)
-    powt = _pure._pow_table(q, mul, maxd)[0]
-    jobs = [[array("i", v) for v in job] for job in jobs]
-
-    def run(job):
-        fixed, free_pos, free_start = job
-        return _ckernel.count_stratum(
-            q, nvars, fixed, free_pos, free_start,
-            len(polys), offs, coeffs, exps, mul, add, powt, maxd, union,
-        )
-
-    if workers > 1 and len(jobs) > 1:
-        # the compiled kernel drops the GIL, so threads actually help; more
-        # threads than cores or strata would only wait
-        workers = min(workers, os.cpu_count() or 1, len(jobs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(run, jobs))
-    return sum(run(job) for job in jobs)
+    maxd = max([1] + [g.degree for g in polys])
+    powt, columns = _pure._pow_table(q, mul, maxd)
+    walk = _pure._walker(q, mul, add, powt, maxd + 1, union, columns)
+    return sum(_pure._count(walk, _pure._split(rows, fixed, free_pos),
+                            free_start, q, union)
+               for fixed, free_pos, free_start in jobs)
 
 
 def enumerate_points(query: CountQuery, budget: int | None = None):
     """Yield the points of the query as coordinate tuples, canonical order.
 
-    The points come from _points, the kernels' fibre walk over the lead
+    The points come from _points, the kernel's fibre walk over the lead
     strata of _strata, in the canonical order of motivic.points (that of
     projective_reps in the tests' conftest); field elements are built only
     for the points yielded.  The whole walk is
@@ -454,8 +398,8 @@ def _points(query: CountQuery, budget: int):
     """The points of the query in canonical order, fibre by fibre.
 
     The generators' terms are read once (_rows) and each lead stratum's
-    split is filtered from them (_pure._split).  Fields the kernels
-    tabulate take the walk of _pure._walker with one fibre per prefix,
+    split is filtered from them (_pure._split).  Fields the kernel
+    tabulates take the walk of _pure._walker with one fibre per prefix,
     every free coordinate but the last being outer, so a search that stops
     early walks no further: a fibre's points are the set bits of its mask
     in ascending order (for a union, those of its complement within the

@@ -1,4 +1,4 @@
-"""Plain-Python counting kernels; count_stratum keeps the contract of _ckernel.
+"""The counting kernel, in plain Python.
 
 Nothing here visits the candidates of a stratum one by one.  Counts and
 point searches walk its fibres over the last free coordinate: for each
@@ -17,15 +17,13 @@ generator's coefficients; count_stratum_direct counts their common roots as
 deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern
 Computer Algebra, ch. 14).
 
-The walks take each stratum's generators split into terms over the free
-coordinates, and there are two splitters.  _split, which motivic.count
-uses for every count and point search, filters a query's (value, exps)
-rows, read once per query: a lead stratum fixes only zeros and the lead's
-1, so a term survives when it has exponent 0 in every zero coordinate, its
-coefficient unchanged.  _fibre_terms folds arbitrary fixed values into the
-coefficients, for count_stratum, whose contract allows them.  One walker
-serves every stratum of a query and keeps one memo of root masks for all
-of them; the power tables and x_mid columns are kept per table and degree.
+Both loops take each stratum's generators split into terms over the free
+coordinates by the one splitter, _split.  It filters a query's (value,
+exps) rows, read once per query by motivic.count: a lead stratum fixes
+only zeros and the lead's 1, so a term survives when it has exponent 0 in
+every zero coordinate, its coefficient unchanged.  One walker serves every
+stratum of a query and keeps one memo of root masks for all of them; the
+power tables and x_mid columns are kept per table and degree.
 """
 
 from __future__ import annotations
@@ -37,46 +35,18 @@ from math import prod
 from ..fields import _mulmod, _remmod, _trim
 
 
-def _fibre_terms(terms, nvars, fixed, free_pos, fold):
-    """One generator's terms, split for the fibre walk of a stratum.
-
-    terms yields (coeff, exps) pairs.  Each coordinate that is not free is
-    folded into the coefficient by fold(coeff, value, e); a term that folds
-    to 0 is dropped.  Returns (terms, width): each term left is (coeff,
-    factors, e_last), factors being (j, e) pairs with j indexing the prefix
-    and e_last the exponent of the last free coordinate (0 when there is
-    none); width is one more than the highest e_last.
-    """
-    last = free_pos[-1] if free_pos else -1
-    slot = {pos: j for j, pos in enumerate(free_pos[:-1])}
-    out = []
-    for c, exps in terms:
-        factors = []
-        for i in range(nvars):
-            e = exps[i]
-            if not e or i == last:
-                continue
-            j = slot.get(i)
-            if j is not None:
-                factors.append((j, e))
-                continue
-            c = fold(c, fixed[i], e)
-            if not c:
-                break
-        else:
-            out.append((c, tuple(factors), exps[last] if last >= 0 else 0))
-    return out, max((t[2] for t in out), default=0) + 1
-
-
 def _split(rows, fixed, free_pos):
-    """Every generator's terms split for the fibre walk of a lead stratum,
-    as _fibre_terms splits them, by filtering instead of folding.
+    """Every generator's terms split for the fibre walk of a lead stratum.
 
     rows holds each generator's (coeff, exps) pairs.  A lead stratum fixes
     each coordinate that is not free at 0 or 1 (count._strata), so a term
     survives exactly when its exponent is 0 in every coordinate fixed at 0,
     and its coefficient stays as it is.  No two survivors of a homogeneous
-    generator share a monomial in the free coordinates.
+    generator share a monomial in the free coordinates.  Returns one
+    (terms, width) per generator: each term left is (coeff, factors,
+    e_last), factors being (j, e) pairs with j indexing the prefix and
+    e_last the exponent of the last free coordinate (0 when there is none);
+    width is one more than the highest e_last.
     """
     free = set(free_pos)
     zeros = [i for i, v in enumerate(fixed) if not v and i not in free]
@@ -204,37 +174,6 @@ def _pow_table(q, mul, maxd):
     return powt, columns
 
 
-def count_stratum(q, nvars, fixed, free_pos, free_start, ngens,
-                  gen_off, gen_coeff, gen_exps, mul, add, powt, maxd, union=0):
-    """Count zeros of all generators on one lead stratum, or with union=1
-    the points where some generator vanishes.
-
-    fixed: value indices per coordinate (free ones are ignored);
-    free_pos/free_start: the free positions and their first value, each
-    running from its start to q - 1;
-    generator data is flattened: term t of generator g runs over
-    gen_coeff[t], gen_exps[t*nvars : (t+1)*nvars] for t in
-    [gen_off[g], gen_off[g+1]).  All arithmetic is table lookups on value
-    indices, powt[x*(maxd+1) + e] being x^e.
-
-    The fixed values are folded into each generator's terms (_fibre_terms)
-    and the stratum is counted by the walk of _walker.
-    """
-    stride = maxd + 1
-
-    def fold(c, x, e):
-        return mul[c * q + powt[x * stride + e]]
-
-    gens = [
-        _fibre_terms(((gen_coeff[t], gen_exps[t * nvars:(t + 1) * nvars])
-                      for t in range(gen_off[g], gen_off[g + 1])),
-                     nvars, fixed, free_pos, fold)
-        for g in range(ngens)
-    ]
-    return _count(_walker(q, mul, add, powt, stride, union, {}), gens,
-                  free_start, q, union)
-
-
 def _count(walk, gens, free_start, q, union):
     """The points of one stratum, from the masks of walk (_walker): their
     popcounts, or for a union the candidates less them."""
@@ -247,8 +186,8 @@ def _count(walk, gens, free_start, q, union):
 def _walker(q, mul, add, powt, stride, union, columns):
     """walk(gens, free_start, by_column=True): yields (prefix, masks) for
     each outer prefix of one stratum in odometer order, gens being its
-    generators split for the walk (_fibre_terms, _split) and free_start the
-    first values of its free positions.
+    generators split for the walk (_split) and free_start the first values
+    of its free positions.
 
     The outer free positions are all but the last two, the second to last
     being x_mid; with by_column=False or fewer than two free positions
@@ -334,7 +273,7 @@ def _walker(q, mul, add, powt, stride, union, columns):
 
 
 def _bivariate(terms, width, mid, q, add):
-    """One generator's split terms (_fibre_terms, _split) grouped for the
+    """One generator's split terms (_split) grouped for the
     two-level walk, mid being the prefix index of x_mid and the lower ones
     outer.
 
@@ -423,10 +362,11 @@ def count_stratum_direct(p, free_start, gens, union):
     """Stratum counter for primes too large to tabulate: ints mod p.
 
     gens holds the stratum's generators split for the fibre walk (_split),
-    with coefficients as ints mod p, and free_start is as for
-    count_stratum.  A fibre's points are the common roots of the
-    generators' restrictions (_fold), or with union=1 the roots of their
-    product, the whole fibre when one restriction is zero.
+    with coefficients as ints mod p, and free_start the first values of its
+    free positions, each running up to p - 1.  A fibre's points are the
+    common roots of the generators' restrictions (_fold), or with union=1
+    the roots of their product, the whole fibre when one restriction is
+    zero.
     """
     start = free_start[-1] if free_start else 0
     size = p - start if free_start else 1

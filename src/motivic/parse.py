@@ -4,8 +4,9 @@ Polynomials are sums of terms like ``3*x0^2*x1`` joined by ``+`` and ``-``;
 whitespace never matters.  Coefficient literals are integers, fractions
 ``a/b``, or (over an extension field) t-polynomials such as ``t``, ``t^2``,
 or the parenthesized form ``(1+2*t)``.  A sign must be followed by a term,
-inside a t-literal as outside.  The printed form of every polynomial in
-this package parses back to itself.
+and a term after the first must follow a sign, inside a t-literal as
+outside.  The printed form of every polynomial in this package parses back
+to itself.
 
 One compiled pattern splits a text into its tokens in a single pass, and a
 _Reader walks the token list by index.  Coefficients are read as plain
@@ -134,6 +135,10 @@ class _Reader:
                 expect_term = True
                 i += 1
                 continue
+            if not expect_term and (tok == "t" or tok.isdigit()):
+                raise ParseError(
+                    "expected + or - before %r at position %d in %r"
+                    % (tok, self.where(i), self.src))
             coeff = 1
             if tok.isdigit():
                 coeff = int(tok)
@@ -163,11 +168,14 @@ class _Reader:
 
 def _raise_bad_character(src: str):
     """Raise the error for the first character no token starts at, walking
-    the tokens from the start; the caller knows there is one."""
+    the tokens from the start; the caller knows there is one.  The walk
+    stops at the whitespace in front of it, which is skipped."""
     pos = 0
     while True:
         m = _TOKEN_RE.match(src, pos)
         if m is None:
+            while src[pos].isspace():
+                pos += 1
             raise ParseError(
                 "bad character %r at position %d in %r" % (src[pos], pos, src))
         pos = m.end()

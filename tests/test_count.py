@@ -1,23 +1,11 @@
-import json
-import os
-import shutil
-import sysconfig
-from array import array
 from itertools import product
-from math import prod
-from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import motivic
 import motivic.count
-from conftest import (
-    projective_reps,
-    reference_points,
-    reference_walk,
-    run_python,
-)
+from conftest import projective_reps, reference_points, reference_walk
 from motivic.count import (
     BudgetError,
     CountQuery,
@@ -223,176 +211,6 @@ def test_enumerate_matches_count():
             assert all(g.evaluate(pt).is_zero() for g in query.generators)
 
 
-def test_workers_agree(monkeypatch):
-    monkeypatch.setenv("MOTIVIC_WORKERS", "4")
-    query = _q(["x0*x1 + x2*x3"], F5, 3)
-    assert count_points(query) == 36
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    """MOTIVIC_WORKERS=10**6 asks for no more threads than cores or
-    strata."""
-    asked = []
-
-    class RecordingPool:
-        # runs the jobs in this thread; it never starts one
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(motivic.count, "ThreadPoolExecutor", RecordingPool)
-    # any kernel in the _ckernel slot takes the threaded path
-    monkeypatch.setattr(motivic.count, "_ckernel", _pure)
-    monkeypatch.setenv("MOTIVIC_WORKERS", str(10**6))
-    query = _q(["x0*x1 + x2*x3"], F5, 3)  # four lead strata
-    assert count_points(query) == 36
-    assert asked == [min(os.cpu_count() or 1, 4)]
-
-
-# Run in a child on a freshly built copy of the checkout, with the tests'
-# conftest importable.  It prints where motivic came from, then one JSON line
-# per query: [compiled kernel, compiled kernel on 2 threads, pure kernel,
-# brute-force reference walk], then one JSON line with the direct kernel
-# calls.
-_COMPILED_CHECK = """
-import json
-import os
-from array import array
-import motivic, motivic.count as count
-from conftest import reference_walk
-from motivic.count import CountQuery, _pure, count_points
-from motivic.fields import extension_field, prime_field
-from motivic.parse import parse_poly
-from motivic.poly import HomogPoly
-
-assert count.HAVE_COMPILED
-ckernel = count._ckernel
-F3, F5, F9 = prime_field(3), prime_field(5), extension_field(3, 2)
-CASES = [
-    (F3, 3, ["x0*x1 + x2*x3"], ()),
-    (F3, 2, [], ()),
-    (F3, 3, [], ((0, "zero"), (3, "nonzero"))),
-    (F5, 3, ["x0^3 + x1^3 + x2^3 + x3^3"], ()),
-    (F5, 4, ["x0*x1 - x2^2", "x3^2 + x4*x0"], ((0, "nonzero"),)),
-    (F5, 2, ["x1^2 + x2^2"], ((1, "zero"), (2, "zero"))),
-    (F9, 2, ["x0*x1 - x2^2"], ()),
-    (F9, 3, ["x0^2 + t*x1^2 + x2*x3"], ((1, "zero"),)),
-]
-# unions: factor texts, None standing for a zero factor
-UNIONS = [
-    (F3, 2, ["x0", "x1"], ()),
-    (F5, 0, ["x0", "2*x0"], ()),
-    (F5, 2, ["x0 + x1", "x2"], ((1, "zero"), (2, "zero"))),
-    (F5, 2, ["x0*x1 - x2^2", None], ()),
-    (F5, 3, ["x0*x1 - x2*x3", "x0 - x1", "x0 - x1"], ((0, "nonzero"),)),
-    (F5, 4, ["x0*x1 + x2*x3 + x4^2", "x0*x2 + x1*x4 + x3^2"], ()),
-    (F9, 2, ["x0 + t*x1", "x0 - t*x1"], ()),
-]
-queries = [CountQuery(spec, n, [parse_poly(s, spec, n + 1) for s in polys],
-                      chart) for spec, n, polys, chart in CASES]
-queries += [CountQuery.union(spec, n, [
-    HomogPoly.zero(spec, n + 1, 2) if s is None else parse_poly(s, spec, n + 1)
-    for s in polys], chart) for spec, n, polys, chart in UNIONS]
-print(motivic.__file__)
-for query in queries:
-    row = [count_points(query)]
-    os.environ["MOTIVIC_WORKERS"] = "2"
-    row.append(count_points(query))
-    del os.environ["MOTIVIC_WORKERS"]
-    count._ckernel = None
-    row.append(count_points(query))
-    count._ckernel = ckernel
-    row.append(len(reference_walk(query)[0]))
-    print(json.dumps(row))
-
-q = 3
-args = dict(
-    q=q, nvars=2, fixed=array("i", [1, 0]), free_pos=array("i", [1]),
-    free_start=array("i", [0]), ngens=1, gen_off=array("i", [0, 1]),
-    gen_coeff=array("i", [1]), gen_exps=array("i", [0, 1]),
-    mul=array("i", [a * b % q for a in range(q) for b in range(q)]),
-    add=array("i", [(a + b) % q for a in range(q) for b in range(q)]),
-    powt=array("i", [pow(x, e, q) for x in range(q) for e in range(2)]),
-    maxd=1,
-)
-# a second generator with no terms is zero: a union then holds every
-# point of the stratum, also the one with no free position at x1 = 2
-zero_too = dict(args, ngens=2, gen_off=array("i", [0, 1, 1]))
-point = dict(zero_too, fixed=array("i", [1, 2]), free_pos=array("i", []),
-             free_start=array("i", []))
-direct = [ckernel.count_stratum(**args), _pure.count_stratum(**args),
-          ckernel.count_stratum(*args.values())]
-for kernel in (ckernel, _pure):
-    direct += [kernel.count_stratum(**args, union=1),
-               kernel.count_stratum(**zero_too, union=1),
-               kernel.count_stratum(**point),
-               kernel.count_stratum(**point, union=1)]
-errors = []
-for key, bad in [("fixed", array("q", [1, 0])),
-                 ("mul", array("i", args["mul"][:-1])),
-                 ("gen_exps", array("i", [0, 2])),
-                 ("union", 2)]:
-    try:
-        ckernel.count_stratum(**dict(args, **{key: bad}))
-    except ValueError as e:
-        errors.append(str(e))
-print(json.dumps([direct, errors]))
-"""
-
-_HAVE_C_TOOLCHAIN = (
-    (shutil.which("gcc") or shutil.which("cc")) is not None
-    and Path(sysconfig.get_paths()["include"], "Python.h").is_file()
-)
-
-
-@pytest.mark.skipif(not _HAVE_C_TOOLCHAIN,
-                    reason="needs gcc or cc and Python.h to build the "
-                           "compiled kernel")
-def test_compiled_kernel_agrees_with_pure(tmp_path):
-    """Build the C kernel in a copy of the checkout; it must count what the
-    pure kernel and the brute-force reference count, and refuse malformed
-    buffers."""
-    repo = Path(__file__).resolve().parents[1]
-    for name in ("setup.py", "pyproject.toml"):
-        shutil.copy(repo / name, tmp_path / name)
-    shutil.copytree(repo / "src", tmp_path / "src", ignore=shutil.ignore_patterns(
-        "__pycache__", "*.so", "*.egg-info"))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MOTIVIC_")}
-    # the kernel must stay free of compiler warnings
-    built = run_python(["setup.py", "build_ext", "--inplace"],
-                       dict(env, CFLAGS="-Wall -Wextra -Werror"),
-                       root=tmp_path)
-    assert built.returncode == 0, built.stdout + built.stderr
-
-    tests = str(Path(__file__).resolve().parent)
-    out = run_python(["-c", _COMPILED_CHECK], dict(env, PYTHONPATH=tests),
-                     root=tmp_path)
-    assert out.returncode == 0, out.stderr
-    where, *rows, kernel_calls = out.stdout.splitlines()
-    assert Path(where).is_relative_to(tmp_path)
-    counts = [json.loads(r) for r in rows]
-    assert counts == [[c] * 4 for c in (16, 13, 9, 31, 25, 1, 10, 10,
-                                        7, 0, 1, 31, 46, 276, 19)]
-    direct, errors = json.loads(kernel_calls)
-    # x1 = 0 on the line x0 = 1, as the union {x1} too; the union with a
-    # zero factor holds all 3 points; at x1 = 2 the common zeros of x1 and
-    # the zero factor are none, their union is the point
-    assert direct == [1, 1, 1] + [1, 3, 0, 1] * 2
-    assert len(errors) == 4
-    assert "fixed has item size 8" in errors[0]
-    assert "len(mul) is 8, expected 9" in errors[1]
-    assert "gen_exps[1] is 2, outside [0, 2)" in errors[2]
-    assert "union is 2, expected 0 or 1" in errors[3]
-
-
 def _tables_by_element_arithmetic(spec):
     """The add and mul tables as FieldElem arithmetic gives them."""
     elems = [spec.from_index(i) for i in range(spec.order)]
@@ -511,11 +329,8 @@ def _union_query(draw):
                   chart=((2, "nonzero"),)))
 # no generator: every candidate of the chart counts
 @example(query=_q([], F13, 2, chart=((1, "nonzero"),)))
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_pure_kernel_matches_enumeration(monkeypatch, query):
-    # the reference walk reads a union's expanded product
-    monkeypatch.setattr(motivic.count, "_ckernel", None)
+@settings(max_examples=120, deadline=None)
+def test_pure_kernel_matches_enumeration(query):
     assert count_points(query) == len(reference_points(query))
     # cost() is the number of candidates the count walks: with no
     # generator every one of them is a point
@@ -553,20 +368,6 @@ def _planned_query(draw):
     return CountQuery.union(spec, n, factors, chart)
 
 
-def _count_by_strata(query):
-    """_pure.count_stratum summed over the query's lead strata, each
-    passed as the compiled kernel is passed it."""
-    add, mul = motivic.count._field_tables(query.spec)
-    polys, union = query._kernel_polys()
-    offs, coeffs, exps, maxd = motivic.count._encode_generators(polys)
-    powt = _pure._pow_table(query.spec.order, mul, maxd)[0]
-    return sum(_pure.count_stratum(
-        query.spec.order, query.n + 1, array("i", fixed),
-        array("i", free_pos), array("i", free_start), len(polys), offs,
-        coeffs, exps, mul, add, powt, maxd, union)
-        for fixed, free_pos, free_start in motivic.count._strata(query))
-
-
 @given(_planned_query())
 # a union whose only factor is zero, in P^0
 @example(query=CountQuery.union(F3, 0, [HomogPoly.zero(F3, 1, 2)]))
@@ -575,35 +376,27 @@ def _count_by_strata(query):
                                   parse_poly("x0*x1", F5, 3)]))
 @example(query=_q(["x0^2 - 2*x1^2", "x0*x1 + x2^2"], F5, 4,
                   ((0, "nonzero"), (4, "zero"))))
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_planned_count_matches_strata_and_reference(monkeypatch, query):
-    """count_points on the pure kernel, which plans a query once, counts
-    what count_stratum counts stratum by stratum and what the brute-force
-    walk finds."""
-    monkeypatch.setattr(motivic.count, "_ckernel", None)
+@settings(max_examples=100, deadline=None)
+def test_planned_count_matches_strata_and_reference(query):
+    """count_points, which plans a query once, counts what the point
+    search lists stratum by stratum and what the brute-force walk finds."""
     expected = len(reference_walk(query)[0])
-    assert count_points(query) == _count_by_strata(query) == expected
+    assert count_points(query) == len(list(enumerate_points(query))) \
+        == expected
 
 
 def test_generators_are_split_once_per_query(monkeypatch):
     """A count and a point search read a query's generators once (_rows),
-    whatever its number of strata, and derive each stratum from those rows
-    without the per-stratum fold of _pure._fibre_terms."""
-    monkeypatch.setattr(motivic.count, "_ckernel", None)
-    reads, folds = [], []
-    rows, fibre_terms = motivic.count._rows, _pure._fibre_terms
+    whatever its number of strata, and derive each stratum from those
+    rows."""
+    reads = []
+    rows = motivic.count._rows
 
     def reading(polys):
         reads.append(len(polys))
         return rows(polys)
 
-    def folding(*args):
-        folds.append(args)
-        return fibre_terms(*args)
-
     monkeypatch.setattr(motivic.count, "_rows", reading)
-    monkeypatch.setattr(_pure, "_fibre_terms", folding)
     f = parse_poly("x0*x1 - x2*x3", F5, 4)
     h = parse_poly("x0^2 + x1*x3 + x2^2", F5, 4)
     big = prime_field(1031)
@@ -617,50 +410,6 @@ def test_generators_are_split_once_per_query(monkeypatch):
         assert len(list(enumerate_points(query))) == expected
         assert reads == [len(query._kernel_polys()[0]),
                          len(query._kernel_polys()[0])]
-    assert folds == []
-
-
-def test_pure_kernel_adds_terms_that_fold_together():
-    """count_stratum with fixed values other than 0 and 1, which _strata
-    never passes: terms that differ only in fixed coordinates then fold
-    onto one monomial of the fibre, and the kernel must add them up with
-    one, two and three free positions."""
-    q = 7
-    # (coeff, exps) over x0..x4; the first two and the next two terms meet
-    # once x0 and x1 are fixed
-    gens = [[(2, (1, 0, 1, 0, 1)), (3, (0, 1, 1, 0, 1)), (1, (1, 0, 0, 1, 0)),
-             (4, (0, 1, 0, 1, 0)), (1, (0, 0, 0, 0, 2)), (5, (1, 1, 0, 0, 0)),
-             (1, (0, 0, 2, 0, 0))],
-            [(1, (0, 0, 0, 0, 1)), (6, (0, 0, 0, 1, 0))]]
-    maxd = 2
-    tables = dict(
-        gen_off=array("i", [0, len(gens[0]), len(gens[0]) + len(gens[1])]),
-        gen_coeff=array("i", [c for terms in gens for c, _ in terms]),
-        gen_exps=array("i", [e for terms in gens for _, exps in terms
-                             for e in exps]),
-        mul=array("i", [a * b % q for a in range(q) for b in range(q)]),
-        add=array("i", [(a + b) % q for a in range(q) for b in range(q)]),
-        powt=array("i", [pow(x, e, q) for x in range(q)
-                         for e in range(maxd + 1)]),
-        maxd=maxd)
-
-    def vanishes(terms, point):
-        return not sum(c * prod(pow(x, e, q) for x, e in zip(point, exps))
-                       for c, exps in terms) % q
-
-    for nfree in (1, 2, 3):
-        for fixed in product((2, 3, 5), repeat=5 - nfree):
-            fixed = list(fixed)
-            points = [fixed + list(xs)
-                      for xs in product(range(q), repeat=nfree)]
-            free = dict(q=q, nvars=5, fixed=array("i", fixed + [0] * nfree),
-                        free_pos=array("i", range(5 - nfree, 5)),
-                        free_start=array("i", [0] * nfree), ngens=2)
-            for union, test in ((0, all), (1, any)):
-                expected = sum(1 for point in points if test(
-                    vanishes(terms, point) for terms in gens))
-                assert _pure.count_stratum(**free, **tables,
-                                           union=union) == expected
 
 
 def _binary_forms(spec, degree, up_to_scalar):
@@ -675,7 +424,7 @@ def _binary_forms(spec, degree, up_to_scalar):
 
 
 @pytest.mark.parametrize("spec", [F3, F5, F7, F9, F27], ids=str)
-def test_closed_form_roots_cover_every_binary_form(monkeypatch, spec):
+def test_closed_form_roots_cover_every_binary_form(spec):
     """The pure kernel solves fibres of degree 1 and 2 in closed form.  In
     P^1 the stratum x0 = 1 has x1 as its one free coordinate, so a binary
     form's coefficients reach the solver as the fibre's, and the stratum
@@ -685,7 +434,6 @@ def test_closed_form_roots_cover_every_binary_form(monkeypatch, spec):
     with a = 1 still reaches every inverse 1/(2c) and every discriminant
     b^2 - 4c the solver reads, and each of the 20 thousand would cost as
     much to enumerate."""
-    monkeypatch.setattr(motivic.count, "_ckernel", None)
     other = parse_poly("x0 - x1", spec, 2)
     for degree in (1, 2):
         up_to_scalar = degree == 2 and spec is F27

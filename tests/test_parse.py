@@ -271,16 +271,19 @@ def _exponents(nvars, degree):
     ("(1+t)*x0", F5, "t-literals need an extension field, not F5"),
     ("x0 + x1^2", F5, "polynomial is not homogeneous: 'x0 + x1^2'"),
     ("x0*@", F5, "bad character '@' at position 3 in 'x0*@'"),
-    # the whitespace before a bad character is where the tokens stop, and
-    # a bad character anywhere is reported before any other error
-    ("x0 @ x1", F5, "bad character ' ' at position 2 in 'x0 @ x1'"),
-    ("x0 x1 ? ", F5, "bad character ' ' at position 5 in 'x0 x1 ? '"),
+    # the whitespace before a bad character is skipped, and a bad
+    # character anywhere is reported before any other error
+    ("x0 @ x1", F5, "bad character '@' at position 3 in 'x0 @ x1'"),
+    ("x0 x1 ? ", F5, "bad character '?' at position 6 in 'x0 x1 ? '"),
     ("()*x0", F9, "dangling sign in t-literal in '()*x0'"),
     ("(1+)*x0", F9, "dangling sign in t-literal in '(1+)*x0'"),
     ("(2*x0)", F9, "expected t after * in t-literal in '(2*x0)'"),
     ("(1+t*x0", F9, "empty term in t-literal in '(1+t*x0'"),
     ("(*t)*x0", F9, "empty term in t-literal in '(*t)*x0'"),
     ("(1+t", F9, "unexpected end of input in '(1+t'"),
+    # juxtaposed terms need a sign inside a t-literal as outside
+    ("(1 2)*x0", F9,
+     "expected + or - before '2' at position 3 in '(1 2)*x0'"),
 ])
 def test_bad_polynomial_text_raises_its_message(text, spec, message):
     with pytest.raises(ParseError) as exc:
