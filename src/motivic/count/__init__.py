@@ -6,35 +6,35 @@ on the canonical representatives of P^n.  CountQuery.union asks instead for
 the points where some of its factors vanishes, V(f_1 * ... * f_d), and the
 kernel counts it factor by factor, never from the expanded product.
 Counting splits a query into lead strata (lead coordinate = 1, earlier
-coordinates 0), each an independent unit of the walk;
-together they hold the points enumerate_points yields.
+coordinates 0), each an independent unit of the kernel; together they hold
+the points enumerate_points yields.
 
-Across calls only tables are kept: the add and mul tables per field (over
-F_{p^m} their products come from the spec's own index log and exp, which
-motivic.fields builds once per spec and element arithmetic shares), and
-per table and degree the power table and the x_mid power columns and the
-closed-form root tables of _pure.  Within a call a query is planned once:
-its generators' terms are read as (value, exps) rows once (_rows), every
-lead stratum is derived from them by filtering (_pure._split), and one walk
-serves all the strata with one memo of root masks.  Equal queries count
-the same, so the CLI keeps one memo of counts per job (kclass.count_once)
-and counts each distinct query of a job once.
+Across calls the lane kernel keeps, per field (_pure._lanes, at most
+_pure._FIELDS fields), its monomial vectors (at most _pure._VECTOR_BITS
+lane bits of them), lane masks and the matrices of the constants it has
+met; over F_{p^m} those come from the spec's own index log and exp, which
+motivic.fields builds once per spec.
+Within a call a query is planned once: its generators' terms are read as
+(value, exps) rows once (_rows) and every lead stratum is derived from
+them by filtering (_pure._split).  Equal queries count the same, so the
+CLI keeps one memo of counts per job (kclass.count_once) and counts each
+distinct query of a job once.
 
-Arithmetic inside the hot loop is table-driven: an element's value is
-already its index 0..q-1 (0 -> 0, 1 -> 1), and add/mul/pow become flat
-lookup tables, so the same kernel code serves prime and extension fields.
-There is one kernel, the pure-Python fibre walk of _pure; nothing visits
-the candidates of a stratum one by one.  It walks fibres over the last free
-coordinate in two loops: the tabulated walk _pure._walker, which
-count_points and the point searches (_points) take, and past the table
-limit (q > _TABLE_LIMIT) the modular fold _pure._fold, which
-_pure.count_stratum_direct and _points take.  Its union flag switches the
-point test from "every generator vanishes" to "some generator vanishes".
-A count reads a fibre's points off its root masks, or counts them as the
+There is one kernel, the pure-Python lane kernel of _pure; nothing visits
+the candidates of a stratum one by one.  Over a field with q <=
+_TABLE_LIMIT a stratum's trailing free coordinates form a block of lanes,
+one candidate each, and each generator is evaluated on the whole block as
+big-int sums of monomial vectors (_pure._zeros).  A count takes the largest
+block that fits (_pure.count_stratum) and popcounts the zero lanes, ANDed
+across generators, or ORed when the union flag asks for the points where
+some generator vanishes.  enumerate_points and _first_point take the last
+coordinate alone as the block, one fibre at a time, and list its zero
+lanes in ascending order.  Past the table limit (q > _TABLE_LIMIT) the
+modular fold _pure._fold gives each fibre's coefficients in the last
+coordinate: _pure.count_stratum_direct counts their common roots as the
 degree of a gcd with t^p - t, a union's from the product of its factors'
-restrictions.  enumerate_points and _first_point take one fibre at a time
-and list its points in ascending order.  The tests check counts and
-searches against a brute-force walk of their own.
+restrictions, and _points tests the values of the fibre in order.  The
+tests check counts and searches against a brute-force walk of their own.
 
 A count or a full enumerate_points walk over more candidates than the
 budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError before it starts
@@ -49,7 +49,6 @@ integer, or is negative, raises ValueError.
 from __future__ import annotations
 
 import os
-from array import array
 from math import prod
 
 from ..fields import _TABLE_LIMIT, FieldElem, FieldSpec
@@ -228,60 +227,7 @@ class CountQuery:
 
 
 # ---------------------------------------------------------------------------
-# table construction (cached per field)
-
-_table_cache: dict[FieldSpec, tuple] = {}
-
-
-def _field_tables(spec: FieldSpec):
-    """The flat (add, mul) tables of the kernel, over element indices."""
-    cached = _table_cache.get(spec)
-    if cached is not None:
-        return cached
-    out = (array("i", _add_table(spec.p, spec.m)), array("i", _mul_table(spec)))
-    _table_cache[spec] = out
-    return out
-
-
-def _add_table(p, m):
-    """Flat p^m x p^m table of index sums.
-
-    An element's index is sum(c_k * p^k) over its coefficients c_k, so a
-    sum adds base-p digits mod p.  The table grows one digit at a time: with
-    a new top digit d, (a + size*d1) + (b + size*d2) is
-    (a + b) + size*((d1 + d2) % p).
-    """
-    table = [(i + j) % p for i in range(p) for j in range(p)]
-    size = p
-    for _ in range(m - 1):
-        grown = []
-        for d1 in range(p):
-            for a in range(size):
-                row = table[a * size:(a + 1) * size]
-                for d2 in range(p):
-                    shift = size * ((d1 + d2) % p)
-                    grown.extend([x + shift for x in row])
-        table, size = grown, size * p
-    return table
-
-
-def _mul_table(spec):
-    """Flat q x q table of index products.
-
-    Over F_p an index is the residue.  Over F_{p^m} the products go through
-    the spec's index log and exp: a*b = g^(log a + log b).
-    """
-    q = spec.order
-    if spec.kind == "Fp":
-        return [(i * j) % q for i in range(q) for j in range(q)]
-    log, exp = spec._index_tables()[:2]
-    table = [0] * q
-    for i in range(1, q):
-        li = log[i]
-        table.append(0)
-        table.extend([exp[li + log[j]] for j in range(1, q)])
-    return table
-
+# query planning
 
 def _rows(polys):
     """Each polynomial's terms as (value, exps) rows: the one read of a
@@ -289,9 +235,6 @@ def _rows(polys):
     derives every lead stratum from these rows."""
     return [[(c.value, exps) for exps, c in g.terms.items()] for g in polys]
 
-
-# ---------------------------------------------------------------------------
-# stratum planning
 
 def _strata(query: CountQuery):
     """Yield per-lead work items (fixed, free_pos, free_start), as lists.
@@ -327,10 +270,10 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     """Number of F_q-points of the query, counted stratum by stratum.
 
     The query is planned once: the generators' terms are read once
-    (_rows), each lead stratum is derived from them by filtering
-    (_pure._split), and one walker, whose memo of root masks the strata
-    share, counts every stratum.  Primes past the table limit count each
-    stratum with _pure.count_stratum_direct, a union from its factors.
+    (_rows), and each lead stratum is derived from them by filtering
+    (_pure._split).  Tabulated fields count each stratum in lane blocks
+    (_pure.count_stratum); primes past the table limit count each stratum
+    with _pure.count_stratum_direct, a union from its factors.
     """
     budget = default_budget() if budget is None else budget
     q = query.spec.order
@@ -352,15 +295,11 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     rows = _rows(polys)
     if q > _TABLE_LIMIT:
         return sum(_pure.count_stratum_direct(
-            q, free_start, _pure._split(rows, fixed, free_pos), union)
+            query.spec, free_start, _pure._split(rows, fixed, free_pos), union)
             for fixed, free_pos, free_start in jobs)
-
-    add, mul = _field_tables(query.spec)
-    maxd = max([1] + [g.degree for g in polys])
-    powt, columns = _pure._pow_table(q, mul, maxd)
-    walk = _pure._walker(q, mul, add, powt, maxd + 1, union, columns)
-    return sum(_pure._count(walk, _pure._split(rows, fixed, free_pos),
-                            free_start, q, union)
+    lanes = _pure._lanes(query.spec)
+    return sum(_pure.count_stratum(lanes, rows, fixed, free_pos, free_start,
+                                   union)
                for fixed, free_pos, free_start in jobs)
 
 
@@ -398,49 +337,40 @@ def _points(query: CountQuery, budget: int):
     """The points of the query in canonical order, fibre by fibre.
 
     The generators' terms are read once (_rows) and each lead stratum's
-    split is filtered from them (_pure._split).  Fields the kernel
-    tabulates take the walk of _pure._walker with one fibre per prefix,
-    every free coordinate but the last being outer, so a search that stops
-    early walks no further: a fibre's points are the set bits of its mask
-    in ascending order (for a union, those of its complement within the
-    fibre).  Larger fields take the fold of _pure._fold and test the values
-    of each fibre in order.  A candidate's walk position is its place among
-    the candidates of the strata: a point at position k is yielded when
-    k <= budget, and BudgetError is raised once the walk passes budget
-    candidates.
+    split is filtered from them (_pure._split), the last free coordinate
+    alone forming the block, so that a search that stops early walks no
+    further than the fibre it stops in.  Tabulated fields evaluate each
+    fibre as one lane block (_pure._blocks) and list its zero lanes in
+    ascending order; larger fields take the fold of _pure._fold and test
+    the values of each fibre in order.  A candidate's walk position is its
+    place among the candidates of the strata: a point at position k is
+    yielded when k <= budget, and BudgetError is raised once the walk
+    passes budget candidates.
     """
     spec = query.spec
     q = spec.order
     polys, union = query._kernel_polys()
     rows = _rows(polys)
     if q <= _TABLE_LIMIT:
-        add, mul = _field_tables(spec)
-        maxd = max([1] + [g.degree for g in polys])
-        powt, columns = _pure._pow_table(q, mul, maxd)
-        walk = _pure._walker(q, mul, add, powt, maxd + 1, union, columns)
+        lanes = _pure._lanes(spec)
+        width = lanes.width
 
         def fibres(gens, free_start):
-            return walk(gens, free_start, False)
+            return _pure._blocks(lanes, gens, free_start[:-1],
+                                 tuple(free_start[-1:]), union)
 
-        def points_in(masks, start, stop):
-            window = ((1 << stop) - 1) >> start << start
-            bits = masks[0] & window
-            if union:
-                # the mask of a union holds the fibre's non-points
-                bits ^= window
+        def points_in(zeros, start, stop):
+            bits = zeros & (1 << width * (stop - start)) - 1
             while bits:
                 low = bits & -bits
-                yield low.bit_length() - 1
+                yield start + low.bit_length() // width - 1
                 bits ^= low
     else:
-        if spec.kind == "Fp":
-            mul, add, power = _pure._modp(q)
-        else:
-            mul, add, power = spec._mul, spec._add, spec._pow
+        mul, add, _ = _pure._arith(spec)
         test = any if union else all
 
         def fibres(gens, free_start):
-            return _pure._fold(q, free_start, gens, mul, add, power)
+            return _pure._fold(spec, free_start[:-1], gens)
 
         def vanishes(coeffs, x):
             acc = 0

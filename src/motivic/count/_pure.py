@@ -1,341 +1,358 @@
 """The counting kernel, in plain Python.
 
-Nothing here visits the candidates of a stratum one by one.  Counts and
-point searches walk its fibres over the last free coordinate: for each
-assignment of the other free coordinates (a prefix) every generator becomes
-a univariate polynomial in the last one, whose common roots are the points
-over that prefix.  There is one walk for fields with tables and one fold for
-fields without.  _walker, the tabulated walk, yields per outer prefix the
-root masks of its fibres, as bitmasks over the field; it folds each outer
-prefix into the generators once, and one pass over a middle coordinate
-x_mid then gives the fibre coefficients at each of its values.  Counts take
-a real x_mid, point searches a virtual one, so that they walk one fibre at a
-time.  Fibres of degree 1 and 2 are solved in closed form (odd
-characteristic: -c0/c1, or the quadratic formula), higher ones evaluated at
-every value.  _fold, past the table limit, yields per prefix each
-generator's coefficients; count_stratum_direct counts their common roots as
+Nothing here visits the candidates of a stratum one by one.  The trailing
+free coordinates of a stratum form a block of at most _BLOCK_LANES
+candidates, and the other free coordinates (a prefix) run as an odometer.
+For each prefix every generator becomes a polynomial in the block
+coordinates, sum(c_slot * M_slot) over its monomials (slots), and the
+kernel evaluates it at every candidate of the block at once: M_slot is
+the monomial's value at each candidate, packed into the fixed-width lanes
+of one Python int (SWAR; Lamport, "Multiple byte processing with
+full-word instructions", CACM 1975), so a product and a sum over the whole
+block are one big-int operation each.  _Lanes holds that arithmetic for
+one field:
+
+  * A lane is `width` bits, which depends on p alone.  A lane holds a
+    residue mod p between reductions up to `chunk` products c * m with
+    c, m < p; a reduction is a multiply-shift by the magic number of p
+    (Granlund and Montgomery, "Division by invariant integers using
+    multiplication", PLDI 1994), exact on every lane at once, and the lane
+    is wide enough that neither the sum nor the multiply spills into the
+    next lane.
+  * The zero lanes of a reduced vector r are (msb - r) & msb, msb holding
+    the top bit of every lane; a count ANDs them across generators (ORs
+    them for a union) and takes their popcount, a point search lists them
+    in ascending order.
+  * F_{p^m} runs as m digit planes, one vector per base-p digit of the
+    values, and a constant c acts on them as its m x m matrix over F_p
+    (the matrix of x -> c * x on the basis 1, t, ..., t^(m-1)).
+  * A monomial vector is built once, as the Kronecker product of one
+    coordinate's powers with the vector of the remaining coordinates, and
+    kept across queries, at most _VECTOR_BITS lane bits of them per field
+    and _FIELDS fields.  A pass of any perfbench workload finds 81-100% of
+    its vectors already built by an earlier query (by the warm-up, or
+    earlier in the pass) and holds at most 200 KB of them per field and 5
+    fields, so neither bound is reached there.
+
+A count takes blocks of as many trailing coordinates as fit; a point search
+takes the last coordinate alone, so that it walks one fibre at a time.
+Past the table limit, _fold yields per prefix each generator's coefficients
+in the last coordinate; count_stratum_direct counts their common roots as
 deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern
 Computer Algebra, ch. 14).
 
-Both loops take each stratum's generators split into terms over the free
-coordinates by the one splitter, _split.  It filters a query's (value,
-exps) rows, read once per query by motivic.count: a lead stratum fixes
-only zeros and the lead's 1, so a term survives when it has exponent 0 in
-every zero coordinate, its coefficient unchanged.  One walker serves every
-stratum of a query and keeps one memo of root masks for all of them; the
-power tables and x_mid columns are kept per table and degree.
+Both take each stratum's generators split by the one splitter, _split.  It
+filters a query's (value, exps) rows, read once per query by
+motivic.count: a lead stratum fixes only zeros and the lead's 1, so a term
+survives when it has exponent 0 in every zero coordinate, its coefficient
+unchanged.
 """
 
 from __future__ import annotations
 
-from array import array
+from functools import lru_cache
 from itertools import product
 from math import prod
 
 from ..fields import _mulmod, _remmod, _trim
 
+# a block has at most this many candidates (lanes)
+_BLOCK_LANES = 4096
+# lane bits of monomial vectors kept per field (1 MiB); the cache is
+# emptied when a new vector would pass it
+_VECTOR_BITS = 8 << 20
+# fields whose lane arithmetic and vectors are kept (_lanes)
+_FIELDS = 8
 
-def _split(rows, fixed, free_pos):
-    """Every generator's terms split for the fibre walk of a lead stratum.
+
+def _split(rows, fixed, free_pos, nblock=1):
+    """Every generator's terms split for the walk of a lead stratum, the
+    last nblock free positions forming the block.
 
     rows holds each generator's (coeff, exps) pairs.  A lead stratum fixes
     each coordinate that is not free at 0 or 1 (count._strata), so a term
     survives exactly when its exponent is 0 in every coordinate fixed at 0,
     and its coefficient stays as it is.  No two survivors of a homogeneous
     generator share a monomial in the free coordinates.  Returns one
-    (terms, width) per generator: each term left is (coeff, factors,
-    e_last), factors being (j, e) pairs with j indexing the prefix and
-    e_last the exponent of the last free coordinate (0 when there is none);
-    width is one more than the highest e_last.
+    (terms, slots) per generator: slots lists the exponent tuples over the
+    block, and each term left is (coeff, factors, slot), factors being the
+    (j, e) pairs of the prefix coordinates and slot its index in slots.
+    With a block of one coordinate slots is every exponent up to the
+    highest, so that a term's slot is its exponent.
     """
     free = set(free_pos)
     zeros = [i for i, v in enumerate(fixed) if not v and i not in free]
-    last = free_pos[-1] if free_pos else None
-    outer = list(enumerate(free_pos[:-1]))
+    cut = len(free_pos) - min(nblock, len(free_pos))
+    outer = list(enumerate(free_pos[:cut]))
+    block = free_pos[cut:]
+    last = block[0] if len(block) == 1 else None
     out = []
     for terms in rows:
         kept = []
+        index = {}
         width = 1
         for c, exps in terms:
             for i in zeros:
                 if exps[i]:
                     break
             else:
-                e_last = exps[last] if last is not None else 0
+                if last is None:
+                    slot = index.setdefault(tuple([exps[i] for i in block]),
+                                            len(index))
+                else:
+                    slot = exps[last]
+                    if slot >= width:
+                        width = slot + 1
                 kept.append((c, tuple([(j, exps[i]) for j, i in outer
-                                       if exps[i]]), e_last))
-                if e_last >= width:
-                    width = e_last + 1
-        out.append((kept, width))
+                                       if exps[i]]), slot))
+        out.append((kept, list(index) if last is None
+                    else [(e,) for e in range(width)]))
     return out
 
 
-# (mul, add, roots) by (id(mul), id(add)): one root finder per pair of
-# tables, which the entry keeps alive, so that no other object takes their ids
-_finders = {}
+def _fold(spec, outer_start, gens):
+    """(prefix, coefficient lists) for each prefix of a stratum, in odometer
+    order.
 
-
-def _root_finder(q, mul, add):
-    """roots(coeffs): the bitmask over the value indices 0..q-1 of the roots
-    of sum(coeffs[e] * t^e), every index for the zero polynomial.
-
-    Degree 1 and 2 are solved in closed form, with the negation, the square
-    roots and the inverses they need built from the tables on first use;
-    the tables are of odd characteristic, as motivic.fields refuses p = 2.
-    Higher degrees are evaluated at all q values.  There is one finder per
-    pair of table objects, kept for the life of the process, so its
-    closed-form tables are built once per field; a caller keeps its own
-    memo of masks.
+    gens holds the stratum's generators split for the walk (_split) and
+    outer_start the first values of its prefix coordinates; each list holds
+    one generator's coefficients by slot.  Over F_p a term's value is an
+    integer product, reduced mod p once per coefficient; over F_{p^m} the
+    values combine through the spec's _mul, _add and _pow.  A stratum with
+    no prefix coordinate is one prefix.
     """
-    entry = _finders.get((id(mul), id(add)))
-    if entry is not None:
-        return entry[2]
-    full = (1 << q) - 1
-    xs = range(q)
-    two = add[q + 1]
-    neg = sqrt = None
-    inverse = {}
-
-    def evaluate(coeffs, d):
-        # Horner's rule at every value at once
-        values = [coeffs[d]] * q
-        for c in coeffs[d - 1::-1]:
-            values = [add[mul[v * q + x] * q + c] for v, x in zip(values, xs)]
-        mask = 0
-        x = -1
-        for _ in range(values.count(0)):
-            x = values.index(0, x + 1)
-            mask |= 1 << x
-        return mask
-
-    def inv(c):
-        r = inverse.get(c)
-        if r is None:
-            r = inverse[c] = mul[c * q:(c + 1) * q].index(1)
-        return r
-
-    def roots(coeffs):
-        nonlocal neg, sqrt
-        d = len(coeffs) - 1
-        while d >= 0 and not coeffs[d]:
-            d -= 1
-        if d < 0:
-            return full
-        if d == 0:
-            return 0
-        if d > 2:
-            return evaluate(coeffs, d)
-        if neg is None:
-            minus_one = add[q:2 * q].index(0)
-            neg = [mul[a * q + minus_one] for a in range(q)]
-            sqrt = [-1] * q
-            for a in range(q):
-                sqrt[mul[a * q + a]] = a
-        if d == 1:
-            return 1 << mul[neg[coeffs[0]] * q + inv(coeffs[1])]
-        c0, c1, c2 = coeffs[:3]
-        four_c0 = mul[add[two * q + two] * q + c0]
-        s = sqrt[add[mul[c1 * q + c1] * q + neg[mul[four_c0 * q + c2]]]]
-        if s < 0:
-            return 0
-        r = inv(mul[two * q + c2])
-        b = neg[c1]
-        return ((1 << mul[add[b * q + s] * q + r])
-                | (1 << mul[add[b * q + neg[s]] * q + r]))
-
-    _finders[id(mul), id(add)] = (mul, add, roots)
-    return roots
-
-
-# (mul, powt, columns) by (id(mul), maxd), kept alive as _finders are
-_powers = {}
-
-
-def _pow_table(q, mul, maxd):
-    """(powt, columns) for the table mul and exponents up to maxd, built
-    once per pair and kept for the life of the process.
-
-    powt[x*(maxd+1) + e] = x^e, filled one exponent column at a time;
-    columns is the walk's memo of x_mid power columns (_walker), by the
-    first value of x_mid.
-    """
-    entry = _powers.get((id(mul), maxd))
-    if entry is not None:
-        return entry[1], entry[2]
-    stride = maxd + 1
-    powt = array("i", [0]) * (q * stride)
-    col = [1] * q
-    powt[0::stride] = array("i", col)
-    for e in range(1, stride):
-        col = [mul[a * q + x] for x, a in enumerate(col)]
-        powt[e::stride] = array("i", col)
-    columns = {}
-    _powers[id(mul), maxd] = (mul, powt, columns)
-    return powt, columns
-
-
-def _count(walk, gens, free_start, q, union):
-    """The points of one stratum, from the masks of walk (_walker): their
-    popcounts, or for a union the candidates less them."""
-    found = 0
-    for _, common in walk(gens, free_start):
-        found += sum([m.bit_count() for m in common])
-    return prod(q - s for s in free_start) - found if union else found
-
-
-def _walker(q, mul, add, powt, stride, union, columns):
-    """walk(gens, free_start, by_column=True): yields (prefix, masks) for
-    each outer prefix of one stratum in odometer order, gens being its
-    generators split for the walk (_split) and free_start the first values
-    of its free positions.
-
-    The outer free positions are all but the last two, the second to last
-    being x_mid; with by_column=False or fewer than two free positions
-    x_mid is virtual, of one value, and with none x_last is too.  masks
-    holds one bitmask over the value indices per value of x_mid: the AND of
-    the generators' root sets in that fibre within the values x_last takes,
-    with union=1 the AND of their complements.  It stops once empty.  A
-    root set is computed on first sight of its coefficient tuple and kept
-    for the life of the walker, across strata.  Each outer prefix folds
-    into every generator, leaving a form in (x_mid, x_last) whose monomials
-    the pass over x_mid adds up as columns, one product and one sum per
-    monomial and value; each column tuple is a fibre's coefficients.  With
-    x_mid virtual a form's slots are the exponents of x_last, so the form
-    is its fibre's coefficients.  columns keeps the powers of x_mid by its
-    first value, powt[x*stride + e] being x^e.
-    """
-    roots = _root_finder(q, mul, add)
-    full = (1 << q) - 1
-    # with union the walk ANDs non-root sets
-    flip = full if union else 0
-    masks = {}
-    get = masks.get
-
-    def fibres(form, monomials, width, pcols, zeros):
-        """The fibres' coefficient tuples, one per value of x_mid."""
-        cols = [zeros] * width
-        for (e_mid, e_last), c in zip(monomials, form):
-            if not c:
-                continue
-            cq = c * q
-            prev = cols[e_last]
-            if prev is zeros:
-                cols[e_last] = [mul[cq + p] for p in pcols[e_mid]]
-            else:
-                cols[e_last] = [add[a * q + mul[cq + p]]
-                                for a, p in zip(prev, pcols[e_mid])]
-        return zip(*cols)
-
-    def walk(gens, free_start, by_column=True):
-        nfree = len(free_start)
-        allowed = full >> free_start[-1] << free_start[-1] if nfree else 1
-        if by_column and nfree > 1:
-            mid = nfree - 2
-            start = free_start[mid]
-            pcols = columns.get(start)
-            if pcols is None:
-                xs = range(start, q)
-                pcols = columns[start] = [[powt[x * stride + e] for x in xs]
-                                          for e in range(stride)]
-            zeros = (0,) * (q - start)
-            first = [allowed] * (q - start)
-            gens = [_bivariate(terms, width, mid, q, add)
-                    for terms, width in gens]
-        else:
-            mid = nfree - 1
-            zeros = None
-            first = [allowed]
-            # every split term (coeff, factors, e_last) is outer, its slot
-            # e_last
-            gens = [([0] * width, terms, None, width) for terms, width in gens]
-        for pre in product(*(range(s, q) for s in free_start[:mid])):
-            common = first
-            for base, outer_terms, monomials, width in gens:
-                form = base[:]
-                for c, factors, slot in outer_terms:
+    q = spec.order
+    mul, add, power = _arith(spec)
+    prime = spec.kind == "Fp"
+    for pre in product(*(range(s, q) for s in outer_start)):
+        lists = []
+        for terms, slots in gens:
+            coeffs = [0] * len(slots)
+            if prime:
+                for v, factors, slot in terms:
                     for j, e in factors:
-                        c = mul[c * q + powt[pre[j] * stride + e]]
-                    form[slot] = add[form[slot] * q + c]
-                keys = ((tuple(form),) if zeros is None else
-                        fibres(form, monomials, width, pcols, zeros))
-                out = []
-                for key, a in zip(keys, common):
-                    mask = get(key)
-                    if mask is None:
-                        mask = masks[key] = roots(key) ^ flip
-                    out.append(mask & a)
-                common = out
-                if not any(common):
-                    break
-            yield pre, common
-
-    return walk
-
-
-def _bivariate(terms, width, mid, q, add):
-    """One generator's split terms (_split) grouped for the
-    two-level walk, mid being the prefix index of x_mid and the lower ones
-    outer.
-
-    Returns (base, outer_terms, monomials, width): monomials lists the
-    distinct (e_mid, e_last) of the terms, each term adds to the coefficient
-    of one of them (its slot), base holds the slot sums of the terms free
-    of the outer positions, and outer_terms the others as (coeff, ((j, e),
-    ...), slot).
-    """
-    slots = {}
-    base = []
-    outer_terms = []
-    for c, factors, e_last in terms:
-        e_mid = 0
-        outer = []
-        for j, e in factors:
-            if j == mid:
-                e_mid = e
+                        v *= pre[j] ** e
+                    coeffs[slot] += v
+                coeffs = [c % q for c in coeffs]
             else:
-                outer.append((j, e))
-        slot = slots.setdefault((e_mid, e_last), len(base))
-        if slot == len(base):
-            base.append(0)
-        if outer:
-            outer_terms.append((c, tuple(outer), slot))
-        else:
-            base[slot] = add[base[slot] * q + c]
-    return base, outer_terms, list(slots), width
+                for v, factors, slot in terms:
+                    for j, e in factors:
+                        v = mul(v, power(pre[j], e))
+                    coeffs[slot] = add(coeffs[slot], v)
+            lists.append(coeffs)
+        yield pre, lists
 
 
-# ---------------------------------------------------------------------------
-# fields too large to tabulate, and polynomials mod p with the helpers of
-# motivic.fields
-
-def _modp(p):
-    """(mul, add, power) on ints mod p, the arithmetic of _fold over F_p."""
+def _arith(spec):
+    """(mul, add, power) on the values of a finite field: ints mod p over
+    F_p, the spec's _mul, _add and _pow over F_{p^m}."""
+    if spec.kind != "Fp":
+        return spec._mul, spec._add, spec._pow
+    p = spec.p
     return (lambda a, b: a * b % p, lambda a, b: (a + b) % p,
             lambda a, e: pow(a, e, p))
 
 
-def _fold(q, free_start, gens, mul, add, power):
-    """The walk past the table limit: (prefix, coefficient lists) for each
-    prefix of a stratum, in odometer order.
+def _block_size(q, free_start):
+    """How many trailing free coordinates a count's block takes: as many as
+    keep it within _BLOCK_LANES candidates."""
+    lanes, k = 1, 0
+    for s in reversed(free_start):
+        lanes *= q - s
+        if lanes > _BLOCK_LANES:
+            break
+        k += 1
+    return k
 
-    gens holds the stratum's generators split for the walk (_split) and
-    free_start the first values of its free positions; each list holds one
-    generator's coefficients in the last free coordinate, its terms' values
-    combined by mul, add and power: _modp(p) over F_p, the spec's _mul,
-    _add and _pow over F_{p^m}.  A stratum with no free position is one
-    prefix whose lists are constants.
+
+class _Lanes:
+    """The lane arithmetic of one field with q <= _TABLE_LIMIT.
+
+    With b the bit length of p - 1, a lane is width = 4b + 8 bits and a
+    vector sums up to chunk products below (p - 1)^2 on top of a residue,
+    staying below 2^(2b + 3) = 2^(shift - b).  Then magic = ceil(2^shift /
+    p) gives floor(v / p) = (v * magic) >> shift for every such v, and
+    v * magic < 2^width, so a reduction is exact lane by lane.  Every
+    F_{p^m} up to _TABLE_LIMIT has chunk >= m (the least, 9 for p = 31,
+    m = 2), so the m products of one constant fit between reductions.
     """
-    for pre in product(*(range(s, q) for s in free_start[:-1])):
-        lists = []
-        for terms, width in gens:
-            coeffs = [0] * width
-            for v, factors, e_last in terms:
-                for j, e in factors:
-                    v = mul(v, power(pre[j], e))
-                coeffs[e_last] = add(coeffs[e_last], v)
-            lists.append(coeffs)
-        yield pre, lists
 
+    def __init__(self, spec):
+        p, m = spec.p, spec.m
+        self.spec, self.p, self.m, self.q = spec, p, m, spec.order
+        b = (p - 1).bit_length()
+        self.width = 4 * b + 8
+        self.chunk = ((1 << 2 * b + 3) - p) // (p - 1) ** 2
+        self.shift = 3 * b + 3
+        self.magic = -(-(1 << self.shift) // p)
+        self.power = _arith(spec)[2]
+        self.unit = (1,) + (0,) * (m - 1)
+        self.vectors = {}
+        self.held = 0
+        self._masks = {}
+        self._matrices = [None] * self.q
+
+    def masks(self, lanes):
+        """(msb, qmask) for a vector of that many lanes: the top bit of
+        every lane, and the bits of each lane a quotient may take."""
+        out = self._masks.get(lanes)
+        if out is None:
+            w = self.width
+            ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
+            out = self._masks[lanes] = (
+                ones << w - 1, ones * ((1 << w - self.shift) - 1))
+        return out
+
+    def reduce(self, x, qmask):
+        """x mod p on every lane."""
+        return x - (x * self.magic >> self.shift & qmask) * self.p
+
+    def matrix(self, c):
+        """The m x m matrix over F_p of x -> c * x, as rows: entry [i][j]
+        is digit i of c * t^j."""
+        mat = self._matrices[c]
+        if mat is None:
+            spec, p = self.spec, self.p
+            if self.m == 1:
+                mat = ((c,),)
+            else:
+                mat = tuple(zip(*[spec._digits(spec._mul(c, p ** j))
+                                  for j in range(self.m)]))
+            self._matrices[c] = mat
+        return mat
+
+    def vector(self, starts, exps):
+        """The planes of the monomial prod(y_i^exps[i]) over the block whose
+        coordinates y_i run over range(starts[i], q), in odometer order:
+        the first coordinate's powers Kronecker the rest's vector."""
+        if not starts:
+            return self.unit
+        key = (starts, exps)
+        vec = self.vectors.get(key)
+        if vec is None:
+            q, power, e = self.q, self.power, exps[0]
+            lanes = prod(q - s for s in starts[1:])
+            vec = self._kron([power(x, e) for x in range(starts[0], q)],
+                             self.vector(starts[1:], exps[1:]), lanes)
+            bits = (q - starts[0]) * lanes * self.width * self.m
+            if self.held + bits > _VECTOR_BITS:
+                self.vectors.clear()
+                self.held = 0
+            self.vectors[key] = vec
+            self.held += bits
+        return vec
+
+    def _kron(self, values, planes, lanes):
+        """values (x) planes: lane k * lanes + i holds values[k] times lane
+        i of planes.  Each distinct value scales the planes once (over
+        F_{p^m} through its matrix), and the scaled copies are concatenated
+        plane by plane and reduced once; over one lane of F_p they are the
+        values themselves."""
+        step = lanes * self.width
+        if self.m == 1:
+            if lanes == 1:
+                return (_concat(values, step),)
+            plane = planes[0]
+            scaled = {v: [v * plane] for v in set(values)}
+        else:
+            scaled = {v: [sum([a * plane for a, plane in zip(row, planes)
+                               if a and plane]) for row in self.matrix(v)]
+                      for v in set(values)}
+        qmask = self.masks(lanes * len(values))[1]
+        return tuple(self.reduce(_concat([scaled[v][i] for v in values],
+                                         step), qmask)
+                     for i in range(self.m))
+
+
+def _concat(items, step):
+    """sum(x << k * step for k, x in enumerate(items)), pairing neighbours
+    level by level so that each level touches every bit once."""
+    while len(items) > 1:
+        if len(items) % 2:
+            items.append(0)
+        items = [a + (b << step) for a, b in zip(items[::2], items[1::2])]
+        step *= 2
+    return items[0]
+
+
+_lanes = lru_cache(maxsize=_FIELDS)(_Lanes)
+
+
+def _zeros(lanes, coeffs, vectors, masks):
+    """The zero lanes of sum(coeffs[k] * vectors[k]) as the top bit of each
+    lane, masks being lanes.masks of the vectors' lane count.  A lane is
+    reduced before a product would pass lanes.chunk since the last
+    reduction; over F_{p^m} a constant adds up to m products to a plane.
+    A factor 1 adds the vector itself: CPython multiplies a big int by 1
+    at about twice the cost of an addition."""
+    msb, qmask = masks
+    m, chunk, reduce = lanes.m, lanes.chunk, lanes.reduce
+    k = 0
+    if m == 1:
+        acc = 0
+        for c, (vec,) in zip(coeffs, vectors):
+            if c:
+                if k == chunk:
+                    acc, k = reduce(acc, qmask), 0
+                acc += vec if c == 1 else c * vec
+                k += 1
+        return (msb - (reduce(acc, qmask) if k else acc)) & msb
+    accs = [0] * m
+    for c, planes in zip(coeffs, vectors):
+        if c:
+            if k + m > chunk:
+                accs, k = [reduce(a, qmask) for a in accs], 0
+            for i, row in enumerate(lanes.matrix(c)):
+                acc = accs[i]
+                for a, plane in zip(row, planes):
+                    if a and plane:
+                        acc += plane if a == 1 else a * plane
+                accs[i] = acc
+            k += m
+    r = 0
+    for acc in accs:
+        r |= reduce(acc, qmask) if k else acc
+    return (msb - r) & msb
+
+
+def _blocks(lanes, gens, outer_start, starts, union):
+    """(prefix, zero lanes) for each prefix of a stratum in odometer order,
+    gens being its generators split for the walk (_split), outer_start the
+    first values of its prefix coordinates and starts those of its block.
+
+    The zero lanes are the AND of the generators' (_zeros), with union=1
+    their OR; the AND stops once empty and the OR once full.
+    """
+    masks = lanes.masks(prod(lanes.q - s for s in starts))
+    msb = masks[0]
+    vecs = [[lanes.vector(starts, key) for key in slots] for _, slots in gens]
+    for pre, lists in _fold(lanes.spec, outer_start, gens):
+        common = 0 if union else msb
+        for coeffs, vectors in zip(lists, vecs):
+            zeros = _zeros(lanes, coeffs, vectors, masks)
+            if union:
+                common |= zeros
+                if common == msb:
+                    break
+            else:
+                common &= zeros
+                if not common:
+                    break
+        yield pre, common
+
+
+def count_stratum(lanes, rows, fixed, free_pos, free_start, union):
+    """The points of one lead stratum, its block as many trailing free
+    coordinates as _block_size allows."""
+    cut = len(free_start) - _block_size(lanes.q, free_start)
+    gens = _split(rows, fixed, free_pos, len(free_pos) - cut)
+    return sum([common.bit_count() for _, common in _blocks(
+        lanes, gens, free_start[:cut], tuple(free_start[cut:]), union)])
+
+
+# ---------------------------------------------------------------------------
+# fields too large to tabulate: polynomials mod p with the helpers of
+# motivic.fields
 
 def _gcdmod(a, b, p):
     while b:
@@ -358,20 +375,21 @@ def _roots_mod(g, p):
     return len(_gcdmod(g, _trim(r), p)) - 1
 
 
-def count_stratum_direct(p, free_start, gens, union):
+def count_stratum_direct(spec, free_start, gens, union):
     """Stratum counter for primes too large to tabulate: ints mod p.
 
-    gens holds the stratum's generators split for the fibre walk (_split),
-    with coefficients as ints mod p, and free_start the first values of its
-    free positions, each running up to p - 1.  A fibre's points are the
-    common roots of the generators' restrictions (_fold), or with union=1
-    the roots of their product, the whole fibre when one restriction is
-    zero.
+    gens holds the stratum's generators split for the walk (_split, a
+    block of the last free coordinate), with coefficients as ints mod p,
+    and free_start the first values of its free positions, each running up
+    to p - 1.  A fibre's points are the common roots of the generators'
+    restrictions (_fold), or with union=1 the roots of their product, the
+    whole fibre when one restriction is zero.
     """
+    p = spec.p
     start = free_start[-1] if free_start else 0
     size = p - start if free_start else 1
     count = 0
-    for _, lists in _fold(p, free_start, gens, *_modp(p)):
+    for _, lists in _fold(spec, free_start[:-1], gens):
         if union:
             g = [1]
             for coeffs in lists:

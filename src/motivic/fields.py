@@ -31,10 +31,10 @@ them, never at import: log and exp to the base g of the first primitive
 element in index order (Lidl-Niederreiter, Finite Fields, ch. 2), the Zech
 logarithms zech[d] = log(1 + g^d), so that g^a + g^b = g^(a + zech[b - a])
 (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990), and
-neg.  The counting tables of motivic.count are built from the same log and
-exp.  Larger extension fields keep the same indices: they add and negate
-digit by digit, and multiply and invert with the schoolbook product on the
-decoded digits.
+neg.  The lane kernel of motivic.count builds the matrices of its
+constants from the same log and exp.  Larger extension fields keep the
+same indices: they add and negate digit by digit, and multiply and invert
+with the schoolbook product on the decoded digits.
 
 A spec's value operations (_add, _mul, _neg, _inv, the row operations
 _scale and _axpy, _encode, the index of a list of digits, and _str, the

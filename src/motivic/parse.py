@@ -3,10 +3,11 @@
 Polynomials are sums of terms like ``3*x0^2*x1`` joined by ``+`` and ``-``;
 whitespace never matters.  Coefficient literals are integers, fractions
 ``a/b``, or (over an extension field) t-polynomials such as ``t``, ``t^2``,
-or the parenthesized form ``(1+2*t)``.  A sign must be followed by a term,
-and a term after the first must follow a sign, inside a t-literal as
-outside.  The printed form of every polynomial in this package parses back
-to itself.
+or the parenthesized form ``(1+2*t)``.  Inside a t-literal a coefficient
+of t needs its ``*``: ``(2*t)``, never ``(2t)`` or ``(2 t)``.  A sign must
+be followed by a term, and a term after the first must follow a sign,
+inside a t-literal as outside.  The printed form of every polynomial in
+this package parses back to itself.
 
 One compiled pattern splits a text into its tokens in a single pass, and a
 _Reader walks the token list by index.  Coefficients are read as plain
@@ -140,20 +141,22 @@ class _Reader:
                     "expected + or - before %r at position %d in %r"
                     % (tok, self.where(i), self.src))
             coeff = 1
+            power = 0
             if tok.isdigit():
+                # a t after the digits without a * starts a new term, which
+                # the next pass rejects for its missing sign
                 coeff = int(tok)
                 i += 1
                 if toks[i] == "*":
-                    i += 1
-                    if toks[i] != "t":
+                    if toks[i + 1] != "t":
                         raise ParseError(
                             "expected t after * in t-literal in %r" % self.src)
+                    power, i = self.exponent(i + 2)
             elif tok is _END:
                 raise self.end_of_input()
             elif tok != "t":
                 raise ParseError("empty term in t-literal in %r" % self.src)
-            power = 0
-            if toks[i] == "t":
+            else:
                 power, i = self.exponent(i + 1)
             if negative:
                 coeff = -coeff

@@ -15,10 +15,11 @@ normalized to leading coordinate 1.
 first_point is the one search for a first rational point of V(gens) that
 the engines run: the isotropic point of a quadric, the singular point of a
 cubic and the common point of two quadrics.  Over a finite field it runs
-the fibre walk of motivic.count, which finds the points over each prefix
-of a stratum as the common roots of univariate polynomials in the last
-coordinate instead of testing candidates one by one.  Over every field it
-is charged against the budget only for the candidates it walks.
+the fibre walk of motivic.count, which evaluates the generators over each
+prefix of a stratum on every value of the last coordinate at once, as
+lanes of one integer, instead of testing candidates one by one.  Over
+every field it is charged against the budget only for the candidates it
+walks.
 """
 
 from __future__ import annotations

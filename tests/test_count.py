@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -211,24 +211,29 @@ def test_enumerate_matches_count():
             assert all(g.evaluate(pt).is_zero() for g in query.generators)
 
 
-def _tables_by_element_arithmetic(spec):
-    """The add and mul tables as FieldElem arithmetic gives them."""
-    elems = [spec.from_index(i) for i in range(spec.order)]
-    index = {e: i for i, e in enumerate(elems)}
-    return ([index[a + b] for a in elems for b in elems],
-            [index[a * b] for a in elems for b in elems])
-
-
 @pytest.mark.parametrize("spec", [
     F3, F5, F7, prime_field(11), F9, F25, extension_field(3, 3),
 ], ids=str)
 def test_field_tables_match_element_arithmetic(spec):
-    add, mul = motivic.count._field_tables(spec)
-    # the tables index elements by value: element i is spec.from_index(i)
+    """The lane kernel's arithmetic on values agrees with FieldElem
+    arithmetic: the fold's mul, add and power, and each constant's matrix
+    over F_p acting on the digits of every value."""
+    mul, add, power = _pure._arith(spec)
+    lanes = _pure._lanes(spec)
+    p, m = spec.p, spec.m
     elems = [spec.from_index(i) for i in range(spec.order)]
-    assert [e.value for e in elems] == list(range(spec.order))
-    assert add.typecode == mul.typecode == "i"
-    assert (list(add), list(mul)) == _tables_by_element_arithmetic(spec)
+    for a in elems:
+        assert [power(a.value, e) for e in range(4)] == [
+            (a ** e).value for e in range(4)]
+        mat = lanes.matrix(a.value)
+        assert len(mat) == m and all(len(row) == m for row in mat)
+        for b in elems:
+            assert mul(a.value, b.value) == (a * b).value
+            assert add(a.value, b.value) == (a + b).value
+            digits = spec._digits(b.value)
+            image = [sum(x * d for x, d in zip(row, digits)) % p
+                     for row in mat]
+            assert spec._encode(image) == (a * b).value
 
 
 @st.composite
@@ -338,20 +343,23 @@ def test_pure_kernel_matches_enumeration(query):
     assert query.cost() == space.cost() == count_points(space)
 
 
+F131 = prime_field(131)
+F343 = extension_field(7, 3)
 F1021 = prime_field(1021)
 
 
 @st.composite
 def _planned_query(draw):
-    """A plain or union query for the planned pure kernel: 0 to 3 forms
+    """A plain or union query for the lane kernel: 0 to 3 forms
     of degree 0 to 4 (constants, forms free of the last variable and pure
     powers of it among them) or a union of 1 to 3 factors, some zero, with
     random zero and nonzero constraints, the lead and last coordinates
     included.  The ambient dimension shrinks as the field grows, so that
     the brute-force walk stays small."""
-    spec = draw(st.sampled_from([F3, F5, F7, F9, F11, F13, F25, F27, F1021]))
+    spec = draw(st.sampled_from([F3, F5, F7, F9, F11, F13, F25, F27, F131,
+                                 F343, F1021]))
     top = 4 if spec.order <= 7 else 3 if spec.order <= 13 else 2
-    n = draw(st.integers(0, 1 if spec is F1021 else top))
+    n = draw(st.integers(0, 1 if spec.order > 100 else top))
     chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
              for i in range(n + 1) if draw(st.booleans())]
     if draw(st.booleans()):
@@ -383,6 +391,43 @@ def test_planned_count_matches_strata_and_reference(query):
     expected = len(reference_walk(query)[0])
     assert count_points(query) == len(list(enumerate_points(query))) \
         == expected
+
+
+def test_monomial_vectors_stay_bounded_per_field(monkeypatch):
+    """The monomial vectors the lane kernel keeps per field never hold more
+    than _VECTOR_BITS lane bits, here lowered so that the counts pass it,
+    and counting over more fields than _FIELDS leaves _lanes at that size;
+    the counts stay exact."""
+    bound = 1 << 16
+    monkeypatch.setattr(_pure, "_VECTOR_BITS", bound)
+    built = {}
+    kron = _pure._Lanes._kron
+
+    def counted(lanes, values, planes, n):
+        vec = kron(lanes, values, planes, n)
+        built[lanes.q] = built.get(lanes.q, 0) + sum(
+            [plane.bit_length() for plane in vec])
+        return vec
+
+    monkeypatch.setattr(_pure._Lanes, "_kron", counted)
+    # start from empty caches: earlier counts filled them under the real
+    # bound
+    _pure._lanes.cache_clear()
+    fields = [prime_field(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
+                                       37, 41, 43, 47, 53, 59, 61)]
+    fields += [F9, F25, F27, F343]
+    for spec in fields:
+        n = 3 if spec.order <= 9 else 2 if spec.order <= 31 else 1
+        query = CountQuery(spec, n, [_dense_form(spec, n, 3, spec.order)])
+        assert count_points(query) == len(reference_points(query))
+        lanes = _pure._lanes(spec)
+        held = sum([plane.bit_length() for vec in lanes.vectors.values()
+                    for plane in vec])
+        assert 0 < held <= lanes.held <= bound
+    # the bound was passed, so some caches were emptied on the way
+    assert max(built.values()) > bound
+    info = _pure._lanes.cache_info()
+    assert info.currsize == info.maxsize == _pure._FIELDS < len(fields)
 
 
 def test_generators_are_split_once_per_query(monkeypatch):
@@ -662,21 +707,19 @@ def test_unions_are_never_expanded(monkeypatch, spec):
 
 def test_first_point_in_the_first_fibre_walks_that_fibre(monkeypatch):
     """Over F1021 in P^3, a point search whose first point lies in the
-    first fibre finds each root set of that fibre alone: at most one call
-    of the walker's roots function per generator, where a row of fibres
-    over x_mid would take up to q."""
+    first fibre evaluates that fibre alone: at most one block evaluation
+    (_pure._zeros) per generator, each over the q lanes of the last
+    coordinate, where a block over more coordinates would hold q^2 or
+    more."""
     calls = []
-    finder = _pure._root_finder
+    zeros = _pure._zeros
 
-    def counting_finder(q, mul, add):
-        roots = finder(q, mul, add)
+    def counted(lanes, coeffs, vectors, masks):
+        # the lanes of the block: one top bit each
+        calls.append(masks[0].bit_count())
+        return zeros(lanes, coeffs, vectors, masks)
 
-        def counted(coeffs):
-            calls.append(coeffs)
-            return roots(coeffs)
-        return counted
-
-    monkeypatch.setattr(_pure, "_root_finder", counting_finder)
+    monkeypatch.setattr(_pure, "_zeros", counted)
     f = parse_poly("x0*x1 - x2*x3", F1021, 4)
     h = parse_poly("x0^2*x1 + x0*x2^2 - x3^3", F1021, 4)
     origin = tuple(F1021.elem(v) for v in (1, 0, 0, 0))
@@ -685,3 +728,119 @@ def test_first_point_in_the_first_fibre_walks_that_fibre(monkeypatch):
         calls.clear()
         assert motivic.count._first_point(query) == origin
         assert 1 <= len(calls) <= len(query._kernel_polys()[0])
+        assert set(calls) == {1021}
+
+
+def _dense_form(spec, n, degree, seed):
+    """A form with every monomial of the degree in P^n, each coefficient
+    nonzero and chosen by seed."""
+    terms = {}
+    for k, pick in enumerate(combinations_with_replacement(range(n + 1),
+                                                           degree)):
+        exps = [0] * (n + 1)
+        for i in pick:
+            exps[i] += 1
+        terms[tuple(exps)] = spec.from_index(
+            1 + (seed + 5 * k + k * k) % (spec.order - 1))
+    return HomogPoly(spec, n + 1, degree, terms)
+
+
+def test_lane_geometries_match_reference_walk():
+    """Counts and point searches against the brute-force walk in the lane
+    shapes at the edges of the kernel: more slots than one reduction chunk,
+    the widest lanes, the tightest chunk of a digit-plane field, and a
+    stratum too large for one block."""
+    quartic = _dense_form(F3, 4, 4, 1)
+    # 70 slots in the stratum x0 = 1, reduced more than once
+    assert len(quartic.terms) == 70 > _pure._lanes(F3).chunk
+    line = parse_poly("x0 + x1 - x4", F3, 5)
+    wide = _dense_form(F1021, 1, 4, 2)
+    assert _pure._lanes(F1021).width == max(
+        _pure._lanes(prime_field(p)).width for p in (3, 31, 1021))
+    # 9 slots of x1 against a chunk of 8: reduced mid-sum on the widest
+    # lanes; the product of 8 lines has 8 points
+    octic = _dense_form(F1021, 1, 8, 4)
+    roots = HomogPoly.product([parse_poly("x1 - %d*x0" % a, F1021, 2)
+                               for a in (1, 2, 509, 510, 1000, 1017, 1019,
+                                         1020)])
+    assert len(roots.terms) == 9 > _pure._lanes(F1021).chunk == 8
+    # F961: 5 slots of 2 products each against a chunk of 9, the least of
+    # any digit-plane field
+    F961 = extension_field(31, 2)
+    assert F961.m * 5 > _pure._lanes(F961).chunk == 9
+    quartic961 = _dense_form(F961, 1, 4, 5)
+    lines961 = HomogPoly.product([HomogPoly(F961, 2, 1, {
+        (1, 0): F961.from_index(a), (0, 1): F961.one}) for a in (1, 40, 500,
+                                                              960)])
+    assert len(lines961.terms) == 5
+    # P^8(F3): the stratum x0 = 1 has 3^8 = 6561 candidates, so its block is
+    # the last 7 coordinates and x1 runs as the prefix
+    assert _pure._block_size(3, [0] * 8) == 7
+    big = _dense_form(F3, 8, 2, 3)
+    for query in (CountQuery(F3, 4, [quartic]),
+                  CountQuery.union(F3, 4, [quartic, line]),
+                  CountQuery(F3, 4, [quartic], ((0, "nonzero"),)),
+                  CountQuery(F1021, 1, [wide]),
+                  CountQuery(F1021, 1, [wide], ((1, "nonzero"),)),
+                  CountQuery(F1021, 1, [octic]),
+                  CountQuery(F1021, 1, [roots]),
+                  CountQuery.union(F1021, 1, [octic, roots]),
+                  CountQuery(F961, 1, [quartic961]),
+                  CountQuery(F961, 1, [lines961]),
+                  CountQuery.union(F961, 1, [quartic961, lines961]),
+                  CountQuery(F3, 8, [big])):
+        points = reference_points(query)
+        assert count_points(query) == len(points), query
+        assert list(enumerate_points(query)) == points, query
+    assert count_points(CountQuery(F1021, 1, [roots])) == 8
+    assert count_points(CountQuery(F961, 1, [lines961])) == 4
+
+
+@pytest.mark.parametrize("spec", [
+    F3, prime_field(31), F1021, F9, extension_field(31, 2),
+    extension_field(3, 6),
+], ids=str)
+def test_zero_lanes_are_exact_at_the_largest_sums(monkeypatch, spec):
+    """_zeros against field arithmetic lane by lane, on sums of three chunks
+    and more of products as large as the lanes take: half the lanes hold
+    p - 1 in every digit of every slot, as does every constant but the
+    last.  Each reduction must find every lane below 2^(shift - b), the
+    bound within which its multiply-shift is exact, so a chunk one product
+    too long fails here over F_p.  The last slot cancels the sum on every
+    other lane, so that both zero and nonzero lanes are checked."""
+    lanes = _pure._lanes(spec)
+    mul, add, _ = _pure._arith(spec)
+    p, q, width = spec.p, spec.order, lanes.width
+    top = spec._encode([p - 1] * spec.m)
+    nlanes, nslots = 40, 3 * lanes.chunk + 1
+    coeffs = [top] * nslots
+    values = [[top if i < nlanes // 2 else (i * k + 1) % q
+               for i in range(nlanes)] for k in range(nslots)]
+    sums = [0] * nlanes
+    for c, vals in zip(coeffs, values):
+        sums = [add(s, mul(c, v)) for s, v in zip(sums, vals)]
+    # one more slot, constant 1: minus the sum on even lanes
+    coeffs.append(1)
+    values.append([spec._neg(s) if i % 2 == 0 else i % q
+                   for i, s in enumerate(sums)])
+    sums = [add(s, v) for s, v in zip(sums, values[-1])]
+
+    reduce = lanes.reduce
+    bound = 1 << lanes.shift - (p - 1).bit_length()
+
+    def checked(x, qmask):
+        assert all(x >> i * width & (1 << width) - 1 < bound
+                   for i in range(nlanes))
+        return reduce(x, qmask)
+
+    monkeypatch.setattr(lanes, "reduce", checked)
+
+    def planes(vals):
+        return tuple(sum(spec._digits(v)[d] << i * width
+                         for i, v in enumerate(vals)) for d in range(spec.m))
+
+    zeros = _pure._zeros(lanes, coeffs, [planes(v) for v in values],
+                         lanes.masks(nlanes))
+    got = [zeros >> (i + 1) * width - 1 & 1 for i in range(nlanes)]
+    assert got == [int(s == 0) for s in sums]
+    assert 0 < sum(got) < nlanes

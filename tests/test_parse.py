@@ -284,6 +284,10 @@ def _exponents(nvars, degree):
     # juxtaposed terms need a sign inside a t-literal as outside
     ("(1 2)*x0", F9,
      "expected + or - before '2' at position 3 in '(1 2)*x0'"),
+    # a coefficient of t needs its *
+    ("(2t)*x0", F9, "expected + or - before 't' at position 2 in '(2t)*x0'"),
+    ("(2 t)*x0", F9,
+     "expected + or - before 't' at position 3 in '(2 t)*x0'"),
 ])
 def test_bad_polynomial_text_raises_its_message(text, spec, message):
     with pytest.raises(ParseError) as exc:
