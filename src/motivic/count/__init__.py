@@ -4,37 +4,21 @@ The unit of work is a CountQuery: a list of homogeneous generators over
 F_q together with optional chart constraints (coordinate = 0 / != 0), counted
 on the canonical representatives of P^n.  CountQuery.union asks instead for
 the points where some of its factors vanishes, V(f_1 * ... * f_d), and the
-kernel counts it factor by factor, never from the expanded product.
-Counting splits a query into lead strata (lead coordinate = 1, earlier
-coordinates 0), each an independent unit of the kernel; together they hold
-the points enumerate_points yields.
+kernel counts it factor by factor, never from the expanded product.  Equal
+queries count the same, so the CLI keeps one memo of counts per job
+(kclass.count_once) and counts each distinct query of a job once.
 
-Across calls the lane kernel keeps, per field (_pure._lanes, at most
-_pure._FIELDS fields), its monomial vectors (at most _pure._VECTOR_BITS
-lane bits of them), lane masks and the matrices of the constants it has
-met; over F_{p^m} those come from the spec's own index log and exp, which
-motivic.fields builds once per spec.
-Within a call a query is planned once: its generators' terms are read as
-(value, exps) rows once (_rows) and every lead stratum is derived from
-them by filtering (_pure._split).  Equal queries count the same, so the
-CLI keeps one memo of counts per job (kclass.count_once) and counts each
-distinct query of a job once.
-
-There is one kernel, the pure-Python lane kernel of _pure; nothing visits
-the candidates of a stratum one by one.  Over a field with q <=
-_TABLE_LIMIT a stratum's trailing free coordinates form a block of lanes,
-one candidate each, and each generator is evaluated on the whole block as
-big-int sums of monomial vectors (_pure._zeros).  A count takes the largest
-block that fits (_pure.count_stratum) and popcounts the zero lanes, ANDed
-across generators, or ORed when the union flag asks for the points where
-some generator vanishes.  enumerate_points and _first_point take the last
-coordinate alone as the block, one fibre at a time, and list its zero
-lanes in ascending order.  Past the table limit (q > _TABLE_LIMIT) the
-modular fold _pure._fold gives each fibre's coefficients in the last
-coordinate: _pure.count_stratum_direct counts their common roots as the
-degree of a gcd with t^p - t, a union's from the product of its factors'
-restrictions, and _points tests the values of the fibre in order.  The
-tests check counts and searches against a brute-force walk of their own.
+A count or a point search plans its query once over the lead strata
+(lead coordinate = 1, earlier coordinates 0; _pure._plan), reads its
+terms once with every exponent reduced below q (_rows) and splits them
+once (_pure._split).  The one kernel, the pure-Python lane kernel of _pure,
+evaluates a generator on a whole block of candidates at once: a count of
+at most _pure._BLOCK_LANES candidates is one projective block of the
+canonical points and one popcount.  enumerate_points and _first_point
+take the last coordinate alone as the block, one fibre at a time.  Past
+the table limit (q > _TABLE_LIMIT) _pure._fold gives each fibre's
+coefficients in the last coordinate instead.  The tests check counts and
+searches against a brute-force walk of their own.
 
 A count or a full enumerate_points walk over more candidates than the
 budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError before it starts
@@ -49,7 +33,6 @@ integer, or is negative, raises ValueError.
 from __future__ import annotations
 
 import os
-from math import prod
 
 from ..fields import _TABLE_LIMIT, FieldElem, FieldSpec
 from ..poly import HomogPoly
@@ -171,10 +154,10 @@ class CountQuery:
         return self.factors, 1
 
     def cost(self) -> int:
-        """The number of candidates in the query's lead strata (_strata):
-        what a count or a full enumerate_points walk visits, #P^n(F_q) or
-        fewer under a chart."""
-        return _cost(self.spec.order, _strata(self))
+        """The number of candidates in the query's lead strata
+        (_pure._plan): what a count or a full enumerate_points walk visits,
+        #P^n(F_q) or fewer under a chart."""
+        return _pure._plan(self.spec.order, self.n, self.chart, 1).cost
 
     def describe(self):
         """The query's report dict, built on the first call; callers share
@@ -231,94 +214,63 @@ class CountQuery:
 
 def _rows(polys):
     """Each polynomial's terms as (value, exps) rows: the one read of a
-    query's generators that a count or a point search makes; _pure._split
-    derives every lead stratum from these rows."""
-    return [[(c.value, exps) for exps, c in g.terms.items()] for g in polys]
-
-
-def _strata(query: CountQuery):
-    """Yield per-lead work items (fixed, free_pos, free_start), as lists.
-
-    fixed is the value-index vector with lead set to 1 and the earlier and
-    zero-constrained coordinates set to 0; free positions carry their start
-    index (1 when constrained nonzero, else 0).  A stratum emptied by the
-    chart yields nothing.
-    """
-    n = query.n
-    zero = {i for i, kind in query.chart if kind == "zero"}
-    nonzero = {i for i, kind in query.chart if kind == "nonzero"}
-    # a lead past a coordinate constrained nonzero would set it to 0
-    for lead in range(min(nonzero, default=n) + 1):
-        if lead in zero:
-            continue
-        fixed = [0] * (n + 1)
-        fixed[lead] = 1
-        free_pos = [i for i in range(lead + 1, n + 1) if i not in zero]
-        free_start = [int(i in nonzero) for i in free_pos]
-        yield fixed, free_pos, free_start
-
-
-def _cost(q, jobs):
-    """The candidates of the strata jobs (_strata): CountQuery.cost()."""
-    return sum(prod(q - s for s in free_start) for _, _, free_start in jobs)
+    query's generators that a count or a point search makes.  On F_q points
+    x^q = x, so every exponent e >= 1 becomes (e - 1) mod (q - 1) + 1, and
+    no exponent passes q - 1; terms may then share a monomial."""
+    out = []
+    for g in polys:
+        top = g.spec.order - 1
+        rows = [(c.value, exps) for exps, c in g.terms.items()]
+        if g.degree > top:
+            rows = [(v, tuple([(e - 1) % top + 1 if e else 0 for e in exps]))
+                    for v, exps in rows]
+        out.append(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public API
 
 def count_points(query: CountQuery, budget: int | None = None) -> int:
-    """Number of F_q-points of the query, counted stratum by stratum.
-
-    The query is planned once: the generators' terms are read once
-    (_rows), and each lead stratum is derived from them by filtering
-    (_pure._split).  Tabulated fields count each stratum in lane blocks
-    (_pure.count_stratum); primes past the table limit count each stratum
-    with _pure.count_stratum_direct, a union from its factors.
-    """
+    """Number of F_q-points of the query, planned once (_pure._plan) and
+    split once (_pure._split): in lane blocks over tabulated fields
+    (_pure.count_lanes), fibre by fibre past the table limit
+    (_pure.count_direct, a union from its factors)."""
     budget = default_budget() if budget is None else budget
     q = query.spec.order
-    jobs = list(_strata(query))
-    cost = _cost(q, jobs)
+    plan = _pure._plan(q, query.n, query.chart,
+                       _pure._BLOCK_LANES if q <= _TABLE_LIMIT else 1)
+    cost = plan.cost
     if cost > budget:
-        raise BudgetError(
-            "counting %r needs %d candidates, budget is %d"
-            % (query, cost, budget)
-        )
+        raise BudgetError("counting %r needs %d candidates, budget is %d"
+                          % (query, cost, budget))
     if q > _TABLE_LIMIT and query.spec.kind != "Fp":
         raise BudgetError(
-            "extension field of order %d is too large to tabulate" % q
-        )
+            "extension field of order %d is too large to tabulate" % q)
     polys, union = query._kernel_polys()
-    if not polys:
+    if not polys or not cost:
         # every candidate is a common zero of no generators
         return cost
-    rows = _rows(polys)
+    gens = _pure._split(_rows(polys), plan)
     if q > _TABLE_LIMIT:
-        return sum(_pure.count_stratum_direct(
-            query.spec, free_start, _pure._split(rows, fixed, free_pos), union)
-            for fixed, free_pos, free_start in jobs)
-    lanes = _pure._lanes(query.spec)
-    return sum(_pure.count_stratum(lanes, rows, fixed, free_pos, free_start,
-                                   union)
-               for fixed, free_pos, free_start in jobs)
+        return _pure.count_direct(query.spec, gens, plan, union)
+    return _pure.count_lanes(_pure._lanes(query.spec), gens, plan, union)
 
 
 def enumerate_points(query: CountQuery, budget: int | None = None):
     """Yield the points of the query as coordinate tuples, canonical order.
 
     The points come from _points, the kernel's fibre walk over the lead
-    strata of _strata, in the canonical order of motivic.points (that of
+    strata of _pure._plan, in the canonical order of motivic.points (that of
     projective_reps in the tests' conftest); field elements are built only
-    for the points yielded.  The whole walk is
-    charged against budget up front.
+    for the points yielded.  The whole walk is charged against budget up
+    front.
     """
     budget = default_budget() if budget is None else budget
     cost = query.cost()
     if cost > budget:
-        raise BudgetError(
-            "enumerating %r needs %d candidates, budget is %d"
-            % (query, cost, budget)
-        )
+        raise BudgetError("enumerating %r needs %d candidates, budget is %d"
+                          % (query, cost, budget))
     yield from _points(query, budget)
 
 
@@ -336,28 +288,24 @@ def _first_point(query: CountQuery, budget: int | None = None):
 def _points(query: CountQuery, budget: int):
     """The points of the query in canonical order, fibre by fibre.
 
-    The generators' terms are read once (_rows) and each lead stratum's
-    split is filtered from them (_pure._split), the last free coordinate
-    alone forming the block, so that a search that stops early walks no
-    further than the fibre it stops in.  Tabulated fields evaluate each
-    fibre as one lane block (_pure._blocks) and list its zero lanes in
-    ascending order; larger fields take the fold of _pure._fold and test
-    the values of each fibre in order.  A candidate's walk position is its
-    place among the candidates of the strata: a point at position k is
+    Planned with blocks of one candidate (_pure._plan), the last free
+    coordinate alone is each fibre, and the tail the one point where it is
+    the lead; the generators are split once (_pure._split).  Tabulated
+    fields list each fibre's zero lanes (_pure._blocks), larger fields test
+    its values in order (_pure._fold).  A point at walk position k is
     yielded when k <= budget, and BudgetError is raised once the walk
-    passes budget candidates.
-    """
+    passes budget candidates."""
     spec = query.spec
     q = spec.order
     polys, union = query._kernel_polys()
-    rows = _rows(polys)
+    plan = _pure._plan(q, query.n, query.chart, 1)
+    gens = _pure._split(_rows(polys), plan)
+    free, starts, strata = plan.free, plan.starts, plan.strata
     if q <= _TABLE_LIMIT:
         lanes = _pure._lanes(spec)
         width = lanes.width
-
-        def fibres(gens, free_start):
-            return _pure._blocks(lanes, gens, free_start[:-1],
-                                 tuple(free_start[-1:]), union)
+        fibres = (_pure._blocks(lanes, gens, plan, i, union)
+                  for i in range(len(strata)))
 
         def points_in(zeros, start, stop):
             bits = zeros & (1 << width * (stop - start)) - 1
@@ -368,9 +316,8 @@ def _points(query: CountQuery, budget: int):
     else:
         mul, add, _ = _pure._arith(spec)
         test = any if union else all
-
-        def fibres(gens, free_start):
-            return _pure._fold(spec, free_start[:-1], gens)
+        fibres = (_pure._fold(spec, gens, plan, i)
+                  for i in range(len(strata)))
 
         def vanishes(coeffs, x):
             acc = 0
@@ -389,19 +336,21 @@ def _points(query: CountQuery, budget: int):
             % (query, budget, budget))
 
     walked = 0
-    for fixed, free_pos, free_start in _strata(query):
-        gens = _pure._split(rows, fixed, free_pos)
-        idx = list(fixed)
-        # with no free position the one candidate, fixed, is a fibre of one
-        # value
-        start, end = (free_start[-1], q) if free_pos else (0, 1)
-        for pre, fibre in fibres(gens, free_start):
+    for (lead, prefix, size), blocks in zip(strata, fibres):
+        idx = [0] * (query.n + 1)
+        idx[lead] = 1
+        # the tail's one candidate has its last coordinate, the lead, at 1
+        last = free[-1]
+        start = 1 if lead == last else starts[last]
+        end = start + size
+        for pre, fibre in blocks:
             if walked == budget:
                 raise over_budget()
             stop = min(end, start + budget - walked)
             for x in points_in(fibre, start, stop):
-                for pos, v in zip(free_pos, pre + (x,)):
-                    idx[pos] = v
+                for j, v in zip(prefix, pre):
+                    idx[j] = v
+                idx[last] = x
                 yield tuple([FieldElem(spec, v) for v in idx])
             walked += stop - start
             if stop < end:

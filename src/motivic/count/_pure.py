@@ -1,16 +1,14 @@
 """The counting kernel, in plain Python.
 
-Nothing here visits the candidates of a stratum one by one.  The trailing
-free coordinates of a stratum form a block of at most _BLOCK_LANES
-candidates, and the other free coordinates (a prefix) run as an odometer.
-For each prefix every generator becomes a polynomial in the block
-coordinates, sum(c_slot * M_slot) over its monomials (slots), and the
-kernel evaluates it at every candidate of the block at once: M_slot is
-the monomial's value at each candidate, packed into the fixed-width lanes
-of one Python int (SWAR; Lamport, "Multiple byte processing with
-full-word instructions", CACM 1975), so a product and a sum over the whole
-block are one big-int operation each.  _Lanes holds that arithmetic for
-one field:
+Nothing here visits candidates one by one.  A block of at most
+_BLOCK_LANES candidates is evaluated at once: for each value of the free
+coordinates outside it (a prefix, run as an odometer) every generator
+becomes sum(c_slot * M_slot) over its monomials (slots), M_slot being the
+monomial's value at each candidate of the block packed into the
+fixed-width lanes of one Python int (SWAR; Lamport, "Multiple byte
+processing with full-word instructions", CACM 1975), so that a product and
+a sum over the whole block are one big-int operation each.  _Lanes holds
+that arithmetic for one field:
 
   * A lane is `width` bits, which depends on p alone.  A lane holds a
     residue mod p between reductions up to `chunk` products c * m with
@@ -26,30 +24,27 @@ one field:
   * F_{p^m} runs as m digit planes, one vector per base-p digit of the
     values, and a constant c acts on them as its m x m matrix over F_p
     (the matrix of x -> c * x on the basis 1, t, ..., t^(m-1)).
-  * A monomial vector is built once, as the Kronecker product of one
-    coordinate's powers with the vector of the remaining coordinates, and
-    kept across queries, at most _VECTOR_BITS lane bits of them per field
-    and _FIELDS fields.  A pass of any perfbench workload finds 81-100% of
-    its vectors already built by an earlier query (by the warm-up, or
-    earlier in the pass) and holds at most 200 KB of them per field and 5
-    fields, so neither bound is reached there.
+  * A monomial vector over an affine block, each coordinate running from
+    its start to q - 1, is the Kronecker product of one coordinate's
+    powers with the vector of the rest; over a projective block, the
+    canonical points of its coordinates in walk order, it is concatenated
+    from those.  Both are kept across queries, at most _VECTOR_BITS bits
+    of them per field and _FIELDS fields.
 
-A count takes blocks of as many trailing coordinates as fit; a point search
-takes the last coordinate alone, so that it walks one fibre at a time.
-Past the table limit, _fold yields per prefix each generator's coefficients
-in the last coordinate; count_stratum_direct counts their common roots as
+A query's lead strata are planned once (_plan) and its terms split once
+for that plan (_split): its first strata walk affine blocks under a
+prefix odometer, and its last ones, all of a query of at most
+_BLOCK_LANES candidates, form one projective block.  A point search takes
+the last coordinate alone as its block, one fibre at a time.  Past the
+table limit, _fold yields per prefix each generator's coefficients in the
+last coordinate; count_direct counts their common roots as
 deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern
 Computer Algebra, ch. 14).
-
-Both take each stratum's generators split by the one splitter, _split.  It
-filters a query's (value, exps) rows, read once per query by
-motivic.count: a lead stratum fixes only zeros and the lead's 1, so a term
-survives when it has exponent 0 in every zero coordinate, its coefficient
-unchanged.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -58,86 +53,141 @@ from ..fields import _mulmod, _remmod, _trim
 
 # a block has at most this many candidates (lanes)
 _BLOCK_LANES = 4096
-# lane bits of monomial vectors kept per field (1 MiB); the cache is
-# emptied when a new vector would pass it
+# bits of monomial vectors kept per field (1 MiB); the cache is emptied
+# when a new vector would pass it
 _VECTOR_BITS = 8 << 20
 # fields whose lane arithmetic and vectors are kept (_lanes)
 _FIELDS = 8
+# plans kept (_plan); a perfbench workload meets at most 27 per process
+_PLANS = 64
 
 
-def _split(rows, fixed, free_pos, nblock=1):
-    """Every generator's terms split for the walk of a lead stratum, the
-    last nblock free positions forming the block.
+_Plan = namedtuple("_Plan", "free starts cost strata t z block")
 
-    rows holds each generator's (coeff, exps) pairs.  A lead stratum fixes
-    each coordinate that is not free at 0 or 1 (count._strata), so a term
-    survives exactly when its exponent is 0 in every coordinate fixed at 0,
-    and its coefficient stays as it is.  No two survivors of a homogeneous
-    generator share a monomial in the free coordinates.  Returns one
-    (terms, slots) per generator: slots lists the exponent tuples over the
-    block, and each term left is (coeff, factors, slot), factors being the
-    (j, e) pairs of the prefix coordinates and slot its index in slots.
-    With a block of one coordinate slots is every exponent up to the
-    highest, so that a term's slot is its exponent.
+
+@lru_cache(maxsize=_PLANS)
+def _plan(q, n, chart, limit):
+    """The _Plan of the lead strata of P^n(F_q) under chart (lead
+    coordinate = 1, earlier ones 0) in blocks of at most limit candidates,
+    kept across queries since most queries of a run share q, n and chart.
+
+    free lists the coordinates not charted zero, starts[i] is the first
+    value of coordinate i (1 when charted nonzero, else 0) and cost the
+    candidates of the strata.  A lead past a coordinate charted nonzero
+    would set it to 0, so the leads stop there.  The strata led by
+    free[:t] are walked one at a time, an odometer over the prefix
+    coordinates before free[z:], the last free coordinates that fit in one
+    affine block (at least one).  Those led by free[t:] hold at most limit
+    candidates and form one projective block, the tail, over free[z:] too,
+    z being 0 when it is the whole query.  strata lists (lead, prefix,
+    lanes) of each block, the tail last, and block the starts of free[z:].
     """
-    free = set(free_pos)
-    zeros = [i for i, v in enumerate(fixed) if not v and i not in free]
-    cut = len(free_pos) - min(nblock, len(free_pos))
-    outer = list(enumerate(free_pos[:cut]))
-    block = free_pos[cut:]
-    last = block[0] if len(block) == 1 else None
+    chart = dict(chart)
+    free = tuple([i for i in range(n + 1) if chart.get(i) != "zero"])
+    starts = tuple([int(chart.get(i) == "nonzero") for i in range(n + 1)])
+    sizes, lanes, z = [], 1, len(free)
+    for i in reversed(free):
+        if starts[i]:
+            sizes.clear()  # no lead past a coordinate charted nonzero
+        sizes.append(lanes)
+        lanes *= q - starts[i]
+        if lanes <= limit or z == len(free):
+            z -= 1
+    sizes.reverse()
+    t, held = len(sizes), 0
+    while t and held + sizes[t - 1] <= limit:
+        t -= 1
+        held += sizes[t]
+    if 0 < t < min(len(sizes), z):
+        # keep the tail inside the affine block, so one split serves both
+        t += 1
+    z = z if t else 0
+    block = tuple([starts[i] for i in free[z:]])
+    lanes = prod([q - s for s in block])
+    strata = [(free[j], free[j + 1:z], lanes) for j in range(t)]
+    if t < len(sizes):
+        strata.append((free[t], (), sum(sizes[t:])))
+    return _Plan(free, starts, sum(sizes), tuple(strata), t, z, block)
+
+
+def _split(rows, plan):
+    """Every generator's (coeff, exps) rows split once for the walk of a
+    query's plan (_plan).
+
+    A term with a positive exponent in a coordinate charted zero is
+    dropped.  Returns one (terms, slots) per generator, each term (low,
+    coeff, factors, slot): factors are its (j, exponent) pairs for the
+    coordinates free[j] before the slot coordinates, low the first j (or
+    len(starts)), and slot indexes its exponents over the slot coordinates
+    in slots.  Stratum j of the plan, led by free[j], sets the coordinates
+    before free[j] to 0, so a term takes part in it, its coefficient
+    unchanged, exactly when low >= j.  Terms whose exponents reduce to one
+    monomial (count._rows) share a slot, and _fold adds them up.  With one
+    slot coordinate slots is every exponent up to the highest.
+    """
+    free, starts, z = plan.free, plan.starts, plan.z
+    keys, outer = free[z:], tuple(enumerate(free[:z]))
+    nv = len(starts)
+    dead = [i for i in range(nv) if i not in free]
+    whole = len(keys) == nv
+    last = keys[0] if len(keys) == 1 else None
     out = []
     for terms in rows:
-        kept = []
-        index = {}
-        width = 1
+        kept, index, width = [], {}, 1
         for c, exps in terms:
-            for i in zeros:
+            for i in dead:
                 if exps[i]:
                     break
             else:
                 if last is None:
-                    slot = index.setdefault(tuple([exps[i] for i in block]),
-                                            len(index))
+                    slot = index.setdefault(exps if whole else tuple(
+                        [exps[i] for i in keys]), len(index))
                 else:
                     slot = exps[last]
                     if slot >= width:
                         width = slot + 1
-                kept.append((c, tuple([(j, exps[i]) for j, i in outer
-                                       if exps[i]]), slot))
+                factors = outer and tuple([(j, exps[i]) for j, i in outer
+                                           if exps[i]])
+                kept.append((factors[0][0] if factors else nv, c, factors,
+                             slot))
         out.append((kept, list(index) if last is None
                     else [(e,) for e in range(width)]))
     return out
 
 
-def _fold(spec, outer_start, gens):
-    """(prefix, coefficient lists) for each prefix of a stratum, in odometer
-    order.
+def _fold(spec, gens, plan, i):
+    """(prefix, coefficient lists) for each prefix of stratum i of plan, in
+    odometer order, each list one generator's coefficients by slot.
 
-    gens holds the stratum's generators split for the walk (_split) and
-    outer_start the first values of its prefix coordinates; each list holds
-    one generator's coefficients by slot.  Over F_p a term's value is an
-    integer product, reduced mod p once per coefficient; over F_{p^m} the
-    values combine through the spec's _mul, _add and _pow.  A stratum with
-    no prefix coordinate is one prefix.
-    """
-    q = spec.order
+    A term of gens (_split) takes part when low >= i; its factors read 1 at
+    the lead and the odometer's value at each prefix coordinate.  Over F_p
+    a term's value is an integer product, reduced mod p once per
+    coefficient; over F_{p^m} the values combine through the spec's _mul,
+    _add and _pow.  A stratum with no prefix coordinate is one prefix."""
+    q, starts, prefix = spec.order, plan.starts, plan.strata[i][1]
     mul, add, power = _arith(spec)
     prime = spec.kind == "Fp"
-    for pre in product(*(range(s, q) for s in outer_start)):
+    # the lead's factor, the first when low == i, is 1
+    live = [([(v, factors[1:] if low == i else factors, slot)
+              for low, v, factors, slot in terms if low >= i], len(slots))
+            for terms, slots in gens]
+    skip = (None,) * (i + 1)
+    for pre in product(*[range(starts[j], q) for j in prefix]):
+        # factor j reads the prefix value of free[j]
+        vals = skip + pre
         lists = []
-        for terms, slots in gens:
-            coeffs = [0] * len(slots)
+        for terms, width in live:
+            coeffs = [0] * width
             if prime:
                 for v, factors, slot in terms:
                     for j, e in factors:
-                        v *= pre[j] ** e
+                        v *= vals[j] ** e
                     coeffs[slot] += v
                 coeffs = [c % q for c in coeffs]
             else:
                 for v, factors, slot in terms:
                     for j, e in factors:
-                        v = mul(v, power(pre[j], e))
+                        v = mul(v, power(vals[j], e))
                     coeffs[slot] = add(coeffs[slot], v)
             lists.append(coeffs)
         yield pre, lists
@@ -151,18 +201,6 @@ def _arith(spec):
     p = spec.p
     return (lambda a, b: a * b % p, lambda a, b: (a + b) % p,
             lambda a, e: pow(a, e, p))
-
-
-def _block_size(q, free_start):
-    """How many trailing free coordinates a count's block takes: as many as
-    keep it within _BLOCK_LANES candidates."""
-    lanes, k = 1, 0
-    for s in reversed(free_start):
-        lanes *= q - s
-        if lanes > _BLOCK_LANES:
-            break
-        k += 1
-    return k
 
 
 class _Lanes:
@@ -221,20 +259,31 @@ class _Lanes:
             self._matrices[c] = mat
         return mat
 
-    def vector(self, starts, exps):
+    def vector(self, starts, exps, proj=False):
         """The planes of the monomial prod(y_i^exps[i]) over the block whose
         coordinates y_i run over range(starts[i], q), in odometer order:
-        the first coordinate's powers Kronecker the rest's vector."""
+        the first coordinate's powers Kronecker the rest's vector.  With
+        proj, over the canonical points of the block in walk order instead:
+        [y_0 = 1] x the affine vector of the rest, then, unless y_0 is
+        charted nonzero (starts[0] = 1), [y_0 = 0] x the projective vector
+        of the rest, whose lanes are zero when the monomial holds y_0."""
         if not starts:
             return self.unit
-        key = (starts, exps)
+        if proj and (len(starts) == 1 or starts[0] or exps[0]):
+            # no [y_0 = 0] part, or one of zero lanes: the affine vector
+            return self.vector(starts[1:], exps[1:])
+        key = (starts, exps, proj)
         vec = self.vectors.get(key)
         if vec is None:
-            q, power, e = self.q, self.power, exps[0]
+            q, rest = self.q, self.vector(starts[1:], exps[1:])
             lanes = prod(q - s for s in starts[1:])
-            vec = self._kron([power(x, e) for x in range(starts[0], q)],
-                             self.vector(starts[1:], exps[1:]), lanes)
-            bits = (q - starts[0]) * lanes * self.width * self.m
+            if proj:
+                vec = tuple([a + (b << lanes * self.width) for a, b in zip(
+                    rest, self.vector(starts[1:], exps[1:], True))])
+            else:
+                vec = self._kron([self.power(x, exps[0])
+                                  for x in range(starts[0], q)], rest, lanes)
+            bits = sum([plane.bit_length() for plane in vec])
             if self.held + bits > _VECTOR_BITS:
                 self.vectors.clear()
                 self.held = 0
@@ -315,18 +364,21 @@ def _zeros(lanes, coeffs, vectors, masks):
     return (msb - r) & msb
 
 
-def _blocks(lanes, gens, outer_start, starts, union):
-    """(prefix, zero lanes) for each prefix of a stratum in odometer order,
-    gens being its generators split for the walk (_split), outer_start the
-    first values of its prefix coordinates and starts those of its block.
+def _blocks(lanes, gens, plan, i, union):
+    """(prefix, zero lanes) for each prefix of stratum i of plan in
+    odometer order (_fold).
 
-    The zero lanes are the AND of the generators' (_zeros), with union=1
-    their OR; the AND stops once empty and the OR once full.
+    Every block is over the slot coordinates: a leading stratum's is
+    affine, the tail's (i = t) projective.  The zero lanes are the AND of
+    the generators' (_zeros), with union=1 their OR; the AND stops once
+    empty and the OR once full.
     """
-    masks = lanes.masks(prod(lanes.q - s for s in starts))
+    strata, t, block = plan.strata, plan.t, plan.block
+    vecs = [[lanes.vector(block, key, i == t) for key in slots]
+            for _, slots in gens]
+    masks = lanes.masks(strata[i][2])
     msb = masks[0]
-    vecs = [[lanes.vector(starts, key) for key in slots] for _, slots in gens]
-    for pre, lists in _fold(lanes.spec, outer_start, gens):
+    for pre, lists in _fold(lanes.spec, gens, plan, i):
         common = 0 if union else msb
         for coeffs, vectors in zip(lists, vecs):
             zeros = _zeros(lanes, coeffs, vectors, masks)
@@ -341,13 +393,11 @@ def _blocks(lanes, gens, outer_start, starts, union):
         yield pre, common
 
 
-def count_stratum(lanes, rows, fixed, free_pos, free_start, union):
-    """The points of one lead stratum, its block as many trailing free
-    coordinates as _block_size allows."""
-    cut = len(free_start) - _block_size(lanes.q, free_start)
-    gens = _split(rows, fixed, free_pos, len(free_pos) - cut)
-    return sum([common.bit_count() for _, common in _blocks(
-        lanes, gens, free_start[:cut], tuple(free_start[cut:]), union)])
+def count_lanes(lanes, gens, plan, union):
+    """The points of a query over a tabulated field: the zero lanes of
+    every block of its plan (_blocks), popcounted."""
+    return sum([common.bit_count() for i in range(len(plan.strata))
+                for _, common in _blocks(lanes, gens, plan, i, union)])
 
 
 # ---------------------------------------------------------------------------
@@ -375,35 +425,36 @@ def _roots_mod(g, p):
     return len(_gcdmod(g, _trim(r), p)) - 1
 
 
-def count_stratum_direct(spec, free_start, gens, union):
-    """Stratum counter for primes too large to tabulate: ints mod p.
-
-    gens holds the stratum's generators split for the walk (_split, a
-    block of the last free coordinate), with coefficients as ints mod p,
-    and free_start the first values of its free positions, each running up
-    to p - 1.  A fibre's points are the common roots of the generators'
-    restrictions (_fold), or with union=1 the roots of their product, the
-    whole fibre when one restriction is zero.
+def count_direct(spec, gens, plan, union):
+    """The points of a query over a prime too large to tabulate, planned
+    with blocks of one candidate (_plan): the last free coordinate is
+    each fibre, and the tail the one point where it is the lead.  A fibre's
+    points are the common roots of the generators' restrictions (_fold), or
+    with union=1 the roots of their product, the whole fibre when one
+    restriction is zero; the tail's are their values at 1.
     """
-    p = spec.p
-    start = free_start[-1] if free_start else 0
-    size = p - start if free_start else 1
+    free, starts, strata = plan.free, plan.starts, plan.strata
+    p, last = spec.p, free[-1]
     count = 0
-    for _, lists in _fold(spec, free_start[:-1], gens):
-        if union:
-            g = [1]
-            for coeffs in lists:
-                g = _mulmod(g, _trim(coeffs), p) if any(coeffs) else []
-                if not g:
-                    break
-        else:
-            g = []
-            for coeffs in lists:
-                g = _gcdmod(g, _trim(coeffs), p)
-                if len(g) == 1:
-                    break
-        if not g:
-            count += size
-        else:
-            count += _roots_mod(g, p) - (1 if start and not g[0] else 0)
+    for i, (lead, _, size) in enumerate(strata):
+        for _, lists in _fold(spec, gens, plan, i):
+            if lead == last:
+                lists = [[sum(coeffs) % p] for coeffs in lists]
+            if union:
+                g = [1]
+                for coeffs in lists:
+                    g = _mulmod(g, _trim(coeffs), p) if any(coeffs) else []
+                    if not g:
+                        break
+            else:
+                g = []
+                for coeffs in lists:
+                    g = _gcdmod(g, _trim(coeffs), p)
+                    if len(g) == 1:
+                        break
+            if not g:
+                count += size
+            else:
+                count += _roots_mod(g, p) - (1 if starts[last] and not g[0]
+                                             else 0)
     return count

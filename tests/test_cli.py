@@ -691,6 +691,24 @@ def test_bad_t_literal_exits_two_without_hanging(poly, message):
     assert out.stderr == "error: %s in %r\n" % (message, poly)
 
 
+@pytest.mark.parametrize("field, ambient, poly, count", [
+    ("7", "2", "x2^99999999999", 8),
+    ("7", "2", "x2^9999999", 8),
+    ("1031", "1", "x1^9999999", 1),
+])
+def test_large_exponents_count_without_hanging(field, ambient, poly, count):
+    """An exponent's size once sized the kernel's work and memory: these
+    ran out of memory or for many seconds.  Reduced on F_q points (x^q =
+    x), they count at once; the report prints the form as given."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "MOTIVIC_BUDGET"}
+    out = run_python(["-m", "motivic.cli", "count", "--field", field,
+                      "--ambient", ambient, "--poly", poly], env, timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert "poly: %s\n" % poly in out.stdout
+    assert "count: %d\n" % count in out.stdout
+
+
 def test_module_entry_point():
     # The caller's counting knobs must not reach the child: a tiny
     # MOTIVIC_BUDGET, say, would turn the count into a BudgetError.

@@ -384,20 +384,47 @@ def _planned_query(draw):
                                   parse_poly("x0*x1", F5, 3)]))
 @example(query=_q(["x0^2 - 2*x1^2", "x0*x1 + x2^2"], F5, 4,
                   ((0, "nonzero"), (4, "zero"))))
+# P^0 under a nonzero chart, and a union in P^0 with a zero factor
+@example(query=_q(["2*x0^3"], F7, 0, ((0, "nonzero"),)))
+@example(query=CountQuery.union(F9, 0, [HomogPoly.zero(F9, 1, 1),
+                                        parse_poly("x0^2", F9, 1)]))
+# F_{p^m} unions under charts, one projective block
+@example(query=CountQuery.union(
+    F25, 2, [parse_poly(t, F25, 3) for t in ("x0*x1 - x2^2", "x0 + x2")],
+    ((1, "nonzero"),)))
+@example(query=CountQuery.union(
+    F27, 2, [parse_poly(t, F27, 3) for t in ("x0^2 + x1*x2", "x1 - x2")],
+    ((0, "zero"), (2, "nonzero"))))
+# cost() just below, at and just above _BLOCK_LANES: P^5(F5) has 3906
+# candidates; P^3(F17) off the coordinate hyperplanes has 16^3 = 4096; with
+# x0 free it has 4352, the stratum x0 = 1 an affine block of 4096 and x1 = 1
+# the projective tail of 256
+@example(query=_q(["x0*x1 - x2*x3 + x4^2 - 2*x5^2"], F5, 5))
+@example(query=CountQuery.union(
+    prime_field(17), 3, [parse_poly("x0*x1 - x2*x3", prime_field(17), 4),
+                         parse_poly("x0 + x1 + x3", prime_field(17), 4)],
+    ((0, "nonzero"), (1, "nonzero"), (2, "nonzero"), (3, "nonzero"))))
+@example(query=_q(["x0*x1 - x2*x3 + 3*x1^2", "x0 - 2*x1 + x2"],
+                  prime_field(17), 3,
+                  ((1, "nonzero"), (2, "nonzero"), (3, "nonzero"))))
 @settings(max_examples=100, deadline=None)
 def test_planned_count_matches_strata_and_reference(query):
     """count_points, which plans a query once, counts what the point
-    search lists stratum by stratum and what the brute-force walk finds."""
+    search lists stratum by stratum and what the brute-force walk finds;
+    a query of at most _BLOCK_LANES candidates is one projective block."""
     expected = len(reference_walk(query)[0])
     assert count_points(query) == len(list(enumerate_points(query))) \
         == expected
+    t = _pure._plan(query.spec.order, query.n, query.chart,
+                    _pure._BLOCK_LANES).t
+    assert (t == 0) == (query.cost() <= _pure._BLOCK_LANES)
 
 
 def test_monomial_vectors_stay_bounded_per_field(monkeypatch):
-    """The monomial vectors the lane kernel keeps per field never hold more
-    than _VECTOR_BITS lane bits, here lowered so that the counts pass it,
-    and counting over more fields than _FIELDS leaves _lanes at that size;
-    the counts stay exact."""
+    """The monomial vectors the lane kernel keeps per field, affine and
+    projective, never hold more than _VECTOR_BITS bits, here lowered so
+    that the counts pass it, and counting over more fields than _FIELDS
+    leaves _lanes at that size; the counts stay exact."""
     bound = 1 << 16
     monkeypatch.setattr(_pure, "_VECTOR_BITS", bound)
     built = {}
@@ -423,7 +450,15 @@ def test_monomial_vectors_stay_bounded_per_field(monkeypatch):
         lanes = _pure._lanes(spec)
         held = sum([plane.bit_length() for vec in lanes.vectors.values()
                     for plane in vec])
-        assert 0 < held <= lanes.held <= bound
+        # every bit held is counted once: a projective vector that is the
+        # affine one is not stored again
+        assert 0 < held == lanes.held <= bound
+        # each query is one projective block, whose vectors are built last
+        # and held under the same bound
+        projective = sum([plane.bit_length()
+                          for (_, _, proj), vec in lanes.vectors.items()
+                          if proj for plane in vec])
+        assert 0 < projective <= held
     # the bound was passed, so some caches were emptied on the way
     assert max(built.values()) > bound
     info = _pure._lanes.cache_info()
@@ -431,30 +466,42 @@ def test_monomial_vectors_stay_bounded_per_field(monkeypatch):
 
 
 def test_generators_are_split_once_per_query(monkeypatch):
-    """A count and a point search read a query's generators once (_rows),
-    whatever its number of strata, and derive each stratum from those
-    rows."""
-    reads = []
-    rows = motivic.count._rows
+    """A count and a point search read a query's generators once (_rows)
+    and split them once (_pure._split), whatever its number of strata, and
+    derive each stratum from that split."""
+    reads, splits = [], []
+    rows, split = motivic.count._rows, _pure._split
 
     def reading(polys):
         reads.append(len(polys))
         return rows(polys)
 
+    def splitting(rows, plan):
+        splits.append(len(plan.strata))
+        return split(rows, plan)
+
     monkeypatch.setattr(motivic.count, "_rows", reading)
+    monkeypatch.setattr(_pure, "_split", splitting)
     f = parse_poly("x0*x1 - x2*x3", F5, 4)
     h = parse_poly("x0^2 + x1*x3 + x2^2", F5, 4)
     big = prime_field(1031)
-    # four lead strata, and past the table limit two, x0 = 1 and x3 = 1
+    # four lead strata in one projective block (a count) or walked one by
+    # one (a search); past the table limit two, x0 = 1 and x3 = 1; over
+    # F11 in P^4 16105 candidates, the strata x0 = 1 (under a prefix) and
+    # x1 = 1 each an affine block and the rest one projective block
     for query in (CountQuery(F5, 3, [f, h]), CountQuery.union(F5, 3, [f, h]),
                   _q(["x0^2 - x3^2", "x0^3 - x0*x3^2"], big, 3,
-                     ((1, "zero"), (2, "zero")))):
+                     ((1, "zero"), (2, "zero"))),
+                  _q(["x0*x1 - x2*x3 + x4^2", "x1 - x4"], F11, 4)):
         reads.clear()
-        expected = len(reference_walk(query)[0])
-        assert count_points(query) == expected
-        assert len(list(enumerate_points(query))) == expected
-        assert reads == [len(query._kernel_polys()[0]),
-                         len(query._kernel_polys()[0])]
+        splits.clear()
+        expected = reference_walk(query)[0]
+        assert count_points(query) == len(expected)
+        assert len(list(enumerate_points(query))) == len(expected)
+        assert motivic.count._first_point(query) == expected[0][1]
+        polys = len(query._kernel_polys()[0])
+        assert reads == [polys] * 3
+        assert len(splits) == 3 and splits[1] == splits[2] > 1
 
 
 def _binary_forms(spec, degree, up_to_scalar):
@@ -470,15 +517,14 @@ def _binary_forms(spec, degree, up_to_scalar):
 
 @pytest.mark.parametrize("spec", [F3, F5, F7, F9, F27], ids=str)
 def test_closed_form_roots_cover_every_binary_form(spec):
-    """The pure kernel solves fibres of degree 1 and 2 in closed form.  In
-    P^1 the stratum x0 = 1 has x1 as its one free coordinate, so a binary
-    form's coefficients reach the solver as the fibre's, and the stratum
-    x0 = 0 has none.  Each form is counted plain, in a union with x0 - x1
-    and off x1 = 0.  Over F27, where 2 = -1 and 4 = 1, the quadratics are
-    taken up to a nonzero scalar (757 of 19682): a*x0^2 + b*x0*x1 + c*x1^2
-    with a = 1 still reaches every inverse 1/(2c) and every discriminant
-    b^2 - 4c the solver reads, and each of the 20 thousand would cost as
-    much to enumerate."""
+    """Every binary form of degree 1 and 2 is counted against the
+    brute-force walk: plain, in a union with x0 - x1 and off x1 = 0.  In
+    P^1 a count is one projective block, the q lanes of the stratum x0 = 1
+    and the one lane of (0 : 1), so every form checks the lanes a root
+    can take, the point at infinity among them.  Over F27 the quadratics
+    are taken up to a nonzero scalar (757 of 19682), which keeps their
+    points, so every zero set is still met; each of the 20 thousand would
+    cost as much to enumerate."""
     other = parse_poly("x0 - x1", spec, 2)
     for degree in (1, 2):
         up_to_scalar = degree == 2 and spec is F27
@@ -774,9 +820,12 @@ def test_lane_geometries_match_reference_walk():
                                                               960)])
     assert len(lines961.terms) == 5
     # P^8(F3): the stratum x0 = 1 has 3^8 = 6561 candidates, so its block is
-    # the last 7 coordinates and x1 runs as the prefix
-    assert _pure._block_size(3, [0] * 8) == 7
+    # the last 7 coordinates and x1 runs as the prefix; x1 = 1 takes the
+    # same block with no prefix, and the strata led by x2 to x8 hold 1093
+    # candidates, one projective block over those 7 coordinates
     big = _dense_form(F3, 8, 2, 3)
+    plan = _pure._plan(3, 8, (), _pure._BLOCK_LANES)
+    assert (plan.t, plan.z, plan.block) == (2, 2, (0,) * 7)
     for query in (CountQuery(F3, 4, [quartic]),
                   CountQuery.union(F3, 4, [quartic, line]),
                   CountQuery(F3, 4, [quartic], ((0, "nonzero"),)),
@@ -844,3 +893,90 @@ def test_zero_lanes_are_exact_at_the_largest_sums(monkeypatch, spec):
     got = [zeros >> (i + 1) * width - 1 & 1 for i in range(nlanes)]
     assert got == [int(s == 0) for s in sums]
     assert 0 < sum(got) < nlanes
+
+
+@pytest.mark.parametrize("spec, n", [(F5, 3), (F9, 2), (F1031, 1), (F7, 0)],
+                         ids=str)
+def test_every_chart_pattern_matches_reference_walk(spec, n):
+    """Counts and point lists against the brute-force walk under every
+    chart pattern, each coordinate free, zero or nonzero: the pattern
+    decides where the projective block of a count ends (at the first
+    nonzero coordinate) and which coordinates it drops (the zero ones)."""
+    quadric = _dense_form(spec, n, 2, 1)
+    line = _dense_form(spec, n, 1, 2)
+    cubic = _dense_form(spec, n, 3, 3)
+    for pattern in product((None, "zero", "nonzero"), repeat=n + 1):
+        chart = [(i, kind) for i, kind in enumerate(pattern) if kind]
+        for query in (CountQuery(spec, n, [quadric, cubic], chart),
+                      CountQuery.union(spec, n, [quadric, line], chart),
+                      CountQuery(spec, n, [], chart)):
+            points = reference_points(query)
+            assert count_points(query, budget=2 * 10**9) == len(points), \
+                query
+            assert list(enumerate_points(query, 2 * 10**9)) == points, query
+
+
+@st.composite
+def _reduced_query(draw):
+    """(query, lift, raises): a query of one or two forms of degree 1 to 3,
+    or a union of two, and how to raise its exponents (_raised): by lift =
+    J * (q - 1) with J up to 10^12 / (q - 1), each term's in one
+    coordinate where it is positive, or split in two terms whose
+    coefficients add up to its own and are raised in different coordinates,
+    which reduce to one monomial again.  Each raise is (exps, part, i)."""
+    spec = draw(st.sampled_from([F5, F7, F13, F9, F25, F27, F1031]))
+    q = spec.order
+    n = draw(st.integers(0, 1 if q > 100 else 2))
+    chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
+             for i in range(n + 1) if draw(st.booleans())]
+    nonzero = st.integers(1, q - 1).map(spec.from_index)
+    forms = [_draw_form(draw, spec, n, draw(st.integers(1, 3)))
+             for _ in range(draw(st.integers(1, 2)))]
+    raises = []
+    for f in forms:
+        raised = []
+        for exps, c in f.terms.items():
+            parts = [c]
+            if sum(e > 0 for e in exps) > 1 and draw(st.booleans()):
+                first = draw(nonzero)
+                parts = [first, c - first]
+            for part in parts:
+                raised.append((exps, part, draw(st.sampled_from(
+                    [i for i, e in enumerate(exps) if e]))))
+        raises.append(raised)
+    lift = (q - 1) * draw(st.integers(1, 10**12 // (q - 1)))
+    if len(forms) == 2 and draw(st.booleans()):
+        return CountQuery.union(spec, n, forms, chart), lift, raises
+    return CountQuery(spec, n, forms, chart), lift, raises
+
+
+def _raised(query, lift, raises):
+    """The query with its exponents raised as _reduced_query drew."""
+    spec, polys = query.spec, query._kernel_polys()[0]
+    forms = []
+    for f, raised in zip(polys, raises):
+        terms = {}
+        for exps, part, i in raised:
+            up = exps[:i] + (exps[i] + lift,) + exps[i + 1:]
+            terms[up] = terms.get(up, spec.zero) + part
+        forms.append(HomogPoly(spec, query.n + 1, f.degree + lift, terms))
+    if query.factors is None:
+        return CountQuery(spec, query.n, forms, query.chart)
+    return CountQuery.union(spec, query.n, forms, query.chart)
+
+
+@given(_reduced_query())
+@settings(max_examples=60, deadline=None)
+def test_exponents_are_reduced_once_per_query(drawn):
+    """A form with exponents up to about 10^12 counts and lists the points
+    of the form its exponents reduce to (x^q = x on F_q points) and of the
+    brute-force walk, in about the time of the reduced form.  Only the
+    reduced query is printed on a failure: the text of a raised form
+    would take a name for every power up to its degree."""
+    reduced = drawn[0]
+    query = _raised(*drawn)
+    assert all(max(map(max, g.terms)) >= query.spec.order
+               for g in query._kernel_polys()[0])
+    points = reference_points(query)
+    assert count_points(query) == count_points(reduced) == len(points)
+    assert list(enumerate_points(query)) == points
