@@ -220,7 +220,7 @@ def _rows(polys):
     out = []
     for g in polys:
         top = g.spec.order - 1
-        rows = [(c.value, exps) for exps, c in g.terms.items()]
+        rows = list(zip(g.coeffs.values(), g.coeffs))
         if g.degree > top:
             rows = [(v, tuple([(e - 1) % top + 1 if e else 0 for e in exps]))
                     for v, exps in rows]
@@ -314,7 +314,7 @@ def _points(query: CountQuery, budget: int):
                 yield start + low.bit_length() // width - 1
                 bits ^= low
     else:
-        mul, add, _ = _pure._arith(spec)
+        mul, add = spec._mul, spec._add
         test = any if union else all
         fibres = (_pure._fold(spec, gens, plan, i)
                   for i in range(len(strata)))

@@ -39,7 +39,9 @@ the last coordinate alone as its block, one fibre at a time.  Past the
 table limit, _fold yields per prefix each generator's coefficients in the
 last coordinate; count_direct counts their common roots as
 deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 14).
+Computer Algebra, ch. 14).  Values combine through the spec's value
+operations (motivic.fields) everywhere but in the lanes and in _fold's
+F_p branch, which sum residues unreduced and reduce once per result.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def _fold(spec, gens, plan, i):
     coefficient; over F_{p^m} the values combine through the spec's _mul,
     _add and _pow.  A stratum with no prefix coordinate is one prefix."""
     q, starts, prefix = spec.order, plan.starts, plan.strata[i][1]
-    mul, add, power = _arith(spec)
+    mul, add, power = spec._mul, spec._add, spec._pow
     prime = spec.kind == "Fp"
     # the lead's factor, the first when low == i, is 1
     live = [([(v, factors[1:] if low == i else factors, slot)
@@ -193,16 +195,6 @@ def _fold(spec, gens, plan, i):
         yield pre, lists
 
 
-def _arith(spec):
-    """(mul, add, power) on the values of a finite field: ints mod p over
-    F_p, the spec's _mul, _add and _pow over F_{p^m}."""
-    if spec.kind != "Fp":
-        return spec._mul, spec._add, spec._pow
-    p = spec.p
-    return (lambda a, b: a * b % p, lambda a, b: (a + b) % p,
-            lambda a, e: pow(a, e, p))
-
-
 class _Lanes:
     """The lane arithmetic of one field with q <= _TABLE_LIMIT.
 
@@ -223,7 +215,7 @@ class _Lanes:
         self.chunk = ((1 << 2 * b + 3) - p) // (p - 1) ** 2
         self.shift = 3 * b + 3
         self.magic = -(-(1 << self.shift) // p)
-        self.power = _arith(spec)[2]
+        self.power = spec._pow
         self.unit = (1,) + (0,) * (m - 1)
         self.vectors = {}
         self.held = 0

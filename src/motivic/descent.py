@@ -145,10 +145,10 @@ def _validated_ext_forms(forms, spec=None):
     for h in forms:
         if h.spec != spec or h.nvars != nvars:
             raise ValueError("forms live in different spaces")
-        if h.degree != 1:
-            raise ValueError("expected a linear form, got degree %d" % h.degree)
         if h.is_zero():
             raise ValueError("zero form")
+        if h.degree != 1:
+            raise ValueError("expected a linear form, got degree %d" % h.degree)
     return forms
 
 
@@ -358,13 +358,9 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
         raise ValueError("need d <= n hyperplanes in P^n, got d = %d" % d)
 
     product = HomogPoly.product(forms).monic()
-    fixed_terms = {}
-    for exps, c in product.sorted_terms():
-        v = ctx.in_base(c)
-        if v is None:
-            raise ValueError("product not Frobenius-fixed")
-        fixed_terms[exps] = v
-    f_base = HomogPoly(ctx.base, nvars, d, fixed_terms)
+    if any(v >= ctx.base.p for v in product.coeffs.values()):
+        raise ValueError("product not Frobenius-fixed")
+    f_base = HomogPoly(ctx.base, nvars, d, product.coeffs)
 
     steps = [TraceStep(
         "scalar-normalize",

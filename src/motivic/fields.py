@@ -36,12 +36,14 @@ constants from the same log and exp.  Larger extension fields keep the
 same indices: they add and negate digit by digit, and multiply and invert
 with the schoolbook product on the decoded digits.
 
-A spec's value operations (_add, _mul, _neg, _inv, the row operations
-_scale and _axpy, _encode, the index of a list of digits, and _str, the
-text of a value) act on values rather than elements.  They are the one
-place that knows how the values of each field combine and print:
-motivic.linalg, motivic.poly and motivic.parse run one path on plain values
-for every field and build elements only at their edges.
+A spec's value operations (_add, _mul, _pow, _neg, _inv, the row
+operations _scale and _axpy, _value, the value of anything elem accepts,
+_encode, the index of a list of digits, and _str, the text of a value) act
+on values rather than elements, and each serves every field.  They are the
+one place that knows how the values of each field combine and print:
+FieldElem's operators, motivic.linalg, the forms of motivic.poly, the
+parser and the counting kernel run one path on plain values for every
+field and build elements only at their edges.
 
 A fraction a/b is an element of the prime field, over F_{p^m} as over F_p,
 and one whose reduced denominator p divides is an error.
@@ -50,6 +52,7 @@ and one whose reduced denominator p divides is an error.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 # Extension fields up to this order get index tables; motivic.count
@@ -205,7 +208,7 @@ class FieldSpec:
     """
 
     __slots__ = ("kind", "p", "m", "modulus", "order", "_tpowers",
-                 "zero", "one", "_tables")
+                 "zero", "one", "_tables", "_add", "_mul", "_pow")
 
     def __init__(self, kind, p=0, m=1, modulus=None):
         self.kind = kind  # "Q" | "Fp" | "Fpm"
@@ -236,6 +239,17 @@ class FieldSpec:
         self.zero = FieldElem(self, zero)
         self.one = FieldElem(self, one)
         self._tables = None
+        # _add, _mul and _pow on values, a^e for e >= 0 with 0^0 = 1, bound
+        # once for the field's kind
+        if kind == "Fp":
+            self._add = lambda a, b: (a + b) % p
+            self._mul = lambda a, b: a * b % p
+            self._pow = lambda a, e: pow(a, e, p)
+        elif kind == "Q":
+            self._add, self._mul, self._pow = operator.add, operator.mul, pow
+        else:
+            self._add, self._mul, self._pow = (
+                self._ext_add, self._ext_mul, self._ext_pow)
 
     def _index_tables(self):
         """(log, exp, zech, neg) of F_{p^m}, built once, for q <= _TABLE_LIMIT.
@@ -288,11 +302,10 @@ class FieldSpec:
 
     # -- arithmetic on values ----------------------------------------------
     # A value is the residue or index of a finite-field element, the
-    # Fraction of a rational.  _add, _mul and _pow serve F_{p^m}, where
-    # Python's + and * on values are not the field's; _neg, _inv, _str and
-    # the row operations _scale and _axpy serve every field.
+    # Fraction of a rational.  Every operation below, and _add, _mul and
+    # _pow (bound in __init__), serves every field.
 
-    def _add(self, a, b):
+    def _ext_add(self, a, b):
         if not a:
             return b
         if not b:
@@ -314,7 +327,7 @@ class FieldSpec:
             return _neg_digitwise(self.p, a)
         return (self._tables or self._index_tables())[3][a]
 
-    def _mul(self, a, b):
+    def _ext_mul(self, a, b):
         if not a or not b:
             return 0
         if self.order > _TABLE_LIMIT:
@@ -323,8 +336,7 @@ class FieldSpec:
         log, exp = (self._tables or self._index_tables())[:2]
         return exp[log[a] + log[b]]
 
-    def _pow(self, a, e):
-        """a^e for e >= 0, with 0^0 = 1."""
+    def _ext_pow(self, a, e):
         if not e:
             return 1
         if not a:
@@ -435,23 +447,28 @@ class FieldSpec:
     def elem(self, x) -> "FieldElem":
         if type(x) is FieldElem and x.spec is self:
             return x
+        return FieldElem(self, self._value(x))
+
+    def _value(self, x):
+        """The value of what elem accepts: an element of this field, an int,
+        a Fraction, or over F_{p^m} a tuple of at most m integer digits."""
         if isinstance(x, FieldElem):
             if x.spec is not self:
                 raise ValueError("element of %s used where %s expected" % (x.spec, self))
-            return x
+            return x.value
         if self.kind == "Q":
-            return FieldElem(self, Fraction(x))
+            return Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ValueError("denominator divisible by %d" % self.p)
-            v = x.numerator * pow(x.denominator, self.p - 2, self.p)
-            return FieldElem(self, v % self.p)
+            p = self.p
+            return x.numerator * pow(x.denominator, p - 2, p) % p
         if self.kind == "Fp" or isinstance(x, int):
-            return FieldElem(self, int(x) % self.p)
+            return int(x) % self.p
         coeffs = [int(c) for c in x]
         if len(coeffs) > self.m:
             raise ValueError("coefficient tuple longer than extension degree")
-        return FieldElem(self, self._encode(coeffs))
+        return self._encode(coeffs)
 
     def gen(self) -> "FieldElem":
         """The residue class of t (extensions only)."""
@@ -557,8 +574,8 @@ class FieldElem:
         return NotImplemented
 
     # The ring operations take two elements of one spec object, the bulk of
-    # all calls, without coercion; over F_p they work on the residues
-    # alone, over F_{p^m} through the spec's value arithmetic.
+    # all calls, without coercion, and combine their values through the
+    # spec's value arithmetic.
 
     def __add__(self, other):
         s = self.spec
@@ -566,11 +583,6 @@ class FieldElem:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        kind = s.kind
-        if kind == "Fp":
-            return FieldElem(s, (self.value + other.value) % s.p)
-        if kind == "Q":
-            return FieldElem(s, self.value + other.value)
         return FieldElem(s, s._add(self.value, other.value))
 
     __radd__ = __add__
@@ -585,11 +597,6 @@ class FieldElem:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        kind = s.kind
-        if kind == "Fp":
-            return FieldElem(s, (self.value - other.value) % s.p)
-        if kind == "Q":
-            return FieldElem(s, self.value - other.value)
         return FieldElem(s, s._add(self.value, s._neg(other.value)))
 
     def __rsub__(self, other):
@@ -604,11 +611,6 @@ class FieldElem:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        kind = s.kind
-        if kind == "Fp":
-            return FieldElem(s, (self.value * other.value) % s.p)
-        if kind == "Q":
-            return FieldElem(s, self.value * other.value)
         return FieldElem(s, s._mul(self.value, other.value))
 
     __rmul__ = __mul__
@@ -635,11 +637,6 @@ class FieldElem:
         if e < 0:
             return self.inverse() ** (-e)
         s = self.spec
-        kind = s.kind
-        if kind == "Fp":
-            return FieldElem(s, pow(self.value, e, s.p))
-        if kind == "Q":
-            return FieldElem(s, self.value**e)
         return FieldElem(s, s._pow(self.value, e))
 
     def __eq__(self, other):

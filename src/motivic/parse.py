@@ -14,8 +14,9 @@ _Reader walks the token list by index.  Coefficients are read as plain
 values of the field (see motivic.fields): ints over F_p, reduced once per
 monomial, ints and Fractions over Q, indices over F_{p^m}, where the digits
 of a parenthesized t-literal are summed and encoded straight to an index by
-FieldSpec._encode.  Repeated monomials are summed on values, and a
-polynomial holds one FieldElem per surviving term, built at the end.
+FieldSpec._encode.  Repeated monomials are summed on values, and the
+polynomial keeps the values of the surviving terms as they are:
+parse_poly builds no FieldElem.
 parse_scalar and parse_point read their literals with the same _Reader.
 Token positions are only needed by error messages, which find them again.
 """
@@ -102,7 +103,7 @@ class _Reader:
             den, i = self.number(i + 2)
             if den == 0:
                 raise ParseError("zero denominator in %r" % self.src)
-            return spec.elem(Fraction(num, den)).value, i
+            return spec._value(Fraction(num, den)), i
         if tok == "(" or tok == "t":
             if spec.kind != "Fpm":
                 raise ParseError(
@@ -247,8 +248,7 @@ def parse_poly(src: str, spec: FieldSpec, nvars: int) -> HomogPoly:
         if tok != "+" and tok != "-":
             raise ParseError("expected + or - before %r at position %d in %r"
                              % (tok, r.where(i), src))
-    terms = {e: FieldElem(spec, v)
-             for e, v in zip(sums, map(r.finish, sums.values())) if v}
+    terms = {e: v for e, v in zip(sums, map(r.finish, sums.values())) if v}
     if not terms:
         return HomogPoly.zero(spec, nvars, 0)
     degrees = set(map(sum, terms))

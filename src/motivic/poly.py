@@ -1,20 +1,23 @@
 """Sparse homogeneous polynomials over the package's fields.
 
-A HomogPoly is a dict from exponent tuples to nonzero coefficients, tagged
-with its field, variable count, and degree.  The zero polynomial keeps an
-explicit degree so that arithmetic stays well-typed.  Term order everywhere is
-graded lexicographic, which for a fixed degree is plain lexicographic on
-exponent tuples, largest first; that order fixes the leading coefficient, the
-printed form, and every deterministic tie-break downstream.
+A HomogPoly is a dict from exponent tuples to the nonzero values of its
+coefficients (see motivic.fields), tagged with its field, variable count,
+and degree; every operation combines the values through the field's value
+arithmetic.  A FieldElem is built only by the accessors that hand one out:
+terms, sorted_terms, coefficient_of, leading_coefficient and evaluate.  The
+zero polynomial keeps an explicit degree so that arithmetic stays
+well-typed.  Term order everywhere is graded lexicographic, which for a
+fixed degree is plain lexicographic on exponent tuples, largest first; that
+order fixes the leading coefficient, the printed form, and every
+deterministic tie-break downstream.
 
 Every product of forms (*, power, HomogPoly.product and the row powers of
 linear_substitute) takes one packed path, _Packing: exponent tuples become
-integer codes whose sums are the codes of product monomials, coefficients
-are plain values of the field (see motivic.fields), and the result becomes
-a HomogPoly once, at the end.  HomogPoly.product_text prints a product
-straight from its codes, without that HomogPoly: one pass over the codes in
-descending order prints each monomial, decoding each distinct half of a
-code once.  Over a finite field every coefficient prints from a list of
+integer codes whose sums are the codes of product monomials, and the
+result becomes a HomogPoly once, at the end.  HomogPoly.product_text
+prints a product straight from its codes, without that HomogPoly: one pass
+over the codes in descending order prints each monomial, decoding each
+distinct half of a code once.  Over a finite field every coefficient prints from a list of
 coefficient texts kept per field (_prefixes); over Q the printer puts each
 term's sign between the terms.  A form keeps its text once it is printed.
 """
@@ -22,7 +25,7 @@ term's sign between the terms.  A form keeps its text once it is printed.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import getitem, itemgetter, mul
+from operator import getitem, mul
 
 from .fields import _TABLE_LIMIT, FieldElem, FieldSpec
 from .linalg import Matrix
@@ -37,8 +40,8 @@ def _validated_terms(spec, nvars, degree, terms):
             raise ValueError(
                 "term %r has degree %d, expected %d" % (exps, sum(exps), degree)
             )
-        c = spec.elem(coeff)
-        if not c.is_zero():
+        c = spec._value(coeff)
+        if c:
             out[exps] = c
     return out
 
@@ -53,11 +56,10 @@ class _Packing:
     monomial is the sum of the codes of its factors, and every product of
     forms is a convolution of packed dicts.  Codes of one degree order like
     their exponent tuples, so descending codes are the canonical term order.
-    Coefficients are values of the field: over F_p residues, summed
+    Coefficients are the forms' own values: over F_p residues, summed
     unreduced and reduced mod p once per product, over Q Fractions, over
     F_{p^m} indices combined by the spec's _add and _mul.  unpack turns the
-    final dict back into a HomogPoly, the one place that builds FieldElems,
-    and text prints it.
+    final dict back into a HomogPoly, and text prints it.
     """
 
     __slots__ = ("spec", "nvars", "base", "weights", "p", "one", "_convolve")
@@ -74,7 +76,7 @@ class _Packing:
 
     def pack(self, f) -> dict:
         w = self.weights
-        return {sum(map(mul, e, w)): c.value for e, c in f.terms.items()}
+        return {sum(map(mul, e, w)): c for e, c in f.coeffs.items()}
 
     def pack_linear(self, row) -> dict:
         """The linear form sum(row[j] * x_j)."""
@@ -103,8 +105,8 @@ class _Packing:
                 acc[k] = add(get(k, 0), times(v1, v2))
 
     def add_product(self, acc, a, b, c):
-        """acc += c * a * b for a nonzero FieldElem c, unreduced over F_p."""
-        self._convolve(acc, zip(a, self.spec._scale(c.value, a.values())), b)
+        """acc += c * a * b for a nonzero value c, unreduced over F_p."""
+        self._convolve(acc, zip(a, self.spec._scale(c, a.values())), b)
 
     def reduce(self, acc) -> dict:
         """acc without zero coefficients, residues reduced mod p."""
@@ -154,22 +156,21 @@ class _Packing:
         return out
 
     def unpack(self, packed, degree) -> "HomogPoly":
-        spec = self.spec
-        terms = {e: FieldElem(spec, c)
-                 for e, c in zip(self._exponents(packed), packed.values())}
-        return HomogPoly._from_terms(spec, self.nvars, degree, terms)
+        return HomogPoly._from_terms(
+            self.spec, self.nvars, degree,
+            dict(zip(self._exponents(packed), packed.values())))
 
-    def text(self, packed, degree) -> str:
-        """str(self.unpack(packed, degree)), printed from the codes."""
+    def text(self, packed) -> str:
+        """str() of the unpacked form, printed from the codes."""
         codes = sorted(packed, reverse=True)
-        return _join_terms(zip(self._monomials(codes, degree),
+        return _join_terms(zip(self._monomials(codes),
                                map(packed.__getitem__, codes)), self.spec)
 
-    def _monomials(self, codes, degree):
+    def _monomials(self, codes):
         """The monomial text of each code, in one pass: each distinct half
         of a code (see _exponents) is printed once per call."""
         nvars, base = self.nvars, self.base
-        names = _power_names(nvars, degree)
+        names = _power_names(nvars)
         nlow = nvars // 2
         nhigh = nvars - nlow
         split = base**nlow
@@ -200,14 +201,15 @@ class HomogPoly:
     """A homogeneous form; see the module docstring for the representation.
 
     The constructor validates its input: exponent tuples of the right length
-    and degree, coefficients coerced into the field, zeros dropped.  Ring
-    operations on valid polynomials give valid results by construction, so
-    they build those through _from_terms, which stores the dict it is given.
+    and degree, coefficients coerced to values of the field (anything
+    FieldSpec.elem accepts), zeros dropped.  Ring operations on valid
+    polynomials give valid results by construction, so they build those
+    through _from_terms, which stores the dict of values it is given.
     A form is never changed once built, so str() fills the _text slot the
     first time it prints the form and returns that text from then on.
     """
 
-    __slots__ = ("spec", "nvars", "degree", "terms", "_text")
+    __slots__ = ("spec", "nvars", "degree", "coeffs", "_text")
 
     def __init__(self, spec: FieldSpec, nvars: int, degree: int, terms):
         if nvars < 1:
@@ -217,17 +219,17 @@ class HomogPoly:
         self.spec = spec
         self.nvars = nvars
         self.degree = degree
-        self.terms = _validated_terms(spec, nvars, degree, terms)
+        self.coeffs = _validated_terms(spec, nvars, degree, terms)
 
     @classmethod
-    def _from_terms(cls, spec, nvars, degree, terms) -> "HomogPoly":
-        """No checks: terms maps exponent tuples of length nvars and sum
-        degree to nonzero elements of spec, and becomes the result's own."""
+    def _from_terms(cls, spec, nvars, degree, coeffs) -> "HomogPoly":
+        """No checks: coeffs maps exponent tuples of length nvars and sum
+        degree to nonzero values of spec, and becomes the result's own."""
         f = object.__new__(cls)
         f.spec = spec
         f.nvars = nvars
         f.degree = degree
-        f.terms = terms
+        f.coeffs = coeffs
         return f
 
     @classmethod
@@ -240,31 +242,39 @@ class HomogPoly:
         return cls(spec, nvars, 1, {exps: 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as FieldElems, built on each call."""
+        return {e: FieldElem(self.spec, v) for e, v in self.coeffs.items()}
 
     def sorted_terms(self):
         """Terms in canonical order (graded-lex, leading term first)."""
-        return sorted(self.terms.items(), key=itemgetter(0), reverse=True)
+        spec = self.spec
+        return [(e, FieldElem(spec, v))
+                for e, v in sorted(self.coeffs.items(), reverse=True)]
 
-    def leading_coefficient(self) -> FieldElem:
+    def _lead(self):
+        """The value of the leading coefficient."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.sorted_terms()[0][1]
+        return self.coeffs[max(self.coeffs)]
+
+    def leading_coefficient(self) -> FieldElem:
+        return FieldElem(self.spec, self._lead())
 
     def monic(self) -> "HomogPoly":
-        return self.scale(self.leading_coefficient().inverse())
+        return self._scaled(self.spec._inv(self._lead()))
 
     def coefficient_of(self, exps) -> FieldElem:
-        return self.terms.get(tuple(exps), self.spec.zero)
+        v = self.coeffs.get(tuple(exps))
+        return self.spec.zero if v is None else FieldElem(self.spec, v)
 
     def canonical_key(self):
         """Hashable structural identity (field, shape, ordered terms)."""
-        return (
-            self.spec,
-            self.nvars,
-            self.degree,
-            tuple((e, c.value) for e, c in self.sorted_terms()),
-        )
+        return (self.spec, self.nvars, self.degree,
+                tuple(sorted(self.coeffs.items(), reverse=True)))
 
     def __eq__(self, other):
         return (
@@ -272,7 +282,7 @@ class HomogPoly:
             and self.spec == other.spec
             and self.nvars == other.nvars
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
@@ -289,41 +299,38 @@ class HomogPoly:
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError("degree mismatch in sum of forms")
         degree = other.degree if self.is_zero() else self.degree
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = terms.get(e)
+        add = self.spec._add
+        coeffs = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            prev = coeffs.get(e)
             if prev is None:
-                terms[e] = c
+                coeffs[e] = c
                 continue
-            acc = prev + c
-            if acc.is_zero():
-                del terms[e]
+            acc = add(prev, c)
+            if acc:
+                coeffs[e] = acc
             else:
-                terms[e] = acc
-        return HomogPoly._from_terms(self.spec, self.nvars, degree, terms)
+                del coeffs[e]
+        return HomogPoly._from_terms(self.spec, self.nvars, degree, coeffs)
 
     def __neg__(self) -> "HomogPoly":
-        return HomogPoly._from_terms(
-            self.spec,
-            self.nvars,
-            self.degree,
-            {e: -c for e, c in self.terms.items()},
-        )
+        return self._scaled(self.spec._neg(self.spec.one.value))
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def scale(self, c) -> "HomogPoly":
-        c = self.spec.elem(c)
-        if c.is_zero():
+        c = self.spec._value(c)
+        if not c:
             return HomogPoly.zero(self.spec, self.nvars, self.degree)
-        # a product of two nonzero field elements is nonzero
+        return self._scaled(c)
+
+    def _scaled(self, c) -> "HomogPoly":
+        """The form times a nonzero value c, with no term lost."""
+        coeffs = self.coeffs
         return HomogPoly._from_terms(
-            self.spec,
-            self.nvars,
-            self.degree,
-            {e: v * c for e, v in self.terms.items()},
-        )
+            self.spec, self.nvars, self.degree,
+            dict(zip(coeffs, self.spec._scale(c, coeffs.values()))))
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         return HomogPoly.product((self, other))
@@ -338,7 +345,7 @@ class HomogPoly:
     def product_text(cls, polys) -> str:
         """str(HomogPoly.product(polys)), printed from the packed product."""
         packing, acc, degree = _packed_product(polys)
-        return packing.text(acc, degree)
+        return packing.text(acc)
 
     def power(self, k: int) -> "HomogPoly":
         if k < 0:
@@ -352,15 +359,16 @@ class HomogPoly:
     def evaluate(self, point) -> FieldElem:
         if len(point) != self.nvars:
             raise ValueError("point length != nvars")
-        pt = [self.spec.elem(x) for x in point]
-        acc = self.spec.zero
-        for exps, coeff in self.terms.items():
-            val = coeff
+        spec = self.spec
+        add, mul, power = spec._add, spec._mul, spec._pow
+        pt = [spec._value(x) for x in point]
+        acc = spec.zero.value
+        for exps, val in self.coeffs.items():
             for x, e in zip(pt, exps):
                 if e:
-                    val = val * x**e
-            acc = acc + val
-        return acc
+                    val = mul(val, power(x, e))
+            acc = add(acc, val)
+        return FieldElem(spec, acc)
 
     def linear_substitute(self, M: Matrix) -> "HomogPoly":
         """f(M x): variable x_i becomes the linear form given by row i of M.
@@ -386,7 +394,7 @@ class HomogPoly:
         # products of row powers are shared by the monomials that start
         # alike; the last factor of each monomial goes straight into the sum
         acc = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.coeffs.items():
             factors = tuple((i, e) for i, e in enumerate(exps) if e)
             piece = packing.one
             for n in range(1, len(factors)):
@@ -402,18 +410,19 @@ class HomogPoly:
     def partial_derivative(self, i: int) -> "HomogPoly":
         if not 0 <= i < self.nvars:
             raise ValueError("no such variable")
-        terms = {}
-        for exps, coeff in self.terms.items():
+        spec = self.spec
+        coeffs = {}
+        for exps, coeff in self.coeffs.items():
             e = exps[i]
             if e == 0:
                 continue
             new = list(exps)
             new[i] = e - 1
-            c = coeff * e
-            if not c.is_zero():
-                terms[tuple(new)] = c
-        return HomogPoly._from_terms(self.spec, self.nvars,
-                                     max(self.degree - 1, 0), terms)
+            c = spec._mul(coeff, spec._value(e))
+            if c:
+                coeffs[tuple(new)] = c
+        return HomogPoly._from_terms(spec, self.nvars,
+                                     max(self.degree - 1, 0), coeffs)
 
     def split_by_variable(self, i: int):
         """Write f = sum_k x_i^k * f_k; returns (f_0, ..., f_degree).
@@ -424,7 +433,7 @@ class HomogPoly:
         if not 0 <= i < self.nvars:
             raise ValueError("no such variable")
         buckets = [dict() for _ in range(self.degree + 1)]
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.coeffs.items():
             k = exps[i]
             new = list(exps)
             new[i] = 0
@@ -436,7 +445,7 @@ class HomogPoly:
         ]
 
     def uses_variable(self, i: int) -> bool:
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self.coeffs)
 
     def drop_variable(self, i: int) -> "HomogPoly":
         """Remove an unused variable slot (error if x_i actually occurs)."""
@@ -444,41 +453,42 @@ class HomogPoly:
             raise ValueError("variable x%d occurs; cannot drop" % i)
         if self.nvars < 2:
             raise ValueError("cannot drop the last variable")
-        terms = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()}
+        coeffs = {e[:i] + e[i + 1 :]: c for e, c in self.coeffs.items()}
         return HomogPoly._from_terms(self.spec, self.nvars - 1, self.degree,
-                                     terms)
+                                     coeffs)
 
     def insert_variable(self, i: int) -> "HomogPoly":
         """Add a fresh unused variable slot at position i (others shift up)."""
         if not 0 <= i <= self.nvars:
             raise ValueError("bad position")
-        terms = {e[:i] + (0,) + e[i:]: c for e, c in self.terms.items()}
+        coeffs = {e[:i] + (0,) + e[i:]: c for e, c in self.coeffs.items()}
         return HomogPoly._from_terms(self.spec, self.nvars + 1, self.degree,
-                                     terms)
+                                     coeffs)
 
     def remap_variables(self, mapping, new_nvars: int) -> "HomogPoly":
         """Relabel variables: old index i becomes mapping[i] (injective).
 
         Every variable actually used must be mapped.
         """
-        terms = {}
-        for exps, coeff in self.terms.items():
+        coeffs = {}
+        for exps, coeff in self.coeffs.items():
             new = [0] * new_nvars
             for i, e in enumerate(exps):
                 if e:
                     if i not in mapping:
                         raise ValueError("variable x%d is used but not mapped" % i)
                     new[mapping[i]] = e
-            terms[tuple(new)] = coeff
-        return HomogPoly._from_terms(self.spec, new_nvars, self.degree, terms)
+            coeffs[tuple(new)] = coeff
+        return HomogPoly._from_terms(self.spec, new_nvars, self.degree, coeffs)
 
     def __str__(self):
         try:
             return self._text
         except AttributeError:
             pass
-        names = _power_names(self.nvars, self.degree)
-        terms = [(_monomial(names, e), c.value) for e, c in self.sorted_terms()]
+        names = _power_names(self.nvars)
+        terms = [(_monomial(names, e), c)
+                 for e, c in sorted(self.coeffs.items(), reverse=True)]
         text = self._text = _join_terms(terms, self.spec)
         return text
 
@@ -507,12 +517,22 @@ def _packed_product(polys):
     return packing, acc, degree
 
 
+class _Powers(dict):
+    """powers[e] is the text of x_i^e ("" for e = 0), made on first use, so
+    that a huge exponent costs one text, not one per power below it."""
+
+    def __init__(self, i):
+        super().__init__({0: "", 1: "x%d" % i})
+
+    def __missing__(self, e):
+        text = self[e] = "%s^%d" % (self[1], e)
+        return text
+
+
 @lru_cache(maxsize=64)
-def _power_names(nvars, degree):
-    """names[i][e] is the text of x_i^e, built once per shape of form."""
-    return tuple(("", "x%d" % i) + tuple("x%d^%d" % (i, e)
-                                         for e in range(2, degree + 1))
-                 for i in range(nvars))
+def _power_names(nvars):
+    """names[i][e] is the text of x_i^e, kept per variable count."""
+    return tuple(map(_Powers, range(nvars)))
 
 
 def _monomial(names, exps) -> str:

@@ -47,17 +47,17 @@ class QuadForm:
         if f.degree != 2:
             raise ValueError("not a quadratic form (degree %d)" % f.degree)
         spec = f.spec
-        half = spec.elem(2).inverse()
+        half = spec._inv(spec._value(2))
         n = f.nvars
-        g = [[spec.zero for _ in range(n)] for _ in range(n)]
-        for exps, coeff in f.terms.items():
+        g = [[spec.zero.value] * n for _ in range(n)]
+        for exps, coeff in f.coeffs.items():
             support = [i for i, e in enumerate(exps) if e]
             if len(support) == 1:
                 g[support[0]][support[0]] = coeff
             else:
                 i, j = support
-                g[i][j] = g[j][i] = coeff * half
-        return cls(spec, Matrix(spec, g))
+                g[i][j] = g[j][i] = spec._mul(coeff, half)
+        return cls(spec, Matrix._from_raw(spec, g))
 
     @classmethod
     def diagonal(cls, spec: FieldSpec, entries) -> "QuadForm":
@@ -70,15 +70,15 @@ class QuadForm:
             return self._poly
         terms = {}
         n = self.nvars
-        for i in range(n):
-            c = self.gram.rows[i][i]
-            if not c.is_zero():
-                terms[tuple(2 if k == i else 0 for k in range(n))] = c
+        add = self.spec._add
+        for i, row in enumerate(_raw(self.gram.rows)):
+            if row[i]:
+                terms[tuple(2 if k == i else 0 for k in range(n))] = row[i]
             for j in range(i + 1, n):
-                c = self.gram.rows[i][j]
-                if not c.is_zero():
-                    terms[tuple(1 if k in (i, j) else 0 for k in range(n))] = c + c
-        # in odd characteristic c + c is nonzero
+                if row[j]:
+                    # in odd characteristic c + c is nonzero
+                    exps = tuple(1 if k in (i, j) else 0 for k in range(n))
+                    terms[exps] = add(row[j], row[j])
         self._poly = HomogPoly._from_terms(self.spec, n, 2, terms)
         return self._poly
 
@@ -177,7 +177,7 @@ def hyperbolic_normalize(q: QuadForm, x):
     """
     spec = q.spec
     n = q.nvars
-    x = [spec.elem(v).value for v in x]
+    x = [spec._value(v) for v in x]
     if not any(x):
         raise ValueError("isotropic vector must be nonzero")
     G = _raw(q.gram.rows)
@@ -200,12 +200,12 @@ def hyperbolic_normalize(q: QuadForm, x):
     # w = e_i - (b(e_i, e_i) / (2 b(x, e_i))) x is isotropic with
     # b(w, x) = b(x, e_i), as q(x) = 0; u = w / (2 b(x, e_i)) pairs with x
     # to 1/2: with r = 1 / (2 b(x, e_i)), u = r e_i - G[i][i] r^2 x
-    two = spec.elem(2).value
-    r = spec._inv(spec._scale(two, [gx[i]])[0])
+    two = spec._value(2)
+    r = spec._inv(spec._mul(two, gx[i]))
     gii = G[i][i]
     if gii:
-        u = spec._scale(spec._neg(spec._scale(gii, [r])[0]), spec._scale(r, x))
-        u[i] = spec._axpy([u[i]], spec.one.value, [r])[0]
+        u = spec._scale(spec._neg(spec._mul(gii, r)), spec._scale(r, x))
+        u[i] = spec._add(u[i], r)
     else:
         u = [spec.zero.value] * n
         u[i] = r

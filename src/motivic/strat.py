@@ -70,10 +70,10 @@ def class_of_quadric(f: HomogPoly, height: int = 10,
     isotropic point is charged against budget for the candidates it walks
     (quadform.find_projective_point), so an early point passes any budget.
     """
-    if f.degree != 2:
-        raise ValueError("expected a quadratic form, got degree %d" % f.degree)
     if f.is_zero():
         raise ValueError("zero polynomial")
+    if f.degree != 2:
+        raise ValueError("expected a quadratic form, got degree %d" % f.degree)
     return _quadric_class(QuadForm.from_poly(f), height, budget)
 
 
@@ -203,21 +203,15 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
 
 
 def _normalize_forms(forms):
-    """Scale each linear form so its first nonzero coefficient is 1, dedupe."""
+    """Make each linear form monic, its first nonzero coefficient 1; dedupe."""
     seen = set()
     out = []
     for h in forms:
-        if h.degree != 1:
-            raise ValueError("expected a linear form, got degree %d" % h.degree)
         if h.is_zero():
             raise ValueError("zero form")
-        lead = None
-        for i in range(h.nvars):
-            c = h.coefficient_of(tuple(1 if j == i else 0 for j in range(h.nvars)))
-            if not c.is_zero():
-                lead = c
-                break
-        g = h.scale(lead.inverse())
+        if h.degree != 1:
+            raise ValueError("expected a linear form, got degree %d" % h.degree)
+        g = h.monic()
         key = g.canonical_key()
         if key not in seen:
             seen.add(key)
@@ -455,10 +449,10 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     and the isotropic-point search on V(f2) are charged against budget only
     for the candidates they walk.
     """
-    if f.degree != 3:
-        raise ValueError("expected a cubic, got degree %d" % f.degree)
     if f.is_zero():
         raise ValueError("zero polynomial")
+    if f.degree != 3:
+        raise ValueError("expected a cubic, got degree %d" % f.degree)
     spec = f.spec
     nvars = f.nvars
     n = nvars - 1
@@ -589,10 +583,10 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     if not spec.is_finite:
         raise ValueError("two-quadric unions need a finite field of odd "
                          "characteristic")
-    if f1.degree != 2 or f2.degree != 2:
-        raise ValueError("both inputs must be quadratic forms")
     if f1.is_zero() or f2.is_zero():
         raise ValueError("zero polynomial")
+    if f1.degree != 2 or f2.degree != 2:
+        raise ValueError("both inputs must be quadratic forms")
     if f2.spec != spec or f2.nvars != f1.nvars:
         raise ValueError("forms live in different spaces")
     nvars = f1.nvars

@@ -464,6 +464,16 @@ PINNED_REPORTS = [
        "x0 + (2+2*t)*x1 + (1+t+2*t^2)*x2 + (2+2*t+2*t^2)*x3 "
        "+ (1+2*t+2*t^2)*x4 + (2*t+t^2)*x5"], None, False),
      "76636a631e40b8b420d646ae3d8c8c1a61e4339848706b312e6c9797b13de1a3"),
+    # fields past the table limit, where the value operations take their
+    # digit-wise and schoolbook branches; recorded before forms held values
+    (("class-quadric", "37,2", 3, ["x0^2 + t*x1^2 + x2*x3"], [], None,
+      False),
+     "56231e13c60e711ed99583a17cf77a7ea91a1cfa79d220ff5fd5f29d80f31f5f"),
+    (("class-cone", "37,2", 3, ["x0^2 + (1+t)*x1*x2"], [], None, False),
+     "c36ad60d125bc5199b7a610352da6de3514dbc7078a940dbb11e8874930c23f8"),
+    (("class-arrangement", "1031", 2, [], ["x0 + 5*x1", "x1 - 7*x2"], None,
+      True),
+     "b2318aaeee96852318981b68153aa69964f3f974258b2f2b28b793e7910fcfd3"),
 ]
 
 
@@ -707,6 +717,38 @@ def test_large_exponents_count_without_hanging(field, ambient, poly, count):
     assert out.returncode == 0, out.stderr
     assert "poly: %s\n" % poly in out.stdout
     assert "count: %d\n" % count in out.stdout
+
+
+def test_huge_exponent_prints_without_hanging():
+    """The text of x2^9999999 once came from a table of every power up to
+    the degree, so printing this report hung."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "MOTIVIC_BUDGET"}
+    out = run_python(["-m", "motivic.cli", "class-cone", "--field", "7",
+                      "--ambient", "3", "--poly", "x2^9999999"], env,
+                     timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert "x2^9999999" in out.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["class-quadric", "--field", "3", "--ambient", "2",
+      "--poly", "3*x0^2"], "zero polynomial"),
+    (["class-cubic-singular", "--field", "7", "--ambient", "3",
+      "--poly", "x0^3 - x0^3"], "zero polynomial"),
+    (["class-two-quadrics", "--field", "3", "--ambient", "4",
+      "--poly", "x0*x1", "--poly", "x0^2 - x0^2"], "zero polynomial"),
+    (["class-arrangement", "--field", "5", "--ambient", "2",
+      "--form", "x0", "--form", "x1 - x1"], "zero form"),
+    (["descend", "--field", "3,2", "--ambient", "2",
+      "--form", "x0 + t*x1", "--form", "x1 - x1"], "zero form"),
+], ids=lambda a: a[0] if isinstance(a, list) else None)
+def test_form_that_cancels_is_reported_as_zero(capsys, argv, message):
+    """A text whose terms all cancel parses to the zero form of degree 0;
+    the engines say it is zero rather than that its degree is wrong."""
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_module_entry_point():

@@ -218,7 +218,7 @@ def test_field_tables_match_element_arithmetic(spec):
     """The lane kernel's arithmetic on values agrees with FieldElem
     arithmetic: the fold's mul, add and power, and each constant's matrix
     over F_p acting on the digits of every value."""
-    mul, add, power = _pure._arith(spec)
+    mul, add, power = spec._mul, spec._add, spec._pow
     lanes = _pure._lanes(spec)
     p, m = spec.p, spec.m
     elems = [spec.from_index(i) for i in range(spec.order)]
@@ -858,7 +858,7 @@ def test_zero_lanes_are_exact_at_the_largest_sums(monkeypatch, spec):
     too long fails here over F_p.  The last slot cancels the sum on every
     other lane, so that both zero and nonzero lanes are checked."""
     lanes = _pure._lanes(spec)
-    mul, add, _ = _pure._arith(spec)
+    mul, add = spec._mul, spec._add
     p, q, width = spec.p, spec.order, lanes.width
     top = spec._encode([p - 1] * spec.m)
     nlanes, nslots = 40, 3 * lanes.chunk + 1

@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from motivic.fields import (
     build_extension,
@@ -91,11 +91,19 @@ def test_cross_field_mixing_rejected():
 
 @st.composite
 def _field_and_elems(draw, count):
+    """A field, F_{31^3} past the table limit and Q among them, and count
+    of its elements: over Q fractions with small numerator and
+    denominator."""
     spec = draw(st.sampled_from(
         [prime_field(3), prime_field(7), extension_field(3, 2),
-         extension_field(5, 2)]))
-    xs = [spec.from_index(draw(st.integers(0, spec.order - 1)))
-          for _ in range(count)]
+         extension_field(5, 2), extension_field(31, 3), rationals()]))
+    if spec.is_finite:
+        xs = [spec.from_index(draw(st.integers(0, spec.order - 1)))
+              for _ in range(count)]
+    else:
+        xs = [spec.elem(Fraction(draw(st.integers(-9, 9)),
+                                 draw(st.integers(1, 9))))
+              for _ in range(count)]
     return (spec,) + tuple(xs)
 
 
@@ -120,14 +128,17 @@ def test_inverse_and_pow(data):
             a.inverse()
         return
     assert a * a.inverse() == spec.one
-    assert a ** (spec.order - 1) == spec.one  # Lagrange
+    if spec.is_finite:
+        assert a ** (spec.order - 1) == spec.one  # Lagrange
     assert a ** 0 == spec.one
+    assert a ** -2 == a.inverse() * a.inverse()
 
 
 @given(_field_and_elems(2))
 def test_frobenius_is_additive(data):
     """x -> x^p distributes over sums in characteristic p."""
     spec, a, b = data
+    assume(spec.is_finite)
     p = spec.char
     assert (a + b) ** p == a ** p + b ** p
 
@@ -153,6 +164,27 @@ def test_equal_specs_that_are_distinct_objects_mix():
     assert f.canonical_key() == g.canonical_key()
     assert CountQuery(A, 1, [f]) == CountQuery(B, 1, [g])
     assert hash(CountQuery(A, 1, [f])) == hash(CountQuery(B, 1, [g]))
+
+
+@given(st.data())
+def test_value_operations_match_plain_arithmetic(data):
+    """_add, _mul and _pow of F_p and Q are the arithmetic of residues mod p
+    and of Fractions, as written here."""
+    draw = data.draw
+    p = draw(st.sampled_from([3, 7, 1031]))
+    F = prime_field(p)
+    a, b = (draw(st.integers(0, p - 1)) for _ in range(2))
+    e = draw(st.integers(0, 2 * p))
+    assert F._add(a, b) == (a + b) % p
+    assert F._mul(a, b) == a * b % p
+    assert F._pow(a, e) == pow(a, e, p)
+    Q = rationals()
+    x, y = (Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 20)))
+            for _ in range(2))
+    k = draw(st.integers(0, 5))
+    assert Q._add(x, y) == x + y and type(Q._add(x, y)) is Fraction
+    assert Q._mul(x, y) == x * y and type(Q._mul(x, y)) is Fraction
+    assert Q._pow(x, k) == x**k and type(Q._pow(x, k)) is Fraction
 
 
 def test_zero_and_one_are_shared_constants():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motivic.count import CountQuery
-from motivic.fields import extension_field, prime_field, rationals
+from motivic.count import CountQuery, count_points
+from motivic.fields import FieldElem, extension_field, prime_field, rationals
 from motivic.linalg import Matrix
 from motivic.poly import HomogPoly, _prefixes
 from motivic.parse import parse_poly
@@ -145,11 +145,16 @@ def _form(draw, spec, nvars, degree):
 
 
 def _assert_valid(r):
-    """What the validating constructor would give, with no zero and every
-    coefficient in r's own field."""
-    assert HomogPoly(r.spec, r.nvars, r.degree, dict(r.terms)).terms == r.terms
-    assert all(not c.is_zero() for c in r.terms.values())
-    assert all(c.spec is r.spec for c in r.terms.values())
+    """What the validating constructor would give, with every stored value
+    canonical and nonzero: an int in [1, q) over a finite field, a nonzero
+    Fraction over Q."""
+    built = HomogPoly(r.spec, r.nvars, r.degree, r.terms)
+    assert built.coeffs == r.coeffs
+    for v in r.coeffs.values():
+        if r.spec.is_finite:
+            assert type(v) is int and 1 <= v < r.spec.order
+        else:
+            assert type(v) is Fraction and v
 
 
 @given(st.data())
@@ -186,6 +191,37 @@ def test_ring_results_are_valid_without_validation(data):
         results.extend(p.drop_variable(i) for p in parts)
     for r in results:
         _assert_valid(r)
+
+
+def test_form_path_builds_no_elements(monkeypatch):
+    """Forms hold values: parsing, products, powers, substitution, sums,
+    keys, printing and counting build no FieldElem."""
+    cases = [
+        (prime_field(7), "x0^2 - 2*x1*x2 + 3*x2^2", "x0 + x1 - 3*x2"),
+        (extension_field(3, 2), "x0^2 + t*x1*x2 - (1+t)*x2^2",
+         "x0 + t^2*x1 - x2"),
+        (rationals(), "x0^2 - 2*x1*x2 + 3*x2^2", "x0 + x1 - 3*x2"),
+    ]
+    # matrices hold elements: build them before counting starts
+    matrices = [Matrix(spec, [[1, 2, 0], [0, 1, 1], [1, 0, 2]])
+                for spec, _, _ in cases]
+    built = []
+    init = FieldElem.__init__
+
+    def counted(self, spec, value):
+        built.append(value)
+        init(self, spec, value)
+
+    monkeypatch.setattr(FieldElem, "__init__", counted)
+    for (spec, quadric, linear), M in zip(cases, matrices):
+        f, g = parse_poly(quadric, spec, 3), parse_poly(linear, spec, 3)
+        h, k = f * g, g.power(3)
+        for form in (f, g, h, k, f.linear_substitute(M), h + k, h - k):
+            form.canonical_key()
+            str(form)
+        if spec.is_finite:
+            count_points(CountQuery(spec, 2, [f, g]))
+    assert built == []
 
 
 def _expanded_product(f, g):
@@ -226,8 +262,8 @@ def _chained(factors):
     """f_1 * ... * f_d by term-by-term expansion, one factor at a time."""
     acc = factors[0]
     for g in factors[1:]:
-        acc = HomogPoly._from_terms(acc.spec, acc.nvars, acc.degree + g.degree,
-                                    _expanded_product(acc, g))
+        acc = HomogPoly(acc.spec, acc.nvars, acc.degree + g.degree,
+                        _expanded_product(acc, g))
     return acc
 
 
@@ -423,7 +459,7 @@ def test_linear_substitute_matches_term_by_term(data):
         piece = HomogPoly(spec, ncols, 0, {(0,) * ncols: coeff})
         for i, e in enumerate(exps):
             for _ in range(e):
-                piece = HomogPoly._from_terms(spec, ncols, piece.degree + 1,
-                                              _expanded_product(piece, rows[i]))
+                piece = HomogPoly(spec, ncols, piece.degree + 1,
+                                  _expanded_product(piece, rows[i]))
         expect = expect + piece
     assert f.linear_substitute(M) == expect
