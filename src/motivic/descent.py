@@ -8,12 +8,21 @@ on a chosen basis, an averaging construction trivializes the cocycle
 the trivializing matrix produces base-field coordinates.  The class of
 the union then follows the same cone fibration as a rational arrangement,
 with the essential part kept as a variety atom over the base field.
+
+All of it runs on the value rows of motivic.linalg.  The Frobenius maps
+an index v to ext._pow(v, q^k), and an element lies in the base field
+exactly when its index is below p.  The cocycle comes from one
+elimination, the Hilbert 90 average is one row product, and the
+fixed-point cross-check builds its system from digits.  The hyperplanes
+are rotated by one product of their coefficient rows with the rotation
+matrix, as in strat.class_of_arrangement, and Z is the product of the
+rotated factors.
 """
 
 import random
 
-from .fields import FieldElem, FieldSpec, prime_field
-from .linalg import Matrix, _Echelon, extend_to_basis
+from .fields import FieldSpec, prime_field
+from .linalg import Matrix, _Echelon, _eliminate, _kernel, _product, _rotation
 from .poly import HomogPoly
 from .count import CountQuery
 from .kclass import (
@@ -25,7 +34,8 @@ from .kclass import (
     VarietyAtom,
     projective_space_class,
 )
-from .strat import DefectError, _coeff_rows, _normalize_forms, _staircase
+from .strat import (DefectError, _coeff_rows, _normalize_forms, _row_forms,
+                    _staircase)
 
 
 class GaloisContext:
@@ -49,15 +59,14 @@ class GaloisContext:
         self.ext = ext
         self.m = ext.m
         if self.m > 1:
-            # t generates ext over base, so checking the orbit of t checks
-            # the whole automorphism: order must be exactly m
-            t = ext.gen()
-            cur = t
+            # t, of index p, generates ext over base, so checking the orbit
+            # of t checks the whole automorphism: order must be exactly m
+            t = cur = ext.p
             for k in range(1, self.m):
-                cur = self.frobenius(cur)
+                cur = ext._pow(cur, base.order)
                 if cur == t:
                     raise DefectError("Frobenius order is smaller than m")
-            if self.frobenius(cur) != t:
+            if ext._pow(cur, base.order) != t:
                 raise DefectError("Frobenius does not have order m")
 
     def frobenius(self, a, power: int = 1):
@@ -65,18 +74,12 @@ class GaloisContext:
         return a ** (self.base.order ** (power % self.m))
 
     def frobenius_matrix(self, M: Matrix, power: int = 1) -> Matrix:
-        if power % self.m == 0:
+        k = power % self.m
+        if not k:
             return M
+        pow_, e = self.ext._pow, self.base.order ** k
         return Matrix._from_rows(
-            self.ext,
-            [[self.frobenius(x, power) for x in row] for row in M.rows],
-        )
-
-    def in_base(self, a):
-        """The base-field value of a, or None if a is not Frobenius-fixed."""
-        if a.value >= self.base.p:
-            return None
-        return FieldElem(self.base, a.value)
+            self.ext, [[pow_(v, e) for v in row] for row in M.rows])
 
     def __repr__(self):
         return "GaloisContext(%s over %s)" % (self.ext, self.base)
@@ -153,28 +156,36 @@ def _validated_ext_forms(forms, spec=None):
 
 
 def _chosen_basis(spec, rows):
-    """First linearly independent subset of the rows, in input order."""
+    """First linearly independent subset of the value rows, in input
+    order."""
     span = _Echelon(spec)
-    return Matrix(spec, [list(row) for row in rows if span.add(row)])
+    return Matrix._from_rows(spec,
+                             [list(row) for row in rows if span.add(row)])
 
 
 def _span_cocycle(ctx, forms):
     """(basis matrix T, Cocycle) for the Frobenius action on span(forms),
-    or (T, None) when the span is not Frobenius-stable."""
-    T = _chosen_basis(ctx.ext, _coeff_rows(forms))
-    Tt = T.transpose()
-    n_rows = []
-    for row in T.rows:
-        image = [ctx.frobenius(c) for c in row]
-        x = Tt.solve(image)
-        if x is None:
-            return T, None
-        n_rows.append(list(x))
+    or (T, None) when the span is not Frobenius-stable.
+
+    One elimination of [T^t | s(T)^t] solves T^t x = s(t_i) for every row
+    t_i of T at once.  The r columns of T^t are independent, so they take
+    the first r pivots; a pivot past them is an image outside the span.
+    """
+    ext = ctx.ext
+    T = _chosen_basis(ext, _coeff_rows(forms))
+    r = T.nrows
+    aug = [list(a + b) for a, b in zip(zip(*T.rows),
+                                       zip(*ctx.frobenius_matrix(T).rows))]
+    if len(_eliminate(ext, aug, 2 * r)) > r:
+        return T, None
+    ident = Matrix.identity(ext, r)
     if ctx.m == 1:
-        return T, Cocycle([Matrix.identity(ctx.ext, T.nrows)])
-    # N encodes s(t_i) = sum_j N[i][j] t_j; alpha inverts it
-    alpha = Matrix(ctx.ext, n_rows).inverse()
-    images = [Matrix.identity(ctx.ext, T.nrows)]
+        return T, Cocycle([ident])
+    # N encodes s(t_i) = sum_j N[i][j] t_j, N[i] being column r + i of the
+    # reduced block; alpha inverts it
+    N = [[row[r + i] for row in aug[:r]] for i in range(r)]
+    alpha = Matrix._from_rows(ext, N).inverse()
+    images = [ident]
     for _ in range(1, ctx.m):
         images.append(alpha * ctx.frobenius_matrix(images[-1]))
     return T, Cocycle(images)
@@ -196,32 +207,28 @@ def h90_trivialize(ctx: GaloisContext, cocycle: Cocycle, seed: int = 0) -> Matri
 
     B = sum_i alpha_{s^i} . s^i(C) satisfies the equation for any C; the
     averaging is retried over up to 64 seeded random C until B is
-    invertible.
+    invertible.  The sum is one product: the alphas side by side times
+    the Frobenius images of C stacked.
     """
     if not cocycle.condition_holds(ctx):
         raise ValueError("not a cocycle")
+    ext = ctx.ext
     r = cocycle.size
-    ident = Matrix.identity(ctx.ext, r)
+    ident = Matrix.identity(ext, r)
     if cocycle.is_trivial():
         return ident
+    alphas = [sum(rows, []) for rows in zip(*(M.rows for M in cocycle.images))]
 
     def average(C):
-        rows = [[ctx.ext.zero] * r for _ in range(r)]
-        for i, alpha in enumerate(cocycle.images):
-            term = alpha * ctx.frobenius_matrix(C, i)
-            for a in range(r):
-                for b in range(r):
-                    rows[a][b] = rows[a][b] + term.rows[a][b]
-        return Matrix(ctx.ext, rows)
+        stacked = [row for i in range(ctx.m)
+                   for row in ctx.frobenius_matrix(C, i).rows]
+        return Matrix._from_rows(ext, _product(ext, alphas, stacked))
 
     rng = random.Random(seed)
-    order = ctx.ext.order
+    order = ext.order
     for attempt in range(64):
-        C = ident if attempt == 0 else Matrix(
-            ctx.ext,
-            [[ctx.ext.from_index(rng.randrange(order)) for _ in range(r)]
-             for _ in range(r)],
-        )
+        C = ident if attempt == 0 else Matrix._from_rows(
+            ext, [[rng.randrange(order) for _ in range(r)] for _ in range(r)])
         B = average(C)
         if B.rank() != r:
             continue
@@ -245,39 +252,30 @@ def _fixed_point_subspace(ctx, T, N):
     cols = []
     for i in range(r):
         for k in range(m):
-            # c = t^k e_i, so (s(c) . N)_j = s(t^k) N[i][j]
-            tk = ext.from_index(ext.p**k)
-            stk = ctx.frobenius(tk)
+            # c = t^k e_i, so (s(c) . N)_j = s(t^k) N[i][j]; t^k has index
+            # p^k
+            tk = ext.p**k
+            stk = ext._pow(tk, base.order)
             col = []
-            for j in range(r):
-                acc = stk * N.rows[i][j]
+            for j, v in enumerate(N.rows[i]):
+                acc = ext._mul(stk, v)
                 if j == i:
-                    acc = acc - tk
-                col.extend(ext._digits(acc.value))
+                    acc = ext._add(acc, ext._neg(tk))
+                col.extend(ext._digits(acc))
             cols.append(col)
-    kernel = Matrix.from_columns(base, cols).nullspace()
+    kernel = _kernel(base, [list(row) for row in zip(*cols)], r * m)
     if len(kernel) != r:
         raise DefectError(
             "fixed-point solver found dimension %d, expected %d"
             % (len(kernel), r)
         )
-    rows = []
-    for vec in kernel:
-        c = []
-        for i in range(r):
-            chunk = tuple(vec[i * m + k].value for k in range(m))
-            c.append(ext.elem(chunk if ext.kind == "Fpm" else chunk[0]))
-        row = []
-        for j in range(T.ncols):
-            acc = ext.zero
-            for i in range(r):
-                acc = acc + c[i] * T.rows[i][j]
-            v = ctx.in_base(acc)
-            if v is None:
-                raise DefectError("fixed vector has a coefficient off the base")
-            row.append(v)
-        rows.append(row)
-    return Matrix(base, rows).rref()[0]
+    # a kernel vector holds the digits of c_0, ..., c_(r-1); c . T is fixed
+    c = [[ext._encode(vec[i * m:(i + 1) * m]) for i in range(r)]
+         for vec in kernel]
+    rows = _product(ext, c, T.rows)
+    if any(v >= base.p for row in rows for v in row):
+        raise DefectError("fixed vector has a coefficient off the base")
+    return Matrix._from_rows(base, rows).rref()[0]
 
 
 def _descend_core(ctx, forms, seed):
@@ -286,14 +284,10 @@ def _descend_core(ctx, forms, seed):
     if cocycle is None:
         raise ValueError("unstable: the Frobenius does not preserve the span")
     B = h90_trivialize(ctx, cocycle, seed)
-    twisted = B.inverse() * T
-    rows = []
-    for row in twisted.rows:
-        vals = [ctx.in_base(x) for x in row]
-        if any(v is None for v in vals):
-            raise DefectError("twisted basis is not Frobenius-fixed")
-        rows.append(vals)
-    R = Matrix(ctx.base, rows).rref()[0]
+    twisted = (B.inverse() * T).rows
+    if any(v >= ctx.base.p for row in twisted for v in row):
+        raise DefectError("twisted basis is not Frobenius-fixed")
+    R = Matrix._from_rows(ctx.base, twisted).rref()[0]
 
     if ctx.m == 1:
         N = Matrix.identity(ctx.ext, T.nrows)
@@ -305,19 +299,6 @@ def _descend_core(ctx, forms, seed):
     return T, cocycle, B, R
 
 
-def _rows_to_forms(spec, R):
-    out = []
-    nvars = R.ncols
-    for row in R.rows:
-        terms = {}
-        for i, c in enumerate(row):
-            if not c.is_zero():
-                exps = tuple(1 if j == i else 0 for j in range(nvars))
-                terms[exps] = c
-        out.append(HomogPoly(spec, nvars, 1, terms))
-    return out
-
-
 def descend_subspace(ctx: GaloisContext, forms, seed: int = 0):
     """Base-field basis of span(forms) when the span is Frobenius-stable.
 
@@ -327,7 +308,7 @@ def descend_subspace(ctx: GaloisContext, forms, seed: int = 0):
     """
     forms = _validated_ext_forms(forms, ctx.ext)
     _, _, _, R = _descend_core(ctx, forms, seed)
-    return _rows_to_forms(ctx.base, R)
+    return _row_forms(ctx.base, R.rows)
 
 
 def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
@@ -337,7 +318,10 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
 
     The descended span is rotated onto the first r coordinates over the
     base field, exposing the union as a cone with vertex P^(n-r) over
-    Z = V(product) in P^(r-1).  Z stays a variety atom: its hyperplanes
+    Z = V(product) in P^(r-1).  Each hyperplane is rotated as a row of
+    coefficients over the extension, and Z is the product of the rotated
+    forms; a product of nonzero forms is free of x_i exactly when each
+    factor is.  Z stays a variety atom: its hyperplanes
     are irrational, so inclusion-exclusion over the base does not apply.
     The vertex supplies a rational point, so the count is 1 mod q.
     """
@@ -360,7 +344,8 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
     product = HomogPoly.product(forms).monic()
     if any(v >= ctx.base.p for v in product.coeffs.values()):
         raise ValueError("product not Frobenius-fixed")
-    f_base = HomogPoly(ctx.base, nvars, d, product.coeffs)
+    # nonzero values below p are the base field's own
+    f_base = HomogPoly._from_terms(ctx.base, nvars, d, product.coeffs)
 
     steps = [TraceStep(
         "scalar-normalize",
@@ -388,7 +373,7 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
         None,
         check={"B": repr(B)},
     ))
-    descended = _rows_to_forms(ctx.base, R)
+    descended = _row_forms(ctx.base, R.rows)
     steps.append(TraceStep(
         "subspace-descent",
         "descended basis agrees with the direct fixed-point solver",
@@ -396,15 +381,16 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
         check={"basis": [str(h) for h in descended]},
     ))
 
-    radical = R.nullspace()
-    ext_basis = extend_to_basis(ctx.base, radical, nvars)
-    cols = ext_basis.columns()
-    W = Matrix.from_columns(ctx.base, cols[len(radical):] + cols[:len(radical)])
-    g = f_base.linear_substitute(W)
-    for i in range(r, nvars):
-        if g.uses_variable(i):
+    W = _rotation(ctx.base, _kernel(ctx.base, list(R.rows), nvars), nvars)
+    rows = []
+    for row in _product(ctx.ext, _coeff_rows(forms), W):
+        if any(row[r:]):
             raise DefectError("rotation left the product outside the span")
-    gz = g.remap_variables({i: i for i in range(r)}, r)
+        rows.append(row[:r])
+    g = HomogPoly.product(_row_forms(ctx.ext, rows))
+    if any(v >= ctx.base.p for v in g.coeffs.values()):
+        raise DefectError("rotated product has a coefficient off the base")
+    gz = HomogPoly._from_terms(ctx.base, r, d, g.coeffs)
 
     atom = VarietyAtom(ctx.base, r - 1, [gz], name="Z", resolved=False)
     expr = projective_space_class(n - r) + ClassExpr.from_atom(atom, n - r + 1)

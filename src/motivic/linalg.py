@@ -6,19 +6,20 @@ follow the canonical free-variable unit pattern in ascending column order, and
 basis extension appends standard basis vectors in index order.  No floating
 point anywhere.
 
-Elimination and products run on rows of plain values -- residues over F_p,
-indices over F_{p^m}, Fractions over Q -- and convert back to field
-elements once, at the end.  Their one path for every field is the value
-arithmetic of the spec (its _inv, _neg, _scale and _axpy), which over
-F_{p^m} is lookup in the spec's index tables.  The product (_product)
-and nullspace (_kernel) on raw rows also serve callers that keep values,
-as quadform.hyperbolic_normalize does.
-The public constructor validates and coerces its entries.  Results of rref,
-transpose, products, inverse and solve are valid by construction, so they
-are built through _from_rows, which stores the rows it is given.  _Echelon
-keeps a reduced basis of a growing span, so that the rank after each new
-row costs one reduction; basis extension and the subset walks of the
-arrangement engines use it.
+A Matrix keeps rows of plain values, as a HomogPoly keeps its coefficients:
+residues over F_p, indices over F_{p^m}, Fractions over Q.  Elimination,
+products, inverses and the other operations run on those rows through the
+value arithmetic of the spec (its _inv, _neg, _scale and _axpy), one path
+for every field, which over F_{p^m} is lookup in the spec's index tables.
+Elements are built only by the accessors that hand them out: M[i, j],
+column, columns, solve and nullspace.  The row functions below (_eliminate,
+_product, _kernel, _rotation) also serve the engines, which keep values
+throughout.  The public constructor coerces anything FieldSpec.elem
+accepts; results of operations are valid by construction, so they are
+built through _from_rows, which stores the value rows it is given and
+never changes them.  _Echelon keeps a reduced basis of a growing span, so
+that the rank after each new row costs one reduction; basis extension and
+the subset walks of the arrangement engines use it.
 """
 
 from __future__ import annotations
@@ -26,13 +27,9 @@ from __future__ import annotations
 from .fields import FieldElem, FieldSpec
 
 
-def _raw(rows):
-    """The rows as lists of element values."""
-    return [[x.value for x in row] for row in rows]
-
-
 def _eliminate(spec, m, ncols):
-    """Reduce the raw rows m (see _raw) to rref in place; return the pivots."""
+    """Reduce the value rows m to rref in place; return the pivots.  Only
+    the list m changes: a row is replaced, never written into."""
     nrows = len(m)
     pivots = []
     r = 0
@@ -58,7 +55,7 @@ def _eliminate(spec, m, ncols):
 
 
 def _product(spec, left, right):
-    """The product of the raw rows left and right (see _raw), as raw rows."""
+    """The product of the value rows left and right, as value rows."""
     zero = spec.zero.value
     width = len(right[0]) if right else 0
     out = []
@@ -73,7 +70,7 @@ def _product(spec, left, right):
 
 def _kernel(spec, m, ncols):
     """The canonical right-nullspace basis (see Matrix.nullspace) of the
-    raw rows m, as value lists; m is reduced to rref on the way."""
+    value rows m, as value lists; the list m is reduced to rref on the way."""
     pivots = _eliminate(spec, m, ncols)
     zero, one = spec.zero.value, spec.one.value
     basis = []
@@ -93,7 +90,7 @@ class Matrix:
 
     def __init__(self, spec: FieldSpec, rows):
         self.spec = spec
-        self.rows = [[spec.elem(x) for x in row] for row in rows]
+        self.rows = [[spec._value(x) for x in row] for row in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -102,7 +99,7 @@ class Matrix:
 
     @classmethod
     def _from_rows(cls, spec: FieldSpec, rows) -> "Matrix":
-        """No checks: rows is a list of equally long lists of elements of
+        """No checks: rows is a list of equally long lists of values of
         spec, and becomes the result's own."""
         M = object.__new__(cls)
         M.spec = spec
@@ -112,14 +109,10 @@ class Matrix:
         return M
 
     @classmethod
-    def _from_raw(cls, spec: FieldSpec, rows) -> "Matrix":
-        """The matrix of raw rows as _raw gives them."""
-        return cls._from_rows(
-            spec, [[FieldElem(spec, v) for v in row] for row in rows])
-
-    @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zero, one = spec.zero.value, spec.one.value
+        return cls._from_rows(
+            spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, spec: FieldSpec, cols) -> "Matrix":
@@ -127,8 +120,14 @@ class Matrix:
         n = len(cols[0])
         return cls(spec, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
+    def __getitem__(self, ij) -> FieldElem:
+        """The entry M[i, j] as an element."""
+        i, j = ij
+        return FieldElem(self.spec, self.rows[i][j])
+
     def column(self, j: int):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
+        spec = self.spec
+        return tuple(FieldElem(spec, row[j]) for row in self.rows)
 
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
@@ -149,59 +148,53 @@ class Matrix:
         spec = self.spec
         if other.spec is not spec:
             raise ValueError("mixed fields: %s vs %s" % (spec, other.spec))
-        return Matrix._from_raw(
-            spec, _product(spec, _raw(self.rows), _raw(other.rows)))
+        return Matrix._from_rows(spec, _product(spec, self.rows, other.rows))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        text = self.spec._str
+        body = "; ".join(" ".join(map(text, row)) for row in self.rows)
         return "Matrix(%s | %s)" % (self.spec, body)
 
     # -- elimination ---------------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-        m = _raw(self.rows)
+        m = list(self.rows)
         pivots = _eliminate(self.spec, m, self.ncols)
-        return Matrix._from_raw(self.spec, m), pivots
+        return Matrix._from_rows(self.spec, m), pivots
 
     def rank(self) -> int:
-        return len(_eliminate(self.spec, _raw(self.rows), self.ncols))
+        return len(_eliminate(self.spec, list(self.rows), self.ncols))
 
     def nullspace(self):
         """Canonical right-nullspace basis: one vector per free column, which
         gets entry 1 while the other free columns get 0."""
         spec = self.spec
         return [tuple([FieldElem(spec, x) for x in v])
-                for v in _kernel(spec, _raw(self.rows), self.ncols)]
+                for v in _kernel(spec, list(self.rows), self.ncols)]
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        zero, one = self.spec.zero, self.spec.one
-        aug = Matrix._from_rows(
-            self.spec,
-            [
-                list(self.rows[i]) + [one if i == j else zero for j in range(n)]
-                for i in range(n)
-            ],
-        )
-        R, pivots = aug.rref()
+        ident = Matrix.identity(self.spec, n).rows
+        R, pivots = Matrix._from_rows(
+            self.spec, [row + e for row, e in zip(self.rows, ident)]).rref()
         if list(pivots[:n]) != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix._from_rows(self.spec, [R.rows[i][n:] for i in range(n)])
+        return Matrix._from_rows(self.spec, [row[n:] for row in R.rows])
 
     def solve(self, b):
         """One solution of A x = b, or None if inconsistent."""
-        b = [self.spec.elem(v) for v in b]
-        aug = Matrix._from_rows(self.spec,
-                                [list(r) + [v] for r, v in zip(self.rows, b)])
+        spec = self.spec
+        aug = Matrix._from_rows(
+            spec, [r + [spec._value(v)] for r, v in zip(self.rows, b)])
         R, pivots = aug.rref()
         if self.ncols in pivots:
             return None
-        x = [self.spec.zero] * self.ncols
+        x = [spec.zero] * self.ncols
         for r, c in enumerate(pivots):
-            x[c] = R.rows[r][self.ncols]
+            x[c] = FieldElem(spec, R.rows[r][self.ncols])
         return tuple(x)
 
 
@@ -222,10 +215,9 @@ class _Echelon:
         self.pivots = []
 
     def add(self, row) -> bool:
-        """Reduce a row of elements against the basis; keep it and return
+        """Reduce a row of values against the basis; keep it and return
         True when it is independent of the span, else return False."""
         spec = self.spec
-        row = [x.value for x in row]
         for b, c in zip(self.rows, self.pivots):
             f = row[c]
             if f:
@@ -244,6 +236,27 @@ class _Echelon:
         self.pivots.pop()
 
 
+def _rotation(spec: FieldSpec, vectors, dim: int):
+    """The value rows of the invertible matrix whose columns are the
+    standard basis vectors that complete the independent value vectors to
+    a basis of spec^dim, taken in index order, followed by the vectors.
+    Substituting it moves the vectors onto the last coordinates."""
+    span = _Echelon(spec)
+    for v in vectors:
+        if not span.add(v):
+            raise ValueError("input vectors are dependent")
+    zero, one = spec.zero.value, spec.one.value
+    cols = []
+    for i in range(dim):
+        if len(span.rows) == dim:
+            break
+        e = [zero] * dim
+        e[i] = one
+        if span.add(e):
+            cols.append(e)
+    return [list(row) for row in zip(*cols, *vectors)]
+
+
 def extend_to_basis(spec: FieldSpec, vectors, dim: int) -> Matrix:
     """Complete independent vectors to a basis of spec^dim.
 
@@ -251,19 +264,10 @@ def extend_to_basis(spec: FieldSpec, vectors, dim: int) -> Matrix:
     remaining columns are the standard basis vectors that keep the collection
     independent, taken in index order.
     """
-    cols = [tuple(spec.elem(x) for x in v) for v in vectors]
+    cols = [[spec._value(x) for x in v] for v in vectors]
     for v in cols:
         if len(v) != dim:
             raise ValueError("vector length != dim")
-    span = _Echelon(spec)
-    for v in cols:
-        if not span.add(v):
-            raise ValueError("input vectors are dependent")
-    zero, one = spec.zero, spec.one
-    for i in range(dim):
-        if len(span.rows) == dim:
-            break
-        e = tuple(one if j == i else zero for j in range(dim))
-        if span.add(e):
-            cols.append(e)
-    return Matrix.from_columns(spec, cols)
+    k = dim - len(cols)
+    return Matrix._from_rows(
+        spec, [row[k:] + row[:k] for row in _rotation(spec, cols, dim)])

@@ -79,8 +79,8 @@ class _Packing:
         return {sum(map(mul, e, w)): c for e, c in f.coeffs.items()}
 
     def pack_linear(self, row) -> dict:
-        """The linear form sum(row[j] * x_j)."""
-        return {w: c.value for w, c in zip(self.weights, row) if c.value}
+        """The linear form sum(row[j] * x_j) of a row of values."""
+        return {w: c for w, c in zip(self.weights, row) if c}
 
     @staticmethod
     def _convolve_by_operators(acc, left, right):

@@ -8,15 +8,17 @@ order and mixes the first hyperbolic pair when the diagonal is stuck at zero;
 point searches walk the canonical enumeration order.
 
 A form keeps its rank and its polynomial once computed, so the quadric
-recursion eliminates each Gram matrix once.  hyperbolic_normalize works on
-rows of values with the products of motivic.linalg, one path for every
-field, and builds elements only for what it returns.
+recursion eliminates each Gram matrix once.  The Gram matrix holds values
+(see motivic.linalg), and diagonalize and hyperbolic_normalize work on its
+rows with the spec's value arithmetic and the row products of
+motivic.linalg, one path for every field; diagonalize builds elements only
+for the diagonal it returns.
 """
 
 from __future__ import annotations
 
-from .fields import FieldSpec
-from .linalg import Matrix, _kernel, _product, _raw
+from .fields import FieldElem, FieldSpec
+from .linalg import Matrix, _kernel, _product
 from .points import first_point
 from .poly import HomogPoly
 
@@ -57,7 +59,7 @@ class QuadForm:
             else:
                 i, j = support
                 g[i][j] = g[j][i] = spec._mul(coeff, half)
-        return cls(spec, Matrix._from_raw(spec, g))
+        return cls(spec, Matrix._from_rows(spec, g))
 
     @classmethod
     def diagonal(cls, spec: FieldSpec, entries) -> "QuadForm":
@@ -71,7 +73,7 @@ class QuadForm:
         terms = {}
         n = self.nvars
         add = self.spec._add
-        for i, row in enumerate(_raw(self.gram.rows)):
+        for i, row in enumerate(self.gram.rows):
             if row[i]:
                 terms[tuple(2 if k == i else 0 for k in range(n))] = row[i]
             for j in range(i + 1, n):
@@ -104,17 +106,16 @@ def diagonalize(q: QuadForm):
     """
     spec = q.spec
     n = q.nvars
+    add, mul = spec._add, spec._mul
     B = [list(row) for row in q.gram.rows]
-    M = [[spec.one if i == j else spec.zero for j in range(n)] for i in range(n)]
+    M = [list(row) for row in Matrix.identity(spec, n).rows]
 
     def col_add(dst, src, factor):
-        # column dst += factor * column src, mirrored on rows for B
-        for i in range(n):
-            B[i][dst] = B[i][dst] + factor * B[i][src]
-        for j in range(n):
-            B[dst][j] = B[dst][j] + factor * B[src][j]
-        for i in range(n):
-            M[i][dst] = M[i][dst] + factor * M[i][src]
+        # column dst += factor * column src, mirrored on rows for B; the
+        # factor is nonzero
+        for row in B + M:
+            row[dst] = add(row[dst], mul(factor, row[src]))
+        B[dst] = spec._axpy(B[dst], factor, B[src])
 
     def col_swap(a, b):
         for i in range(n):
@@ -126,30 +127,30 @@ def diagonalize(q: QuadForm):
     for k in range(n):
         piv = None
         for i in range(k, n):
-            if not B[i][i].is_zero():
+            if B[i][i]:
                 piv = i
                 break
         if piv is None:
             pair = None
             for i in range(k, n):
                 for j in range(i + 1, n):
-                    if not B[i][j].is_zero():
+                    if B[i][j]:
                         pair = (i, j)
                         break
                 if pair:
                     break
             if pair is None:
                 break  # remaining block is identically zero
-            col_add(pair[0], pair[1], spec.one)
+            col_add(pair[0], pair[1], spec.one.value)
             piv = pair[0]
         if piv != k:
             col_swap(k, piv)
-        d = B[k][k]
+        neg_inv = spec._neg(spec._inv(B[k][k]))
         for j in range(k + 1, n):
-            if not B[k][j].is_zero():
-                col_add(j, k, -(B[k][j] / d))
-    diag = [B[i][i] for i in range(n)]
-    return Matrix(spec, M), diag
+            if B[k][j]:
+                col_add(j, k, mul(B[k][j], neg_inv))
+    diag = [FieldElem(spec, B[i][i]) for i in range(n)]
+    return Matrix._from_rows(spec, M), diag
 
 
 def find_projective_point(q: QuadForm, height: int = 10, budget=None):
@@ -173,14 +174,14 @@ def hyperbolic_normalize(q: QuadForm, x):
     Returns (M, q2) with q(M y) = y0*y1 + q2(y2..yn), column 1 of M equal to
     x (so M^-1 x is the second standard basis vector), and q2 nondegenerate
     in nvars-2 variables (None when nvars == 2).  The work runs on value
-    lists (motivic.linalg's raw rows); elements are built for M and q2 only.
+    rows, as M and q2 keep them.
     """
     spec = q.spec
     n = q.nvars
     x = [spec._value(v) for v in x]
     if not any(x):
         raise ValueError("isotropic vector must be nonzero")
-    G = _raw(q.gram.rows)
+    G = q.gram.rows
 
     def value_at(a, ga):
         # q(a) = a . ga, ga being G a
@@ -226,10 +227,10 @@ def hyperbolic_normalize(q: QuadForm, x):
     for i in (0, 1):
         if any(H[i][j] for j in range(n) if j != 1 - i):
             raise AssertionError("residual form still involves x%d" % i)
-    M = Matrix._from_raw(spec, M)
+    M = Matrix._from_rows(spec, M)
     if n == 2:
         return M, None
-    q2 = QuadForm(spec, Matrix._from_raw(spec, [row[2:] for row in H[2:]]))
+    q2 = QuadForm(spec, Matrix._from_rows(spec, [row[2:] for row in H[2:]]))
     if not q2.is_nondegenerate():
         raise AssertionError("split complement is degenerate")
     return M, q2

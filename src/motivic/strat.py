@@ -29,7 +29,7 @@ from .kclass import (
     VarietyAtom,
     projective_space_class,
 )
-from .linalg import Matrix, _Echelon, extend_to_basis
+from .linalg import Matrix, _Echelon, _kernel, _product, _rotation
 from .poly import HomogPoly
 from .points import first_point
 from .quadform import (
@@ -103,8 +103,8 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
         M, diag = diagonalize(qf)
         order = [i for i, d in enumerate(diag) if not d.is_zero()]
         order += [i for i, d in enumerate(diag) if d.is_zero()]
-        cols = M.columns()
-        M2 = Matrix.from_columns(spec, [cols[i] for i in order])
+        M2 = Matrix._from_rows(spec,
+                               [[row[i] for i in order] for row in M.rows])
         entries = [diag[i] for i in order[:rank]]
         sub = QuadForm.diagonal(spec, entries)
         vertex_dim = n - rank
@@ -139,7 +139,7 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
 
     if nvars == 2:
         g = qf.gram
-        det = g.rows[0][0] * g.rows[1][1] - g.rows[0][1] * g.rows[1][0]
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
         split = (-det).is_square()
         if split:
             ident = Identity(
@@ -220,14 +220,23 @@ def _normalize_forms(forms):
 
 
 def _coeff_rows(forms):
+    """The coefficients of linear forms as value rows."""
     nvars = forms[0].nvars
-    rows = []
-    for h in forms:
-        rows.append([
-            h.coefficient_of(tuple(1 if j == i else 0 for j in range(nvars)))
-            for i in range(nvars)
-        ])
-    return rows
+    zero = forms[0].spec.zero.value
+    units = [tuple(1 if j == i else 0 for j in range(nvars))
+             for i in range(nvars)]
+    return [[h.coeffs.get(e, zero) for e in units] for h in forms]
+
+
+def _row_forms(spec, rows):
+    """The linear forms whose coefficients are the value rows."""
+    out = []
+    for row in rows:
+        nvars = len(row)
+        coeffs = {tuple(1 if j == i else 0 for j in range(nvars)): c
+                  for i, c in enumerate(row) if c}
+        out.append(HomogPoly._from_terms(spec, nvars, 1, coeffs))
+    return out
 
 
 def _subset_ranks(spec, rows):
@@ -288,7 +297,8 @@ def class_of_arrangement(forms) -> StratResult:
 
     The span of the forms is rotated onto the first r coordinates, exposing
     the union as a cone with vertex P^(n-r) over the essential arrangement
-    Z in P^(r-1), which inclusion-exclusion then resolves completely.
+    Z in P^(r-1), which inclusion-exclusion then resolves completely.  The
+    rotated forms h(M x) are the rows of A.M, A the coefficient rows.
     """
     forms = list(forms)
     if not forms:
@@ -303,19 +313,15 @@ def class_of_arrangement(forms) -> StratResult:
     d = len(forms)
     finite = spec.is_finite
 
-    A = Matrix(spec, _coeff_rows(forms))
-    r = A.rank()
-    radical = A.nullspace()
-    ext = extend_to_basis(spec, radical, nvars)
-    cols = ext.columns()
-    M = Matrix.from_columns(spec, cols[len(radical):] + cols[:len(radical)])
-    rotated = []
-    for h in forms:
-        g = h.linear_substitute(M)
-        for i in range(r, nvars):
-            if g.uses_variable(i):
-                raise DefectError("rotation left a coefficient outside the span")
-        rotated.append(g.remap_variables({i: i for i in range(r)}, r))
+    A = _coeff_rows(forms)
+    radical = _kernel(spec, list(A), nvars)
+    r = nvars - len(radical)
+    rows = []
+    for row in _product(spec, A, _rotation(spec, radical, nvars)):
+        if any(row[r:]):
+            raise DefectError("rotation left a coefficient outside the span")
+        rows.append(row[:r])
+    rotated = _row_forms(spec, rows)
 
     steps = [TraceStep(
         "scalar-normalize",
@@ -340,7 +346,7 @@ def class_of_arrangement(forms) -> StratResult:
         ident,
     ))
 
-    z_expr, ie_terms = _inclusion_exclusion(spec, _coeff_rows(rotated), r - 1)
+    z_expr, ie_terms = _inclusion_exclusion(spec, rows, r - 1)
     ident = Identity([CountTerm(1, 0, z_query)], ie_terms) if finite else None
     steps.append(TraceStep(
         "inclusion-exclusion",
@@ -382,7 +388,7 @@ def class_of_cone(generators) -> StratResult:
     embedded = [g.insert_variable(nvars) for g in live]
     base_empty = False
     if live and all(g.degree == 1 for g in live):
-        if Matrix(spec, _coeff_rows(live)).rank() == nvars:
+        if Matrix._from_rows(spec, _coeff_rows(live)).rank() == nvars:
             base_empty = True
 
     x_query = CountQuery(spec, n, embedded) if finite else None
@@ -474,9 +480,9 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
         if not _is_singular_at(f, x):
             raise ValueError("point not singular")
 
-    ext = extend_to_basis(spec, [list(x)], nvars)
-    cols = ext.columns()
-    M = Matrix.from_columns(spec, cols[1:] + cols[:1])  # x becomes e_n
+    # x becomes e_n
+    M = Matrix._from_rows(
+        spec, _rotation(spec, [[spec._value(v) for v in x]], nvars))
     g = f.linear_substitute(M)
     split = g.split_by_variable(n)
     if not split[3].is_zero() or not split[2].is_zero():
@@ -546,16 +552,15 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
 
 
 def _proportional(g1: Matrix, g2: Matrix):
-    """The scalar lam with g2 = lam * g1, or None."""
+    """The value of the scalar lam with g2 = lam * g1, or None."""
+    spec = g1.spec
     lam = None
-    n = g1.nrows
-    for i in range(n):
-        for j in range(n):
-            a, b = g1.rows[i][j], g2.rows[i][j]
-            if a.is_zero() != b.is_zero():
+    for row1, row2 in zip(g1.rows, g2.rows):
+        for a, b in zip(row1, row2):
+            if (not a) != (not b):
                 return None
-            if not a.is_zero():
-                ratio = b / a
+            if a:
+                ratio = spec._mul(b, spec._inv(a))
                 if lam is None:
                     lam = ratio
                 elif ratio != lam:

@@ -199,9 +199,7 @@ def test_galois_descent_battery():
 
         # matrix scramble: same span, mixed basis
         rows = Matrix(ctx.base, _coeff_rows(rational)).rref()[0]
-        rows = Matrix(ctx.base, [
-            row for row in rows.rows if any(not c.is_zero() for c in row)
-        ])
+        rows = Matrix(ctx.base, [row for row in rows.rows if any(row)])
         rank = rows.nrows
         while True:
             S = Matrix(ctx.ext, [
@@ -211,15 +209,14 @@ def test_galois_descent_battery():
             ])
             if S.rank() == rank:
                 break
-        mixed = S * Matrix(ctx.ext, [
-            [ctx.ext.elem(c.value) for c in row] for row in rows.rows
-        ])
+        # the base values are the extension's values below p
+        mixed = S * Matrix(ctx.ext, rows.rows)
         span_forms = []
-        for row in mixed.rows:
+        for k in range(mixed.nrows):
             terms = {
-                tuple(1 if j == i else 0 for j in range(n + 1)): c
-                for i, c in enumerate(row)
-                if not c.is_zero()
+                tuple(1 if j == i else 0 for j in range(n + 1)): mixed[k, i]
+                for i in range(n + 1)
+                if not mixed[k, i].is_zero()
             }
             span_forms.append(HomogPoly(ctx.ext, n + 1, 1, terms))
         basis = descend_subspace(ctx, span_forms, seed=trial)

@@ -474,6 +474,18 @@ PINNED_REPORTS = [
     (("class-arrangement", "1031", 2, [], ["x0 + 5*x1", "x1 - 7*x2"], None,
       True),
      "b2318aaeee96852318981b68153aa69964f3f974258b2f2b28b793e7910fcfd3"),
+    # descent past the table limit, where the Frobenius takes the schoolbook
+    # power, and over the prime field itself (m = 1, the trivial cocycle);
+    # recorded before matrices held values
+    (("descend", "37,2", 3, [], ["x0 + t*x1 + x2", "x0 + (36*t)*x1 + x2"],
+      None, True),
+     "2b5e0e145c1149fdebb2dfac2e30b4f13d8977b29bc0a955d529337b8cb57cb2"),
+    (("descend", "11,3", 4, [],
+      ["x0 + t*x1 + (1+t^2)*x3", "x0 + (1+7*t+7*t^2)*x1 + (6+6*t+3*t^2)*x3",
+       "x0 + (10+3*t+4*t^2)*x1 + (5+5*t+7*t^2)*x3", "x4"], None, False),
+     "ed0c817022fa45caddbdbe793a5a7964d5793577094fa6c6867dfc2f378d6db4"),
+    (("descend", "3", 2, [], ["x0 + x1", "x2"], None, True),
+     "b730e3779edef18fd2085239fbd99a20ca143548c27880b761b2db8243bae9e7"),
 ]
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_trace_verifies, brute_count
 from motivic.descent import (
@@ -62,10 +63,10 @@ def test_frobenius_action():
 
 
 def test_in_base_and_lift():
+    # the base field is the Frobenius-fixed elements, the indices below p
     ctx = _ctx()
-    t = F9.gen()
-    assert ctx.in_base(t) is None
-    assert ctx.in_base(F9.elem(2)) == F3.elem(2)
+    assert [i for i in range(F9.order)
+            if ctx.frobenius(F9.from_index(i)) == F9.from_index(i)] == [0, 1, 2]
     assert ctx.ext.elem(F3.elem(2).value) == F9.elem(2)
 
 
@@ -170,10 +171,10 @@ def test_descend_preserves_span():
     # mutual membership: lift the descended rows and rref both span matrices
     from motivic.strat import _coeff_rows
 
-    lifted = Matrix(
-        spec, [[ctx.ext.elem(c.value) for c in row] for row in _coeff_rows(basis)]
-    )
-    original = Matrix(spec, _coeff_rows(orbit))
+    # _coeff_rows gives values, and the base values are the extension's
+    # values below p
+    lifted = Matrix._from_rows(spec, _coeff_rows(basis))
+    original = Matrix._from_rows(spec, _coeff_rows(orbit))
     assert lifted.rref()[0] == original.rref()[0]
 
 
@@ -312,9 +313,7 @@ def test_randomized_matrix_scrambles():
         from motivic.strat import _coeff_rows
 
         rows = Matrix(ctx.base, _coeff_rows(rational)).rref()[0]
-        rows = Matrix(ctx.base, [r for r in rows.rows if any(
-            not c.is_zero() for c in r
-        )])
+        rows = Matrix(ctx.base, [r for r in rows.rows if any(r)])
         r_rank = rows.nrows
         while True:
             S = Matrix(
@@ -324,18 +323,276 @@ def test_randomized_matrix_scrambles():
             )
             if S.rank() == r_rank:
                 break
-        lifted = Matrix(
-            ctx.ext, [[ctx.ext.elem(c.value) for c in row] for row in rows.rows]
-        )
-        mixed = S * lifted
+        # the base values are the extension's values below p
+        mixed = S * Matrix(ctx.ext, rows.rows)
         forms = []
-        for row in mixed.rows:
+        for k in range(mixed.nrows):
             terms = {
-                tuple(1 if j == i else 0 for j in range(n + 1)): c
-                for i, c in enumerate(row)
-                if not c.is_zero()
+                tuple(1 if j == i else 0 for j in range(n + 1)): mixed[k, i]
+                for i in range(n + 1)
+                if not mixed[k, i].is_zero()
             }
             forms.append(HomogPoly(ctx.ext, n + 1, 1, terms))
         basis = descend_subspace(ctx, forms, seed=trial)
         got = Matrix(ctx.base, _coeff_rows(basis)).rref()[0]
         assert got == rows
+
+
+# -- the value core against the element path it replaced ---------------------
+
+
+def _elem_rows(M):
+    return [[M[i, j] for j in range(M.ncols)] for i in range(M.nrows)]
+
+
+def _frobenius_matrix_on_elements(ctx, M, power=1):
+    if power % ctx.m == 0:
+        return M
+    return Matrix(ctx.ext, [[ctx.frobenius(x, power) for x in row]
+                            for row in _elem_rows(M)])
+
+
+def _span_cocycle_on_elements(ctx, forms):
+    """(T, cocycle images) as _span_cocycle computed them on FieldElems:
+    one solve per image, a**q per entry; (T, None) when unstable."""
+    spec, nvars = ctx.ext, forms[0].nvars
+    chosen = []
+    for h in forms:
+        row = [h.coefficient_of(tuple(1 if j == i else 0 for j in range(nvars)))
+               for i in range(nvars)]
+        if Matrix(spec, chosen + [row]).rank() > len(chosen):
+            chosen.append(row)
+    T = Matrix(spec, chosen)
+    Tt = T.transpose()
+    n_rows = []
+    for row in chosen:
+        x = Tt.solve([ctx.frobenius(c) for c in row])
+        if x is None:
+            return T, None
+        n_rows.append(list(x))
+    ident = Matrix.identity(spec, T.nrows)
+    if ctx.m == 1:
+        return T, [ident]
+    alpha = Matrix(spec, n_rows).inverse()
+    images = [ident]
+    for _ in range(1, ctx.m):
+        images.append(alpha * _frobenius_matrix_on_elements(ctx, images[-1]))
+    return T, images
+
+
+def _h90_on_elements(ctx, images, seed):
+    """The averaging of h90_trivialize, summed entry by entry."""
+    r = images[0].nrows
+    ident = Matrix.identity(ctx.ext, r)
+    if all(M == ident for M in images):
+        return ident
+
+    def average(C):
+        rows = [[ctx.ext.zero] * r for _ in range(r)]
+        for i, alpha in enumerate(images):
+            term = _elem_rows(alpha * _frobenius_matrix_on_elements(ctx, C, i))
+            for a in range(r):
+                for b in range(r):
+                    rows[a][b] = rows[a][b] + term[a][b]
+        return Matrix(ctx.ext, rows)
+
+    rng = random.Random(seed)
+    order = ctx.ext.order
+    for attempt in range(64):
+        C = ident if attempt == 0 else Matrix(
+            ctx.ext,
+            [[ctx.ext.from_index(rng.randrange(order)) for _ in range(r)]
+             for _ in range(r)],
+        )
+        B = average(C)
+        if B.rank() == r:
+            return B
+    raise AssertionError("no invertible average")
+
+
+def _in_base(ctx, a):
+    assert a.value < ctx.base.p, "coefficient off the base"
+    return ctx.base.elem(a.value)
+
+
+def _fixed_point_subspace_on_elements(ctx, T, N):
+    r, m, base, ext = T.nrows, ctx.m, ctx.base, ctx.ext
+    cols = []
+    for i in range(r):
+        for k in range(m):
+            tk = ext.from_index(ext.p**k)
+            stk = ctx.frobenius(tk)
+            col = []
+            for j in range(r):
+                acc = stk * N[i, j]
+                if j == i:
+                    acc = acc - tk
+                col.extend(ext._digits(acc.value))
+            cols.append(col)
+    kernel = Matrix.from_columns(base, cols).nullspace()
+    assert len(kernel) == r
+    rows = []
+    for vec in kernel:
+        c = []
+        for i in range(r):
+            chunk = tuple(vec[i * m + k].value for k in range(m))
+            c.append(ext.elem(chunk if ext.kind == "Fpm" else chunk[0]))
+        row = []
+        for j in range(T.ncols):
+            acc = ext.zero
+            for i in range(r):
+                acc = acc + c[i] * T[i, j]
+            row.append(_in_base(ctx, acc))
+        rows.append(row)
+    return Matrix(base, rows).rref()[0]
+
+
+def _orbit_arrangement(rng, ctx, nvars, orbits):
+    """Frobenius orbits of random linear forms over the extension, with a
+    rational form now and then: a union defined over the base field."""
+    forms = []
+    for _ in range(orbits):
+        coeffs = [ctx.ext.from_index(rng.randrange(ctx.ext.order))
+                  if rng.random() < 0.7 else ctx.ext.zero
+                  for _ in range(nvars)]
+        if all(c.is_zero() for c in coeffs):
+            continue
+        for k in range(ctx.m):
+            forms.append(HomogPoly(ctx.ext, nvars, 1, {
+                tuple(1 if j == i else 0 for j in range(nvars)):
+                    ctx.frobenius(c, k)
+                for i, c in enumerate(coeffs)}))
+    if not forms or rng.random() < 0.3:
+        forms.append(HomogPoly.variable(ctx.ext, nvars, rng.randrange(nvars)))
+    return forms
+
+
+_DESCENT_FIELDS = [(3, 2), (5, 2), (3, 3), (5, 3), (37, 2), (7, 1), (3, 1)]
+
+
+@pytest.mark.parametrize("p, m", _DESCENT_FIELDS, ids=str)
+def test_value_core_matches_element_path(p, m):
+    """T, the cocycle images, B (and its text), the descended rref R and
+    the fixed-point oracle of the value core equal those of the element
+    path, on random orbit arrangements and seeds."""
+    from motivic.descent import _descend_core, _fixed_point_subspace
+
+    ext = extension_field(p, m) if m > 1 else prime_field(p)
+    ctx = GaloisContext(prime_field(p), ext)
+    rng = random.Random(1000 * p + m)
+    nontrivial = 0
+    for trial in range(12 if ext.order < 1000 else 4):
+        nvars = rng.randrange(2, 6)
+        forms = _orbit_arrangement(rng, ctx, nvars, rng.randrange(1, 3))
+        seed = rng.randrange(4)
+        T_ref, images_ref = _span_cocycle_on_elements(ctx, forms)
+        assert images_ref is not None
+        B_ref = _h90_on_elements(ctx, images_ref, seed)
+        R_ref = Matrix(ctx.base, [
+            [_in_base(ctx, x) for x in row]
+            for row in _elem_rows(B_ref.inverse() * T_ref)]).rref()[0]
+        N = images_ref[1].inverse() if m > 1 else images_ref[0]
+        oracle_ref = _fixed_point_subspace_on_elements(ctx, T_ref, N)
+
+        T, cocycle, B, R = _descend_core(ctx, forms, seed)
+        assert T == T_ref
+        assert list(cocycle.images) == images_ref
+        assert B == B_ref and repr(B) == repr(B_ref)
+        assert R == R_ref == oracle_ref
+        assert _fixed_point_subspace(ctx, T, N) == oracle_ref
+        nontrivial += not cocycle.is_trivial()
+    assert nontrivial or m == 1
+
+
+def test_unstable_span_matches_element_path():
+    from motivic.descent import _span_cocycle
+
+    ctx = _ctx(5, 3)
+    rng = random.Random(8)
+    for _ in range(10):
+        forms = _orbit_arrangement(rng, ctx, 4, 1)[:2]
+        T, cocycle = _span_cocycle(ctx, forms)
+        T_ref, images_ref = _span_cocycle_on_elements(ctx, forms)
+        assert T == T_ref
+        assert (cocycle is None) == (images_ref is None)
+
+
+# -- the rotation of the descent factors --------------------------------------
+
+
+@st.composite
+def _descent_case(draw):
+    p, m = draw(st.sampled_from([(7, 1), (3, 2), (37, 2)]))
+    ext = extension_field(p, m) if m > 1 else prime_field(p)
+    ctx = GaloisContext(prime_field(p), ext)
+    n = draw(st.integers(m + 1, 4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    forms = _orbit_arrangement(rng, ctx, n + 1, 1)
+    return ctx, forms, n, draw(st.integers(0, 3))
+
+
+@given(_descent_case())
+@settings(max_examples=40, deadline=None)
+def test_rotated_factors_multiply_to_the_rotated_product(case):
+    """Z, the product of the factors rotated one by one, is the product
+    rotated as a whole by the same W, remapped to its r variables."""
+    from motivic.descent import _descend_core
+    from motivic.linalg import _kernel, _rotation
+    from motivic.strat import _normalize_forms
+
+    ctx, forms, n, seed = case
+    nvars = n + 1
+    normalized = _normalize_forms(forms)
+    if len(normalized) > n:
+        return
+    result = class_of_descended_arrangement(ctx, forms, n, seed=seed)
+    (_, _, atom), = result.class_expr.residuals
+    gz, = atom.generators
+
+    _, _, _, R = _descend_core(ctx, normalized, seed)
+    r = R.nrows
+    W = Matrix._from_rows(ctx.base, _rotation(
+        ctx.base, _kernel(ctx.base, list(R.rows), nvars), nvars))
+    product = HomogPoly.product(normalized).monic()
+    f_base = HomogPoly(ctx.base, nvars, product.degree, product.coeffs)
+    g = f_base.linear_substitute(W)
+    assert not any(g.uses_variable(i) for i in range(r, nvars))
+    assert gz == g.remap_variables({i: i for i in range(r)}, r)
+
+
+def test_engines_build_no_elements_in_linalg_or_descent(monkeypatch):
+    """On the pinned F27 P^5 descent and F7 P^7 arrangement, no FieldElem
+    is built from a frame of motivic.linalg or motivic.descent."""
+    import sys
+
+    from motivic.fields import FieldElem
+
+    f27 = [parse_poly(text, F27, 6) for text in (
+        "x0 + (2*t)*x1 + (2+2*t^2)*x2 + (2+t+2*t^2)*x3 + (1+t+2*t^2)*x4 "
+        "+ (2+t^2)*x5",
+        "x0 + (1+2*t)*x1 + (1+2*t+2*t^2)*x2 + (2*t^2)*x3 + (2+2*t^2)*x4 "
+        "+ (t+t^2)*x5",
+        "x0 + (2+2*t)*x1 + (1+t+2*t^2)*x2 + (2+2*t+2*t^2)*x3 "
+        "+ (1+2*t+2*t^2)*x4 + (2*t+t^2)*x5")]
+    f7 = [parse_poly(text, prime_field(7), 8) for text in (
+        "3*x0 + 3*x1 + 5*x2 + 5*x4 + 2*x5 + 6*x7",
+        "3*x1 + 4*x2 + 6*x3 + 3*x4 + 5*x6",
+        "2*x0 + x1 + 5*x2 + 3*x4 + 5*x5 + 4*x6 + x7",
+        "4*x0 + 6*x1 + x2 + 4*x3 + 4*x5 + 3*x7",
+        "5*x0 + x1 + x2 + 6*x3 + 4*x4 + 3*x5 + 5*x6 + 4*x7",
+        "3*x0 + 2*x1 + 4*x2 + 2*x3 + 6*x4 + 3*x5 + x6 + x7")]
+    callers = []
+    init = FieldElem.__init__
+
+    def counted(self, spec, value):
+        callers.append(sys._getframe(1).f_code.co_filename)
+        init(self, spec, value)
+
+    monkeypatch.setattr(FieldElem, "__init__", counted)
+    ctx = GaloisContext(F3, F27)
+    descended = class_of_descended_arrangement(ctx, f27, 5)
+    arrangement = class_of_arrangement(f7)
+    monkeypatch.undo()
+    assert descended.residue == arrangement.residue == 1
+    assert not [f for f in callers
+                if f.endswith(("linalg.py", "descent.py"))], callers

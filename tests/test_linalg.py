@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motivic.fields import extension_field, prime_field, rationals
+from motivic.fields import FieldElem, extension_field, prime_field, rationals
 from motivic.linalg import Matrix, extend_to_basis
 
 F5 = prime_field(5)
@@ -170,6 +170,11 @@ _SPECS = [prime_field(p) for p in (3, 5, 7, 11, 13, 31)] + [
     extension_field(37, 2), Q]
 
 
+def _elems(A):
+    """The entries of A as rows of FieldElems, through A[i, j]."""
+    return [[A[i, j] for j in range(A.ncols)] for i in range(A.nrows)]
+
+
 def _reference_rref(rows, ncols):
     """Gauss-Jordan on FieldElem operations alone: (rows, pivots)."""
     m = [list(r) for r in rows]
@@ -214,9 +219,12 @@ def _any_matrix(draw, square=False):
 @settings(max_examples=150, deadline=None)
 def test_rref_and_nullspace_match_element_elimination(A):
     R, pivots = A.rref()
-    ref, ref_pivots = _reference_rref(A.rows, A.ncols)
+    ref, ref_pivots = _reference_rref(_elems(A), A.ncols)
     assert pivots == ref_pivots
-    assert R.rows == ref and R.spec is A.spec
+    assert _elems(R) == ref and R.spec is A.spec
+    # the rows hold values, not elements
+    assert not any(isinstance(x, FieldElem) for row in A.rows + R.rows
+                   for x in row)
     assert (R.nrows, R.ncols) == (A.nrows, A.ncols)
     assert A.rank() == len(pivots)
     basis = A.nullspace()
@@ -232,13 +240,13 @@ def test_inverse_matches_element_elimination(A):
     n = A.nrows
     ident = Matrix.identity(A.spec, n)
     ref, pivots = _reference_rref(
-        [row + ident.rows[i] for i, row in enumerate(A.rows)], 2 * n)
+        [row + e for row, e in zip(_elems(A), _elems(ident))], 2 * n)
     if pivots[:n] != tuple(range(n)):
         with pytest.raises(ValueError, match="singular"):
             A.inverse()
         return
     B = A.inverse()
-    assert B.rows == [row[n:] for row in ref]
+    assert _elems(B) == [row[n:] for row in ref]
     assert A * B == ident and B * A == ident
 
 
@@ -248,7 +256,7 @@ def test_solve_matches_element_elimination(data):
     A = data.draw(_any_matrix())
     b = data.draw(_entries(A.spec, 1, A.nrows))[0]
     ref, pivots = _reference_rref(
-        [row + [v] for row, v in zip(A.rows, b)], A.ncols + 1)
+        [row + [v] for row, v in zip(_elems(A), b)], A.ncols + 1)
     x = A.solve(b)
     if A.ncols in pivots:
         assert x is None
@@ -268,7 +276,7 @@ def test_subset_ranks_match_matrix_rank(A):
     ranks = _subset_ranks(A.spec, A.rows)
     assert ranks[0] == 0 and len(ranks) == 1 << A.nrows
     for mask in range(1, 1 << A.nrows):
-        sub = [row for i, row in enumerate(A.rows) if mask >> i & 1]
+        sub = [row for i, row in enumerate(_elems(A)) if mask >> i & 1]
         assert ranks[mask] == Matrix(A.spec, sub).rank(), mask
 
 
@@ -281,7 +289,7 @@ def test_extend_to_basis_matches_rank_per_candidate(A):
 
     spec, dim = A.spec, A.ncols
     chosen = []
-    for row in A.rows:
+    for row in _elems(A):
         if Matrix(spec, chosen + [row]).rank() > len(chosen):
             chosen.append(row)
     assert _chosen_basis(spec, A.rows) == Matrix(spec, chosen)

@@ -194,17 +194,15 @@ def test_ring_results_are_valid_without_validation(data):
 
 
 def test_form_path_builds_no_elements(monkeypatch):
-    """Forms hold values: parsing, products, powers, substitution, sums,
-    keys, printing and counting build no FieldElem."""
+    """Forms and matrices hold values: building a matrix, parsing,
+    products, powers, substitution, sums, keys, printing and counting build
+    no FieldElem."""
     cases = [
         (prime_field(7), "x0^2 - 2*x1*x2 + 3*x2^2", "x0 + x1 - 3*x2"),
         (extension_field(3, 2), "x0^2 + t*x1*x2 - (1+t)*x2^2",
          "x0 + t^2*x1 - x2"),
         (rationals(), "x0^2 - 2*x1*x2 + 3*x2^2", "x0 + x1 - 3*x2"),
     ]
-    # matrices hold elements: build them before counting starts
-    matrices = [Matrix(spec, [[1, 2, 0], [0, 1, 1], [1, 0, 2]])
-                for spec, _, _ in cases]
     built = []
     init = FieldElem.__init__
 
@@ -213,7 +211,9 @@ def test_form_path_builds_no_elements(monkeypatch):
         init(self, spec, value)
 
     monkeypatch.setattr(FieldElem, "__init__", counted)
-    for (spec, quadric, linear), M in zip(cases, matrices):
+    for spec, quadric, linear in cases:
+        # matrices hold values too
+        M = Matrix(spec, [[1, 2, 0], [0, 1, 1], [1, 0, 2]])
         f, g = parse_poly(quadric, spec, 3), parse_poly(linear, spec, 3)
         h, k = f * g, g.power(3)
         for form in (f, g, h, k, f.linear_substitute(M), h + k, h - k):
@@ -452,7 +452,7 @@ def test_linear_substitute_matches_term_by_term(data):
     M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]
                       for _ in range(nvars)])
     rows = [HomogPoly(spec, ncols, 1, {
-        tuple(1 if k == j else 0 for k in range(ncols)): M.rows[i][j]
+        tuple(1 if k == j else 0 for k in range(ncols)): M[i, j]
         for j in range(ncols)}) for i in range(nvars)]
     expect = HomogPoly.zero(spec, ncols, f.degree)
     for exps, coeff in f.terms.items():

@@ -31,14 +31,14 @@ def test_from_poly_poly_round_trip():
     q = QuadForm.from_poly(f)
     assert q.poly() == f
     # cross term coefficient of x0*x1 is 2*G[0][1]
-    assert q.gram.rows[0][1] == F5.elem(3) * F5.elem(2).inverse()
+    assert q.gram[0, 1] == F5.elem(3) * F5.elem(2).inverse()
     with pytest.raises(ValueError, match="degree"):
         QuadForm.from_poly(parse_poly("x0^3", F5, 2))
 
 
 def _gram_value(q, x):
     """x^T G x from the Gram matrix of q."""
-    return sum((x[i] * q.gram.rows[i][j] * x[j]
+    return sum((x[i] * q.gram[i, j] * x[j]
                 for i in range(q.nvars) for j in range(q.nvars)), q.spec.zero)
 
 
@@ -63,7 +63,7 @@ def test_diagonalize_congruence():
         for i in range(n):
             for j in range(n):
                 expect = diag[i] if i == j else F5.zero
-                assert D.rows[i][j] == expect
+                assert D[i, j] == expect
         nonzero = sum(1 for d in diag if not d.is_zero())
         assert nonzero == q.rank()
 
@@ -73,7 +73,7 @@ def test_diagonalize_over_q_and_extension():
     M, diag = diagonalize(q)
     D = M.transpose() * q.gram * M
     assert all(
-        D.rows[i][j].is_zero() for i in range(3) for j in range(3) if i != j
+        D[i, j].is_zero() for i in range(3) for j in range(3) if i != j
     )
     F9 = extension_field(3, 2)
     q9 = QuadForm.from_poly(parse_poly("x0^2 + x0*x1", F9, 2))
@@ -164,7 +164,7 @@ def _hyperbolic_normalize_on_elements(q, x):
     gx = (G * Matrix.from_columns(spec, [x])).column(0)
     i = next(i for i, v in enumerate(gx) if not v.is_zero())
     w = tuple(spec.one if j == i else spec.zero for j in range(n))
-    factor = G.rows[i][i] / (two * gx[i])
+    factor = G[i, i] / (two * gx[i])
     u = tuple(wv - factor * xv for wv, xv in zip(w, x))
     bux = sum((uv * gv for uv, gv in zip(u, gx)), spec.zero)
     scale = (two * bux).inverse()
@@ -175,7 +175,8 @@ def _hyperbolic_normalize_on_elements(q, x):
     H = M.transpose() * G * M
     if n == 2:
         return M, None
-    return M, QuadForm(spec, Matrix(spec, [row[2:] for row in H.rows[2:]]))
+    return M, QuadForm(spec, Matrix(spec, [[H[i, j] for j in range(2, n)]
+                                           for i in range(2, n)]))
 
 
 @pytest.mark.parametrize("spec, text, nvars", [
@@ -245,7 +246,7 @@ def test_diagonalize_preserves_values(q):
     for i in range(3):
         for j in range(3):
             expect = diag[i] if i == j else F3.zero
-            assert gd.rows[i][j] == expect
+            assert gd[i, j] == expect
 
 
 @given(_f3_gram(3))

@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_trace_verifies, brute_count
-from motivic.fields import prime_field, rationals
+from motivic.fields import extension_field, prime_field, rationals
 from motivic.kclass import ClassExpr, projective_space_class
+from motivic.linalg import Matrix, _kernel, _product, _rotation
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
 from motivic.strat import (
+    _coeff_rows,
+    _normalize_forms,
     arrangement_inclusion_exclusion,
     class_of_arrangement,
 )
@@ -139,3 +143,55 @@ def test_randomized_dual_route_and_counting():
         assert_trace_verifies(r)
         if len({h.monic().canonical_key() for h in forms}) <= n:
             assert r.residue == 1
+
+
+@st.composite
+def _forms_and_matrix(draw):
+    spec = draw(st.sampled_from([prime_field(7), extension_field(3, 2),
+                                 extension_field(37, 2), Q]))
+    if spec.is_finite:
+        value = st.integers(0, spec.order - 1).map(spec.from_index)
+    else:
+        value = st.integers(-3, 3).map(spec.elem)
+    value = st.one_of(st.just(spec.zero), value)
+    nvars = draw(st.integers(1, 5))
+    forms = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = [draw(value) for _ in range(nvars)]
+        if any(coeffs):
+            forms.append(HomogPoly(spec, nvars, 1, {
+                tuple(1 if j == i else 0 for j in range(nvars)): c
+                for i, c in enumerate(coeffs)}))
+    ncols = draw(st.integers(1, 5))
+    M = Matrix(spec, [[draw(value) for _ in range(ncols)]
+                      for _ in range(nvars)])
+    return forms, M
+
+
+@given(_forms_and_matrix())
+@settings(max_examples=120, deadline=None)
+def test_rotation_as_a_product_matches_linear_substitute(case):
+    """The rows of A.M are the coefficients of h(M x), form by form; and
+    over a finite field the engine's essential arrangement Z is the forms
+    rotated by substitution onto their span."""
+    forms, M = case
+    if not forms:
+        return
+    spec = M.spec
+    assert _product(spec, _coeff_rows(forms), M.rows) == _coeff_rows(
+        [h.linear_substitute(M) for h in forms])
+
+    forms = _normalize_forms(forms)
+    result = class_of_arrangement(forms)
+    assert result.class_expr == arrangement_inclusion_exclusion(forms)
+    if not spec.is_finite:
+        return
+    nvars = forms[0].nvars
+    radical = _kernel(spec, _coeff_rows(forms), nvars)
+    r = nvars - len(radical)
+    W = Matrix._from_rows(spec, _rotation(spec, radical, nvars))
+    cone = result.trace[1]
+    assert cone.rule == "cone-fibration"
+    assert list(cone.identity.rhs[-1].query.factors) == [
+        h.linear_substitute(W).remap_variables({i: i for i in range(r)}, r)
+        for h in forms]
