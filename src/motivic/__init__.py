@@ -18,7 +18,7 @@ from .fields import (
 )
 from .poly import HomogPoly
 from .parse import ParseError, parse_point, parse_poly, parse_scalar
-from .linalg import Matrix, extend_to_basis
+from .linalg import Matrix
 from .quadform import QuadForm, diagonalize, find_projective_point, hyperbolic_normalize
 from .kclass import (
     ClassExpr,
@@ -45,8 +45,6 @@ from .descent import (
     Cocycle,
     GaloisContext,
     class_of_descended_arrangement,
-    descend_subspace,
-    frobenius_stability_check,
     h90_trivialize,
 )
 
@@ -79,15 +77,12 @@ __all__ = [
     "class_of_singular_cubic",
     "class_of_two_quadric_union",
     "count_points",
-    "descend_subspace",
     "diagonalize",
     "enumerate_points",
-    "extend_to_basis",
     "extension_field",
     "field_from_text",
     "find_projective_point",
     "find_singular_rational_point",
-    "frobenius_stability_check",
     "h90_trivialize",
     "hyperbolic_normalize",
     "parse_point",

@@ -88,6 +88,17 @@ class JobSpec:
             raise ValueError("ambient projective space needs dimension >= 1")
         if budget is not None and budget < 0:
             raise ValueError("--budget must be at least 0, got %d" % budget)
+        if height < 1:
+            raise ValueError("--height must be at least 1, got %d" % height)
+        # the report echoes every input, so one the command never reads
+        # would pass for an input of the job
+        if point is not None and command != "class-cubic-singular":
+            raise ValueError("%s takes no --point" % command)
+        if command in ("class-arrangement", "descend"):
+            if self.polynomials:
+                raise ValueError("%s takes no --poly" % command)
+        elif self.forms:
+            raise ValueError("%s takes no --form" % command)
 
     @classmethod
     def from_args(cls, args):

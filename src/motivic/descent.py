@@ -21,7 +21,7 @@ rotated factors.
 
 import random
 
-from .fields import FieldSpec, prime_field
+from .fields import FieldSpec
 from .linalg import Matrix, _Echelon, _eliminate, _kernel, _product, _rotation
 from .poly import HomogPoly
 from .count import CountQuery
@@ -68,10 +68,6 @@ class GaloisContext:
                     raise DefectError("Frobenius order is smaller than m")
             if ext._pow(cur, base.order) != t:
                 raise DefectError("Frobenius does not have order m")
-
-    def frobenius(self, a, power: int = 1):
-        """a -> a^(q^power) where q is the base field order."""
-        return a ** (self.base.order ** (power % self.m))
 
     def frobenius_matrix(self, M: Matrix, power: int = 1) -> Matrix:
         k = power % self.m
@@ -136,14 +132,10 @@ class Cocycle:
         return "Cocycle(%d matrices of size %d)" % (len(self.images), self.size)
 
 
-def _validated_ext_forms(forms, spec=None):
+def _validated_ext_forms(forms, spec):
     forms = list(forms)
     if not forms:
         raise ValueError("no forms given")
-    if spec is None:
-        spec = forms[0].spec
-    if not spec.is_finite:
-        raise ValueError("descent needs a finite field")
     nvars = forms[0].nvars
     for h in forms:
         if h.spec != spec or h.nvars != nvars:
@@ -189,17 +181,6 @@ def _span_cocycle(ctx, forms):
     for _ in range(1, ctx.m):
         images.append(alpha * ctx.frobenius_matrix(images[-1]))
     return T, Cocycle(images)
-
-
-def frobenius_stability_check(forms):
-    """Cocycle of the Frobenius action on span(forms), or None if the span
-    is not stable.  The basis is the first independent subset of the forms,
-    so a permutation of the hyperplanes shows up as a permutation cocycle."""
-    forms = _validated_ext_forms(forms)
-    spec = forms[0].spec
-    ctx = GaloisContext(prime_field(spec.p), spec)
-    _, cocycle = _span_cocycle(ctx, forms)
-    return cocycle
 
 
 def h90_trivialize(ctx: GaloisContext, cocycle: Cocycle, seed: int = 0) -> Matrix:
@@ -279,7 +260,12 @@ def _fixed_point_subspace(ctx, T, N):
 
 
 def _descend_core(ctx, forms, seed):
-    """(T, cocycle, B, rref basis over base) behind descend_subspace."""
+    """(T, cocycle, B, rref basis over base) of span(forms).
+
+    The twisted basis B^(-1).T has Frobenius-fixed coefficients; its rref
+    over the base field is cross-checked against a direct fixed-point
+    solver.
+    """
     T, cocycle = _span_cocycle(ctx, forms)
     if cocycle is None:
         raise ValueError("unstable: the Frobenius does not preserve the span")
@@ -297,18 +283,6 @@ def _descend_core(ctx, forms, seed):
     if oracle != R:
         raise DefectError("descended basis disagrees with the fixed-point solver")
     return T, cocycle, B, R
-
-
-def descend_subspace(ctx: GaloisContext, forms, seed: int = 0):
-    """Base-field basis of span(forms) when the span is Frobenius-stable.
-
-    The twisted basis B^(-1).T has Frobenius-fixed coefficients; its rref
-    over the base field is cross-checked against a direct fixed-point
-    solver before being returned as linear forms.
-    """
-    forms = _validated_ext_forms(forms, ctx.ext)
-    _, _, _, R = _descend_core(ctx, forms, seed)
-    return _row_forms(ctx.base, R.rows)
 
 
 def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,

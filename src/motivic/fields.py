@@ -470,12 +470,6 @@ class FieldSpec:
             raise ValueError("coefficient tuple longer than extension degree")
         return self._encode(coeffs)
 
-    def gen(self) -> "FieldElem":
-        """The residue class of t (extensions only)."""
-        if self.kind != "Fpm":
-            raise ValueError("no generator symbol over %s" % self)
-        return FieldElem(self, self.p)
-
     # -- finite enumeration (fixed order: ascending index) -------------------
 
     def from_index(self, i: int) -> "FieldElem":

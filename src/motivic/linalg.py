@@ -3,7 +3,7 @@
 Everything is deterministic: reduced row echelon form picks the first usable
 pivot scanning columns left to right and rows top to bottom, nullspace vectors
 follow the canonical free-variable unit pattern in ascending column order, and
-basis extension appends standard basis vectors in index order.  No floating
+a basis is completed with standard basis vectors in index order.  No floating
 point anywhere.
 
 A Matrix keeps rows of plain values, as a HomogPoly keeps its coefficients:
@@ -12,14 +12,14 @@ products, inverses and the other operations run on those rows through the
 value arithmetic of the spec (its _inv, _neg, _scale and _axpy), one path
 for every field, which over F_{p^m} is lookup in the spec's index tables.
 Elements are built only by the accessors that hand them out: M[i, j],
-column, columns, solve and nullspace.  The row functions below (_eliminate,
-_product, _kernel, _rotation) also serve the engines, which keep values
-throughout.  The public constructor coerces anything FieldSpec.elem
-accepts; results of operations are valid by construction, so they are
-built through _from_rows, which stores the value rows it is given and
-never changes them.  _Echelon keeps a reduced basis of a growing span, so
-that the rank after each new row costs one reduction; basis extension and
-the subset walks of the arrangement engines use it.
+column and columns.  The row functions below (_eliminate, _product,
+_kernel, _rotation) serve the engines, which keep values throughout.  The
+public constructor coerces anything FieldSpec.elem accepts; results of
+operations are valid by construction, so they are built through
+_from_rows, which stores the value rows it is given and never changes
+them.  _Echelon keeps a reduced basis of a growing span, so
+that the rank after each new row costs one reduction; _rotation's basis
+completion and the subset walks of the arrangement engines use it.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ def _product(spec, left, right):
 
 
 def _kernel(spec, m, ncols):
-    """The canonical right-nullspace basis (see Matrix.nullspace) of the
-    value rows m, as value lists; the list m is reduced to rref on the way."""
+    """The canonical right-nullspace basis of the value rows m, as value
+    lists: one vector per free column, which gets entry 1 while the other
+    free columns get 0.  The list m is reduced to rref on the way."""
     pivots = _eliminate(spec, m, ncols)
     zero, one = spec.zero.value, spec.one.value
     basis = []
@@ -114,12 +115,6 @@ class Matrix:
         return cls._from_rows(
             spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, spec: FieldSpec, cols) -> "Matrix":
-        cols = [list(c) for c in cols]
-        n = len(cols[0])
-        return cls(spec, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
     def __getitem__(self, ij) -> FieldElem:
         """The entry M[i, j] as an element."""
         i, j = ij
@@ -131,9 +126,6 @@ class Matrix:
 
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix._from_rows(self.spec, [list(c) for c in zip(*self.rows)])
 
     def __eq__(self, other):
         return (
@@ -166,13 +158,6 @@ class Matrix:
     def rank(self) -> int:
         return len(_eliminate(self.spec, list(self.rows), self.ncols))
 
-    def nullspace(self):
-        """Canonical right-nullspace basis: one vector per free column, which
-        gets entry 1 while the other free columns get 0."""
-        spec = self.spec
-        return [tuple([FieldElem(spec, x) for x in v])
-                for v in _kernel(spec, list(self.rows), self.ncols)]
-
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("not square")
@@ -183,19 +168,6 @@ class Matrix:
         if list(pivots[:n]) != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix._from_rows(self.spec, [row[n:] for row in R.rows])
-
-    def solve(self, b):
-        """One solution of A x = b, or None if inconsistent."""
-        spec = self.spec
-        aug = Matrix._from_rows(
-            spec, [r + [spec._value(v)] for r, v in zip(self.rows, b)])
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [spec.zero] * self.ncols
-        for r, c in enumerate(pivots):
-            x[c] = FieldElem(spec, R.rows[r][self.ncols])
-        return tuple(x)
 
 
 class _Echelon:
@@ -255,19 +227,3 @@ def _rotation(spec: FieldSpec, vectors, dim: int):
         if span.add(e):
             cols.append(e)
     return [list(row) for row in zip(*cols, *vectors)]
-
-
-def extend_to_basis(spec: FieldSpec, vectors, dim: int) -> Matrix:
-    """Complete independent vectors to a basis of spec^dim.
-
-    Returns the invertible matrix whose first columns are the inputs and whose
-    remaining columns are the standard basis vectors that keep the collection
-    independent, taken in index order.
-    """
-    cols = [[spec._value(x) for x in v] for v in vectors]
-    for v in cols:
-        if len(v) != dim:
-            raise ValueError("vector length != dim")
-    k = dim - len(cols)
-    return Matrix._from_rows(
-        spec, [row[k:] + row[:k] for row in _rotation(spec, cols, dim)])

@@ -4,12 +4,11 @@ A HomogPoly is a dict from exponent tuples to the nonzero values of its
 coefficients (see motivic.fields), tagged with its field, variable count,
 and degree; every operation combines the values through the field's value
 arithmetic.  A FieldElem is built only by the accessors that hand one out:
-terms, sorted_terms, coefficient_of, leading_coefficient and evaluate.  The
-zero polynomial keeps an explicit degree so that arithmetic stays
-well-typed.  Term order everywhere is graded lexicographic, which for a
-fixed degree is plain lexicographic on exponent tuples, largest first; that
-order fixes the leading coefficient, the printed form, and every
-deterministic tie-break downstream.
+terms and evaluate.  The zero polynomial keeps an explicit degree so that
+arithmetic stays well-typed.  Term order everywhere is graded
+lexicographic, which for a fixed degree is plain lexicographic on exponent
+tuples, largest first; that order fixes the leading coefficient, the
+printed form, and every deterministic tie-break downstream.
 
 Every product of forms (*, power, HomogPoly.product and the row powers of
 linear_substitute) takes one packed path, _Packing: exponent tuples become
@@ -249,27 +248,14 @@ class HomogPoly:
         """The coefficients as FieldElems, built on each call."""
         return {e: FieldElem(self.spec, v) for e, v in self.coeffs.items()}
 
-    def sorted_terms(self):
-        """Terms in canonical order (graded-lex, leading term first)."""
-        spec = self.spec
-        return [(e, FieldElem(spec, v))
-                for e, v in sorted(self.coeffs.items(), reverse=True)]
-
     def _lead(self):
         """The value of the leading coefficient."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[max(self.coeffs)]
 
-    def leading_coefficient(self) -> FieldElem:
-        return FieldElem(self.spec, self._lead())
-
     def monic(self) -> "HomogPoly":
         return self._scaled(self.spec._inv(self._lead()))
-
-    def coefficient_of(self, exps) -> FieldElem:
-        v = self.coeffs.get(tuple(exps))
-        return self.spec.zero if v is None else FieldElem(self.spec, v)
 
     def canonical_key(self):
         """Hashable structural identity (field, shape, ordered terms)."""
@@ -318,12 +304,6 @@ class HomogPoly:
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
-
-    def scale(self, c) -> "HomogPoly":
-        c = self.spec._value(c)
-        if not c:
-            return HomogPoly.zero(self.spec, self.nvars, self.degree)
-        return self._scaled(c)
 
     def _scaled(self, c) -> "HomogPoly":
         """The form times a nonzero value c, with no term lost."""

@@ -371,8 +371,10 @@ def class_of_cone(generators) -> StratResult:
     """Class of the cone in P^n with apex [0:...:0:1] over Z in P^(n-1).
 
     The generators are given in the first n coordinates.  Lines through the
-    apex give [X] = 1 + L*[Z].  Z stays an atom except in the one decidable
-    case: all generators linear of full rank, hence Z empty and [X] = 1.
+    apex give [X] = 1 + L*[Z], which needs the apex on X: a nonzero
+    generator of degree 0 raises ValueError, zero generators are dropped.
+    Z stays an atom except in the one decidable case: all generators
+    linear of full rank, hence Z empty and [X] = 1.
     """
     gens = list(generators)
     if not gens:
@@ -385,6 +387,9 @@ def class_of_cone(generators) -> StratResult:
     finite = spec.is_finite
 
     live = [g for g in gens if not g.is_zero()]
+    if any(g.degree == 0 for g in live):
+        raise ValueError("a nonzero constant generator makes the cone "
+                         "empty; every generator needs positive degree")
     embedded = [g.insert_variable(nvars) for g in live]
     base_empty = False
     if live and all(g.degree == 1 for g in live):

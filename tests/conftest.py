@@ -9,6 +9,7 @@ from pathlib import Path
 
 import motivic
 from motivic.count import CountQuery, count_points
+from motivic.poly import HomogPoly
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 # The directory holding the `motivic` the suite imported: `src/` in a
@@ -31,6 +32,12 @@ def assert_trace_verifies(result, budget=None):
 
 def brute_count(spec, n, gens):
     return count_points(CountQuery(spec, n, gens))
+
+
+def scaled(f, c):
+    """The form f times the scalar c, built term by term."""
+    return HomogPoly(f.spec, f.nvars, f.degree,
+                     {e: c * a for e, a in f.terms.items()})
 
 
 def projective_reps(spec, n):

@@ -666,6 +666,66 @@ def test_negative_budget_exits_two(capsys):
     assert code == 2 and "needs 4 candidates, budget is 0" in err
 
 
+@pytest.mark.parametrize("field, polys", [
+    ("3", ["1"]), ("3", ["x0", "1"]), ("Q", ["2"]), ("Q", ["x0", "1/2"]),
+], ids=["F3-one", "F3-with-one", "Q-two", "Q-with-half"])
+def test_cone_with_constant_generator_exits_two(capsys, field, polys):
+    # V(c) is empty for a nonzero constant c, so there is no apex on X
+    argv = ["class-cone", "--field", field, "--ambient", "2"]
+    for poly in polys:
+        argv += ["--poly", poly]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a nonzero constant generator")
+
+
+@pytest.mark.parametrize("height", [0, -3])
+def test_height_below_one_exits_two(tmp_path, capsys, height):
+    expected = "error: --height must be at least 1, got %d\n" % height
+    for argv in (QUADRIC,
+                 ["class-quadric", "--field", "Q", "--ambient", "2",
+                  "--poly", "x0^2 + x1^2 + x2^2"],
+                 ["count", "--field", "7", "--ambient", "2"]):
+        code, out, err = _run(capsys, argv + ["--height", str(height)])
+        assert (code, out, err) == (2, "", expected)
+    path = _edited_report(tmp_path, capsys, ("input", "options", "height"),
+                          height)
+    code, out, err = _run(capsys, ["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read report: --height must be")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (QUADRIC + ["--point", "1,1,0,0"], "--point"),
+    (QUADRIC + ["--form", "x0"], "--form"),
+    (["count", "--field", "5", "--ambient", "1", "--form", "x0"], "--form"),
+    (["count", "--field", "5", "--ambient", "1", "--point", "1,0"],
+     "--point"),
+    (["class-cone", "--field", "5", "--ambient", "2", "--poly", "x0",
+      "--form", "x1"], "--form"),
+    (["class-cubic-singular", "--field", "5", "--ambient", "3",
+      "--poly", "x0*x1*x3 + x2^3", "--form", "x0"], "--form"),
+    (["class-two-quadrics", "--field", "5", "--ambient", "2",
+      "--poly", "x0*x1", "--poly", "x2^2", "--form", "x0"], "--form"),
+    (["class-arrangement", "--field", "5", "--ambient", "2",
+      "--form", "x0", "--poly", "x1"], "--poly"),
+    (["class-arrangement", "--field", "5", "--ambient", "2",
+      "--form", "x0", "--point", "1,0,0"], "--point"),
+    (["descend", "--field", "3,2", "--ambient", "2",
+      "--form", "x0", "--poly", "x1"], "--poly"),
+    (["descend", "--field", "3,2", "--ambient", "2",
+      "--form", "x0", "--point", "1,0,0"], "--point"),
+], ids=["quadric-point", "quadric-form", "count-form", "count-point",
+        "cone-form", "cubic-form", "two-quadrics-form", "arrangement-poly",
+        "arrangement-point", "descend-poly", "descend-point"])
+def test_unread_flag_exits_two(capsys, argv, flag):
+    # a report would echo the flag's value as an input of the job, and
+    # verify would then confirm an input the command never read
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: %s takes no %s\n" % (argv[0], flag)
+
+
 def test_oracle_obeys_job_budget(monkeypatch, capsys):
     # The oracle's atom counts take --budget, not the MOTIVIC_BUDGET default.
     # The largest count of the job is the cubic in P^3(F3), 40 candidates.

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import motivic
 import motivic.count
-from conftest import projective_reps, reference_points, reference_walk
+from conftest import (projective_reps, reference_points, reference_walk,
+                      scaled)
 from motivic.count import (
     BudgetError,
     CountQuery,
@@ -562,8 +563,8 @@ def test_query_equality_and_hash_are_stable():
     # order, repetition and nonzero scalars of the factors do not matter
     same = [CountQuery.union(F7, 2, [h, f]),
             CountQuery.union(F7, 2, [f, h, f]),
-            CountQuery.union(F7, 2, [f.scale(F7.elem(3)),
-                                     h.scale(F7.elem(6))])]
+            CountQuery.union(F7, 2, [scaled(f, F7.elem(3)),
+                                     scaled(h, F7.elem(6))])]
     for other in same:
         assert other == u and hash(other) == hash(u)
         assert count_points(other) == count_points(u)
@@ -666,7 +667,7 @@ def test_point_searches_match_reference_walk(query, data):
                          ids=str)
 def test_point_searches_past_the_table_limit(spec):
     """Fields too large to tabulate test each value of a fibre in turn."""
-    g = spec.gen() if spec.kind == "Fpm" else spec.elem(5)
+    g = spec.from_index(spec.p) if spec.kind == "Fpm" else spec.elem(5)
     lines = [parse_poly("x0 - x1", spec, 2),
              HomogPoly(spec, 2, 1, {(1, 0): g, (0, 1): spec.one})]
     for query in [

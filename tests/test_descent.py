@@ -3,20 +3,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_trace_verifies, brute_count
+from conftest import assert_trace_verifies, brute_count, scaled
 from motivic.descent import (
     Cocycle,
     GaloisContext,
+    _descend_core,
+    _span_cocycle,
     class_of_descended_arrangement,
-    descend_subspace,
-    frobenius_stability_check,
     h90_trivialize,
 )
 from motivic.fields import extension_field, prime_field, rationals
-from motivic.linalg import Matrix
+from motivic.linalg import Matrix, _kernel
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
-from motivic.strat import class_of_arrangement
+from motivic.strat import _row_forms, class_of_arrangement
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -29,11 +29,23 @@ def _ctx(p=3, m=2):
 
 
 def _conjugate_pair(spec, nvars=2):
-    t = spec.gen()
+    t = spec.from_index(spec.p)
     x0 = HomogPoly.variable(spec, nvars, 0)
     x1 = HomogPoly.variable(spec, nvars, 1)
     one = spec.one
-    return [x0 + x1.scale(t), x0 - x1.scale(t)], (one, t)
+    return [x0 + scaled(x1, t), x0 - scaled(x1, t)], (one, t)
+
+
+def _cocycle(forms):
+    """The cocycle of the Frobenius over F_p on span(forms), or None when
+    the span is not stable."""
+    spec = forms[0].spec
+    return _span_cocycle(GaloisContext(prime_field(spec.p), spec), forms)[1]
+
+
+def _descend(ctx, forms, seed=0):
+    """The descended basis of span(forms), as linear forms over the base."""
+    return _row_forms(ctx.base, _descend_core(ctx, forms, seed)[3].rows)
 
 
 def test_context_validation():
@@ -49,30 +61,30 @@ def test_context_validation():
 
 def test_frobenius_action():
     ctx = _ctx()
-    t = F9.gen()
-    # t^2 = -1, so t^3 = -t
-    assert ctx.frobenius(t) == -t
-    assert ctx.frobenius(t, power=2) == t
-    for v in range(3):
-        assert ctx.frobenius(F9.elem(v)) == F9.elem(v)
+    t = F9.from_index(F9.p)
+    row = Matrix(F9, [[t, F9.one, F9.elem(2)]])
+    # t^2 = -1, so t^3 = -t; the base field is fixed
+    assert ctx.frobenius_matrix(row) == Matrix(F9, [[-t, F9.one, F9.elem(2)]])
+    assert ctx.frobenius_matrix(row, power=2) == row
     ctx3 = _ctx(m=3)
-    u = F27.gen()
-    orbit = {u, ctx3.frobenius(u), ctx3.frobenius(u, 2)}
+    u = Matrix(F27, [[F27.from_index(F27.p)]])
+    orbit = {ctx3.frobenius_matrix(u, k)[0, 0] for k in range(3)}
     assert len(orbit) == 3
-    assert ctx3.frobenius(u, 3) == u
+    assert ctx3.frobenius_matrix(u, 3) == u
 
 
 def test_in_base_and_lift():
     # the base field is the Frobenius-fixed elements, the indices below p
     ctx = _ctx()
-    assert [i for i in range(F9.order)
-            if ctx.frobenius(F9.from_index(i)) == F9.from_index(i)] == [0, 1, 2]
+    every = Matrix._from_rows(F9, [list(range(F9.order))])
+    image = ctx.frobenius_matrix(every).rows[0]
+    assert [i for i in range(F9.order) if image[i] == i] == [0, 1, 2]
     assert ctx.ext.elem(F3.elem(2).value) == F9.elem(2)
 
 
 def test_stability_conjugate_pair():
     forms, _ = _conjugate_pair(F9)
-    cocycle = frobenius_stability_check(forms)
+    cocycle = _cocycle(forms)
     assert cocycle is not None
     assert cocycle.size == 2
     assert not cocycle.is_trivial()
@@ -81,12 +93,12 @@ def test_stability_conjugate_pair():
 
 def test_stability_single_irrational_form_fails():
     forms, _ = _conjugate_pair(F9)
-    assert frobenius_stability_check(forms[:1]) is None
+    assert _cocycle(forms[:1]) is None
 
 
 def test_stability_rational_forms_trivial():
     forms = [parse_poly("x0", F9, 2), parse_poly("x1", F9, 2)]
-    cocycle = frobenius_stability_check(forms)
+    cocycle = _cocycle(forms)
     assert cocycle is not None and cocycle.is_trivial()
 
 
@@ -94,7 +106,7 @@ def test_cocycle_condition_rejects_norm_violation():
     # diag(t+1, 1): the norm (t+1)*(t+1)^3 = (t+1)(1-t) = 2 != 1, so the
     # wrap-around condition fails even though each matrix is invertible
     ctx = _ctx()
-    t = F9.gen()
+    t = F9.from_index(F9.p)
     bad = Cocycle([
         Matrix.identity(F9, 2),
         Matrix(F9, [[t + F9.one, F9.zero], [F9.zero, F9.one]]),
@@ -107,7 +119,7 @@ def test_cocycle_condition_rejects_norm_violation():
 def test_cocycle_condition_accepts_norm_one_diagonal():
     # norm(t) = t * t^3 = t^4 = 1, so diag(t, 1) closes the cycle
     ctx = _ctx()
-    t = F9.gen()
+    t = F9.from_index(F9.p)
     good = Cocycle([
         Matrix.identity(F9, 2),
         Matrix(F9, [[t, F9.zero], [F9.zero, F9.one]]),
@@ -126,7 +138,7 @@ def test_h90_trivial_cocycle_gives_identity():
 def test_h90_on_swap_cocycle():
     ctx = _ctx()
     forms, _ = _conjugate_pair(F9)
-    cocycle = frobenius_stability_check(forms)
+    cocycle = _cocycle(forms)
     B = h90_trivialize(ctx, cocycle)
     assert B.rank() == 2
     assert cocycle.images[1] * ctx.frobenius_matrix(B) == B
@@ -135,7 +147,7 @@ def test_h90_on_swap_cocycle():
 def test_descend_conjugate_pair():
     ctx = _ctx()
     forms, _ = _conjugate_pair(F9)
-    basis = descend_subspace(ctx, forms)
+    basis = _descend(ctx, forms)
     assert [str(h) for h in basis] == ["x0", "x1"]
     assert all(h.spec == F3 for h in basis)
 
@@ -143,7 +155,7 @@ def test_descend_conjugate_pair():
 def test_descend_rational_input_unchanged():
     ctx = _ctx()
     forms = [parse_poly("x0", F9, 3), parse_poly("x2", F9, 3)]
-    basis = descend_subspace(ctx, forms)
+    basis = _descend(ctx, forms)
     assert [str(h) for h in basis] == ["x0", "x2"]
 
 
@@ -151,23 +163,23 @@ def test_descend_unstable_raises():
     ctx = _ctx()
     forms, _ = _conjugate_pair(F9)
     with pytest.raises(ValueError, match="unstable"):
-        descend_subspace(ctx, forms[:1])
+        _descend_core(ctx, forms[:1], 0)
 
 
 def test_descend_preserves_span():
     ctx = _ctx(3, 3)
     spec = F27
-    u = spec.gen()
+    u = spec.from_index(spec.p)
     x0 = HomogPoly.variable(spec, 4, 0)
     x1 = HomogPoly.variable(spec, 4, 1)
     x3 = HomogPoly.variable(spec, 4, 3)
-    h = x0 + x1.scale(u) + x3.scale(u * u)
+    h = x0 + scaled(x1, u) + scaled(x3, u * u)
     orbit = [h]
     for _ in range(2):
         prev = orbit[-1]
-        terms = {e: ctx.frobenius(c) for e, c in prev.terms.items()}
+        terms = {e: c**3 for e, c in prev.terms.items()}
         orbit.append(HomogPoly(spec, 4, 1, terms))
-    basis = descend_subspace(ctx, orbit)
+    basis = _descend(ctx, orbit)
     # mutual membership: lift the descended rows and rref both span matrices
     from motivic.strat import _coeff_rows
 
@@ -239,14 +251,14 @@ def test_class_error_paths():
     forms, _ = _conjugate_pair(F9)
     with pytest.raises(ValueError, match="d <= n"):
         class_of_descended_arrangement(ctx, forms, ambient=1)
-    t = F9.gen()
+    t = F9.from_index(F9.p)
     x0 = HomogPoly.variable(F9, 3, 0)
     x1 = HomogPoly.variable(F9, 3, 1)
     x2 = HomogPoly.variable(F9, 3, 2)
     # product (x0 + t*x1)(x0 + t*x2) has unfixed coefficients
     with pytest.raises(ValueError, match="not Frobenius-fixed"):
         class_of_descended_arrangement(
-            ctx, [x0 + x1.scale(t), x0 + x2.scale(t)], ambient=2
+            ctx, [x0 + scaled(x1, t), x0 + scaled(x2, t)], ambient=2
         )
 
 
@@ -292,7 +304,7 @@ def test_randomized_scalar_scrambles():
                 lam = ctx.ext.from_index(rng.randrange(ctx.ext.order))
                 if not lam.is_zero():
                     break
-            scrambled.append(h.scale(lam))
+            scrambled.append(scaled(h, lam))
         a = class_of_descended_arrangement(ctx, lifted, n, seed=trial)
         b = class_of_descended_arrangement(ctx, scrambled, n, seed=trial)
         assert a.class_expr == b.class_expr
@@ -302,7 +314,7 @@ def test_randomized_scalar_scrambles():
 
 def test_randomized_matrix_scrambles():
     """Mixing the forms by an invertible extension matrix preserves the span,
-    so descend_subspace must recover the same base-field rref."""
+    so the descent must recover the same base-field rref."""
     rng = random.Random(6)
     for trial in range(8):
         p, m = ((3, 2), (5, 2), (3, 3), (5, 3))[trial % 4]
@@ -333,7 +345,7 @@ def test_randomized_matrix_scrambles():
                 if not mixed[k, i].is_zero()
             }
             forms.append(HomogPoly(ctx.ext, n + 1, 1, terms))
-        basis = descend_subspace(ctx, forms, seed=trial)
+        basis = _descend(ctx, forms, seed=trial)
         got = Matrix(ctx.base, _coeff_rows(basis)).rref()[0]
         assert got == rows
 
@@ -345,11 +357,43 @@ def _elem_rows(M):
     return [[M[i, j] for j in range(M.ncols)] for i in range(M.nrows)]
 
 
+def _frobenius(ctx, a, power=1):
+    """a -> a^(q^power), q the order of the base field."""
+    return a ** (ctx.base.order ** power)
+
+
 def _frobenius_matrix_on_elements(ctx, M, power=1):
     if power % ctx.m == 0:
         return M
-    return Matrix(ctx.ext, [[ctx.frobenius(x, power) for x in row]
+    return Matrix(ctx.ext, [[_frobenius(ctx, x, power) for x in row]
                             for row in _elem_rows(M)])
+
+
+def _solve_on_elements(spec, rows, b):
+    """One solution x of rows . x = b by Gauss-Jordan on FieldElems, the
+    free unknowns 0, or None when there is none."""
+    ncols = len(rows[0])
+    m = [list(row) + [v] for row, v in zip(rows, b)]
+    pivots = []
+    for c in range(ncols + 1):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        if c == ncols:
+            return None
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and not f.is_zero():
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    x = [spec.zero] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][ncols]
+    return x
 
 
 def _span_cocycle_on_elements(ctx, forms):
@@ -358,18 +402,18 @@ def _span_cocycle_on_elements(ctx, forms):
     spec, nvars = ctx.ext, forms[0].nvars
     chosen = []
     for h in forms:
-        row = [h.coefficient_of(tuple(1 if j == i else 0 for j in range(nvars)))
+        row = [h.terms.get(tuple(int(j == i) for j in range(nvars)), spec.zero)
                for i in range(nvars)]
         if Matrix(spec, chosen + [row]).rank() > len(chosen):
             chosen.append(row)
     T = Matrix(spec, chosen)
-    Tt = T.transpose()
+    Tt = [list(col) for col in zip(*chosen)]
     n_rows = []
     for row in chosen:
-        x = Tt.solve([ctx.frobenius(c) for c in row])
+        x = _solve_on_elements(spec, Tt, [_frobenius(ctx, c) for c in row])
         if x is None:
             return T, None
-        n_rows.append(list(x))
+        n_rows.append(x)
     ident = Matrix.identity(spec, T.nrows)
     if ctx.m == 1:
         return T, [ident]
@@ -421,7 +465,7 @@ def _fixed_point_subspace_on_elements(ctx, T, N):
     for i in range(r):
         for k in range(m):
             tk = ext.from_index(ext.p**k)
-            stk = ctx.frobenius(tk)
+            stk = _frobenius(ctx, tk)
             col = []
             for j in range(r):
                 acc = stk * N[i, j]
@@ -429,13 +473,13 @@ def _fixed_point_subspace_on_elements(ctx, T, N):
                     acc = acc - tk
                 col.extend(ext._digits(acc.value))
             cols.append(col)
-    kernel = Matrix.from_columns(base, cols).nullspace()
+    kernel = _kernel(base, [list(row) for row in zip(*cols)], r * m)
     assert len(kernel) == r
     rows = []
     for vec in kernel:
         c = []
         for i in range(r):
-            chunk = tuple(vec[i * m + k].value for k in range(m))
+            chunk = tuple(vec[i * m:(i + 1) * m])
             c.append(ext.elem(chunk if ext.kind == "Fpm" else chunk[0]))
         row = []
         for j in range(T.ncols):
@@ -460,7 +504,7 @@ def _orbit_arrangement(rng, ctx, nvars, orbits):
         for k in range(ctx.m):
             forms.append(HomogPoly(ctx.ext, nvars, 1, {
                 tuple(1 if j == i else 0 for j in range(nvars)):
-                    ctx.frobenius(c, k)
+                    _frobenius(ctx, c, k)
                 for i, c in enumerate(coeffs)}))
     if not forms or rng.random() < 0.3:
         forms.append(HomogPoly.variable(ctx.ext, nvars, rng.randrange(nvars)))
@@ -475,7 +519,7 @@ def test_value_core_matches_element_path(p, m):
     """T, the cocycle images, B (and its text), the descended rref R and
     the fixed-point oracle of the value core equal those of the element
     path, on random orbit arrangements and seeds."""
-    from motivic.descent import _descend_core, _fixed_point_subspace
+    from motivic.descent import _fixed_point_subspace
 
     ext = extension_field(p, m) if m > 1 else prime_field(p)
     ctx = GaloisContext(prime_field(p), ext)
@@ -505,8 +549,6 @@ def test_value_core_matches_element_path(p, m):
 
 
 def test_unstable_span_matches_element_path():
-    from motivic.descent import _span_cocycle
-
     ctx = _ctx(5, 3)
     rng = random.Random(8)
     for _ in range(10):
@@ -536,8 +578,7 @@ def _descent_case(draw):
 def test_rotated_factors_multiply_to_the_rotated_product(case):
     """Z, the product of the factors rotated one by one, is the product
     rotated as a whole by the same W, remapped to its r variables."""
-    from motivic.descent import _descend_core
-    from motivic.linalg import _kernel, _rotation
+    from motivic.linalg import _rotation
     from motivic.strat import _normalize_forms
 
     ctx, forms, n, seed = case

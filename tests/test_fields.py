@@ -34,13 +34,13 @@ def test_f9_modulus_is_smallest_by_encoding():
     encoding order, start at t^2 + 1."""
     assert build_extension(3, 2) == (1, 0, 1)
     F9 = extension_field(3, 2)
-    t = F9.gen()
+    t = F9.from_index(F9.p)
     assert t * t == F9.elem(-1)
 
 
 def test_extension_arithmetic_f9():
     F9 = extension_field(3, 2)
-    t = F9.gen()
+    t = F9.from_index(F9.p)
     a = F9.one + t
     assert a * a == F9.elem(2) * t  # (1+t)^2 = 1 + 2t + t^2 = 2t
     assert (a ** 8) == F9.one  # multiplicative order divides 8
@@ -79,7 +79,8 @@ def test_cross_field_mixing_rejected():
     F9 = extension_field(3, 2)
     other = extension_field(3, 2, (2, 1, 1))  # t^2 + t + 2, another F9
     assert other != F9
-    for x, y in ((F9.gen(), other.gen()), (F9.gen(), prime_field(3).one)):
+    t, u = F9.from_index(F9.p), other.from_index(other.p)
+    for x, y in ((t, u), (t, prime_field(3).one)):
         for u, v in ((x, y), (y, x)):
             with pytest.raises(ValueError):
                 u + v
@@ -153,7 +154,7 @@ def test_equal_specs_that_are_distinct_objects_mix():
     A = extension_field(3, 2)
     B = extension_field(3, 2, (1, 0, 1))
     assert A is B
-    a, b = A.gen(), B.gen()
+    a, b = A.from_index(A.p), B.from_index(B.p)
     assert a + b == A.elem((0, 2)) and b + a == B.elem((0, 2))
     assert a * b == A.elem(-1) and b * a == B.elem(-1)
     assert a - b == A.zero and hash(a) == hash(b)
@@ -296,7 +297,7 @@ def test_log_pair_is_lazy_and_uses_first_primitive_element():
     for p, m in ((3, 2), (5, 2), (3, 3), (7, 2)):
         spec = FieldSpec("Fpm", p=p, m=m, modulus=build_extension(p, m))
         assert spec._tables is None  # nothing built with the spec
-        t = spec.gen()
+        t = spec.from_index(spec.p)
         tt = _tup(spec, t.value)
         assert _tup(spec, (t * t).value) == _ref_mul(spec, tt, tt)
         log, antilog = spec._tables[:2]
@@ -314,25 +315,24 @@ def test_log_pair_is_lazy_and_uses_first_primitive_element():
         # every table is O(q), none q x q
         assert all(len(table) <= 2 * q for table in spec._tables)
     big = FieldSpec("Fpm", p=31, m=3, modulus=build_extension(31, 3))
-    big.gen() * big.gen()
-    big.gen() + big.one
+    t = big.from_index(big.p)
+    t * t
+    t + big.one
     assert big._tables is None
 
 
 @pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3), (5, 3), (31, 3)],
                          ids=lambda v: str(v))
 def test_index_encoding_round_trip(p, m):
-    """elem(tuple), from_index, gen, str and parse_poly of t-literals agree
+    """elem(tuple), from_index, str and parse_poly of t-literals agree
     on each element; the base field is the indices below p, the elements
     whose coefficients but the constant are all zero."""
     import random
 
-    from motivic.descent import GaloisContext
     from motivic.parse import parse_poly
 
     spec = extension_field(p, m)
-    ctx = GaloisContext(prime_field(p), spec)
-    t = spec.gen()
+    t = spec.elem((0, 1))
     assert t.value == p and spec.from_index(p) == t
     q = spec.order
     if q <= 125:
@@ -347,6 +347,7 @@ def test_index_encoding_round_trip(p, m):
         assert sum((c * t**k for k, c in enumerate(coeffs)), spec.zero) == a
         text = str(a)
         assert (text == str(i)) == (i < p)
-        assert parse_poly("%s*x0" % text, spec, 1).coefficient_of((1,)) == a
-        fixed = ctx.frobenius(a) == a
+        f = parse_poly("%s*x0" % text, spec, 1)
+        assert f.terms.get((1,), spec.zero) == a
+        fixed = a**p == a
         assert fixed == (i < p) == all(c == 0 for c in coeffs[1:])

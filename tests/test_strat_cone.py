@@ -88,3 +88,15 @@ def test_validation_errors():
         class_of_cone([parse_poly("x0", F3, 2), parse_poly("x0", F3, 3)])
     with pytest.raises(ValueError, match="different spaces"):
         class_of_cone([parse_poly("x0", F3, 2), parse_poly("x0", F5, 2)])
+
+
+@pytest.mark.parametrize("spec", [F3, Q], ids=str)
+def test_nonzero_constant_generator_rejected(spec):
+    # 1 + L*[Z] needs the apex on X, but a nonzero constant makes X empty
+    x0 = parse_poly("x0", spec, 2)
+    for gens in ([parse_poly("1", spec, 2)], [x0, parse_poly("2", spec, 2)]):
+        with pytest.raises(ValueError, match="constant generator"):
+            class_of_cone(gens)
+    # a zero generator is still dropped, whatever its degree
+    r = class_of_cone([HomogPoly.zero(spec, 2, 0), x0])
+    assert r.class_expr == class_of_cone([x0]).class_expr

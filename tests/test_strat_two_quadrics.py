@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import assert_trace_verifies, brute_count
+from conftest import assert_trace_verifies, brute_count, scaled
 from motivic.fields import prime_field, rationals
 from motivic.kclass import VarietyAtom
 from motivic.parse import parse_poly
@@ -76,7 +76,7 @@ def test_identity_values_frozen():
 
 def test_proportional_pair_delegates():
     f1, _ = _pair()
-    f2 = f1.scale(F3.elem(2))
+    f2 = scaled(f1, F3.elem(2))
     r = class_of_two_quadric_union(f1, f2)
     assert dict(r.hypotheses)["q2_proportional_to_q1"]
     assert r.class_expr == class_of_quadric(f1).class_expr
