@@ -17,7 +17,7 @@ from .fields import (
     rationals,
 )
 from .poly import HomogPoly
-from .parse import ParseError, parse_point, parse_poly, parse_scalar
+from .parse import ParseError, parse_point, parse_poly
 from .linalg import Matrix
 from .quadform import QuadForm, diagonalize, find_projective_point, hyperbolic_normalize
 from .kclass import (
@@ -87,7 +87,6 @@ __all__ = [
     "hyperbolic_normalize",
     "parse_point",
     "parse_poly",
-    "parse_scalar",
     "prime_field",
     "projective_space_class",
     "rationals",

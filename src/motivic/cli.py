@@ -50,6 +50,7 @@ def _field_text(spec: FieldSpec) -> str:
 
 
 _NONE = type(None)
+_DEFAULT_HEIGHT = 10  # the search height over Q without --height
 
 
 def _echoed(holder, key, *types):
@@ -69,7 +70,8 @@ class JobSpec:
                  "point", "seed", "height", "budget", "verify")
 
     def __init__(self, command, field, ambient, polynomials=(), forms=(),
-                 point=None, seed=0, height=10, budget=None, verify=True):
+                 point=None, seed=0, height=_DEFAULT_HEIGHT, budget=None,
+                 verify=True):
         self.command = command
         self.field = field
         self.ambient = ambient
@@ -92,6 +94,11 @@ class JobSpec:
             raise ValueError("--height must be at least 1, got %d" % height)
         # the report echoes every input, so one the command never reads
         # would pass for an input of the job
+        if seed != 0 and command != "descend":
+            raise ValueError("%s takes no --seed" % command)
+        if height != _DEFAULT_HEIGHT and command not in (
+                "class-quadric", "class-cubic-singular"):
+            raise ValueError("%s takes no --height" % command)
         if point is not None and command != "class-cubic-singular":
             raise ValueError("%s takes no --point" % command)
         if command in ("class-arrangement", "descend"):
@@ -495,7 +502,7 @@ def _parser():
         sp.add_argument("--point", default=None,
                         help="comma-separated point coordinates")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--height", type=int, default=10,
+        sp.add_argument("--height", type=int, default=_DEFAULT_HEIGHT,
                         help="search height bound over Q")
         sp.add_argument("--budget", type=int, default=None,
                         help="enumeration budget for point counting")

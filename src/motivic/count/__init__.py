@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 
-from ..fields import _TABLE_LIMIT, FieldElem, FieldSpec
+from ..fields import _TABLE_LIMIT, FieldSpec
 from ..poly import HomogPoly
 
 from . import _pure
@@ -258,13 +258,12 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
 
 
 def enumerate_points(query: CountQuery, budget: int | None = None):
-    """Yield the points of the query as coordinate tuples, canonical order.
+    """Yield the points of the query as tuples of values, canonical order.
 
     The points come from _points, the kernel's fibre walk over the lead
     strata of _pure._plan, in the canonical order of motivic.points (that of
-    projective_reps in the tests' conftest); field elements are built only
-    for the points yielded.  The whole walk is charged against budget up
-    front.
+    projective_reps in the tests' conftest).  The whole walk is charged
+    against budget up front.
     """
     budget = default_budget() if budget is None else budget
     cost = query.cost()
@@ -351,7 +350,7 @@ def _points(query: CountQuery, budget: int):
                 for j, v in zip(prefix, pre):
                     idx[j] = v
                 idx[last] = x
-                yield tuple([FieldElem(spec, v) for v in idx])
+                yield tuple(idx)
             walked += stop - start
             if stop < end:
                 raise over_budget()

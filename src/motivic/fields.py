@@ -36,8 +36,8 @@ constants from the same log and exp.  Larger extension fields keep the
 same indices: they add and negate digit by digit, and multiply and invert
 with the schoolbook product on the decoded digits.
 
-A spec's value operations (_add, _mul, _pow, _neg, _inv, the row
-operations _scale and _axpy, _value, the value of anything elem accepts,
+A spec's value operations (_add, _mul, _pow, _neg, _inv, _is_square, the
+row operations _scale and _axpy, _value, the value of anything elem accepts,
 _encode, the index of a list of digits, and _str, the text of a value) act
 on values rather than elements, and each serves every field.  They are the
 one place that knows how the values of each field combine and print:
@@ -52,6 +52,7 @@ and one whose reduced denominator p divides is an error.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
 
@@ -352,11 +353,21 @@ class FieldSpec:
         if kind == "Fp":
             return pow(a, self.p - 2, self.p)
         if kind == "Q":
-            return 1 / a
+            # exact for an int too, which a caller may pass for a rational
+            return 1 / Fraction(a)
         if self.order > _TABLE_LIMIT:
             return self._pow(a, self.order - 2)
         log, exp = (self._tables or self._index_tables())[:2]
         return exp[self.order - 1 - log[a]]
+
+    def _is_square(self, a) -> bool:
+        """Whether the value a is a square: over Q a Fraction of square
+        numerator and denominator, over F_q zero or a^((q-1)/2) = 1."""
+        if self.kind == "Q":
+            num, den = a.numerator, a.denominator
+            return (num >= 0 and math.isqrt(num) ** 2 == num
+                    and math.isqrt(den) ** 2 == den)
+        return not a or self._pow(a, (self.order - 1) // 2) == 1
 
     def _scale(self, c, ys):
         """[c * y for y in ys] on values."""
@@ -646,9 +657,6 @@ class FieldElem:
     def is_zero(self) -> bool:
         return not self.value
 
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def __bool__(self):
         return bool(self.value)
 
@@ -661,28 +669,9 @@ class FieldElem:
             return self
         return self**s.p
 
-    def is_square(self) -> bool:
-        s = self.spec
-        if s.kind == "Q":
-            v = self.value
-            if v < 0:
-                return False
-            num, den = v.numerator, v.denominator
-            rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-            return rn is not None and rd is not None
-        if self.is_zero():
-            return True
-        return (self ** ((s.order - 1) // 2)).is_one()
-
     def __str__(self):
         return self.spec._str(self.value)
 
     def __repr__(self):
         return "%s:%s" % (self.spec, self)
 
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None

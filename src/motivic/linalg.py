@@ -11,20 +11,21 @@ residues over F_p, indices over F_{p^m}, Fractions over Q.  Elimination,
 products, inverses and the other operations run on those rows through the
 value arithmetic of the spec (its _inv, _neg, _scale and _axpy), one path
 for every field, which over F_{p^m} is lookup in the spec's index tables.
-Elements are built only by the accessors that hand them out: M[i, j],
-column and columns.  The row functions below (_eliminate, _product,
-_kernel, _rotation) serve the engines, which keep values throughout.  The
-public constructor coerces anything FieldSpec.elem accepts; results of
-operations are valid by construction, so they are built through
-_from_rows, which stores the value rows it is given and never changes
-them.  _Echelon keeps a reduced basis of a growing span, so
-that the rank after each new row costs one reduction; _rotation's basis
-completion and the subset walks of the arrangement engines use it.
+No Matrix hands out an element: an entry is read as M.rows[i][j].  The
+row functions below (_eliminate, _product, _kernel, _rotation) serve the
+engines, which keep values throughout.  The public constructor coerces
+anything FieldSpec.elem accepts, so over F_{p^m} it reads an int as a
+prime-field residue, not as an index; results of operations are valid by
+construction, so they are built through _from_rows, which stores the
+value rows it is given and never changes them.  _Echelon keeps a
+reduced basis of a growing span, so that the rank after each new row
+costs one reduction; _rotation's basis completion and the subset walks of
+the arrangement engines use it.
 """
 
 from __future__ import annotations
 
-from .fields import FieldElem, FieldSpec
+from .fields import FieldSpec
 
 
 def _eliminate(spec, m, ncols):
@@ -114,18 +115,6 @@ class Matrix:
         zero, one = spec.zero.value, spec.one.value
         return cls._from_rows(
             spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij) -> FieldElem:
-        """The entry M[i, j] as an element."""
-        i, j = ij
-        return FieldElem(self.spec, self.rows[i][j])
-
-    def column(self, j: int):
-        spec = self.spec
-        return tuple(FieldElem(spec, row[j]) for row in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     def __eq__(self, other):
         return (

@@ -1,4 +1,4 @@
-"""Text grammar for polynomials, scalars, and points.
+"""Text grammar for polynomials and points.
 
 Polynomials are sums of terms like ``3*x0^2*x1`` joined by ``+`` and ``-``;
 whitespace never matters.  Coefficient literals are integers, fractions
@@ -16,9 +16,10 @@ monomial, ints and Fractions over Q, indices over F_{p^m}, where the digits
 of a parenthesized t-literal are summed and encoded straight to an index by
 FieldSpec._encode.  Repeated monomials are summed on values, and the
 polynomial keeps the values of the surviving terms as they are:
-parse_poly builds no FieldElem.
-parse_scalar and parse_point read their literals with the same _Reader.
-Token positions are only needed by error messages, which find them again.
+parse_poly builds no FieldElem.  parse_point reads a whole --point text
+with one _Reader, its coordinates separated by ',' tokens, and returns a
+tuple of values, as the point searches do.  Token positions are only
+needed by error messages, which find them again.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import FieldElem, FieldSpec
+from .fields import FieldSpec
 from .poly import HomogPoly
 
 _TOKEN_RE = re.compile(r"\s*([t^*+\-/(),]|x\d+|\d+)")
@@ -112,8 +113,10 @@ class _Reader:
                 return self.tpoly(i + 1)
             power, i = self.exponent(i + 1)
             return spec._pow(spec.p, power), i
+        if tok is _END:
+            raise self.end_of_input()
         raise ParseError("expected coefficient, got %r at position %d in %r"
-                         % (tok or None, self.where(i), self.src))
+                         % (tok, self.where(i), self.src))
 
     def tpoly(self, i: int):
         """(index, next index) of the sum of integer and t terms from token
@@ -257,44 +260,35 @@ def parse_poly(src: str, spec: FieldSpec, nvars: int) -> HomogPoly:
     return HomogPoly._from_terms(spec, nvars, degrees.pop(), terms)
 
 
-def parse_scalar(src: str, spec: FieldSpec):
-    """Parse one field element literal (optionally signed)."""
+def parse_point(src: str, spec: FieldSpec, nvars: int):
+    """Comma-separated coordinate literals -> tuple of field values.
+
+    Each coordinate is a signed product of coefficient factors, read with
+    the polynomial grammar's factor; the whole text is one token list, so
+    every error quotes the whole text and a position in it.
+    """
     r = _Reader(src, spec)
     toks = r.toks
-    i = 0
-    negative = False
-    while toks[i] == "+" or toks[i] == "-":
-        negative ^= toks[i] == "-"
-        i += 1
-    value, i = r.factor(i)
-    while toks[i] == "*":
-        more, i = r.factor(i + 1)
-        value = r.mul(value, more)
-    if toks[i] is not _END:
-        raise ParseError("trailing junk in scalar %r" % (src,))
-    if negative:
-        value = r.neg(value)
-    return FieldElem(spec, r.finish(value))
-
-
-def parse_point(src: str, spec: FieldSpec, nvars: int):
-    """Comma-separated scalar literals -> coordinate tuple."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in src:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    if len(parts) != nvars:
+    count = toks.count(",") + 1
+    if count != nvars:
         raise ParseError(
-            "point has %d coordinates, expected %d" % (len(parts), nvars)
-        )
-    return tuple(parse_scalar(p, spec) for p in parts)
+            "point has %d coordinates, expected %d" % (count, nvars))
+    point = []
+    i = 0
+    while True:
+        negative = False
+        while toks[i] == "+" or toks[i] == "-":
+            negative ^= toks[i] == "-"
+            i += 1
+        value, i = r.factor(i)
+        while toks[i] == "*":
+            more, i = r.factor(i + 1)
+            value = r.mul(value, more)
+        point.append(r.finish(r.neg(value) if negative else value))
+        tok = toks[i]
+        if tok is _END:
+            return tuple(point)
+        if tok != ",":
+            raise ParseError("expected , after coordinate, got %r at "
+                             "position %d in %r" % (tok, r.where(i), src))
+        i += 1

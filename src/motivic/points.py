@@ -12,14 +12,15 @@ coordinate vectors with entries in [-H, H], leading position ascending,
 leading value 1..H ascending, then the trailing odometer; each vector is
 normalized to leading coordinate 1.
 
-first_point is the one search for a first rational point of V(gens) that
-the engines run: the isotropic point of a quadric, the singular point of a
-cubic and the common point of two quadrics.  Over a finite field it runs
-the fibre walk of motivic.count, which evaluates the generators over each
-prefix of a stratum on every value of the last coordinate at once, as
-lanes of one integer, instead of testing candidates one by one.  Over
-every field it is charged against the budget only for the candidates it
-walks.
+A point is a tuple of field values (see motivic.fields): indices over a
+finite field, Fractions over Q.  first_point is the one search for a
+first rational point of V(gens) that the engines run: the isotropic
+point of a quadric, the singular point of a cubic and the common point of
+two quadrics.  Over a finite field it runs the fibre walk of
+motivic.count, which evaluates the generators over each prefix of a
+stratum on every value of the last coordinate at once, as lanes of one
+integer, instead of testing candidates one by one.  Over every field it
+is charged against the budget only for the candidates it walks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import itertools
 from fractions import Fraction
 
 from .count import BudgetError, CountQuery, _first_point, default_budget
-from .fields import FieldSpec, rationals
+from .fields import FieldSpec
 
 
 def rational_reps(n: int, height: int):
@@ -37,16 +38,15 @@ def rational_reps(n: int, height: int):
     May repeat a projective point under different integer representatives;
     callers use this for first-match searches where duplicates are harmless.
     """
-    spec = rationals()
     if height < 1:
         raise ValueError("height must be positive")
     rng = range(-height, height + 1)
     for lead in range(n + 1):
-        zeros = (spec.zero,) * lead
+        head = (Fraction(0),) * lead + (Fraction(1),)
         for lv in range(1, height + 1):
             inv = Fraction(1, lv)
             for tail in itertools.product(rng, repeat=n - lead):
-                yield zeros + (spec.one,) + tuple(spec.elem(t * inv) for t in tail)
+                yield head + tuple([t * inv for t in tail])
 
 
 def first_point(spec: FieldSpec, n: int, gens, height: int = 10,
@@ -68,6 +68,6 @@ def first_point(spec: FieldSpec, n: int, gens, height: int = 10,
                 "the first %d candidates, budget is %d"
                 % ("; ".join(str(g) for g in gens) or "0", n, height, budget,
                    budget))
-        if all(g.evaluate(pt).is_zero() for g in gens):
+        if not any(g.evaluate(pt) for g in gens):
             return pt
     return None

@@ -3,8 +3,9 @@
 A HomogPoly is a dict from exponent tuples to the nonzero values of its
 coefficients (see motivic.fields), tagged with its field, variable count,
 and degree; every operation combines the values through the field's value
-arithmetic.  A FieldElem is built only by the accessors that hand one out:
-terms and evaluate.  The zero polynomial keeps an explicit degree so that
+arithmetic.  A FieldElem is built only by terms, the one accessor that
+hands elements out; evaluate takes a point as a tuple of values and
+returns a value.  The zero polynomial keeps an explicit degree so that
 arithmetic stays well-typed.  Term order everywhere is graded
 lexicographic, which for a fixed degree is plain lexicographic on exponent
 tuples, largest first; that order fixes the leading coefficient, the
@@ -336,19 +337,19 @@ class HomogPoly:
 
     # -- evaluation and substitution -----------------------------------------
 
-    def evaluate(self, point) -> FieldElem:
+    def evaluate(self, point):
+        """The value of the form at a point given as a tuple of values."""
         if len(point) != self.nvars:
             raise ValueError("point length != nvars")
         spec = self.spec
         add, mul, power = spec._add, spec._mul, spec._pow
-        pt = [spec._value(x) for x in point]
         acc = spec.zero.value
         for exps, val in self.coeffs.items():
-            for x, e in zip(pt, exps):
+            for x, e in zip(point, exps):
                 if e:
                     val = mul(val, power(x, e))
             acc = add(acc, val)
-        return FieldElem(spec, acc)
+        return acc
 
     def linear_substitute(self, M: Matrix) -> "HomogPoly":
         """f(M x): variable x_i becomes the linear form given by row i of M.

@@ -11,13 +11,13 @@ A form keeps its rank and its polynomial once computed, so the quadric
 recursion eliminates each Gram matrix once.  The Gram matrix holds values
 (see motivic.linalg), and diagonalize and hyperbolic_normalize work on its
 rows with the spec's value arithmetic and the row products of
-motivic.linalg, one path for every field; diagonalize builds elements only
-for the diagonal it returns.
+motivic.linalg, one path for every field; neither builds an element, as
+the diagonal and the points they return or take are values.
 """
 
 from __future__ import annotations
 
-from .fields import FieldElem, FieldSpec
+from .fields import FieldSpec
 from .linalg import Matrix, _kernel, _product
 from .points import first_point
 from .poly import HomogPoly
@@ -64,8 +64,10 @@ class QuadForm:
     @classmethod
     def diagonal(cls, spec: FieldSpec, entries) -> "QuadForm":
         n = len(entries)
-        rows = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls(spec, Matrix(spec, rows))
+        zero = spec.zero.value
+        rows = [[entries[i] if i == j else zero for j in range(n)]
+                for i in range(n)]
+        return cls(spec, Matrix._from_rows(spec, rows))
 
     def poly(self) -> HomogPoly:
         if self._poly is not None:
@@ -99,10 +101,11 @@ class QuadForm:
 def diagonalize(q: QuadForm):
     """Congruence diagonalization by symmetric elimination.
 
-    Returns (M, diag) with M invertible and M^T G M = diag(diag).  Pivot
-    choice is deterministic: first nonzero diagonal entry in index order;
-    failing that, the first nonzero off-diagonal pair (i, j) gets column j
-    added to column i (valid since char != 2), creating a pivot.
+    Returns (M, diag) with M invertible and M^T G M = diag(diag), diag a
+    list of values.  Pivot choice is deterministic: first nonzero diagonal
+    entry in index order; failing that, the first nonzero off-diagonal pair
+    (i, j) gets column j added to column i (valid since char != 2),
+    creating a pivot.
     """
     spec = q.spec
     n = q.nvars
@@ -149,8 +152,7 @@ def diagonalize(q: QuadForm):
         for j in range(k + 1, n):
             if B[k][j]:
                 col_add(j, k, mul(B[k][j], neg_inv))
-    diag = [FieldElem(spec, B[i][i]) for i in range(n)]
-    return Matrix._from_rows(spec, M), diag
+    return Matrix._from_rows(spec, M), [B[i][i] for i in range(n)]
 
 
 def find_projective_point(q: QuadForm, height: int = 10, budget=None):
@@ -162,7 +164,7 @@ def find_projective_point(q: QuadForm, height: int = 10, budget=None):
     rational one: it returns None without a walk, as the walk would.
     """
     if not q.spec.is_finite:
-        diag = [d.value for d in diagonalize(q)[1]]
+        diag = diagonalize(q)[1]
         if all(d > 0 for d in diag) or all(d < 0 for d in diag):
             return None
     return first_point(q.spec, q.nvars - 1, [q.poly()], height, budget)
@@ -173,12 +175,11 @@ def hyperbolic_normalize(q: QuadForm, x):
 
     Returns (M, q2) with q(M y) = y0*y1 + q2(y2..yn), column 1 of M equal to
     x (so M^-1 x is the second standard basis vector), and q2 nondegenerate
-    in nvars-2 variables (None when nvars == 2).  The work runs on value
-    rows, as M and q2 keep them.
+    in nvars-2 variables (None when nvars == 2).  x is a tuple of values,
+    and the work runs on value rows, as M and q2 keep them.
     """
     spec = q.spec
     n = q.nvars
-    x = [spec._value(v) for v in x]
     if not any(x):
         raise ValueError("isotropic vector must be nonzero")
     G = q.gram.rows

@@ -49,8 +49,8 @@ def _staircase(k):
     return [CountTerm(1, j) for j in range(k + 1)]
 
 
-def _point_str(pt):
-    return "(" + ":".join(str(c) for c in pt) + ")"
+def _point_str(spec, pt):
+    return "(" + ":".join(map(spec._str, pt)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,7 @@ def _quadric_query(qf: QuadForm) -> CountQuery:
 
 def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
     spec = qf.spec
+    text = spec._str
     nvars = qf.nvars
     n = nvars - 1
     finite = spec.is_finite
@@ -101,10 +102,8 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
         # degenerate: V(q) is a cone over the nondegenerate part with vertex
         # the projectivized radical P^(n-rank)
         M, diag = diagonalize(qf)
-        order = [i for i, d in enumerate(diag) if not d.is_zero()]
-        order += [i for i, d in enumerate(diag) if d.is_zero()]
-        M2 = Matrix._from_rows(spec,
-                               [[row[i] for i in order] for row in M.rows])
+        order = [i for i, d in enumerate(diag) if d]
+        order += [i for i, d in enumerate(diag) if not d]
         entries = [diag[i] for i in order[:rank]]
         sub = QuadForm.diagonal(spec, entries)
         vertex_dim = n - rank
@@ -121,8 +120,9 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
             "rank %d form in %d variables: cone with vertex P^%d over the "
             "diagonalized nondegenerate part in P^%d" % (rank, nvars, vertex_dim, rank - 1),
             ident,
-            check={"diagonal": [str(d) for d in entries],
-                   "substitution": [[str(v) for v in col] for col in M2.columns()]},
+            check={"diagonal": [text(d) for d in entries],
+                   "substitution": [[text(row[i]) for row in M.rows]
+                                    for i in order]},
         ))
         child = _quadric_expr(sub, height, budget, steps, hyps)
         return projective_space_class(vertex_dim) + child.lshift(shift)
@@ -138,9 +138,9 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
         return ClassExpr()
 
     if nvars == 2:
-        g = qf.gram
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        split = (-det).is_square()
+        (a, b), (c, d) = qf.gram.rows
+        neg_det = spec._add(spec._mul(b, c), spec._neg(spec._mul(a, d)))
+        split = spec._is_square(neg_det)
         if split:
             ident = Identity(
                 [CountTerm(1, 0, _quadric_query(qf))], [CountTerm(2)]
@@ -149,7 +149,7 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
                 "binary-split",
                 "nondegenerate binary form with square -det: two rational zeros",
                 ident,
-                check={"neg_det": str(-det), "square": True},
+                check={"neg_det": text(neg_det), "square": True},
             ))
             return ClassExpr.from_int(2)
         ident = Identity([CountTerm(1, 0, _quadric_query(qf))], []) if finite else None
@@ -158,7 +158,7 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
             "nondegenerate binary form with nonsquare -det: a conjugate point "
             "pair over the quadratic extension",
             ident,
-            check={"neg_det": str(-det), "square": False},
+            check={"neg_det": text(neg_det), "square": False},
         ))
         return ClassExpr.from_atom(EtaleAtom((2,)))
 
@@ -190,9 +190,9 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
         "hyperbolic-split",
         "isotropic point %s: coordinates with x0*x1 + q'(x2..x%d); the x1-"
         "chart is an affine cell A^%d, its complement a cone over V(q')"
-        % (_point_str(pt), n, n - 1),
+        % (_point_str(spec, pt), n, n - 1),
         ident,
-        check={"point": [str(c) for c in pt]},
+        check={"point": [text(c) for c in pt]},
     ))
     child = _quadric_expr(sub, height, budget, steps, hyps)
     return ClassExpr({0: 1, n - 1: 1}) + child.lshift(1)
@@ -430,11 +430,8 @@ def class_of_cone(generators) -> StratResult:
 
 
 def _is_singular_at(f: HomogPoly, pt) -> bool:
-    if not f.evaluate(pt).is_zero():
-        return False
-    return all(
-        f.partial_derivative(i).evaluate(pt).is_zero() for i in range(f.nvars)
-    )
+    return not f.evaluate(pt) and not any(
+        f.partial_derivative(i).evaluate(pt) for i in range(f.nvars))
 
 
 def find_singular_rational_point(f: HomogPoly, height: int = 10, budget=None):
@@ -455,10 +452,10 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     x_n*f2 + f3 with f2 quadratic and f3 cubic in the remaining variables.
     Lines through the point stratify X into the point, a section over the
     complement of V(f2), and an A^1-bundle over V(f2, f3).  When f2 = 0 the
-    cubic is itself a cone and is delegated to class_of_cone.  Without x,
-    the singular point is searched for by points.first_point; that search
-    and the isotropic-point search on V(f2) are charged against budget only
-    for the candidates they walk.
+    cubic is itself a cone and is delegated to class_of_cone.  A given x is
+    a tuple of field values; without x, the singular point is searched for
+    by points.first_point; that search and the isotropic-point search on
+    V(f2) are charged against budget only for the candidates they walk.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -479,15 +476,13 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
                 + ("" if finite else " up to height %d" % height)
             )
     else:
-        x = tuple(spec.elem(v) for v in x)
-        if all(v.is_zero() for v in x):
+        if not any(x):
             raise ValueError("zero vector is not a projective point")
         if not _is_singular_at(f, x):
             raise ValueError("point not singular")
 
     # x becomes e_n
-    M = Matrix._from_rows(
-        spec, _rotation(spec, [[spec._value(v) for v in x]], nvars))
+    M = Matrix._from_rows(spec, _rotation(spec, [x], nvars))
     g = f.linear_substitute(M)
     split = g.split_by_variable(n)
     if not split[3].is_zero() or not split[2].is_zero():
@@ -506,9 +501,9 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     steps.append(TraceStep(
         "singular-point-normalization",
         "singular point %s moved to [0:...:0:1]; the cubic splits as "
-        "x%d*f2 + f3" % (_point_str(x), n),
+        "x%d*f2 + f3" % (_point_str(spec, x), n),
         ident,
-        check={"point": [str(c) for c in x]},
+        check={"point": [spec._str(c) for c in x]},
     ))
 
     if f2.is_zero():
@@ -686,10 +681,10 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     steps = [TraceStep(
         "intersection-point-normalization",
         "point %s of Q1 and Q2 moved to [0:1:0:...:0]; f1 becomes x0*x1 - h "
-        "and f2 splits as x1*L1 + x0*L0 + R" % _point_str(x),
+        "and f2 splits as x1*L1 + x0*L0 + R" % _point_str(spec, x),
         None,
-        check={"point": [str(c) for c in x], "L1": str(L1), "L0": str(L0),
-               "R": str(R), "h": str(h)},
+        check={"point": [spec._str(c) for c in x], "L1": str(L1),
+               "L0": str(L0), "R": str(R), "h": str(h)},
     )]
     steps.append(TraceStep(
         "union-scissor",
@@ -734,9 +729,9 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     all_singular = True
     grads = [gbar.partial_derivative(i) for i in range(nvars - 1)]
     for p in enumerate_points(q_hlr2, budget=budget):
-        pt = (spec.zero,) + p
+        pt = (0,) + p
         sing_pts += 1
-        if not all(dg.evaluate(pt).is_zero() for dg in grads):
+        if any(dg.evaluate(pt) for dg in grads):
             all_singular = False
     if not all_singular:
         raise DefectError("a point of S is not singular on Y")

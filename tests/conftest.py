@@ -9,6 +9,7 @@ from pathlib import Path
 
 import motivic
 from motivic.count import CountQuery, count_points
+from motivic.fields import FieldElem
 from motivic.poly import HomogPoly
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -40,15 +41,19 @@ def scaled(f, c):
                      {e: c * a for e, a in f.terms.items()})
 
 
+def elem_rows(M):
+    """The entries of the Matrix M as rows of FieldElems."""
+    return [[FieldElem(M.spec, v) for v in row] for row in M.rows]
+
+
 def projective_reps(spec, n):
-    """All canonical representatives of P^n(F_q), in the fixed order of
-    motivic.points: leading position ascending, then the trailing
-    coordinates as an odometer over the field's elements in index order."""
-    elems = [spec.from_index(i) for i in range(spec.order)]
-    zero, one = elems[0], spec.one
+    """All canonical representatives of P^n(F_q) as tuples of values, in
+    the fixed order of motivic.points: leading position ascending, then the
+    trailing coordinates as an odometer over the field's values in index
+    order."""
     for lead in range(n + 1):
-        head = (zero,) * lead + (one,)
-        for tail in product(elems, repeat=n - lead):
+        head = (0,) * lead + (1,)
+        for tail in product(range(spec.order), repeat=n - lead):
             yield head + tail
 
 
@@ -61,7 +66,7 @@ def reference_walk(query):
     combine through the spec's _add, _mul and _pow.  Only the chart's
     candidates are walked: a coordinate constrained to zero takes only 0
     and one constrained nonzero starts at 1.  points lists each point found
-    as (walk position, element tuple), the first candidate being at
+    as (walk position, tuple of values), the first candidate being at
     position 1; candidates is how many there are.
     """
     spec, n = query.spec, query.n
@@ -102,7 +107,7 @@ def reference_walk(query):
                 continue
             walked += 1
             if all(vanishes(terms, idx) for terms in gens):
-                points.append((walked, tuple(spec.from_index(i) for i in idx)))
+                points.append((walked, idx))
     return points, walked
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import motivic
 from conftest import run_python
 import motivic.kclass
 from motivic.cli import JobSpec, _dispatch, main, render_json, run
-from motivic.fields import field_from_text
+from motivic.fields import FieldElem, FieldSpec, field_from_text
 
 QUADRIC = ["class-quadric", "--field", "3", "--ambient", "3",
            "--poly", "x0*x1 - x2*x3"]
@@ -162,7 +163,7 @@ def test_definite_form_report_matches_reference_walk(capsys, monkeypatch):
     def reference_search(qf, height=10, budget=None):
         f = qf.poly()
         for pt in rational_reps(qf.nvars - 1, height):
-            if f.evaluate(pt).is_zero():
+            if not f.evaluate(pt):
                 return pt
         return None
 
@@ -486,21 +487,61 @@ PINNED_REPORTS = [
      "ed0c817022fa45caddbdbe793a5a7964d5793577094fa6c6867dfc2f378d6db4"),
     (("descend", "3", 2, [], ["x0 + x1", "x2"], None, True),
      "b730e3779edef18fd2085239fbd99a20ca143548c27880b761b2db8243bae9e7"),
+    # values of F_{p^m} outside F_p where an int would read as a residue:
+    # the degenerate quadric's diagonal holds (t), and the given point's
+    # last coordinate is t; recorded before points held values
+    (("class-quadric", "3,2", 3, ["x0^2 + t*x1^2"], [], None, True),
+     "0a7f5dd0473bc960fff1e52a65424fe6c287672e5febbeb2f42d84ef74e96faf"),
+    (("class-cubic-singular", "3,2", 3,
+      ["x0^3 + x1^3 + x0*x1*x3 - t*x0*x1*x2"], [], "0,0,1,t", True),
+     "824c6b0e197ea0867ab14096ae3ab1e7bd68eaa0238f891438cd0d5a34a407cb"),
 ]
 
 
-@pytest.mark.parametrize(
-    "args, digest", PINNED_REPORTS,
-    ids=["%s-F%s%s" % (a[0], a[1], "" if a[6] else "-no-verify")
-         for a, _ in PINNED_REPORTS])
-def test_pinned_report_bytes(args, digest):
+def _pin_ids(pins):
+    """command-Ffield, -no-verify without verification, and -2, -3, ... on
+    the second and later pins of one name."""
+    ids, seen = [], {}
+    for args, _ in pins:
+        name = "%s-F%s%s" % (args[0], args[1], "" if args[6] else "-no-verify")
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else "%s-%d" % (name, seen[name]))
+    return ids
+
+
+def _pinned_job(args):
     command, field, ambient, polys, forms, point, verify = args
-    job = JobSpec(command, field_from_text(field), ambient,
-                  polynomials=polys, forms=forms, point=point, verify=verify)
-    report, code = run(job)
+    return JobSpec(command, field_from_text(field), ambient,
+                   polynomials=polys, forms=forms, point=point, verify=verify)
+
+
+@pytest.mark.parametrize("args, digest", PINNED_REPORTS,
+                         ids=_pin_ids(PINNED_REPORTS))
+def test_pinned_report_bytes(args, digest):
+    report, code = run(_pinned_job(args))
     assert code == 0
     text = render_json(report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
+
+
+def test_pinned_jobs_build_no_field_element(monkeypatch):
+    """Points, diagonals, evaluations and parsed points are field values:
+    no pinned job builds a FieldElem, apart from the zero and one that a
+    new FieldSpec builds for itself."""
+    built = []
+    init = FieldElem.__init__
+    spec_init = FieldSpec.__init__.__code__
+
+    def counted(self, spec, value):
+        caller = sys._getframe(1).f_code
+        if caller is not spec_init:
+            built.append(caller.co_qualname)
+        init(self, spec, value)
+
+    monkeypatch.setattr(FieldElem, "__init__", counted)
+    for args, _ in PINNED_REPORTS:
+        assert run(_pinned_job(args))[1] == 0
+    assert built == []
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -715,15 +756,61 @@ def test_height_below_one_exits_two(tmp_path, capsys, height):
       "--form", "x0", "--poly", "x1"], "--poly"),
     (["descend", "--field", "3,2", "--ambient", "2",
       "--form", "x0", "--point", "1,0,0"], "--point"),
+    (["count", "--field", "5", "--ambient", "1", "--seed", "7"], "--seed"),
+    (["count", "--field", "5", "--ambient", "1", "--height", "3"],
+     "--height"),
+    (QUADRIC + ["--seed", "1"], "--seed"),
+    (["class-arrangement", "--field", "5", "--ambient", "2",
+      "--form", "x0", "--seed", "3"], "--seed"),
+    (["class-arrangement", "--field", "5", "--ambient", "2",
+      "--form", "x0", "--height", "11"], "--height"),
+    (["class-cone", "--field", "5", "--ambient", "2", "--poly", "x0",
+      "--height", "3"], "--height"),
+    (["class-cubic-singular", "--field", "5", "--ambient", "3",
+      "--poly", "x0*x1*x3 + x2^3", "--seed", "2"], "--seed"),
+    (["class-two-quadrics", "--field", "5", "--ambient", "4",
+      "--poly", "x0*x1", "--poly", "x2^2", "--height", "3"], "--height"),
+    (["descend", "--field", "3,2", "--ambient", "2",
+      "--form", "x0", "--height", "3"], "--height"),
 ], ids=["quadric-point", "quadric-form", "count-form", "count-point",
         "cone-form", "cubic-form", "two-quadrics-form", "arrangement-poly",
-        "arrangement-point", "descend-poly", "descend-point"])
+        "arrangement-point", "descend-poly", "descend-point", "count-seed",
+        "count-height", "quadric-seed", "arrangement-seed",
+        "arrangement-height", "cone-height", "cubic-seed",
+        "two-quadrics-height", "descend-height"])
 def test_unread_flag_exits_two(capsys, argv, flag):
     # a report would echo the flag's value as an input of the job, and
     # verify would then confirm an input the command never read
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: %s takes no %s\n" % (argv[0], flag)
+
+
+@pytest.mark.parametrize("point, message", [
+    ("0,0,0,", "unexpected end of input in '0,0,0,'"),
+    (",0,0,1", "expected coefficient, got ',' at position 0 in ',0,0,1'"),
+], ids=["trailing-comma", "leading-comma"])
+def test_bad_point_text_exits_two(capsys, point, message):
+    code, out, err = _run(capsys, [
+        "class-cubic-singular", "--field", "5", "--ambient", "3",
+        "--poly", "x0*x1*x3 + x2^3", "--point", point])
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_unread_seed_or_height_in_a_report_exits_two(tmp_path, capsys):
+    # a hand-edited echo fails verify as the same flags fail a run
+    path = _edited_report(tmp_path, capsys, ("input", "options", "seed"), 7)
+    code, out, err = _run(capsys, ["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read report: class-quadric takes no --seed\n"
+    _, saved, _ = _run(capsys, ["count", "--field", "5", "--ambient", "1",
+                                "--json"])
+    report = json.loads(saved)
+    report["input"]["options"]["height"] = 3
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, out, err = _run(capsys, ["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read report: count takes no --height\n"
 
 
 def test_oracle_obeys_job_budget(monkeypatch, capsys):

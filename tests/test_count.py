@@ -80,7 +80,7 @@ def test_multiple_generators():
     assert count_points(_q(["x0", "x1"], F3, 2)) == 1
     pts = list(enumerate_points(_q(["x0", "x1"], F3, 2)))
     assert len(pts) == 1
-    assert tuple(v.value for v in pts[0]) == (0, 0, 1)
+    assert pts[0] == (0, 0, 1)
 
 
 def test_query_validation():
@@ -209,7 +209,7 @@ def test_enumerate_matches_count():
         pts = list(enumerate_points(query))
         assert len(pts) == count_points(query)
         for pt in pts:
-            assert all(g.evaluate(pt).is_zero() for g in query.generators)
+            assert not any(g.evaluate(pt) for g in query.generators)
 
 
 @pytest.mark.parametrize("spec", [
@@ -261,7 +261,7 @@ def test_kernel_matches_direct_evaluation(terms):
     f = HomogPoly(F3, 3, 2, {k: F3.elem(v) for k, v in terms.items()})
     query = CountQuery(F3, 2, [f])
     direct = sum(
-        1 for pt in projective_reps(F3, 2) if f.evaluate(pt).is_zero()
+        1 for pt in projective_reps(F3, 2) if not f.evaluate(pt)
     )
     assert count_points(query) == direct
 
@@ -577,10 +577,11 @@ def test_query_equality_and_hash_are_stable():
 @settings(max_examples=120, deadline=None)
 def test_enumerate_points_matches_generic_walk(query):
     """The fibre walk yields the points of the brute-force walk, in the same
-    order, as elements of the query's field."""
+    order, as tuples of values of the query's field."""
     pts = list(enumerate_points(query))
     assert pts == reference_points(query)
-    assert all(c.spec is query.spec for pt in pts for c in pt)
+    assert all(type(c) is int and 0 <= c < query.spec.order
+               for pt in pts for c in pt)
 
 
 def _points_within(query, budget):
@@ -769,7 +770,7 @@ def test_first_point_in_the_first_fibre_walks_that_fibre(monkeypatch):
     monkeypatch.setattr(_pure, "_zeros", counted)
     f = parse_poly("x0*x1 - x2*x3", F1021, 4)
     h = parse_poly("x0^2*x1 + x0*x2^2 - x3^3", F1021, 4)
-    origin = tuple(F1021.elem(v) for v in (1, 0, 0, 0))
+    origin = (1, 0, 0, 0)
     for query in (CountQuery(F1021, 3, [f, h]),
                   CountQuery.union(F1021, 3, [h, f])):
         calls.clear()

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_trace_verifies, brute_count, scaled
+from conftest import assert_trace_verifies, brute_count, elem_rows, scaled
 from motivic.descent import (
     Cocycle,
     GaloisContext,
@@ -68,7 +68,7 @@ def test_frobenius_action():
     assert ctx.frobenius_matrix(row, power=2) == row
     ctx3 = _ctx(m=3)
     u = Matrix(F27, [[F27.from_index(F27.p)]])
-    orbit = {ctx3.frobenius_matrix(u, k)[0, 0] for k in range(3)}
+    orbit = {ctx3.frobenius_matrix(u, k).rows[0][0] for k in range(3)}
     assert len(orbit) == 3
     assert ctx3.frobenius_matrix(u, 3) == u
 
@@ -336,13 +336,13 @@ def test_randomized_matrix_scrambles():
             if S.rank() == r_rank:
                 break
         # the base values are the extension's values below p
-        mixed = S * Matrix(ctx.ext, rows.rows)
+        mixed = elem_rows(S * Matrix(ctx.ext, rows.rows))
         forms = []
-        for k in range(mixed.nrows):
+        for row in mixed:
             terms = {
-                tuple(1 if j == i else 0 for j in range(n + 1)): mixed[k, i]
+                tuple(1 if j == i else 0 for j in range(n + 1)): row[i]
                 for i in range(n + 1)
-                if not mixed[k, i].is_zero()
+                if not row[i].is_zero()
             }
             forms.append(HomogPoly(ctx.ext, n + 1, 1, terms))
         basis = _descend(ctx, forms, seed=trial)
@@ -351,10 +351,6 @@ def test_randomized_matrix_scrambles():
 
 
 # -- the value core against the element path it replaced ---------------------
-
-
-def _elem_rows(M):
-    return [[M[i, j] for j in range(M.ncols)] for i in range(M.nrows)]
 
 
 def _frobenius(ctx, a, power=1):
@@ -366,7 +362,7 @@ def _frobenius_matrix_on_elements(ctx, M, power=1):
     if power % ctx.m == 0:
         return M
     return Matrix(ctx.ext, [[_frobenius(ctx, x, power) for x in row]
-                            for row in _elem_rows(M)])
+                            for row in elem_rows(M)])
 
 
 def _solve_on_elements(spec, rows, b):
@@ -434,7 +430,7 @@ def _h90_on_elements(ctx, images, seed):
     def average(C):
         rows = [[ctx.ext.zero] * r for _ in range(r)]
         for i, alpha in enumerate(images):
-            term = _elem_rows(alpha * _frobenius_matrix_on_elements(ctx, C, i))
+            term = elem_rows(alpha * _frobenius_matrix_on_elements(ctx, C, i))
             for a in range(r):
                 for b in range(r):
                     rows[a][b] = rows[a][b] + term[a][b]
@@ -461,6 +457,7 @@ def _in_base(ctx, a):
 
 def _fixed_point_subspace_on_elements(ctx, T, N):
     r, m, base, ext = T.nrows, ctx.m, ctx.base, ctx.ext
+    N_rows, T_rows = elem_rows(N), elem_rows(T)
     cols = []
     for i in range(r):
         for k in range(m):
@@ -468,7 +465,7 @@ def _fixed_point_subspace_on_elements(ctx, T, N):
             stk = _frobenius(ctx, tk)
             col = []
             for j in range(r):
-                acc = stk * N[i, j]
+                acc = stk * N_rows[i][j]
                 if j == i:
                     acc = acc - tk
                 col.extend(ext._digits(acc.value))
@@ -485,7 +482,7 @@ def _fixed_point_subspace_on_elements(ctx, T, N):
         for j in range(T.ncols):
             acc = ext.zero
             for i in range(r):
-                acc = acc + c[i] * T[i, j]
+                acc = acc + c[i] * T_rows[i][j]
             row.append(_in_base(ctx, acc))
         rows.append(row)
     return Matrix(base, rows).rref()[0]
@@ -534,7 +531,7 @@ def test_value_core_matches_element_path(p, m):
         B_ref = _h90_on_elements(ctx, images_ref, seed)
         R_ref = Matrix(ctx.base, [
             [_in_base(ctx, x) for x in row]
-            for row in _elem_rows(B_ref.inverse() * T_ref)]).rref()[0]
+            for row in elem_rows(B_ref.inverse() * T_ref)]).rref()[0]
         N = images_ref[1].inverse() if m > 1 else images_ref[0]
         oracle_ref = _fixed_point_subspace_on_elements(ctx, T_ref, N)
 

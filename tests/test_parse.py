@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motivic.fields import extension_field, prime_field, rationals
-from motivic.parse import ParseError, parse_point, parse_poly, parse_scalar
+from motivic.parse import ParseError, parse_point, parse_poly
 from motivic.poly import HomogPoly
 
 F5 = prime_field(5)
@@ -66,19 +66,41 @@ def test_round_trip_extension():
 
 
 def test_parse_scalar():
-    assert parse_scalar("-3", F5) == F5.elem(2)
-    assert parse_scalar("2*t", F9) == F9.from_index(F9.p) + F9.from_index(F9.p)
+    # a scalar literal is a point with one coordinate
+    assert parse_point("-3", F5, 1) == (F5.elem(2).value,)
+    t = F9.from_index(F9.p)
+    assert parse_point("2*t", F9, 1) == ((t + t).value,)
     with pytest.raises(ParseError):
-        parse_scalar("2 junk", F5)
+        parse_point("2 junk", F5, 1)
 
 
 def test_parse_point():
     pt = parse_point("0,0,1", F5, 3)
-    assert len(pt) == 3 and pt[2] == F5.one
+    assert len(pt) == 3 and pt[2] == F5.one.value
     pt = parse_point("t, 1", F9, 2)
-    assert pt[0] == F9.from_index(F9.p)
+    assert pt[0] == F9.from_index(F9.p).value
     with pytest.raises(ParseError):
         parse_point("1,2", F5, 3)
+    # coordinates are values: over F_{p^m} an index, over Q a Fraction
+    assert parse_point("(1+t), -1, 1/2", F9, 3) == (
+        F9.elem((1, 1)).value, F9.elem(-1).value, F9.elem(2).value)
+    assert parse_point("-3/4, 2", rationals(), 2) == (Fraction(-3, 4), 2)
+    assert all(type(c) is Fraction
+               for c in parse_point("-3/4, 2", rationals(), 2))
+
+
+@pytest.mark.parametrize("text, nvars, message", [
+    ("1,", 2, "unexpected end of input in '1,'"),
+    (",1", 2, "expected coefficient, got ',' at position 0 in ',1'"),
+    ("0, 0,*t", 3, "expected coefficient, got '*' at position 5 in '0, 0,*t'"),
+    ("1 2", 1, "expected , after coordinate, got '2' at position 2 in '1 2'"),
+    ("1,2", 3, "point has 2 coordinates, expected 3"),
+])
+def test_bad_point_text_raises_its_message(text, nvars, message):
+    # errors quote the whole point text, with positions in it
+    with pytest.raises(ParseError) as exc:
+        parse_point(text, F9, nvars)
+    assert str(exc.value) == message
 
 
 def test_zero_polynomial_requires_degree_context():
@@ -263,7 +285,7 @@ def _exponents(nvars, degree):
     ("x9", F5, "variable x9 out of range (nvars=3) in 'x9'"),
     ("x0^", F5, "unexpected end of input in 'x0^'"),
     ("x0^x1", F5, "expected number, got 'x1' at position 3 in 'x0^x1'"),
-    ("x0*", F5, "expected coefficient, got None at position 3 in 'x0*'"),
+    ("x0*", F5, "unexpected end of input in 'x0*'"),
     ("x0 + + * x1", F5,
      "expected coefficient, got '*' at position 7 in 'x0 + + * x1'"),
     ("1/0*x0", F5, "zero denominator in '1/0*x0'"),
@@ -288,6 +310,8 @@ def _exponents(nvars, degree):
     ("(2t)*x0", F9, "expected + or - before 't' at position 2 in '(2t)*x0'"),
     ("(2 t)*x0", F9,
      "expected + or - before 't' at position 3 in '(2 t)*x0'"),
+    # a factor missing at the end of the text
+    ("3*", F5, "unexpected end of input in '3*'"),
 ])
 def test_bad_polynomial_text_raises_its_message(text, spec, message):
     with pytest.raises(ParseError) as exc:
@@ -296,7 +320,7 @@ def test_bad_polynomial_text_raises_its_message(text, spec, message):
 
 
 def test_fraction_over_an_extension_field_is_a_prime_field_element():
-    assert parse_scalar("1/2", F9) == F9.elem(2)
+    assert parse_point("1/2", F9, 1) == (F9.elem(2).value,)
     assert parse_poly("1/2*x0", F9, 2) == parse_poly("2*x0", F9, 2)
     with pytest.raises(ValueError, match="denominator divisible by 3"):
         parse_poly("1/3*x0", F9, 2)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import elem_rows
 from motivic.count import CountQuery, count_points
 from motivic.fields import FieldElem, extension_field, prime_field, rationals
 from motivic.linalg import Matrix
@@ -31,8 +32,8 @@ def test_ring_ops_small():
 
 def test_evaluate():
     f = parse_poly("x0*x1 - x2^2", F5, 3)
-    assert f.evaluate([F5.elem(2), F5.elem(3), F5.elem(1)]) == F5.elem(0)
-    assert f.evaluate([F5.elem(1), F5.elem(1), F5.elem(0)]) == F5.one
+    assert f.evaluate([2, 3, 1]) == F5.elem(0).value
+    assert f.evaluate([1, 1, 0]) == F5.one.value
 
 
 def test_linear_substitute_identity_and_composition():
@@ -118,7 +119,10 @@ def test_poly_ring_axioms(data):
 def test_product_evaluates_pointwise(data, seed):
     spec, f, g = data
     pt = [spec.from_index((seed + k) % spec.order) for k in range(f.nvars)]
-    assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+    values = [c.value for c in pt]
+    assert ((f * g).evaluate(values)
+            == (FieldElem(spec, f.evaluate(values))
+                * FieldElem(spec, g.evaluate(values))).value)
 
 
 @given(_polys(count=1, spec=prime_field(5)))
@@ -457,8 +461,8 @@ def test_linear_substitute_matches_term_by_term(data):
     M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]
                       for _ in range(nvars)])
     rows = [HomogPoly(spec, ncols, 1, {
-        tuple(1 if k == j else 0 for k in range(ncols)): M[i, j]
-        for j in range(ncols)}) for i in range(nvars)]
+        tuple(1 if k == j else 0 for k in range(ncols)): row[j]
+        for j in range(ncols)}) for row in elem_rows(M)]
     expect = HomogPoly.zero(spec, ncols, f.degree)
     for exps, coeff in f.terms.items():
         piece = HomogPoly(spec, ncols, 0, {(0,) * ncols: coeff})

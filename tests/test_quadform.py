@@ -37,19 +37,25 @@ def _columns(spec, cols):
                              [[x.value for x in row] for row in zip(*cols)])
 
 
+def _column(M, j):
+    """Column j of M as a tuple of elements."""
+    return tuple(FieldElem(M.spec, row[j]) for row in M.rows)
+
+
 def test_from_poly_poly_round_trip():
     f = parse_poly("x0^2 + 3*x0*x1 + 2*x1*x2 + x2^2", F5, 3)
     q = QuadForm.from_poly(f)
     assert q.poly() == f
     # cross term coefficient of x0*x1 is 2*G[0][1]
-    assert q.gram[0, 1] == F5.elem(3) * F5.elem(2).inverse()
+    assert q.gram.rows[0][1] == (F5.elem(3) * F5.elem(2).inverse()).value
     with pytest.raises(ValueError, match="degree"):
         QuadForm.from_poly(parse_poly("x0^3", F5, 2))
 
 
 def _gram_value(q, x):
-    """x^T G x from the Gram matrix of q."""
-    return sum((x[i] * q.gram[i, j] * x[j]
+    """x^T G x from the Gram matrix of q, on elements."""
+    G = [[FieldElem(q.spec, v) for v in row] for row in q.gram.rows]
+    return sum((x[i] * G[i][j] * x[j]
                 for i in range(q.nvars) for j in range(q.nvars)), q.spec.zero)
 
 
@@ -58,7 +64,9 @@ def test_evaluate_matches_poly():
     q = QuadForm.from_poly(f)
     for pt in [(1, 0), (0, 1), (1, 1), (2, 3), (4, 4)]:
         x = [F5.elem(v) for v in pt]
-        assert q.poly().evaluate(x) == f.evaluate(x) == _gram_value(q, x)
+        values = tuple(c.value for c in x)
+        assert (q.poly().evaluate(values) == f.evaluate(values)
+                == _gram_value(q, x).value)
 
 
 def test_diagonalize_congruence():
@@ -73,9 +81,9 @@ def test_diagonalize_congruence():
         D = _transpose(M) * q.gram * M
         for i in range(n):
             for j in range(n):
-                expect = diag[i] if i == j else F5.zero
-                assert D[i, j] == expect
-        nonzero = sum(1 for d in diag if not d.is_zero())
+                expect = diag[i] if i == j else F5.zero.value
+                assert D.rows[i][j] == expect
+        nonzero = sum(1 for d in diag if d)
         assert nonzero == q.rank()
 
 
@@ -84,7 +92,7 @@ def test_diagonalize_over_q_and_extension():
     M, diag = diagonalize(q)
     D = _transpose(M) * q.gram * M
     assert all(
-        D[i, j].is_zero() for i in range(3) for j in range(3) if i != j
+        not D.rows[i][j] for i in range(3) for j in range(3) if i != j
     )
     F9 = extension_field(3, 2)
     q9 = QuadForm.from_poly(parse_poly("x0^2 + x0*x1", F9, 2))
@@ -97,8 +105,8 @@ def test_find_projective_point_isotropic():
     q = QuadForm.from_poly(parse_poly("x0*x1", F3, 2))
     pt = find_projective_point(q)
     assert pt is not None
-    assert q.poly().evaluate(pt).is_zero()
-    assert tuple(v.value for v in pt) == (1, 0)
+    assert not q.poly().evaluate(pt)
+    assert pt == (1, 0)
 
 
 def test_find_projective_point_anisotropic_none():
@@ -110,7 +118,7 @@ def test_find_projective_point_anisotropic_none():
 def test_find_projective_point_rational_height_bound():
     q = QuadForm.from_poly(parse_poly("x0^2 - 4*x1^2", Q, 2))
     pt = find_projective_point(q, height=5)
-    assert pt is not None and q.poly().evaluate(pt).is_zero()
+    assert pt is not None and not q.poly().evaluate(pt)
     aniso = QuadForm.from_poly(parse_poly("x0^2 + x1^2", Q, 2))
     assert find_projective_point(aniso, height=6) is None
 
@@ -123,7 +131,7 @@ def test_find_projective_point_charges_walked_candidates():
     with pytest.raises(BudgetError, match="first 3 candidates"):
         find_projective_point(q, budget=3)
     pt = find_projective_point(q, budget=4)
-    assert tuple(v.value for v in pt) == (1, 0, 0, 0, 0, 0, 3)
+    assert pt == (1, 0, 0, 0, 0, 0, 3)
     # an anisotropic form walks all of P^1(F3), 4 candidates
     aniso = QuadForm.from_poly(parse_poly("x0^2 + x1^2", F3, 2))
     assert find_projective_point(aniso, budget=4) is None
@@ -133,10 +141,10 @@ def test_find_projective_point_charges_walked_candidates():
 
 def test_hyperbolic_normalize_binary():
     q = QuadForm.from_poly(parse_poly("x0^2 - x1^2", F5, 2))
-    x = (F5.one, F5.one)
+    x = (F5.one.value, F5.one.value)
     M, q2 = hyperbolic_normalize(q, x)
     assert q2 is None
-    assert M.column(1) == x
+    assert tuple(row[1] for row in M.rows) == x
     f2 = q.poly().linear_substitute(M)
     assert f2 == parse_poly("x0*x1", F5, 2)
 
@@ -145,7 +153,7 @@ def test_hyperbolic_normalize_splits_plane():
     q = QuadForm.from_poly(parse_poly("x0*x1 + x2^2 + x3^2", F5, 4))
     pt = find_projective_point(q)
     M, q2 = hyperbolic_normalize(q, pt)
-    assert M.column(1) == pt
+    assert tuple(row[1] for row in M.rows) == pt
     assert q2 is not None and q2.nvars == 2 and q2.is_nondegenerate()
     f2 = q.poly().linear_substitute(M)
     # y0*y1 + q2(y2, y3) exactly
@@ -166,29 +174,29 @@ def test_hyperbolic_normalize_error_paths():
 
 def _hyperbolic_normalize_on_elements(q, x):
     """hyperbolic_normalize as it was written on FieldElems, the reference
-    of the value-row version."""
+    of the value-row version; x is a tuple of values."""
     spec = q.spec
     n = q.nvars
-    x = tuple(spec.elem(v) for v in x)
+    x = tuple(FieldElem(spec, v) for v in x)
     two = spec.elem(2)
     G = q.gram
-    gx = (G * _columns(spec, [x])).column(0)
+    gx = _column(G * _columns(spec, [x]), 0)
     i = next(i for i, v in enumerate(gx) if not v.is_zero())
     w = tuple(spec.one if j == i else spec.zero for j in range(n))
-    factor = G[i, i] / (two * gx[i])
+    factor = FieldElem(spec, G.rows[i][i]) / (two * gx[i])
     u = tuple(wv - factor * xv for wv, xv in zip(w, x))
     bux = sum((uv * gv for uv, gv in zip(u, gx)), spec.zero)
     scale = (two * bux).inverse()
     u = tuple(scale * v for v in u)
-    gu = (G * _columns(spec, [u])).column(0)
+    gu = _column(G * _columns(spec, [u]), 0)
     comp = [tuple(FieldElem(spec, c) for c in v)
             for v in _kernel(spec, Matrix(spec, [gu, gx]).rows, n)]
     M = _columns(spec, [u, x] + comp)
     H = _transpose(M) * G * M
     if n == 2:
         return M, None
-    return M, QuadForm(spec, Matrix(spec, [[H[i, j] for j in range(2, n)]
-                                           for i in range(2, n)]))
+    return M, QuadForm(spec, Matrix._from_rows(
+        spec, [row[2:] for row in H.rows[2:]]))
 
 
 @pytest.mark.parametrize("spec, text, nvars", [
@@ -210,8 +218,10 @@ def test_hyperbolic_normalize_matches_element_version(spec, text, nvars):
     assert q.is_nondegenerate()
     if spec.is_finite:
         pts = list(enumerate_points(CountQuery(spec, nvars - 1, [q.poly()])))
-        pts += [tuple(spec.from_index(spec.p) * v for v in pt) for pt in pts
-                if spec.kind == "Fpm"]
+        if spec.kind == "Fpm":
+            t = spec.from_index(spec.p)
+            pts += [tuple((t * FieldElem(spec, v)).value for v in pt)
+                    for pt in pts]
     else:
         pt = find_projective_point(q, height=3)
         pts = [pt, tuple(v * Fraction(-3, 2) for v in pt)]
@@ -232,8 +242,8 @@ def test_transform_composes():
     M = Matrix(F5, [[1, 1, 0], [0, 1, 0], [2, 0, 1]])
     qt = QuadForm(F5, _transpose(M) * q.gram * M)
     x = [F5.elem(v) for v in (1, 2, 3)]
-    mx = (M * _columns(F5, [x])).column(0)
-    assert qt.poly().evaluate(x) == q.poly().evaluate(mx)
+    mx = [row[0] for row in (M * _columns(F5, [x])).rows]
+    assert qt.poly().evaluate([c.value for c in x]) == q.poly().evaluate(mx)
 
 
 @st.composite
@@ -257,8 +267,8 @@ def test_diagonalize_preserves_values(q):
     gd = _transpose(M) * q.gram * M
     for i in range(3):
         for j in range(3):
-            expect = diag[i] if i == j else F3.zero
-            assert gd[i, j] == expect
+            expect = diag[i] if i == j else F3.zero.value
+            assert gd.rows[i][j] == expect
 
 
 @given(_f3_gram(3))
