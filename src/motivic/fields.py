@@ -481,6 +481,29 @@ class FieldSpec:
             raise ValueError("coefficient tuple longer than extension degree")
         return self._encode(coeffs)
 
+    def _point(self, x, nvars):
+        """The point x as a tuple of nvars values, checked: over F_q each an
+        int in [0, q) (an index over F_{p^m}), over Q a Fraction or an int,
+        which becomes its Fraction.  Anything else is a ValueError."""
+        try:
+            x = tuple(x)
+        except TypeError:
+            raise ValueError("a point is a sequence of values, got %r"
+                             % (x,)) from None
+        if len(x) != nvars:
+            raise ValueError("point has %d coordinates, expected %d"
+                             % (len(x), nvars))
+        for v in x:
+            if self.kind == "Q":
+                ok = type(v) is Fraction or type(v) is int
+            else:
+                ok = type(v) is int and 0 <= v < self.order
+            if not ok:
+                raise ValueError("%r is not a value of %s" % (v, self))
+        if self.kind == "Q":
+            return tuple(v if type(v) is Fraction else Fraction(v) for v in x)
+        return x
+
     # -- finite enumeration (fixed order: ascending index) -------------------
 
     def from_index(self, i: int) -> "FieldElem":

@@ -14,18 +14,24 @@ printed form, and every deterministic tie-break downstream.
 Every product of forms (*, power, HomogPoly.product and the row powers of
 linear_substitute) takes one packed path, _Packing: exponent tuples become
 integer codes whose sums are the codes of product monomials, and the
-result becomes a HomogPoly once, at the end.  HomogPoly.product_text
-prints a product straight from its codes, without that HomogPoly: one pass
-over the codes in descending order prints each monomial, decoding each
-distinct half of a code once.  Over a finite field every coefficient prints from a list of
-coefficient texts kept per field (_prefixes); over Q the printer puts each
-term's sign between the terms.  A form keeps its text once it is printed.
+result becomes a HomogPoly once, at the end.  Every form prints through
+one printer, _Packing.text, on those codes: str() packs a form's
+exponents, and HomogPoly.product_text prints a product straight from its
+codes, without the HomogPoly.  The printer reads each monomial's text from
+a table kept per (variables, degree) and keyed by code (_monomial_table),
+built in bulk one variable at a time when a text fills at least a quarter
+of its shape; the tables share one entry budget.  A sparser text decodes
+its codes per call instead (_Packing._monomials).  Over a finite field
+every coefficient prints from a list of coefficient texts kept per field
+(_prefixes); over Q the printer puts each term's sign between the terms.
+A form keeps its text once it is printed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import getitem, mul
+from math import comb
+from operator import mul
 
 from .fields import _TABLE_LIMIT, FieldElem, FieldSpec
 from .linalg import Matrix
@@ -161,14 +167,21 @@ class _Packing:
             dict(zip(self._exponents(packed), packed.values())))
 
     def text(self, packed) -> str:
-        """str() of the unpacked form, printed from the codes."""
+        """str() of the unpacked form, printed from the codes: each
+        monomial's text comes from the kept table of its shape
+        (_monomial_table) when the form fills enough of that shape, and
+        from _monomials otherwise."""
         codes = sorted(packed, reverse=True)
-        return _join_terms(zip(self._monomials(codes),
-                               map(packed.__getitem__, codes)), self.spec)
+        table = _monomial_table(self.nvars, self.base - 1, len(codes))
+        monomials = (self._monomials(codes) if table is None
+                     else map(table.__getitem__, codes))
+        return _join_terms(zip(monomials, map(packed.__getitem__, codes)),
+                           self.spec)
 
     def _monomials(self, codes):
-        """The monomial text of each code, in one pass: each distinct half
-        of a code (see _exponents) is printed once per call."""
+        """The monomial text of each code, in one pass, for a text that
+        builds no table: each distinct half of a code (see _exponents) is
+        printed once per call."""
         nvars, base = self.nvars, self.base
         names = _power_names(nvars)
         nlow = nvars // 2
@@ -467,10 +480,8 @@ class HomogPoly:
             return self._text
         except AttributeError:
             pass
-        names = _power_names(self.nvars)
-        terms = [(_monomial(names, e), c)
-                 for e, c in sorted(self.coeffs.items(), reverse=True)]
-        text = self._text = _join_terms(terms, self.spec)
+        packing = _Packing(self.spec, self.nvars, self.degree)
+        text = self._text = packing.text(packing.pack(self))
         return text
 
     def __repr__(self):
@@ -516,10 +527,56 @@ def _power_names(nvars):
     return tuple(map(_Powers, range(nvars)))
 
 
-def _monomial(names, exps) -> str:
-    """The text of the monomial with these exponents of the named variables
-    ("" for the constant monomial)."""
-    return "*".join(filter(None, map(getitem, names, exps)))
+# monomial texts kept over all shapes in _monomial_tables; the store is
+# emptied when a new table would pass this
+_MONOMIAL_ENTRIES = 1 << 15
+# (nvars, degree) -> the monomial table of that shape (_build_table)
+_monomial_tables = {}
+
+
+def _monomial_table(nvars, degree, terms):
+    """The kept table of the shape (nvars, degree), built on first use, for
+    a text of that many terms; None when the text fills less than a
+    quarter of the shape, or the shape alone passes _MONOMIAL_ENTRIES, so
+    that a sparse text builds nothing."""
+    table = _monomial_tables.get((nvars, degree))
+    if table is None:
+        size = comb(nvars + degree - 1, degree)
+        if 4 * terms < size or size > _MONOMIAL_ENTRIES:
+            return None
+        if sum(map(len, _monomial_tables.values())) + size > _MONOMIAL_ENTRIES:
+            _monomial_tables.clear()
+        table = _monomial_tables[nvars, degree] = _build_table(nvars, degree)
+    return table
+
+
+def _build_table(nvars, degree) -> dict:
+    """code -> text of every monomial of this degree in nvars variables,
+    in descending code order, built in bulk one variable at a time: the
+    monomials of each degree s <= degree in x_i, ..., x_{nvars-1} are the
+    powers x_i^e joined to the monomials of degree s - e in the variables
+    after it."""
+    names = _power_names(nvars)
+    base = degree + 1
+    # by_degree[s]: (code, text) of the monomials of degree s in the
+    # variables taken so far, descending, for each degree s that has one;
+    # only the constant's text is ""
+    by_degree = {0: [(0, "")]}
+    weight = 1
+    for i in reversed(range(nvars)):
+        row = names[i]
+        new = {}
+        for s in range(degree + 1) if i else (degree,):  # x0 ends at degree
+            out = [(s * weight, row[s])] if s else []
+            for t, rest in by_degree.items():
+                if 0 < t < s:
+                    head, step = row[s - t] + "*", (s - t) * weight
+                    out += [(step + k, head + text) for k, text in rest]
+            out += by_degree.get(s, ())
+            new[s] = out
+        by_degree = new
+        weight *= base
+    return dict(by_degree[degree])
 
 
 class _Prefixes(dict):

@@ -176,10 +176,12 @@ def hyperbolic_normalize(q: QuadForm, x):
     Returns (M, q2) with q(M y) = y0*y1 + q2(y2..yn), column 1 of M equal to
     x (so M^-1 x is the second standard basis vector), and q2 nondegenerate
     in nvars-2 variables (None when nvars == 2).  x is a tuple of values,
-    and the work runs on value rows, as M and q2 keep them.
+    checked by FieldSpec._point, and the work runs on value rows, as M and
+    q2 keep them.
     """
     spec = q.spec
     n = q.nvars
+    x = spec._point(x, n)
     if not any(x):
         raise ValueError("isotropic vector must be nonzero")
     G = q.gram.rows

@@ -453,9 +453,10 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     Lines through the point stratify X into the point, a section over the
     complement of V(f2), and an A^1-bundle over V(f2, f3).  When f2 = 0 the
     cubic is itself a cone and is delegated to class_of_cone.  A given x is
-    a tuple of field values; without x, the singular point is searched for
-    by points.first_point; that search and the isotropic-point search on
-    V(f2) are charged against budget only for the candidates they walk.
+    a tuple of field values, checked by FieldSpec._point; without x, the
+    singular point is searched for by points.first_point; that search and
+    the isotropic-point search on V(f2) are charged against budget only for
+    the candidates they walk.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -476,6 +477,7 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
                 + ("" if finite else " up to height %d" % height)
             )
     else:
+        x = spec._point(x, nvars)
         if not any(x):
             raise ValueError("zero vector is not a projective point")
         if not _is_singular_at(f, x):

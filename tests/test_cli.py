@@ -12,6 +12,7 @@ from conftest import run_python
 import motivic.kclass
 from motivic.cli import JobSpec, _dispatch, main, render_json, run
 from motivic.fields import FieldElem, FieldSpec, field_from_text
+from motivic.poly import _monomial_tables
 
 QUADRIC = ["class-quadric", "--field", "3", "--ambient", "3",
            "--poly", "x0*x1 - x2*x3"]
@@ -522,6 +523,20 @@ def test_pinned_report_bytes(args, digest):
     assert code == 0
     text = render_json(report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
+
+
+def test_pinned_report_bytes_do_not_depend_on_kept_tables():
+    """The pinned reports, once with the kept monomial tables emptied before
+    each job and once in reverse order with them kept, hold their digests:
+    no report byte depends on which tables earlier jobs left."""
+    for args, digest in PINNED_REPORTS:
+        _monomial_tables.clear()
+        text = render_json(run(_pinned_job(args))[0])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    for args, digest in reversed(PINNED_REPORTS):
+        text = render_json(run(_pinned_job(args))[0])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert _monomial_tables
 
 
 def test_pinned_jobs_build_no_field_element(monkeypatch):

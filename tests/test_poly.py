@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,9 @@ from conftest import elem_rows
 from motivic.count import CountQuery, count_points
 from motivic.fields import FieldElem, extension_field, prime_field, rationals
 from motivic.linalg import Matrix
-from motivic.poly import HomogPoly, _prefixes
+from motivic import poly
+from motivic.poly import (HomogPoly, _MONOMIAL_ENTRIES, _monomial_tables,
+                          _power_names, _prefixes)
 from motivic.parse import parse_poly
 from motivic.quadform import QuadForm
 
@@ -139,6 +142,12 @@ def _elem(draw, spec):
         return spec.from_index(draw(st.integers(0, spec.order - 1)))
     num, den = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
     return spec.elem(Fraction(num, den))
+
+
+def _nonzero(draw, spec):
+    """A nonzero value drawn as an element; over Q possibly negative."""
+    c = _elem(draw, spec)
+    return c if not c.is_zero() else spec.one
 
 
 def _constant(spec, nvars, c):
@@ -325,16 +334,43 @@ def _linear_form(draw, spec, nvars):
 
 
 def _printed(f):
-    """The canonical text of a form over a finite field, printed term by
-    term from its exponent tuples and its coefficients' str()."""
+    """The canonical text of a form, printed term by term as a reference:
+    each monomial is "*".join over the powers in exponent order, and a
+    coefficient prints before it, through its str(), unless it is one; over
+    Q a negative coefficient prints its magnitude, with its sign between
+    the terms."""
     pieces = []
     for exps, c in sorted(f.terms.items(), reverse=True):
         mono = "*".join("x%d" % i if e == 1 else "x%d^%d" % (i, e)
                         for i, e in enumerate(exps) if e)
-        coeff = str(c)
-        pieces.append(coeff if not mono else mono if coeff == "1"
-                      else coeff + "*" + mono)
-    return " + ".join(pieces) or "0"
+        negative = not f.spec.is_finite and c.value < 0
+        coeff = str(-c if negative else c)
+        piece = (coeff if not mono else mono if coeff == "1"
+                 else coeff + "*" + mono)
+        sign = "-" if negative else "+"
+        pieces.append(("-" + piece if negative else piece) if not pieces
+                      else "%s %s" % (sign, piece))
+    return " ".join(pieces) or "0"
+
+
+def _set_tables(draw):
+    """Empty the kept monomial tables or keep them, as drawn; returns the
+    shapes kept before the example prints."""
+    if draw(st.booleans()):
+        _monomial_tables.clear()
+    return set(_monomial_tables)
+
+
+def _assert_table_rule(form, kept_before):
+    """A text that fills less than a quarter of its shape builds no table;
+    one that fills more keeps the table of its shape."""
+    key = (form.nvars, form.degree)
+    size = comb(form.nvars + form.degree - 1, form.degree)
+    if 4 * len(form.coeffs) < size:
+        if key not in kept_before:
+            assert key not in _monomial_tables
+    elif size <= _MONOMIAL_ENTRIES:
+        assert key in _monomial_tables
 
 
 # F9 under its default modulus t^2 + 1 and under t^2 + t + 2: one order,
@@ -346,16 +382,20 @@ F9_OTHER = extension_field(3, 2, (2, 1, 1))
 @settings(max_examples=150, deadline=None)
 def test_product_text_matches_expanded_product(data):
     """A union's text is printed from the packed product's codes, never
-    expanded; it must be the text of the expanded product over F_p,
-    F_{p^m} and Q, with one factor, repeated factors and zero factors, in
-    up to six variables so that both halves of a code hold several digits.
+    expanded; it must be the text of the expanded product, and the one
+    printed term by term, over F_p, F_{p^m} and Q (negative coefficients
+    included), with one factor, repeated factors and zero factors, in up
+    to six variables so that both halves of a code hold several digits.
     At the sizes of the benchmark's arrangements and two-quadric unions,
     4-6 linear forms in 7-8 variables and two quadrics in 6 variables,
-    both halves hold up to 4 digits, and the text over a finite field must
-    also be the one printed term by term.  A union with a zero factor
-    describes no generator."""
+    both halves hold up to 4 digits.  Dense texts read their monomials from
+    the kept table of their shape, sparse ones build none; the kept tables
+    are emptied before some examples and kept from earlier ones before
+    others.  A union with a zero factor describes no generator."""
     draw = data.draw
-    shape = draw(st.sampled_from(["small", "small", "planes", "quadrics"]))
+    kept_before = _set_tables(draw)
+    shape = draw(st.sampled_from(["small", "small", "dense", "planes",
+                                  "quadrics"]))
     if shape == "small":
         spec = draw(st.sampled_from([
             prime_field(3), prime_field(7), prime_field(31),
@@ -365,6 +405,14 @@ def test_product_text_matches_expanded_product(data):
                 for _ in range(draw(st.integers(1, 3)))]
         factors = draw(st.lists(st.sampled_from(pool), min_size=1,
                                 max_size=4))
+    elif shape == "dense":
+        # generic linear forms in few variables fill their product's shape
+        spec = draw(st.sampled_from([
+            prime_field(5), extension_field(3, 2), rationals()]))
+        nvars = draw(st.integers(2, 4))
+        factors = [HomogPoly(spec, nvars, 1, {
+            tuple(int(j == i) for j in range(nvars)): _nonzero(draw, spec)
+            for i in range(nvars)}) for _ in range(draw(st.integers(1, 4)))]
     else:
         spec = draw(st.sampled_from([
             prime_field(3), prime_field(7), extension_field(3, 2), F9_OTHER,
@@ -380,12 +428,79 @@ def test_product_text_matches_expanded_product(data):
         factors.append(factors[0])
     text = HomogPoly.product_text(factors)
     product = HomogPoly.product(factors)
-    assert text == str(product)
+    _assert_table_rule(product, kept_before)
+    assert text == str(product) == _printed(product)
     if spec.is_finite:
-        assert text == _printed(product)
         described = CountQuery.union(spec, nvars - 1, factors).describe()
         zero = any(f.is_zero() for f in factors)
         assert described["generators"] == ([] if zero else [text])
+
+
+@pytest.mark.parametrize("tables", ["emptied", "kept"])
+@pytest.mark.parametrize("spec", [prime_field(7), extension_field(3, 2),
+                                  rationals()])
+@pytest.mark.parametrize("nvars", [8, 16])
+def test_product_of_coordinate_hyperplanes_builds_no_table(nvars, spec,
+                                                           tables):
+    """A product of nvars coordinate hyperplanes c_i * x_i is one monomial
+    of a shape with comb(2 * nvars - 1, nvars) monomials (6,435 for 8,
+    300,540,541 for 16): its text builds no table, and it prints as the
+    term-by-term reference does, from any state of the kept tables."""
+    if tables == "emptied":
+        _monomial_tables.clear()
+    else:
+        HomogPoly.product_text(
+            [parse_poly("x0 + x1 - 2*x2", spec, 3)] * 2)  # keep (3, 2)
+    kept = dict(_monomial_tables)
+    values = [1, 2, -1, Fraction(1, 2)] if not spec.is_finite else [1, 2]
+    factors = [HomogPoly(spec, nvars, 1, {
+        tuple(int(j == i) for j in range(nvars)): values[i % len(values)]})
+        for i in range(nvars)]
+    text = HomogPoly.product_text(factors)
+    product = HomogPoly.product(factors)
+    assert text == str(product) == _printed(product)
+    assert dict(_monomial_tables) == kept
+    assert (nvars, nvars) not in _monomial_tables
+
+
+def test_kept_tables_share_one_entry_budget(monkeypatch):
+    """A dense text builds the table of its shape once and later texts of
+    that shape read it; the tables hold at most _MONOMIAL_ENTRIES entries
+    together, the store is emptied when a new table would pass that, and a
+    shape larger than the budget is printed without a table."""
+    tables = {}
+    monkeypatch.setattr(poly, "_monomial_tables", tables)
+    monkeypatch.setattr(poly, "_MONOMIAL_ENTRIES", 20)
+    spec = prime_field(5)
+
+    def dense(nvars, degree):
+        f = HomogPoly(spec, nvars, 1, {
+            tuple(int(j == i) for j in range(nvars)): i + 1
+            for i in range(nvars)})
+        return HomogPoly.product([f] * degree)
+
+    f43 = dense(4, 3)  # 20 monomials, the whole budget
+    assert len(f43.coeffs) == comb(6, 3) == 20
+    assert str(f43) == _printed(f43)
+    table = tables[4, 3]
+    assert list(tables) == [(4, 3)] and len(table) == 20
+    assert str(dense(4, 3)) == str(f43)
+    assert tables[4, 3] is table
+    f32 = dense(3, 2)
+    assert str(f32) == _printed(f32)
+    assert list(tables) == [(3, 2)] and len(tables[3, 2]) == 6
+    f53 = dense(5, 3)  # 35 monomials, past the budget
+    assert str(f53) == _printed(f53)
+    assert list(tables) == [(3, 2)]
+
+
+def test_huge_degree_prints_without_a_text_per_power():
+    """A table is built over the degrees its shape has monomials in, so a
+    form of degree 10^6 in one variable builds one power's text, not one
+    per power below it."""
+    f = HomogPoly(F5, 1, 10**6, {(10**6,): 2})
+    assert str(f) == "2*x0^1000000"
+    assert len(_power_names(1)[0]) < 100
 
 
 def test_fields_of_one_order_keep_their_own_coefficient_texts():
@@ -421,9 +536,11 @@ def test_union_with_zero_factor_describes_no_generator():
 @settings(max_examples=120, deadline=None)
 def test_text_of_built_form_survives_parse_round_trip(data):
     """Ring operations build forms through _from_terms with no text; the
-    text str() fills in must parse back to the same form and print the
-    same again."""
+    text str() fills in must be the one printed term by term, parse back to
+    the same form and print the same again, whether the kept monomial
+    tables were emptied before the example or kept from earlier ones."""
     draw = data.draw
+    _set_tables(draw)
     spec = draw(st.sampled_from([
         prime_field(3), prime_field(7), extension_field(3, 2),
         extension_field(5, 2), rationals()]))
@@ -434,6 +551,7 @@ def test_text_of_built_form_survives_parse_round_trip(data):
                   f * _constant(spec, nvars, _elem(draw, spec)),
                   f.insert_variable(0)):
         text = str(built)
+        assert text == _printed(built)
         back = parse_poly(text, spec, built.nvars)
         assert back == built or (built.is_zero() and back.is_zero())
         assert str(back) == text == str(built)

@@ -172,6 +172,31 @@ def test_hyperbolic_normalize_error_paths():
         hyperbolic_normalize(dg, (0, 1))
 
 
+@pytest.mark.parametrize("spec, x", [
+    (extension_field(3, 2), (1, 9)),  # an index past F9
+    (F5, (1, 5)),
+    (F5, (F5.one, F5.one)),  # elements, not values
+    (F5, (1, 1, 0)),  # a coordinate too many
+    (F5, (1, 1.0)),
+    (Q, (1, 1.0)),
+])
+def test_hyperbolic_normalize_checks_the_point(spec, x):
+    """The point is checked by FieldSpec._point before any arithmetic: an
+    index past the field or an element, not a value, was an IndexError or
+    a TypeError from the value arithmetic."""
+    q = QuadForm.from_poly(parse_poly("x0^2 - x1^2", spec, 2))
+    with pytest.raises(ValueError, match="not a value of|coordinates"):
+        hyperbolic_normalize(q, x)
+
+
+def test_hyperbolic_normalize_reads_ints_over_q_as_fractions():
+    q = QuadForm.from_poly(parse_poly("x0^2 - x1^2", Q, 2))
+    M, q2 = hyperbolic_normalize(q, (1, 1))
+    assert q2 is None
+    assert tuple(row[1] for row in M.rows) == (Fraction(1), Fraction(1))
+    assert all(type(v) is Fraction for row in M.rows for v in row)
+
+
 def _hyperbolic_normalize_on_elements(q, x):
     """hyperbolic_normalize as it was written on FieldElems, the reference
     of the value-row version; x is a tuple of values."""

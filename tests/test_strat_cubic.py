@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import assert_trace_verifies, brute_count
-from motivic.fields import prime_field, rationals
+from motivic.fields import extension_field, prime_field, rationals
 from motivic.kclass import ClassExpr, VarietyAtom
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
@@ -132,6 +133,43 @@ def test_validation_errors():
         class_of_singular_cubic(f, x=(1, 1, 1, 1))
     with pytest.raises(ValueError, match="zero vector"):
         class_of_singular_cubic(f, x=(0, 0, 0, 0))
+
+
+F9 = extension_field(3, 2)
+
+
+@pytest.mark.parametrize("spec, x", [
+    (F9, (0, 0, 0, 9)),  # an index past F9: the index tables' IndexError
+    (F9, (0, 0, 0, -1)),
+    (F3, (0, 0, 0, 3)),
+    (F3, (0, 0, 0, F3.one)),  # an element, not a value
+    (F3, (0, 0, 0, 1.0)),
+    (F3, (0, 0, 0, True)),
+    (F3, (0, 0, 1)),  # too few coordinates
+    (F3, 1),
+    (Q, (0, 0, 0, 1.0)),
+    (Q, (0, 0, 0, "1")),
+])
+def test_given_point_is_checked(spec, x):
+    """A given point holds nvars values, each an int in [0, q) over a finite
+    field or a Fraction (or int) over Q; anything else is a ValueError."""
+    f = parse_poly("x0*x1*x3 - x2^2*x3 + x0^3", spec, 4)
+    with pytest.raises(ValueError, match="not a value of|coordinates|"
+                       "sequence of values"):
+        class_of_singular_cubic(f, x=x)
+
+
+def test_given_point_over_an_extension_field_is_an_index():
+    """Over F9 the index 3 is t: the point (0:0:0:t) is the point
+    (0:0:0:1), and both count the cubic's points."""
+    f = parse_poly("x0*x1*x3 + t*x2^2*x3 + x0^3 + x2^3", F9, 4)
+    count = brute_count(F9, 3, [f])
+    for x in ((0, 0, 0, 1), (0, 0, 0, 3)):
+        assert class_of_singular_cubic(f, x=x).class_expr.count_measure(9) \
+            == count
+    r = class_of_singular_cubic(parse_poly("x0*x1*x3 - x2^2*x3 + x0^3", Q, 4),
+                                x=(0, 0, 0, Fraction(2)))
+    assert r.residue == 1
 
 
 def test_randomized_apex_cubics():
