@@ -1,17 +1,17 @@
 """Exact coefficient arithmetic over Q, F_p, and F_{p^m} with p an odd prime.
 
-Three kinds of base field share one element interface:
+Three kinds of base field carry their elements as plain values:
 
-  * rationals()            -- Q, elements carried as reduced Fractions
-  * prime_field(p)         -- F_p, elements carried as residues 0..p-1
-  * extension_field(p, m)  -- F_{p^m} = F_p[t]/(modulus), elements carried as
+  * rationals()            -- Q, values are reduced Fractions
+  * prime_field(p)         -- F_p, values are residues 0..p-1
+  * extension_field(p, m)  -- F_{p^m} = F_p[t]/(modulus), values are
                               indices 0..q-1: c_0 + c_1 t + ... with each
                               c_k reduced mod p has index sum(c_k * p^k)
 
 So over every finite field an element's value is one int in [0, q): 0 is
 zero, 1 is one, p is t, and the elements of F_p inside F_{p^m} are exactly
-the values below p.  from_index(i) is the element of value i; elem encodes
-a coefficient tuple and str decodes the digits to print them.
+the values below p.  A spec's zero and one are the values 0 and 1
+(Fractions over Q).
 
 Characteristic 2 is rejected everywhere: the quadratic-form machinery built on
 top divides by 2.  The extension modulus is monic, irreducible, and chosen
@@ -22,8 +22,7 @@ rely on for determinism.
 
 Specs are interned: there is one FieldSpec object per field, so equality of
 specs is identity.  extension_field(3, 2) and extension_field(3, 2, (1, 0, 1))
-return the same object; elements of different fields never mix.  Each spec
-builds its zero and one once, as plain attributes.
+return the same object.
 
 Over F_{p^m} with q <= _TABLE_LIMIT every operation is a lookup in one set
 of O(q) index tables per spec, built on the first operation that needs
@@ -37,16 +36,15 @@ same indices: they add and negate digit by digit, and multiply and invert
 with the schoolbook product on the decoded digits.
 
 A spec's value operations (_add, _mul, _pow, _neg, _inv, _is_square, the
-row operations _scale and _axpy, _value, the value of anything elem accepts,
-_encode, the index of a list of digits, and _str, the text of a value) act
-on values rather than elements, and each serves every field.  They are the
-one place that knows how the values of each field combine and print:
-FieldElem's operators, motivic.linalg, the forms of motivic.poly, the
-parser and the counting kernel run one path on plain values for every
-field and build elements only at their edges.
-
-A fraction a/b is an element of the prime field, over F_{p^m} as over F_p,
-and one whose reduced denominator p divides is an error.
+row operations _scale and _axpy, _encode, the index of a list of digits,
+and _str, the text of a value) serve every field: motivic.linalg,
+motivic.poly, the parser and the counting kernel run one path on values.
+A value from outside, given to HomogPoly(...), Matrix(...) or a point
+consumer, passes _checked: over F_q an int in [0, q), an index over
+F_{p^m}, over Q a Fraction or an int; anything else is a ValueError.
+_literal reads an int or a fraction a/b into the prime field, so over F9
+the value 3 is t while the literal 3 is 0; a denominator divisible by p
+is an error.  FieldElem serves only the benchmark under perfbench/.
 """
 
 from __future__ import annotations
@@ -202,7 +200,7 @@ def build_extension(p: int, m: int):
 
 
 class FieldSpec:
-    """Identity of a coefficient field; also the factory for its elements.
+    """Identity of a coefficient field and the arithmetic of its values.
 
     Do not call the constructor directly: use rationals(), prime_field(p), or
     extension_field(p, m), which validate and cache.
@@ -232,13 +230,8 @@ class FieldSpec:
                     cur = [(cur[i] + lead * base[i]) % p for i in range(m)]
                 red.append(tuple(cur))
             self._tpowers = tuple(red)
-        # FieldElem is immutable, so every caller can share these two
-        if kind == "Q":
-            zero, one = Fraction(0), Fraction(1)
-        else:
-            zero, one = 0, 1
-        self.zero = FieldElem(self, zero)
-        self.one = FieldElem(self, one)
+        self.zero, self.one = ((Fraction(0), Fraction(1)) if kind == "Q"
+                               else (0, 1))
         self._tables = None
         # _add, _mul and _pow on values, a^e for e >= 0 with 0^0 = 1, bound
         # once for the field's kind
@@ -453,38 +446,39 @@ class FieldSpec:
             "modulus": _tpoly_str(self.modulus),
         }
 
-    # -- element construction ----------------------------------------------
+    # -- values from outside -----------------------------------------------
 
-    def elem(self, x) -> "FieldElem":
-        if type(x) is FieldElem and x.spec is self:
-            return x
-        return FieldElem(self, self._value(x))
+    def _checked(self, v):
+        """The value v from outside, checked as the module docstring says;
+        a FieldElem of this field, which perfbench/ passes, gives its value."""
+        t = type(v)
+        if t is int:
+            if self.kind == "Q":
+                return Fraction(v)
+            if 0 <= v < self.order:
+                return v
+        elif t is Fraction:
+            if self.kind == "Q":
+                return v
+        elif t is FieldElem and v.spec is self:
+            return v.value
+        raise ValueError("%r is not a value of %s" % (v, self))
 
-    def _value(self, x):
-        """The value of what elem accepts: an element of this field, an int,
-        a Fraction, or over F_{p^m} a tuple of at most m integer digits."""
-        if isinstance(x, FieldElem):
-            if x.spec is not self:
-                raise ValueError("element of %s used where %s expected" % (x.spec, self))
-            return x.value
+    def _literal(self, x):
+        """The value of the int or Fraction x in the prime field (in Q over
+        Q): below p over F_{p^m} too, never an index."""
         if self.kind == "Q":
             return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ValueError("denominator divisible by %d" % self.p)
-            p = self.p
+        p = self.p
+        if type(x) is Fraction:
+            if x.denominator % p == 0:
+                raise ValueError("denominator divisible by %d" % p)
             return x.numerator * pow(x.denominator, p - 2, p) % p
-        if self.kind == "Fp" or isinstance(x, int):
-            return int(x) % self.p
-        coeffs = [int(c) for c in x]
-        if len(coeffs) > self.m:
-            raise ValueError("coefficient tuple longer than extension degree")
-        return self._encode(coeffs)
+        return x % p
 
     def _point(self, x, nvars):
-        """The point x as a tuple of nvars values, checked: over F_q each an
-        int in [0, q) (an index over F_{p^m}), over Q a Fraction or an int,
-        which becomes its Fraction.  Anything else is a ValueError."""
+        """The point x as a tuple of nvars values, each checked by _checked.
+        Anything but a sequence of nvars values is a ValueError."""
         try:
             x = tuple(x)
         except TypeError:
@@ -493,16 +487,7 @@ class FieldSpec:
         if len(x) != nvars:
             raise ValueError("point has %d coordinates, expected %d"
                              % (len(x), nvars))
-        for v in x:
-            if self.kind == "Q":
-                ok = type(v) is Fraction or type(v) is int
-            else:
-                ok = type(v) is int and 0 <= v < self.order
-            if not ok:
-                raise ValueError("%r is not a value of %s" % (v, self))
-        if self.kind == "Q":
-            return tuple(v if type(v) is Fraction else Fraction(v) for v in x)
-        return x
+        return tuple(map(self._checked, x))
 
     # -- finite enumeration (fixed order: ascending index) -------------------
 
@@ -582,7 +567,10 @@ def _tpoly_str(coeffs) -> str:
 
 
 class FieldElem:
-    """One field element; immutable, hashable, canonically represented."""
+    """One field element: a spec and a value.  It exists only for
+    perfbench/, which builds its random forms from from_index and
+    conjugates their coefficients with frobenius; the package itself works
+    on values throughout."""
 
     __slots__ = ("spec", "value")
 
@@ -590,111 +578,18 @@ class FieldElem:
         self.spec = spec
         self.value = value
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.spec is not self.spec:
-                raise ValueError(
-                    "mixed fields: %s vs %s" % (self.spec, other.spec)
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.spec.elem(other)
-        return NotImplemented
-
-    # The ring operations take two elements of one spec object, the bulk of
-    # all calls, without coercion, and combine their values through the
-    # spec's value arithmetic.
-
-    def __add__(self, other):
-        s = self.spec
-        if type(other) is not FieldElem or other.spec is not s:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return FieldElem(s, s._add(self.value, other.value))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        s = self.spec
-        return FieldElem(s, s._neg(self.value))
-
-    def __sub__(self, other):
-        s = self.spec
-        if type(other) is not FieldElem or other.spec is not s:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return FieldElem(s, s._add(self.value, s._neg(other.value)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        s = self.spec
-        if type(other) is not FieldElem or other.spec is not s:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return FieldElem(s, s._mul(self.value, other.value))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        s = self.spec
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in %s" % s)
-        return FieldElem(s, s._inv(self.value))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        s = self.spec
-        return FieldElem(s, s._pow(self.value, e))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.spec.elem(other)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.value == other.value and self.spec is other.spec
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
     def is_zero(self) -> bool:
         return not self.value
-
-    def __bool__(self):
-        return bool(self.value)
 
     def frobenius(self) -> "FieldElem":
         """x -> x^p, the arithmetic Frobenius (finite fields only)."""
         s = self.spec
         if not s.is_finite:
             raise ValueError("Frobenius needs a finite field")
-        if s.kind == "Fp":
-            return self
-        return self**s.p
+        return FieldElem(s, s._pow(self.value, s.p))
 
     def __str__(self):
         return self.spec._str(self.value)
 
     def __repr__(self):
         return "%s:%s" % (self.spec, self)
-

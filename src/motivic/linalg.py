@@ -13,9 +13,9 @@ value arithmetic of the spec (its _inv, _neg, _scale and _axpy), one path
 for every field, which over F_{p^m} is lookup in the spec's index tables.
 No Matrix hands out an element: an entry is read as M.rows[i][j].  The
 row functions below (_eliminate, _product, _kernel, _rotation) serve the
-engines, which keep values throughout.  The public constructor coerces
-anything FieldSpec.elem accepts, so over F_{p^m} it reads an int as a
-prime-field residue, not as an index; results of operations are valid by
+engines, which keep values throughout.  The public constructor takes rows
+of values, each checked by FieldSpec._checked, so an entry read out of
+M.rows can be passed back in; results of operations are valid by
 construction, so they are built through _from_rows, which stores the
 value rows it is given and never changes them.  _Echelon keeps a
 reduced basis of a growing span, so that the rank after each new row
@@ -57,7 +57,7 @@ def _eliminate(spec, m, ncols):
 
 def _product(spec, left, right):
     """The product of the value rows left and right, as value rows."""
-    zero = spec.zero.value
+    zero = spec.zero
     width = len(right[0]) if right else 0
     out = []
     for row in left:
@@ -74,7 +74,7 @@ def _kernel(spec, m, ncols):
     lists: one vector per free column, which gets entry 1 while the other
     free columns get 0.  The list m is reduced to rref on the way."""
     pivots = _eliminate(spec, m, ncols)
-    zero, one = spec.zero.value, spec.one.value
+    zero, one = spec.zero, spec.one
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -91,8 +91,9 @@ class Matrix:
     __slots__ = ("spec", "nrows", "ncols", "rows")
 
     def __init__(self, spec: FieldSpec, rows):
+        """Equally long rows of values, each checked by FieldSpec._checked."""
         self.spec = spec
-        self.rows = [[spec._value(x) for x in row] for row in rows]
+        self.rows = [[spec._checked(x) for x in row] for row in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -112,7 +113,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        zero, one = spec.zero.value, spec.one.value
+        zero, one = spec.zero, spec.one
         return cls._from_rows(
             spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
@@ -206,7 +207,7 @@ def _rotation(spec: FieldSpec, vectors, dim: int):
     for v in vectors:
         if not span.add(v):
             raise ValueError("input vectors are dependent")
-    zero, one = spec.zero.value, spec.one.value
+    zero, one = spec.zero, spec.one
     cols = []
     for i in range(dim):
         if len(span.rows) == dim:

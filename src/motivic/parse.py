@@ -104,7 +104,7 @@ class _Reader:
             den, i = self.number(i + 2)
             if den == 0:
                 raise ParseError("zero denominator in %r" % self.src)
-            return spec._value(Fraction(num, den)), i
+            return spec._literal(Fraction(num, den)), i
         if tok == "(" or tok == "t":
             if spec.kind != "Fpm":
                 raise ParseError(

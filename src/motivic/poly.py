@@ -4,12 +4,13 @@ A HomogPoly is a dict from exponent tuples to the nonzero values of its
 coefficients (see motivic.fields), tagged with its field, variable count,
 and degree; every operation combines the values through the field's value
 arithmetic.  A FieldElem is built only by terms, the one accessor that
-hands elements out; evaluate takes a point as a tuple of values and
-returns a value.  The zero polynomial keeps an explicit degree so that
-arithmetic stays well-typed.  Term order everywhere is graded
-lexicographic, which for a fixed degree is plain lexicographic on exponent
-tuples, largest first; that order fixes the leading coefficient, the
-printed form, and every deterministic tie-break downstream.
+hands elements out, which the benchmark under perfbench/ reads; evaluate
+takes a point as a tuple of values and returns a value.  The zero
+polynomial keeps an explicit degree so that arithmetic stays well-typed.
+Term order everywhere is graded lexicographic, which for a fixed degree
+is plain lexicographic on exponent tuples, largest first; that order
+fixes the leading coefficient, the printed form, and every deterministic
+tie-break downstream.
 
 Every product of forms (*, power, HomogPoly.product and the row powers of
 linear_substitute) takes one packed path, _Packing: exponent tuples become
@@ -37,6 +38,8 @@ from .fields import _TABLE_LIMIT, FieldElem, FieldSpec
 from .linalg import Matrix
 
 def _validated_terms(spec, nvars, degree, terms):
+    """The dict of nonzero values of terms, each exponent tuple checked
+    against nvars and degree and each coefficient by FieldSpec._checked."""
     out = {}
     for exps, coeff in terms.items():
         exps = tuple(int(e) for e in exps)
@@ -46,7 +49,7 @@ def _validated_terms(spec, nvars, degree, terms):
             raise ValueError(
                 "term %r has degree %d, expected %d" % (exps, sum(exps), degree)
             )
-        c = spec._value(coeff)
+        c = spec._checked(coeff)
         if c:
             out[exps] = c
     return out
@@ -76,7 +79,7 @@ class _Packing:
         self.base = degree + 1
         self.weights = [self.base**i for i in reversed(range(nvars))]
         self.p = spec.p if spec.kind == "Fp" else 0
-        self.one = {0: spec.one.value}
+        self.one = {0: spec.one}
         self._convolve = (self._convolve_by_spec if spec.kind == "Fpm"
                           else self._convolve_by_operators)
 
@@ -214,10 +217,10 @@ class HomogPoly:
     """A homogeneous form; see the module docstring for the representation.
 
     The constructor validates its input: exponent tuples of the right length
-    and degree, coefficients coerced to values of the field (anything
-    FieldSpec.elem accepts), zeros dropped.  Ring operations on valid
-    polynomials give valid results by construction, so they build those
-    through _from_terms, which stores the dict of values it is given.
+    and degree, coefficients checked by FieldSpec._checked, zeros dropped.
+    Ring operations on valid polynomials give valid results by
+    construction, so they build those through _from_terms, which stores
+    the dict of values it is given.
     A form is never changed once built, so str() fills the _text slot the
     first time it prints the form and returns that text from then on.
     """
@@ -314,7 +317,7 @@ class HomogPoly:
         return HomogPoly._from_terms(self.spec, self.nvars, degree, coeffs)
 
     def __neg__(self) -> "HomogPoly":
-        return self._scaled(self.spec._neg(self.spec.one.value))
+        return self._scaled(self.spec._neg(self.spec.one))
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
@@ -356,7 +359,7 @@ class HomogPoly:
             raise ValueError("point length != nvars")
         spec = self.spec
         add, mul, power = spec._add, spec._mul, spec._pow
-        acc = spec.zero.value
+        acc = spec.zero
         for exps, val in self.coeffs.items():
             for x, e in zip(point, exps):
                 if e:
@@ -412,7 +415,7 @@ class HomogPoly:
                 continue
             new = list(exps)
             new[i] = e - 1
-            c = spec._mul(coeff, spec._value(e))
+            c = spec._mul(coeff, spec._literal(e))
             if c:
                 coeffs[tuple(new)] = c
         return HomogPoly._from_terms(spec, self.nvars,

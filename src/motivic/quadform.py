@@ -49,9 +49,9 @@ class QuadForm:
         if f.degree != 2:
             raise ValueError("not a quadratic form (degree %d)" % f.degree)
         spec = f.spec
-        half = spec._inv(spec._value(2))
+        half = spec._inv(spec._literal(2))
         n = f.nvars
-        g = [[spec.zero.value] * n for _ in range(n)]
+        g = [[spec.zero] * n for _ in range(n)]
         for exps, coeff in f.coeffs.items():
             support = [i for i, e in enumerate(exps) if e]
             if len(support) == 1:
@@ -64,7 +64,7 @@ class QuadForm:
     @classmethod
     def diagonal(cls, spec: FieldSpec, entries) -> "QuadForm":
         n = len(entries)
-        zero = spec.zero.value
+        zero = spec.zero
         rows = [[entries[i] if i == j else zero for j in range(n)]
                 for i in range(n)]
         return cls(spec, Matrix._from_rows(spec, rows))
@@ -144,7 +144,7 @@ def diagonalize(q: QuadForm):
                     break
             if pair is None:
                 break  # remaining block is identically zero
-            col_add(pair[0], pair[1], spec.one.value)
+            col_add(pair[0], pair[1], spec.one)
             piv = pair[0]
         if piv != k:
             col_swap(k, piv)
@@ -204,14 +204,14 @@ def hyperbolic_normalize(q: QuadForm, x):
     # w = e_i - (b(e_i, e_i) / (2 b(x, e_i))) x is isotropic with
     # b(w, x) = b(x, e_i), as q(x) = 0; u = w / (2 b(x, e_i)) pairs with x
     # to 1/2: with r = 1 / (2 b(x, e_i)), u = r e_i - G[i][i] r^2 x
-    two = spec._value(2)
+    two = spec._literal(2)
     r = spec._inv(spec._mul(two, gx[i]))
     gii = G[i][i]
     if gii:
         u = spec._scale(spec._neg(spec._mul(gii, r)), spec._scale(r, x))
         u[i] = spec._add(u[i], r)
     else:
-        u = [spec.zero.value] * n
+        u = [spec.zero] * n
         u[i] = r
     gu = _product(spec, [u], G)[0]
     if value_at(u, gu):

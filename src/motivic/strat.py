@@ -222,7 +222,7 @@ def _normalize_forms(forms):
 def _coeff_rows(forms):
     """The coefficients of linear forms as value rows."""
     nvars = forms[0].nvars
-    zero = forms[0].spec.zero.value
+    zero = forms[0].spec.zero
     units = [tuple(1 if j == i else 0 for j in range(nvars))
              for i in range(nvars)]
     return [[h.coeffs.get(e, zero) for e in units] for h in forms]
@@ -453,10 +453,11 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     Lines through the point stratify X into the point, a section over the
     complement of V(f2), and an A^1-bundle over V(f2, f3).  When f2 = 0 the
     cubic is itself a cone and is delegated to class_of_cone.  A given x is
-    a tuple of field values, checked by FieldSpec._point; without x, the
-    singular point is searched for by points.first_point; that search and
-    the isotropic-point search on V(f2) are charged against budget only for
-    the candidates they walk.
+    a tuple of field values, checked by FieldSpec._point and scaled to its
+    first nonzero coordinate 1, so that the class does not depend on the
+    representative; without x, the singular point is searched for by
+    points.first_point; that search and the isotropic-point search on V(f2)
+    are charged against budget only for the candidates they walk.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -480,6 +481,7 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
         x = spec._point(x, nvars)
         if not any(x):
             raise ValueError("zero vector is not a projective point")
+        x = tuple(spec._scale(spec._inv(next(filter(None, x))), x))
         if not _is_singular_at(f, x):
             raise ValueError("point not singular")
 

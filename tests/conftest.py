@@ -1,15 +1,16 @@
-"""Shared helpers: trace verification, brute-force cross-checks and child
-Python processes."""
+"""Shared helpers: a reference field element, trace verification,
+brute-force cross-checks and child Python processes."""
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import motivic
 from motivic.count import CountQuery, count_points
-from motivic.fields import FieldElem
+from motivic.fields import _schoolbook_mul, _schoolbook_pow
 from motivic.poly import HomogPoly
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -35,15 +36,140 @@ def brute_count(spec, n, gens):
     return count_points(CountQuery(spec, n, gens))
 
 
+class Ref:
+    """A reference field element: a spec and a value, with operators.
+
+    The operators never call the spec's value arithmetic (_add, _mul,
+    _pow, _neg, _inv), so a check against Ref checks that arithmetic
+    instead of repeating it.  Over F_p they are residue arithmetic and
+    over Q Fraction arithmetic, written out here.  Over F_{p^m} a sum goes
+    digit by digit, and a product or a power through the schoolbook
+    product on digits (fields._schoolbook_mul and _schoolbook_pow), never
+    through the index tables.  Operands must be Refs of one field: an int
+    is never promoted, so that 3 * a cannot mean an index where a
+    literal was meant.  Build literals with lit.
+    """
+
+    __slots__ = ("spec", "value")
+
+    def __init__(self, spec, value):
+        if spec.is_finite:
+            assert type(value) is int and 0 <= value < spec.order, value
+        else:
+            value = Fraction(value)
+        self.spec = spec
+        self.value = value
+
+    def _other(self, other):
+        if type(other) is not Ref:
+            raise TypeError("a Ref combines only with a Ref, got %r"
+                            % (other,))
+        if other.spec is not self.spec:
+            raise ValueError("mixed fields: %s vs %s"
+                             % (self.spec, other.spec))
+        return other.value
+
+    def _digits(self, v):
+        p = self.spec.p
+        return tuple(v // p**k % p for k in range(self.spec.m))
+
+    def _index(self, digits):
+        p = self.spec.p
+        return sum(c * p**k for k, c in enumerate(digits))
+
+    def __add__(self, other):
+        b, s = self._other(other), self.spec
+        if s.kind == "Q":
+            return Ref(s, self.value + b)
+        if s.kind == "Fp":
+            return Ref(s, (self.value + b) % s.p)
+        return Ref(s, self._index(
+            (x + y) % s.p for x, y in zip(self._digits(self.value),
+                                          self._digits(b))))
+
+    def __neg__(self):
+        s = self.spec
+        if s.kind == "Q":
+            return Ref(s, -self.value)
+        if s.kind == "Fp":
+            return Ref(s, -self.value % s.p)
+        return Ref(s, self._index(-x % s.p for x in self._digits(self.value)))
+
+    def __sub__(self, other):
+        self._other(other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        b, s = self._other(other), self.spec
+        if s.kind == "Q":
+            return Ref(s, self.value * b)
+        if s.kind == "Fp":
+            return Ref(s, self.value * b % s.p)
+        return Ref(s, self._index(_schoolbook_mul(
+            s, self._digits(self.value), self._digits(b))))
+
+    def __pow__(self, e):
+        s = self.spec
+        if e < 0:
+            return self.inverse() ** -e
+        if s.kind == "Q":
+            return Ref(s, self.value ** e)
+        if s.kind == "Fp":
+            return Ref(s, pow(self.value, e, s.p))
+        return Ref(s, self._index(
+            _schoolbook_pow(s, self._digits(self.value), e)))
+
+    def inverse(self):
+        s = self.spec
+        if not self.value:
+            raise ZeroDivisionError("inverse of zero in %s" % s)
+        if s.kind == "Q":
+            return Ref(s, 1 / self.value)
+        return self ** (s.order - 2)
+
+    def __truediv__(self, other):
+        self._other(other)
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        return (type(other) is Ref and self.spec is other.spec
+                and self.value == other.value)
+
+    def __hash__(self):
+        return hash((self.spec, self.value))
+
+    def is_zero(self):
+        return not self.value
+
+    def __repr__(self):
+        return "Ref(%s, %r)" % (self.spec, self.value)
+
+
+def lit(spec, x):
+    """The Ref of the numeric literal x, an int or a Fraction: an element
+    of the prime field, or of Q over Q, never an index over F_{p^m}."""
+    if not spec.is_finite:
+        return Ref(spec, Fraction(x))
+    p = spec.p
+    x = Fraction(x)
+    assert x.denominator % p, "denominator divisible by %d" % p
+    return Ref(spec, x.numerator * pow(x.denominator, -1, p) % p)
+
+
+def ref_terms(f):
+    """The coefficients of the form f as Refs."""
+    return {e: Ref(f.spec, v) for e, v in f.coeffs.items()}
+
+
+def ref_rows(M):
+    """The entries of the Matrix M as rows of Refs."""
+    return [[Ref(M.spec, v) for v in row] for row in M.rows]
+
+
 def scaled(f, c):
-    """The form f times the scalar c, built term by term."""
+    """The form f times the Ref c, built term by term."""
     return HomogPoly(f.spec, f.nvars, f.degree,
-                     {e: c * a for e, a in f.terms.items()})
-
-
-def elem_rows(M):
-    """The entries of the Matrix M as rows of FieldElems."""
-    return [[FieldElem(M.spec, v) for v in row] for row in M.rows]
+                     {e: (c * a).value for e, a in ref_terms(f).items()})
 
 
 def projective_reps(spec, n):
@@ -82,7 +208,7 @@ def reference_walk(query):
             return pow(a, e, q)
     else:
         add, mul, power = spec._add, spec._mul, spec._pow
-    gens = [[(c.value, e) for e, c in g.terms.items()]
+    gens = [[(c, e) for e, c in g.coeffs.items()]
             for g in query.generators]
 
     def vanishes(terms, idx):

@@ -10,7 +10,7 @@ import random
 import time
 from itertools import combinations_with_replacement
 
-from conftest import assert_trace_verifies, brute_count, elem_rows, scaled
+from conftest import Ref, assert_trace_verifies, brute_count, scaled
 from motivic.cli import main
 from motivic.count import CountQuery, count_points
 from motivic.descent import (
@@ -49,7 +49,7 @@ def _random_form(rng, spec, nvars, degree):
             e = [0] * nvars
             for i in pick:
                 e[i] += 1
-            terms[tuple(e)] = spec.elem(c)
+            terms[tuple(e)] = c
     if not terms:
         return HomogPoly.zero(spec, nvars, degree)
     return HomogPoly(spec, nvars, degree, terms)
@@ -121,7 +121,7 @@ def test_arrangement_double_computation():
             if not any(coeffs):
                 continue
             terms = {
-                tuple(1 if j == i else 0 for j in range(n + 1)): spec.elem(c)
+                tuple(1 if j == i else 0 for j in range(n + 1)): c
                 for i, c in enumerate(coeffs)
                 if c
             }
@@ -150,7 +150,7 @@ def _random_rational_arrangement(rng, base, n, d):
         if not any(coeffs):
             continue
         terms = {
-            tuple(1 if j == i else 0 for j in range(n + 1)): base.elem(c)
+            tuple(1 if j == i else 0 for j in range(n + 1)): c
             for i, c in enumerate(coeffs)
             if c
         }
@@ -166,17 +166,14 @@ def test_galois_descent_battery():
         n = rng.randrange(2, 4)
         d = rng.randrange(1, n + 1)
         rational = _random_rational_arrangement(rng, ctx.base, n, d)
-        lifted = [
-            HomogPoly(ctx.ext, h.nvars, 1,
-                      {e: ctx.ext.elem(c.value) for e, c in h.terms.items()})
-            for h in rational
-        ]
+        # the base values are the extension's values below p
+        lifted = [HomogPoly(ctx.ext, h.nvars, 1, h.coeffs) for h in rational]
 
         # scalar scramble: same hyperplanes, extension coefficients
         scrambled = []
         for h in lifted:
             while True:
-                lam = ctx.ext.from_index(rng.randrange(ctx.ext.order))
+                lam = Ref(ctx.ext, rng.randrange(ctx.ext.order))
                 if not lam.is_zero():
                     break
             scrambled.append(scaled(h, lam))
@@ -203,20 +200,19 @@ def test_galois_descent_battery():
         rank = rows.nrows
         while True:
             S = Matrix(ctx.ext, [
-                [ctx.ext.from_index(rng.randrange(ctx.ext.order))
-                 for _ in range(rank)]
+                [rng.randrange(ctx.ext.order) for _ in range(rank)]
                 for _ in range(rank)
             ])
             if S.rank() == rank:
                 break
         # the base values are the extension's values below p
-        mixed = elem_rows(S * Matrix(ctx.ext, rows.rows))
+        mixed = (S * Matrix(ctx.ext, rows.rows)).rows
         span_forms = []
         for row in mixed:
             terms = {
                 tuple(1 if j == i else 0 for j in range(n + 1)): row[i]
                 for i in range(n + 1)
-                if not row[i].is_zero()
+                if row[i]
             }
             span_forms.append(HomogPoly(ctx.ext, n + 1, 1, terms))
         _, _, _, R = _descend_core(ctx, span_forms, seed=trial)
@@ -224,7 +220,7 @@ def test_galois_descent_battery():
 
     # fixed conjugate pair over F9/F3 against brute force
     ctx = GaloisContext(F3, F9)
-    t = F9.from_index(F9.p)
+    t = Ref(F9, F9.p)
     for ambient, expected in ((2, 1), (3, 4)):
         x0 = HomogPoly.variable(F9, ambient + 1, 0)
         x1 = HomogPoly.variable(F9, ambient + 1, 1)

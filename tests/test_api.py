@@ -46,9 +46,8 @@ def test_every_public_name_has_a_caller():
 
     The imports of the package's __init__.py files are its re-exports, not
     uses, so they are left out.  The check goes by bare name: a dead method
-    that shares its name with a live one (GaloisContext.frobenius once
-    shared it with FieldElem.frobenius) is missed, but a live name is
-    never flagged.
+    that shares its name with a live one (FieldElem.is_zero shares it with
+    HomogPoly.is_zero) would be missed, but a live name is never flagged.
     """
     defined = []
     used = set()

@@ -540,20 +540,20 @@ def test_pinned_report_bytes_do_not_depend_on_kept_tables():
 
 
 def test_pinned_jobs_build_no_field_element(monkeypatch):
-    """Points, diagonals, evaluations and parsed points are field values:
-    no pinned job builds a FieldElem, apart from the zero and one that a
-    new FieldSpec builds for itself."""
+    """Points, diagonals, evaluations, parsed points and a spec's zero and
+    one are field values: counted from before any field is built, building
+    a field of each kind and running every pinned job build no FieldElem."""
     built = []
     init = FieldElem.__init__
-    spec_init = FieldSpec.__init__.__code__
 
     def counted(self, spec, value):
-        caller = sys._getframe(1).f_code
-        if caller is not spec_init:
-            built.append(caller.co_qualname)
+        built.append(sys._getframe(1).f_code.co_qualname)
         init(self, spec, value)
 
     monkeypatch.setattr(FieldElem, "__init__", counted)
+    FieldSpec("Q")
+    FieldSpec("Fp", p=7)
+    FieldSpec("Fpm", p=3, m=2, modulus=(1, 0, 1))
     for args, _ in PINNED_REPORTS:
         assert run(_pinned_job(args))[1] == 0
     assert built == []

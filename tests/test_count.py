@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import motivic
 import motivic.count
-from conftest import (projective_reps, reference_points, reference_walk,
-                      scaled)
+from conftest import (Ref, lit, projective_reps, ref_terms, reference_points,
+                      reference_walk, scaled)
 from motivic.count import (
     BudgetError,
     CountQuery,
@@ -216,13 +216,13 @@ def test_enumerate_matches_count():
     F3, F5, F7, prime_field(11), F9, F25, extension_field(3, 3),
 ], ids=str)
 def test_field_tables_match_element_arithmetic(spec):
-    """The lane kernel's arithmetic on values agrees with FieldElem
-    arithmetic: the fold's mul, add and power, and each constant's matrix
+    """The lane kernel's arithmetic on values agrees with the reference
+    element's: the fold's mul, add and power, and each constant's matrix
     over F_p acting on the digits of every value."""
     mul, add, power = spec._mul, spec._add, spec._pow
     lanes = _pure._lanes(spec)
     p, m = spec.p, spec.m
-    elems = [spec.from_index(i) for i in range(spec.order)]
+    elems = [Ref(spec, i) for i in range(spec.order)]
     for a in elems:
         assert [power(a.value, e) for e in range(4)] == [
             (a ** e).value for e in range(4)]
@@ -258,7 +258,7 @@ def test_kernel_matches_direct_evaluation(terms):
 
     if not terms:
         return
-    f = HomogPoly(F3, 3, 2, {k: F3.elem(v) for k, v in terms.items()})
+    f = HomogPoly(F3, 3, 2, terms)
     query = CountQuery(F3, 2, [f])
     direct = sum(
         1 for pt in projective_reps(F3, 2) if not f.evaluate(pt)
@@ -269,7 +269,7 @@ def test_kernel_matches_direct_evaluation(terms):
 def _draw_form(draw, spec, n, degree):
     """A nonzero form of the given degree, sometimes free of the last
     variable or a pure power of it."""
-    nonzero = st.integers(1, spec.order - 1).map(spec.from_index)
+    nonzero = st.integers(1, spec.order - 1)
     shape = draw(st.sampled_from(["any", "no last", "power of last"]))
     if shape == "power of last" or n == 0:
         exps = tuple([0] * n + [degree])
@@ -513,7 +513,7 @@ def _binary_forms(spec, degree, up_to_scalar):
         first = next((v for v in values if v), 0)
         if first == 1 or first and not up_to_scalar:
             yield HomogPoly(spec, 2, degree, {
-                m: spec.from_index(v) for m, v in zip(monomials, values) if v})
+                m: v for m, v in zip(monomials, values) if v})
 
 
 @pytest.mark.parametrize("spec", [F3, F5, F7, F9, F27], ids=str)
@@ -563,8 +563,8 @@ def test_query_equality_and_hash_are_stable():
     # order, repetition and nonzero scalars of the factors do not matter
     same = [CountQuery.union(F7, 2, [h, f]),
             CountQuery.union(F7, 2, [f, h, f]),
-            CountQuery.union(F7, 2, [scaled(f, F7.elem(3)),
-                                     scaled(h, F7.elem(6))])]
+            CountQuery.union(F7, 2, [scaled(f, lit(F7, 3)),
+                                     scaled(h, lit(F7, 6))])]
     for other in same:
         assert other == u and hash(other) == hash(u)
         assert count_points(other) == count_points(u)
@@ -668,7 +668,7 @@ def test_point_searches_match_reference_walk(query, data):
                          ids=str)
 def test_point_searches_past_the_table_limit(spec):
     """Fields too large to tabulate test each value of a fibre in turn."""
-    g = spec.from_index(spec.p) if spec.kind == "Fpm" else spec.elem(5)
+    g = spec.p if spec.kind == "Fpm" else 5
     lines = [parse_poly("x0 - x1", spec, 2),
              HomogPoly(spec, 2, 1, {(1, 0): g, (0, 1): spec.one})]
     for query in [
@@ -788,8 +788,7 @@ def _dense_form(spec, n, degree, seed):
         exps = [0] * (n + 1)
         for i in pick:
             exps[i] += 1
-        terms[tuple(exps)] = spec.from_index(
-            1 + (seed + 5 * k + k * k) % (spec.order - 1))
+        terms[tuple(exps)] = 1 + (seed + 5 * k + k * k) % (spec.order - 1)
     return HomogPoly(spec, n + 1, degree, terms)
 
 
@@ -800,7 +799,7 @@ def test_lane_geometries_match_reference_walk():
     stratum too large for one block."""
     quartic = _dense_form(F3, 4, 4, 1)
     # 70 slots in the stratum x0 = 1, reduced more than once
-    assert len(quartic.terms) == 70 > _pure._lanes(F3).chunk
+    assert len(quartic.coeffs) == 70 > _pure._lanes(F3).chunk
     line = parse_poly("x0 + x1 - x4", F3, 5)
     wide = _dense_form(F1021, 1, 4, 2)
     assert _pure._lanes(F1021).width == max(
@@ -811,16 +810,15 @@ def test_lane_geometries_match_reference_walk():
     roots = HomogPoly.product([parse_poly("x1 - %d*x0" % a, F1021, 2)
                                for a in (1, 2, 509, 510, 1000, 1017, 1019,
                                          1020)])
-    assert len(roots.terms) == 9 > _pure._lanes(F1021).chunk == 8
+    assert len(roots.coeffs) == 9 > _pure._lanes(F1021).chunk == 8
     # F961: 5 slots of 2 products each against a chunk of 9, the least of
     # any digit-plane field
     F961 = extension_field(31, 2)
     assert F961.m * 5 > _pure._lanes(F961).chunk == 9
     quartic961 = _dense_form(F961, 1, 4, 5)
     lines961 = HomogPoly.product([HomogPoly(F961, 2, 1, {
-        (1, 0): F961.from_index(a), (0, 1): F961.one}) for a in (1, 40, 500,
-                                                              960)])
-    assert len(lines961.terms) == 5
+        (1, 0): a, (0, 1): F961.one}) for a in (1, 40, 500, 960)])
+    assert len(lines961.coeffs) == 5
     # P^8(F3): the stratum x0 = 1 has 3^8 = 6561 candidates, so its block is
     # the last 7 coordinates and x1 runs as the prefix; x1 = 1 takes the
     # same block with no prefix, and the strata led by x2 to x8 hold 1093
@@ -931,13 +929,13 @@ def _reduced_query(draw):
     n = draw(st.integers(0, 1 if q > 100 else 2))
     chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
              for i in range(n + 1) if draw(st.booleans())]
-    nonzero = st.integers(1, q - 1).map(spec.from_index)
+    nonzero = st.integers(1, q - 1).map(lambda v: Ref(spec, v))
     forms = [_draw_form(draw, spec, n, draw(st.integers(1, 3)))
              for _ in range(draw(st.integers(1, 2)))]
     raises = []
     for f in forms:
         raised = []
-        for exps, c in f.terms.items():
+        for exps, c in ref_terms(f).items():
             parts = [c]
             if sum(e > 0 for e in exps) > 1 and draw(st.booleans()):
                 first = draw(nonzero)
@@ -960,8 +958,9 @@ def _raised(query, lift, raises):
         terms = {}
         for exps, part, i in raised:
             up = exps[:i] + (exps[i] + lift,) + exps[i + 1:]
-            terms[up] = terms.get(up, spec.zero) + part
-        forms.append(HomogPoly(spec, query.n + 1, f.degree + lift, terms))
+            terms[up] = terms.get(up, lit(spec, 0)) + part
+        forms.append(HomogPoly(spec, query.n + 1, f.degree + lift,
+                               {e: c.value for e, c in terms.items()}))
     if query.factors is None:
         return CountQuery(spec, query.n, forms, query.chart)
     return CountQuery.union(spec, query.n, forms, query.chart)
@@ -977,7 +976,7 @@ def test_exponents_are_reduced_once_per_query(drawn):
     would take a name for every power up to its degree."""
     reduced = drawn[0]
     query = _raised(*drawn)
-    assert all(max(map(max, g.terms)) >= query.spec.order
+    assert all(max(map(max, g.coeffs)) >= query.spec.order
                for g in query._kernel_polys()[0])
     points = reference_points(query)
     assert count_points(query) == count_points(reduced) == len(points)

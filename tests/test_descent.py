@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_trace_verifies, brute_count, elem_rows, scaled
+from conftest import (Ref, assert_trace_verifies, brute_count, lit,
+                      ref_rows, ref_terms, scaled)
 from motivic.descent import (
     Cocycle,
     GaloisContext,
@@ -28,12 +29,16 @@ def _ctx(p=3, m=2):
     return GaloisContext(prime_field(p), extension_field(p, m))
 
 
+def _from_refs(spec, rows):
+    """The Matrix of rows of reference elements."""
+    return Matrix(spec, [[x.value for x in row] for row in rows])
+
+
 def _conjugate_pair(spec, nvars=2):
-    t = spec.from_index(spec.p)
+    t = Ref(spec, spec.p)
     x0 = HomogPoly.variable(spec, nvars, 0)
     x1 = HomogPoly.variable(spec, nvars, 1)
-    one = spec.one
-    return [x0 + scaled(x1, t), x0 - scaled(x1, t)], (one, t)
+    return [x0 + scaled(x1, t), x0 - scaled(x1, t)], (lit(spec, 1), t)
 
 
 def _cocycle(forms):
@@ -61,13 +66,13 @@ def test_context_validation():
 
 def test_frobenius_action():
     ctx = _ctx()
-    t = F9.from_index(F9.p)
-    row = Matrix(F9, [[t, F9.one, F9.elem(2)]])
+    t = Ref(F9, F9.p)
+    row = Matrix(F9, [[t.value, 1, 2]])
     # t^2 = -1, so t^3 = -t; the base field is fixed
-    assert ctx.frobenius_matrix(row) == Matrix(F9, [[-t, F9.one, F9.elem(2)]])
+    assert ctx.frobenius_matrix(row) == Matrix(F9, [[(-t).value, 1, 2]])
     assert ctx.frobenius_matrix(row, power=2) == row
     ctx3 = _ctx(m=3)
-    u = Matrix(F27, [[F27.from_index(F27.p)]])
+    u = Matrix(F27, [[F27.p]])
     orbit = {ctx3.frobenius_matrix(u, k).rows[0][0] for k in range(3)}
     assert len(orbit) == 3
     assert ctx3.frobenius_matrix(u, 3) == u
@@ -79,7 +84,8 @@ def test_in_base_and_lift():
     every = Matrix._from_rows(F9, [list(range(F9.order))])
     image = ctx.frobenius_matrix(every).rows[0]
     assert [i for i in range(F9.order) if image[i] == i] == [0, 1, 2]
-    assert ctx.ext.elem(F3.elem(2).value) == F9.elem(2)
+    assert [lit(F9, v).value for v in range(3)] == [
+        lit(F3, v).value for v in range(3)]
 
 
 def test_stability_conjugate_pair():
@@ -106,10 +112,10 @@ def test_cocycle_condition_rejects_norm_violation():
     # diag(t+1, 1): the norm (t+1)*(t+1)^3 = (t+1)(1-t) = 2 != 1, so the
     # wrap-around condition fails even though each matrix is invertible
     ctx = _ctx()
-    t = F9.from_index(F9.p)
+    t = Ref(F9, F9.p)
     bad = Cocycle([
         Matrix.identity(F9, 2),
-        Matrix(F9, [[t + F9.one, F9.zero], [F9.zero, F9.one]]),
+        Matrix(F9, [[(t + lit(F9, 1)).value, 0], [0, 1]]),
     ])
     assert not bad.condition_holds(ctx)
     with pytest.raises(ValueError, match="not a cocycle"):
@@ -119,10 +125,9 @@ def test_cocycle_condition_rejects_norm_violation():
 def test_cocycle_condition_accepts_norm_one_diagonal():
     # norm(t) = t * t^3 = t^4 = 1, so diag(t, 1) closes the cycle
     ctx = _ctx()
-    t = F9.from_index(F9.p)
     good = Cocycle([
         Matrix.identity(F9, 2),
-        Matrix(F9, [[t, F9.zero], [F9.zero, F9.one]]),
+        Matrix(F9, [[F9.p, 0], [0, 1]]),
     ])
     assert good.condition_holds(ctx)
     B = h90_trivialize(ctx, good)
@@ -169,7 +174,7 @@ def test_descend_unstable_raises():
 def test_descend_preserves_span():
     ctx = _ctx(3, 3)
     spec = F27
-    u = spec.from_index(spec.p)
+    u = Ref(spec, spec.p)
     x0 = HomogPoly.variable(spec, 4, 0)
     x1 = HomogPoly.variable(spec, 4, 1)
     x3 = HomogPoly.variable(spec, 4, 3)
@@ -177,7 +182,7 @@ def test_descend_preserves_span():
     orbit = [h]
     for _ in range(2):
         prev = orbit[-1]
-        terms = {e: c**3 for e, c in prev.terms.items()}
+        terms = {e: (c**3).value for e, c in ref_terms(prev).items()}
         orbit.append(HomogPoly(spec, 4, 1, terms))
     basis = _descend(ctx, orbit)
     # mutual membership: lift the descended rows and rref both span matrices
@@ -251,7 +256,7 @@ def test_class_error_paths():
     forms, _ = _conjugate_pair(F9)
     with pytest.raises(ValueError, match="d <= n"):
         class_of_descended_arrangement(ctx, forms, ambient=1)
-    t = F9.from_index(F9.p)
+    t = Ref(F9, F9.p)
     x0 = HomogPoly.variable(F9, 3, 0)
     x1 = HomogPoly.variable(F9, 3, 1)
     x2 = HomogPoly.variable(F9, 3, 2)
@@ -270,7 +275,7 @@ def _random_rational_arrangement(rng, base, n, d):
         if not any(coeffs):
             continue
         terms = {
-            tuple(1 if j == i else 0 for j in range(nvars)): base.elem(c)
+            tuple(1 if j == i else 0 for j in range(nvars)): c
             for i, c in enumerate(coeffs)
             if c
         }
@@ -289,19 +294,12 @@ def test_randomized_scalar_scrambles():
         n = rng.randrange(2, 4)
         d = rng.randrange(1, n + 1)
         rational = _random_rational_arrangement(rng, ctx.base, n, d)
-        lifted = [
-            HomogPoly(
-                ctx.ext,
-                h.nvars,
-                1,
-                {e: ctx.ext.elem(c.value) for e, c in h.terms.items()},
-            )
-            for h in rational
-        ]
+        # the base values are the extension's values below p
+        lifted = [HomogPoly(ctx.ext, h.nvars, 1, h.coeffs) for h in rational]
         scrambled = []
         for h in lifted:
             while True:
-                lam = ctx.ext.from_index(rng.randrange(ctx.ext.order))
+                lam = Ref(ctx.ext, rng.randrange(ctx.ext.order))
                 if not lam.is_zero():
                     break
             scrambled.append(scaled(h, lam))
@@ -330,19 +328,19 @@ def test_randomized_matrix_scrambles():
         while True:
             S = Matrix(
                 ctx.ext,
-                [[ctx.ext.from_index(rng.randrange(ctx.ext.order))
+                [[rng.randrange(ctx.ext.order)
                   for _ in range(r_rank)] for _ in range(r_rank)],
             )
             if S.rank() == r_rank:
                 break
         # the base values are the extension's values below p
-        mixed = elem_rows(S * Matrix(ctx.ext, rows.rows))
+        mixed = (S * Matrix(ctx.ext, rows.rows)).rows
         forms = []
         for row in mixed:
             terms = {
                 tuple(1 if j == i else 0 for j in range(n + 1)): row[i]
                 for i in range(n + 1)
-                if not row[i].is_zero()
+                if row[i]
             }
             forms.append(HomogPoly(ctx.ext, n + 1, 1, terms))
         basis = _descend(ctx, forms, seed=trial)
@@ -350,7 +348,7 @@ def test_randomized_matrix_scrambles():
         assert got == rows
 
 
-# -- the value core against the element path it replaced ---------------------
+# -- the value core against an element path on reference elements -----------
 
 
 def _frobenius(ctx, a, power=1):
@@ -361,13 +359,13 @@ def _frobenius(ctx, a, power=1):
 def _frobenius_matrix_on_elements(ctx, M, power=1):
     if power % ctx.m == 0:
         return M
-    return Matrix(ctx.ext, [[_frobenius(ctx, x, power) for x in row]
-                            for row in elem_rows(M)])
+    return _from_refs(ctx.ext, [[_frobenius(ctx, x, power) for x in row]
+                                for row in ref_rows(M)])
 
 
 def _solve_on_elements(spec, rows, b):
-    """One solution x of rows . x = b by Gauss-Jordan on FieldElems, the
-    free unknowns 0, or None when there is none."""
+    """One solution x of rows . x = b by Gauss-Jordan on reference
+    elements, the free unknowns 0, or None when there is none."""
     ncols = len(rows[0])
     m = [list(row) + [v] for row, v in zip(rows, b)]
     pivots = []
@@ -386,23 +384,24 @@ def _solve_on_elements(spec, rows, b):
             if i != r and not f.is_zero():
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
-    x = [spec.zero] * ncols
+    x = [lit(spec, 0)] * ncols
     for r, c in enumerate(pivots):
         x[c] = m[r][ncols]
     return x
 
 
 def _span_cocycle_on_elements(ctx, forms):
-    """(T, cocycle images) as _span_cocycle computed them on FieldElems:
-    one solve per image, a**q per entry; (T, None) when unstable."""
+    """(T, cocycle images) as _span_cocycle computed them on elements: one
+    solve per image, a**q per entry; (T, None) when unstable."""
     spec, nvars = ctx.ext, forms[0].nvars
     chosen = []
     for h in forms:
-        row = [h.terms.get(tuple(int(j == i) for j in range(nvars)), spec.zero)
-               for i in range(nvars)]
-        if Matrix(spec, chosen + [row]).rank() > len(chosen):
+        terms = ref_terms(h)
+        row = [terms.get(tuple(int(j == i) for j in range(nvars)),
+                         lit(spec, 0)) for i in range(nvars)]
+        if _from_refs(spec, chosen + [row]).rank() > len(chosen):
             chosen.append(row)
-    T = Matrix(spec, chosen)
+    T = _from_refs(spec, chosen)
     Tt = [list(col) for col in zip(*chosen)]
     n_rows = []
     for row in chosen:
@@ -413,7 +412,7 @@ def _span_cocycle_on_elements(ctx, forms):
     ident = Matrix.identity(spec, T.nrows)
     if ctx.m == 1:
         return T, [ident]
-    alpha = Matrix(spec, n_rows).inverse()
+    alpha = _from_refs(spec, n_rows).inverse()
     images = [ident]
     for _ in range(1, ctx.m):
         images.append(alpha * _frobenius_matrix_on_elements(ctx, images[-1]))
@@ -428,21 +427,20 @@ def _h90_on_elements(ctx, images, seed):
         return ident
 
     def average(C):
-        rows = [[ctx.ext.zero] * r for _ in range(r)]
+        rows = [[lit(ctx.ext, 0)] * r for _ in range(r)]
         for i, alpha in enumerate(images):
-            term = elem_rows(alpha * _frobenius_matrix_on_elements(ctx, C, i))
+            term = ref_rows(alpha * _frobenius_matrix_on_elements(ctx, C, i))
             for a in range(r):
                 for b in range(r):
                     rows[a][b] = rows[a][b] + term[a][b]
-        return Matrix(ctx.ext, rows)
+        return _from_refs(ctx.ext, rows)
 
     rng = random.Random(seed)
     order = ctx.ext.order
     for attempt in range(64):
         C = ident if attempt == 0 else Matrix(
             ctx.ext,
-            [[ctx.ext.from_index(rng.randrange(order)) for _ in range(r)]
-             for _ in range(r)],
+            [[rng.randrange(order) for _ in range(r)] for _ in range(r)],
         )
         B = average(C)
         if B.rank() == r:
@@ -452,16 +450,16 @@ def _h90_on_elements(ctx, images, seed):
 
 def _in_base(ctx, a):
     assert a.value < ctx.base.p, "coefficient off the base"
-    return ctx.base.elem(a.value)
+    return Ref(ctx.base, a.value)
 
 
 def _fixed_point_subspace_on_elements(ctx, T, N):
     r, m, base, ext = T.nrows, ctx.m, ctx.base, ctx.ext
-    N_rows, T_rows = elem_rows(N), elem_rows(T)
+    N_rows, T_rows = ref_rows(N), ref_rows(T)
     cols = []
     for i in range(r):
         for k in range(m):
-            tk = ext.from_index(ext.p**k)
+            tk = Ref(ext, ext.p**k)
             stk = _frobenius(ctx, tk)
             col = []
             for j in range(r):
@@ -476,16 +474,16 @@ def _fixed_point_subspace_on_elements(ctx, T, N):
     for vec in kernel:
         c = []
         for i in range(r):
-            chunk = tuple(vec[i * m:(i + 1) * m])
-            c.append(ext.elem(chunk if ext.kind == "Fpm" else chunk[0]))
+            chunk = vec[i * m:(i + 1) * m]
+            c.append(Ref(ext, sum(d * ext.p**k for k, d in enumerate(chunk))))
         row = []
         for j in range(T.ncols):
-            acc = ext.zero
+            acc = lit(ext, 0)
             for i in range(r):
                 acc = acc + c[i] * T_rows[i][j]
             row.append(_in_base(ctx, acc))
         rows.append(row)
-    return Matrix(base, rows).rref()[0]
+    return _from_refs(base, rows).rref()[0]
 
 
 def _orbit_arrangement(rng, ctx, nvars, orbits):
@@ -493,15 +491,15 @@ def _orbit_arrangement(rng, ctx, nvars, orbits):
     rational form now and then: a union defined over the base field."""
     forms = []
     for _ in range(orbits):
-        coeffs = [ctx.ext.from_index(rng.randrange(ctx.ext.order))
-                  if rng.random() < 0.7 else ctx.ext.zero
+        coeffs = [Ref(ctx.ext, rng.randrange(ctx.ext.order))
+                  if rng.random() < 0.7 else lit(ctx.ext, 0)
                   for _ in range(nvars)]
         if all(c.is_zero() for c in coeffs):
             continue
         for k in range(ctx.m):
             forms.append(HomogPoly(ctx.ext, nvars, 1, {
                 tuple(1 if j == i else 0 for j in range(nvars)):
-                    _frobenius(ctx, c, k)
+                    _frobenius(ctx, c, k).value
                 for i, c in enumerate(coeffs)}))
     if not forms or rng.random() < 0.3:
         forms.append(HomogPoly.variable(ctx.ext, nvars, rng.randrange(nvars)))
@@ -529,9 +527,9 @@ def test_value_core_matches_element_path(p, m):
         T_ref, images_ref = _span_cocycle_on_elements(ctx, forms)
         assert images_ref is not None
         B_ref = _h90_on_elements(ctx, images_ref, seed)
-        R_ref = Matrix(ctx.base, [
+        R_ref = _from_refs(ctx.base, [
             [_in_base(ctx, x) for x in row]
-            for row in elem_rows(B_ref.inverse() * T_ref)]).rref()[0]
+            for row in ref_rows(B_ref.inverse() * T_ref)]).rref()[0]
         N = images_ref[1].inverse() if m > 1 else images_ref[0]
         oracle_ref = _fixed_point_subspace_on_elements(ctx, T_ref, N)
 
@@ -599,12 +597,21 @@ def test_rotated_factors_multiply_to_the_rotated_product(case):
 
 
 def test_engines_build_no_elements_in_linalg_or_descent(monkeypatch):
-    """On the pinned F27 P^5 descent and F7 P^7 arrangement, no FieldElem
-    is built from a frame of motivic.linalg or motivic.descent."""
+    """On the pinned F27 P^5 descent and F7 P^7 arrangement, from the
+    parse on, no FieldElem is built at all, in motivic.linalg and
+    motivic.descent or anywhere else."""
     import sys
 
     from motivic.fields import FieldElem
 
+    callers = []
+    init = FieldElem.__init__
+
+    def counted(self, spec, value):
+        callers.append(sys._getframe(1).f_code.co_filename)
+        init(self, spec, value)
+
+    monkeypatch.setattr(FieldElem, "__init__", counted)
     f27 = [parse_poly(text, F27, 6) for text in (
         "x0 + (2*t)*x1 + (2+2*t^2)*x2 + (2+t+2*t^2)*x3 + (1+t+2*t^2)*x4 "
         "+ (2+t^2)*x5",
@@ -619,18 +626,9 @@ def test_engines_build_no_elements_in_linalg_or_descent(monkeypatch):
         "4*x0 + 6*x1 + x2 + 4*x3 + 4*x5 + 3*x7",
         "5*x0 + x1 + x2 + 6*x3 + 4*x4 + 3*x5 + 5*x6 + 4*x7",
         "3*x0 + 2*x1 + 4*x2 + 2*x3 + 6*x4 + 3*x5 + x6 + x7")]
-    callers = []
-    init = FieldElem.__init__
-
-    def counted(self, spec, value):
-        callers.append(sys._getframe(1).f_code.co_filename)
-        init(self, spec, value)
-
-    monkeypatch.setattr(FieldElem, "__init__", counted)
     ctx = GaloisContext(F3, F27)
     descended = class_of_descended_arrangement(ctx, f27, 5)
     arrangement = class_of_arrangement(f7)
     monkeypatch.undo()
     assert descended.residue == arrangement.residue == 1
-    assert not [f for f in callers
-                if f.endswith(("linalg.py", "descent.py"))], callers
+    assert callers == []

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Ref, lit, ref_terms
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.parse import ParseError, parse_point, parse_poly
 from motivic.poly import HomogPoly
@@ -34,10 +35,10 @@ def test_syntax_error_reports_position():
 
 def test_extension_coefficients():
     f = parse_poly("(1+2*t)*x0 + t*x1", F9, 2)
-    t = F9.from_index(F9.p)
-    one = F9.one
-    assert f.terms[(1, 0)] == one + t + t
-    assert f.terms[(0, 1)] == t
+    t = Ref(F9, F9.p)
+    terms = ref_terms(f)
+    assert terms[(1, 0)] == lit(F9, 1) + t + t
+    assert terms[(0, 1)] == t
 
 
 def test_rational_coefficients():
@@ -50,7 +51,7 @@ def test_rational_coefficients():
 def test_integer_powers_and_implicit_degree():
     f = parse_poly("x0^3 + 2*x0*x1*x2 + x2^3", F5, 3)
     assert f.degree == 3
-    assert len(f.terms) == 3
+    assert len(f.coeffs) == 3
 
 
 def test_round_trip_on_canonical_strings():
@@ -67,8 +68,8 @@ def test_round_trip_extension():
 
 def test_parse_scalar():
     # a scalar literal is a point with one coordinate
-    assert parse_point("-3", F5, 1) == (F5.elem(2).value,)
-    t = F9.from_index(F9.p)
+    assert parse_point("-3", F5, 1) == (lit(F5, -3).value,)
+    t = Ref(F9, F9.p)
     assert parse_point("2*t", F9, 1) == ((t + t).value,)
     with pytest.raises(ParseError):
         parse_point("2 junk", F5, 1)
@@ -76,14 +77,15 @@ def test_parse_scalar():
 
 def test_parse_point():
     pt = parse_point("0,0,1", F5, 3)
-    assert len(pt) == 3 and pt[2] == F5.one.value
+    assert len(pt) == 3 and pt[2] == F5.one
     pt = parse_point("t, 1", F9, 2)
-    assert pt[0] == F9.from_index(F9.p).value
+    assert pt[0] == F9.p
     with pytest.raises(ParseError):
         parse_point("1,2", F5, 3)
     # coordinates are values: over F_{p^m} an index, over Q a Fraction
     assert parse_point("(1+t), -1, 1/2", F9, 3) == (
-        F9.elem((1, 1)).value, F9.elem(-1).value, F9.elem(2).value)
+        (lit(F9, 1) + Ref(F9, F9.p)).value, lit(F9, -1).value,
+        lit(F9, Fraction(1, 2)).value)
     assert parse_point("-3/4, 2", rationals(), 2) == (Fraction(-3, 4), 2)
     assert all(type(c) is Fraction
                for c in parse_point("-3/4, 2", rationals(), 2))
@@ -164,8 +166,8 @@ def _scalar_factors(draw, spec, value):
         if den == 1 and draw(st.booleans()):
             return [[str(num)]]
         return [[str(num * k), "/", str(den * k)]]
-    unit = spec.elem(draw(st.integers(1, spec.p - 1)))
-    rest = (spec.from_index(value) / unit).value
+    unit = lit(spec, draw(st.integers(1, spec.p - 1)))
+    rest = (Ref(spec, value) / unit).value
     factors = [_integer(draw, spec, unit.value)]
     if spec.kind == "Fpm" and rest >= spec.p:
         factors.append(_t_literal(draw, spec, rest))
@@ -197,8 +199,7 @@ def _term(draw, spec, exps, value):
     if spec.kind == "Q":
         literal = abs(value)
     else:
-        literal = (-spec.from_index(value) if negative
-                   else spec.from_index(value)).value
+        literal = (-Ref(spec, value) if negative else Ref(spec, value)).value
     signs = [draw(st.sampled_from(["-", "+ -", "- - -"]))] if negative else \
         [draw(st.sampled_from(["+", "- -", "+ +"]))]
     factors = _variable_factors(draw, exps)
@@ -216,9 +217,9 @@ def _split(draw, spec, value):
         parts = [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
                  for _ in range(draw(st.integers(0, 2)))]
         return parts + [value - sum(parts)]
-    parts = [spec.from_index(draw(st.integers(0, spec.order - 1)))
+    parts = [Ref(spec, draw(st.integers(0, spec.order - 1)))
              for _ in range(draw(st.integers(0, 2)))]
-    last = spec.from_index(value)
+    last = Ref(spec, value)
     for part in parts:
         last = last - part
     return [part.value for part in parts] + [last.value]
@@ -260,11 +261,9 @@ def test_non_canonical_text_parses_to_the_same_form(data):
             tokens += signs
         tokens += body
     text = _spaced(draw, tokens)
-    elem = spec.from_index if spec.is_finite else spec.elem
-    expect = HomogPoly(spec, nvars, degree,
-                       {e: elem(v) for e, v in terms.items()})
+    expect = HomogPoly(spec, nvars, degree, terms)
     got = parse_poly(text, spec, nvars)
-    assert got.terms == expect.terms, text
+    assert got.coeffs == expect.coeffs, text
     if not expect.is_zero():
         assert got.degree == degree
 
@@ -320,7 +319,7 @@ def test_bad_polynomial_text_raises_its_message(text, spec, message):
 
 
 def test_fraction_over_an_extension_field_is_a_prime_field_element():
-    assert parse_point("1/2", F9, 1) == (F9.elem(2).value,)
+    assert parse_point("1/2", F9, 1) == (lit(F9, Fraction(1, 2)).value,)
     assert parse_poly("1/2*x0", F9, 2) == parse_poly("2*x0", F9, 2)
     with pytest.raises(ValueError, match="denominator divisible by 3"):
         parse_poly("1/3*x0", F9, 2)

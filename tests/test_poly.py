@@ -4,9 +4,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import elem_rows
+from conftest import Ref, lit, ref_terms
 from motivic.count import CountQuery, count_points
-from motivic.fields import FieldElem, extension_field, prime_field, rationals
+from motivic.fields import (FieldElem, FieldSpec, build_extension,
+                            extension_field, prime_field, rationals)
 from motivic.linalg import Matrix
 from motivic import poly
 from motivic.poly import (HomogPoly, _MONOMIAL_ENTRIES, _monomial_tables,
@@ -35,8 +36,8 @@ def test_ring_ops_small():
 
 def test_evaluate():
     f = parse_poly("x0*x1 - x2^2", F5, 3)
-    assert f.evaluate([2, 3, 1]) == F5.elem(0).value
-    assert f.evaluate([1, 1, 0]) == F5.one.value
+    assert f.evaluate([2, 3, 1]) == F5.zero
+    assert f.evaluate([1, 1, 0]) == F5.one
 
 
 def test_linear_substitute_identity_and_composition():
@@ -94,7 +95,7 @@ def _polys(draw, count=1, spec=None, nvars=3, degree=2):
     for _ in range(count):
         terms = {}
         for e in draw(st.lists(st.sampled_from(exps_pool), max_size=4)):
-            terms[e] = spec.from_index(draw(st.integers(0, spec.order - 1)))
+            terms[e] = draw(st.integers(0, spec.order - 1))
         out.append(HomogPoly(spec, nvars, degree, terms))
     return (spec,) + tuple(out)
 
@@ -121,11 +122,10 @@ def test_poly_ring_axioms(data):
 @given(_polys(count=2), st.integers(0, 30))
 def test_product_evaluates_pointwise(data, seed):
     spec, f, g = data
-    pt = [spec.from_index((seed + k) % spec.order) for k in range(f.nvars)]
-    values = [c.value for c in pt]
+    values = [(seed + k) % spec.order for k in range(f.nvars)]
     assert ((f * g).evaluate(values)
-            == (FieldElem(spec, f.evaluate(values))
-                * FieldElem(spec, g.evaluate(values))).value)
+            == (Ref(spec, f.evaluate(values))
+                * Ref(spec, g.evaluate(values))).value)
 
 
 @given(_polys(count=1, spec=prime_field(5)))
@@ -138,16 +138,16 @@ def test_substitution_is_ring_map(data):
 
 
 def _elem(draw, spec):
+    """A value: an index over a finite field, a Fraction over Q."""
     if spec.is_finite:
-        return spec.from_index(draw(st.integers(0, spec.order - 1)))
+        return draw(st.integers(0, spec.order - 1))
     num, den = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
-    return spec.elem(Fraction(num, den))
+    return Fraction(num, den)
 
 
 def _nonzero(draw, spec):
-    """A nonzero value drawn as an element; over Q possibly negative."""
-    c = _elem(draw, spec)
-    return c if not c.is_zero() else spec.one
+    """A nonzero value; over Q possibly negative."""
+    return _elem(draw, spec) or spec.one
 
 
 def _constant(spec, nvars, c):
@@ -166,7 +166,7 @@ def _assert_valid(r):
     """What the validating constructor would give, with every stored value
     canonical and nonzero: an int in [1, q) over a finite field, a nonzero
     Fraction over Q."""
-    built = HomogPoly(r.spec, r.nvars, r.degree, r.terms)
+    built = HomogPoly(r.spec, r.nvars, r.degree, r.coeffs)
     assert built.coeffs == r.coeffs
     for v in r.coeffs.values():
         if r.spec.is_finite:
@@ -212,15 +212,9 @@ def test_ring_results_are_valid_without_validation(data):
 
 
 def test_form_path_builds_no_elements(monkeypatch):
-    """Forms and matrices hold values: building a matrix, parsing,
+    """Forms and matrices hold values: building a field, a matrix, parsing,
     products, powers, substitution, sums, keys, printing and counting build
-    no FieldElem."""
-    cases = [
-        (prime_field(7), "x0^2 - 2*x1*x2 + 3*x2^2", "x0 + x1 - 3*x2"),
-        (extension_field(3, 2), "x0^2 + t*x1*x2 - (1+t)*x2^2",
-         "x0 + t^2*x1 - x2"),
-        (rationals(), "x0^2 - 2*x1*x2 + 3*x2^2", "x0 + x1 - 3*x2"),
-    ]
+    no FieldElem, counted from before the fields are built."""
     built = []
     init = FieldElem.__init__
 
@@ -229,6 +223,12 @@ def test_form_path_builds_no_elements(monkeypatch):
         init(self, spec, value)
 
     monkeypatch.setattr(FieldElem, "__init__", counted)
+    cases = [
+        (FieldSpec("Fp", p=7), "x0^2 - 2*x1*x2 + 3*x2^2", "x0 + x1 - 3*x2"),
+        (FieldSpec("Fpm", p=3, m=2, modulus=build_extension(3, 2)),
+         "x0^2 + t*x1*x2 - (1+t)*x2^2", "x0 + t^2*x1 - x2"),
+        (FieldSpec("Q"), "x0^2 - 2*x1*x2 + 3*x2^2", "x0 + x1 - 3*x2"),
+    ]
     for spec, quadric, linear in cases:
         # matrices hold values too
         M = Matrix(spec, [[1, 2, 0], [0, 1, 1], [1, 0, 2]])
@@ -243,13 +243,14 @@ def test_form_path_builds_no_elements(monkeypatch):
 
 
 def _expanded_product(f, g):
-    """f * g term by term on exponent tuples and FieldElem operations."""
+    """The values of f * g, term by term on exponent tuples and reference
+    elements."""
     acc = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in ref_terms(f).items():
+        for e2, c2 in ref_terms(g).items():
             e = tuple(a + b for a, b in zip(e1, e2))
             acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-    return {e: c for e, c in acc.items() if not c.is_zero()}
+    return {e: c.value for e, c in acc.items() if not c.is_zero()}
 
 
 @given(st.data())
@@ -271,7 +272,7 @@ def test_packed_product_matches_term_expansion(data):
     for a, b in ((f, g), (f, f), (f, const), (const, const), (x, f),
                  (x.power(3), x.power(2)), (f.power(2), g)):
         r = a * b
-        assert r.terms == _expanded_product(a, b)
+        assert r.coeffs == _expanded_product(a, b)
         assert r.degree == a.degree + b.degree
         _assert_valid(r)
 
@@ -305,7 +306,7 @@ def test_product_matches_chained_expansion(data):
         factors.insert(draw(st.integers(0, len(factors))), zero)
     expect = _chained(factors)
     got = HomogPoly.product(factors)
-    assert got.terms == expect.terms
+    assert got.coeffs == expect.coeffs
     assert got.degree == sum(f.degree for f in factors)
     _assert_valid(got)
     if spec.is_finite:
@@ -316,7 +317,7 @@ def test_product_matches_chained_expansion(data):
     k = draw(st.integers(0, 4))
     for f in (factors[0], HomogPoly.zero(spec, nvars, factors[0].degree)):
         r = f.power(k)
-        assert r.terms == (_chained([f] * k).terms if k else one.terms)
+        assert r.coeffs == (_chained([f] * k).coeffs if k else one.coeffs)
         assert r.degree == k * f.degree
         _assert_valid(r)
 
@@ -324,8 +325,8 @@ def test_product_matches_chained_expansion(data):
 def _linear_form(draw, spec, nvars):
     """A nonzero linear form whose coefficients mix 1 with other values."""
     coeffs = [draw(st.sampled_from([0, 1, 1, 2])) for _ in range(nvars)]
-    coeffs = [spec.from_index(draw(st.integers(2, spec.order - 1)))
-              if c == 2 else c for c in coeffs]
+    coeffs = [draw(st.integers(2, spec.order - 1)) if c == 2 else c
+              for c in coeffs]
     if not any(coeffs):
         coeffs[draw(st.integers(0, nvars - 1))] = 1
     return HomogPoly(spec, nvars, 1, {
@@ -336,15 +337,15 @@ def _linear_form(draw, spec, nvars):
 def _printed(f):
     """The canonical text of a form, printed term by term as a reference:
     each monomial is "*".join over the powers in exponent order, and a
-    coefficient prints before it, through its str(), unless it is one; over
-    Q a negative coefficient prints its magnitude, with its sign between
-    the terms."""
+    coefficient prints before it, through the field's _str, unless it is
+    one; over Q a negative coefficient prints its magnitude, with its sign
+    between the terms."""
     pieces = []
-    for exps, c in sorted(f.terms.items(), reverse=True):
+    for exps, c in sorted(f.coeffs.items(), reverse=True):
         mono = "*".join("x%d" % i if e == 1 else "x%d^%d" % (i, e)
                         for i, e in enumerate(exps) if e)
-        negative = not f.spec.is_finite and c.value < 0
-        coeff = str(-c if negative else c)
+        negative = not f.spec.is_finite and c < 0
+        coeff = f.spec._str(-c if negative else c)
         piece = (coeff if not mono else mono if coeff == "1"
                  else coeff + "*" + mono)
         sign = "-" if negative else "+"
@@ -475,7 +476,7 @@ def test_kept_tables_share_one_entry_budget(monkeypatch):
 
     def dense(nvars, degree):
         f = HomogPoly(spec, nvars, 1, {
-            tuple(int(j == i) for j in range(nvars)): i + 1
+            tuple(int(j == i) for j in range(nvars)): i % 4 + 1
             for i in range(nvars)})
         return HomogPoly.product([f] * degree)
 
@@ -513,12 +514,13 @@ def test_fields_of_one_order_keep_their_own_coefficient_texts():
     assert _prefixes(default) is not _prefixes(F9_OTHER)
     texts = []
     for spec in (default, F9_OTHER):
-        t = spec.from_index(spec.p)
+        t = Ref(spec, spec.p)
         factors = [parse_poly(text, spec, 3) for text in (
             "x0 + (1+t)*x1 + t*x2", "t*x0 + x1 + (2+2*t)*x2", "x0 + x2")]
         text = HomogPoly.product_text(factors)
         assert text == _printed(HomogPoly.product(factors))
-        assert HomogPoly.product(factors).terms[(0, 0, 3)] == (2 + 2 * t) * t
+        assert ref_terms(HomogPoly.product(factors))[(0, 0, 3)] == (
+            lit(spec, 2) + lit(spec, 2) * t) * t
         texts.append(text)
     assert texts[0] != texts[1]
 
@@ -580,9 +582,9 @@ def test_linear_substitute_matches_term_by_term(data):
                       for _ in range(nvars)])
     rows = [HomogPoly(spec, ncols, 1, {
         tuple(1 if k == j else 0 for k in range(ncols)): row[j]
-        for j in range(ncols)}) for row in elem_rows(M)]
+        for j in range(ncols)}) for row in M.rows]
     expect = HomogPoly.zero(spec, ncols, f.degree)
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.coeffs.items():
         piece = HomogPoly(spec, ncols, 0, {(0,) * ncols: coeff})
         for i, e in enumerate(exps):
             for _ in range(e):

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Ref, lit
 from motivic.count import BudgetError, CountQuery, enumerate_points
-from motivic.fields import FieldElem, extension_field, prime_field, rationals
+from motivic.fields import extension_field, prime_field, rationals
 from motivic.linalg import Matrix, _kernel
 from motivic.parse import parse_poly
 from motivic.quadform import (
@@ -32,14 +33,15 @@ def _transpose(M):
 
 
 def _columns(spec, cols):
-    """The matrix whose columns are the given vectors of elements."""
+    """The matrix whose columns are the given vectors of reference
+    elements."""
     return Matrix._from_rows(spec,
                              [[x.value for x in row] for row in zip(*cols)])
 
 
 def _column(M, j):
-    """Column j of M as a tuple of elements."""
-    return tuple(FieldElem(M.spec, row[j]) for row in M.rows)
+    """Column j of M as a tuple of reference elements."""
+    return tuple(Ref(M.spec, row[j]) for row in M.rows)
 
 
 def test_from_poly_poly_round_trip():
@@ -47,23 +49,24 @@ def test_from_poly_poly_round_trip():
     q = QuadForm.from_poly(f)
     assert q.poly() == f
     # cross term coefficient of x0*x1 is 2*G[0][1]
-    assert q.gram.rows[0][1] == (F5.elem(3) * F5.elem(2).inverse()).value
+    assert q.gram.rows[0][1] == (lit(F5, 3) * lit(F5, 2).inverse()).value
     with pytest.raises(ValueError, match="degree"):
         QuadForm.from_poly(parse_poly("x0^3", F5, 2))
 
 
 def _gram_value(q, x):
-    """x^T G x from the Gram matrix of q, on elements."""
-    G = [[FieldElem(q.spec, v) for v in row] for row in q.gram.rows]
+    """x^T G x from the Gram matrix of q, on reference elements."""
+    G = [[Ref(q.spec, v) for v in row] for row in q.gram.rows]
     return sum((x[i] * G[i][j] * x[j]
-                for i in range(q.nvars) for j in range(q.nvars)), q.spec.zero)
+                for i in range(q.nvars) for j in range(q.nvars)),
+               lit(q.spec, 0))
 
 
 def test_evaluate_matches_poly():
     f = parse_poly("x0^2 + x0*x1 + 2*x1^2", F5, 2)
     q = QuadForm.from_poly(f)
     for pt in [(1, 0), (0, 1), (1, 1), (2, 3), (4, 4)]:
-        x = [F5.elem(v) for v in pt]
+        x = [lit(F5, v) for v in pt]
         values = tuple(c.value for c in x)
         assert (q.poly().evaluate(values) == f.evaluate(values)
                 == _gram_value(q, x).value)
@@ -81,7 +84,7 @@ def test_diagonalize_congruence():
         D = _transpose(M) * q.gram * M
         for i in range(n):
             for j in range(n):
-                expect = diag[i] if i == j else F5.zero.value
+                expect = diag[i] if i == j else F5.zero
                 assert D.rows[i][j] == expect
         nonzero = sum(1 for d in diag if d)
         assert nonzero == q.rank()
@@ -141,7 +144,7 @@ def test_find_projective_point_charges_walked_candidates():
 
 def test_hyperbolic_normalize_binary():
     q = QuadForm.from_poly(parse_poly("x0^2 - x1^2", F5, 2))
-    x = (F5.one.value, F5.one.value)
+    x = (F5.one, F5.one)
     M, q2 = hyperbolic_normalize(q, x)
     assert q2 is None
     assert tuple(row[1] for row in M.rows) == x
@@ -175,15 +178,15 @@ def test_hyperbolic_normalize_error_paths():
 @pytest.mark.parametrize("spec, x", [
     (extension_field(3, 2), (1, 9)),  # an index past F9
     (F5, (1, 5)),
-    (F5, (F5.one, F5.one)),  # elements, not values
+    (F5, (prime_field(7).from_index(1), 1)),  # an element of another field
     (F5, (1, 1, 0)),  # a coordinate too many
     (F5, (1, 1.0)),
     (Q, (1, 1.0)),
 ])
 def test_hyperbolic_normalize_checks_the_point(spec, x):
     """The point is checked by FieldSpec._point before any arithmetic: an
-    index past the field or an element, not a value, was an IndexError or
-    a TypeError from the value arithmetic."""
+    index past the field or an element of another field was an IndexError
+    or a TypeError from the value arithmetic."""
     q = QuadForm.from_poly(parse_poly("x0^2 - x1^2", spec, 2))
     with pytest.raises(ValueError, match="not a value of|coordinates"):
         hyperbolic_normalize(q, x)
@@ -198,24 +201,25 @@ def test_hyperbolic_normalize_reads_ints_over_q_as_fractions():
 
 
 def _hyperbolic_normalize_on_elements(q, x):
-    """hyperbolic_normalize as it was written on FieldElems, the reference
-    of the value-row version; x is a tuple of values."""
+    """hyperbolic_normalize written on reference elements, the reference of
+    the value-row version; x is a tuple of values."""
     spec = q.spec
     n = q.nvars
-    x = tuple(FieldElem(spec, v) for v in x)
-    two = spec.elem(2)
+    x = tuple(Ref(spec, v) for v in x)
+    two = lit(spec, 2)
     G = q.gram
     gx = _column(G * _columns(spec, [x]), 0)
     i = next(i for i, v in enumerate(gx) if not v.is_zero())
-    w = tuple(spec.one if j == i else spec.zero for j in range(n))
-    factor = FieldElem(spec, G.rows[i][i]) / (two * gx[i])
+    w = tuple(lit(spec, 1 if j == i else 0) for j in range(n))
+    factor = Ref(spec, G.rows[i][i]) / (two * gx[i])
     u = tuple(wv - factor * xv for wv, xv in zip(w, x))
-    bux = sum((uv * gv for uv, gv in zip(u, gx)), spec.zero)
+    bux = sum((uv * gv for uv, gv in zip(u, gx)), lit(spec, 0))
     scale = (two * bux).inverse()
     u = tuple(scale * v for v in u)
     gu = _column(G * _columns(spec, [u]), 0)
-    comp = [tuple(FieldElem(spec, c) for c in v)
-            for v in _kernel(spec, Matrix(spec, [gu, gx]).rows, n)]
+    pairing = Matrix(spec, [[v.value for v in row] for row in (gu, gx)])
+    comp = [tuple(Ref(spec, c) for c in v)
+            for v in _kernel(spec, pairing.rows, n)]
     M = _columns(spec, [u, x] + comp)
     H = _transpose(M) * G * M
     if n == 2:
@@ -244,8 +248,8 @@ def test_hyperbolic_normalize_matches_element_version(spec, text, nvars):
     if spec.is_finite:
         pts = list(enumerate_points(CountQuery(spec, nvars - 1, [q.poly()])))
         if spec.kind == "Fpm":
-            t = spec.from_index(spec.p)
-            pts += [tuple((t * FieldElem(spec, v)).value for v in pt)
+            t = Ref(spec, spec.p)
+            pts += [tuple((t * Ref(spec, v)).value for v in pt)
                     for pt in pts]
     else:
         pt = find_projective_point(q, height=3)
@@ -266,7 +270,7 @@ def test_transform_composes():
     q = QuadForm.from_poly(parse_poly("x0^2 + x1*x2", F5, 3))
     M = Matrix(F5, [[1, 1, 0], [0, 1, 0], [2, 0, 1]])
     qt = QuadForm(F5, _transpose(M) * q.gram * M)
-    x = [F5.elem(v) for v in (1, 2, 3)]
+    x = [lit(F5, v) for v in (1, 2, 3)]
     mx = [row[0] for row in (M * _columns(F5, [x])).rows]
     assert qt.poly().evaluate([c.value for c in x]) == q.poly().evaluate(mx)
 
@@ -292,7 +296,7 @@ def test_diagonalize_preserves_values(q):
     gd = _transpose(M) * q.gram * M
     for i in range(3):
         for j in range(3):
-            expect = diag[i] if i == j else F3.zero.value
+            expect = diag[i] if i == j else F3.zero
             assert gd.rows[i][j] == expect
 
 

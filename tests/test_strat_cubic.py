@@ -35,7 +35,7 @@ def test_singular_search_canonical_order():
     pt = find_singular_rational_point(f)
     assert pt == (0, 1, 0, 0)
     # the apex itself is singular as well
-    apex = [c.value for c in (F3.zero, F3.zero, F3.zero, F3.one)]
+    apex = [F3.zero, F3.zero, F3.zero, F3.one]
     assert not f.evaluate(apex)
     for i in range(4):
         assert not f.partial_derivative(i).evaluate(apex)
@@ -54,7 +54,7 @@ def test_rational_singular_search():
     assert pt == (0, 1, 0, 0)
     # the Fermat cubic is smooth, though it has rational points
     fermat = parse_poly("x0^3 + x1^3 + x2^3 + x3^3", Q, 4)
-    assert not fermat.evaluate([Q.elem(v).value for v in (1, -1, 0, 0)])
+    assert not fermat.evaluate([Fraction(v) for v in (1, -1, 0, 0)])
     assert find_singular_rational_point(fermat, height=2) is None
 
 
@@ -142,7 +142,7 @@ F9 = extension_field(3, 2)
     (F9, (0, 0, 0, 9)),  # an index past F9: the index tables' IndexError
     (F9, (0, 0, 0, -1)),
     (F3, (0, 0, 0, 3)),
-    (F3, (0, 0, 0, F3.one)),  # an element, not a value
+    (F3, (0, 0, 0, F9.from_index(1))),  # an element of another field
     (F3, (0, 0, 0, 1.0)),
     (F3, (0, 0, 0, True)),
     (F3, (0, 0, 1)),  # too few coordinates
@@ -170,6 +170,27 @@ def test_given_point_over_an_extension_field_is_an_index():
     r = class_of_singular_cubic(parse_poly("x0*x1*x3 - x2^2*x3 + x0^3", Q, 4),
                                 x=(0, 0, 0, Fraction(2)))
     assert r.residue == 1
+
+
+def test_one_projective_point_gives_one_class(capsys):
+    """The class does not depend on which representative of the singular
+    point is given: over F9, (0:0:0:1), (0:0:0:t) and (0:0:0:2) give one
+    class_expr and one class: line in the CLI report."""
+    from motivic.cli import main
+
+    text = "x0*x1*x3 + t*x2^2*x3 + x0^3 + x2^3"
+    f = parse_poly(text, F9, 4)
+    exprs, lines = [], []
+    for x, arg in (((0, 0, 0, 1), "0,0,0,1"), ((0, 0, 0, 3), "0,0,0,t"),
+                   ((0, 0, 0, 2), "0,0,0,2")):
+        exprs.append(class_of_singular_cubic(f, x=x).class_expr)
+        assert main(["class-cubic-singular", "--field", "3,2", "--ambient",
+                     "3", "--poly", text, "--point", arg, "--no-verify"]) == 0
+        out = capsys.readouterr().out
+        lines.append([line for line in out.splitlines()
+                      if line.startswith("class:")])
+    assert exprs[1] == exprs[2] == exprs[0]
+    assert len(lines[0]) == 1 and lines[1] == lines[2] == lines[0]
 
 
 def test_randomized_apex_cubics():
@@ -203,7 +224,7 @@ def _random_form(rng, spec, nvars, degree):
             e = [0] * nvars
             for i in combo:
                 e[i] += 1
-            terms[tuple(e)] = spec.elem(c)
+            terms[tuple(e)] = c
     return HomogPoly(spec, nvars, degree, terms) if terms else HomogPoly.zero(
         spec, nvars, degree
     )

@@ -163,7 +163,7 @@ def test_measure_matches_count_on_random_forms():
                         e = [0] * nvars
                         e[i] += 1
                         e[j] += 1
-                        terms[tuple(e)] = spec.elem(c)
+                        terms[tuple(e)] = c
             if not terms:
                 continue
             f = HomogPoly(spec, nvars, 2, terms)
