@@ -162,24 +162,21 @@ class JobSpec:
 
 
 def _dispatch(job):
-    """(StratResult, master oracle CountQuery or None) for a class command.
+    """(StratResult, master oracle CountQuery) for a class command.
 
-    The oracle is counted only under verification, so without job.verify it
-    is None.  A union of hyperplanes or of two quadrics is a union query,
-    counted factor by factor.  Engines that search for points obey
+    The oracle is stated over every field; _verification decides whether
+    it is counted.  A union of hyperplanes or of two quadrics is a union
+    query, counted factor by factor.  Engines that search for points obey
     job.budget.
     """
     spec = job.field
     nvars = job.ambient + 1
-    with_oracle = spec.is_finite and job.verify
 
     if job.command == "class-quadric":
         if len(job.polynomials) != 1:
             raise ValueError("class-quadric takes exactly one --poly")
         f = parse_poly(job.polynomials[0], spec, nvars)
         result = class_of_quadric(f, height=job.height, budget=job.budget)
-        if not with_oracle:
-            return result, None
         return result, CountQuery(spec, job.ambient, [f])
 
     if job.command == "class-arrangement":
@@ -187,8 +184,6 @@ def _dispatch(job):
             raise ValueError("class-arrangement needs at least one --form")
         forms = [parse_poly(s, spec, nvars) for s in job.forms]
         result = class_of_arrangement(forms)
-        if not with_oracle:
-            return result, None
         return result, CountQuery.union(spec, job.ambient, forms)
 
     if job.command == "class-cone":
@@ -197,8 +192,6 @@ def _dispatch(job):
             raise ValueError("class-cone needs at least one --poly")
         gens = [parse_poly(s, spec, job.ambient) for s in job.polynomials]
         result = class_of_cone(gens)
-        if not with_oracle:
-            return result, None
         lifted = [g.insert_variable(g.nvars) for g in gens]
         return result, CountQuery(spec, job.ambient, lifted)
 
@@ -209,8 +202,6 @@ def _dispatch(job):
         x = parse_point(job.point, spec, nvars) if job.point else None
         result = class_of_singular_cubic(f, x, height=job.height,
                                          budget=job.budget)
-        if not with_oracle:
-            return result, None
         return result, CountQuery(spec, job.ambient, [f])
 
     if job.command == "class-two-quadrics":
@@ -219,8 +210,6 @@ def _dispatch(job):
         f1 = parse_poly(job.polynomials[0], spec, nvars)
         f2 = parse_poly(job.polynomials[1], spec, nvars)
         result = class_of_two_quadric_union(f1, f2, budget=job.budget)
-        if not with_oracle:
-            return result, None
         return result, CountQuery.union(spec, job.ambient, [f1, f2])
 
     if job.command == "descend":
@@ -232,8 +221,6 @@ def _dispatch(job):
         forms = [parse_poly(s, spec, nvars) for s in job.forms]
         result = class_of_descended_arrangement(ctx, forms, job.ambient,
                                                 seed=job.seed)
-        if not with_oracle:
-            return result, None
         # the final fibration identity's left side is V(product) over the
         # base field, which is exactly the master oracle here
         return result, result.trace[-1].identity.lhs[0].query
@@ -263,7 +250,7 @@ def _verification(job, result, oracle_query):
         steps.append(entry)
 
     oracle = {"status": "skipped"}
-    if job.verify and oracle_query is not None:
+    if job.verify and oracle_query.spec.is_finite:
         q = oracle_query.spec.order
         measured = result.class_expr.count_measure(q, budget=job.budget,
                                                    memo=memo)
@@ -283,8 +270,6 @@ def run(job):
     report = {"command": job.command, "input": job.echo()}
 
     if job.command == "count":
-        if not job.field.is_finite:
-            raise ValueError("counting needs a finite field")
         gens = [parse_poly(s, job.field, job.ambient + 1)
                 for s in job.polynomials]
         n = count_points(CountQuery(job.field, job.ambient, gens),
@@ -490,7 +475,7 @@ def _parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_field=True):
+    def common(sp):
         sp.add_argument("--field", default=None,
                         help="p for F_p, 'p,m' for F_{p^m}, or Q")
         sp.add_argument("--ambient", type=int, default=None,

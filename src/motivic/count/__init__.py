@@ -6,7 +6,10 @@ on the canonical representatives of P^n.  CountQuery.union asks instead for
 the points where some of its factors vanishes, V(f_1 * ... * f_d), and the
 kernel counts it factor by factor, never from the expanded product.  Equal
 queries count the same, so the CLI keeps one memo of counts per job
-(kclass.count_once) and counts each distinct query of a job once.
+(kclass.count_once) and counts each distinct query of a job once.  The
+engines state their queries over any field; only counting needs F_q, so
+count_points, cost() and every point walk of a query over Q raise
+ValueError, all through _order.
 
 A count or a point search plans its query once over the lead strata
 (lead coordinate = 1, earlier coordinates 0; _pure._plan), reads its
@@ -65,7 +68,9 @@ def default_budget() -> int:
 
 
 class CountQuery:
-    """Point count of V(generators) inside P^n over a finite field.
+    """Point count of V(generators) inside P^n over the spec's field.
+
+    A query over Q can be built, compared and described, but not counted.
 
     chart is a tuple of (index, kind) with kind "zero" or "nonzero",
     restricting to the locus where that homogeneous coordinate vanishes or
@@ -106,8 +111,6 @@ class CountQuery:
         return query
 
     def _setup(self, spec, n, chart):
-        if not spec.is_finite:
-            raise ValueError("counting needs a finite field, got %s" % spec)
         if n < 0:
             raise ValueError("bad ambient dimension")
         self.spec = spec
@@ -157,7 +160,7 @@ class CountQuery:
         """The number of candidates in the query's lead strata
         (_pure._plan): what a count or a full enumerate_points walk visits,
         #P^n(F_q) or fewer under a chart."""
-        return _pure._plan(self.spec.order, self.n, self.chart, 1).cost
+        return _pure._plan(_order(self), self.n, self.chart, 1).cost
 
     def describe(self):
         """The query's report dict, built on the first call; callers share
@@ -206,11 +209,19 @@ class CountQuery:
             extra = " | " + ", ".join(
                 "x%d%s" % (i, "=0" if k == "zero" else "!=0") for i, k in self.chart
             )
-        return "#V(%s) in P^%d(F%d)%s" % (body, self.n, self.spec.order, extra)
+        return "#V(%s) in P^%d(%s)%s" % (body, self.n, self.spec, extra)
 
 
 # ---------------------------------------------------------------------------
 # query planning
+
+def _order(query):
+    """q, the order of the query's field; a query over Q is stated but
+    never counted."""
+    if not query.spec.is_finite:
+        raise ValueError("counting needs a finite field, got %s" % query.spec)
+    return query.spec.order
+
 
 def _rows(polys):
     """Each polynomial's terms as (value, exps) rows: the one read of a
@@ -237,7 +248,7 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     (_pure.count_lanes), fibre by fibre past the table limit
     (_pure.count_direct, a union from its factors)."""
     budget = default_budget() if budget is None else budget
-    q = query.spec.order
+    q = _order(query)
     plan = _pure._plan(q, query.n, query.chart,
                        _pure._BLOCK_LANES if q <= _TABLE_LIMIT else 1)
     cost = plan.cost
@@ -295,7 +306,7 @@ def _points(query: CountQuery, budget: int):
     yielded when k <= budget, and BudgetError is raised once the walk
     passes budget candidates."""
     spec = query.spec
-    q = spec.order
+    q = _order(query)
     polys, union = query._kernel_polys()
     plan = _pure._plan(q, query.n, query.chart, 1)
     gens = _pure._split(_rows(polys), plan)

@@ -137,13 +137,9 @@ def _validated_ext_forms(forms, spec):
     if not forms:
         raise ValueError("no forms given")
     nvars = forms[0].nvars
-    for h in forms:
-        if h.spec != spec or h.nvars != nvars:
-            raise ValueError("forms live in different spaces")
-        if h.is_zero():
-            raise ValueError("zero form")
-        if h.degree != 1:
-            raise ValueError("expected a linear form, got degree %d" % h.degree)
+    # _normalize_forms checks that each is a nonzero linear form
+    if any(h.spec != spec or h.nvars != nvars for h in forms):
+        raise ValueError("forms live in different spaces")
     return forms
 
 

@@ -341,7 +341,9 @@ class FieldSpec:
         return exp[log[a] * e % (self.order - 1)]
 
     def _inv(self, a):
-        """The inverse of a nonzero value."""
+        """The inverse of a nonzero value; 0 raises ZeroDivisionError."""
+        if not a:
+            raise ZeroDivisionError("0 has no inverse in %s" % self)
         kind = self.kind
         if kind == "Fp":
             return pow(a, self.p - 2, self.p)

@@ -21,8 +21,10 @@ Two specializations connect expressions to the ground:
 
 A Trace records why an expression is what it is: each step names a rule and
 carries either a counting identity (two integer combinations of point counts
-that must agree) or a pointwise check record.  Identities are verifiable over
-finite fields by brute force, and the CLI does so by default.  The counting
+that must agree) or a pointwise check record.  The engines state the same
+identities over every field; TraceStep keeps one only when all its queries
+are over a finite field, where it is verifiable by brute force, and the CLI
+does so by default.  So a step over Q records no identity.  The counting
 methods take an optional memo dict (see count_once) that the CLI keeps for
 one job, so a query that recurs across identities and the oracle is counted
 once.
@@ -407,6 +409,13 @@ class TraceStep:
                  check=None):
         self.rule = rule
         self.description = description
+        # the one place where a step over Q drops its identity: nothing over
+        # Q is counted; checking Q classes at good primes (ROADMAP item 12)
+        # would reduce these identities mod p instead
+        if identity is not None and not all(
+                t.query.spec.is_finite for t in identity.lhs + identity.rhs
+                if t.query is not None):
+            identity = None
         self.identity = identity
         self.check = check  # dict payload for non-counting checks
 

@@ -1,9 +1,11 @@
 """Stratification engines: class computations for the supported families.
 
 Each engine takes defining polynomials, produces a ClassExpr, and logs a
-Trace whose steps carry point-count identities.  Over a finite field every
-identity is checkable by brute force, and the master invariant holds:
-count_measure(result.class_expr, q) equals count_points of the input variety.
+Trace whose steps carry point-count identities.  An engine states the same
+identities over every field; over Q, TraceStep records none of them, since
+nothing over Q is counted.  Over a finite field every identity is checkable
+by brute force, and the master invariant holds: count_measure(
+result.class_expr, q) equals count_points of the input variety.
 
 Families covered:
   * quadrics in any ambient dimension (full recursion, degenerate included),
@@ -95,7 +97,6 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
     text = spec._str
     nvars = qf.nvars
     n = nvars - 1
-    finite = spec.is_finite
     rank = qf.rank()
 
     if rank < nvars:
@@ -108,18 +109,13 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
         sub = QuadForm.diagonal(spec, entries)
         vertex_dim = n - rank
         shift = n - rank + 1
-        ident = None
-        if finite:
-            ident = Identity(
-                [CountTerm(1, 0, _quadric_query(qf))],
-                _staircase(vertex_dim)
-                + [CountTerm(1, shift, _quadric_query(sub))],
-            )
         steps.append(TraceStep(
             "radical-split",
             "rank %d form in %d variables: cone with vertex P^%d over the "
             "diagonalized nondegenerate part in P^%d" % (rank, nvars, vertex_dim, rank - 1),
-            ident,
+            Identity([CountTerm(1, 0, _quadric_query(qf))],
+                     _staircase(vertex_dim)
+                     + [CountTerm(1, shift, _quadric_query(sub))]),
             check={"diagonal": [text(d) for d in entries],
                    "substitution": [[text(row[i]) for row in M.rows]
                                     for i in order]},
@@ -129,11 +125,10 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
 
     # nondegenerate from here on
     if nvars == 1:
-        ident = Identity([CountTerm(1, 0, _quadric_query(qf))], []) if finite else None
         steps.append(TraceStep(
             "empty-in-one-variable",
             "a nonzero form in one variable has no projective zeros",
-            ident,
+            Identity([CountTerm(1, 0, _quadric_query(qf))], []),
         ))
         return ClassExpr()
 
@@ -142,29 +137,25 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
         neg_det = spec._add(spec._mul(b, c), spec._neg(spec._mul(a, d)))
         split = spec._is_square(neg_det)
         if split:
-            ident = Identity(
-                [CountTerm(1, 0, _quadric_query(qf))], [CountTerm(2)]
-            ) if finite else None
             steps.append(TraceStep(
                 "binary-split",
                 "nondegenerate binary form with square -det: two rational zeros",
-                ident,
+                Identity([CountTerm(1, 0, _quadric_query(qf))], [CountTerm(2)]),
                 check={"neg_det": text(neg_det), "square": True},
             ))
             return ClassExpr.from_int(2)
-        ident = Identity([CountTerm(1, 0, _quadric_query(qf))], []) if finite else None
         steps.append(TraceStep(
             "binary-conjugate-pair",
             "nondegenerate binary form with nonsquare -det: a conjugate point "
             "pair over the quadratic extension",
-            ident,
+            Identity([CountTerm(1, 0, _quadric_query(qf))], []),
             check={"neg_det": text(neg_det), "square": False},
         ))
         return ClassExpr.from_atom(EtaleAtom((2,)))
 
     pt = find_projective_point(qf, height, budget=budget)
     if pt is None:
-        if finite:
+        if spec.is_finite:
             raise DefectError(
                 "no isotropic point on a nondegenerate form over a finite field"
             )
@@ -179,19 +170,14 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
         return ClassExpr.from_atom(atom)
 
     M, sub = hyperbolic_normalize(qf, pt)
-    ident = None
-    if finite:
-        ident = Identity(
-            [CountTerm(1, 0, _quadric_query(qf))],
-            [CountTerm(1), CountTerm(1, 1, _quadric_query(sub)),
-             CountTerm(1, n - 1)],
-        )
     steps.append(TraceStep(
         "hyperbolic-split",
         "isotropic point %s: coordinates with x0*x1 + q'(x2..x%d); the x1-"
         "chart is an affine cell A^%d, its complement a cone over V(q')"
         % (_point_str(spec, pt), n, n - 1),
-        ident,
+        Identity([CountTerm(1, 0, _quadric_query(qf))],
+                 [CountTerm(1), CountTerm(1, 1, _quadric_query(sub)),
+                  CountTerm(1, n - 1)]),
         check={"point": [text(c) for c in pt]},
     ))
     child = _quadric_expr(sub, height, budget, steps, hyps)
@@ -311,7 +297,6 @@ def class_of_arrangement(forms) -> StratResult:
     if any(h.nvars != nvars or h.spec != spec for h in forms):
         raise ValueError("forms live in different spaces")
     d = len(forms)
-    finite = spec.is_finite
 
     A = _coeff_rows(forms)
     radical = _kernel(spec, list(A), nvars)
@@ -331,28 +316,22 @@ def class_of_arrangement(forms) -> StratResult:
         check={"forms": [str(h) for h in forms]},
     )]
 
-    ident = None
-    if finite:
-        # one object in both identities, so its product is expanded once
-        z_query = CountQuery.union(spec, r - 1, rotated)
-        ident = Identity(
-            [CountTerm(1, 0, CountQuery.union(spec, n, forms))],
-            _staircase(n - r) + [CountTerm(1, n - r + 1, z_query)],
-        )
+    # one object in both identities, so its product is expanded once
+    z_query = CountQuery.union(spec, r - 1, rotated)
     steps.append(TraceStep(
         "cone-fibration",
         "span has rank %d: the union is a cone with vertex P^%d over the "
         "essential arrangement Z in P^%d" % (r, n - r, r - 1),
-        ident,
+        Identity([CountTerm(1, 0, CountQuery.union(spec, n, forms))],
+                 _staircase(n - r) + [CountTerm(1, n - r + 1, z_query)]),
     ))
 
     z_expr, ie_terms = _inclusion_exclusion(spec, rows, r - 1)
-    ident = Identity([CountTerm(1, 0, z_query)], ie_terms) if finite else None
     steps.append(TraceStep(
         "inclusion-exclusion",
         "Z resolved by the alternating sum over the %d nonempty subsets of "
         "the %d hyperplanes" % ((1 << d) - 1, d),
-        ident,
+        Identity([CountTerm(1, 0, z_query)], ie_terms),
     ))
 
     expr = projective_space_class(n - r) + z_expr.lshift(n - r + 1)
@@ -384,7 +363,6 @@ def class_of_cone(generators) -> StratResult:
     if any(g.spec != spec or g.nvars != nvars for g in gens):
         raise ValueError("generators live in different spaces")
     n = nvars
-    finite = spec.is_finite
 
     live = [g for g in gens if not g.is_zero()]
     if any(g.degree == 0 for g in live):
@@ -396,30 +374,24 @@ def class_of_cone(generators) -> StratResult:
         if Matrix._from_rows(spec, _coeff_rows(live)).rank() == nvars:
             base_empty = True
 
-    x_query = CountQuery(spec, n, embedded) if finite else None
+    x_query = CountQuery(spec, n, embedded)
     if base_empty:
-        ident = Identity([CountTerm(1, 0, x_query)], [CountTerm(1)]) if finite else None
         steps = [TraceStep(
             "cone-over-empty",
             "the generators are linear of full rank, so the base is empty "
             "and the cone is the apex alone",
-            ident,
+            Identity([CountTerm(1, 0, x_query)], [CountTerm(1)]),
         )]
         return StratResult(ClassExpr.from_int(1), steps, 1,
                            [("base_detected_empty", True)])
 
     atom = VarietyAtom(spec, nvars - 1, live)
-    ident = None
-    if finite:
-        ident = Identity(
-            [CountTerm(1, 0, x_query)],
-            [CountTerm(1), CountTerm(1, 1, atom.query())],
-        )
     steps = [TraceStep(
         "cone-split",
         "away from the apex, projection to P^%d is an A^1-fibration over Z"
         % (nvars - 1),
-        ident,
+        Identity([CountTerm(1, 0, x_query)],
+                 [CountTerm(1), CountTerm(1, 1, atom.query())]),
     )]
     expr = ClassExpr.from_int(1) + ClassExpr.from_atom(atom, shift=1)
     return StratResult(expr, steps, 1, [("base_detected_empty", False)])
@@ -468,14 +440,13 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     n = nvars - 1
     if n < 3:
         raise ValueError("ambient dimension must be at least 3")
-    finite = spec.is_finite
 
     if x is None:
         x = find_singular_rational_point(f, height, budget=budget)
         if x is None:
             raise ValueError(
                 "no singular rational point found"
-                + ("" if finite else " up to height %d" % height)
+                + ("" if spec.is_finite else " up to height %d" % height)
             )
     else:
         x = spec._point(x, nvars)
@@ -496,17 +467,12 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
 
     steps = []
     hyps = [("singular_point_found", True), ("f1_forced_zero", True)]
-    ident = None
-    if finite:
-        ident = Identity(
-            [CountTerm(1, 0, CountQuery(spec, n, [f]))],
-            [CountTerm(1, 0, CountQuery(spec, n, [g]))],
-        )
     steps.append(TraceStep(
         "singular-point-normalization",
         "singular point %s moved to [0:...:0:1]; the cubic splits as "
         "x%d*f2 + f3" % (_point_str(spec, x), n),
-        ident,
+        Identity([CountTerm(1, 0, CountQuery(spec, n, [f]))],
+                 [CountTerm(1, 0, CountQuery(spec, n, [g]))]),
         check={"point": [spec._str(c) for c in x]},
     ))
 
@@ -525,21 +491,16 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
     hyps.append(("f2_zero_cone_route", False))
     quad = class_of_quadric(f2, height=height, budget=budget)
     atom = VarietyAtom(spec, n - 1, [f2, f3])
-    ident = None
-    if finite:
-        ident = Identity(
-            [CountTerm(1, 0, CountQuery(spec, n, [g]))],
-            [CountTerm(1)]
-            + _staircase(n - 1)
-            + [CountTerm(-1, 0, CountQuery(spec, n - 1, [f2])),
-               CountTerm(1, 1, CountQuery(spec, n - 1, [f2, f3]))],
-        )
     steps.append(TraceStep(
         "three-strata",
         "lines through the singular point: the point itself, one residual "
         "intersection over P^%d minus V(f2), and an A^1-bundle over "
         "V(f2, f3)" % (n - 1),
-        ident,
+        Identity([CountTerm(1, 0, CountQuery(spec, n, [g]))],
+                 [CountTerm(1)]
+                 + _staircase(n - 1)
+                 + [CountTerm(-1, 0, CountQuery(spec, n - 1, [f2])),
+                    CountTerm(1, 1, CountQuery(spec, n - 1, [f2, f3]))]),
     ))
     steps.extend(quad.trace)
 
@@ -610,14 +571,11 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     lam = _proportional(q1.gram, q2.gram)
     if lam is not None:
         inner = _quadric_class(q1, 10, budget)
-        ident = Identity(
-            [CountTerm(1, 0, CountQuery.union(spec, n, [f1, f2]))],
-            [CountTerm(1, 0, CountQuery(spec, n, [f1]))],
-        )
         steps = [TraceStep(
             "identical-quadrics",
             "f2 is a scalar multiple of f1; the union is V(f1) itself",
-            ident,
+            Identity([CountTerm(1, 0, CountQuery.union(spec, n, [f1, f2]))],
+                     [CountTerm(1, 0, CountQuery(spec, n, [f1]))]),
         )]
         steps.extend(inner.trace)
         return StratResult(

@@ -387,7 +387,7 @@ def test_no_verify_skips_everything(capsys):
 # (command, field, ambient, polynomials, forms, point, verify) and the sha256
 # of the job's JSON report, recorded before the arithmetic core took its fast
 # paths.  Every class command over F_p and F_{p^m}, and over Q where the
-# engine allows it; the --no-verify jobs build no master oracle.
+# engine allows it; the --no-verify jobs count no master oracle.
 PINNED_REPORTS = [
     (("class-quadric", "5", 3, ["x0*x1 - x2*x3 + 2*x0^2"], [], None, True),
      "597e42c2125b62508a45f8c0850b8487dbe8d3f38fb35dd1ffcd176f1c798ec9"),
@@ -523,6 +523,31 @@ def test_pinned_report_bytes(args, digest):
     assert code == 0
     text = render_json(report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
+
+
+def test_rational_jobs_count_nothing(monkeypatch):
+    """The pinned jobs over Q, run with verification on, count nothing:
+    with both of the CLI's counting bindings refused, every step and the
+    oracle read skipped, though the engines state their identities and
+    the oracle over Q as over F_q."""
+    def refuse(query, budget=None):
+        raise AssertionError("counted %r" % query)
+
+    monkeypatch.setattr("motivic.cli.count_points", refuse)
+    monkeypatch.setattr("motivic.kclass.count_points", refuse)
+    rational = [args for args, _ in PINNED_REPORTS if args[1] == "Q"]
+    assert [args[0] for args in rational] == [
+        "class-quadric", "class-arrangement", "class-cone",
+        "class-cubic-singular", "class-cubic-singular"]
+    for args in rational:
+        report, code = run(_pinned_job(args[:6] + (True,)))
+        assert code == 0
+        verification = report["verification"]
+        assert verification["enabled"]
+        assert verification["oracle"] == {"status": "skipped"}
+        assert verification["steps"]
+        assert all(step["status"] == "skipped"
+                   for step in verification["steps"])
 
 
 def test_pinned_report_bytes_do_not_depend_on_kept_tables():

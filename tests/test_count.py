@@ -84,8 +84,6 @@ def test_multiple_generators():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError, match="finite"):
-        CountQuery(rationals(), 1, [])
     with pytest.raises(ValueError, match="ambient"):
         CountQuery(F3, -1, [])
     f = parse_poly("x0*x1", F3, 2)
@@ -97,6 +95,31 @@ def test_query_validation():
         CountQuery(F3, 1, [], chart=((0, "positive"),))
     with pytest.raises(ValueError, match="duplicate"):
         CountQuery(F3, 1, [], chart=((0, "zero"), (0, "nonzero")))
+
+
+def test_query_over_q_is_stated_but_not_counted():
+    """A query over Q builds, compares and describes as one over F_q does;
+    counting it, enumerating it or asking its cost raises ValueError."""
+    Q = rationals()
+    query = CountQuery(Q, 1, [parse_poly("x0^2 - 2*x1^2", Q, 2)])
+    assert query == CountQuery(Q, 1, [parse_poly("x0^2 - 2*x1^2", Q, 2)])
+    assert query.describe()["field"] == {"kind": "rationals"}
+    for attempt in (lambda: count_points(query),
+                    lambda: list(enumerate_points(query)),
+                    lambda: motivic.count._first_point(query),
+                    query.cost):
+        with pytest.raises(ValueError, match="finite"):
+            attempt()
+
+
+def test_query_repr_names_its_field():
+    """repr() names the field as str(spec) does: Q over the rationals, and
+    the F%d of the field's order, as before, over F7 and F9."""
+    Q = rationals()
+    assert repr(_q(["x0*x1"], Q, 1)) == "#V(x0*x1) in P^1(Q)"
+    assert repr(_q(["x0*x1"], F7, 1)) == "#V(x0*x1) in P^1(F7)"
+    assert (repr(_q(["x0 + t*x1"], F9, 2, chart=((2, "zero"),)))
+            == "#V(x0 + (t)*x1) in P^2(F9) | x2=0")
 
 
 def test_query_equality_and_cost():

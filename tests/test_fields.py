@@ -193,6 +193,16 @@ def test_inverse_and_pow(data):
     assert spec._pow(inv, 2) == spec._mul(inv, inv)
 
 
+@pytest.mark.parametrize("spec", [prime_field(5), extension_field(3, 2),
+                                  extension_field(31, 3), rationals()],
+                         ids=str)
+def test_inverse_of_zero_raises(spec):
+    """0 has no inverse in any field: prime, tabulated F_{p^m}, F_{p^m}
+    past the table limit, or Q."""
+    with pytest.raises(ZeroDivisionError):
+        spec._inv(spec.zero)
+
+
 @given(_field_and_elems(2))
 def test_frobenius_is_additive(data):
     """x -> x^p distributes over sums in characteristic p, and
