@@ -11,17 +11,26 @@ engines state their queries over any field; only counting needs F_q, so
 count_points, cost() and every point walk of a query over Q raise
 ValueError, all through _order.
 
-A count or a point search plans its query once over the lead strata
-(lead coordinate = 1, earlier coordinates 0; _pure._plan), reads its
-terms once with every exponent reduced below q (_rows) and splits them
-once (_pure._split).  The one kernel, the pure-Python lane kernel of _pure,
-evaluates a generator on a whole block of candidates at once: a count of
-at most _pure._BLOCK_LANES candidates is one projective block of the
-canonical points and one popcount.  enumerate_points and _first_point
-take the last coordinate alone as the block, one fibre at a time.  Past
-the table limit (q > _TABLE_LIMIT) _pure._fold gives each fibre's
-coefficients in the last coordinate instead.  The tests check counts and
-searches against a brute-force walk of their own.
+Over a tabulated field (q <= _TABLE_LIMIT) whose P^n has at most
+_pure._BLOCK_LANES points, the kernel evaluates each form once over the
+whole of P^n: _pure._zeros on the projective monomial vectors of
+_pure._Lanes.vector gives its zero lanes, one per canonical point in walk
+order, and the form keeps them in a private slot for as long as it lives
+(_kept).  Every query on the form reads them.  A count there is the
+popcount of its forms' kept lanes ANDed (ORed for a union) and ANDed with
+its chart's coordinate lanes (_common); a point search, or an enumeration,
+over at most _SEARCH_LANES points lists the same lanes in ascending order
+and decodes each to its point by arithmetic.  Past those sizes a count or
+a point search plans its query once over the lead strata (lead
+coordinate = 1, earlier coordinates 0; _pure._plan), reads its terms once
+with every exponent reduced below q (_rows) and splits them once
+(_pure._split).  The same lane kernel then evaluates a generator on a
+whole block of candidates at once: a count in blocks of at most
+_pure._BLOCK_LANES candidates, a point search with the last coordinate
+alone as the block, one fibre at a time.  Past the table limit
+(q > _TABLE_LIMIT) _pure._fold gives each fibre's coefficients in the
+last coordinate instead.  The tests check counts and searches against a
+brute-force walk of their own.
 
 A count or a full enumerate_points walk over more candidates than the
 budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError before it starts
@@ -46,6 +55,10 @@ from . import _pure
 HAVE_COMPILED = False
 
 _DEFAULT_BUDGET = 10**8
+# a point search reads its forms' kept lanes when its P^n has at most this
+# many points, and walks fibres past it: evaluating a form over the whole
+# space costs about as much as a fibre walk at this size
+_SEARCH_LANES = 1024
 
 
 class BudgetError(ValueError):
@@ -243,9 +256,13 @@ def _rows(polys):
 # public API
 
 def count_points(query: CountQuery, budget: int | None = None) -> int:
-    """Number of F_q-points of the query, planned once (_pure._plan) and
-    split once (_pure._split): in lane blocks over tabulated fields
-    (_pure.count_lanes), fibre by fibre past the table limit
+    """Number of F_q-points of the query, planned once (_pure._plan).
+
+    Over a tabulated field whose P^n has at most _pure._BLOCK_LANES points
+    it is the popcount of the query's zero lanes over the whole of P^n
+    (_common), read from its forms' kept lanes.  Otherwise its terms are
+    split once (_pure._split) and counted in lane blocks over tabulated
+    fields (_pure.count_lanes), fibre by fibre past the table limit
     (_pure.count_direct, a union from its factors)."""
     budget = default_budget() if budget is None else budget
     q = _order(query)
@@ -262,6 +279,8 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     if not polys or not cost:
         # every candidate is a common zero of no generators
         return cost
+    if q <= _TABLE_LIMIT and _pure._space(q, query.n) <= _pure._BLOCK_LANES:
+        return _common(_pure._lanes(query.spec), query)[0].bit_count()
     gens = _pure._split(_rows(polys), plan)
     if q > _TABLE_LIMIT:
         return _pure.count_direct(query.spec, gens, plan, union)
@@ -271,10 +290,9 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
 def enumerate_points(query: CountQuery, budget: int | None = None):
     """Yield the points of the query as tuples of values, canonical order.
 
-    The points come from _points, the kernel's fibre walk over the lead
-    strata of _pure._plan, in the canonical order of motivic.points (that of
-    projective_reps in the tests' conftest).  The whole walk is charged
-    against budget up front.
+    The points come from _points, in the canonical order of motivic.points
+    (that of projective_reps in the tests' conftest).  The whole walk is
+    charged against budget up front.
     """
     budget = default_budget() if budget is None else budget
     cost = query.cost()
@@ -295,18 +313,128 @@ def _first_point(query: CountQuery, budget: int | None = None):
     return next(_points(query, budget), None)
 
 
+# ---------------------------------------------------------------------------
+# kept zero lanes over a small P^n
+
+def _kept(lanes, f):
+    """The zero lanes of f over the whole of its P^n (n = f.nvars - 1),
+    the canonical points in walk order, kept on the form.
+
+    The one read of f's terms (_rows) is evaluated once on the projective
+    vectors of its monomials (_pure._Lanes.vector) by _pure._zeros; a
+    zero form gives every lane.  Only a P^n of at most _pure._BLOCK_LANES
+    points is ever asked for."""
+    try:
+        return f._zero_lanes
+    except AttributeError:
+        pass
+    (rows,) = _rows([f])
+    block = (0,) * f.nvars
+    zeros = f._zero_lanes = _pure._zeros(
+        lanes, [v for v, _ in rows],
+        [lanes.vector(block, exps, True) for _, exps in rows],
+        lanes.masks(_pure._space(lanes.q, f.nvars - 1)))
+    return zeros
+
+
+def _common(lanes, query):
+    """(zero lanes, chart lanes) of the query over the whole of P^n.
+
+    The chart lanes are those of every candidate: the coordinate lanes of
+    _pure._Lanes.coordinate, or their complement for "nonzero", ANDed.
+    The zero lanes AND them with its forms' kept lanes (_kept), or with
+    the OR of its factors' for a union; the AND stops once empty and the
+    OR once full."""
+    n = query.n
+    msb = lanes.masks(_pure._space(lanes.q, n))[0]
+    chart = msb
+    for i, kind in query.chart:
+        zero = lanes.coordinate(n, i)
+        chart &= zero if kind == "zero" else msb ^ zero
+    polys, union = query._kernel_polys()
+    if union:
+        common = 0
+        for f in polys:
+            common |= _kept(lanes, f)
+            if common == msb:
+                break
+        return common & chart, chart
+    common = chart
+    for f in polys:
+        if not common:
+            break
+        common &= _kept(lanes, f)
+    return common, chart
+
+
 def _points(query: CountQuery, budget: int):
-    """The points of the query in canonical order, fibre by fibre.
+    """The points of the query in canonical order.
+
+    A point at walk position k, the k-th candidate of the chart in
+    canonical order, is yielded when k <= budget, and BudgetError is
+    raised once the walk passes budget candidates.  Over a tabulated field
+    whose P^n has at most _SEARCH_LANES points the points are the set
+    lanes of _common, in ascending order (_read_points); otherwise the
+    fibres of _walk_points."""
+    q = _order(query)
+    if q <= _TABLE_LIMIT and _pure._space(q, query.n) <= _SEARCH_LANES:
+        return _read_points(query, budget)
+    return _walk_points(query, budget)
+
+
+def _over_budget(query, budget):
+    return BudgetError(
+        "no point of %r among the first %d candidates, budget is %d"
+        % (query, budget, budget))
+
+
+def _read_points(query, budget):
+    """The points of _points from the query's zero lanes over the whole
+    of P^n (_common).  A lane's walk position is one more than the chart
+    lanes below it, so a walk past budget keeps the lanes below the one
+    after the budget-th chart lane.  A lane decodes to its point by
+    arithmetic: the lead from the stratum sizes q^(n - lead), then the
+    base-q digits of the trailing coordinates."""
+    lanes = _pure._lanes(query.spec)
+    q, n, width = lanes.q, query.n, lanes.width
+    common, chart = _common(lanes, query)
+    short = chart.bit_count() > budget
+    if short:
+        lo, hi = budget, _pure._space(q, n)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (chart & (1 << width * mid) - 1).bit_count() < budget:
+                lo = mid + 1
+            else:
+                hi = mid
+        common &= (1 << width * lo) - 1
+    while common:
+        low = common & -common
+        common ^= low
+        lane, lead, stratum = low.bit_length() // width - 1, 0, q ** n
+        while lane >= stratum:
+            lane -= stratum
+            lead += 1
+            stratum //= q
+        idx = [0] * (n + 1)
+        idx[lead] = 1
+        for j in range(n, lead, -1):
+            lane, idx[j] = divmod(lane, q)
+        yield tuple(idx)
+    if short:
+        raise _over_budget(query, budget)
+
+
+def _walk_points(query, budget):
+    """The points of _points fibre by fibre.
 
     Planned with blocks of one candidate (_pure._plan), the last free
     coordinate alone is each fibre, and the tail the one point where it is
     the lead; the generators are split once (_pure._split).  Tabulated
     fields list each fibre's zero lanes (_pure._blocks), larger fields test
-    its values in order (_pure._fold).  A point at walk position k is
-    yielded when k <= budget, and BudgetError is raised once the walk
-    passes budget candidates."""
+    its values in order (_pure._fold)."""
     spec = query.spec
-    q = _order(query)
+    q = spec.order
     polys, union = query._kernel_polys()
     plan = _pure._plan(q, query.n, query.chart, 1)
     gens = _pure._split(_rows(polys), plan)
@@ -340,11 +468,6 @@ def _points(query: CountQuery, budget: int):
                 if test(vanishes(coeffs, x) for coeffs in lists):
                     yield x
 
-    def over_budget():
-        return BudgetError(
-            "no point of %r among the first %d candidates, budget is %d"
-            % (query, budget, budget))
-
     walked = 0
     for (lead, prefix, size), blocks in zip(strata, fibres):
         idx = [0] * (query.n + 1)
@@ -355,7 +478,7 @@ def _points(query: CountQuery, budget: int):
         end = start + size
         for pre, fibre in blocks:
             if walked == budget:
-                raise over_budget()
+                raise _over_budget(query, budget)
             stop = min(end, start + budget - walked)
             for x in points_in(fibre, start, stop):
                 for j, v in zip(prefix, pre):
@@ -364,4 +487,4 @@ def _points(query: CountQuery, budget: int):
                 yield tuple(idx)
             walked += stop - start
             if stop < end:
-                raise over_budget()
+                raise _over_budget(query, budget)

@@ -31,17 +31,22 @@ that arithmetic for one field:
     from those.  Both are kept across queries, at most _VECTOR_BITS bits
     of them per field and _FIELDS fields.
 
-A query's lead strata are planned once (_plan) and its terms split once
-for that plan (_split): its first strata walk affine blocks under a
-prefix odometer, and its last ones, all of a query of at most
-_BLOCK_LANES candidates, form one projective block.  A point search takes
-the last coordinate alone as its block, one fibre at a time.  Past the
-table limit, _fold yields per prefix each generator's coefficients in the
-last coordinate; count_direct counts their common roots as
-deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 14).  Values combine through the spec's value
-operations (motivic.fields) everywhere but in the lanes and in _fold's
-F_p branch, which sum residues unreduced and reduce once per result.
+Over a P^n of at most _BLOCK_LANES points motivic.count evaluates each
+form once (_zeros) on the projective vectors of the whole space and keeps
+its zero lanes on the form; the coordinate lanes that a chart reads are
+kept here, per field (_Lanes.coordinate).  A larger query's lead strata
+are planned once (_plan) and its terms split once for that plan
+(_split): its first strata walk affine blocks under a prefix odometer,
+and its last ones, all of a query of at most _BLOCK_LANES candidates,
+form one projective block.  A point search over more than
+motivic.count._SEARCH_LANES points takes the last coordinate alone as its
+block, one fibre at a time.  Past the table limit, _fold yields per
+prefix each generator's coefficients in the last coordinate;
+count_direct counts their common roots as deg gcd(g_1, ..., g_m,
+t^p - t) (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14).
+Values combine through the spec's value operations (motivic.fields)
+everywhere but in the lanes and in _fold's F_p branch, which sum
+residues unreduced and reduce once per result.
 """
 
 from __future__ import annotations
@@ -221,6 +226,7 @@ class _Lanes:
         self.held = 0
         self._masks = {}
         self._matrices = [None] * self.q
+        self._coordinates = {}
 
     def masks(self, lanes):
         """(msb, qmask) for a vector of that many lanes: the top bit of
@@ -232,6 +238,18 @@ class _Lanes:
             out = self._masks[lanes] = (
                 ones << w - 1, ones * ((1 << w - self.shift) - 1))
         return out
+
+    def coordinate(self, n, i):
+        """The zero lanes of x_i over the whole of P^n (the canonical
+        points in walk order), kept for the chart of a count over a small
+        P^n (motivic.count._common)."""
+        zeros = self._coordinates.get((n, i))
+        if zeros is None:
+            exps = (0,) * i + (1,) + (0,) * (n - i)
+            zeros = self._coordinates[n, i] = _zeros(
+                self, (1,), (self.vector((0,) * (n + 1), exps, True),),
+                self.masks(_space(self.q, n)))
+        return zeros
 
     def reduce(self, x, qmask):
         """x mod p on every lane."""
@@ -317,6 +335,11 @@ def _concat(items, step):
 
 
 _lanes = lru_cache(maxsize=_FIELDS)(_Lanes)
+
+
+def _space(q, n):
+    """#P^n(F_q), the lanes of a vector over the whole of P^n."""
+    return (q ** (n + 1) - 1) // (q - 1)
 
 
 def _zeros(lanes, coeffs, vectors, masks):

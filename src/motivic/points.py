@@ -16,11 +16,13 @@ A point is a tuple of field values (see motivic.fields): indices over a
 finite field, Fractions over Q.  first_point is the one search for a
 first rational point of V(gens) that the engines run: the isotropic
 point of a quadric, the singular point of a cubic and the common point of
-two quadrics.  Over a finite field it runs the fibre walk of
-motivic.count, which evaluates the generators over each prefix of a
-stratum on every value of the last coordinate at once, as lanes of one
-integer, instead of testing candidates one by one.  Over every field it
-is charged against the budget only for the candidates it walks.
+two quadrics.  Over a finite field it runs the point search of
+motivic.count, which never tests candidates one by one: over a small
+P^n it reads the generators' zero lanes, kept on each form, over the
+whole space, and otherwise it evaluates the generators over each prefix
+of a stratum on every value of the last coordinate at once, as lanes of
+one integer.  Over every field it is charged against the budget only for
+the candidates it walks.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ def first_point(spec: FieldSpec, n: int, gens, height: int = 10,
                 budget=None):
     """First point of V(gens) in P^n in the fixed order, or None.
 
-    Over a finite field the walk is the fibre walk of
-    count.enumerate_points; over Q it walks rational_reps(n, height).  Either is charged only for the
+    Over a finite field the walk is that of count.enumerate_points; over
+    Q it walks rational_reps(n, height).  Either is charged only for the
     candidates walked: a point found early passes under any budget, and
     BudgetError is raised once budget candidates pass without one.
     """

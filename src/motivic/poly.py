@@ -223,9 +223,12 @@ class HomogPoly:
     the dict of values it is given.
     A form is never changed once built, so str() fills the _text slot the
     first time it prints the form and returns that text from then on.
+    Beside it, motivic.count fills the _zero_lanes slot the first time it
+    counts or searches the form over a small P^n: its zero lanes over the
+    whole of P^n, which every later query on the form reads.
     """
 
-    __slots__ = ("spec", "nvars", "degree", "coeffs", "_text")
+    __slots__ = ("spec", "nvars", "degree", "coeffs", "_text", "_zero_lanes")
 
     def __init__(self, spec: FieldSpec, nvars: int, degree: int, terms):
         if nvars < 1:

@@ -15,7 +15,8 @@ from motivic.count import (
     default_budget,
     enumerate_points,
 )
-from motivic.fields import extension_field, prime_field, rationals
+from motivic.fields import (_TABLE_LIMIT, extension_field, prime_field,
+                            rationals)
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
 
@@ -400,6 +401,19 @@ def _planned_query(draw):
     return CountQuery.union(spec, n, factors, chart)
 
 
+def _planned_count(query):
+    """The query's count in the planned lane blocks (_pure.count_lanes),
+    which count_points takes over a tabulated field only past a P^n of
+    _BLOCK_LANES points."""
+    polys, union = query._kernel_polys()
+    plan = _pure._plan(query.spec.order, query.n, query.chart,
+                       _pure._BLOCK_LANES)
+    if not polys or not plan.cost:
+        return plan.cost
+    gens = _pure._split(motivic.count._rows(polys), plan)
+    return _pure.count_lanes(_pure._lanes(query.spec), gens, plan, union)
+
+
 @given(_planned_query())
 # a union whose only factor is zero, in P^0
 @example(query=CountQuery.union(F3, 0, [HomogPoly.zero(F3, 1, 2)]))
@@ -433,12 +447,13 @@ def _planned_query(draw):
                   ((1, "nonzero"), (2, "nonzero"), (3, "nonzero"))))
 @settings(max_examples=100, deadline=None)
 def test_planned_count_matches_strata_and_reference(query):
-    """count_points, which plans a query once, counts what the point
-    search lists stratum by stratum and what the brute-force walk finds;
+    """count_points counts what the point search lists and what the
+    brute-force walk finds, and so do the planned lane blocks
+    (_pure.count_lanes) that it takes past a P^n of _BLOCK_LANES points;
     a query of at most _BLOCK_LANES candidates is one projective block."""
     expected = len(reference_walk(query)[0])
     assert count_points(query) == len(list(enumerate_points(query))) \
-        == expected
+        == _planned_count(query) == expected
     t = _pure._plan(query.spec.order, query.n, query.chart,
                     _pure._BLOCK_LANES).t
     assert (t == 0) == (query.cost() <= _pure._BLOCK_LANES)
@@ -490,14 +505,17 @@ def test_monomial_vectors_stay_bounded_per_field(monkeypatch):
 
 
 def test_generators_are_split_once_per_query(monkeypatch):
-    """A count and a point search read a query's generators once (_rows)
-    and split them once (_pure._split), whatever its number of strata, and
-    derive each stratum from that split."""
+    """Past the small spaces a count and a point search read a query's
+    generators once (_rows) and split them once (_pure._split), whatever
+    its number of strata, and derive each stratum from that split.  In a
+    P^n of at most _SEARCH_LANES points a count, a union count, an
+    enumeration and a search read each form's terms once in all and split
+    nothing: every query after the first reads the lanes the form keeps."""
     reads, splits = [], []
     rows, split = motivic.count._rows, _pure._split
 
     def reading(polys):
-        reads.append(len(polys))
+        reads.append(list(polys))
         return rows(polys)
 
     def splitting(rows, plan):
@@ -508,13 +526,18 @@ def test_generators_are_split_once_per_query(monkeypatch):
     monkeypatch.setattr(_pure, "_split", splitting)
     f = parse_poly("x0*x1 - x2*x3", F5, 4)
     h = parse_poly("x0^2 + x1*x3 + x2^2", F5, 4)
+    # P^3(F5) has 156 points
+    for query in (CountQuery(F5, 3, [f, h]), CountQuery.union(F5, 3, [f, h])):
+        expected = reference_walk(query)[0]
+        assert count_points(query) == len(expected)
+        assert list(enumerate_points(query)) == [pt for _, pt in expected]
+        assert motivic.count._first_point(query) == expected[0][1]
+    assert reads == [[f], [h]] and splits == []
     big = prime_field(1031)
-    # four lead strata in one projective block (a count) or walked one by
-    # one (a search); past the table limit two, x0 = 1 and x3 = 1; over
-    # F11 in P^4 16105 candidates, the strata x0 = 1 (under a prefix) and
-    # x1 = 1 each an affine block and the rest one projective block
-    for query in (CountQuery(F5, 3, [f, h]), CountQuery.union(F5, 3, [f, h]),
-                  _q(["x0^2 - x3^2", "x0^3 - x0*x3^2"], big, 3,
+    # past the table limit two lead strata, x0 = 1 and x3 = 1; over F11 in
+    # P^4, 16105 candidates, the strata x0 = 1 (under a prefix) and x1 = 1
+    # each an affine block and the rest one projective block
+    for query in (_q(["x0^2 - x3^2", "x0^3 - x0*x3^2"], big, 3,
                      ((1, "zero"), (2, "zero"))),
                   _q(["x0*x1 - x2*x3 + x4^2", "x1 - x4"], F11, 4)):
         reads.clear()
@@ -523,9 +546,130 @@ def test_generators_are_split_once_per_query(monkeypatch):
         assert count_points(query) == len(expected)
         assert len(list(enumerate_points(query))) == len(expected)
         assert motivic.count._first_point(query) == expected[0][1]
-        polys = len(query._kernel_polys()[0])
+        polys = list(query._kernel_polys()[0])
         assert reads == [polys] * 3
         assert len(splits) == 3 and splits[1] == splits[2] > 1
+
+
+@st.composite
+def _shared_form_queries(draw):
+    """Two to four queries over one P^n of at most _SEARCH_LANES points,
+    over F3, F5, F7, F9 or F25, drawn from one pool of forms so that the
+    later queries read the lanes the forms keep: each a plain query or a
+    union, some unions with a zero factor, under its own random zero and
+    nonzero chart."""
+    spec = draw(st.sampled_from([F3, F5, F7, F9, F25]))
+    # P^5(F3) has 364 points, P^4(F5) 781, P^3(F7) 400, P^3(F9) 820 and
+    # P^2(F25) 651
+    n = draw(st.integers(0, {3: 5, 5: 4, 7: 3, 9: 3, 25: 2}[spec.order]))
+    pool = [_draw_form(draw, spec, n, draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    queries = []
+    for _ in range(draw(st.integers(2, 4))):
+        chart = [(i, draw(st.sampled_from(["zero", "nonzero"])))
+                 for i in range(n + 1) if draw(st.booleans())]
+        forms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            queries.append(CountQuery(spec, n, forms, chart))
+        else:
+            if draw(st.booleans()):
+                forms.append(HomogPoly.zero(spec, n + 1, 1))
+            queries.append(CountQuery.union(spec, n, forms, chart))
+    return queries
+
+
+def _kept_lanes_example(spec, n, texts, charts, zero=False):
+    """Queries on one pool of forms, parsed from texts: each form alone,
+    then all of them under each chart of charts, then their union, with a
+    zero factor when zero is set, under each chart."""
+    pool = [parse_poly(t, spec, n + 1) for t in texts]
+    union = pool + [HomogPoly.zero(spec, n + 1, 1)] * zero
+    return ([CountQuery(spec, n, [f]) for f in pool]
+            + [CountQuery(spec, n, pool, chart) for chart in charts]
+            + [CountQuery.union(spec, n, union, chart) for chart in charts])
+
+
+@given(_shared_form_queries())
+@example(queries=_kept_lanes_example(
+    F9, 3, ["x0*x1 - x2*x3", "x0 + x3"],
+    [((0, "zero"),), ((1, "nonzero"), (3, "zero"))], zero=True))
+@example(queries=_kept_lanes_example(
+    F25, 2, ["x0^2 - 2*x1*x2", "x1^3 + x0*x2^2"], [(), ((2, "nonzero"),)]))
+@settings(max_examples=60, deadline=None)
+def test_small_spaces_read_the_lanes_each_form_keeps(queries):
+    """count_points, enumerate_points and _first_point in a P^n of at most
+    _SEARCH_LANES points against the brute-force walk, on queries that
+    share their forms.  Asked a second time, no query reads a form's terms
+    again: it reads the lanes its forms kept the first time."""
+    expected = []
+    for query in queries:
+        points = [pt for _, pt in reference_walk(query)[0]]
+        expected.append(points)
+        assert count_points(query) == len(points)
+        assert list(enumerate_points(query)) == points
+        assert motivic.count._first_point(query) == (
+            points[0] if points else None)
+    reads = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(motivic.count, "_rows",
+                      lambda polys: reads.append(polys))
+        for query, points in zip(queries, expected):
+            assert count_points(query) == len(points)
+            assert list(enumerate_points(query)) == points
+    assert reads == []
+
+
+def test_forms_keep_lanes_only_over_small_spaces():
+    """A count keeps a form's zero lanes over a P^n of at most
+    _BLOCK_LANES points, and a search over one of at most _SEARCH_LANES;
+    past them the form keeps nothing, and its counts and searches walk
+    blocks and fibres as before."""
+    assert _pure._BLOCK_LANES == 4096 and motivic.count._SEARCH_LANES == 1024
+    cases = [
+        # (field, n, #P^n, a count keeps lanes, a search keeps lanes)
+        (F3, 5, 364, True, True),
+        (F7, 4, 2801, True, False),
+        (F3, 7, 3280, True, False),
+        (F3, 8, 9841, False, False),
+        (F11, 4, 16105, False, False),
+    ]
+    for spec, n, size, counted, searched in cases:
+        assert count_points(CountQuery(spec, n)) == size
+        names = ["x%d" % i for i in range(n + 1)]
+        text = " + ".join(a + "*" + b for a, b in zip(names, names[1:]))
+        query = CountQuery(spec, n, [parse_poly(text, spec, n + 1)])
+        (form,) = query.generators
+        points = reference_walk(query)[0]
+        assert motivic.count._first_point(query) == points[0][1]
+        assert hasattr(form, "_zero_lanes") is searched
+        assert count_points(query) == len(points)
+        assert hasattr(form, "_zero_lanes") is counted
+
+
+@pytest.mark.parametrize("spec, text, chart, k", [
+    (F7, "x0^2 - 3*x1^2 + x2^2", (), 11),
+    (F9, "x0*x2 - x1^2 + 3*x2^2", ((0, "zero"),), 10),
+    (F7, "x0^2 - 3*x1^2 + x2^2", ((2, "nonzero"),), 9),
+], ids=["no chart", "zero chart", "nonzero chart"])
+def test_small_space_search_stops_where_the_walk_does(spec, text, chart, k):
+    """k is the walk position of the first point (reference_walk).  Under
+    budget k - 1 a search over the kept lanes raises the fibre walk's
+    BudgetError, with the same text; under budget k it returns the same
+    point."""
+    query = _q([text], spec, 2, chart)
+    position, first = reference_walk(query)[0][0]
+    assert position == k
+    passed = ("no point of %r among the first %d candidates, budget is %d"
+              % (query, k - 1, k - 1))
+    for search in (motivic.count._points, motivic.count._walk_points):
+        with pytest.raises(BudgetError) as err:
+            next(search(query, k - 1))
+        assert str(err.value) == passed
+        assert next(search(query, k)) == first
+    with pytest.raises(BudgetError) as err:
+        motivic.count._first_point(query, k - 1)
+    assert str(err.value) == passed
+    assert motivic.count._first_point(query, k) == first
 
 
 def _binary_forms(spec, degree, up_to_scalar):
@@ -599,20 +743,20 @@ def test_query_equality_and_hash_are_stable():
 @given(st.one_of(_count_query(), _union_query()))
 @settings(max_examples=120, deadline=None)
 def test_enumerate_points_matches_generic_walk(query):
-    """The fibre walk yields the points of the brute-force walk, in the same
-    order, as tuples of values of the query's field."""
+    """enumerate_points yields the points of the brute-force walk, in the
+    same order, as tuples of values of the query's field."""
     pts = list(enumerate_points(query))
     assert pts == reference_points(query)
     assert all(type(c) is int and 0 <= c < query.spec.order
                for pt in pts for c in pt)
 
 
-def _points_within(query, budget):
-    """(points, error text) of the fibre walk under budget: the points it
+def _points_within(query, budget, search=motivic.count._points):
+    """(points, error text) of a point search under budget: the points it
     yields before it stops, and the BudgetError it stops with, or None."""
     pts = []
     try:
-        for pt in motivic.count._points(query, budget):
+        for pt in search(query, budget):
             pts.append(pt)
     except BudgetError as e:
         return pts, str(e)
@@ -641,7 +785,10 @@ def _assert_searches_match_reference(query, more_budgets=()):
     candidate count, and at more_budgets: a point at position k is
     returned iff k <= budget, the walk yields every point up to the budget
     and then raises once it passes budget candidates, and enumerate_points
-    charges every candidate up front.  Returns the reference's points."""
+    charges every candidate up front.  Over a tabulated field the fibre
+    walk (_walk_points), which _points takes there only past a P^n of
+    _SEARCH_LANES points, is held to the same.  Returns the reference's
+    points."""
     points, total = reference_walk(query)
     assert query.cost() == total
     budgets = {total - 1, total, total + 1, *more_budgets}
@@ -655,6 +802,9 @@ def _assert_searches_match_reference(query, more_budgets=()):
             passed = ("no point of %r among the first %d candidates, budget "
                       "is %d" % (query, budget, budget))
         assert _points_within(query, budget) == (within, passed)
+        if query.spec.order <= _TABLE_LIMIT:
+            assert _points_within(query, budget, motivic.count._walk_points) \
+                == (within, passed)
         if within:
             assert motivic.count._first_point(query, budget) == within[0]
         elif passed:
@@ -679,8 +829,9 @@ def _assert_searches_match_reference(query, more_budgets=()):
 @example(query=_q(["x0^2 - 2*x1^2"], F7, 1), data=None)
 @settings(max_examples=80, deadline=None)
 def test_point_searches_match_reference_walk(query, data):
-    """The fibre walk over tabulated fields, at the budgets of
-    _assert_searches_match_reference and one more drawn budget."""
+    """Point searches over tabulated fields, the kept lanes and the fibre
+    walk, at the budgets of _assert_searches_match_reference and one more
+    drawn budget."""
     more = ()
     if data is not None:
         more = [data.draw(st.integers(0, query.cost() + 1))]
@@ -819,7 +970,9 @@ def test_lane_geometries_match_reference_walk():
     """Counts and point searches against the brute-force walk in the lane
     shapes at the edges of the kernel: more slots than one reduction chunk,
     the widest lanes, the tightest chunk of a digit-plane field, and a
-    stratum too large for one block."""
+    stratum too large for one block.  Each count is taken both over the
+    kept lanes of the whole space and in the planned blocks
+    (_planned_count)."""
     quartic = _dense_form(F3, 4, 4, 1)
     # 70 slots in the stratum x0 = 1, reduced more than once
     assert len(quartic.coeffs) == 70 > _pure._lanes(F3).chunk
@@ -862,7 +1015,8 @@ def test_lane_geometries_match_reference_walk():
                   CountQuery.union(F961, 1, [quartic961, lines961]),
                   CountQuery(F3, 8, [big])):
         points = reference_points(query)
-        assert count_points(query) == len(points), query
+        assert count_points(query) == _planned_count(query) == len(points), \
+            query
         assert list(enumerate_points(query)) == points, query
     assert count_points(CountQuery(F1021, 1, [roots])) == 8
     assert count_points(CountQuery(F961, 1, [lines961])) == 4
