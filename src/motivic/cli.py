@@ -99,6 +99,8 @@ class JobSpec:
         if height != _DEFAULT_HEIGHT and command not in (
                 "class-quadric", "class-cubic-singular"):
             raise ValueError("%s takes no --height" % command)
+        if not verify and command == "count":
+            raise ValueError("count takes no --no-verify")
         if point is not None and command != "class-cubic-singular":
             raise ValueError("%s takes no --point" % command)
         if command in ("class-arrangement", "descend"):

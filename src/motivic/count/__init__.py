@@ -16,15 +16,15 @@ _pure._BLOCK_LANES points, the kernel evaluates each form once over the
 whole of P^n: _pure._zeros on the projective monomial vectors of
 _pure._Lanes.vector gives its zero lanes, one per canonical point in walk
 order, and the form keeps them in a private slot for as long as it lives
-(_kept).  Every query on the form reads them.  A count there is the
-popcount of its forms' kept lanes ANDed (ORed for a union) and ANDed with
-its chart's coordinate lanes (_common); a point search, or an enumeration,
-over at most _SEARCH_LANES points lists the same lanes in ascending order
-and decodes each to its point by arithmetic.  Past those sizes a count or
-a point search plans its query once over the lead strata (lead
-coordinate = 1, earlier coordinates 0; _pure._plan), reads its terms once
-with every exponent reduced below q (_rows) and splits them once
-(_pure._split).  The same lane kernel then evaluates a generator on a
+(_kept).  Every query on the form with no chart reads them.  A count there
+is the popcount of its forms' kept lanes ANDed (ORed for a union;
+_common); a point search, or an enumeration, over at most _SEARCH_LANES
+points lists the same lanes in ascending order and decodes each to its
+point by arithmetic.  A charted query, or one past those sizes, is
+planned once over its lead strata (lead coordinate = 1, earlier
+coordinates 0; _pure._plan, the one place that reads a chart), reads its
+terms once with every exponent reduced below q (_rows) and splits them
+once (_pure._split).  The same lane kernel then evaluates a generator on a
 whole block of candidates at once: a count in blocks of at most
 _pure._BLOCK_LANES candidates, a point search with the last coordinate
 alone as the block, one fibre at a time.  Past the table limit
@@ -55,9 +55,9 @@ from . import _pure
 HAVE_COMPILED = False
 
 _DEFAULT_BUDGET = 10**8
-# a point search reads its forms' kept lanes when its P^n has at most this
-# many points, and walks fibres past it: evaluating a form over the whole
-# space costs about as much as a fibre walk at this size
+# a point search with no chart reads its forms' kept lanes when its P^n has
+# at most this many points, and walks fibres past it: evaluating a form
+# over the whole space costs about as much as a fibre walk at this size
 _SEARCH_LANES = 1024
 
 
@@ -170,9 +170,9 @@ class CountQuery:
         return self.factors, 1
 
     def cost(self) -> int:
-        """The number of candidates in the query's lead strata
-        (_pure._plan): what a count or a full enumerate_points walk visits,
-        #P^n(F_q) or fewer under a chart."""
+        """The number of candidates that the budget charges a count or a
+        full enumerate_points walk: those of the query's lead strata
+        (_pure._plan), #P^n(F_q) or fewer under a chart."""
         return _pure._plan(_order(self), self.n, self.chart, 1).cost
 
     def describe(self):
@@ -258,12 +258,12 @@ def _rows(polys):
 def count_points(query: CountQuery, budget: int | None = None) -> int:
     """Number of F_q-points of the query, planned once (_pure._plan).
 
-    Over a tabulated field whose P^n has at most _pure._BLOCK_LANES points
-    it is the popcount of the query's zero lanes over the whole of P^n
-    (_common), read from its forms' kept lanes.  Otherwise its terms are
-    split once (_pure._split) and counted in lane blocks over tabulated
-    fields (_pure.count_lanes), fibre by fibre past the table limit
-    (_pure.count_direct, a union from its factors)."""
+    With no chart, over a tabulated field whose P^n has at most
+    _pure._BLOCK_LANES points, it is the popcount of the query's zero lanes
+    over the whole of P^n (_common), read from its forms' kept lanes.
+    Otherwise its terms are split once (_pure._split) and counted in lane
+    blocks over tabulated fields (_pure.count_lanes), fibre by fibre past
+    the table limit (_pure.count_direct, a union from its factors)."""
     budget = default_budget() if budget is None else budget
     q = _order(query)
     plan = _pure._plan(q, query.n, query.chart,
@@ -279,8 +279,8 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     if not polys or not cost:
         # every candidate is a common zero of no generators
         return cost
-    if q <= _TABLE_LIMIT and _pure._space(q, query.n) <= _pure._BLOCK_LANES:
-        return _common(_pure._lanes(query.spec), query)[0].bit_count()
+    if _reads_kept(query, q, _pure._BLOCK_LANES):
+        return _common(_pure._lanes(query.spec), query).bit_count()
     gens = _pure._split(_rows(polys), plan)
     if q > _TABLE_LIMIT:
         return _pure.count_direct(query.spec, gens, plan, union)
@@ -337,34 +337,21 @@ def _kept(lanes, f):
     return zeros
 
 
-def _common(lanes, query):
-    """(zero lanes, chart lanes) of the query over the whole of P^n.
+def _reads_kept(query, q, limit):
+    """Whether the query reads its forms' kept lanes (_common): it has no
+    chart, and its field is tabulated and its P^n has at most limit
+    points."""
+    return (not query.chart and q <= _TABLE_LIMIT
+            and _pure._space(q, query.n) <= limit)
 
-    The chart lanes are those of every candidate: the coordinate lanes of
-    _pure._Lanes.coordinate, or their complement for "nonzero", ANDed.
-    The zero lanes AND them with its forms' kept lanes (_kept), or with
-    the OR of its factors' for a union; the AND stops once empty and the
-    OR once full."""
-    n = query.n
-    msb = lanes.masks(_pure._space(lanes.q, n))[0]
-    chart = msb
-    for i, kind in query.chart:
-        zero = lanes.coordinate(n, i)
-        chart &= zero if kind == "zero" else msb ^ zero
+
+def _common(lanes, query):
+    """The zero lanes of a query with no chart over the whole of P^n: its
+    forms' kept lanes (_kept) ANDed, or ORed for a union (_pure._combine);
+    a form past the early stop of the AND or the OR is not evaluated."""
     polys, union = query._kernel_polys()
-    if union:
-        common = 0
-        for f in polys:
-            common |= _kept(lanes, f)
-            if common == msb:
-                break
-        return common & chart, chart
-    common = chart
-    for f in polys:
-        if not common:
-            break
-        common &= _kept(lanes, f)
-    return common, chart
+    msb = lanes.masks(_pure._space(lanes.q, query.n))[0]
+    return _pure._combine((_kept(lanes, f) for f in polys), msb, union)
 
 
 def _points(query: CountQuery, budget: int):
@@ -372,12 +359,11 @@ def _points(query: CountQuery, budget: int):
 
     A point at walk position k, the k-th candidate of the chart in
     canonical order, is yielded when k <= budget, and BudgetError is
-    raised once the walk passes budget candidates.  Over a tabulated field
-    whose P^n has at most _SEARCH_LANES points the points are the set
-    lanes of _common, in ascending order (_read_points); otherwise the
-    fibres of _walk_points."""
-    q = _order(query)
-    if q <= _TABLE_LIMIT and _pure._space(q, query.n) <= _SEARCH_LANES:
+    raised once the walk passes budget candidates.  With no chart, over a
+    tabulated field whose P^n has at most _SEARCH_LANES points, the points
+    are the set lanes of _common, in ascending order (_read_points);
+    otherwise the fibres of _walk_points."""
+    if _reads_kept(query, _order(query), _SEARCH_LANES):
         return _read_points(query, budget)
     return _walk_points(query, budget)
 
@@ -390,28 +376,18 @@ def _over_budget(query, budget):
 
 def _read_points(query, budget):
     """The points of _points from the query's zero lanes over the whole
-    of P^n (_common).  A lane's walk position is one more than the chart
-    lanes below it, so a walk past budget keeps the lanes below the one
-    after the budget-th chart lane.  A lane decodes to its point by
+    of P^n (_common).  Lane k is walk position k + 1, so a walk past
+    budget keeps the lanes below budget.  A lane decodes to its point by
     arithmetic: the lead from the stratum sizes q^(n - lead), then the
     base-q digits of the trailing coordinates."""
     lanes = _pure._lanes(query.spec)
     q, n, width = lanes.q, query.n, lanes.width
-    common, chart = _common(lanes, query)
-    short = chart.bit_count() > budget
+    common = _common(lanes, query)
+    short = _pure._space(q, n) > budget
     if short:
-        lo, hi = budget, _pure._space(q, n)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (chart & (1 << width * mid) - 1).bit_count() < budget:
-                lo = mid + 1
-            else:
-                hi = mid
-        common &= (1 << width * lo) - 1
-    while common:
-        low = common & -common
-        common ^= low
-        lane, lead, stratum = low.bit_length() // width - 1, 0, q ** n
+        common &= (1 << width * budget) - 1
+    for lane in _pure._positions(common, width):
+        lead, stratum = 0, q ** n
         while lane >= stratum:
             lane -= stratum
             lead += 1
@@ -447,10 +423,7 @@ def _walk_points(query, budget):
 
         def points_in(zeros, start, stop):
             bits = zeros & (1 << width * (stop - start)) - 1
-            while bits:
-                low = bits & -bits
-                yield start + low.bit_length() // width - 1
-                bits ^= low
+            return (start + k for k in _pure._positions(bits, width))
     else:
         mul, add = spec._mul, spec._add
         test = any if union else all

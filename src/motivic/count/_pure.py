@@ -19,8 +19,8 @@ that arithmetic for one field:
     next lane.
   * The zero lanes of a reduced vector r are (msb - r) & msb, msb holding
     the top bit of every lane; a count ANDs them across generators (ORs
-    them for a union) and takes their popcount, a point search lists them
-    in ascending order.
+    them for a union; _combine) and takes their popcount, a point search
+    lists them in ascending order (_positions).
   * F_{p^m} runs as m digit planes, one vector per base-p digit of the
     values, and a constant c acts on them as its m x m matrix over F_p
     (the matrix of x -> c * x on the basis 1, t, ..., t^(m-1)).
@@ -33,14 +33,13 @@ that arithmetic for one field:
 
 Over a P^n of at most _BLOCK_LANES points motivic.count evaluates each
 form once (_zeros) on the projective vectors of the whole space and keeps
-its zero lanes on the form; the coordinate lanes that a chart reads are
-kept here, per field (_Lanes.coordinate).  A larger query's lead strata
-are planned once (_plan) and its terms split once for that plan
-(_split): its first strata walk affine blocks under a prefix odometer,
-and its last ones, all of a query of at most _BLOCK_LANES candidates,
-form one projective block.  A point search over more than
-motivic.count._SEARCH_LANES points takes the last coordinate alone as its
-block, one fibre at a time.  Past the table limit, _fold yields per
+its zero lanes on the form, for the queries with no chart.  Every other
+query's lead strata are planned once (_plan), the one place that reads a
+chart, and its terms split once for that plan (_split): its first strata
+walk affine blocks under a prefix odometer, and its last ones, all of a
+query of at most _BLOCK_LANES candidates, form one projective block.  A
+point search that reads no kept lanes takes the last coordinate alone as
+its block, one fibre at a time.  Past the table limit, _fold yields per
 prefix each generator's coefficients in the last coordinate;
 count_direct counts their common roots as deg gcd(g_1, ..., g_m,
 t^p - t) (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14).
@@ -226,7 +225,6 @@ class _Lanes:
         self.held = 0
         self._masks = {}
         self._matrices = [None] * self.q
-        self._coordinates = {}
 
     def masks(self, lanes):
         """(msb, qmask) for a vector of that many lanes: the top bit of
@@ -238,18 +236,6 @@ class _Lanes:
             out = self._masks[lanes] = (
                 ones << w - 1, ones * ((1 << w - self.shift) - 1))
         return out
-
-    def coordinate(self, n, i):
-        """The zero lanes of x_i over the whole of P^n (the canonical
-        points in walk order), kept for the chart of a count over a small
-        P^n (motivic.count._common)."""
-        zeros = self._coordinates.get((n, i))
-        if zeros is None:
-            exps = (0,) * i + (1,) + (0,) * (n - i)
-            zeros = self._coordinates[n, i] = _zeros(
-                self, (1,), (self.vector((0,) * (n + 1), exps, True),),
-                self.masks(_space(self.q, n)))
-        return zeros
 
     def reduce(self, x, qmask):
         """x mod p on every lane."""
@@ -385,27 +371,42 @@ def _blocks(lanes, gens, plan, i, union):
 
     Every block is over the slot coordinates: a leading stratum's is
     affine, the tail's (i = t) projective.  The zero lanes are the AND of
-    the generators' (_zeros), with union=1 their OR; the AND stops once
-    empty and the OR once full.
+    the generators' (_zeros), with union=1 their OR (_combine).
     """
     strata, t, block = plan.strata, plan.t, plan.block
     vecs = [[lanes.vector(block, key, i == t) for key in slots]
             for _, slots in gens]
     masks = lanes.masks(strata[i][2])
-    msb = masks[0]
     for pre, lists in _fold(lanes.spec, gens, plan, i):
-        common = 0 if union else msb
-        for coeffs, vectors in zip(lists, vecs):
-            zeros = _zeros(lanes, coeffs, vectors, masks)
-            if union:
-                common |= zeros
-                if common == msb:
-                    break
-            else:
-                common &= zeros
-                if not common:
-                    break
-        yield pre, common
+        yield pre, _combine((_zeros(lanes, coeffs, vectors, masks)
+                             for coeffs, vectors in zip(lists, vecs)),
+                            masks[0], union)
+
+
+def _combine(zeros, msb, union):
+    """The AND of the zero lanes that zeros yields, with union=1 their OR,
+    msb holding the top bit of every lane.  The AND stops once empty and
+    the OR once full, so the lanes left in zeros are never computed."""
+    common = 0 if union else msb
+    for bits in zeros:
+        if union:
+            common |= bits
+            if common == msb:
+                break
+        else:
+            common &= bits
+            if not common:
+                break
+    return common
+
+
+def _positions(bits, width):
+    """The indices of the set lanes of bits, lanes of width bits each, in
+    ascending order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() // width - 1
+        bits ^= low
 
 
 def count_lanes(lanes, gens, plan, union):

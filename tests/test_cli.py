@@ -799,6 +799,8 @@ def test_height_below_one_exits_two(tmp_path, capsys, height):
     (["count", "--field", "5", "--ambient", "1", "--seed", "7"], "--seed"),
     (["count", "--field", "5", "--ambient", "1", "--height", "3"],
      "--height"),
+    (["count", "--field", "5", "--ambient", "1", "--no-verify"],
+     "--no-verify"),
     (QUADRIC + ["--seed", "1"], "--seed"),
     (["class-arrangement", "--field", "5", "--ambient", "2",
       "--form", "x0", "--seed", "3"], "--seed"),
@@ -815,7 +817,7 @@ def test_height_below_one_exits_two(tmp_path, capsys, height):
 ], ids=["quadric-point", "quadric-form", "count-form", "count-point",
         "cone-form", "cubic-form", "two-quadrics-form", "arrangement-poly",
         "arrangement-point", "descend-poly", "descend-point", "count-seed",
-        "count-height", "quadric-seed", "arrangement-seed",
+        "count-height", "count-no-verify", "quadric-seed", "arrangement-seed",
         "arrangement-height", "cone-height", "cubic-seed",
         "two-quadrics-height", "descend-height"])
 def test_unread_flag_exits_two(capsys, argv, flag):
@@ -845,12 +847,14 @@ def test_unread_seed_or_height_in_a_report_exits_two(tmp_path, capsys):
     assert err == "error: cannot read report: class-quadric takes no --seed\n"
     _, saved, _ = _run(capsys, ["count", "--field", "5", "--ambient", "1",
                                 "--json"])
-    report = json.loads(saved)
-    report["input"]["options"]["height"] = 3
-    path.write_text(json.dumps(report), encoding="utf-8")
-    code, out, err = _run(capsys, ["verify", str(path)])
-    assert (code, out) == (2, "")
-    assert err == "error: cannot read report: count takes no --height\n"
+    for option, value, flag in (("height", 3, "--height"),
+                                ("verify", False, "--no-verify")):
+        report = json.loads(saved)
+        report["input"]["options"][option] = value
+        path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = _run(capsys, ["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read report: count takes no %s\n" % flag
 
 
 def test_oracle_obeys_job_budget(monkeypatch, capsys):

@@ -599,8 +599,9 @@ def _kept_lanes_example(spec, n, texts, charts, zero=False):
 def test_small_spaces_read_the_lanes_each_form_keeps(queries):
     """count_points, enumerate_points and _first_point in a P^n of at most
     _SEARCH_LANES points against the brute-force walk, on queries that
-    share their forms.  Asked a second time, no query reads a form's terms
-    again: it reads the lanes its forms kept the first time."""
+    share their forms; a charted query counts and searches through its
+    plan.  Asked a second time, no query without a chart reads a form's
+    terms again: it reads the lanes its forms kept the first time."""
     expected = []
     for query in queries:
         points = [pt for _, pt in reference_walk(query)[0]]
@@ -609,21 +610,23 @@ def test_small_spaces_read_the_lanes_each_form_keeps(queries):
         assert list(enumerate_points(query)) == points
         assert motivic.count._first_point(query) == (
             points[0] if points else None)
-    reads = []
+    rows, reads = motivic.count._rows, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(motivic.count, "_rows",
-                      lambda polys: reads.append(polys))
+                      lambda polys: reads.append(polys) or rows(polys))
         for query, points in zip(queries, expected):
+            reads.clear()
             assert count_points(query) == len(points)
             assert list(enumerate_points(query)) == points
-    assert reads == []
+            assert reads == [] or query.chart
 
 
 def test_forms_keep_lanes_only_over_small_spaces():
     """A count keeps a form's zero lanes over a P^n of at most
     _BLOCK_LANES points, and a search over one of at most _SEARCH_LANES;
     past them the form keeps nothing, and its counts and searches walk
-    blocks and fibres as before."""
+    blocks and fibres as before.  A charted count or search keeps nothing
+    over any P^n."""
     assert _pure._BLOCK_LANES == 4096 and motivic.count._SEARCH_LANES == 1024
     cases = [
         # (field, n, #P^n, a count keeps lanes, a search keeps lanes)
@@ -644,20 +647,32 @@ def test_forms_keep_lanes_only_over_small_spaces():
         assert hasattr(form, "_zero_lanes") is searched
         assert count_points(query) == len(points)
         assert hasattr(form, "_zero_lanes") is counted
+    # P^2(F3) has 13 points, 9 of them off x0 = 0
+    form = parse_poly("x0*x1 + x1*x2", F3, 3)
+    query = CountQuery(F3, 2, [form], ((0, "nonzero"),))
+    points = reference_walk(query)[0]
+    assert motivic.count._first_point(query) == points[0][1]
+    assert count_points(query) == len(points)
+    assert not hasattr(form, "_zero_lanes")
 
 
 @pytest.mark.parametrize("spec, text, chart, k", [
     (F7, "x0^2 - 3*x1^2 + x2^2", (), 11),
+    # the stratum x0 = 1 holds 49 points, x1 = 1 seven and x2 = 1 one
+    (F7, "x0", (), 50),
+    (F7, "x0^2 + x1^2", (), 57),
     (F9, "x0*x2 - x1^2 + 3*x2^2", ((0, "zero"),), 10),
     (F7, "x0^2 - 3*x1^2 + x2^2", ((2, "nonzero"),), 9),
-], ids=["no chart", "zero chart", "nonzero chart"])
+], ids=["no chart", "lead x1", "lead x2", "zero chart", "nonzero chart"])
 def test_small_space_search_stops_where_the_walk_does(spec, text, chart, k):
     """k is the walk position of the first point (reference_walk).  Under
     budget k - 1 a search over the kept lanes raises the fibre walk's
     BudgetError, with the same text; under budget k it returns the same
-    point."""
+    point.  A charted search walks fibres on both sides.  Under a budget
+    of #P^n or more an enumeration lists every point and raises nothing."""
     query = _q([text], spec, 2, chart)
-    position, first = reference_walk(query)[0][0]
+    walk = reference_walk(query)[0]
+    position, first = walk[0]
     assert position == k
     passed = ("no point of %r among the first %d candidates, budget is %d"
               % (query, k - 1, k - 1))
@@ -670,6 +685,9 @@ def test_small_space_search_stops_where_the_walk_does(spec, text, chart, k):
         motivic.count._first_point(query, k - 1)
     assert str(err.value) == passed
     assert motivic.count._first_point(query, k) == first
+    size = _pure._space(spec.order, 2)
+    for budget in (size, size + 1):
+        assert list(enumerate_points(query, budget)) == [pt for _, pt in walk]
 
 
 def _binary_forms(spec, degree, up_to_scalar):
