@@ -11,26 +11,23 @@ engines state their queries over any field; only counting needs F_q, so
 count_points, cost() and every point walk of a query over Q raise
 ValueError, all through _order.
 
-Over a tabulated field (q <= _TABLE_LIMIT) whose P^n has at most
-_pure._BLOCK_LANES points, the kernel evaluates each form once over the
-whole of P^n: _pure._zeros on the projective monomial vectors of
-_pure._Lanes.vector gives its zero lanes, one per canonical point in walk
-order, and the form keeps them in a private slot for as long as it lives
-(_kept).  Every query on the form with no chart reads them.  A count there
-is the popcount of its forms' kept lanes ANDed (ORed for a union;
-_common); a point search, or an enumeration, over at most _SEARCH_LANES
-points lists the same lanes in ascending order and decodes each to its
-point by arithmetic.  A charted query, or one past those sizes, is
-planned once over its lead strata (lead coordinate = 1, earlier
-coordinates 0; _pure._plan, the one place that reads a chart), reads its
-terms once with every exponent reduced below q (_rows) and splits them
-once (_pure._split).  The same lane kernel then evaluates a generator on a
-whole block of candidates at once: a count in blocks of at most
-_pure._BLOCK_LANES candidates, a point search with the last coordinate
-alone as the block, one fibre at a time.  Past the table limit
-(q > _TABLE_LIMIT) _pure._fold gives each fibre's coefficients in the
-last coordinate instead.  The tests check counts and searches against a
-brute-force walk of their own.
+Each count and point search is planned once (_pure._plan, the one place
+that reads a chart), and the plan names the kernel that evaluates it.
+"kept", over a small tabulated P^n: each form is evaluated once over the
+whole of P^n (_pure._zeros on the projective monomial vectors of
+_pure._Lanes.vector), one lane per canonical point in walk order, and
+keeps its zero lanes for as long as it lives (_kept).  A count is the
+popcount of its forms' kept lanes ANDed (ORed for a union) and ANDed with
+its chart's lanes (_common); a search, which has no chart there, lists
+the same lanes in ascending order and decodes each to its point.
+"lanes", over any other tabulated field: the query reads its terms once
+with every exponent reduced below q (_rows) and splits them once for its
+lead strata (_pure._split); the lane kernel then evaluates a generator
+on a whole block of candidates at once, a count in blocks of at most
+_pure._BLOCK_LANES, a search with the last coordinate alone as the
+block, one fibre at a time.  "fibres", past the table limit: _pure._fold
+gives each fibre's coefficients in the last coordinate instead.  The
+tests check counts and searches against a brute-force walk of their own.
 
 A count or a full enumerate_points walk over more candidates than the
 budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError before it starts
@@ -46,7 +43,7 @@ from __future__ import annotations
 
 import os
 
-from ..fields import _TABLE_LIMIT, FieldSpec
+from ..fields import FieldSpec
 from ..poly import HomogPoly
 
 from . import _pure
@@ -55,10 +52,6 @@ from . import _pure
 HAVE_COMPILED = False
 
 _DEFAULT_BUDGET = 10**8
-# a point search with no chart reads its forms' kept lanes when its P^n has
-# at most this many points, and walks fibres past it: evaluating a form
-# over the whole space costs about as much as a fibre walk at this size
-_SEARCH_LANES = 1024
 
 
 class BudgetError(ValueError):
@@ -173,7 +166,7 @@ class CountQuery:
         """The number of candidates that the budget charges a count or a
         full enumerate_points walk: those of the query's lead strata
         (_pure._plan), #P^n(F_q) or fewer under a chart."""
-        return _pure._plan(_order(self), self.n, self.chart, 1).cost
+        return _pure._plan(_order(self), self.n, self.chart, True).cost
 
     def describe(self):
         """The query's report dict, built on the first call; callers share
@@ -256,33 +249,29 @@ def _rows(polys):
 # public API
 
 def count_points(query: CountQuery, budget: int | None = None) -> int:
-    """Number of F_q-points of the query, planned once (_pure._plan).
-
-    With no chart, over a tabulated field whose P^n has at most
-    _pure._BLOCK_LANES points, it is the popcount of the query's zero lanes
-    over the whole of P^n (_common), read from its forms' kept lanes.
-    Otherwise its terms are split once (_pure._split) and counted in lane
-    blocks over tabulated fields (_pure.count_lanes), fibre by fibre past
-    the table limit (_pure.count_direct, a union from its factors)."""
+    """Number of F_q-points of the query, by its plan's kernel
+    (_pure._plan): the popcount of its zero lanes over the whole of P^n
+    ("kept", _common), or its terms split once (_pure._split) and counted
+    in lane blocks ("lanes", _pure.count_lanes) or fibre by fibre past the
+    table limit ("fibres", _pure.count_direct, a union from its factors)."""
     budget = default_budget() if budget is None else budget
     q = _order(query)
-    plan = _pure._plan(q, query.n, query.chart,
-                       _pure._BLOCK_LANES if q <= _TABLE_LIMIT else 1)
+    plan = _pure._plan(q, query.n, query.chart, False)
     cost = plan.cost
     if cost > budget:
         raise BudgetError("counting %r needs %d candidates, budget is %d"
                           % (query, cost, budget))
-    if q > _TABLE_LIMIT and query.spec.kind != "Fp":
+    if plan.kernel == "fibres" and query.spec.kind != "Fp":
         raise BudgetError(
             "extension field of order %d is too large to tabulate" % q)
     polys, union = query._kernel_polys()
     if not polys or not cost:
         # every candidate is a common zero of no generators
         return cost
-    if _reads_kept(query, q, _pure._BLOCK_LANES):
-        return _common(_pure._lanes(query.spec), query).bit_count()
+    if plan.kernel == "kept":
+        return _common(_pure._lanes(query.spec), query, plan).bit_count()
     gens = _pure._split(_rows(polys), plan)
-    if q > _TABLE_LIMIT:
+    if plan.kernel == "fibres":
         return _pure.count_direct(query.spec, gens, plan, union)
     return _pure.count_lanes(_pure._lanes(query.spec), gens, plan, union)
 
@@ -337,34 +326,34 @@ def _kept(lanes, f):
     return zeros
 
 
-def _reads_kept(query, q, limit):
-    """Whether the query reads its forms' kept lanes (_common): it has no
-    chart, and its field is tabulated and its P^n has at most limit
-    points."""
-    return (not query.chart and q <= _TABLE_LIMIT
-            and _pure._space(q, query.n) <= limit)
-
-
-def _common(lanes, query):
-    """The zero lanes of a query with no chart over the whole of P^n: its
-    forms' kept lanes (_kept) ANDed, or ORed for a union (_pure._combine);
-    a form past the early stop of the AND or the OR is not evaluated."""
+def _common(lanes, query, plan):
+    """The zero lanes of the query over the whole of P^n: its forms' kept
+    lanes (_kept) ANDed, or ORed for a union (_pure._combine; a form past
+    its early stop is not evaluated), then ANDed with the zero lanes of
+    each x_i its plan charts zero and the other lanes of each x_i charted
+    nonzero (_pure._zeros on the projective vector of x_i)."""
     polys, union = query._kernel_polys()
-    msb = lanes.masks(_pure._space(lanes.q, query.n))[0]
-    return _pure._combine((_kept(lanes, f) for f in polys), msb, union)
+    block = (0,) * (query.n + 1)
+    masks = lanes.masks(_pure._space(lanes.q, query.n))
+    common = _pure._combine((_kept(lanes, f) for f in polys), masks[0], union)
+    for i, start in enumerate(plan.starts):
+        if start or i not in plan.free:
+            x_i = lanes.vector(block, block[:i] + (1,) + block[i + 1:], True)
+            zeros = _pure._zeros(lanes, [1], [x_i], masks)
+            common &= masks[0] ^ zeros if start else zeros
+    return common
 
 
 def _points(query: CountQuery, budget: int):
-    """The points of the query in canonical order.
-
-    A point at walk position k, the k-th candidate of the chart in
-    canonical order, is yielded when k <= budget, and BudgetError is
-    raised once the walk passes budget candidates.  With no chart, over a
-    tabulated field whose P^n has at most _SEARCH_LANES points, the points
-    are the set lanes of _common, in ascending order (_read_points);
-    otherwise the fibres of _walk_points."""
-    if _reads_kept(query, _order(query), _SEARCH_LANES):
-        return _read_points(query, budget)
+    """The points of the query in canonical order: the set lanes of
+    _common in ascending order when its plan's kernel is "kept"
+    (_read_points), else the fibres of _walk_points.  A point at walk
+    position k, the k-th candidate of the chart in canonical order, is
+    yielded when k <= budget, and BudgetError is raised once the walk
+    passes budget candidates."""
+    plan = _pure._plan(_order(query), query.n, query.chart, True)
+    if plan.kernel == "kept":
+        return _read_points(query, plan, budget)
     return _walk_points(query, budget)
 
 
@@ -374,15 +363,15 @@ def _over_budget(query, budget):
         % (query, budget, budget))
 
 
-def _read_points(query, budget):
+def _read_points(query, plan, budget):
     """The points of _points from the query's zero lanes over the whole
-    of P^n (_common).  Lane k is walk position k + 1, so a walk past
-    budget keeps the lanes below budget.  A lane decodes to its point by
-    arithmetic: the lead from the stratum sizes q^(n - lead), then the
-    base-q digits of the trailing coordinates."""
+    of P^n (_common), with no chart.  Lane k is walk position k + 1, so a
+    walk past budget keeps the lanes below budget.  A lane decodes to its
+    point by arithmetic: the lead from the stratum sizes q^(n - lead),
+    then the base-q digits of the trailing coordinates."""
     lanes = _pure._lanes(query.spec)
     q, n, width = lanes.q, query.n, lanes.width
-    common = _common(lanes, query)
+    common = _common(lanes, query, plan)
     short = _pure._space(q, n) > budget
     if short:
         common &= (1 << width * budget) - 1
@@ -402,20 +391,18 @@ def _read_points(query, budget):
 
 
 def _walk_points(query, budget):
-    """The points of _points fibre by fibre.
-
-    Planned with blocks of one candidate (_pure._plan), the last free
-    coordinate alone is each fibre, and the tail the one point where it is
-    the lead; the generators are split once (_pure._split).  Tabulated
-    fields list each fibre's zero lanes (_pure._blocks), larger fields test
-    its values in order (_pure._fold)."""
+    """The points of _points fibre by fibre.  Planned with blocks of one
+    candidate (_pure._plan), the last free coordinate alone is each fibre,
+    and the tail the one point where it is the lead; the generators are
+    split once (_pure._split).  Tabulated fields list each fibre's zero
+    lanes (_pure._blocks); under the kernel "fibres" its values are tested
+    in order (_pure._fold)."""
     spec = query.spec
-    q = spec.order
     polys, union = query._kernel_polys()
-    plan = _pure._plan(q, query.n, query.chart, 1)
+    plan = _pure._plan(spec.order, query.n, query.chart, True)
     gens = _pure._split(_rows(polys), plan)
     free, starts, strata = plan.free, plan.starts, plan.strata
-    if q <= _TABLE_LIMIT:
+    if plan.kernel != "fibres":
         lanes = _pure._lanes(spec)
         width = lanes.width
         fibres = (_pure._blocks(lanes, gens, plan, i, union)

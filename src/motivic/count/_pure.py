@@ -31,18 +31,18 @@ that arithmetic for one field:
     from those.  Both are kept across queries, at most _VECTOR_BITS bits
     of them per field and _FIELDS fields.
 
-Over a P^n of at most _BLOCK_LANES points motivic.count evaluates each
-form once (_zeros) on the projective vectors of the whole space and keeps
-its zero lanes on the form, for the queries with no chart.  Every other
-query's lead strata are planned once (_plan), the one place that reads a
-chart, and its terms split once for that plan (_split): its first strata
-walk affine blocks under a prefix odometer, and its last ones, all of a
-query of at most _BLOCK_LANES candidates, form one projective block.  A
-point search that reads no kept lanes takes the last coordinate alone as
-its block, one fibre at a time.  Past the table limit, _fold yields per
-prefix each generator's coefficients in the last coordinate;
-count_direct counts their common roots as deg gcd(g_1, ..., g_m,
-t^p - t) (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14).
+Each query's lead strata are planned once (_plan), the one place that
+reads a chart, and the plan names its kernel.  "kept": over a small P^n
+motivic.count evaluates each form once (_zeros) on the projective
+vectors of the whole space and keeps its zero lanes on the form.
+"lanes": the terms are split once for the plan (_split); its first
+strata walk affine blocks under a prefix odometer, and its last ones, all
+of a query of at most _BLOCK_LANES candidates, form one projective block;
+a point search takes the last coordinate alone as its block, one fibre at
+a time.  "fibres", past the table limit: _fold yields per prefix each
+generator's coefficients in the last coordinate; count_direct counts
+their common roots as deg gcd(g_1, ..., g_m, t^p - t) (von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 14).
 Values combine through the spec's value operations (motivic.fields)
 everywhere but in the lanes and in _fold's F_p branch, which sum
 residues unreduced and reduce once per result.
@@ -55,10 +55,13 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from ..fields import _mulmod, _remmod, _trim
+from ..fields import _TABLE_LIMIT, _mulmod, _remmod, _trim
 
 # a block has at most this many candidates (lanes)
 _BLOCK_LANES = 4096
+# the most points of a P^n whose kept lanes a search with no chart reads:
+# past it a fibre walk, which may stop early, costs less
+_SEARCH_LANES = 1024
 # bits of monomial vectors kept per field (1 MiB); the cache is emptied
 # when a new vector would pass it
 _VECTOR_BITS = 8 << 20
@@ -68,14 +71,20 @@ _FIELDS = 8
 _PLANS = 64
 
 
-_Plan = namedtuple("_Plan", "free starts cost strata t z block")
+_Plan = namedtuple("_Plan", "kernel free starts cost strata t z block")
 
 
 @lru_cache(maxsize=_PLANS)
-def _plan(q, n, chart, limit):
+def _plan(q, n, chart, search):
     """The _Plan of the lead strata of P^n(F_q) under chart (lead
-    coordinate = 1, earlier ones 0) in blocks of at most limit candidates,
-    kept across queries since most queries of a run share q, n and chart.
+    coordinate = 1, earlier ones 0) for a count, or with search a point
+    search, kept across queries since most queries of a run share them.
+
+    kernel is "kept" (motivic.count._common) for a count over a tabulated
+    P^n of at most _BLOCK_LANES points or a search with no chart over one
+    of at most _SEARCH_LANES, "lanes" over other tabulated fields and
+    "fibres" (_fold) past the table limit.  A tabulated count is planned
+    in blocks of at most limit = _BLOCK_LANES candidates, all else in one.
 
     free lists the coordinates not charted zero, starts[i] is the first
     value of coordinate i (1 when charted nonzero, else 0) and cost the
@@ -88,6 +97,10 @@ def _plan(q, n, chart, limit):
     z being 0 when it is the whole query.  strata lists (lead, prefix,
     lanes) of each block, the tail last, and block the starts of free[z:].
     """
+    kept = (0 if chart else _SEARCH_LANES) if search else _BLOCK_LANES
+    kernel = ("fibres" if q > _TABLE_LIMIT
+              else "kept" if _space(q, n) <= kept else "lanes")
+    limit = 1 if search or kernel == "fibres" else _BLOCK_LANES
     chart = dict(chart)
     free = tuple([i for i in range(n + 1) if chart.get(i) != "zero"])
     starts = tuple([int(chart.get(i) == "nonzero") for i in range(n + 1)])
@@ -113,7 +126,7 @@ def _plan(q, n, chart, limit):
     strata = [(free[j], free[j + 1:z], lanes) for j in range(t)]
     if t < len(sizes):
         strata.append((free[t], (), sum(sizes[t:])))
-    return _Plan(free, starts, sum(sizes), tuple(strata), t, z, block)
+    return _Plan(kernel, free, starts, sum(sizes), tuple(strata), t, z, block)
 
 
 def _split(rows, plan):

@@ -59,10 +59,10 @@ class EtaleAtom:
         return ("etale", self.degrees)
 
     def count(self, q: int, budget=None, memo=None) -> int:
-        # Spec F_{q^d} has a rational point over F_q only when d = 1
-        return sum(1 for d in self.degrees if d == 1)
+        return self.residue_contribution()
 
     def residue_contribution(self):
+        # Spec F_{q^d} has a rational point over F_q only when d = 1
         return sum(1 for d in self.degrees if d == 1)
 
     def describe(self):
@@ -126,12 +126,9 @@ class VarietyAtom:
         return CountQuery(self.spec, self.ambient, self.generators)
 
     def count(self, q: int, budget=None, memo=None) -> int:
-        if not self.spec.is_finite:
-            raise ValueError("uncountable atom over %s" % self.spec)
         if self.spec.order != q:
             raise ValueError(
-                "atom lives over F%d, counting asked at q=%d" % (self.spec.order, q)
-            )
+                "atom lives over %s, counting asked at q=%d" % (self.spec, q))
         return count_once(self.query(), budget=budget, memo=memo)
 
     def residue_contribution(self):

@@ -224,9 +224,9 @@ class HomogPoly:
     A form is never changed once built, so str() fills the _text slot the
     first time it prints the form and returns that text from then on.
     Beside it, motivic.count fills the _zero_lanes slot the first time a
-    query with no chart counts or searches the form over a small P^n: the
-    form's zeros over the whole of P^n, which every later such query on
-    the form reads.
+    query whose plan names the kept lanes (a count, charted or not, or a
+    search with no chart over a small P^n) reads the form: the form's
+    zeros over the whole of P^n, which every later such query reads.
     """
 
     __slots__ = ("spec", "nvars", "degree", "coeffs", "_text", "_zero_lanes")

@@ -125,3 +125,45 @@ def test_every_private_name_has_a_caller():
     assert defined
     unused = [q for q, name in defined if name not in used]
     assert not unused, "private names with no caller: %s" % ", ".join(unused)
+
+
+def test_only_the_plan_reads_a_chart_or_the_table_limit():
+    """_pure._plan is the one reader of a chart and the one choice of a
+    counting kernel.  Outside CountQuery, every read of a .chart under
+    src/motivic/ is an argument of a _plan call; inside motivic.count only
+    _pure._plan and _pure._Lanes name _TABLE_LIMIT, which _pure imports."""
+    src = _ROOT / "src" / "motivic"
+    stray, limits = [], set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "chart"
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            owner = parents[node]
+            while owner in parents and not isinstance(owner, ast.ClassDef):
+                owner = parents[owner]
+            if getattr(owner, "name", None) == "CountQuery":
+                continue
+            call = parents[node]
+            func = getattr(call, "func", None)
+            if not (isinstance(call, ast.Call) and node in call.args
+                    and getattr(func, "attr", getattr(func, "id", None))
+                    == "_plan"):
+                stray.append("%s:%d" % (path.relative_to(src), node.lineno))
+        if path.parent.name != "count":
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (getattr(node, "id", None) == "_TABLE_LIMIT"
+                        or getattr(node, "name", None) == "_TABLE_LIMIT"):
+                    limits.add(path.stem + "." + (
+                        top.name if isinstance(top, (ast.FunctionDef,
+                                                     ast.ClassDef))
+                        else type(top).__name__))
+    assert not stray, "charts read outside the plan: %s" % ", ".join(stray)
+    assert "_pure._plan" in limits
+    assert limits <= {"_pure._plan", "_pure._Lanes", "_pure.ImportFrom"}, \
+        limits

@@ -406,8 +406,7 @@ def _planned_count(query):
     which count_points takes over a tabulated field only past a P^n of
     _BLOCK_LANES points."""
     polys, union = query._kernel_polys()
-    plan = _pure._plan(query.spec.order, query.n, query.chart,
-                       _pure._BLOCK_LANES)
+    plan = _pure._plan(query.spec.order, query.n, query.chart, False)
     if not polys or not plan.cost:
         return plan.cost
     gens = _pure._split(motivic.count._rows(polys), plan)
@@ -454,8 +453,7 @@ def test_planned_count_matches_strata_and_reference(query):
     expected = len(reference_walk(query)[0])
     assert count_points(query) == len(list(enumerate_points(query))) \
         == _planned_count(query) == expected
-    t = _pure._plan(query.spec.order, query.n, query.chart,
-                    _pure._BLOCK_LANES).t
+    t = _pure._plan(query.spec.order, query.n, query.chart, False).t
     assert (t == 0) == (query.cost() <= _pure._BLOCK_LANES)
 
 
@@ -599,9 +597,10 @@ def _kept_lanes_example(spec, n, texts, charts, zero=False):
 def test_small_spaces_read_the_lanes_each_form_keeps(queries):
     """count_points, enumerate_points and _first_point in a P^n of at most
     _SEARCH_LANES points against the brute-force walk, on queries that
-    share their forms; a charted query counts and searches through its
-    plan.  Asked a second time, no query without a chart reads a form's
-    terms again: it reads the lanes its forms kept the first time."""
+    share their forms; a charted query searches through its plan.  Asked a
+    second time, no count reads a form's terms again, charted or not, and
+    no search without a chart: they read the lanes its forms kept the
+    first time.  Only a charted enumeration reads them again."""
     expected = []
     for query in queries:
         points = [pt for _, pt in reference_walk(query)[0]]
@@ -617,17 +616,18 @@ def test_small_spaces_read_the_lanes_each_form_keeps(queries):
         for query, points in zip(queries, expected):
             reads.clear()
             assert count_points(query) == len(points)
+            assert reads == []
             assert list(enumerate_points(query)) == points
             assert reads == [] or query.chart
 
 
 def test_forms_keep_lanes_only_over_small_spaces():
     """A count keeps a form's zero lanes over a P^n of at most
-    _BLOCK_LANES points, and a search over one of at most _SEARCH_LANES;
-    past them the form keeps nothing, and its counts and searches walk
-    blocks and fibres as before.  A charted count or search keeps nothing
-    over any P^n."""
-    assert _pure._BLOCK_LANES == 4096 and motivic.count._SEARCH_LANES == 1024
+    _BLOCK_LANES points, and a search with no chart over one of at most
+    _SEARCH_LANES; past them the form keeps nothing, and its counts and
+    searches walk blocks and fibres as before.  A charted count keeps them
+    too, and a charted search keeps nothing over any P^n."""
+    assert _pure._BLOCK_LANES == 4096 and _pure._SEARCH_LANES == 1024
     cases = [
         # (field, n, #P^n, a count keeps lanes, a search keeps lanes)
         (F3, 5, 364, True, True),
@@ -652,8 +652,38 @@ def test_forms_keep_lanes_only_over_small_spaces():
     query = CountQuery(F3, 2, [form], ((0, "nonzero"),))
     points = reference_walk(query)[0]
     assert motivic.count._first_point(query) == points[0][1]
-    assert count_points(query) == len(points)
     assert not hasattr(form, "_zero_lanes")
+    assert count_points(query) == len(points)
+    assert hasattr(form, "_zero_lanes")
+
+
+@pytest.mark.parametrize("q, n, size, counted, searched", [
+    (31, 2, 993, "kept", "kept"),
+    (11, 3, 1464, "kept", "lanes"),
+    (5, 5, 3906, "kept", "lanes"),
+    (3, 8, 9841, "lanes", "lanes"),
+    (1021, 1, 1022, "kept", "kept"),
+    # the order of F_{2^10}, at the table limit itself
+    (1024, 1, 1025, "kept", "lanes"),
+    (1031, 1, 1032, "fibres", "fibres"),
+    # F_{37^2}
+    (1369, 1, 1370, "fibres", "fibres"),
+])
+def test_plans_name_each_kernel_at_the_size_boundaries(q, n, size, counted,
+                                                       searched):
+    """_pure._plan names the kernel of a count and of a point search with
+    no chart from q and #P^n: "kept" over a tabulated P^n of at most
+    _BLOCK_LANES points for a count, _SEARCH_LANES for a search, "lanes"
+    over a larger tabulated one and "fibres" past the table limit.  A
+    chart leaves a count's kernel as it is, and sends a search past the
+    kept lanes."""
+    assert _pure._space(q, n) == size
+    chart = ((0, "nonzero"),)
+    assert _pure._plan(q, n, (), False).kernel == counted
+    assert _pure._plan(q, n, chart, False).kernel == counted
+    assert _pure._plan(q, n, (), True).kernel == searched
+    assert _pure._plan(q, n, chart, True).kernel == (
+        "fibres" if q > _TABLE_LIMIT else "lanes")
 
 
 @pytest.mark.parametrize("spec, text, chart, k", [
@@ -1018,7 +1048,7 @@ def test_lane_geometries_match_reference_walk():
     # same block with no prefix, and the strata led by x2 to x8 hold 1093
     # candidates, one projective block over those 7 coordinates
     big = _dense_form(F3, 8, 2, 3)
-    plan = _pure._plan(3, 8, (), _pure._BLOCK_LANES)
+    plan = _pure._plan(3, 8, (), False)
     assert (plan.t, plan.z, plan.block) == (2, 2, (0,) * 7)
     for query in (CountQuery(F3, 4, [quartic]),
                   CountQuery.union(F3, 4, [quartic, line]),

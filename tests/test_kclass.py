@@ -111,7 +111,7 @@ def test_count_measure():
 
 def test_uncountable_rational_atom():
     v = VarietyAtom(Q, 1, [parse_poly("x0*x1", Q, 2)])
-    with pytest.raises(ValueError, match="uncountable atom"):
+    with pytest.raises(ValueError, match="atom lives over Q, counting asked"):
         ClassExpr.from_atom(v).count_measure(3)
 
 
