@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .fields import FieldSpec, field_from_text, prime_field
 from .parse import parse_point, parse_poly
 from .count import BudgetError, CountQuery, count_points
-from .kclass import count_once
+from .kclass import Counts
 from .strat import (
     DefectError,
     arrangement_inclusion_exclusion,
@@ -233,10 +233,11 @@ def _dispatch(job):
 def _verification(job, result, oracle_query):
     """(verification dict, failed) for one job's result.
 
-    Its identities and oracle share one memo of point counts, so each
-    distinct query of the job is counted once; nothing is kept across jobs.
+    Its identities, atoms and oracle share one Counts under job.budget, so
+    each distinct query of the job is counted once; nothing is kept across
+    jobs.
     """
-    memo = {}
+    counts = Counts(job.budget)
     steps = []
     failed = False
     for st in result.trace:
@@ -244,7 +245,7 @@ def _verification(job, result, oracle_query):
         if st.identity is None or not job.verify:
             entry["status"] = "skipped"
         else:
-            lv, rv = st.identity.sides(budget=job.budget, memo=memo)
+            lv, rv = st.identity.sides(counts)
             entry["lhs"] = lv
             entry["rhs"] = rv
             entry["status"] = "pass" if lv == rv else "fail"
@@ -254,9 +255,8 @@ def _verification(job, result, oracle_query):
     oracle = {"status": "skipped"}
     if job.verify and oracle_query.spec.is_finite:
         q = oracle_query.spec.order
-        measured = result.class_expr.count_measure(q, budget=job.budget,
-                                                   memo=memo)
-        counted = count_once(oracle_query, budget=job.budget, memo=memo)
+        measured = result.class_expr.count_measure(q, counts)
+        counted = counts[oracle_query]
         oracle = {
             "status": "pass" if measured == counted else "fail",
             "count_measure": measured,

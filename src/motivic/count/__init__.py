@@ -5,8 +5,8 @@ F_q together with optional chart constraints (coordinate = 0 / != 0), counted
 on the canonical representatives of P^n.  CountQuery.union asks instead for
 the points where some of its factors vanishes, V(f_1 * ... * f_d), and the
 kernel counts it factor by factor, never from the expanded product.  Equal
-queries count the same, so the CLI keeps one memo of counts per job
-(kclass.count_once) and counts each distinct query of a job once.  The
+queries count the same, so the CLI keeps one kclass.Counts per job and
+counts each distinct query of a job once.  The
 engines state their queries over any field; only counting needs F_q, so
 count_points, cost() and every point walk of a query over Q raise
 ValueError, all through _order.

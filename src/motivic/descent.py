@@ -367,7 +367,7 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
     ident = Identity(
         [CountTerm(1, 0, CountQuery(ctx.base, n, [f_base]))],
         _staircase(n - r)
-        + [CountTerm(1, n - r + 1, CountQuery(ctx.base, r - 1, [gz]))],
+        + [CountTerm(1, n - r + 1, atom.query())],
     )
     steps.append(TraceStep(
         "cone-fibration",

@@ -3,10 +3,10 @@
 A ClassExpr is an integer polynomial in L plus a canonical list of residual
 atoms, each carried at a shift: the term coeff * L^shift * [atom].  Atoms are
 either etale (a finite scheme recorded by its residue degree multiset, e.g.
-the conjugate point pair {2}) or a variety (generators cutting a closed
-subvariety of some P^n, possibly marked resolved=False when an engine gave
-up).  Atoms are never simplified implicitly; only engines replace an atom by
-a finer expression.  Addition and subtraction merge structurally identical
+the conjugate point pair {2}) or a variety (the CountQuery of generators
+cutting a closed subvariety of some P^n, possibly marked resolved=False when
+an engine gave up).  Atoms are never simplified implicitly; only engines
+replace an atom by a finer expression.  Addition and subtraction merge equal
 atoms at the same shift and drop the ones whose multiplicity reaches zero,
 which is bookkeeping, not simplification.
 
@@ -25,16 +25,15 @@ that must agree) or a pointwise check record.  The engines state the same
 identities over every field; TraceStep keeps one only when all its queries
 are over a finite field, where it is verifiable by brute force, and the CLI
 does so by default.  So a step over Q records no identity.  The counting
-methods take an optional memo dict (see count_once) that the CLI keeps for
-one job, so a query that recurs across identities and the oracle is counted
-once.
+methods take a Counts, a dict of point counts keyed by query that the CLI
+keeps for one job, so a query that recurs across identities, atoms and the
+oracle is counted once.
 """
 
 from __future__ import annotations
 
 from .count import CountQuery, count_points
 from .fields import FieldSpec
-from .poly import HomogPoly
 
 
 class EtaleAtom:
@@ -55,10 +54,7 @@ class EtaleAtom:
     def sort_key(self):
         return (0, self.degrees)
 
-    def structural_key(self):
-        return ("etale", self.degrees)
-
-    def count(self, q: int, budget=None, memo=None) -> int:
+    def count(self, q: int, counts=None) -> int:
         return self.residue_contribution()
 
     def residue_contribution(self):
@@ -79,68 +75,58 @@ class EtaleAtom:
 
 
 class VarietyAtom:
-    """Closed subvariety of P^ambient cut out by homogeneous generators."""
+    """Closed subvariety of P^ambient cut out by homogeneous generators.
 
-    __slots__ = ("spec", "ambient", "generators", "name", "resolved")
+    The atom is the CountQuery of its generators, which checks them and
+    drops the zero ones: it counts, compares, hashes and describes itself
+    through that one query, which engines pass to the identity counting the
+    atom.  name and resolved do not affect equality.
+    """
+
+    __slots__ = ("_query", "name", "resolved")
 
     def __init__(self, spec: FieldSpec, ambient: int, generators, name=None,
                  resolved=True):
-        self.spec = spec
-        self.ambient = ambient
-        gens = []
-        for g in generators:
-            if not isinstance(g, HomogPoly):
-                raise ValueError("generators must be homogeneous polynomials")
-            if g.spec != spec or g.nvars != ambient + 1:
-                raise ValueError("generator does not live in P^%d over %s"
-                                 % (ambient, spec))
-            if not g.is_zero():
-                gens.append(g)
-        self.generators = tuple(gens)
+        self._query = CountQuery(spec, ambient, generators)
         self.name = name
         self.resolved = resolved
 
     @property
+    def generators(self):
+        return self._query.generators
+
+    @property
     def label(self):
+        query = self._query
         body = "V(%s) in P^%d" % (
-            "; ".join(str(g) for g in self.generators) or "0",
-            self.ambient,
-        )
+            "; ".join(query.describe()["generators"]) or "0", query.n)
         return "%s: %s" % (self.name, body) if self.name else body
 
     def sort_key(self):
         terms = tuple(g.canonical_key()[3] for g in self.generators)
-        spec = self.spec
+        spec = self._query.spec
         if spec.kind == "Fpm":
             # an F_{p^m} coefficient sorts as its coefficient tuple, lowest
             # degree first, not as its index
             terms = tuple(tuple((e, spec._digits(c)) for e, c in g)
                           for g in terms)
-        return (1, self.ambient, terms)
-
-    def structural_key(self):
-        return ("variety", self.spec, self.ambient,
-                tuple(g.canonical_key() for g in self.generators))
+        return (1, self._query.n, terms)
 
     def query(self) -> CountQuery:
-        return CountQuery(self.spec, self.ambient, self.generators)
+        return self._query
 
-    def count(self, q: int, budget=None, memo=None) -> int:
-        if self.spec.order != q:
+    def count(self, q: int, counts=None) -> int:
+        spec = self._query.spec
+        if spec.order != q:
             raise ValueError(
-                "atom lives over %s, counting asked at q=%d" % (self.spec, q))
-        return count_once(self.query(), budget=budget, memo=memo)
+                "atom lives over %s, counting asked at q=%d" % (spec, q))
+        return (Counts() if counts is None else counts)[self._query]
 
     def residue_contribution(self):
         return None
 
     def describe(self):
-        d = {
-            "kind": "variety",
-            "field": self.spec.describe(),
-            "ambient": self.ambient,
-            "generators": [str(g) for g in self.generators],
-        }
+        d = {"kind": "variety", **self._query.describe()}
         if self.name:
             d["name"] = self.name
         if not self.resolved:
@@ -148,13 +134,10 @@ class VarietyAtom:
         return d
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VarietyAtom)
-            and self.structural_key() == other.structural_key()
-        )
+        return isinstance(other, VarietyAtom) and self._query == other._query
 
     def __hash__(self):
-        return hash(self.structural_key())
+        return hash(self._query)
 
     def __repr__(self):
         return "[%s]" % self.label
@@ -179,7 +162,7 @@ class ClassExpr:
             shift, coeff, atom = entry
             if shift < 0:
                 raise ValueError("negative shift")
-            key = (shift, atom.structural_key())
+            key = (shift, atom)
             if key in merged:
                 merged[key] = (merged[key][0] + coeff, merged[key][1])
             else:
@@ -240,10 +223,7 @@ class ClassExpr:
         )
 
     def __hash__(self):
-        return hash(
-            (tuple(sorted(self.coeffs.items())),
-             tuple((s, c, a.structural_key()) for s, c, a in self.residuals))
-        )
+        return hash((tuple(sorted(self.coeffs.items())), self.residuals))
 
     # -- structure -----------------------------------------------------------
 
@@ -259,13 +239,16 @@ class ClassExpr:
             acc += coeff * contrib
         return acc
 
-    def count_measure(self, q: int, budget=None, memo=None) -> int:
-        """Specialize L -> q and count every atom over F_q."""
+    def count_measure(self, q: int, counts=None) -> int:
+        """Specialize L -> q and count every atom over F_q through counts,
+        a fresh Counts when None."""
+        if counts is None:
+            counts = Counts()
         total = 0
         for e, v in self.coeffs.items():
             total += v * q**e
         for shift, coeff, atom in self.residuals:
-            total += coeff * q**shift * atom.count(q, budget=budget, memo=memo)
+            total += coeff * q**shift * atom.count(q, counts)
         return total
 
     # -- rendering / serialization --------------------------------------------
@@ -325,19 +308,23 @@ def projective_space_class(n: int) -> ClassExpr:
     return ClassExpr({k: 1 for k in range(n + 1)})
 
 
-def count_once(query: CountQuery, budget=None, memo=None) -> int:
-    """count_points(query), looked up in and stored to memo when one is given.
+class Counts(dict):
+    """The point counts of one job: a dict from CountQuery to count.
 
-    A memo is a dict from queries to counts, kept for one job: equal queries
-    count the same, so a job counts each distinct query once.  A count that
-    raises, BudgetError included, stores nothing.
+    A missing query is counted by count_points under budget and kept.
+    Equal queries count the same, so a job counts each distinct query
+    once.  A count that raises, BudgetError included, keeps nothing.
     """
-    if memo is None:
-        return count_points(query, budget=budget)
-    n = memo.get(query)
-    if n is None:
-        n = memo[query] = count_points(query, budget=budget)
-    return n
+
+    __slots__ = ("budget",)
+
+    def __init__(self, budget=None):
+        super().__init__()
+        self.budget = budget
+
+    def __missing__(self, query):
+        n = self[query] = count_points(query, budget=self.budget)
+        return n
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +341,10 @@ class CountTerm:
         self.power = int(power)
         self.query = query
 
-    def value(self, q: int, budget=None, memo=None) -> int:
+    def value(self, q: int, counts=None) -> int:
         n = self.coeff * q**self.power
         if self.query is not None:
-            n *= count_once(self.query, budget=budget, memo=memo)
+            n *= (Counts() if counts is None else counts)[self.query]
         return n
 
     def describe(self):
@@ -378,7 +365,9 @@ class Identity:
         self.lhs = tuple(lhs)
         self.rhs = tuple(rhs)
 
-    def sides(self, budget=None, memo=None):
+    def sides(self, counts=None):
+        """(left, right) at the field size of the identity's queries, each
+        query looked up in counts (a fresh Counts when None)."""
         specs = [t.query.spec for t in self.lhs + self.rhs if t.query is not None]
         if not specs:
             raise ValueError("identity with no counting content")
@@ -386,8 +375,10 @@ class Identity:
         for s in specs:
             if s.order != q:
                 raise ValueError("identity mixes field sizes")
-        lv = sum(t.value(q, budget=budget, memo=memo) for t in self.lhs)
-        rv = sum(t.value(q, budget=budget, memo=memo) for t in self.rhs)
+        if counts is None:
+            counts = Counts()
+        lv = sum(t.value(q, counts) for t in self.lhs)
+        rv = sum(t.value(q, counts) for t in self.rhs)
         return lv, rv
 
     def describe(self):

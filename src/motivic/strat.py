@@ -500,7 +500,7 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
                  [CountTerm(1)]
                  + _staircase(n - 1)
                  + [CountTerm(-1, 0, CountQuery(spec, n - 1, [f2])),
-                    CountTerm(1, 1, CountQuery(spec, n - 1, [f2, f3]))]),
+                    CountTerm(1, 1, atom.query())]),
     ))
     steps.extend(quad.trace)
 
@@ -631,14 +631,16 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     q_meet = CountQuery(spec, n, [f1, f2])
     q_nz = CountQuery(spec, n, [g1, g2], [(0, "nonzero")])
     q_z = CountQuery(spec, n, [g1, g2], [(0, "zero")])
-    q_y = CountQuery(spec, n - 1, [gbar])
+    y_atom = VarietyAtom(spec, n - 1, [gbar], name="Y")
+    fiber_atom = VarietyAtom(spec, n - 2, [h2, L1bar2, R2])
+    q_y = y_atom.query()
     q_yy1 = CountQuery(spec, n - 1, [gbar, z0])
     q_hy1 = CountQuery(spec, n - 1, [hh, z0])
     q_l1y1 = CountQuery(spec, n - 1, [LL1, z0])
     q_hl1y1 = CountQuery(spec, n - 1, [hh, LL1, z0])
     q_h2 = CountQuery(spec, n - 2, [h2])
     q_hl2 = CountQuery(spec, n - 2, [h2, L1bar2])
-    q_hlr2 = CountQuery(spec, n - 2, [h2, L1bar2, R2])
+    q_hlr2 = fiber_atom.query()
 
     steps = [TraceStep(
         "intersection-point-normalization",
@@ -707,8 +709,6 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
 
     c1 = _quadric_class(q1, 10, budget)
     c2 = _quadric_class(q2, 10, budget)
-    y_atom = VarietyAtom(spec, n - 1, [gbar], name="Y")
-    fiber_atom = VarietyAtom(spec, n - 2, [h2, L1bar2, R2])
     infty = projective_space_class(n - 3 if l1_survives else n - 2)
     meet_expr = (
         ClassExpr.from_atom(y_atom)

@@ -11,6 +11,7 @@ from pathlib import Path
 import motivic
 from motivic.count import CountQuery, count_points
 from motivic.fields import _schoolbook_mul, _schoolbook_pow
+from motivic.kclass import Counts
 from motivic.poly import HomogPoly
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -26,7 +27,7 @@ def assert_trace_verifies(result, budget=None):
     for step in result.trace:
         if step.identity is None:
             continue
-        lv, rv = step.identity.sides(budget=budget)
+        lv, rv = step.identity.sides(Counts(budget))
         assert lv == rv, "%s: %d != %d" % (step.rule, lv, rv)
         checked += 1
     return checked

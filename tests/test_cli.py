@@ -12,7 +12,8 @@ from conftest import run_python
 import motivic.kclass
 from motivic.cli import JobSpec, _dispatch, main, render_json, run
 from motivic.fields import FieldElem, FieldSpec, field_from_text
-from motivic.poly import _monomial_tables
+from motivic.kclass import ClassExpr, EtaleAtom, VarietyAtom
+from motivic.poly import HomogPoly, _monomial_tables
 
 QUADRIC = ["class-quadric", "--field", "3", "--ambient", "3",
            "--poly", "x0*x1 - x2*x3"]
@@ -305,6 +306,40 @@ def test_each_distinct_query_is_counted_once_per_job(monkeypatch, job):
     first = list(counted)
     assert run(job)[1] == 0
     assert counted == first + first
+
+
+@pytest.mark.parametrize("job", [
+    JobSpec("class-cone", field_from_text("5"), 3,
+            polynomials=["x0^3 + x1^3 + x2^3"]),
+    JobSpec("class-cubic-singular", field_from_text("7"), 3,
+            polynomials=["x0*x1*x3 - x2^2*x3 + x0^3 + x1^3"],
+            point="0,0,0,1"),
+    JobSpec("class-two-quadrics", field_from_text("3"), 4, polynomials=[
+        "x0*x1 - x2*x3 - x4^2", "x0^2 + x1*x2 + x3*x4"]),
+    JobSpec("descend", field_from_text("3,2"), 3, forms=[
+        "x0 + t*x1 + x2", "x0 + (2*t)*x1 + x2", "x3"]),
+], ids=["cone", "cubic-singular", "two-quadrics", "descend"])
+def test_variety_atoms_are_counted_through_their_own_query(job):
+    result, _ = _dispatch(job)
+    terms = [t for step in result.trace if step.identity is not None
+             for t in step.identity.lhs + step.identity.rhs]
+    atoms = [atom for _, _, atom in result.class_expr.residuals
+             if isinstance(atom, VarietyAtom)]
+    assert atoms
+    for atom in atoms:
+        query = atom.query()
+        assert any(t.query is query for t in terms), atom
+        # an equal atom of copied forms is the same residual, and an etale
+        # atom is never merged with a variety atom
+        twin = VarietyAtom(query.spec, query.n, [
+            HomogPoly(g.spec, g.nvars, g.degree, dict(g.coeffs))
+            for g in atom.generators])
+        assert twin == atom and twin.query() is not query
+        merged = ClassExpr.from_atom(atom) + ClassExpr.from_atom(twin)
+        assert merged.residuals == ((0, 2, atom),)
+        assert hash(merged) == hash(ClassExpr({}, [(0, 2, twin)]))
+        mixed = ClassExpr.from_atom(atom) + ClassExpr.from_atom(EtaleAtom([1]))
+        assert len(mixed.residuals) == 2
 
 
 def test_wrong_poly_arity(capsys):
@@ -826,6 +861,35 @@ def test_unread_flag_exits_two(capsys, argv, flag):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: %s takes no %s\n" % (argv[0], flag)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["class-quadric", "--field", "3", "--ambient", "0", "--poly", "x0^2"],
+     "ambient projective space needs dimension >= 1"),
+    (["class-arrangement", "--field", "5", "--ambient", "2"],
+     "class-arrangement needs at least one --form"),
+    (["descend", "--field", "3,2", "--ambient", "2"],
+     "descend needs at least one --form"),
+    (["class-cone", "--field", "5", "--ambient", "2"],
+     "class-cone needs at least one --poly"),
+    (["class-cubic-singular", "--field", "5", "--ambient", "3",
+      "--poly", "x0*x1*x3 + x2^3", "--poly", "x0^3"],
+     "class-cubic-singular takes exactly one --poly"),
+    (["class-two-quadrics", "--field", "5", "--ambient", "4",
+      "--poly", "x0*x1 + x2*x3 + x4^2"],
+     "class-two-quadrics takes exactly two --poly"),
+    (["descend", "--field", "Q", "--ambient", "2",
+      "--form", "x0", "--form", "x1"],
+     "descent needs a finite field"),
+    (["class-two-quadrics", "--field", "5", "--ambient", "4",
+      "--poly", "x0*x1+x2*x3+x4^2", "--poly", "x1*x2"],
+     "unsupported configuration: L1 = 0"),
+], ids=["ambient-zero", "arrangement-no-form", "descend-no-form",
+        "cone-no-poly", "cubic-two-polys", "two-quadrics-one-poly",
+        "descend-over-Q", "two-quadrics-L1-zero"])
+def test_unrunnable_job_exits_two(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("point, message", [

@@ -9,12 +9,12 @@ from motivic.fields import prime_field, rationals
 from motivic.kclass import (
     ClassExpr,
     CountTerm,
+    Counts,
     EtaleAtom,
     Identity,
     StratResult,
     TraceStep,
     VarietyAtom,
-    count_once,
     projective_space_class,
 )
 from motivic.parse import parse_poly
@@ -223,18 +223,23 @@ def test_count_memo_skips_repeats_and_keeps_no_failure(monkeypatch):
     space = CountQuery(F3, 4)
     ident = Identity([CountTerm(1, 0, line), CountTerm(1, 0, line)],
                      [CountTerm(1, 0, space)])
-    memo = {}
+    counts = Counts(120)
     # the 121 candidates of P^4(F3) are over the budget: the error reaches
     # the caller and only the count that finished is kept
     with pytest.raises(BudgetError, match="needs 121 candidates"):
-        ident.sides(budget=120, memo=memo)
-    assert memo == {line: 1} and counted == [line, space]
-    assert ident.sides(memo=memo) == (2, 121)
-    assert memo == {line: 1, space: 121}
+        ident.sides(counts)
+    assert counts == {line: 1} and counted == [line, space]
+    counts.budget = None
+    assert ident.sides(counts) == (2, 121)
+    assert counts == {line: 1, space: 121}
     assert counted == [line, space, space]
     # a hit is returned as stored, through the atoms of count_measure too
     atom = VarietyAtom(F3, 1, [parse_poly("x0", F3, 2)])
     expr = ClassExpr.from_atom(atom, shift=1)
-    assert expr.count_measure(3, memo={atom.query(): 5}) == 15
-    assert count_once(line, memo={CountQuery(F3, 1, line.generators): 7}) == 7
-    assert count_once(line) == 1 and len(counted) == 4
+    stored = Counts()
+    stored[atom.query()] = 5
+    assert expr.count_measure(3, stored) == 15
+    stored = Counts()
+    stored[CountQuery(F3, 1, line.generators)] = 7
+    assert stored[line] == 7
+    assert Counts()[line] == 1 and len(counted) == 4
