@@ -18,8 +18,9 @@ whole of P^n (_pure._zeros on the projective monomial vectors of
 _pure._Lanes.vector), one lane per canonical point in walk order, and
 keeps its zero lanes for as long as it lives (_kept).  A count is the
 popcount of its forms' kept lanes ANDed (ORed for a union) and ANDed with
-its chart's lanes (_common); a search, which has no chart there, lists
-the same lanes in ascending order and decodes each to its point.
+those of its charted coordinates x_i, kept forms too (_coordinate,
+_common); a search, which has no chart there, lists the same lanes in
+ascending order and decodes each to its point.
 "lanes", over any other tabulated field: the query reads its terms once
 with every exponent reduced below q (_rows) and splits them once for its
 lead strata (_pure._split); the lane kernel then evaluates a generator
@@ -30,18 +31,17 @@ gives each fibre's coefficients in the last coordinate instead.  The
 tests check counts and searches against a brute-force walk of their own.
 
 A count or a full enumerate_points walk over more candidates than the
-budget (MOTIVIC_BUDGET, default 10^8) raises BudgetError before it starts
-instead of hanging; CountQuery.cost() is that number of candidates, those
-of the lead strata, #P^n(F_q) or fewer under a chart.  _first_point, the
-finite-field half of points.first_point through which every engine finds
-its first rational point, charges only the candidates it walks, so a point
-found early passes under any budget.  A MOTIVIC_BUDGET that is not an
-integer, or is negative, raises ValueError.
+budget (the caller's, else _DEFAULT_BUDGET, 10^8) raises BudgetError
+before it starts instead of hanging; CountQuery.cost() is that number of
+candidates, those of the lead strata, #P^n(F_q) or fewer under a chart.
+_first_point, the finite-field half of points.first_point through which
+every engine finds its first rational point, charges only the candidates
+it walks, so a point found early passes under any budget.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 from ..fields import FieldSpec
 from ..poly import HomogPoly
@@ -56,21 +56,6 @@ _DEFAULT_BUDGET = 10**8
 
 class BudgetError(ValueError):
     """The requested count would exceed the enumeration budget."""
-
-
-def default_budget() -> int:
-    """MOTIVIC_BUDGET, a count of candidates, or 10^8 when it is unset."""
-    raw = os.environ.get("MOTIVIC_BUDGET")
-    if not raw:
-        return _DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError("MOTIVIC_BUDGET must be an integer, got %r"
-                         % raw) from None
-    if value < 0:
-        raise ValueError("MOTIVIC_BUDGET must be at least 0, got %d" % value)
-    return value
 
 
 class CountQuery:
@@ -254,7 +239,7 @@ def count_points(query: CountQuery, budget: int | None = None) -> int:
     ("kept", _common), or its terms split once (_pure._split) and counted
     in lane blocks ("lanes", _pure.count_lanes) or fibre by fibre past the
     table limit ("fibres", _pure.count_direct, a union from its factors)."""
-    budget = default_budget() if budget is None else budget
+    budget = _DEFAULT_BUDGET if budget is None else budget
     q = _order(query)
     plan = _pure._plan(q, query.n, query.chart, False)
     cost = plan.cost
@@ -283,7 +268,7 @@ def enumerate_points(query: CountQuery, budget: int | None = None):
     (that of projective_reps in the tests' conftest).  The whole walk is
     charged against budget up front.
     """
-    budget = default_budget() if budget is None else budget
+    budget = _DEFAULT_BUDGET if budget is None else budget
     cost = query.cost()
     if cost > budget:
         raise BudgetError("enumerating %r needs %d candidates, budget is %d"
@@ -298,7 +283,7 @@ def _first_point(query: CountQuery, budget: int | None = None):
     under any budget, and BudgetError is raised once the walk passes budget
     candidates without a point.
     """
-    budget = default_budget() if budget is None else budget
+    budget = _DEFAULT_BUDGET if budget is None else budget
     return next(_points(query, budget), None)
 
 
@@ -326,21 +311,24 @@ def _kept(lanes, f):
     return zeros
 
 
+# the coordinate forms x_i whose kept lanes a chart reads (_common)
+_coordinate = lru_cache(maxsize=64)(HomogPoly.variable)
+
+
 def _common(lanes, query, plan):
     """The zero lanes of the query over the whole of P^n: its forms' kept
     lanes (_kept) ANDed, or ORed for a union (_pure._combine; a form past
-    its early stop is not evaluated), then ANDed with the zero lanes of
+    its early stop is not evaluated), then ANDed with the kept lanes of
     each x_i its plan charts zero and the other lanes of each x_i charted
-    nonzero (_pure._zeros on the projective vector of x_i)."""
+    nonzero."""
+    spec, nvars = query.spec, query.n + 1
     polys, union = query._kernel_polys()
-    block = (0,) * (query.n + 1)
-    masks = lanes.masks(_pure._space(lanes.q, query.n))
-    common = _pure._combine((_kept(lanes, f) for f in polys), masks[0], union)
+    msb = lanes.masks(_pure._space(lanes.q, query.n))[0]
+    common = _pure._combine((_kept(lanes, f) for f in polys), msb, union)
     for i, start in enumerate(plan.starts):
         if start or i not in plan.free:
-            x_i = lanes.vector(block, block[:i] + (1,) + block[i + 1:], True)
-            zeros = _pure._zeros(lanes, [1], [x_i], masks)
-            common &= masks[0] ^ zeros if start else zeros
+            zeros = _kept(lanes, _coordinate(spec, nvars, i))
+            common &= msb ^ zeros if start else zeros
     return common
 
 

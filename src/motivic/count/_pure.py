@@ -34,7 +34,8 @@ that arithmetic for one field:
 Each query's lead strata are planned once (_plan), the one place that
 reads a chart, and the plan names its kernel.  "kept": over a small P^n
 motivic.count evaluates each form once (_zeros) on the projective
-vectors of the whole space and keeps its zero lanes on the form.
+vectors of the whole space and keeps its zero lanes on the form, the
+coordinate forms of a chart included.
 "lanes": the terms are split once for the plan (_split); its first
 strata walk affine blocks under a prefix odometer, and its last ones, all
 of a query of at most _BLOCK_LANES candidates, form one projective block;
@@ -137,18 +138,18 @@ def _split(rows, plan):
     dropped.  Returns one (terms, slots) per generator, each term (low,
     coeff, factors, slot): factors are its (j, exponent) pairs for the
     coordinates free[j] before the slot coordinates, low the first j (or
-    len(starts)), and slot indexes its exponents over the slot coordinates
-    in slots.  Stratum j of the plan, led by free[j], sets the coordinates
-    before free[j] to 0, so a term takes part in it, its coefficient
-    unchanged, exactly when low >= j.  Terms whose exponents reduce to one
-    monomial (count._rows) share a slot, and _fold adds them up.  With one
-    slot coordinate slots is every exponent up to the highest.
+    len(starts)), and slot indexes in slots its exponents over the slot
+    coordinates, as a tuple.  Stratum j of the plan, led by free[j], sets
+    the coordinates before free[j] to 0, so a term takes part in it, its
+    coefficient unchanged, exactly when low >= j.  Terms whose exponents
+    reduce to one monomial (count._rows) share a slot, and _fold adds them
+    up.  With one slot coordinate a slot is that exponent itself, and
+    slots every exponent up to the highest.
     """
     free, starts, z = plan.free, plan.starts, plan.z
     keys, outer = free[z:], tuple(enumerate(free[:z]))
     nv = len(starts)
     dead = [i for i in range(nv) if i not in free]
-    whole = len(keys) == nv
     last = keys[0] if len(keys) == 1 else None
     out = []
     for terms in rows:
@@ -159,8 +160,8 @@ def _split(rows, plan):
                     break
             else:
                 if last is None:
-                    slot = index.setdefault(exps if whole else tuple(
-                        [exps[i] for i in keys]), len(index))
+                    slot = index.setdefault(tuple([exps[i] for i in keys]),
+                                            len(index))
                 else:
                     slot = exps[last]
                     if slot >= width:

@@ -21,8 +21,9 @@ motivic.count, which never tests candidates one by one: over a small
 P^n it reads the generators' zero lanes, kept on each form, over the
 whole space, and otherwise it evaluates the generators over each prefix
 of a stratum on every value of the last coordinate at once, as lanes of
-one integer.  Over every field it is charged against the budget only for
-the candidates it walks.
+one integer.  Over every field it is charged against the budget, the
+caller's or else count._DEFAULT_BUDGET (10^8), only for the candidates it
+walks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .count import BudgetError, CountQuery, _first_point, default_budget
+from .count import _DEFAULT_BUDGET, BudgetError, CountQuery, _first_point
 from .fields import FieldSpec
 
 
@@ -62,7 +63,7 @@ def first_point(spec: FieldSpec, n: int, gens, height: int = 10,
     """
     if spec.is_finite:
         return _first_point(CountQuery(spec, n, gens), budget=budget)
-    budget = default_budget() if budget is None else budget
+    budget = _DEFAULT_BUDGET if budget is None else budget
     for walked, pt in enumerate(rational_reps(n, height), 1):
         if walked > budget:
             raise BudgetError(

@@ -21,11 +21,11 @@ exponents, and HomogPoly.product_text prints a product straight from its
 codes, without the HomogPoly.  The printer reads each monomial's text from
 a table kept per (variables, degree) and keyed by code (_monomial_table),
 built in bulk one variable at a time when a text fills at least a quarter
-of its shape; the tables share one entry budget.  A sparser text decodes
-its codes per call instead (_Packing._monomials).  Over a finite field
-every coefficient prints from a list of coefficient texts kept per field
-(_prefixes); over Q the printer puts each term's sign between the terms.
-A form keeps its text once it is printed.
+of its shape; the tables share one entry budget.  A sparser text joins
+the powers of the exponents its codes decode to instead (_power_names).
+Over a finite field every coefficient prints from a list of coefficient
+texts kept per field (_prefixes); over Q the printer puts each term's
+sign between the terms.  A form keeps its text once it is printed.
 """
 
 from __future__ import annotations
@@ -173,44 +173,17 @@ class _Packing:
         """str() of the unpacked form, printed from the codes: each
         monomial's text comes from the kept table of its shape
         (_monomial_table) when the form fills enough of that shape, and
-        from _monomials otherwise."""
+        otherwise joins the powers of its exponents (_exponents)."""
         codes = sorted(packed, reverse=True)
         table = _monomial_table(self.nvars, self.base - 1, len(codes))
-        monomials = (self._monomials(codes) if table is None
-                     else map(table.__getitem__, codes))
+        if table is None:
+            names = _power_names(self.nvars)
+            monomials = ["*".join([row[e] for row, e in zip(names, exps) if e])
+                         for exps in self._exponents(codes)]
+        else:
+            monomials = map(table.__getitem__, codes)
         return _join_terms(zip(monomials, map(packed.__getitem__, codes)),
                            self.spec)
-
-    def _monomials(self, codes):
-        """The monomial text of each code, in one pass, for a text that
-        builds no table: each distinct half of a code (see _exponents) is
-        printed once per call."""
-        nvars, base = self.nvars, self.base
-        names = _power_names(nvars)
-        nlow = nvars // 2
-        nhigh = nvars - nlow
-        split = base**nlow
-        high = list(zip(names[:nhigh], self.weights[nlow:]))
-        low = list(zip(names[nhigh:], self.weights[nhigh:]))
-        # a low half prints with the '*' that joins it to a nonzero high
-        # half; descending codes come in runs of one high half
-        lows = {0: ""}
-        get = lows.get
-        out = []
-        append = out.append
-        last = None
-        for k in codes:
-            hk, lk = divmod(k, split)
-            if hk != last:
-                last = hk
-                hi = "*".join(filter(None, [row[hk // w % base]
-                                            for row, w in high]))
-            lo = get(lk)
-            if lo is None:
-                lo = lows[lk] = "*" + "*".join(filter(None, [
-                    row[lk // w % base] for row, w in low]))
-            append(hi + lo if hk else lo[1:])
-        return out
 
 
 class HomogPoly:

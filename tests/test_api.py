@@ -167,3 +167,23 @@ def test_only_the_plan_reads_a_chart_or_the_table_limit():
     assert "_pure._plan" in limits
     assert limits <= {"_pure._plan", "_pure._Lanes", "_pure.ImportFrom"}, \
         limits
+
+
+def test_no_module_reads_the_environment():
+    """No environment variable changes a run: no module under src/motivic/
+    reads os.environ or calls os.getenv, by attribute or by a `from os
+    import`.  Every setting is an option, which the report echoes."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted((_ROOT / "src" / "motivic").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found = {alias.name for alias in node.names}
+            else:
+                continue
+            if found & names:
+                reads.append("%s:%d" % (path.relative_to(_ROOT), node.lineno))
+    assert not reads, "environment reads: %s" % ", ".join(reads)

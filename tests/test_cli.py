@@ -749,26 +749,18 @@ def test_render_json_rejects_what_no_report_holds(value):
         render_json({"status": "ok", "value": value})
 
 
-@pytest.mark.parametrize("knob", ["MOTIVIC_BUDGET"])
-def test_non_integer_knob_exits_two(monkeypatch, capsys, knob):
-    monkeypatch.setenv(knob, "abc")
+@pytest.mark.parametrize("value", ["abc", "-1", "0"])
+def test_budget_comes_only_from_the_job(monkeypatch, capsys, value):
+    """No environment variable sets the budget: a report's echo records
+    every option that a run reads, so verify gives the same verdict in
+    any shell."""
+    monkeypatch.setenv("MOTIVIC_BUDGET", value)
     code, out, err = _run(capsys, ["count", "--field", "3", "--ambient", "1"])
-    assert code == 2
-    assert err == "error: %s must be an integer, got 'abc'\n" % knob
-    assert out == ""
-    code, _, err = _run(capsys, ["selftest"])
-    assert code == 2
-    assert err == "error: %s must be an integer, got 'abc'\n" % knob
-
-
-@pytest.mark.parametrize("knob, value, least", [("MOTIVIC_BUDGET", "-1", 0)])
-def test_out_of_range_knob_exits_two(monkeypatch, capsys, knob, value, least):
-    monkeypatch.setenv(knob, value)
-    expected = "error: %s must be at least %d, got %s\n" % (knob, least, value)
-    code, out, err = _run(capsys, ["count", "--field", "3", "--ambient", "1"])
-    assert (code, out, err) == (2, "", expected)
-    code, _, err = _run(capsys, ["selftest"])
-    assert (code, err) == (2, expected)
+    assert code == 0, err
+    assert "count: 4\n" in out
+    code, out, _ = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "selftest: 5/5 ok" in out
 
 
 def test_negative_budget_exits_two(capsys):
@@ -921,10 +913,9 @@ def test_unread_seed_or_height_in_a_report_exits_two(tmp_path, capsys):
         assert err == "error: cannot read report: count takes no %s\n" % flag
 
 
-def test_oracle_obeys_job_budget(monkeypatch, capsys):
-    # The oracle's atom counts take --budget, not the MOTIVIC_BUDGET default.
+def test_oracle_obeys_job_budget(capsys):
+    # The oracle's atom counts take --budget.
     # The largest count of the job is the cubic in P^3(F3), 40 candidates.
-    monkeypatch.setenv("MOTIVIC_BUDGET", "39")
     job = ["class-cubic-singular", "--field", "3", "--ambient", "3",
            "--poly", "x0*x1*x3 + x2^3 + x1^3", "--json"]
     code, out, err = _run(capsys, job + ["--budget", "40"])
@@ -935,9 +926,6 @@ def test_oracle_obeys_job_budget(monkeypatch, capsys):
     code, out, err = _run(capsys, job + ["--budget", "39"])
     assert code == 2 and out == ""
     assert "in P^3(F3) needs 40 candidates, budget is 39" in err
-    monkeypatch.setenv("MOTIVIC_BUDGET", "40")
-    code, _, err = _run(capsys, job)
-    assert code == 0, err
 
 
 def test_selftest(capsys):
@@ -960,10 +948,9 @@ def test_unknown_command_exits_two():
 def test_bad_t_literal_exits_two_without_hanging(poly, message):
     """These inputs once hung the parser or were read as x0; a child
     process with a time limit keeps a regression from hanging the suite."""
-    env = {k: v for k, v in os.environ.items()
-           if k != "MOTIVIC_BUDGET"}
     out = run_python(["-m", "motivic.cli", "count", "--field", "3,2",
-                      "--ambient", "1", "--poly", poly], env, timeout=10)
+                      "--ambient", "1", "--poly", poly], os.environ,
+                     timeout=10)
     assert out.returncode == 2, out.stderr
     assert out.stderr == "error: %s in %r\n" % (message, poly)
 
@@ -977,10 +964,9 @@ def test_large_exponents_count_without_hanging(field, ambient, poly, count):
     """An exponent's size once sized the kernel's work and memory: these
     ran out of memory or for many seconds.  Reduced on F_q points (x^q =
     x), they count at once; the report prints the form as given."""
-    env = {k: v for k, v in os.environ.items()
-           if k != "MOTIVIC_BUDGET"}
     out = run_python(["-m", "motivic.cli", "count", "--field", field,
-                      "--ambient", ambient, "--poly", poly], env, timeout=10)
+                      "--ambient", ambient, "--poly", poly], os.environ,
+                     timeout=10)
     assert out.returncode == 0, out.stderr
     assert "poly: %s\n" % poly in out.stdout
     assert "count: %d\n" % count in out.stdout
@@ -989,11 +975,9 @@ def test_large_exponents_count_without_hanging(field, ambient, poly, count):
 def test_huge_exponent_prints_without_hanging():
     """The text of x2^9999999 once came from a table of every power up to
     the degree, so printing this report hung."""
-    env = {k: v for k, v in os.environ.items()
-           if k != "MOTIVIC_BUDGET"}
     out = run_python(["-m", "motivic.cli", "class-cone", "--field", "7",
-                      "--ambient", "3", "--poly", "x2^9999999"], env,
-                     timeout=10)
+                      "--ambient", "3", "--poly", "x2^9999999"],
+                     os.environ, timeout=10)
     assert out.returncode == 0, out.stderr
     assert "x2^9999999" in out.stdout
 
@@ -1019,15 +1003,12 @@ def test_form_that_cancels_is_reported_as_zero(capsys, argv, message):
 
 
 def test_module_entry_point():
-    # The caller's counting knobs must not reach the child: a tiny
-    # MOTIVIC_BUDGET, say, would turn the count into a BudgetError.
-    env = {k: v for k, v in os.environ.items()
-           if k != "MOTIVIC_BUDGET"}
     out = run_python(["-m", "motivic.cli", "count", "--field", "3",
-                      "--ambient", "1"], env)
+                      "--ambient", "1"], os.environ)
     assert out.returncode == 0, out.stderr
     assert "count: 4" in out.stdout
     # A child started the same way imports the package under test.
-    where = run_python(["-c", "import motivic; print(motivic.__file__)"], env)
+    where = run_python(["-c", "import motivic; print(motivic.__file__)"],
+                       os.environ)
     assert where.returncode == 0, where.stderr
     assert Path(where.stdout.strip()) == Path(motivic.__file__).resolve()

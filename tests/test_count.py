@@ -12,7 +12,6 @@ from motivic.count import (
     CountQuery,
     _pure,
     count_points,
-    default_budget,
     enumerate_points,
 )
 from motivic.fields import (_TABLE_LIMIT, extension_field, prime_field,
@@ -145,15 +144,7 @@ def test_budget_errors():
     with pytest.raises(BudgetError, match="needs 13 candidates, budget is 12"):
         list(enumerate_points(_q([], F3, 2), budget=12))
     assert len(list(enumerate_points(_q([], F3, 2), budget=13))) == 13
-    assert default_budget() == 10**8
-
-
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("MOTIVIC_BUDGET", "123")
-    assert default_budget() == 123
-    monkeypatch.setenv("MOTIVIC_BUDGET", "not-a-number")
-    with pytest.raises(ValueError, match="MOTIVIC_BUDGET must be an integer"):
-        default_budget()
+    assert motivic.count._DEFAULT_BUDGET == 10**8
 
 
 def test_large_extension_field_refused():
@@ -598,9 +589,10 @@ def test_small_spaces_read_the_lanes_each_form_keeps(queries):
     """count_points, enumerate_points and _first_point in a P^n of at most
     _SEARCH_LANES points against the brute-force walk, on queries that
     share their forms; a charted query searches through its plan.  Asked a
-    second time, no count reads a form's terms again, charted or not, and
-    no search without a chart: they read the lanes its forms kept the
-    first time.  Only a charted enumeration reads them again."""
+    second time, no count reads a form's terms again or evaluates a
+    block, charted or not, and no search without a chart reads the terms:
+    they read the lanes its forms, and the coordinate forms of its chart,
+    kept the first time.  Only a charted enumeration reads them again."""
     expected = []
     for query in queries:
         points = [pt for _, pt in reference_walk(query)[0]]
@@ -610,13 +602,17 @@ def test_small_spaces_read_the_lanes_each_form_keeps(queries):
         assert motivic.count._first_point(query) == (
             points[0] if points else None)
     rows, reads = motivic.count._rows, []
+    zeros, evaluated = _pure._zeros, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(motivic.count, "_rows",
                       lambda polys: reads.append(polys) or rows(polys))
+        patch.setattr(_pure, "_zeros",
+                      lambda *args: evaluated.append(args) or zeros(*args))
         for query, points in zip(queries, expected):
             reads.clear()
+            evaluated.clear()
             assert count_points(query) == len(points)
-            assert reads == []
+            assert reads == [] and evaluated == []
             assert list(enumerate_points(query)) == points
             assert reads == [] or query.chart
 
