@@ -364,20 +364,15 @@ def render_text(report) -> str:
             lines.append("hypotheses: " + ", ".join(
                 "%s=%s" % (name, ok) for name, ok in res["hypotheses"]))
         lines.append("trace:")
-        statuses = {}
-        if "verification" in report:
-            statuses = {i: s for i, s in
-                        enumerate(report["verification"]["steps"])}
-        for i, step in enumerate(res["trace"]):
-            v = statuses.get(i, {"status": "skipped"})
+        verification = report["verification"]
+        for step, v in zip(res["trace"], verification["steps"]):
             if v["status"] == "skipped":
                 tag = "[ --- ]"
             else:
                 tag = "[%s] %d == %d" % (v["status"], v["lhs"], v["rhs"])
             lines.append("  %s %s: %s" % (tag, step["rule"],
                                           step["description"]))
-        oracle = report.get("verification", {}).get("oracle",
-                                                    {"status": "skipped"})
+        oracle = verification["oracle"]
         if oracle["status"] == "skipped":
             lines.append("oracle: skipped")
         else:

@@ -13,16 +13,17 @@ All of it runs on the value rows of motivic.linalg.  The Frobenius maps
 an index v to ext._pow(v, q^k), and an element lies in the base field
 exactly when its index is below p.  The cocycle comes from one
 elimination, the Hilbert 90 average is one row product, and the
-fixed-point cross-check builds its system from digits.  The hyperplanes
-are rotated by one product of their coefficient rows with the rotation
-matrix, as in strat.class_of_arrangement, and Z is the product of the
-rotated factors.
+fixed-point cross-check builds its system from digits.  The forms are
+checked by the same strat._normalize_forms as a rational arrangement's,
+and rotated onto their span by the same strat._onto_span, over the
+extension, with the radical of the descended basis; Z is the product of
+the rotated factors.
 """
 
 import random
 
 from .fields import FieldSpec
-from .linalg import Matrix, _Echelon, _eliminate, _kernel, _product, _rotation
+from .linalg import Matrix, _Echelon, _eliminate, _kernel, _product
 from .poly import HomogPoly
 from .count import CountQuery
 from .kclass import (
@@ -34,8 +35,8 @@ from .kclass import (
     VarietyAtom,
     projective_space_class,
 )
-from .strat import (DefectError, _coeff_rows, _normalize_forms, _row_forms,
-                    _staircase)
+from .strat import (DefectError, _coeff_rows, _normalize_forms, _onto_span,
+                    _row_forms, _staircase)
 
 
 class GaloisContext:
@@ -130,17 +131,6 @@ class Cocycle:
 
     def __repr__(self):
         return "Cocycle(%d matrices of size %d)" % (len(self.images), self.size)
-
-
-def _validated_ext_forms(forms, spec):
-    forms = list(forms)
-    if not forms:
-        raise ValueError("no forms given")
-    nvars = forms[0].nvars
-    # _normalize_forms checks that each is a nonzero linear form
-    if any(h.spec != spec or h.nvars != nvars for h in forms):
-        raise ValueError("forms live in different spaces")
-    return forms
 
 
 def _chosen_basis(spec, rows):
@@ -295,7 +285,9 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
     are irrational, so inclusion-exclusion over the base does not apply.
     The vertex supplies a rational point, so the count is 1 mod q.
     """
-    forms = _validated_ext_forms(forms, ctx.ext)
+    forms = list(forms)
+    given = len(forms)
+    forms = _normalize_forms(forms, ctx.ext)
     n = ambient
     nvars = n + 1
     if forms[0].nvars > nvars:
@@ -305,8 +297,6 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
             h.remap_variables({i: i for i in range(h.nvars)}, nvars)
             for h in forms
         ]
-    given = len(forms)
-    forms = _normalize_forms(forms)
     d = len(forms)
     if d > n:
         raise ValueError("need d <= n hyperplanes in P^n, got d = %d" % d)
@@ -351,13 +341,10 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
         check={"basis": [str(h) for h in descended]},
     ))
 
-    W = _rotation(ctx.base, _kernel(ctx.base, list(R.rows), nvars), nvars)
-    rows = []
-    for row in _product(ctx.ext, _coeff_rows(forms), W):
-        if any(row[r:]):
-            raise DefectError("rotation left the product outside the span")
-        rows.append(row[:r])
-    g = HomogPoly.product(_row_forms(ctx.ext, rows))
+    # base values below p are the same values in the extension
+    radical = _kernel(ctx.base, list(R.rows), nvars)
+    g = HomogPoly.product(_row_forms(ctx.ext,
+                                     _onto_span(ctx.ext, forms, radical)))
     if any(v >= ctx.base.p for v in g.coeffs.values()):
         raise DefectError("rotated product has a coefficient off the base")
     gz = HomogPoly._from_terms(ctx.base, r, d, g.coeffs)
@@ -377,13 +364,12 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
         ident,
     ))
 
-    residue = expr.residue_mod_L()
-    if residue != 1:
-        raise DefectError("descended arrangement residue is not 1")
-    hyps = [
+    result = StratResult(expr, steps, [
         ("product_frobenius_fixed", True),
         ("span_frobenius_stable", True),
         ("d_le_n", True),
         ("rational_point_certified", n - r >= 0),
-    ]
-    return StratResult(expr, steps, residue, hyps)
+    ])
+    if result.residue != 1:
+        raise DefectError("descended arrangement residue is not 1")
+    return result

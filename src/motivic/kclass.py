@@ -157,19 +157,16 @@ class ClassExpr:
             if v:
                 c[k] = v
         self.coeffs = c
+        # a dict keeps the first of two equal keys, so the first of two
+        # equal atoms stands for both, its name and resolved flag included
         merged = {}
-        for entry in residuals:
-            shift, coeff, atom = entry
+        for shift, coeff, atom in residuals:
             if shift < 0:
                 raise ValueError("negative shift")
             key = (shift, atom)
-            if key in merged:
-                merged[key] = (merged[key][0] + coeff, merged[key][1])
-            else:
-                merged[key] = (coeff, atom)
-        cleaned = [
-            (key[0], cv[0], cv[1]) for key, cv in merged.items() if cv[0] != 0
-        ]
+            merged[key] = merged.get(key, 0) + coeff
+        cleaned = [(shift, coeff, atom)
+                   for (shift, atom), coeff in merged.items() if coeff]
         cleaned.sort(key=lambda t: (t[0],) + t[2].sort_key())
         self.residuals = tuple(cleaned)
 
@@ -417,14 +414,15 @@ class TraceStep:
 
 
 class StratResult:
-    """What an engine returns: the class, its derivation, and the side facts."""
+    """What an engine returns: the class, its derivation, and the side facts.
+    The residue mod L is read off the class."""
 
     __slots__ = ("class_expr", "trace", "residue", "hypotheses")
 
-    def __init__(self, class_expr: ClassExpr, trace, residue, hypotheses):
+    def __init__(self, class_expr: ClassExpr, trace, hypotheses):
         self.class_expr = class_expr
         self.trace = list(trace)
-        self.residue = residue  # int | None
+        self.residue = class_expr.residue_mod_L()  # int | None
         self.hypotheses = list(hypotheses)  # [(name, bool)]
 
     def describe(self):

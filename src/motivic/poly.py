@@ -12,7 +12,7 @@ is plain lexicographic on exponent tuples, largest first; that order
 fixes the leading coefficient, the printed form, and every deterministic
 tie-break downstream.
 
-Every product of forms (*, power, HomogPoly.product and the row powers of
+Every product of forms (*, HomogPoly.product and the row powers of
 linear_substitute) takes one packed path, _Packing: exponent tuples become
 integer codes whose sums are the codes of product monomials, and the
 result becomes a HomogPoly once, at the end.  Every form prints through
@@ -320,13 +320,6 @@ class HomogPoly:
         """str(HomogPoly.product(polys)), printed from the packed product."""
         packing, acc, degree = _packed_product(polys)
         return packing.text(acc)
-
-    def power(self, k: int) -> "HomogPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        packing = _Packing(self.spec, self.nvars, k * self.degree)
-        return packing.unpack(packing.power(packing.pack(self), k),
-                              k * self.degree)
 
     # -- evaluation and substitution -----------------------------------------
 

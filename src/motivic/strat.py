@@ -85,7 +85,7 @@ def _quadric_class(qf: QuadForm, height, budget) -> StratResult:
     steps = []
     hyps = [("nondegenerate", qf.rank() == qf.nvars)]
     expr = _quadric_expr(qf, height, budget, steps, hyps)
-    return StratResult(expr, steps, expr.residue_mod_L(), hyps)
+    return StratResult(expr, steps, hyps)
 
 
 def _quadric_query(qf: QuadForm) -> CountQuery:
@@ -188,8 +188,18 @@ def _quadric_expr(qf: QuadForm, height, budget, steps, hyps) -> ClassExpr:
 # hyperplane arrangements
 
 
-def _normalize_forms(forms):
-    """Make each linear form monic, its first nonzero coefficient 1; dedupe."""
+def _normalize_forms(forms, spec=None):
+    """Check that the forms are nonzero linear forms of one space, over spec
+    when it is given; make each monic, its first nonzero coefficient 1, and
+    dedupe."""
+    forms = list(forms)
+    if not forms:
+        raise ValueError("empty arrangement")
+    if spec is None:
+        spec = forms[0].spec
+    nvars = forms[0].nvars
+    if any(h.spec != spec or h.nvars != nvars for h in forms):
+        raise ValueError("forms live in different spaces")
     seen = set()
     out = []
     for h in forms:
@@ -223,6 +233,21 @@ def _row_forms(spec, rows):
                   for i, c in enumerate(row) if c}
         out.append(HomogPoly._from_terms(spec, nvars, 1, coeffs))
     return out
+
+
+def _onto_span(spec, forms, radical):
+    """The coefficient rows of the forms rotated by _rotation(spec, radical,
+    nvars), each cut to the first r = nvars - len(radical) columns, where
+    the span of the forms lies after the rotation."""
+    nvars = forms[0].nvars
+    r = nvars - len(radical)
+    rows = []
+    for row in _product(spec, _coeff_rows(forms),
+                        _rotation(spec, radical, nvars)):
+        if any(row[r:]):
+            raise DefectError("rotation left a coefficient outside the span")
+        rows.append(row[:r])
+    return rows
 
 
 def _subset_ranks(spec, rows):
@@ -287,25 +312,16 @@ def class_of_arrangement(forms) -> StratResult:
     rotated forms h(M x) are the rows of A.M, A the coefficient rows.
     """
     forms = list(forms)
-    if not forms:
-        raise ValueError("empty arrangement")
     given = len(forms)
     forms = _normalize_forms(forms)
     spec = forms[0].spec
     nvars = forms[0].nvars
     n = nvars - 1
-    if any(h.nvars != nvars or h.spec != spec for h in forms):
-        raise ValueError("forms live in different spaces")
     d = len(forms)
 
-    A = _coeff_rows(forms)
-    radical = _kernel(spec, list(A), nvars)
+    radical = _kernel(spec, _coeff_rows(forms), nvars)
     r = nvars - len(radical)
-    rows = []
-    for row in _product(spec, A, _rotation(spec, radical, nvars)):
-        if any(row[r:]):
-            raise DefectError("rotation left a coefficient outside the span")
-        rows.append(row[:r])
+    rows = _onto_span(spec, forms, radical)
     rotated = _row_forms(spec, rows)
 
     steps = [TraceStep(
@@ -335,11 +351,10 @@ def class_of_arrangement(forms) -> StratResult:
     ))
 
     expr = projective_space_class(n - r) + z_expr.lshift(n - r + 1)
-    residue = expr.residue_mod_L()
-    if d <= n and residue != 1:
+    result = StratResult(expr, steps, [("d_le_n", d <= n)])
+    if d <= n and result.residue != 1:
         raise DefectError("arrangement residue is not 1 despite d <= n")
-    hyps = [("d_le_n", d <= n)]
-    return StratResult(expr, steps, residue, hyps)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +397,7 @@ def class_of_cone(generators) -> StratResult:
             "and the cone is the apex alone",
             Identity([CountTerm(1, 0, x_query)], [CountTerm(1)]),
         )]
-        return StratResult(ClassExpr.from_int(1), steps, 1,
+        return StratResult(ClassExpr.from_int(1), steps,
                            [("base_detected_empty", True)])
 
     atom = VarietyAtom(spec, nvars - 1, live)
@@ -394,7 +409,7 @@ def class_of_cone(generators) -> StratResult:
                  [CountTerm(1), CountTerm(1, 1, atom.query())]),
     )]
     expr = ClassExpr.from_int(1) + ClassExpr.from_atom(atom, shift=1)
-    return StratResult(expr, steps, 1, [("base_detected_empty", False)])
+    return StratResult(expr, steps, [("base_detected_empty", False)])
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +501,7 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
         ))
         steps.extend(inner.trace)
         hyps.extend(inner.hypotheses)
-        return StratResult(inner.class_expr, steps, inner.residue, hyps)
+        return StratResult(inner.class_expr, steps, hyps)
 
     hyps.append(("f2_zero_cone_route", False))
     quad = class_of_quadric(f2, height=height, budget=budget)
@@ -509,28 +524,11 @@ def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
         + (projective_space_class(n - 1) - quad.class_expr)
         + ClassExpr.from_atom(atom, shift=1)
     )
-    return StratResult(expr, steps, expr.residue_mod_L(), hyps)
+    return StratResult(expr, steps, hyps)
 
 
 # ---------------------------------------------------------------------------
 # union of two quadrics
-
-
-def _proportional(g1: Matrix, g2: Matrix):
-    """The value of the scalar lam with g2 = lam * g1, or None."""
-    spec = g1.spec
-    lam = None
-    for row1, row2 in zip(g1.rows, g2.rows):
-        for a, b in zip(row1, row2):
-            if (not a) != (not b):
-                return None
-            if a:
-                ratio = spec._mul(b, spec._inv(a))
-                if lam is None:
-                    lam = ratio
-                elif ratio != lam:
-                    return None
-    return lam
 
 
 def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
@@ -568,8 +566,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
         raise ValueError("Q1 not smooth")
     q2 = QuadForm.from_poly(f2)
 
-    lam = _proportional(q1.gram, q2.gram)
-    if lam is not None:
+    if f1.monic() == f2.monic():
         inner = _quadric_class(q1, 10, budget)
         steps = [TraceStep(
             "identical-quadrics",
@@ -579,7 +576,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
         )]
         steps.extend(inner.trace)
         return StratResult(
-            inner.class_expr, steps, inner.residue,
+            inner.class_expr, steps,
             [("q2_proportional_to_q1", True)] + inner.hypotheses,
         )
 
@@ -727,4 +724,4 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     ]
     steps.extend(c1.trace)
     steps.extend(c2.trace)
-    return StratResult(expr, steps, expr.residue_mod_L(), hyps)
+    return StratResult(expr, steps, hyps)

@@ -182,7 +182,8 @@ def test_describe_payloads_are_json():
     )
     step = TraceStep("cell-split", "split off the torus", identity=ident)
     expr = ClassExpr({0: 1}, [(1, 1, VarietyAtom(F3, 1, [f], name="Z"))])
-    result = StratResult(expr, [step], 1, [("smooth", True)])
+    result = StratResult(expr, [step], [("smooth", True)])
+    assert result.residue == expr.residue_mod_L() == 1
     payload = result.describe()
     text = json.dumps(payload, sort_keys=True)
     back = json.loads(text)

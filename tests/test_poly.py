@@ -31,7 +31,7 @@ def test_ring_ops_small():
     assert str(f * g) == "x0^2 + 4*x1^2"
     assert str(f + g) == "2*x0"
     assert (f - f).is_zero()
-    assert str(f.power(2)) == "x0^2 + 2*x0*x1 + x1^2"
+    assert str(f * f) == "x0^2 + 2*x0*x1 + x1^2"
 
 
 def test_evaluate():
@@ -202,7 +202,8 @@ def test_ring_results_are_valid_without_validation(data):
         f * _constant(spec, nvars, _elem(draw, spec)), f.partial_derivative(i), *parts, f.insert_variable(i),
         f.insert_variable(i).drop_variable(i),
         f.remap_variables(dict(enumerate(perm)), nvars + 1),
-        f.power(draw(st.integers(0, 3))), f.linear_substitute(M),
+        HomogPoly.product([f] * draw(st.integers(1, 3))),
+        f.linear_substitute(M),
         parse_poly(str(f), spec, nvars), QuadForm.from_poly(quadric).poly(),
     ]
     if nvars > 1:
@@ -233,7 +234,7 @@ def test_form_path_builds_no_elements(monkeypatch):
         # matrices hold values too
         M = Matrix(spec, [[1, 2, 0], [0, 1, 1], [1, 0, 2]])
         f, g = parse_poly(quadric, spec, 3), parse_poly(linear, spec, 3)
-        h, k = f * g, g.power(3)
+        h, k = f * g, HomogPoly.product([g] * 3)
         for form in (f, g, h, k, f.linear_substitute(M), h + k, h - k):
             form.canonical_key()
             str(form)
@@ -270,7 +271,7 @@ def test_packed_product_matches_term_expansion(data):
     x = HomogPoly.variable(spec, nvars, i)
     const = HomogPoly(spec, nvars, 0, {(0,) * nvars: _elem(draw, spec)})
     for a, b in ((f, g), (f, f), (f, const), (const, const), (x, f),
-                 (x.power(3), x.power(2)), (f.power(2), g)):
+                 (HomogPoly.product([x] * 3), x * x), (f * f, g)):
         r = a * b
         assert r.coeffs == _expanded_product(a, b)
         assert r.degree == a.degree + b.degree
@@ -289,7 +290,7 @@ def _chained(factors):
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_product_matches_chained_expansion(data):
-    """HomogPoly.product, power and the generators of a union multiply in
+    """HomogPoly.product and the generators of a union multiply in
     one packed pass; their terms and degree must be those of a chain of
     term-by-term products, with one factor, repeated factors and zero
     factors alike."""
@@ -313,13 +314,12 @@ def test_product_matches_chained_expansion(data):
         union = CountQuery.union(spec, nvars - 1, factors)
         assert union.generators == (() if expect.is_zero() else (expect,))
 
-    one = HomogPoly(spec, nvars, 0, {(0,) * nvars: 1})
-    k = draw(st.integers(0, 4))
-    for f in (factors[0], HomogPoly.zero(spec, nvars, factors[0].degree)):
-        r = f.power(k)
-        assert r.coeffs == (_chained([f] * k).coeffs if k else one.coeffs)
-        assert r.degree == k * f.degree
-        _assert_valid(r)
+    k = draw(st.integers(1, 4))
+    f = factors[0]
+    r = HomogPoly.product([f] * k)
+    assert r.coeffs == _chained([f] * k).coeffs
+    assert r.degree == k * f.degree
+    _assert_valid(r)
 
 
 def _linear_form(draw, spec, nvars):
@@ -549,7 +549,7 @@ def test_text_of_built_form_survives_parse_round_trip(data):
     nvars = draw(st.integers(1, 5))
     f = _form(draw, spec, nvars, draw(st.integers(0, 2)))
     g = _form(draw, spec, nvars, draw(st.integers(0, 2)))
-    for built in (f * g, f - g if f.degree == g.degree else -f, f.power(2),
+    for built in (f * g, f - g if f.degree == g.degree else -f, f * f,
                   f * _constant(spec, nvars, _elem(draw, spec)),
                   f.insert_variable(0)):
         text = str(built)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_trace_verifies, brute_count
+from motivic.descent import GaloisContext, class_of_descended_arrangement
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.kclass import ClassExpr, projective_space_class
 from motivic.linalg import Matrix, _kernel, _product, _rotation
@@ -113,6 +114,29 @@ def test_validation_errors():
         class_of_arrangement(_forms(["x0^2"], F3, 3))
     with pytest.raises(ValueError, match="zero form"):
         class_of_arrangement([HomogPoly.zero(F3, 3, 1)])
+
+
+def _descended_over_f3(forms):
+    return class_of_descended_arrangement(GaloisContext(F3, F3), forms, 3)
+
+
+@pytest.mark.parametrize("engine", [arrangement_inclusion_exclusion,
+                                    class_of_arrangement, _descended_over_f3])
+def test_forms_of_two_spaces_are_refused(engine):
+    """Hyperplanes in P^2 and P^3, or over F3 and F5, make no arrangement:
+    each engine, the oracle included, refuses them before counting a
+    class."""
+    cases = ([parse_poly("x0", F3, 3), parse_poly("x1", F3, 4)],
+             [parse_poly("x0", F3, 4), parse_poly("x1", F5, 4)])
+    for forms in cases:
+        with pytest.raises(ValueError, match="forms live in different spaces"):
+            engine(forms)
+
+
+def test_descent_refuses_forms_off_its_extension():
+    ctx = GaloisContext(F3, extension_field(3, 2))
+    with pytest.raises(ValueError, match="forms live in different spaces"):
+        class_of_descended_arrangement(ctx, _forms(["x0", "x1"], F3, 4), 3)
 
 
 def test_randomized_dual_route_and_counting():

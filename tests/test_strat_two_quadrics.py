@@ -7,6 +7,7 @@ from motivic.fields import prime_field, rationals
 from motivic.kclass import VarietyAtom
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
+from motivic.quadform import QuadForm
 from motivic.strat import class_of_quadric, class_of_two_quadric_union
 
 F3 = prime_field(3)
@@ -133,3 +134,65 @@ def _random_quadric(rng, spec, nvars):
         if terms
         else HomogPoly.zero(spec, nvars, 2)
     )
+
+
+def _proportional(g1, g2):
+    """The value lam with g2 = lam * g1, or None: the Gram matrices
+    compared entry by entry."""
+    spec = g1.spec
+    lam = None
+    for row1, row2 in zip(g1.rows, g2.rows):
+        for a, b in zip(row1, row2):
+            if (not a) != (not b):
+                return None
+            if a:
+                ratio = spec._mul(b, spec._inv(a))
+                if lam is None:
+                    lam = ratio
+                elif ratio != lam:
+                    return None
+    return lam
+
+
+def test_identical_route_exactly_when_grams_are_proportional():
+    """Over F3 and F5 in P^4, f2 is a multiple of a smooth f1, a form on
+    f1's support with unequal ratios, or a random quadric.  The engine
+    takes its identical-quadrics route exactly when the Gram matrices are
+    proportional."""
+    rng = random.Random(61)
+    routes = {True: 0, False: 0}
+    for spec in (F3, prime_field(5)):
+        p = spec.p
+        drawn = 0
+        while drawn < 30:
+            f1 = _random_quadric(rng, spec, 5)
+            if f1.is_zero() or not QuadForm.from_poly(f1).is_nondegenerate():
+                continue
+            kind = drawn % 3
+            drawn += 1
+            if kind == 2:
+                f2 = _random_quadric(rng, spec, 5)
+                if f2.is_zero():
+                    continue
+            else:
+                support = sorted(f1.coeffs)
+                ratios = [rng.randrange(1, p)] * len(support)
+                if kind == 1:
+                    # equal supports, and at least two ratios differ
+                    ratios = [rng.randrange(1, p) for _ in support]
+                    if len(set(ratios)) == 1:
+                        ratios[rng.randrange(len(ratios))] = (
+                            ratios[0] % (p - 1) + 1)
+                f2 = HomogPoly(spec, 5, 2, {e: f1.coeffs[e] * c % p
+                                            for e, c in zip(support, ratios)})
+            proportional = _proportional(QuadForm.from_poly(f1).gram,
+                                         QuadForm.from_poly(f2).gram)
+            try:
+                r = class_of_two_quadric_union(f1, f2)
+            except ValueError:
+                assert proportional is None  # unsupported configuration
+                continue
+            identical = r.trace[0].rule == "identical-quadrics"
+            assert identical == (proportional is not None)
+            routes[identical] += 1
+    assert routes[True] >= 20 and routes[False] >= 20
