@@ -80,16 +80,18 @@ class VarietyAtom:
     The atom is the CountQuery of its generators, which checks them and
     drops the zero ones: it counts, compares, hashes and describes itself
     through that one query, which engines pass to the identity counting the
-    atom.  name and resolved do not affect equality.
+    atom.  name and resolved do not affect equality.  An atom is never
+    changed once built, so it keeps its sort key once computed.
     """
 
-    __slots__ = ("_query", "name", "resolved")
+    __slots__ = ("_query", "name", "resolved", "_sort_key")
 
     def __init__(self, spec: FieldSpec, ambient: int, generators, name=None,
                  resolved=True):
         self._query = CountQuery(spec, ambient, generators)
         self.name = name
         self.resolved = resolved
+        self._sort_key = None
 
     @property
     def generators(self):
@@ -103,6 +105,8 @@ class VarietyAtom:
         return "%s: %s" % (self.name, body) if self.name else body
 
     def sort_key(self):
+        if self._sort_key is not None:
+            return self._sort_key
         terms = tuple(g.canonical_key()[3] for g in self.generators)
         spec = self._query.spec
         if spec.kind == "Fpm":
@@ -110,7 +114,8 @@ class VarietyAtom:
             # degree first, not as its index
             terms = tuple(tuple((e, spec._digits(c)) for e, c in g)
                           for g in terms)
-        return (1, self._query.n, terms)
+        self._sort_key = (1, self._query.n, terms)
+        return self._sort_key
 
     def query(self) -> CountQuery:
         return self._query

@@ -71,7 +71,7 @@ class _Packing:
     final dict back into a HomogPoly, and text prints it.
     """
 
-    __slots__ = ("spec", "nvars", "base", "weights", "p", "one", "_convolve")
+    __slots__ = ("spec", "nvars", "base", "weights", "p", "one")
 
     def __init__(self, spec, nvars, degree):
         self.spec = spec
@@ -80,8 +80,6 @@ class _Packing:
         self.weights = [self.base**i for i in reversed(range(nvars))]
         self.p = spec.p if spec.kind == "Fp" else 0
         self.one = {0: spec.one}
-        self._convolve = (self._convolve_by_spec if spec.kind == "Fpm"
-                          else self._convolve_by_operators)
 
     def pack(self, f) -> dict:
         w = self.weights
@@ -91,22 +89,18 @@ class _Packing:
         """The linear form sum(row[j] * x_j) of a row of values."""
         return {w: c for w, c in zip(self.weights, row) if c}
 
-    @staticmethod
-    def _convolve_by_operators(acc, left, right):
-        """acc[k1 + k2] += v1 * v2 over all pairs, on values that Python's
-        + and * combine: residues (unreduced) over F_p, Fractions over Q."""
+    def _convolve(self, acc, left, right):
+        """acc[k1 + k2] += v1 * v2 over all pairs: through Python's + and *
+        on residues (unreduced) over F_p and Fractions over Q, through the
+        spec's value arithmetic over F_{p^m}."""
         right = list(right.items())
         get = acc.get
-        for k1, v1 in left:
-            for k2, v2 in right:
-                k = k1 + k2
-                acc[k] = get(k, 0) + v1 * v2
-
-    def _convolve_by_spec(self, acc, left, right):
-        """acc[k1 + k2] += v1 * v2 over all pairs, through the spec's
-        value arithmetic, for F_{p^m}."""
-        right = list(right.items())
-        get = acc.get
+        if self.spec.kind != "Fpm":
+            for k1, v1 in left:
+                for k2, v2 in right:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + v1 * v2
+            return
         add, times = self.spec._add, self.spec._mul
         for k1, v1 in left:
             for k2, v2 in right:
@@ -341,12 +335,17 @@ class HomogPoly:
         """f(M x): variable x_i becomes the linear form given by row i of M.
 
         M may be rectangular (nvars rows, any column count); the result lives
-        in M.ncols variables.
+        in M.ncols variables.  The square identity gives the form itself.
         """
         if M.spec != self.spec:
             raise ValueError("matrix over wrong field")
         if M.nrows != self.nvars:
             raise ValueError("matrix must have one row per variable")
+        one = self.spec.one
+        if M.ncols == M.nrows and all(
+                row[i] == one and not any(row[:i]) and not any(row[i + 1:])
+                for i, row in enumerate(M.rows)):
+            return self
         packing = _Packing(self.spec, M.ncols, self.degree)
         rows = [packing.pack_linear(row) for row in M.rows]
         powers = {}

@@ -8,11 +8,14 @@ order and mixes the first hyperbolic pair when the diagonal is stuck at zero;
 point searches walk the canonical enumeration order.
 
 A form keeps its rank and its polynomial once computed, so the quadric
-recursion eliminates each Gram matrix once.  The Gram matrix holds values
-(see motivic.linalg), and diagonalize and hyperbolic_normalize work on its
-rows with the spec's value arithmetic and the row products of
-motivic.linalg, one path for every field; neither builds an element, as
-the diagonal and the points they return or take are values.
+recursion eliminates each Gram matrix once; a form read from a polynomial
+keeps that polynomial itself, with its kept text and zero lanes, as in odd
+characteristic the Gram matrix gives the same coefficients back.  The Gram
+matrix holds values (see motivic.linalg), and diagonalize and
+hyperbolic_normalize work on its rows with the spec's value arithmetic and
+the row products of motivic.linalg, one path for every field; neither
+builds an element, as the diagonal and the points they return or take are
+values.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ class QuadForm:
             else:
                 i, j = support
                 g[i][j] = g[j][i] = spec._mul(coeff, half)
-        return cls(spec, Matrix._from_rows(spec, g))
+        q = cls(spec, Matrix._from_rows(spec, g))
+        q._poly = f
+        return q
 
     @classmethod
     def diagonal(cls, spec: FieldSpec, entries) -> "QuadForm":
@@ -186,9 +191,15 @@ def hyperbolic_normalize(q: QuadForm, x):
         raise ValueError("isotropic vector must be nonzero")
     G = q.gram.rows
 
+    add, mul = spec._add, spec._mul
+
     def value_at(a, ga):
         # q(a) = a . ga, ga being G a
-        return _product(spec, [a], [[v] for v in ga])[0][0]
+        acc = spec.zero
+        for v, w in zip(a, ga):
+            if v and w:
+                acc = add(acc, mul(v, w))
+        return acc
 
     # b(x, e_i) = (G x)_i, the row x^T G, as G is symmetric
     gx = _product(spec, [x], G)[0]

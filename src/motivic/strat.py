@@ -254,22 +254,27 @@ def _subset_ranks(spec, rows):
     """ranks[mask] = rank of the rows whose bits are set in mask.
 
     A depth-first walk over the subsets carries the echelon basis of the
-    current subset, so each subset's rank costs one row reduction.
+    current subset, so each subset's rank costs one row reduction.  Each
+    frame of its stack is [mask, next row to add, whether the basis kept
+    the row that made mask].
     """
     d = len(rows)
     ranks = [0] * (1 << d)
     span = _Echelon(spec)
-
-    def walk(mask, start):
-        for j in range(start, d):
-            child = mask | 1 << j
-            kept = span.add(rows[j])
-            ranks[child] = len(span.rows)
-            walk(child, j + 1)
+    stack = [[0, 0, False]]
+    while stack:
+        frame = stack[-1]
+        mask, j, kept = frame
+        if j == d:
+            stack.pop()
             if kept:
                 span.pop()
-
-    walk(0, 0)
+            continue
+        frame[1] = j + 1
+        child = mask | 1 << j
+        added = span.add(rows[j])
+        ranks[child] = len(span.rows)
+        stack.append([child, j + 1, added])
     return ranks
 
 
@@ -416,9 +421,40 @@ def class_of_cone(generators) -> StratResult:
 # singular cubics
 
 
+def _gradient_at(f: HomogPoly, pt):
+    """(f(pt), [df/dx_i (pt)]) from one pass over f's terms.  A term adds
+    c * e_i * x_i^(e_i - 1) * (its other powers) to the i-th partial, so it
+    adds nothing when two of its variables are zero at pt, or one is with
+    exponent >= 2, and it adds to f only when none is."""
+    spec = f.spec
+    add, mul, power = spec._add, spec._mul, spec._pow
+    value = spec.zero
+    grad = [spec.zero] * f.nvars
+    for exps, c in f.coeffs.items():
+        factors = [(i, e) for i, e in enumerate(exps) if e]
+        zeros = [i for i, _ in factors if not pt[i]]
+        if len(zeros) > 1 or zeros and exps[zeros[0]] > 1:
+            continue
+        for i, e in factors:
+            if zeros and zeros[0] != i:
+                continue
+            d = mul(c, spec._literal(e))
+            for j, ej in factors:
+                k = ej - 1 if j == i else ej
+                if k:
+                    d = mul(d, power(pt[j], k))
+            grad[i] = add(grad[i], d)
+        if not zeros:
+            v = c
+            for i, e in factors:
+                v = mul(v, power(pt[i], e))
+            value = add(value, v)
+    return value, grad
+
+
 def _is_singular_at(f: HomogPoly, pt) -> bool:
-    return not f.evaluate(pt) and not any(
-        f.partial_derivative(i).evaluate(pt) for i in range(f.nvars))
+    value, grad = _gradient_at(f, pt)
+    return not value and not any(grad)
 
 
 def find_singular_rational_point(f: HomogPoly, height: int = 10, budget=None):
@@ -687,15 +723,10 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
 
     # S = V(y1, h, L1, R) lies in y1 = z0 = 0, where it is V(h2, L1bar2, R2)
     sing_pts = 0
-    all_singular = True
-    grads = [gbar.partial_derivative(i) for i in range(nvars - 1)]
     for p in enumerate_points(q_hlr2, budget=budget):
-        pt = (0,) + p
+        if not _is_singular_at(gbar, (0,) + p):
+            raise DefectError("a point of S is not singular on Y")
         sing_pts += 1
-        if any(dg.evaluate(pt) for dg in grads):
-            all_singular = False
-    if not all_singular:
-        raise DefectError("a point of S is not singular on Y")
     steps.append(TraceStep(
         "singular-containment",
         "(F) S = V(y1, h, L1, R) lies inside the singular locus of Y "

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import os
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ import motivic.kclass
 from motivic.cli import JobSpec, _dispatch, main, render_json, run
 from motivic.fields import FieldElem, FieldSpec, field_from_text
 from motivic.kclass import ClassExpr, EtaleAtom, VarietyAtom
-from motivic.poly import HomogPoly, _monomial_tables
+from motivic.poly import HomogPoly, _Packing, _monomial_tables
 
 QUADRIC = ["class-quadric", "--field", "3", "--ambient", "3",
            "--poly", "x0*x1 - x2*x3"]
@@ -306,6 +308,38 @@ def test_each_distinct_query_is_counted_once_per_job(monkeypatch, job):
     first = list(counted)
     assert run(job)[1] == 0
     assert counted == first + first
+
+
+def test_jobs_leave_no_cycle_of_a_packing_or_a_function():
+    """A packing or a subset walk that refers to itself is freed only by the
+    cyclic collector.  With the collector off and every object it finds
+    saved, an arrangement job and a descent job over F9, whose products
+    pack over F_{p^m} and whose inclusion-exclusion walks the subsets,
+    leave no _Packing and no function object to it."""
+    F9 = field_from_text("3,2")
+    jobs = [
+        JobSpec("class-arrangement", F9, 3, forms=[
+            "x0 + t*x1", "x1 + x2", "x0 + x2 + (2*t)*x3", "x3"]),
+        JobSpec("descend", F9, 3, forms=[
+            "x0 + t*x1 + x2", "x0 + (2*t)*x1 + x2", "x3"]),
+    ]
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del gc.garbage[:]
+        for job in jobs:
+            assert run(job)[1] == 0
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (_Packing, types.FunctionType))]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 @pytest.mark.parametrize("job", [

@@ -55,6 +55,33 @@ def test_extension_atoms_sort_by_coefficient_tuples():
                       " + [V(x0 + 2*x1) in P^1]")
 
 
+def _fresh_sort_key(atom):
+    """VarietyAtom.sort_key as computed anew on every call, from the
+    canonical keys of the generators."""
+    spec = atom.query().spec
+    terms = tuple(g.canonical_key()[3] for g in atom.generators)
+    if spec.kind == "Fpm":
+        terms = tuple(tuple((e, spec._digits(c)) for e, c in g)
+                      for g in terms)
+    return (1, atom.query().n, terms)
+
+
+def test_kept_sort_key_equals_a_fresh_one():
+    from motivic.fields import extension_field
+
+    F9 = extension_field(3, 2)
+    for spec, texts, nvars in [
+            (F9, ["x0 + (1+t)*x1", "x0*x1 + t*x2^2"], 3),
+            (F5, ["x0^2 + 3*x1*x2", "0", "x2"], 3),
+            (Q, ["1/2*x0 - x1"], 2)]:
+        gens = [parse_poly(t, spec, nvars) for t in texts]
+        atom = VarietyAtom(spec, nvars - 1, gens)
+        first = atom.sort_key()
+        assert first == _fresh_sort_key(atom)
+        assert atom.sort_key() is first
+        assert VarietyAtom(spec, nvars - 1, gens).sort_key() == first
+
+
 def test_residuals_sorted_by_shift_then_atom():
     a = EtaleAtom([2])
     b = EtaleAtom([1, 1])

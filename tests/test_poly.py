@@ -576,10 +576,14 @@ def test_linear_substitute_matches_term_by_term(data):
         i = draw(st.integers(0, nvars - 1))
         f = f + HomogPoly(spec, nvars, degree, {
             tuple(degree if k == i else 0 for k in range(nvars)): 1})
+    shape = draw(st.sampled_from(["identity", "square", "rectangular"]))
     ncols = draw(st.integers(1, 6).filter(lambda c: c != nvars)
-                 if draw(st.booleans()) else st.just(nvars))
-    M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]
-                      for _ in range(nvars)])
+                 if shape == "rectangular" else st.just(nvars))
+    if shape == "identity":
+        M = Matrix.identity(spec, nvars)
+    else:
+        M = Matrix(spec, [[_elem(draw, spec) for _ in range(ncols)]
+                          for _ in range(nvars)])
     rows = [HomogPoly(spec, ncols, 1, {
         tuple(1 if k == j else 0 for k in range(ncols)): row[j]
         for j in range(ncols)}) for row in M.rows]
@@ -592,3 +596,5 @@ def test_linear_substitute_matches_term_by_term(data):
                                   _expanded_product(piece, rows[i]))
         expect = expect + piece
     assert f.linear_substitute(M) == expect
+    if shape == "identity":
+        assert f.linear_substitute(M) is f

@@ -45,9 +45,19 @@ def _column(M, j):
 
 
 def test_from_poly_poly_round_trip():
+    for text, spec in [("x0*x1 + (2+t)*x0*x2 + t*x2^2", extension_field(3, 2)),
+                       ("1/3*x0^2 - 5/2*x0*x2 + 7*x1*x2", Q),
+                       ("x0^2 + 3*x0*x1 + 2*x1*x2 + x2^2", F5)]:
+        f = parse_poly(text, spec, 3)
+        q = QuadForm.from_poly(f)
+        # the form keeps the polynomial it was read from, and the Gram rows
+        # give that polynomial back
+        assert q.poly() is f
+        rebuilt = QuadForm(spec, q.gram).poly()
+        assert rebuilt is not f and rebuilt == f
+        assert str(rebuilt) == str(f)
     f = parse_poly("x0^2 + 3*x0*x1 + 2*x1*x2 + x2^2", F5, 3)
     q = QuadForm.from_poly(f)
-    assert q.poly() == f
     # cross term coefficient of x0*x1 is 2*G[0][1]
     assert q.gram.rows[0][1] == (lit(F5, 3) * lit(F5, 2).inverse()).value
     with pytest.raises(ValueError, match="degree"):

@@ -1,14 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_trace_verifies, brute_count
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.kclass import ClassExpr, VarietyAtom
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
-from motivic.strat import class_of_singular_cubic, find_singular_rational_point
+from motivic.strat import (
+    _gradient_at,
+    _is_singular_at,
+    class_of_singular_cubic,
+    find_singular_rational_point,
+)
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -228,3 +235,53 @@ def _random_form(rng, spec, nvars, degree):
     return HomogPoly(spec, nvars, degree, terms) if terms else HomogPoly.zero(
         spec, nvars, degree
     )
+
+
+def _value(draw, spec):
+    """A value, zero one time in three: an index over a finite field, a
+    Fraction over Q."""
+    if draw(st.integers(0, 2)) == 0:
+        return spec.zero
+    if spec.is_finite:
+        return draw(st.integers(1, spec.order - 1))
+    return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_gradient_matches_the_partial_forms(data):
+    """_gradient_at against f.evaluate and partial_derivative(i).evaluate,
+    kept here as the reference, for forms of degree 1 to 4 over F5, F9
+    and Q at points with and without zero coordinates; half the forms
+    carry the square of a variable that is zero at the point, so that
+    _is_singular_at meets singular points too."""
+    draw = data.draw
+    spec = draw(st.sampled_from([F5, extension_field(3, 2), Q]))
+    nvars = draw(st.integers(1, 5))
+    degree = draw(st.integers(1, 4))
+    pt = tuple(_value(draw, spec) for _ in range(nvars))
+    monomials = [e for e in itertools.product(range(degree + 1),
+                                              repeat=nvars)
+                 if sum(e) == degree]
+    terms = {e: _value(draw, spec)
+             for e in draw(st.lists(st.sampled_from(monomials), max_size=8))}
+    f = HomogPoly(spec, nvars, degree, terms)
+    zero_at = [i for i, x in enumerate(pt) if not x]
+    if degree >= 2 and zero_at and draw(st.booleans()):
+        k = draw(st.sampled_from(zero_at))
+        rest = HomogPoly(spec, nvars, degree - 2, {
+            e: _value(draw, spec) or spec.one
+            for e in draw(st.lists(st.sampled_from(
+                [e for e in itertools.product(range(degree - 1),
+                                              repeat=nvars)
+                 if sum(e) == degree - 2]), min_size=1, max_size=4))})
+        x_k = HomogPoly.variable(spec, nvars, k)
+        f = x_k * x_k * rest
+    value, grad = _gradient_at(f, pt)
+    assert value == f.evaluate(pt)
+    assert grad == [f.partial_derivative(i).evaluate(pt)
+                    for i in range(nvars)]
+    assert _is_singular_at(f, pt) == (
+        not f.evaluate(pt)
+        and not any(f.partial_derivative(i).evaluate(pt)
+                    for i in range(nvars)))

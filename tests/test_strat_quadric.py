@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -172,6 +173,29 @@ def test_measure_matches_count_on_random_forms():
                 spec, nvars - 1, [f]
             )
             assert_trace_verifies(r)
+
+
+def test_every_quadric_in_the_plane_over_f3():
+    """All 728 nonzero quadrics in P^2 over F3, degenerate ones included:
+    each identity and the oracle pass, the residue is 1, and the count is
+    1 mod 3, as Chevalley-Warning and Ax's theorem give for a degree below
+    the number of variables."""
+    from motivic.poly import HomogPoly
+
+    monomials = [e for e in product(range(3), repeat=3) if sum(e) == 2]
+    swept = 0
+    for coeffs in product(range(3), repeat=len(monomials)):
+        if not any(coeffs):
+            continue
+        f = HomogPoly(F3, 3, 2, dict(zip(monomials, coeffs)))
+        r = class_of_quadric(f)
+        assert_trace_verifies(r)
+        count = brute_count(F3, 2, [f])
+        assert r.class_expr.count_measure(3) == count, str(f)
+        assert r.residue == 1, str(f)
+        assert count % 3 == 1, str(f)
+        swept += 1
+    assert swept == 3**6 - 1
 
 
 @pytest.mark.parametrize("texts, spec, nvars, forms", [
