@@ -5,18 +5,21 @@ default, canonical JSON behind --json.  Reports never contain wall-clock
 data, so identical inputs give byte-identical output; elapsed time goes
 to stderr.  The JSON comes from render_json, one writer that knows only the
 types a report holds and raises on any other; its bytes are those of
-json.dumps(sort_keys=True, indent=2).  verify reads a saved report's input
-echo back type by type.  Exit codes: 0 all checks pass, 2 bad input or
-precondition, 3 verification mismatch or internal defect.
+json.dumps(sort_keys=True, indent=2).  Report pieces that never change,
+fields._Piece, are shared across reports and written from kept text.
+verify reads a saved report's input echo back type by type.  Exit codes:
+0 all checks pass, 2 bad input or precondition, 3 verification mismatch
+or internal defect.
 """
 
 import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .fields import FieldSpec, field_from_text, prime_field
+from .fields import FieldSpec, _Piece, field_from_text, prime_field
 from .parse import parse_point, parse_poly
 from .count import BudgetError, CountQuery, count_points
 from .kclass import Counts
@@ -230,33 +233,47 @@ def _dispatch(job):
     raise ValueError("unknown command %r" % job.command)
 
 
+@lru_cache(maxsize=64)
+def _skipped_step(rule):
+    return _Piece(rule=rule, status="skipped")
+
+
+_SKIPPED_ORACLE = _Piece(status="skipped")
+
+
 def _verification(job, result, oracle_query):
     """(verification dict, failed) for one job's result.
 
     Its identities, atoms and oracle share one Counts under job.budget, so
     each distinct query of the job is counted once; nothing is kept across
-    jobs.
+    jobs.  Over F_q with d <= n, d the generators' (a union's factors')
+    degree sum, X has a point and #X = 1 mod q (Chevalley-Warning, Ax-Katz),
+    so any other integer residue or counted oracle is a defect.
     """
+    spec = oracle_query.spec
+    polys = oracle_query.factors or oracle_query.generators
+    d_le_n = spec.is_finite and sum(g.degree for g in polys) <= oracle_query.n
+    if d_le_n and result.residue not in (1, None):
+        raise DefectError("residue %d is not 1 though d <= n" % result.residue)
     counts = Counts(job.budget)
     steps = []
     failed = False
     for st in result.trace:
-        entry = {"rule": st.rule}
         if st.identity is None or not job.verify:
-            entry["status"] = "skipped"
-        else:
-            lv, rv = st.identity.sides(counts)
-            entry["lhs"] = lv
-            entry["rhs"] = rv
-            entry["status"] = "pass" if lv == rv else "fail"
-            failed = failed or lv != rv
-        steps.append(entry)
+            steps.append(_skipped_step(st.rule))
+            continue
+        lv, rv = st.identity.sides(counts)
+        steps.append({"rule": st.rule, "lhs": lv, "rhs": rv,
+                      "status": "pass" if lv == rv else "fail"})
+        failed = failed or lv != rv
 
-    oracle = {"status": "skipped"}
-    if job.verify and oracle_query.spec.is_finite:
-        q = oracle_query.spec.order
+    oracle = _SKIPPED_ORACLE
+    if job.verify and spec.is_finite:
+        q = spec.order
         measured = result.class_expr.count_measure(q, counts)
         counted = counts[oracle_query]
+        if d_le_n and counted % q != 1:
+            raise DefectError("#X = %d is not 1 mod %d" % (counted, q))
         oracle = {
             "status": "pass" if measured == counted else "fail",
             "count_measure": measured,
@@ -296,8 +313,10 @@ def render_json(report) -> str:
 
     The bytes are those of json.dumps(report, sort_keys=True, indent=2) plus
     a newline, but only the types a report holds are written: dicts with
-    str keys, lists, str, int, bool and None.  Anything else, a float or a
-    tuple say, raises TypeError.
+    str keys, lists, str, int, bool and None.  Anything else, a float, a
+    tuple or a dict subclass say, raises TypeError; the one dict subclass
+    written is the shared frozen fields._Piece, from the text it keeps for
+    its indentation, filled on its first render there as a plain dict.
     """
     out = []
     _emit(report, "\n", out.append)
@@ -314,6 +333,13 @@ def _emit(value, newline, put):
         put(int.__repr__(value))
     elif value is None or kind is bool:
         put(_JSON_CONSTANTS[value])
+    elif kind is _Piece:
+        text = value._texts.get(newline)
+        if text is None:
+            parts = []
+            _emit(dict(value), newline, parts.append)
+            text = value._texts[newline] = "".join(parts)
+        put(text)
     elif kind is dict:
         if not value:
             put("{}")

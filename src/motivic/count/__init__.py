@@ -77,12 +77,12 @@ class CountQuery:
     factors agree up to order, repetition and nonzero scalars; a union query
     and the ordinary query of its product count the same but are not equal.
     Equal queries count the same, so a caller may memoise counts on them; the
-    canonical key behind __eq__ and __hash__ and the describe() dict are
-    each built once per query.
+    canonical key behind __eq__ and __hash__, the hash itself and the
+    describe() dict are each built once per query.
     """
 
     __slots__ = ("spec", "n", "chart", "factors", "_generators", "_key",
-                 "_described")
+                 "_hash", "_described")
 
     def __init__(self, spec: FieldSpec, n: int, generators=(), chart=()):
         self._setup(spec, n, chart)
@@ -106,8 +106,7 @@ class CountQuery:
             raise ValueError("bad ambient dimension")
         self.spec = spec
         self.n = int(n)
-        self._key = None
-        self._described = None
+        self._key = self._hash = self._described = None
         ch = []
         seen = set()
         for idx, kind in chart:
@@ -191,7 +190,9 @@ class CountQuery:
                 and self._canonical() == other._canonical())
 
     def __hash__(self):
-        return hash(self._canonical())
+        if self._hash is None:
+            self._hash = hash(self._canonical())
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(self.describe()["generators"]) or "0"

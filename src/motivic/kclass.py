@@ -27,13 +27,16 @@ are over a finite field, where it is verifiable by brute force, and the CLI
 does so by default.  So a step over Q records no identity.  The counting
 methods take a Counts, a dict of point counts keyed by query that the CLI
 keeps for one job, so a query that recurs across identities, atoms and the
-oracle is counted once.
+oracle is counted once.  The report dict of a constant CountTerm is one
+shared fields._Piece per (coeff, power), kept in a bounded cache.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .count import CountQuery, count_points
-from .fields import FieldSpec
+from .fields import FieldSpec, _Piece
 
 
 class EtaleAtom:
@@ -350,12 +353,20 @@ class CountTerm:
         return n
 
     def describe(self):
+        """The term's report dict; a constant term's is one shared _Piece
+        per (coeff, power)."""
+        if self.query is None:
+            return _constant_term(self.coeff, self.power)
         d = {"coeff": self.coeff}
         if self.power:
             d["power"] = self.power
-        if self.query is not None:
-            d["query"] = self.query.describe()
+        d["query"] = self.query.describe()
         return d
+
+
+@lru_cache(maxsize=256)
+def _constant_term(coeff, power):
+    return _Piece(coeff=coeff, power=power) if power else _Piece(coeff=coeff)
 
 
 class Identity:

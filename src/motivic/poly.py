@@ -189,14 +189,16 @@ class HomogPoly:
     construction, so they build those through _from_terms, which stores
     the dict of values it is given.
     A form is never changed once built, so str() fills the _text slot the
-    first time it prints the form and returns that text from then on.
+    first time it prints the form and returns that text from then on, and
+    canonical_key() keeps its key in the _key slot the same way.
     Beside it, motivic.count fills the _zero_lanes slot the first time a
     query whose plan names the kept lanes (a count, charted or not, or a
     search with no chart over a small P^n) reads the form: the form's
     zeros over the whole of P^n, which every later such query reads.
     """
 
-    __slots__ = ("spec", "nvars", "degree", "coeffs", "_text", "_zero_lanes")
+    __slots__ = ("spec", "nvars", "degree", "coeffs", "_key", "_text",
+                 "_zero_lanes")
 
     def __init__(self, spec: FieldSpec, nvars: int, degree: int, terms):
         if nvars < 1:
@@ -246,9 +248,15 @@ class HomogPoly:
         return self._scaled(self.spec._inv(self._lead()))
 
     def canonical_key(self):
-        """Hashable structural identity (field, shape, ordered terms)."""
-        return (self.spec, self.nvars, self.degree,
-                tuple(sorted(self.coeffs.items(), reverse=True)))
+        """Hashable structural identity (field, shape, ordered terms), kept
+        in the _key slot once built."""
+        try:
+            return self._key
+        except AttributeError:
+            pass
+        key = self._key = (self.spec, self.nvars, self.degree,
+                           tuple(sorted(self.coeffs.items(), reverse=True)))
+        return key
 
     def __eq__(self, other):
         return (

@@ -20,6 +20,8 @@ internal cross-check fails (which would indicate a bug, never bad input).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .count import CountQuery, count_points, enumerate_points
 from .kclass import (
     ClassExpr,
@@ -46,9 +48,15 @@ class DefectError(RuntimeError):
     """An internal consistency check failed."""
 
 
+@lru_cache(maxsize=128)
+def _constant_run(coeff, length):
+    """The shared CountTerms coeff * q^j for j < length."""
+    return tuple(CountTerm(coeff, j) for j in range(length))
+
+
 def _staircase(k):
     """CountTerms summing to #P^k = 1 + q + ... + q^k (empty when k < 0)."""
-    return [CountTerm(1, j) for j in range(k + 1)]
+    return list(_constant_run(1, k + 1))
 
 
 def _point_str(spec, pt):
@@ -253,12 +261,19 @@ def _onto_span(spec, forms, radical):
 def _subset_ranks(spec, rows):
     """ranks[mask] = rank of the rows whose bits are set in mask.
 
-    A depth-first walk over the subsets carries the echelon basis of the
-    current subset, so each subset's rank costs one row reduction.  Each
-    frame of its stack is [mask, next row to add, whether the basis kept
-    the row that made mask].
+    When the rows are independent, so is every subset, whose rank is its
+    size.  Otherwise a depth-first walk over the subsets carries the
+    echelon basis of the current subset, so each subset's rank costs one
+    row reduction.  Each frame of its stack is [mask, next row to add,
+    whether the basis kept the row that made mask].
     """
     d = len(rows)
+    span = _Echelon(spec)
+    if all(span.add(row) for row in rows):
+        ranks = [0]
+        for _ in range(d):
+            ranks += [r + 1 for r in ranks]
+        return ranks
     ranks = [0] * (1 << d)
     span = _Echelon(spec)
     stack = [[0, 0, False]]
@@ -281,18 +296,22 @@ def _subset_ranks(spec, rows):
 def _inclusion_exclusion(spec, rows, n):
     """The sum of arrangement_inclusion_exclusion for the hyperplanes with
     coefficient rows in P^n, as a class and as CountTerms at L = q, from
-    one walk over the subsets."""
+    one walk over the subsets.  A subset S adds the shared run of terms
+    (-1)^(|S|+1) q^j for j <= n - rank S."""
     d = len(rows)
     if d > 16:
         raise ValueError("too many hyperplanes for subset enumeration")
     ranks = _subset_ranks(spec, rows)
-    coeffs = {}
+    runs = {}  # (sign, run length) -> number of subsets
     terms = []
     for mask in range(1, 1 << d):
-        sign = 1 if bin(mask).count("1") % 2 else -1
-        for j in range(n - ranks[mask] + 1):
-            coeffs[j] = coeffs.get(j, 0) + sign
-            terms.append(CountTerm(sign, j))
+        key = (1 if mask.bit_count() & 1 else -1, n - ranks[mask] + 1)
+        runs[key] = runs.get(key, 0) + 1
+        terms += _constant_run(*key)
+    coeffs = {}
+    for (sign, length), k in runs.items():
+        for j in range(length):
+            coeffs[j] = coeffs.get(j, 0) + sign * k
     return ClassExpr(coeffs), terms
 
 
@@ -356,10 +375,7 @@ def class_of_arrangement(forms) -> StratResult:
     ))
 
     expr = projective_space_class(n - r) + z_expr.lshift(n - r + 1)
-    result = StratResult(expr, steps, [("d_le_n", d <= n)])
-    if d <= n and result.residue != 1:
-        raise DefectError("arrangement residue is not 1 despite d <= n")
-    return result
+    return StratResult(expr, steps, [("d_le_n", d <= n)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from motivic import cli
+from motivic import cli, fields, kclass, strat
+from test_cli import PINNED_REPORTS, _pinned_job
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _DIGESTS = json.loads((_PERFBENCH / "digests.json").read_text())
@@ -51,3 +52,38 @@ def test_benchmark_jobs_keep_their_recorded_digests(workload):
         digests.append(hashlib.sha256(
             cli.render_json(report).encode()).hexdigest())
     assert digests == _DIGESTS[workload]["jobs"]
+
+
+def _empty_piece_caches():
+    """Forget every shared report piece and the texts they keep."""
+    for cache in (fields._described_field, kclass._constant_term,
+                  strat._constant_run, cli._skipped_step):
+        cache.cache_clear()
+    cli._SKIPPED_ORACLE._texts.clear()
+
+
+def test_report_bytes_do_not_depend_on_kept_pieces():
+    """The pinned jobs and every workload's jobs at the default seed give
+    the same bytes in one process three ways: in order, again in reverse
+    order with the pieces of earlier jobs kept, and with every piece cache
+    emptied before each job.  The first way matches the recorded digests."""
+    jobs = [_pinned_job(args) for args, _ in PINNED_REPORTS]
+    recorded = [digest for _, digest in PINNED_REPORTS]
+    for workload in _WORKLOADS.WORKLOADS:
+        jobs += [cli.JobSpec.from_echo(job["command"], job["echo"])
+                 for job in _WORKLOADS.generate(workload, 0)]
+        recorded += _DIGESTS[workload]["jobs"]
+
+    def text(job):
+        return cli.render_json(cli.run(job)[0])
+
+    forward = [text(job) for job in jobs]
+    backward = [text(job) for job in reversed(jobs)][::-1]
+    emptied = []
+    for job in jobs:
+        _empty_piece_caches()
+        emptied.append(text(job))
+    assert [hashlib.sha256(t.encode()).hexdigest()
+            for t in forward] == recorded
+    assert backward == forward
+    assert emptied == forward

@@ -1,9 +1,13 @@
+import copy
 import gc
 import hashlib
 import json
+import operator
 import os
+import pickle
 import sys
 import types
+from collections import OrderedDict, defaultdict
 from pathlib import Path
 
 import pytest
@@ -13,8 +17,9 @@ import motivic
 from conftest import run_python
 import motivic.kclass
 from motivic.cli import JobSpec, _dispatch, main, render_json, run
-from motivic.fields import FieldElem, FieldSpec, field_from_text
-from motivic.kclass import ClassExpr, EtaleAtom, VarietyAtom
+from motivic.fields import FieldElem, FieldSpec, _Piece, field_from_text
+from motivic.kclass import (ClassExpr, Counts, EtaleAtom, StratResult,
+                            VarietyAtom)
 from motivic.poly import HomogPoly, _Packing, _monomial_tables
 
 QUADRIC = ["class-quadric", "--field", "3", "--ambient", "3",
@@ -374,6 +379,54 @@ def test_variety_atoms_are_counted_through_their_own_query(job):
         assert hash(merged) == hash(ClassExpr({}, [(0, 2, twin)]))
         mixed = ClassExpr.from_atom(atom) + ClassExpr.from_atom(EtaleAtom([1]))
         assert len(mixed.residuals) == 2
+
+
+def test_a_residue_against_the_criterion_exits_three(capsys, monkeypatch):
+    """Over F_q with d <= n, X has a point, so an engine's residue other than
+    1 is a defect, found without counting anything."""
+    real = motivic.cli._dispatch
+
+    def wrong_residue(job):
+        result, oracle = real(job)
+        return StratResult(result.class_expr + 1, result.trace,
+                           result.hypotheses), oracle
+
+    monkeypatch.setattr(motivic.cli, "_dispatch", wrong_residue)
+    for argv in (QUADRIC, QUADRIC + ["--no-verify"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert "defect: residue 2 is not 1" in err
+    # over F3 in P^1 a quadric has d = 2 > n = 1: nothing is asserted
+    line = ["class-quadric", "--field", "3", "--ambient", "1",
+            "--poly", "x0*x1", "--no-verify"]
+    code, out, _ = _run(capsys, line)
+    assert code == 0 and "residue: 3" in out
+
+
+def test_an_oracle_count_against_the_criterion_exits_three(capsys,
+                                                           monkeypatch):
+    """Over F_q with d <= n, #X = 1 mod q (Ax-Katz): a verified job whose
+    oracle count is not exits 3, though its class, the atom [X] itself,
+    measures that same count."""
+    real = motivic.cli._dispatch
+
+    def as_atom(job):
+        _, oracle = real(job)
+        atom = VarietyAtom(oracle.spec, oracle.n, oracle.generators)
+        return StratResult(ClassExpr.from_atom(atom), [], []), oracle
+
+    monkeypatch.setattr(motivic.cli, "_dispatch", as_atom)
+    code, out, _ = _run(capsys, QUADRIC)
+    assert code == 0 and "[pass]" in out
+    counted = motivic.kclass.count_points
+    monkeypatch.setattr(motivic.kclass, "count_points",
+                        lambda query, budget=None:
+                        counted(query, budget=budget) + 1)
+    code, out, err = _run(capsys, QUADRIC)
+    assert code == 3 and out == ""
+    assert "defect: #X = 17 is not 1 mod 3" in err
+    # without verification nothing is counted, so nothing is found
+    assert _run(capsys, QUADRIC + ["--no-verify"])[0] == 0
 
 
 def test_wrong_poly_arity(capsys):
@@ -781,6 +834,84 @@ def test_render_json_matches_json_dumps(report):
 def test_render_json_rejects_what_no_report_holds(value):
     with pytest.raises(TypeError):
         render_json({"status": "ok", "value": value})
+
+
+class _OtherDict(dict):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    OrderedDict(a=1), defaultdict(int), Counts(), _OtherDict(a=1),
+], ids=["ordered", "default", "counts", "subclass"])
+def test_render_json_rejects_dict_subclasses_but_pieces(value):
+    with pytest.raises(TypeError):
+        render_json({"status": "ok", "value": value})
+
+
+def test_report_pieces_refuse_every_mutator():
+    piece = _Piece(rule="cone-split", status="skipped")
+    mutators = [
+        lambda d: d.__setitem__("status", "pass"),
+        lambda d: d.__delitem__("status"),
+        lambda d: d.clear(),
+        lambda d: d.pop("status"),
+        lambda d: d.pop("absent", None),
+        lambda d: d.popitem(),
+        lambda d: d.setdefault("lhs", 0),
+        lambda d: d.update(status="pass"),
+        lambda d: d.update(),
+        lambda d: operator.ior(d, {"status": "pass"}),
+    ]
+    for mutate in mutators:
+        with pytest.raises(TypeError):
+            mutate(piece)
+    assert piece == {"rule": "cone-split", "status": "skipped"}
+    assert type(piece.copy()) is dict
+    # a report that holds pieces still copies and pickles whole
+    report = run(JobSpec("class-arrangement", field_from_text("5"), 3,
+                         forms=["x0", "x1"], verify=False))[0]
+    for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert twin == report and render_json(twin) == render_json(report)
+        assert type(twin["result"]["trace"][1]["identity"]["rhs"][0]) \
+            is _Piece
+
+
+def test_a_piece_renders_at_each_depth_it_is_nested_at():
+    piece = _Piece(coeff=-1, power=2)
+    report = {"a": piece, "b": [piece, {"c": piece}], "d": _Piece()}
+    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert render_json(report) == expected
+    assert sorted(piece._texts) == ["\n  ", "\n    ", "\n      "]
+    # the second time from the texts the piece keeps
+    assert render_json(report) == expected
+    assert render_json(json.loads(expected)) == expected
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if type(value) is list:
+        return [_plain(v) for v in value]
+    return value
+
+
+@given(st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4).map(_Piece)),
+    max_leaves=24))
+@settings(max_examples=300, deadline=None)
+def test_trees_of_pieces_render_as_their_plain_copies(tree):
+    """Trees that mix pieces and plain dicts, the same objects nested at two
+    depths as well, render to the bytes of json.dumps and of their copies
+    made of plain dicts, on the first render and on later ones."""
+    for report in (tree, {"deep": [[tree]], "top": tree}):
+        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert render_json(report) == expected
+        assert render_json(_plain(report)) == expected
+        assert render_json(report) == expected
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "0"])

@@ -784,6 +784,42 @@ def test_query_equality_and_hash_are_stable():
     assert len({u, a, *same}) == 2
 
 
+def _fresh_key(g):
+    return (g.spec, g.nvars, g.degree,
+            tuple(sorted(g.coeffs.items(), reverse=True)))
+
+
+def test_kept_keys_and_hashes_equal_fresh_ones():
+    """A form keeps its canonical key and a query its hash once built; each
+    equals the one computed afresh from the terms, for plain, union and
+    charted queries, and a query that was hashed before compares and
+    hashes as one built later."""
+    F9 = extension_field(3, 2)
+    f = parse_poly("x0*x1 - x2^2", F9, 3)
+    h = parse_poly("x0 + t*x2", F9, 3)
+    for g in (f, h, h.monic()):
+        key = g.canonical_key()
+        assert g.canonical_key() is key
+        assert key == _fresh_key(g) and hash(g) == hash(_fresh_key(g))
+    cases = [
+        (CountQuery(F9, 2, [f, h]), False),
+        (CountQuery(F9, 2, [f], ((0, "nonzero"), (2, "zero"))), False),
+        (CountQuery.union(F9, 2, [f, h, scaled(h, lit(F9, 2))]), True),
+        (CountQuery.union(F9, 2, [h, f], ((1, "zero"),)), True),
+    ]
+    for query, union in cases:
+        kept = hash(query)
+        assert hash(query) == kept
+        polys = query.factors if union else query.generators
+        fresh = (frozenset(_fresh_key(g.monic()) for g in polys) if union
+                 else tuple(_fresh_key(g) for g in polys))
+        assert kept == hash((F9, 2, query.chart, fresh))
+        copies = [HomogPoly(F9, 3, g.degree, dict(g.coeffs)) for g in polys]
+        twin = (CountQuery.union(F9, 2, copies, query.chart) if union
+                else CountQuery(F9, 2, copies, query.chart))
+        assert twin == query and hash(twin) == kept
+
+
 @given(st.one_of(_count_query(), _union_query()))
 @settings(max_examples=120, deadline=None)
 def test_enumerate_points_matches_generic_walk(query):

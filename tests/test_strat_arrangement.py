@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +8,13 @@ from conftest import assert_trace_verifies, brute_count
 from motivic.descent import GaloisContext, class_of_descended_arrangement
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.kclass import ClassExpr, projective_space_class
-from motivic.linalg import Matrix, _kernel, _product, _rotation
+from motivic.linalg import Matrix, _Echelon, _kernel, _product, _rotation
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
 from motivic.strat import (
     _coeff_rows,
     _normalize_forms,
+    _subset_ranks,
     arrangement_inclusion_exclusion,
     class_of_arrangement,
 )
@@ -105,6 +107,57 @@ def test_inclusion_exclusion_oracle_values():
                 for i in range(17)
             ]
         )
+
+
+def _walked_ranks(spec, rows):
+    """The rank of every subset of the rows by the depth-first walk that
+    _subset_ranks takes for dependent rows, here taken for any rows."""
+    d = len(rows)
+    ranks = [0] * (1 << d)
+    span = _Echelon(spec)
+    stack = [[0, 0, False]]
+    while stack:
+        frame = stack[-1]
+        mask, j, kept = frame
+        if j == d:
+            stack.pop()
+            if kept:
+                span.pop()
+            continue
+        frame[1] = j + 1
+        child = mask | 1 << j
+        added = span.add(rows[j])
+        ranks[child] = len(span.rows)
+        stack.append([child, j + 1, added])
+    return ranks
+
+
+@pytest.mark.parametrize("spec", [F3, extension_field(3, 2), Q], ids=str)
+def test_subset_ranks_match_the_walk(spec):
+    """Independent rows take the shortcut, dependent ones the walk; both
+    give every subset the rank that the walk gives it."""
+    rng = random.Random(41)
+    if spec.is_finite:
+        values = list(range(spec.order))
+    else:
+        values = [Fraction(v, w) for v in range(-3, 4) for w in (1, 2)]
+    seen = set()
+    for trial in range(60):
+        d = rng.randrange(1, 9)
+        width = rng.randrange(1, 9)
+        rows = []
+        while len(rows) < d:
+            row = [rng.choice(values) for _ in range(width)]
+            if trial % 3 == 0 and rows:
+                # a sum of an earlier row and a multiple of another
+                a, b = rng.choice(rows), rng.choice(rows)
+                row = spec._axpy(a, rng.choice(values[1:]), b)
+            if any(row):
+                rows.append(row)
+        ranks = _subset_ranks(spec, rows)
+        assert ranks == _walked_ranks(spec, rows)
+        seen.add(ranks[-1] == d)
+    assert seen == {True, False}
 
 
 def test_validation_errors():
