@@ -7,7 +7,9 @@ to stderr.  The JSON comes from render_json, one writer that knows only the
 types a report holds and raises on any other; its bytes are those of
 json.dumps(sort_keys=True, indent=2).  Report pieces that never change,
 fields._Piece, are shared across reports and written from kept text.
-verify reads a saved report's input echo back type by type.  Exit codes:
+verify reads a saved report's input echo back type by type.  A verified
+job over F_q counts through one kclass.Counts; one over Q, or run with
+--no-verify, counts nothing.  Exit codes:
 0 all checks pass, 2 bad input or precondition, 3 verification mismatch
 or internal defect.
 """
@@ -21,8 +23,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .fields import FieldSpec, _Piece, field_from_text, prime_field
 from .parse import parse_point, parse_poly
-from .count import BudgetError, CountQuery, count_points
+from .count import CountQuery, count_points
 from .kclass import Counts
+from .points import _DEFAULT_HEIGHT
 from .strat import (
     DefectError,
     arrangement_inclusion_exclusion,
@@ -53,7 +56,6 @@ def _field_text(spec: FieldSpec) -> str:
 
 
 _NONE = type(None)
-_DEFAULT_HEIGHT = 10  # the search height over Q without --height
 
 
 def _echoed(holder, key, *types):
@@ -244,22 +246,25 @@ _SKIPPED_ORACLE = _Piece(status="skipped")
 def _verification(job, result, oracle_query):
     """(verification dict, failed) for one job's result.
 
-    Its identities, atoms and oracle share one Counts under job.budget, so
-    each distinct query of the job is counted once; nothing is kept across
-    jobs.  Over F_q with d <= n, d the generators' (a union's factors')
-    degree sum, X has a point and #X = 1 mod q (Chevalley-Warning, Ax-Katz),
-    so any other integer residue or counted oracle is a defect.
+    A verified job over F_q counts its identities, atoms and oracle through
+    one Counts under job.budget, so each distinct query is counted once.
+    With d <= n, d the generators' (a union's factors') degree sum, X has a
+    point over F_q (Chevalley-Warning), so a residue other than 1 is a
+    defect, as is a counted #X != 1 mod q (Ax-Katz).  Over Q the residue
+    is checked too, unless the engine reports rational_point_found=False.
     """
     spec = oracle_query.spec
+    counts = (Counts(spec, job.budget) if job.verify and spec.is_finite
+              else None)
     polys = oracle_query.factors or oracle_query.generators
-    d_le_n = spec.is_finite and sum(g.degree for g in polys) <= oracle_query.n
-    if d_le_n and result.residue not in (1, None):
+    d_le_n = sum(g.degree for g in polys) <= oracle_query.n
+    if (d_le_n and result.residue not in (1, None)
+            and ("rational_point_found", False) not in result.hypotheses):
         raise DefectError("residue %d is not 1 though d <= n" % result.residue)
-    counts = Counts(job.budget)
     steps = []
     failed = False
     for st in result.trace:
-        if st.identity is None or not job.verify:
+        if st.identity is None or counts is None:
             steps.append(_skipped_step(st.rule))
             continue
         lv, rv = st.identity.sides(counts)
@@ -268,12 +273,11 @@ def _verification(job, result, oracle_query):
         failed = failed or lv != rv
 
     oracle = _SKIPPED_ORACLE
-    if job.verify and spec.is_finite:
-        q = spec.order
-        measured = result.class_expr.count_measure(q, counts)
+    if counts is not None:
+        measured = result.class_expr.count_measure(counts)
         counted = counts[oracle_query]
-        if d_le_n and counted % q != 1:
-            raise DefectError("#X = %d is not 1 mod %d" % (counted, q))
+        if d_le_n and counted % counts.q != 1:
+            raise DefectError("#X = %d is not 1 mod %d" % (counted, counts.q))
         oracle = {
             "status": "pass" if measured == counted else "fail",
             "count_measure": measured,
@@ -453,35 +457,37 @@ def _selftest():
 
     # cone in P^3 over a plane cubic: #X = 1 + q * #Z
     spec = prime_field(5)
+    counts = Counts(spec)
     z = parse_poly("x0^3 + x1^3 + x2^3", spec, 3)
     result = class_of_cone([z])
-    nz = count_points(CountQuery(spec, 2, [z]))
-    nx = count_points(CountQuery(spec, 3, [z.insert_variable(3)]))
+    nz = counts[CountQuery(spec, 2, [z])]
+    nx = counts[CountQuery(spec, 3, [z.insert_variable(3)])]
     ok = nx == 1 + 5 * nz
     for st in result.trace:
         if st.identity is not None:
-            lv, rv = st.identity.sides()
+            lv, rv = st.identity.sides(counts)
             ok = ok and lv == rv
     check("cone-fibration", ok)
 
     # arrangement: engine vs inclusion-exclusion oracle, and the count
     spec = prime_field(3)
+    counts = Counts(spec)
     forms = [parse_poly(s, spec, 3) for s in ("x0", "x1")]
     result = class_of_arrangement(forms)
     ie = arrangement_inclusion_exclusion(forms)
-    n = count_points(CountQuery(spec, 2, [forms[0] * forms[1]]))
+    n = counts[CountQuery(spec, 2, [forms[0] * forms[1]])]
     check("arrangement", str(result.class_expr) == str(ie)
-          and result.class_expr.count_measure(3) == n)
+          and result.class_expr.count_measure(counts) == n)
 
     # descended pair of conjugate lines: count 1 in P^2, 4 in P^3
-    ctx = GaloisContext(prime_field(3), extension_field(3, 2))
+    ctx = GaloisContext(spec, extension_field(3, 2))
     pair = [parse_poly("x0 + t*x1", ctx.ext, 3),
             parse_poly("x0 - t*x1", ctx.ext, 3)]
     r2 = class_of_descended_arrangement(ctx, pair, 2)
     r3 = class_of_descended_arrangement(ctx, pair, 3)
     check("descent-conjugate-lines",
-          r2.class_expr.count_measure(3) == 1
-          and r3.class_expr.count_measure(3) == 4)
+          r2.class_expr.count_measure(counts) == 1
+          and r3.class_expr.count_measure(counts) == 4)
 
     if all(ok for _, ok in checks):
         print("selftest: %d/%d ok" % (len(checks), len(checks)))
@@ -546,9 +552,6 @@ def main(argv=None) -> int:
     except DefectError as e:
         print("defect: %s" % e, file=sys.stderr)
         return 3
-    except BudgetError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -12,9 +12,9 @@ which is bookkeeping, not simplification.
 
 Two specializations connect expressions to the ground:
 
-  * count_measure(e, q): L -> q, atoms -> their F_q point counts.  For every
-    engine result this must equal the brute-force count of the input variety;
-    that identity is the package's master check.
+  * e.count_measure(counts): L -> q, atoms -> their F_q point counts.  For
+    every engine result this must equal the brute-force count of the input
+    variety; that identity is the package's master check.
   * residue_mod_L(e): the constant term, when it is determinate.  A variety
     atom at shift 0 makes it indeterminate (None); an etale atom at shift 0
     contributes its number of degree-1 factors.
@@ -25,8 +25,8 @@ that must agree) or a pointwise check record.  The engines state the same
 identities over every field; TraceStep keeps one only when all its queries
 are over a finite field, where it is verifiable by brute force, and the CLI
 does so by default.  So a step over Q records no identity.  The counting
-methods take a Counts, a dict of point counts keyed by query that the CLI
-keeps for one job, so a query that recurs across identities, atoms and the
+methods take one Counts, the F_q of one job with its dict of point counts
+keyed by query, so a query that recurs across identities, atoms and the
 oracle is counted once.  The report dict of a constant CountTerm is one
 shared fields._Piece per (coeff, power), kept in a bounded cache.
 """
@@ -57,7 +57,7 @@ class EtaleAtom:
     def sort_key(self):
         return (0, self.degrees)
 
-    def count(self, q: int, counts=None) -> int:
+    def count(self, counts) -> int:
         return self.residue_contribution()
 
     def residue_contribution(self):
@@ -123,12 +123,8 @@ class VarietyAtom:
     def query(self) -> CountQuery:
         return self._query
 
-    def count(self, q: int, counts=None) -> int:
-        spec = self._query.spec
-        if spec.order != q:
-            raise ValueError(
-                "atom lives over %s, counting asked at q=%d" % (spec, q))
-        return (Counts() if counts is None else counts)[self._query]
+    def count(self, counts) -> int:
+        return counts[self._query]
 
     def residue_contribution(self):
         return None
@@ -244,16 +240,12 @@ class ClassExpr:
             acc += coeff * contrib
         return acc
 
-    def count_measure(self, q: int, counts=None) -> int:
-        """Specialize L -> q and count every atom over F_q through counts,
-        a fresh Counts when None."""
-        if counts is None:
-            counts = Counts()
-        total = 0
-        for e, v in self.coeffs.items():
-            total += v * q**e
+    def count_measure(self, counts) -> int:
+        """Specialize L -> counts.q and count every atom through counts."""
+        q = counts.q
+        total = sum(v * q**e for e, v in self.coeffs.items())
         for shift, coeff, atom in self.residuals:
-            total += coeff * q**shift * atom.count(q, counts)
+            total += coeff * q**shift * atom.count(counts)
         return total
 
     # -- rendering / serialization --------------------------------------------
@@ -314,20 +306,28 @@ def projective_space_class(n: int) -> ClassExpr:
 
 
 class Counts(dict):
-    """The point counts of one job: a dict from CountQuery to count.
+    """The point counts of one job over the finite field spec, where L is
+    q = spec.order: a dict from CountQuery to count.
 
-    A missing query is counted by count_points under budget and kept.
-    Equal queries count the same, so a job counts each distinct query
-    once.  A count that raises, BudgetError included, keeps nothing.
+    A missing query over spec is counted by count_points under budget and
+    kept, one over another field refused, so a job counts each distinct
+    query once.  A count that raises, BudgetError included, keeps nothing.
     """
 
-    __slots__ = ("budget",)
+    __slots__ = ("spec", "q", "budget")
 
-    def __init__(self, budget=None):
+    def __init__(self, spec: FieldSpec, budget=None):
+        if not spec.is_finite:
+            raise ValueError("counting needs a finite field, got %s" % spec)
         super().__init__()
+        self.spec = spec
+        self.q = spec.order
         self.budget = budget
 
     def __missing__(self, query):
+        if query.spec is not self.spec:
+            raise ValueError("query lives over %s, counting is over %s"
+                             % (query.spec, self.spec))
         n = self[query] = count_points(query, budget=self.budget)
         return n
 
@@ -346,10 +346,10 @@ class CountTerm:
         self.power = int(power)
         self.query = query
 
-    def value(self, q: int, counts=None) -> int:
-        n = self.coeff * q**self.power
+    def value(self, counts) -> int:
+        n = self.coeff * counts.q**self.power
         if self.query is not None:
-            n *= (Counts() if counts is None else counts)[self.query]
+            n *= counts[self.query]
         return n
 
     def describe(self):
@@ -377,22 +377,14 @@ class Identity:
     def __init__(self, lhs, rhs):
         self.lhs = tuple(lhs)
         self.rhs = tuple(rhs)
-
-    def sides(self, counts=None):
-        """(left, right) at the field size of the identity's queries, each
-        query looked up in counts (a fresh Counts when None)."""
-        specs = [t.query.spec for t in self.lhs + self.rhs if t.query is not None]
-        if not specs:
+        if all(t.query is None for t in self.lhs + self.rhs):
             raise ValueError("identity with no counting content")
-        q = specs[0].order
-        for s in specs:
-            if s.order != q:
-                raise ValueError("identity mixes field sizes")
-        if counts is None:
-            counts = Counts()
-        lv = sum(t.value(q, counts) for t in self.lhs)
-        rv = sum(t.value(q, counts) for t in self.rhs)
-        return lv, rv
+
+    def sides(self, counts):
+        """(left, right) with L -> counts.q, each query looked up in
+        counts."""
+        return (sum(t.value(counts) for t in self.lhs),
+                sum(t.value(counts) for t in self.rhs))
 
     def describe(self):
         return {

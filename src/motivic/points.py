@@ -34,6 +34,8 @@ from fractions import Fraction
 from .count import _DEFAULT_BUDGET, BudgetError, CountQuery, _first_point
 from .fields import FieldSpec
 
+_DEFAULT_HEIGHT = 10  # the search height over Q when none is given
+
 
 def rational_reps(n: int, height: int):
     """Height-bounded rational points of P^n(Q), normalized, fixed order.
@@ -52,7 +54,7 @@ def rational_reps(n: int, height: int):
                 yield head + tuple([t * inv for t in tail])
 
 
-def first_point(spec: FieldSpec, n: int, gens, height: int = 10,
+def first_point(spec: FieldSpec, n: int, gens, height=_DEFAULT_HEIGHT,
                 budget=None):
     """First point of V(gens) in P^n in the fixed order, or None.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .fields import FieldSpec
 from .linalg import Matrix, _kernel, _product
-from .points import first_point
+from .points import _DEFAULT_HEIGHT, first_point
 from .poly import HomogPoly
 
 
@@ -160,7 +160,7 @@ def diagonalize(q: QuadForm):
     return Matrix._from_rows(spec, M), [B[i][i] for i in range(n)]
 
 
-def find_projective_point(q: QuadForm, height: int = 10, budget=None):
+def find_projective_point(q: QuadForm, height=_DEFAULT_HEIGHT, budget=None):
     """First projective zero of q in canonical order, or None.
 
     The search is points.first_point, charged only for the candidates it

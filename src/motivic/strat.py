@@ -4,8 +4,8 @@ Each engine takes defining polynomials, produces a ClassExpr, and logs a
 Trace whose steps carry point-count identities.  An engine states the same
 identities over every field; over Q, TraceStep records none of them, since
 nothing over Q is counted.  Over a finite field every identity is checkable
-by brute force, and the master invariant holds: count_measure(
-result.class_expr, q) equals count_points of the input variety.
+by brute force, and the master invariant holds: the class's count_measure
+equals count_points of the input variety.
 
 Families covered:
   * quadrics in any ambient dimension (full recursion, degenerate included),
@@ -35,7 +35,7 @@ from .kclass import (
 )
 from .linalg import Matrix, _Echelon, _kernel, _product, _rotation
 from .poly import HomogPoly
-from .points import first_point
+from .points import _DEFAULT_HEIGHT, first_point
 from .quadform import (
     QuadForm,
     diagonalize,
@@ -67,7 +67,7 @@ def _point_str(spec, pt):
 # quadrics
 
 
-def class_of_quadric(f: HomogPoly, height: int = 10,
+def class_of_quadric(f: HomogPoly, height=_DEFAULT_HEIGHT,
                      budget=None) -> StratResult:
     """Class of the degree-2 hypersurface V(f) in P^(nvars-1).
 
@@ -473,7 +473,8 @@ def _is_singular_at(f: HomogPoly, pt) -> bool:
     return not value and not any(grad)
 
 
-def find_singular_rational_point(f: HomogPoly, height: int = 10, budget=None):
+def find_singular_rational_point(f: HomogPoly, height=_DEFAULT_HEIGHT,
+                                 budget=None):
     """First point in canonical order where f and all partials vanish.
 
     The search is points.first_point on V(f, df/dx_0, ...): charged only
@@ -483,7 +484,7 @@ def find_singular_rational_point(f: HomogPoly, height: int = 10, budget=None):
     return first_point(f.spec, f.nvars - 1, [f] + partials, height, budget)
 
 
-def class_of_singular_cubic(f: HomogPoly, x=None, height: int = 10,
+def class_of_singular_cubic(f: HomogPoly, x=None, height=_DEFAULT_HEIGHT,
                             budget=None) -> StratResult:
     """Class of a cubic hypersurface with a rational singular point, n >= 3.
 
@@ -619,7 +620,7 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
     q2 = QuadForm.from_poly(f2)
 
     if f1.monic() == f2.monic():
-        inner = _quadric_class(q1, 10, budget)
+        inner = _quadric_class(q1, _DEFAULT_HEIGHT, budget)
         steps = [TraceStep(
             "identical-quadrics",
             "f2 is a scalar multiple of f1; the union is V(f1) itself",
@@ -751,8 +752,8 @@ def class_of_two_quadric_union(f1: HomogPoly, f2: HomogPoly,
         check={"points": sing_pts, "all_singular": True},
     ))
 
-    c1 = _quadric_class(q1, 10, budget)
-    c2 = _quadric_class(q2, 10, budget)
+    c1 = _quadric_class(q1, _DEFAULT_HEIGHT, budget)
+    c2 = _quadric_class(q2, _DEFAULT_HEIGHT, budget)
     infty = projective_space_class(n - 3 if l1_survives else n - 2)
     meet_expr = (
         ClassExpr.from_atom(y_atom)

@@ -21,13 +21,15 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 _IMPORT_ROOT = str(Path(motivic.__file__).resolve().parents[1])
 
 
-def assert_trace_verifies(result, budget=None):
-    """Every counting identity recorded in the trace must balance exactly."""
+def assert_trace_verifies(result, spec):
+    """Every counting identity recorded in the trace must balance exactly
+    when counted over spec, through one Counts."""
+    counts = Counts(spec) if spec.is_finite else None
     checked = 0
     for step in result.trace:
         if step.identity is None:
             continue
-        lv, rv = step.identity.sides(Counts(budget))
+        lv, rv = step.identity.sides(counts)
         assert lv == rv, "%s: %d != %d" % (step.rule, lv, rv)
         checked += 1
     return checked

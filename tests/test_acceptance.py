@@ -21,7 +21,7 @@ from motivic.descent import (
     h90_trivialize,
 )
 from motivic.fields import extension_field, prime_field, rationals
-from motivic.kclass import projective_space_class
+from motivic.kclass import Counts, projective_space_class
 from motivic.linalg import Matrix
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
@@ -79,7 +79,7 @@ def test_quadric_master_counting_invariant():
     battery, elapsed = _quadric_battery()
     assert len(battery) == 300
     for q, n, f, r, count in battery:
-        assert r.class_expr.count_measure(q) == count
+        assert r.class_expr.count_measure(Counts(prime_field(q))) == count
     assert elapsed < 60.0
     print("acceptance: quadric counting invariant on 300 forms "
           "(%.1fs): PASS" % elapsed)
@@ -99,7 +99,7 @@ def test_quadric_residue_and_congruence():
         f = parse_poly("x0^2 + %d*x1^2" % c, spec, 2)
         r = class_of_quadric(f)
         assert r.residue == 0
-        assert r.class_expr.count_measure(q) == 0
+        assert r.class_expr.count_measure(Counts(spec)) == 0
         assert brute_count(spec, 1, [f]) == 0
     print("acceptance: quadric residue 1 and count = 1 mod q, "
           "anisotropic binary residue 0: PASS")
@@ -133,11 +133,11 @@ def test_arrangement_double_computation():
             product = forms[0]
             for h in forms[1:]:
                 product = product * h
-            assert r.class_expr.count_measure(spec.p) == brute_count(
+            assert r.class_expr.count_measure(Counts(spec)) == brute_count(
                 spec, n, [product]
             )
             finite_checked += 1
-        assert_trace_verifies(r)
+        assert_trace_verifies(r, spec)
     assert finite_checked > 100
     print("acceptance: 200 arrangements, both routes identical, "
           "constant term 1, counts match: PASS")
@@ -189,10 +189,10 @@ def test_galois_descent_battery():
         product = rational[0]
         for h in rational[1:]:
             product = product * h
-        assert r.class_expr.count_measure(p) == brute_count(
+        assert r.class_expr.count_measure(Counts(ctx.base)) == brute_count(
             ctx.base, n, [product]
         )
-        assert_trace_verifies(r)
+        assert_trace_verifies(r, ctx.base)
 
         # matrix scramble: same span, mixed basis
         rows = Matrix(ctx.base, _coeff_rows(rational)).rref()[0]
@@ -226,7 +226,7 @@ def test_galois_descent_battery():
         x1 = HomogPoly.variable(F9, ambient + 1, 1)
         pair = [x0 + scaled(x1, t), x0 - scaled(x1, t)]
         r = class_of_descended_arrangement(ctx, pair, ambient)
-        assert r.class_expr.count_measure(3) == expected
+        assert r.class_expr.count_measure(Counts(F3)) == expected
         f_base = parse_poly("x0^2 + x1^2", F3, ambient + 1)
         assert brute_count(F3, ambient, [f_base]) == expected
     print("acceptance: 100 descents (stability, H90 equation, span, "
@@ -261,8 +261,8 @@ def test_singular_cubic_battery():
         assert r.residue == 1
         count = brute_count(spec, n, [f])
         assert count % q == 1
-        assert r.class_expr.count_measure(q) == count
-        assert_trace_verifies(r)
+        assert r.class_expr.count_measure(Counts(spec)) == count
+        assert_trace_verifies(r, spec)
     assert cone_routed == 10
     print("acceptance: 100 singular cubics, three-strata identity, "
           "residue 1, count = 1 mod q, cone subcase: PASS")
@@ -295,8 +295,8 @@ def test_two_quadric_union_battery():
             assert sing.check["all_singular"] is True
         count = brute_count(F3, 4, [f1 * f2])
         assert count % 3 == 1
-        assert r.class_expr.count_measure(3) == count
-        assert_trace_verifies(r)
+        assert r.class_expr.count_measure(Counts(F3)) == count
+        assert_trace_verifies(r, F3)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     print("acceptance: 50 two-quadric unions, identities balance, "
@@ -317,7 +317,7 @@ def test_reference_fixtures():
     nz = brute_count(F5, 2, [z])
     nx = brute_count(F5, 3, [z.insert_variable(3)])
     assert 1 + 5 * nz == nx
-    assert r.class_expr.count_measure(5) == nx
+    assert r.class_expr.count_measure(Counts(F5)) == nx
     assert r.class_expr.coeffs == {0: 1}
     assert [(s, c) for s, c, _ in r.class_expr.residuals] == [(1, 1)]
 
@@ -325,9 +325,8 @@ def test_reference_fixtures():
     for q in (3, 5, 7):
         spec = prime_field(q)
         for n in range(5):
-            assert projective_space_class(n).count_measure(q) == count_points(
-                CountQuery(spec, n, [])
-            )
+            assert projective_space_class(n).count_measure(
+                Counts(spec)) == count_points(CountQuery(spec, n, []))
     print("acceptance: nodal cubic, cone identity, projective space "
           "fixtures: PASS")
 

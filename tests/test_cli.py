@@ -382,8 +382,9 @@ def test_variety_atoms_are_counted_through_their_own_query(job):
 
 
 def test_a_residue_against_the_criterion_exits_three(capsys, monkeypatch):
-    """Over F_q with d <= n, X has a point, so an engine's residue other than
-    1 is a defect, found without counting anything."""
+    """Over F_q with d <= n, X has a point, and over Q it has one unless the
+    engine found none, so an engine's residue other than 1 is then a
+    defect, found without counting anything."""
     real = motivic.cli._dispatch
 
     def wrong_residue(job):
@@ -401,6 +402,28 @@ def test_a_residue_against_the_criterion_exits_three(capsys, monkeypatch):
             "--poly", "x0*x1", "--no-verify"]
     code, out, _ = _run(capsys, line)
     assert code == 0 and "residue: 3" in out
+    q_quadric = ["class-quadric", "--field", "Q", "--ambient", "2",
+                 "--poly", "x0^2 - x1^2 - x2^2"]
+    q_cone = ["class-cone", "--field", "Q", "--ambient", "3",
+              "--poly", "x0^2 - x1*x2"]
+    for argv in (q_quadric, q_cone):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert "defect: residue 2 is not 1" in err
+
+    # a pointless Q quadric holds rational_point_found=False: no residue
+    # of it is a defect
+    def pointless(job):
+        result, oracle = real(job)
+        assert ("rational_point_found", False) in result.hypotheses
+        result.residue = 0
+        return result, oracle
+
+    monkeypatch.setattr(motivic.cli, "_dispatch", pointless)
+    code, out, _ = _run(capsys, ["class-quadric", "--field", "Q",
+                                 "--ambient", "2",
+                                 "--poly", "x0^2 + x1^2 - 3*x2^2"])
+    assert code == 0 and "residue: 0" in out
 
 
 def test_an_oracle_count_against_the_criterion_exits_three(capsys,
@@ -841,7 +864,8 @@ class _OtherDict(dict):
 
 
 @pytest.mark.parametrize("value", [
-    OrderedDict(a=1), defaultdict(int), Counts(), _OtherDict(a=1),
+    OrderedDict(a=1), defaultdict(int), Counts(field_from_text("3")),
+    _OtherDict(a=1),
 ], ids=["ordered", "default", "counts", "subclass"])
 def test_render_json_rejects_dict_subclasses_but_pieces(value):
     with pytest.raises(TypeError):

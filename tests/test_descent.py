@@ -14,6 +14,7 @@ from motivic.descent import (
     h90_trivialize,
 )
 from motivic.fields import extension_field, prime_field, rationals
+from motivic.kclass import Counts
 from motivic.linalg import Matrix, _kernel
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
@@ -205,10 +206,10 @@ def test_class_conjugate_lines_in_p2():
     assert (shift, coeff) == (1, 1)
     assert atom.label == "Z: V(x0^2 + x1^2) in P^1"
     assert r.residue == 1
-    assert r.class_expr.count_measure(3) == 1
+    assert r.class_expr.count_measure(Counts(F3)) == 1
     f_base = parse_poly("x0^2 + x1^2", F3, 3)
     assert brute_count(F3, 2, [f_base]) == 1
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_class_conjugate_planes_in_p3():
@@ -218,9 +219,9 @@ def test_class_conjugate_planes_in_p3():
     assert r.class_expr.coeffs == {0: 1, 1: 1}
     shift, coeff, atom = r.class_expr.residuals[0]
     assert (shift, coeff) == (2, 1)
-    assert r.class_expr.count_measure(3) == 4
+    assert r.class_expr.count_measure(Counts(F3)) == 4
     assert brute_count(F3, 3, [parse_poly("x0^2 + x1^2", F3, 4)]) == 4
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_class_rational_forms_matches_arrangement():
@@ -229,9 +230,10 @@ def test_class_rational_forms_matches_arrangement():
     r = class_of_descended_arrangement(ctx, forms, ambient=2)
     base_forms = [parse_poly("x0", F3, 3), parse_poly("x1", F3, 3)]
     direct = class_of_arrangement(base_forms)
-    assert r.class_expr.count_measure(3) == direct.class_expr.count_measure(3)
+    assert (r.class_expr.count_measure(Counts(F3))
+            == direct.class_expr.count_measure(Counts(F3)))
     assert r.residue == direct.residue == 1
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_class_trace_rules():
@@ -306,8 +308,9 @@ def test_randomized_scalar_scrambles():
         a = class_of_descended_arrangement(ctx, lifted, n, seed=trial)
         b = class_of_descended_arrangement(ctx, scrambled, n, seed=trial)
         assert a.class_expr == b.class_expr
-        assert b.class_expr.count_measure(p) == a.class_expr.count_measure(p)
-        assert_trace_verifies(b)
+        assert (b.class_expr.count_measure(Counts(ctx.base))
+                == a.class_expr.count_measure(Counts(ctx.base)))
+        assert_trace_verifies(b, ctx.base)
 
 
 def test_randomized_matrix_scrambles():

@@ -127,25 +127,34 @@ def test_residue_mod_l():
 
 
 def test_count_measure():
-    assert projective_space_class(2).count_measure(5) == 31
+    assert projective_space_class(2).count_measure(Counts(F5)) == 31
     v = VarietyAtom(F3, 1, [parse_poly("x0*x1", F3, 2)])
     e = ClassExpr({1: 1}, [(1, 2, v)])
     # q + 2*q*#V where #V(x0*x1 in P^1) = 2
-    assert e.count_measure(3) == 3 + 2 * 3 * 2
-    with pytest.raises(ValueError, match="atom lives over"):
-        e.count_measure(5)
+    assert e.count_measure(Counts(F3)) == 3 + 2 * 3 * 2
+    with pytest.raises(ValueError,
+                       match="query lives over F3, counting is over F5"):
+        e.count_measure(Counts(F5))
 
 
 def test_uncountable_rational_atom():
     v = VarietyAtom(Q, 1, [parse_poly("x0*x1", Q, 2)])
-    with pytest.raises(ValueError, match="atom lives over Q, counting asked"):
-        ClassExpr.from_atom(v).count_measure(3)
+    with pytest.raises(ValueError,
+                       match="query lives over Q, counting is over F3"):
+        ClassExpr.from_atom(v).count_measure(Counts(F3))
+
+
+def test_counts_needs_a_finite_field():
+    with pytest.raises(ValueError, match="counting needs a finite field, got Q"):
+        Counts(Q)
+    counts = Counts(F3, 7)
+    assert (counts.spec, counts.q, counts.budget) == (F3, 3, 7)
 
 
 def test_etale_atom():
     a = EtaleAtom([2, 1, 1])
     assert a.degrees == (1, 1, 2)
-    assert a.count(7) == 2
+    assert a.count(Counts(F5)) == 2
     assert a.residue_contribution() == 2
     assert a.label == "etale(1,1,2)"
     with pytest.raises(ValueError):
@@ -186,19 +195,22 @@ def test_count_term_and_identity():
         [CountTerm(1, 0, CountQuery(F3, 1, []))],
         [CountTerm(1, 0, qv), CountTerm(2)],
     )
-    lv, rv = ident.sides()
+    lv, rv = ident.sides(Counts(F3))
     assert lv == 4 and rv == 4
     bad = Identity([CountTerm(1, 0, qv)], [CountTerm(3)])
-    assert bad.sides() == (2, 3)
+    assert bad.sides(Counts(F3)) == (2, 3)
 
 
 def test_identity_error_paths():
+    # an identity with no query is refused when it is built
     with pytest.raises(ValueError, match="no counting content"):
-        Identity([CountTerm(1)], [CountTerm(1)]).sides()
+        Identity([CountTerm(1)], [CountTerm(1)])
     q3 = CountQuery(F3, 1, [])
     q5 = CountQuery(F5, 1, [])
-    with pytest.raises(ValueError, match="mixes field sizes"):
-        Identity([CountTerm(1, 0, q3)], [CountTerm(1, 0, q5)]).sides()
+    mixed = Identity([CountTerm(1, 0, q3)], [CountTerm(1, 0, q5)])
+    with pytest.raises(ValueError,
+                       match="query lives over F5, counting is over F3"):
+        mixed.sides(Counts(F3))
 
 
 def test_describe_payloads_are_json():
@@ -226,8 +238,11 @@ def test_describe_payloads_are_json():
 @settings(max_examples=60, deadline=None)
 def test_count_measure_is_additive(c1, c2):
     a, b = ClassExpr(c1), ClassExpr(c2)
-    assert (a + b).count_measure(5) == a.count_measure(5) + b.count_measure(5)
-    assert (a - b).count_measure(5) == a.count_measure(5) - b.count_measure(5)
+    counts = Counts(F5)
+    assert (a + b).count_measure(counts) == (
+        a.count_measure(counts) + b.count_measure(counts))
+    assert (a - b).count_measure(counts) == (
+        a.count_measure(counts) - b.count_measure(counts))
 
 
 @given(st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=5),
@@ -235,7 +250,8 @@ def test_count_measure_is_additive(c1, c2):
 @settings(max_examples=60, deadline=None)
 def test_lshift_matches_multiplication_by_q(c, k):
     e = ClassExpr(c)
-    assert e.lshift(k).count_measure(3) == e.count_measure(3) * 3**k
+    counts = Counts(F3)
+    assert e.lshift(k).count_measure(counts) == e.count_measure(counts) * 3**k
 
 
 def test_count_memo_skips_repeats_and_keeps_no_failure(monkeypatch):
@@ -251,7 +267,7 @@ def test_count_memo_skips_repeats_and_keeps_no_failure(monkeypatch):
     space = CountQuery(F3, 4)
     ident = Identity([CountTerm(1, 0, line), CountTerm(1, 0, line)],
                      [CountTerm(1, 0, space)])
-    counts = Counts(120)
+    counts = Counts(F3, 120)
     # the 121 candidates of P^4(F3) are over the budget: the error reaches
     # the caller and only the count that finished is kept
     with pytest.raises(BudgetError, match="needs 121 candidates"):
@@ -264,10 +280,10 @@ def test_count_memo_skips_repeats_and_keeps_no_failure(monkeypatch):
     # a hit is returned as stored, through the atoms of count_measure too
     atom = VarietyAtom(F3, 1, [parse_poly("x0", F3, 2)])
     expr = ClassExpr.from_atom(atom, shift=1)
-    stored = Counts()
+    stored = Counts(F3)
     stored[atom.query()] = 5
-    assert expr.count_measure(3, stored) == 15
-    stored = Counts()
+    assert expr.count_measure(stored) == 15
+    stored = Counts(F3)
     stored[CountQuery(F3, 1, line.generators)] = 7
     assert stored[line] == 7
-    assert Counts()[line] == 1 and len(counted) == 4
+    assert Counts(F3)[line] == 1 and len(counted) == 4

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import assert_trace_verifies, brute_count
 from motivic.descent import GaloisContext, class_of_descended_arrangement
 from motivic.fields import extension_field, prime_field, rationals
-from motivic.kclass import ClassExpr, projective_space_class
+from motivic.kclass import ClassExpr, Counts, projective_space_class
 from motivic.linalg import Matrix, _Echelon, _kernel, _product, _rotation
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
@@ -33,17 +33,17 @@ def test_single_hyperplane():
     assert r.class_expr == projective_space_class(1)
     assert r.residue == 1
     assert dict(r.hypotheses)["d_le_n"]
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_two_lines_in_the_plane():
     forms = _forms(["x0", "x1"], F3, 3)
     r = class_of_arrangement(forms)
     assert r.class_expr == ClassExpr({0: 1, 1: 2})
-    assert r.class_expr.count_measure(3) == 7 == brute_count(
+    assert r.class_expr.count_measure(Counts(F3)) == 7 == brute_count(
         F3, 2, [forms[0] * forms[1]]
     )
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_duplicate_and_scaled_forms_dedupe():
@@ -63,7 +63,7 @@ def test_more_hyperplanes_than_dimension():
     assert r.class_expr == ClassExpr.from_int(3)
     assert r.residue == 3
     assert not dict(r.hypotheses)["d_le_n"]
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_dual_route_identical():
@@ -99,7 +99,7 @@ def test_inclusion_exclusion_oracle_values():
     expr = arrangement_inclusion_exclusion(forms)
     # 3*[P^1] - 3*[P^0] + 0
     assert expr == ClassExpr({0: 3, 1: 3}) - ClassExpr.from_int(3)
-    assert expr.count_measure(3) == 9
+    assert expr.count_measure(Counts(F3)) == 9
     with pytest.raises(ValueError, match="too many"):
         arrangement_inclusion_exclusion(
             [
@@ -216,8 +216,9 @@ def test_randomized_dual_route_and_counting():
         product = forms[0]
         for h in forms[1:]:
             product = product * h
-        assert r.class_expr.count_measure(q) == brute_count(spec, n, [product])
-        assert_trace_verifies(r)
+        assert (r.class_expr.count_measure(Counts(spec))
+                == brute_count(spec, n, [product]))
+        assert_trace_verifies(r, spec)
         if len({h.monic().canonical_key() for h in forms}) <= n:
             assert r.residue == 1
 

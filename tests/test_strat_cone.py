@@ -2,7 +2,7 @@ import pytest
 
 from conftest import assert_trace_verifies, brute_count
 from motivic.fields import prime_field, rationals
-from motivic.kclass import ClassExpr, VarietyAtom
+from motivic.kclass import ClassExpr, Counts, VarietyAtom
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
 from motivic.strat import class_of_cone
@@ -20,8 +20,8 @@ def test_cone_over_point_is_a_line():
     )
     assert r.class_expr == expected
     assert r.residue == 1
-    assert r.class_expr.count_measure(3) == 4
-    assert_trace_verifies(r)
+    assert r.class_expr.count_measure(Counts(F3)) == 4
+    assert_trace_verifies(r, F3)
 
 
 def test_cone_over_empty_base():
@@ -30,7 +30,7 @@ def test_cone_over_empty_base():
     assert r.residue == 1
     assert dict(r.hypotheses)["base_detected_empty"]
     assert [s.rule for s in r.trace] == ["cone-over-empty"]
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_cone_over_plane_cubic():
@@ -38,10 +38,10 @@ def test_cone_over_plane_cubic():
     # has q + 1 = 6 points over F5; the cone adds the apex: 1 + 5*6 = 31
     z = parse_poly("x0^3 + x1^3 + x2^3", F5, 3)
     r = class_of_cone([z])
-    assert r.class_expr.count_measure(5) == 31
+    assert r.class_expr.count_measure(Counts(F5)) == 31
     lifted = z.insert_variable(3)
     assert brute_count(F5, 3, [lifted]) == 31
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F5)
     assert not dict(r.hypotheses)["base_detected_empty"]
     assert [s.rule for s in r.trace] == ["cone-split"]
 
@@ -51,7 +51,7 @@ def test_cone_identity_structure():
     z = parse_poly("x0^2 + x1*x2", F3, 3)
     r = class_of_cone([z])
     step = r.trace[0]
-    lv, rv = step.identity.sides()
+    lv, rv = step.identity.sides(Counts(F3))
     nz = brute_count(F3, 2, [z])
     assert rv == 1 + 3 * nz
     assert lv == rv
@@ -60,15 +60,15 @@ def test_cone_identity_structure():
 def test_cone_with_no_constraints_is_projective_space():
     # every generator zero: Z is all of P^2, the cone all of P^3
     r = class_of_cone([HomogPoly.zero(F3, 3, 2)])
-    assert r.class_expr.count_measure(3) == 40
-    assert_trace_verifies(r)
+    assert r.class_expr.count_measure(Counts(F3)) == 40
+    assert_trace_verifies(r, F3)
 
 
 def test_linear_generators_not_full_rank_stay_atom():
     r = class_of_cone([parse_poly("x0 + x1", F5, 3)])
     assert r.class_expr.residuals
-    assert r.class_expr.count_measure(5) == 1 + 5 * 6
-    assert_trace_verifies(r)
+    assert r.class_expr.count_measure(Counts(F5)) == 1 + 5 * 6
+    assert_trace_verifies(r, F5)
 
 
 def test_rational_cone():
@@ -77,8 +77,8 @@ def test_rational_cone():
     assert r.residue == 1
     assert any(isinstance(a, VarietyAtom) for _, _, a in r.class_expr.residuals)
     assert all(s.identity is None for s in r.trace)
-    with pytest.raises(ValueError, match="atom lives over Q"):
-        r.class_expr.count_measure(3)
+    with pytest.raises(ValueError, match="query lives over Q"):
+        r.class_expr.count_measure(Counts(F3))
 
 
 def test_validation_errors():

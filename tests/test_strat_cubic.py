@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_trace_verifies, brute_count
 from motivic.fields import extension_field, prime_field, rationals
-from motivic.kclass import ClassExpr, VarietyAtom
+from motivic.kclass import ClassExpr, Counts, VarietyAtom
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
 from motivic.strat import (
@@ -75,27 +75,28 @@ def test_cubic_surface_with_conic_f2():
     )
     assert r.class_expr == expected
     assert r.residue == 1
-    assert r.class_expr.count_measure(3) == 13 == brute_count(F3, 3, [f])
+    assert (r.class_expr.count_measure(Counts(F3)) == 13
+            == brute_count(F3, 3, [f]))
     hyps = dict(r.hypotheses)
     assert hyps["f1_forced_zero"] and not hyps["f2_zero_cone_route"]
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_auto_point_gives_valid_stratification():
     # auto search picks (0:1:0:0); the identities must still balance
     f = parse_poly("x0*x1*x3 - x2^2*x3 + x0^3", F3, 4)
     r = class_of_singular_cubic(f)
-    assert r.class_expr.count_measure(3) == 13
-    assert_trace_verifies(r)
+    assert r.class_expr.count_measure(Counts(F3)) == 13
+    assert_trace_verifies(r, F3)
 
 
 def test_rank_two_f2():
     f = parse_poly("x3*x0*x1 + x0^3", F5, 4)
     r = class_of_singular_cubic(f, x=(0, 0, 0, 1))
-    assert r.class_expr.count_measure(5) == brute_count(F5, 3, [f])
+    assert r.class_expr.count_measure(Counts(F5)) == brute_count(F5, 3, [f])
     assert r.residue == 1
-    assert r.class_expr.count_measure(5) % 5 == 1
-    assert_trace_verifies(r)
+    assert r.class_expr.count_measure(Counts(F5)) % 5 == 1
+    assert_trace_verifies(r, F5)
 
 
 def test_f2_zero_delegates_to_cone():
@@ -105,17 +106,18 @@ def test_f2_zero_delegates_to_cone():
     hyps = dict(r.hypotheses)
     assert hyps["f2_zero_cone_route"]
     assert "cubic-is-cone" in [s.rule for s in r.trace]
-    assert r.class_expr.count_measure(5) == 31 == brute_count(F5, 3, [f])
+    assert (r.class_expr.count_measure(Counts(F5)) == 31
+            == brute_count(F5, 3, [f]))
     assert r.residue == 1
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F5)
 
 
 def test_fourfold_case():
     f = parse_poly("x0*x1*x4 + x2^2*x4 + x3^2*x4 + x0^3 + x1^3", F3, 5)
     r = class_of_singular_cubic(f, x=(0, 0, 0, 0, 1))
-    assert r.class_expr.count_measure(3) == brute_count(F3, 4, [f])
+    assert r.class_expr.count_measure(Counts(F3)) == brute_count(F3, 4, [f])
     assert r.residue == 1
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_rational_singular_cubic():
@@ -172,8 +174,8 @@ def test_given_point_over_an_extension_field_is_an_index():
     f = parse_poly("x0*x1*x3 + t*x2^2*x3 + x0^3 + x2^3", F9, 4)
     count = brute_count(F9, 3, [f])
     for x in ((0, 0, 0, 1), (0, 0, 0, 3)):
-        assert class_of_singular_cubic(f, x=x).class_expr.count_measure(9) \
-            == count
+        r = class_of_singular_cubic(f, x=x)
+        assert r.class_expr.count_measure(Counts(F9)) == count
     r = class_of_singular_cubic(parse_poly("x0*x1*x3 - x2^2*x3 + x0^3", Q, 4),
                                 x=(0, 0, 0, Fraction(2)))
     assert r.residue == 1
@@ -217,8 +219,9 @@ def test_randomized_apex_cubics():
         if f.is_zero():
             continue
         r = class_of_singular_cubic(f, x=(0,) * (nvars - 1) + (1,))
-        assert r.class_expr.count_measure(q) == brute_count(spec, nvars - 1, [f])
-        assert_trace_verifies(r)
+        assert (r.class_expr.count_measure(Counts(spec))
+                == brute_count(spec, nvars - 1, [f]))
+        assert_trace_verifies(r, spec)
 
 
 def _random_form(rng, spec, nvars, degree):

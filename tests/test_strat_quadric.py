@@ -7,6 +7,7 @@ from conftest import assert_trace_verifies, brute_count
 from motivic.fields import extension_field, prime_field, rationals
 from motivic.kclass import (
     ClassExpr,
+    Counts,
     EtaleAtom,
     VarietyAtom,
     projective_space_class,
@@ -25,9 +26,9 @@ def test_smooth_conic_is_a_line():
     r = class_of_quadric(parse_poly("x0*x1 - x2^2", F5, 3))
     assert r.class_expr == projective_space_class(1)
     assert r.residue == 1
-    assert r.class_expr.count_measure(5) == 6
+    assert r.class_expr.count_measure(Counts(F5)) == 6
     assert dict(r.hypotheses)["nondegenerate"]
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F5)
 
 
 def test_split_quadric_surface():
@@ -35,23 +36,25 @@ def test_split_quadric_surface():
     r = class_of_quadric(f)
     assert r.class_expr == ClassExpr({0: 1, 1: 2, 2: 1})
     assert str(r.class_expr) == "1 + 2*L + L^2"
-    assert r.class_expr.count_measure(3) == 16 == brute_count(F3, 3, [f])
-    assert_trace_verifies(r)
+    assert (r.class_expr.count_measure(Counts(F3)) == 16
+            == brute_count(F3, 3, [f]))
+    assert_trace_verifies(r, F3)
 
 
 def test_odd_dimensional_quadric_in_p4():
     f = parse_poly("x0*x1 + x2*x3 + x4^2", F7, 5)
     r = class_of_quadric(f)
     assert r.class_expr == projective_space_class(3)
-    assert r.class_expr.count_measure(7) == 400 == brute_count(F7, 4, [f])
-    assert_trace_verifies(r)
+    assert (r.class_expr.count_measure(Counts(F7)) == 400
+            == brute_count(F7, 4, [f]))
+    assert_trace_verifies(r, F7)
 
 
 def test_binary_split_two_points():
     r = class_of_quadric(parse_poly("x0^2 - x1^2", F5, 2))
     assert r.class_expr == ClassExpr.from_int(2)
     assert r.residue == 2
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F5)
 
 
 def test_binary_anisotropic_conjugate_pair():
@@ -59,11 +62,11 @@ def test_binary_anisotropic_conjugate_pair():
     assert r.class_expr == ClassExpr.from_atom(EtaleAtom((2,)))
     assert str(r.class_expr) == "[etale(2)]"
     assert r.residue == 0
-    assert r.class_expr.count_measure(3) == 0 == brute_count(F3, 1, [
+    assert r.class_expr.count_measure(Counts(F3)) == 0 == brute_count(F3, 1, [
         parse_poly("x0^2 + x1^2", F3, 2)
     ])
     assert all(isinstance(a, EtaleAtom) for _, _, a in r.class_expr.residuals)
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_rank_one_double_line():
@@ -71,11 +74,12 @@ def test_rank_one_double_line():
     f = parse_poly("x0^2", F3, 3)
     r = class_of_quadric(f)
     assert r.class_expr == projective_space_class(1)
-    assert r.class_expr.count_measure(3) == 4 == brute_count(F3, 2, [f])
+    assert (r.class_expr.count_measure(Counts(F3)) == 4
+            == brute_count(F3, 2, [f]))
     rules = [s.rule for s in r.trace]
     assert rules[0] == "radical-split"
     assert not dict(r.hypotheses)["nondegenerate"]
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_rank_two_cone_in_p3():
@@ -83,8 +87,9 @@ def test_rank_two_cone_in_p3():
     r = class_of_quadric(f)
     # two planes through a common line
     assert r.class_expr == ClassExpr({0: 1, 1: 1, 2: 2})
-    assert r.class_expr.count_measure(3) == 22 == brute_count(F3, 3, [f])
-    assert_trace_verifies(r)
+    assert (r.class_expr.count_measure(Counts(F3)) == 22
+            == brute_count(F3, 3, [f]))
+    assert_trace_verifies(r, F3)
 
 
 def test_anisotropic_cone():
@@ -95,8 +100,9 @@ def test_anisotropic_cone():
         {0: 1}, [(1, 1, EtaleAtom((2,)))]
     )
     assert r.residue == 1
-    assert r.class_expr.count_measure(3) == 1 == brute_count(F3, 2, [f])
-    assert_trace_verifies(r)
+    assert (r.class_expr.count_measure(Counts(F3)) == 1
+            == brute_count(F3, 2, [f]))
+    assert_trace_verifies(r, F3)
 
 
 def test_extension_field_conic():
@@ -104,8 +110,9 @@ def test_extension_field_conic():
     f = parse_poly("x0*x1 - x2^2", F9, 3)
     r = class_of_quadric(f)
     assert r.class_expr == projective_space_class(1)
-    assert r.class_expr.count_measure(9) == 10 == brute_count(F9, 2, [f])
-    assert_trace_verifies(r)
+    assert (r.class_expr.count_measure(Counts(F9)) == 10
+            == brute_count(F9, 2, [f]))
+    assert_trace_verifies(r, F9)
 
 
 def test_rational_isotropic_conic():
@@ -169,10 +176,10 @@ def test_measure_matches_count_on_random_forms():
                 continue
             f = HomogPoly(spec, nvars, 2, terms)
             r = class_of_quadric(f)
-            assert r.class_expr.count_measure(q) == brute_count(
+            assert r.class_expr.count_measure(Counts(spec)) == brute_count(
                 spec, nvars - 1, [f]
             )
-            assert_trace_verifies(r)
+            assert_trace_verifies(r, spec)
 
 
 def test_every_quadric_in_the_plane_over_f3():
@@ -189,9 +196,9 @@ def test_every_quadric_in_the_plane_over_f3():
             continue
         f = HomogPoly(F3, 3, 2, dict(zip(monomials, coeffs)))
         r = class_of_quadric(f)
-        assert_trace_verifies(r)
+        assert_trace_verifies(r, F3)
         count = brute_count(F3, 2, [f])
-        assert r.class_expr.count_measure(3) == count, str(f)
+        assert r.class_expr.count_measure(Counts(F3)) == count, str(f)
         assert r.residue == 1, str(f)
         assert count % 3 == 1, str(f)
         swept += 1

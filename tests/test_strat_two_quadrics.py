@@ -4,7 +4,7 @@ import pytest
 
 from conftest import assert_trace_verifies, brute_count, lit, scaled
 from motivic.fields import prime_field, rationals
-from motivic.kclass import VarietyAtom
+from motivic.kclass import Counts, VarietyAtom
 from motivic.parse import parse_poly
 from motivic.poly import HomogPoly
 from motivic.quadform import QuadForm
@@ -28,9 +28,9 @@ def test_reference_pair_counts():
     r = class_of_two_quadric_union(f1, f2)
     union = brute_count(F3, 4, [f1 * f2])
     assert union == 64
-    assert r.class_expr.count_measure(3) == 64
+    assert r.class_expr.count_measure(Counts(F3)) == 64
     assert union % 3 == 1
-    assert assert_trace_verifies(r) >= 5
+    assert assert_trace_verifies(r, F3) >= 5
 
 
 def test_reference_pair_class_shape():
@@ -68,11 +68,12 @@ def test_identity_values_frozen():
     f1, f2 = _pair()
     r = class_of_two_quadric_union(f1, f2)
     by_rule = {s.rule: s for s in r.trace if s.identity is not None}
-    assert by_rule["union-scissor"].identity.sides() == (64, 64)
-    assert by_rule["chart-split"].identity.sides() == (16, 16)
-    assert by_rule["open-chart-cubic"].identity.sides() == (11, 11)
-    assert by_rule["infinity-hyperplane"].identity.sides() == (8, 8)
-    assert by_rule["closed-chart-fibration"].identity.sides() == (5, 5)
+    counts = Counts(F3)
+    assert by_rule["union-scissor"].identity.sides(counts) == (64, 64)
+    assert by_rule["chart-split"].identity.sides(counts) == (16, 16)
+    assert by_rule["open-chart-cubic"].identity.sides(counts) == (11, 11)
+    assert by_rule["infinity-hyperplane"].identity.sides(counts) == (8, 8)
+    assert by_rule["closed-chart-fibration"].identity.sides(counts) == (5, 5)
 
 
 def test_proportional_pair_delegates():
@@ -82,7 +83,7 @@ def test_proportional_pair_delegates():
     assert dict(r.hypotheses)["q2_proportional_to_q1"]
     assert r.class_expr == class_of_quadric(f1).class_expr
     assert r.trace[0].rule == "identical-quadrics"
-    assert_trace_verifies(r)
+    assert_trace_verifies(r, F3)
 
 
 def test_validation_errors():
@@ -115,8 +116,9 @@ def test_randomized_pairs_measure_equals_count():
         except ValueError:
             continue  # degenerate Q1 or unsupported configuration: resample
         done += 1
-        assert r.class_expr.count_measure(3) == brute_count(F3, 4, [f1 * f2])
-        assert_trace_verifies(r)
+        assert (r.class_expr.count_measure(Counts(F3))
+                == brute_count(F3, 4, [f1 * f2]))
+        assert_trace_verifies(r, F3)
 
 
 def _random_quadric(rng, spec, nvars):
