@@ -25,11 +25,16 @@ that arithmetic for one field:
     values, and a constant c acts on them as its m x m matrix over F_p
     (the matrix of x -> c * x on the basis 1, t, ..., t^(m-1)).
   * A monomial vector over an affine block, each coordinate running from
-    its start to q - 1, is the Kronecker product of one coordinate's
-    powers with the vector of the rest; over a projective block, the
-    canonical points of its coordinates in walk order, it is concatenated
-    from those.  Both are kept across queries, at most _VECTOR_BITS bits
-    of them per field and _FIELDS fields.
+    its start to q - 1, is the Kronecker product of the first
+    coordinate's powers with the vector of the rest, built in one of three
+    ways (_Lanes._build): the rest's planes tiled when the first exponent
+    is 0, already reduced; the digit planes of the powers when the rest is
+    1 on every lane (the unit, for one coordinate), each digit spread over
+    the rest; else one scaled copy of the rest per power, concatenated and
+    reduced once.  Over a projective block, the canonical points of its
+    coordinates in walk order, a vector is concatenated from the affine
+    and projective vectors of the rest.  Both are kept across queries, at
+    most _VECTOR_BITS bits of them per field and _FIELDS fields.
 
 Each query's lead strata are planned once (_plan), the one place that
 reads a chart, and the plan names its kernel.  "kept": over a small P^n
@@ -68,8 +73,12 @@ _SEARCH_LANES = 1024
 _VECTOR_BITS = 8 << 20
 # fields whose lane arithmetic and vectors are kept (_lanes)
 _FIELDS = 8
-# plans kept (_plan); a perfbench workload meets at most 27 per process
+# plans kept (_plan); a perfbench workload meets at most 28 per process
+# (certify-mix at seeds 1 and 2)
 _PLANS = 64
+# _concat pairs a list of n items of step bits while n^2 * step passes
+# this, and shifts in the rest one at a time
+_SHORT_BITS = 1 << 18
 
 
 _Plan = namedtuple("_Plan", "kernel free starts cost strata t z block")
@@ -271,29 +280,22 @@ class _Lanes:
 
     def vector(self, starts, exps, proj=False):
         """The planes of the monomial prod(y_i^exps[i]) over the block whose
-        coordinates y_i run over range(starts[i], q), in odometer order:
-        the first coordinate's powers Kronecker the rest's vector.  With
-        proj, over the canonical points of the block in walk order instead:
-        [y_0 = 1] x the affine vector of the rest, then, unless y_0 is
-        charted nonzero (starts[0] = 1), [y_0 = 0] x the projective vector
-        of the rest, whose lanes are zero when the monomial holds y_0."""
+        coordinates y_i run over range(starts[i], q), in odometer order.
+        With proj, over the canonical points of the block in walk order
+        instead: [y_0 = 1] x the affine vector of the rest, then, unless
+        y_0 is charted nonzero (starts[0] = 1), [y_0 = 0] x the projective
+        vector of the rest, whose lanes are zero when the monomial holds
+        y_0.  A new vector is built once (_build) and kept."""
+        if proj and (len(starts) < 2 or starts[0] or exps[0]):
+            # no [y_0 = 0] part, or one of zero lanes: the affine vector
+            starts, exps, proj = starts[1:], exps[1:], False
         if not starts:
             return self.unit
-        if proj and (len(starts) == 1 or starts[0] or exps[0]):
-            # no [y_0 = 0] part, or one of zero lanes: the affine vector
-            return self.vector(starts[1:], exps[1:])
         key = (starts, exps, proj)
         vec = self.vectors.get(key)
         if vec is None:
-            q, rest = self.q, self.vector(starts[1:], exps[1:])
-            lanes = prod(q - s for s in starts[1:])
-            if proj:
-                vec = tuple([a + (b << lanes * self.width) for a, b in zip(
-                    rest, self.vector(starts[1:], exps[1:], True))])
-            else:
-                vec = self._kron([self.power(x, exps[0])
-                                  for x in range(starts[0], q)], rest, lanes)
-            bits = sum([plane.bit_length() for plane in vec])
+            vec = self._build(starts, exps, proj)
+            bits = sum(map(int.bit_length, vec))
             if self.held + bits > _VECTOR_BITS:
                 self.vectors.clear()
                 self.held = 0
@@ -301,37 +303,90 @@ class _Lanes:
             self.held += bits
         return vec
 
-    def _kron(self, values, planes, lanes):
-        """values (x) planes: lane k * lanes + i holds values[k] times lane
-        i of planes.  Each distinct value scales the planes once (over
-        F_{p^m} through its matrix), and the scaled copies are concatenated
-        plane by plane and reduced once; over one lane of F_p they are the
-        values themselves."""
+    def _build(self, starts, exps, proj):
+        """The planes of vector(starts, exps, proj), which is not kept, from
+        the vector of the rest, the coordinates after y_0:
+          * projective: the affine rest, then the projective rest;
+          * exponent 0: the rest's planes tiled, one copy per value of y_0;
+          * the rest's exponents all 0, so that it is 1 on every lane (the
+            unit when there is no rest): the digit planes of the values
+            y_0^e, each digit d spread as d times the rest;
+          * otherwise scaled copies (_copies): for each value v = y_0^e in
+            turn, v times the rest, concatenated and reduced once.
+        Only the last holds lanes past p - 1 before its reduction."""
+        q, p, m = self.q, self.p, self.m
+        tail, rest_exps = starts[1:], exps[1:]
+        rest = self.vector(tail, rest_exps)
+        lanes = prod(map(q.__sub__, tail))
         step = lanes * self.width
-        if self.m == 1:
-            if lanes == 1:
-                return (_concat(values, step),)
-            plane = planes[0]
-            scaled = {v: [v * plane] for v in set(values)}
-        else:
-            scaled = {v: [sum([a * plane for a, plane in zip(row, planes)
-                               if a and plane]) for row in self.matrix(v)]
-                      for v in set(values)}
-        qmask = self.masks(lanes * len(values))[1]
-        return tuple(self.reduce(_concat([scaled[v][i] for v in values],
-                                         step), qmask)
-                     for i in range(self.m))
+        if proj:
+            return tuple([a | b << step for a, b in zip(
+                rest, self.vector(tail, rest_exps, True))])
+        count, e = q - starts[0], exps[0]
+        if not e:
+            return tuple([_tile(plane, count, step) for plane in rest])
+        power = self.power
+        values = [power(x, e) for x in range(starts[0], q)]
+        if not any(rest_exps):
+            ones = rest[0]
+            digits = [values] if m == 1 else [[v // p ** i % p for v in values]
+                                              for i in range(m)]
+            return tuple([_concat([d * ones for d in plane], step)
+                          for plane in digits])
+        qmask = self.masks(lanes * count)[1]
+        return tuple([self.reduce(_concat(list(map(copies.__getitem__,
+                                                   values)), step), qmask)
+                      for copies in self._copies(rest, lanes)])
+
+    def _copies(self, rest, lanes):
+        """For each plane i of the vector rest of that many lanes, the list
+        whose entry v is plane i of v times rest, unreduced, for every
+        value v: over F_p the p multiples of the plane.  Over F_{p^m} v
+        times rest sums digit k of v times basis[k], the rest times t^k, so
+        each plane's list grows by one digit at a time, from the p
+        multiples of each basis plane."""
+        p = self.p
+        basis = [rest]
+        qmask = self.masks(lanes)[1]
+        for _ in range(1, self.m):
+            basis.append([self.reduce(sum([a * plane for a, plane in zip(
+                row, basis[-1]) if a]), qmask) for row in self.matrix(p)])
+        out = []
+        for i, plane in enumerate(rest):
+            copies = [c * plane for c in range(p)]
+            for planes in basis[1:]:
+                multiples = [c * planes[i] for c in range(p)]
+                copies = [x + y for y in multiples for x in copies]
+            out.append(copies)
+        return out
+
+
+def _tile(x, count, step):
+    """count copies of x, each of step bits: x | x << step | ...  The
+    copies held double while they fit, and one last shift adds the ones
+    still missing; where it overlaps the copies held it ORs equal bits."""
+    held = 1
+    while 2 * held < count:
+        x |= x << held * step
+        held *= 2
+    return x | x << (count - held) * step
 
 
 def _concat(items, step):
-    """sum(x << k * step for k, x in enumerate(items)), pairing neighbours
-    level by level so that each level touches every bit once."""
-    while len(items) > 1:
+    """sum(x << k * step for k, x in enumerate(items)), each x below
+    2^step.  A long list is paired level by level, each level touching
+    every bit once, until it is short; a short one is shifted in one item
+    at a time, which takes fewer steps."""
+    while len(items) > 1 and len(items) ** 2 * step > _SHORT_BITS:
         if len(items) % 2:
             items.append(0)
-        items = [a + (b << step) for a, b in zip(items[::2], items[1::2])]
+        pairs = iter(items)
+        items = [a | b << step for a, b in zip(pairs, pairs)]
         step *= 2
-    return items[0]
+    out = 0
+    for x in reversed(items):
+        out = out << step | x
+    return out
 
 
 _lanes = lru_cache(maxsize=_FIELDS)(_Lanes)

@@ -1,4 +1,6 @@
+import random
 from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -448,6 +450,67 @@ def test_planned_count_matches_strata_and_reference(query):
     assert (t == 0) == (query.cost() <= _pure._BLOCK_LANES)
 
 
+def _kron_vector(lanes, starts, exps, proj=False):
+    """The monomial vector as the Kronecker builder made it before the
+    tile, digit and spread paths: the first coordinate's powers, each
+    distinct value scaling the rest's planes (over F_{p^m} through its
+    matrix), concatenated plane by plane and reduced once; over one lane
+    of F_p the values themselves.  A projective vector concatenates the
+    affine rest and the projective rest."""
+    if not starts:
+        return lanes.unit
+    if proj and (len(starts) == 1 or starts[0] or exps[0]):
+        return _kron_vector(lanes, starts[1:], exps[1:])
+    q, rest = lanes.q, _kron_vector(lanes, starts[1:], exps[1:])
+    n = prod([q - s for s in starts[1:]])
+    step = n * lanes.width
+    if proj:
+        return tuple([a + (b << step) for a, b in zip(
+            rest, _kron_vector(lanes, starts[1:], exps[1:], True))])
+    values = [lanes.power(x, exps[0]) for x in range(starts[0], q)]
+
+    def concat(items):
+        return sum([x << k * step for k, x in enumerate(items)])
+
+    if lanes.m == 1 and n == 1:
+        return (concat(values),)
+    scaled = {v: [sum([a * plane for a, plane in zip(row, rest)
+                       if a and plane]) for row in lanes.matrix(v)]
+              for v in set(values)}
+    qmask = lanes.masks(n * len(values))[1]
+    return tuple([lanes.reduce(concat([scaled[v][i] for v in values]), qmask)
+                  for i in range(lanes.m)])
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (7, 1), (31, 1), (1021, 1),
+                                  (3, 2), (5, 2), (7, 2), (3, 3), (7, 3)],
+                         ids=str)
+def test_monomial_vectors_match_the_kronecker_builder(p, m):
+    """Every monomial vector, affine and projective, equals the one the
+    Kronecker builder (_kron_vector) makes, bit for bit: over blocks of
+    one coordinate up to the most that fit in _BLOCK_LANES lanes, with
+    every pattern of charted starts (1s), and exponents 0 (tiles), 1 and
+    up to q - 1, the rest's exponents all 0 (spread digits) or not
+    (scaled copies)."""
+    spec = prime_field(p) if m == 1 else extension_field(p, m)
+    q = spec.order
+    lanes = _pure._Lanes(spec)
+    rng = random.Random(q)
+    top = [1, 2, q - 2, q - 1]
+    k = 1
+    while q ** k <= _pure._BLOCK_LANES:
+        for starts in product((0, 1), repeat=k):
+            patterns = [(0,) * k, (1,) + (0,) * (k - 1),
+                        (q - 1,) + (0,) * (k - 1)]
+            patterns += [tuple([rng.choice(top + [0, rng.randrange(q)])
+                                for _ in range(k)]) for _ in range(4)]
+            for exps in patterns:
+                for proj in (False, True):
+                    assert lanes.vector(starts, exps, proj) == _kron_vector(
+                        lanes, starts, exps, proj), (starts, exps, proj)
+        k += 1
+
+
 def test_monomial_vectors_stay_bounded_per_field(monkeypatch):
     """The monomial vectors the lane kernel keeps per field, affine and
     projective, never hold more than _VECTOR_BITS bits, here lowered so
@@ -456,15 +519,15 @@ def test_monomial_vectors_stay_bounded_per_field(monkeypatch):
     bound = 1 << 16
     monkeypatch.setattr(_pure, "_VECTOR_BITS", bound)
     built = {}
-    kron = _pure._Lanes._kron
+    build = _pure._Lanes._build
 
-    def counted(lanes, values, planes, n):
-        vec = kron(lanes, values, planes, n)
+    def counted(lanes, starts, exps, proj):
+        vec = build(lanes, starts, exps, proj)
         built[lanes.q] = built.get(lanes.q, 0) + sum(
             [plane.bit_length() for plane in vec])
         return vec
 
-    monkeypatch.setattr(_pure._Lanes, "_kron", counted)
+    monkeypatch.setattr(_pure._Lanes, "_build", counted)
     # start from empty caches: earlier counts filled them under the real
     # bound
     _pure._lanes.cache_clear()
