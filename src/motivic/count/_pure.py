@@ -77,7 +77,9 @@ _FIELDS = 8
 # (certify-mix at seeds 1 and 2)
 _PLANS = 64
 # _concat pairs a list of n items of step bits while n^2 * step passes
-# this, and shifts in the rest one at a time
+# this, and shifts in the rest one at a time: shifting in touches about
+# n^2 * step / 2 bits, and below this it costs less than pairing's extra
+# steps
 _SHORT_BITS = 1 << 18
 
 
