@@ -491,7 +491,7 @@ def test_monomial_vectors_match_the_kronecker_builder(p, m):
     one coordinate up to the most that fit in _BLOCK_LANES lanes, with
     every pattern of charted starts (1s), and exponents 0 (tiles), 1 and
     up to q - 1, the rest's exponents all 0 (spread digits) or not
-    (scaled copies)."""
+    (scaled copies).  No vector is kept under two keys."""
     spec = prime_field(p) if m == 1 else extension_field(p, m)
     q = spec.order
     lanes = _pure._Lanes(spec)
@@ -509,6 +509,9 @@ def test_monomial_vectors_match_the_kronecker_builder(p, m):
                     assert lanes.vector(starts, exps, proj) == _kron_vector(
                         lanes, starts, exps, proj), (starts, exps, proj)
         k += 1
+    # a projective request whose vector is the affine one stores no alias
+    assert len({id(vec) for vec in lanes.vectors.values()}) == len(
+        lanes.vectors)
 
 
 def test_monomial_vectors_stay_bounded_per_field(monkeypatch):
